@@ -316,15 +316,14 @@ func RunATPG(c *Circuit) (*Summary, error) {
 // drains the run and returns the partial summary with ctx.Err().
 // Summary.Results and Vectors come back in fault-list order regardless of
 // worker completion order. Solving is incremental (region-grouped, learned
-// clauses shared between a region's faults); set RunOptions.Incremental
-// yourself via Engine.Run to ablate it.
+// clauses shared between a region's faults); run Engine.Run with
+// RunOptions.GroupMax 1 yourself for the fresh-per-fault ablation.
 func RunATPGParallel(ctx context.Context, c *Circuit, workers int, perFaultBudget time.Duration) (*Summary, error) {
 	eng := &atpg.Engine{VerifyTests: true, Workers: workers}
 	return eng.Run(ctx, c, atpg.RunOptions{
 		Collapse:       true,
 		Dominance:      true,
 		DropDetected:   true,
-		Incremental:    true,
 		RPTBatches:     atpg.DefaultRPTBatches,
 		Seed:           1,
 		PerFaultBudget: perFaultBudget,

@@ -416,14 +416,13 @@ func BenchmarkCachingSolver(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineArenaReuse measures what the per-worker scratch arenas
-// buy on a full collapsed run: solver buffers, CNF encoder slab and
-// fault-simulation scratch reused across faults vs. allocated fresh.
+// BenchmarkEngineArenaReuse measures a full collapsed run on the
+// per-worker scratch arenas: solver buffers, CNF encoder slab and
+// fault-simulation scratch reused across faults.
 func BenchmarkEngineArenaReuse(b *testing.B) {
 	c := gen.ParityTree(16)
-	run := func(b *testing.B, disable bool) {
-		b.Helper()
-		eng := &atpg.Engine{Solver: &sat.Caching{}, Workers: 1, DisableScratchReuse: disable}
+	b.Run("arena-reuse", func(b *testing.B) {
+		eng := &atpg.Engine{Solver: &sat.Caching{}, Workers: 1}
 		opt := atpg.RunOptions{Collapse: true}
 		allocs := testing.AllocsPerRun(1, func() {
 			if _, err := eng.Run(context.Background(), c, opt); err != nil {
@@ -442,9 +441,7 @@ func BenchmarkEngineArenaReuse(b *testing.B) {
 			}
 		}
 		recordBenchAllocs(b, 1, allocs)
-	}
-	b.Run("arena-reuse", func(b *testing.B) { run(b, false) })
-	b.Run("fresh-per-fault", func(b *testing.B) { run(b, true) })
+	})
 }
 
 // BenchmarkRPTPhase is the tentpole A/B: the full engine run with and
@@ -520,7 +517,7 @@ func BenchmarkIncrementalCDCL(b *testing.B) {
 			eng := &atpg.Engine{Workers: 1}
 			for i := 0; i < b.N; i++ {
 				sum, err := eng.Run(context.Background(), tc.c, atpg.RunOptions{
-					Collapse: true, Incremental: true, GroupMax: groupMax,
+					Collapse: true, GroupMax: groupMax,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -572,7 +569,7 @@ func BenchmarkRoutedPortfolio(b *testing.B) {
 			eng := &atpg.Engine{Workers: 1}
 			for i := 0; i < b.N; i++ {
 				sum, err := eng.Run(context.Background(), tc.c, atpg.RunOptions{
-					Collapse: true, Incremental: true, Route: route,
+					Collapse: true, Route: route,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -7,7 +7,7 @@
 //
 //	atpg -bench FILE | -blif FILE | -gen NAME
 //	     [-collapse] [-dominance] [-drop] [-solver dpll|caching|simple]
-//	     [-incremental] [-group-max N]
+//	     [-group-max N]
 //	     [-route] [-route-width-max N] [-route-hard-scale F]
 //	     [-podem-max-backtracks N]
 //	     [-j WORKERS] [-budget DURATION] [-cache-limit BYTES]
@@ -36,9 +36,9 @@
 // group), encoded once with per-fault activation literals, and solved on
 // a persistent per-worker CDCL instance that keeps learned clauses alive
 // across the group — same verdicts and vectors as fresh-per-fault
-// solving, less repeated search. -incremental=false (or a non-dpll
-// -solver) restores fresh-per-fault solving; -group-max 1 keeps the
-// incremental core but gives every fault its own group.
+// solving, less repeated search. -group-max 1 is the fresh-per-fault
+// ablation: the same incremental core, every fault in its own group.
+// The caching and simple solvers decide each fault on its own.
 //
 // -route turns on cut-width-guided fault routing: every fault is scored
 // from its sub-circuit structure (cone size, SCOAP testability, a
@@ -52,7 +52,8 @@
 // with an MLA layout search when its cheap width bound is ambiguous.
 // Routed runs report per-class and per-backend tallies and stay
 // byte-identical at any -j; -route=false (the default) is the unrouted
-// engine, untouched.
+// engine, untouched. -route requires the dpll solver; with caching or
+// simple the run is refused.
 //
 // Faults are dispatched to -j parallel workers (default: GOMAXPROCS);
 // -budget bounds the SAT time per fault, reporting over-budget faults as
@@ -133,8 +134,7 @@ func main() {
 	rptIdle := flag.Int("rpt-idle", atpg.DefaultRPTIdleStop, "stop the pre-phase after this many consecutive batches detecting nothing new")
 	seed := flag.Int64("seed", 1, "random-pattern generator seed (same seed = same run)")
 	solver := flag.String("solver", "dpll", "SAT engine: dpll, caching or simple")
-	incremental := flag.Bool("incremental", true, "region-grouped incremental solving: keep learned clauses alive across a fanout region's faults (dpll solver only)")
-	groupMax := flag.Int("group-max", atpg.DefaultGroupMax, "max faults per region group in incremental mode (1 = fresh instance per fault)")
+	groupMax := flag.Int("group-max", atpg.DefaultGroupMax, "max faults per region group on the dpll solver's incremental core (1 = fresh instance per fault)")
 	route := flag.Bool("route", false, "cut-width-guided fault routing: dispatch each fault to the backend (podem, caching, cdcl, faultsim) its structure predicts cheapest")
 	routeWidthMax := flag.Int("route-width-max", 0, "largest sub-circuit (nodes) the router refines with an MLA layout search (0 = default)")
 	routeHardScale := flag.Float64("route-hard-scale", 0, "per-fault budget multiplier for hard-class faults (0 = default)")
@@ -236,7 +236,6 @@ func main() {
 		RetryBackoff:       *retryBackoff,
 		MemSoftLimit:       *memSoftLimit,
 		EffortWidth:        *effortWidth,
-		Incremental:        *incremental,
 		GroupMax:           *groupMax,
 		Route:              *route,
 		RouteWidthMax:      *routeWidthMax,
@@ -333,7 +332,8 @@ func main() {
 			formatTally(sum.Routed.Classes), formatTally(sum.Routed.Backends))
 	}
 	if *jsonOut {
-		doc := buildJSONSummary(sum, *solver, effectiveWorkers, *budget, *incremental, *groupMax, interrupted)
+		// The dpll solver is the only one that solves in region groups.
+		doc := buildJSONSummary(sum, *solver, effectiveWorkers, *budget, *solver == "dpll", *groupMax, interrupted)
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {

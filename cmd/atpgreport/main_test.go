@@ -23,7 +23,7 @@ func runObserved(t *testing.T) (atpg.EffortHeader, []atpg.EffortRecord, []obs.Sp
 	// RPT off: on a circuit this small random patterns detect everything,
 	// and the report's interesting sections need solver-decided faults.
 	if _, err := eng.Run(context.Background(), c, atpg.RunOptions{
-		Collapse: true, DropDetected: true, Incremental: true,
+		Collapse: true, DropDetected: true,
 		EffortLog: log,
 		Telemetry: &atpg.Telemetry{Trace: tr, Spans: obs.NewTracer(tr)},
 	}); err != nil {
@@ -152,7 +152,7 @@ func TestRouterAccuracySection(t *testing.T) {
 	log := atpg.NewEffortLog(&effort)
 	eng := &atpg.Engine{Workers: 2}
 	sum, err := eng.Run(context.Background(), c, atpg.RunOptions{
-		Collapse: true, DropDetected: true, Incremental: true, Route: true,
+		Collapse: true, DropDetected: true, Route: true,
 		EffortLog: log,
 	})
 	if err != nil {

@@ -2,17 +2,22 @@ package atpg
 
 // This file is the engine's contention-free dispatch layer: the atomic
 // drop bitset shared by claims and flushes, the effort-ordered dispatch
-// array (largest fanout cone first), and the chunked claim protocol the
-// worker pool and the retry tiers pull faults through. None of these
-// paths take a lock: claims advance an atomic cursor and read drop bits,
-// flushes set drop bits, and the deterministic commit frontier in
-// engine.go is the only serialized section.
+// array (largest fanout cone first), the chunked claim protocol, the
+// dispatch plan, and runPlan — the one loop every worker of the sweep
+// and of each retry tier runs. None of these paths take a lock: claims
+// advance an atomic cursor and read drop bits, flushes set drop bits,
+// and the deterministic commit frontier in engine.go is the only
+// serialized section.
 
 import (
+	"context"
 	"sort"
 	"sync/atomic"
+	"time"
 
 	"atpgeasy/internal/logic"
+	"atpgeasy/internal/obs"
+	"atpgeasy/internal/sat"
 )
 
 // bitset is a fixed-size concurrent bitset. Readers and writers
@@ -127,8 +132,7 @@ const (
 
 // chunkClaimer hands out the positions [0, n) of a shared work list,
 // reserving them in chunks off an atomic cursor. One instance per worker,
-// all pointing at the same cursor; the main sweep wraps it in claimer and
-// the retry tiers drive it directly over their per-tier queues.
+// all pointing at the same cursor.
 type chunkClaimer struct {
 	cursor  *atomic.Int64
 	n       int
@@ -175,29 +179,164 @@ func (cl *chunkClaimer) next() int {
 	return p
 }
 
-// claimer is one worker's view of the main-sweep dispatch order.
-type claimer struct {
-	ck chunkClaimer
+// dispatchPlan is one pass of the dispatch loop — the main sweep or one
+// retry tier: the order its faults are laid out in (the order the commit
+// frontier walks), region groups over a prefix of that order, and how
+// each single fault after the prefix is solved. Workers share one plan
+// and claim from its two cursors.
+type dispatchPlan struct {
+	order []int32
+	// groups partition order[:groupEnd]; each is solved on the worker's
+	// incremental CDCL instance. Single faults fill order[groupEnd:].
+	groups   []faultGroup
+	groupEnd int
+	// class is each fault's routed effort class, indexed by fault; a
+	// single fault solves on its class backend. Nil on an unrouted plan,
+	// whose singles solve on the engine's solver.
+	class []EffortClass
+	// groupBudget and singleBudget bound each member's or single fault's
+	// solve (0 = no deadline).
+	groupBudget, singleBudget time.Duration
+
+	groupCursor, singleCursor atomic.Int64
 }
 
-func (st *runState) newClaimer() claimer {
-	return claimer{ck: chunkClaimer{cursor: &st.cursor, n: len(st.order), workers: st.workers}}
-}
-
-// claim returns the next fault index for this worker to solve, or -1 when
-// the dispatch order is exhausted. Faults whose drop bit was set after
-// they were reserved are skipped without a solve — the redundant-solve
-// guard the regression tests pin down.
-func (st *runState) claim(cl *claimer) int {
-	for {
-		p := cl.ck.next()
-		if p < 0 {
-			return -1
+// planDispatch lays out a plan over the faults not in skip:
+//
+//   - routed (class non-nil): ClassHard faults in region groups, then the
+//     single-fault tail structural → low-width → trivial, each class in
+//     effort order, so vectors committed by the expensive backends drop
+//     the cheap tail before it is claimed;
+//   - grouped (the engine's solver is the incremental core's family):
+//     every fault in a region group;
+//   - otherwise every fault single, in effort order.
+func planDispatch(c *logic.Circuit, faults []Fault, skip []bool, class []EffortClass, grouped bool, groupMax int) *dispatchPlan {
+	pl := &dispatchPlan{class: class}
+	switch {
+	case class != nil:
+		only := func(cls EffortClass) []bool {
+			s := make([]bool, len(faults))
+			for i := range s {
+				s[i] = (skip != nil && skip[i]) || class[i] != cls
+			}
+			return s
 		}
-		i := int(st.order[p])
-		if st.droppedF.get(i) {
-			continue // dropped by a committed vector since reservation
+		pl.order, pl.groups = buildGroups(c, faults, only(ClassHard), groupMax)
+		pl.groupEnd = len(pl.order)
+		for _, cls := range []EffortClass{ClassStructural, ClassLowWidth, ClassTrivial} {
+			pl.order = append(pl.order, effortOrder(c, faults, only(cls))...)
 		}
-		return i
+	case grouped:
+		pl.order, pl.groups = buildGroups(c, faults, skip, groupMax)
+		pl.groupEnd = len(pl.order)
+	default:
+		pl.order = effortOrder(c, faults, skip)
 	}
+	return pl
+}
+
+// emitFunc receives one decided fault by its position in the plan's
+// order. The sweep publishes it to the commit frontier; a retry tier
+// adopts it as the fault's verdict.
+type emitFunc func(p int, res Result) error
+
+// runPlan is the engine's one dispatch loop, run by every worker of the
+// sweep and of each retry tier. The worker first claims whole region
+// groups off the group cursor (one atomic add each — a group is already
+// a chunk) and solves each on its incremental instance, then claims
+// single faults in chunks off the single cursor and solves each one on
+// its backend. Claims are lock-free; a fault dropped since its plan was
+// laid out is skipped without a solve. parent is the span the pass's
+// group and dispatch-chunk spans hang off.
+func (e *Engine) runPlan(ctx context.Context, st *runState, pl *dispatchPlan, worker int, ws *workerScratch, parent obs.SpanContext, emit emitFunc) error {
+	var shrinkSeen int64
+	for {
+		if ctx.Err() != nil {
+			return nil
+		}
+		st.maybeShrink(ws, worker, &shrinkSeen)
+		gi := int(pl.groupCursor.Add(1) - 1)
+		if gi >= len(pl.groups) {
+			break
+		}
+		if err := e.solveGroup(ctx, st, pl, &pl.groups[gi], ws, worker, &shrinkSeen, parent, emit); err != nil {
+			return err
+		}
+	}
+
+	tel := st.opt.Telemetry
+	// Each chunk reservation is one flight-recorder event and (under span
+	// tracing) rotates the worker's current dispatch-chunk span.
+	var chunkSpan obs.Span
+	defer func() { chunkSpan.End() }()
+	cl := chunkClaimer{cursor: &pl.singleCursor, n: len(pl.order) - pl.groupEnd, workers: st.workers}
+	cl.onChunk = func(lo, hi int) {
+		st.ring.Record("chunk", worker, int64(pl.groupEnd+lo), int64(hi-lo), 0)
+		if tel.hasSpans() {
+			chunkSpan.End()
+			chunkSpan = tel.startSpan("dispatch-chunk", parent)
+			chunkSpan.Worker = worker
+			chunkSpan.Items = int64(hi - lo)
+		}
+	}
+	for {
+		if ctx.Err() != nil {
+			return nil
+		}
+		st.maybeShrink(ws, worker, &shrinkSeen)
+		k := cl.next()
+		if k < 0 {
+			return nil
+		}
+		p := pl.groupEnd + k
+		i := int(pl.order[p])
+		if st.droppedF.get(i) {
+			continue // dropped by a committed vector since the plan was laid out
+		}
+		fspan := tel.startSpan("fault", chunkSpan.Context())
+		if fspan.Active() {
+			fspan.Worker = worker
+			fspan.Detail = st.faults[i].Name(st.c)
+		}
+		res, err := e.solveSingle(ctx, st, pl, i, ws)
+		fspan.Items = res.SolverStats.SearchEffort()
+		fspan.End()
+		st.ring.Record("solve", worker, int64(i), int64(res.Status), res.Elapsed.Nanoseconds())
+		if err != nil {
+			return err
+		}
+		if res.Status == Errored {
+			st.dumpRingOnce("fault panic recovered", true)
+		}
+		if ctx.Err() != nil {
+			// The abort is a draining artifact, not a verdict on the fault.
+			return nil
+		}
+		if err := emit(p, res); err != nil {
+			return err
+		}
+	}
+}
+
+// solveSingle decides one single-dispatched fault behind the per-fault
+// panic barrier: on its class backend on a routed plan, on the engine's
+// solver otherwise. The plan's single budget, when positive, bounds the
+// whole attempt — for the structural class both the PODEM search and
+// its CDCL fallback, which inherits whatever of the deadline PODEM left.
+func (e *Engine) solveSingle(ctx context.Context, st *runState, pl *dispatchPlan, i int, ws *workerScratch) (Result, error) {
+	f := st.faults[i]
+	return e.safeSolve(f, ws, func() (Result, error) {
+		lim := sat.Limits{Cancel: ctx.Done()}
+		if pl.singleBudget > 0 {
+			lim.Deadline = time.Now().Add(pl.singleBudget)
+		}
+		if pl.class == nil {
+			return e.testFault(st.c, f, lim, ws, st.opt.CacheLimit)
+		}
+		// Hard faults are always laid out in the grouped prefix.
+		if pl.class[i] == ClassLowWidth {
+			return e.solveCachingBackend(st, f, ws, lim)
+		}
+		return e.solvePodemBackend(st, f, ws, lim) // trivial survivors and structural
+	})
 }

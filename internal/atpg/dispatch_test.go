@@ -11,6 +11,7 @@ import (
 
 	"atpgeasy/internal/gen"
 	"atpgeasy/internal/logic"
+	"atpgeasy/internal/sat"
 )
 
 // TestBitsetSetGet covers the drop bitset's single-owner transition
@@ -117,49 +118,74 @@ func TestEffortOrder(t *testing.T) {
 // worker timing.) Built with -race in CI, this doubles as the concurrent
 // core's race test. Timing fields and WastedSolves — the price of
 // speculation, not part of the official outcome — are the only summary
-// fields allowed to differ.
+// fields allowed to differ. The property is checked on every plan the
+// dispatch loop runs: region groups, groups of one, single faults on the
+// engine's solver, and the routed portfolio.
 func TestParallelByteIdenticalWithDrop(t *testing.T) {
 	circuits := parallelTestCircuits()
 	circuits["rand-big"] = gen.Random(gen.RandomParams{Inputs: 20, Gates: 200, Seed: 3})
-	for name, c := range circuits {
-		faults := Collapse(c, AllFaults(c))
-		opt := RunOptions{DropDetected: true, RPTBatches: 8, Seed: 42}
-		serial, err := (&Engine{VerifyTests: true, Workers: 1}).RunFaults(context.Background(), c, faults, opt)
-		if err != nil {
-			t.Fatalf("%s serial: %v", name, err)
-		}
-		par, err := (&Engine{VerifyTests: true, Workers: 8}).RunFaults(context.Background(), c, faults, opt)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", name, err)
-		}
-		if serial.WastedSolves != 0 {
-			t.Errorf("%s: serial run wasted %d solves, want 0", name, serial.WastedSolves)
-		}
-		if !reflect.DeepEqual(serial.Vectors, par.Vectors) {
-			t.Errorf("%s: vector sets differ between 1 and 8 workers", name)
-		}
-		if serial.Detected != par.Detected || serial.Untestable != par.Untestable ||
-			serial.Aborted != par.Aborted || serial.Errors != par.Errors ||
-			serial.DroppedByFaultSim != par.DroppedByFaultSim ||
-			serial.DetectedByRPT != par.DetectedByRPT ||
-			serial.RPTBatches != par.RPTBatches || serial.RPTVectors != par.RPTVectors {
-			t.Errorf("%s: summaries differ:\n serial D%d U%d A%d E%d drop%d rpt%d/%d/%d\n par    D%d U%d A%d E%d drop%d rpt%d/%d/%d",
-				name,
-				serial.Detected, serial.Untestable, serial.Aborted, serial.Errors,
-				serial.DroppedByFaultSim, serial.DetectedByRPT, serial.RPTBatches, serial.RPTVectors,
-				par.Detected, par.Untestable, par.Aborted, par.Errors,
-				par.DroppedByFaultSim, par.DetectedByRPT, par.RPTBatches, par.RPTVectors)
-		}
-		if len(serial.Results) != len(par.Results) {
-			t.Fatalf("%s: %d results vs %d", name, len(serial.Results), len(par.Results))
-		}
-		for i := range serial.Results {
-			sr, pr := serial.Results[i], par.Results[i]
-			if sr.Fault != pr.Fault || sr.Status != pr.Status ||
-				sr.Vars != pr.Vars || sr.Clauses != pr.Clauses ||
-				!reflect.DeepEqual(sr.Vector, pr.Vector) {
-				t.Errorf("%s: result %d differs: %v/%v vs %v/%v", name, i,
-					sr.Fault, sr.Status, pr.Fault, pr.Status)
+	plans := []struct {
+		name     string
+		solver   sat.Solver
+		groupMax int
+		route    bool
+	}{
+		{name: "grouped"},
+		{name: "grouped-max1", groupMax: 1},
+		{name: "single", solver: &sat.Caching{}},
+		{name: "routed", route: true},
+	}
+	for _, plan := range plans {
+		for cname, c := range circuits {
+			if plan.solver != nil && cname == "rand-big" {
+				// The caching backtracker is only fast on bounded cut-width;
+				// its wide-cone faults here cost seconds per run, which the
+				// repeated -race CI pass cannot afford.
+				continue
+			}
+			name := plan.name + "/" + cname
+			faults := Collapse(c, AllFaults(c))
+			opt := RunOptions{DropDetected: true, RPTBatches: 8, Seed: 42, GroupMax: plan.groupMax, Route: plan.route}
+			serial, err := (&Engine{Solver: plan.solver, VerifyTests: true, Workers: 1}).RunFaults(context.Background(), c, faults, opt)
+			if err != nil {
+				t.Fatalf("%s serial: %v", name, err)
+			}
+			par, err := (&Engine{Solver: plan.solver, VerifyTests: true, Workers: 8}).RunFaults(context.Background(), c, faults, opt)
+			if err != nil {
+				t.Fatalf("%s parallel: %v", name, err)
+			}
+			if serial.WastedSolves != 0 {
+				t.Errorf("%s: serial run wasted %d solves, want 0", name, serial.WastedSolves)
+			}
+			if !reflect.DeepEqual(serial.Vectors, par.Vectors) {
+				t.Errorf("%s: vector sets differ between 1 and 8 workers", name)
+			}
+			if serial.Detected != par.Detected || serial.Untestable != par.Untestable ||
+				serial.Aborted != par.Aborted || serial.Errors != par.Errors ||
+				serial.DroppedByFaultSim != par.DroppedByFaultSim ||
+				serial.DetectedByRPT != par.DetectedByRPT ||
+				serial.RPTBatches != par.RPTBatches || serial.RPTVectors != par.RPTVectors {
+				t.Errorf("%s: summaries differ:\n serial D%d U%d A%d E%d drop%d rpt%d/%d/%d\n par    D%d U%d A%d E%d drop%d rpt%d/%d/%d",
+					name,
+					serial.Detected, serial.Untestable, serial.Aborted, serial.Errors,
+					serial.DroppedByFaultSim, serial.DetectedByRPT, serial.RPTBatches, serial.RPTVectors,
+					par.Detected, par.Untestable, par.Aborted, par.Errors,
+					par.DroppedByFaultSim, par.DetectedByRPT, par.RPTBatches, par.RPTVectors)
+			}
+			if len(serial.Results) != len(par.Results) {
+				t.Fatalf("%s: %d results vs %d", name, len(serial.Results), len(par.Results))
+			}
+			for i := range serial.Results {
+				sr, pr := serial.Results[i], par.Results[i]
+				if sr.Fault != pr.Fault || sr.Status != pr.Status ||
+					sr.Vars != pr.Vars || sr.Clauses != pr.Clauses ||
+					!reflect.DeepEqual(sr.Vector, pr.Vector) {
+					t.Errorf("%s: result %d differs: %v/%v vs %v/%v", name, i,
+						sr.Fault, sr.Status, pr.Fault, pr.Status)
+				}
+			}
+			if !reflect.DeepEqual(serial.Routed, par.Routed) {
+				t.Errorf("%s: route summaries differ: %+v vs %+v", name, serial.Routed, par.Routed)
 			}
 		}
 	}
@@ -241,7 +267,7 @@ func flushState(tb testing.TB, c *logic.Circuit, nVecs int) (*runState, *workerS
 		results:  make([]*Result, len(faults)),
 		droppedF: newBitset(len(faults)),
 	}
-	st.order = effortOrder(c, faults, nil)
+	st.plan = &dispatchPlan{order: effortOrder(c, faults, nil)}
 	rng := rand.New(rand.NewSource(7))
 	vecs := make([][]bool, nVecs)
 	for p := range vecs {
@@ -250,7 +276,7 @@ func flushState(tb testing.TB, c *logic.Circuit, nVecs int) (*runState, *workerS
 			vecs[p][i] = rng.Intn(2) == 1
 		}
 	}
-	return st, (&Engine{}).newScratch(), vecs
+	return st, newScratch(), vecs
 }
 
 // flushOnce reloads the pending batch and runs one flush, resetting the

@@ -38,14 +38,14 @@ type EffortHeader struct {
 
 // EffortRecord is one fault's features-joined-with-outcome line. Exactly
 // one is emitted per fault that receives a verdict (RPT-detected,
-// solver-decided, retried or resumed). On unrouted runs, faults dropped
-// by fault simulation get a record only if a speculative solve was
-// wasted on them (Phase "dropped", Wasted true) — a clean drop costs no
-// solver work and therefore has no effort to report. On routed runs
-// every decided fault gets exactly one record, clean drops included
-// (Phase "dropped", Wasted false, Backend "faultsim"): the router
-// predicted a class for the fault, and the accuracy join needs the
-// outcome even when no solver ran.
+// solver-decided, retried or resumed), plus one wasted record (Phase
+// "dropped", Wasted true) per speculative solve discarded because fault
+// simulation dropped the fault first. On unrouted runs a dropped fault
+// has no verdict record — a drop costs no solver work and therefore has
+// no effort to report. On routed runs every dropped fault also gets its
+// verdict record (Phase "dropped", Wasted false, Backend "faultsim"):
+// the router predicted a class for the fault, and the accuracy join
+// needs the outcome even when no solver ran.
 type EffortRecord struct {
 	Kind string `json:"kind"` // "fault"
 	// Index is the fault-list index — the join key against spans, the
@@ -80,10 +80,10 @@ type EffortRecord struct {
 	// scalar, present (possibly 0) on every record.
 	Effort int64 `json:"effort"`
 
-	// Incremental region-grouped solving (additive, absent on the fresh
-	// path): Group is the 1-based canonical region-group id, GroupSize
-	// its member count, and LearnedReused the retained learned clauses
-	// this fault's solve used in conflict analysis.
+	// Incremental region-grouped solving (additive, absent on faults
+	// solved singly): Group is the 1-based canonical region-group id,
+	// GroupSize its member count, and LearnedReused the retained learned
+	// clauses this fault's solve used in conflict analysis.
 	Group         int   `json:"group,omitempty"`
 	GroupSize     int   `json:"group_size,omitempty"`
 	LearnedReused int64 `json:"learned_reused,omitempty"`
@@ -193,16 +193,12 @@ func (e *effortEncoder) encode(rec *EffortRecord) ([]byte, error) {
 	return e.buf.Bytes(), nil
 }
 
-// effortState is the engine side of an enabled effort log: the log, the
-// precomputed feature table, and a fallback encoder for call sites with
-// no worker scratch. Nil when RunOptions.EffortLog is nil, so the
-// disabled cost is one pointer check per fault.
+// effortState is the engine side of an enabled effort log: the log and
+// the precomputed feature table. Nil when RunOptions.EffortLog is nil,
+// so the disabled cost is one pointer check per fault.
 type effortState struct {
 	log   *EffortLog
 	feats []FaultFeatures
-
-	mu   sync.Mutex // guards fallback, used by scratch-less call sites
-	fall effortEncoder
 }
 
 // newEffortState precomputes every fault's features and writes the log
@@ -223,12 +219,11 @@ func newEffortState(c *logic.Circuit, faults []Fault, opt RunOptions, workers in
 	return es, es.log.write(append(hdr, '\n'))
 }
 
-// record emits one fault's effort record. ws supplies the per-worker
-// encoder scratch; call sites without one (resume replay, the RPT
-// coordinator with scratch reuse disabled) fall back to a shared locked
-// encoder. res may be nil for verdicts that never ran a solver
-// (RPT detections); any encoding or write error is sticky in the log and
-// surfaced at Close, never failing the run.
+// recordEffort emits one fault's effort record, encoded in the calling
+// worker's scratch (serial call sites borrow worker 0's). res may be nil
+// for verdicts that never ran a solver (RPT detections, clean drops);
+// any encoding or write error is sticky in the log and surfaced at
+// Close, never failing the run.
 func (st *runState) recordEffort(ws *workerScratch, i int, res *Result, phase string, status Status, tier, worker int, wasted bool) {
 	es := st.effort
 	f := st.faults[i]
@@ -244,8 +239,8 @@ func (st *runState) recordEffort(ws *workerScratch, i int, res *Result, phase st
 	if phase == "dropped" {
 		rec.Status = "dropped"
 	}
-	if st.route != nil {
-		rec.PredictedClass = st.route.class[i].String()
+	if st.plan != nil && st.plan.class != nil {
+		rec.PredictedClass = st.plan.class[i].String()
 		if res != nil && res.Backend != "" {
 			rec.Backend = res.Backend
 		} else if phase == "dropped" && res == nil {
@@ -263,24 +258,9 @@ func (st *runState) recordEffort(ws *workerScratch, i int, res *Result, phase st
 		rec.Group, rec.GroupSize = res.Group, res.GroupSize
 		rec.LearnedReused = ss.LearnedReused
 	}
-	var line []byte
-	var err error
-	if ws != nil {
-		line, err = ws.eff.encode(&rec)
-		if err == nil {
-			err = es.log.write(line)
-		}
-	} else {
-		es.mu.Lock()
-		line, err = es.fall.encode(&rec)
-		if err == nil {
-			err = es.log.write(line)
-		}
-		es.mu.Unlock()
-	}
-	if err != nil {
-		// Sticky in the log; the run itself never fails on telemetry.
-		_ = err
+	// Errors are sticky in the log; the run itself never fails on telemetry.
+	if line, err := ws.eff.encode(&rec); err == nil {
+		_ = es.log.write(line)
 	}
 }
 

@@ -254,111 +254,124 @@ func TestEffortLogSchemaRejected(t *testing.T) {
 
 // TestSpanTree: a traced run must emit a well-formed span forest — one
 // root "run" span, every other span's parent resolving to an emitted
-// span, and fault spans joining the effort log by fault name.
+// span, every fault span hanging off the dispatch loop's "group" (region
+// group) or "dispatch-chunk" (single faults) span, and fault spans
+// joining the effort log by fault name. The circuit leaves work past
+// the pre-phase for the solvers; the grouped plan puts every fault
+// under a group span, the routed plan its single faults under
+// dispatch-chunk spans.
 func TestSpanTree(t *testing.T) {
-	c := gen.ArrayMultiplier(4)
-	var trace bytes.Buffer
-	tr := obs.NewTrace(&trace)
-	var effort bytes.Buffer
-	log := NewEffortLog(&effort)
-	eng := &Engine{Workers: 4}
-	sum, err := eng.Run(context.Background(), c, RunOptions{
-		Collapse: true, DropDetected: true,
-		RPTBatches: DefaultRPTBatches,
-		EffortLog:  log,
-		Telemetry:  &Telemetry{Trace: tr, Spans: obs.NewTracer(tr)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
+	c := gen.Random(gen.RandomParams{Inputs: 20, Gates: 200, Seed: 3})
+	for _, route := range []bool{false, true} {
+		var trace bytes.Buffer
+		tr := obs.NewTrace(&trace)
+		var effort bytes.Buffer
+		log := NewEffortLog(&effort)
+		eng := &Engine{Workers: 4}
+		sum, err := eng.Run(context.Background(), c, RunOptions{
+			Collapse: true, DropDetected: true,
+			RPTBatches: DefaultRPTBatches, Route: route,
+			EffortLog: log,
+			Telemetry: &Telemetry{Trace: tr, Spans: obs.NewTracer(tr)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(sum.Results) == 0 {
+			t.Fatalf("route=%v: no fault reached the solvers", route)
+		}
 
-	var spans []obs.SpanRecord
-	for _, line := range bytes.Split(trace.Bytes(), []byte("\n")) {
-		if !bytes.Contains(line, []byte(`"kind":"span"`)) {
-			continue
+		var spans []obs.SpanRecord
+		for _, line := range bytes.Split(trace.Bytes(), []byte("\n")) {
+			if !bytes.Contains(line, []byte(`"kind":"span"`)) {
+				continue
+			}
+			var sp obs.SpanRecord
+			if err := json.Unmarshal(line, &sp); err != nil {
+				t.Fatalf("bad span line %q: %v", line, err)
+			}
+			spans = append(spans, sp)
 		}
-		var sp obs.SpanRecord
-		if err := json.Unmarshal(line, &sp); err != nil {
-			t.Fatalf("bad span line %q: %v", line, err)
+		if len(spans) == 0 {
+			t.Fatal("no spans emitted")
 		}
-		spans = append(spans, sp)
-	}
-	if len(spans) == 0 {
-		t.Fatal("no spans emitted")
-	}
 
-	ids := map[uint64]obs.SpanRecord{}
-	var roots, faultsSpanned int
-	for _, sp := range spans {
-		if _, dup := ids[sp.ID]; dup {
-			t.Fatalf("span ID %d emitted twice", sp.ID)
-		}
-		ids[sp.ID] = sp
-		if sp.Parent == 0 {
-			roots++
-			if sp.Name != "run" {
-				t.Errorf("root span %q, want run", sp.Name)
+		ids := map[uint64]obs.SpanRecord{}
+		var roots, faultsSpanned int
+		for _, sp := range spans {
+			if _, dup := ids[sp.ID]; dup {
+				t.Fatalf("span ID %d emitted twice", sp.ID)
+			}
+			ids[sp.ID] = sp
+			if sp.Parent == 0 {
+				roots++
+				if sp.Name != "run" {
+					t.Errorf("root span %q, want run", sp.Name)
+				}
+			}
+			if sp.DurNS < 0 || sp.StartNS < 0 {
+				t.Errorf("span %s has negative time: %+v", sp.Name, sp)
 			}
 		}
-		if sp.DurNS < 0 || sp.StartNS < 0 {
-			t.Errorf("span %s has negative time: %+v", sp.Name, sp)
+		if roots != 1 {
+			t.Fatalf("%d root spans, want 1", roots)
 		}
-	}
-	if roots != 1 {
-		t.Fatalf("%d root spans, want 1", roots)
-	}
-	names := map[string]int{}
-	for _, sp := range spans {
-		names[sp.Name]++
-		if sp.Parent != 0 {
-			if _, ok := ids[sp.Parent]; !ok {
-				t.Errorf("span %s parent %d never emitted", sp.Name, sp.Parent)
+		names := map[string]int{}
+		for _, sp := range spans {
+			names[sp.Name]++
+			if sp.Parent != 0 {
+				if _, ok := ids[sp.Parent]; !ok {
+					t.Errorf("span %s parent %d never emitted", sp.Name, sp.Parent)
+				}
+			}
+			if sp.Name == "fault" {
+				faultsSpanned++
+				if sp.Detail == "" {
+					t.Errorf("fault span without a fault name: %+v", sp)
+				}
+				if p := ids[sp.Parent].Name; p != "group" && p != "dispatch-chunk" {
+					t.Errorf("route=%v: fault span under %q, want group or dispatch-chunk", route, p)
+				}
 			}
 		}
-		if sp.Name == "fault" {
-			faultsSpanned++
-			if sp.Detail == "" {
-				t.Errorf("fault span without a fault name: %+v", sp)
+		for _, want := range []string{"run", "sweep", "rpt"} {
+			if names[want] == 0 {
+				t.Errorf("route=%v: no %q span emitted (have %v)", route, want, names)
 			}
 		}
-	}
-	for _, want := range []string{"run", "sweep"} {
-		if names[want] == 0 {
-			t.Errorf("no %q span emitted (have %v)", want, names)
+		if !route && names["group"] == 0 {
+			t.Errorf("grouped run emitted no group span (have %v)", names)
 		}
-	}
-	if sum.RPTBatches > 0 && names["rpt"] == 0 {
-		t.Errorf("RPT ran but no rpt span (have %v)", names)
-	}
-	if len(sum.Results) > 0 && names["dispatch-chunk"] == 0 {
-		t.Errorf("workers solved faults but no dispatch-chunk span (have %v)", names)
-	}
+		if route && names["dispatch-chunk"] == 0 {
+			t.Errorf("routed run emitted no dispatch-chunk span (have %v)", names)
+		}
 
-	// Fault spans join the effort log by fault name: every solved fault's
-	// record has a span.
-	_, recs, err := DecodeEffortLog(&effort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spanned := map[string]bool{}
-	for _, sp := range spans {
-		if sp.Name == "fault" {
-			spanned[sp.Detail] = true
+		// Fault spans join the effort log by fault name: every solved
+		// fault's record has a span.
+		_, recs, err := DecodeEffortLog(&effort)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, r := range recs {
-		if r.Phase == "sweep" && !spanned[r.Fault] {
-			t.Errorf("solved fault %q has an effort record but no span", r.Fault)
+		spanned := map[string]bool{}
+		for _, sp := range spans {
+			if sp.Name == "fault" {
+				spanned[sp.Detail] = true
+			}
 		}
-	}
-	if faultsSpanned < len(sum.Results) {
-		t.Errorf("%d fault spans for %d solved faults", faultsSpanned, len(sum.Results))
+		for _, r := range recs {
+			if r.Phase == "sweep" && !spanned[r.Fault] {
+				t.Errorf("route=%v: solved fault %q has an effort record but no span", route, r.Fault)
+			}
+		}
+		if faultsSpanned < len(sum.Results) {
+			t.Errorf("route=%v: %d fault spans for %d solved faults", route, faultsSpanned, len(sum.Results))
+		}
 	}
 }
 
@@ -391,7 +404,7 @@ func TestEffortLogRoutedInvariant(t *testing.T) {
 		log := NewEffortLog(&buf)
 		eng := &Engine{Workers: workers}
 		sum, err := eng.Run(context.Background(), c, RunOptions{
-			Collapse: true, Incremental: true, Route: true,
+			Collapse: true, Route: true,
 			DropDetected: true, EffortLog: log,
 		})
 		if err != nil {

@@ -78,8 +78,8 @@ type Result struct {
 	SolverStats sat.Stats
 	// Group and GroupSize identify the incremental region group the fault
 	// was solved in: Group is the 1-based canonical group id (stable
-	// across worker counts; 0 means the fault was solved fresh) and
-	// GroupSize the group's member count. In grouped mode Vars/Clauses
+	// across worker counts; 0 means the fault was solved singly) and
+	// GroupSize the group's member count. For grouped faults Vars/Clauses
 	// report the shared group formula, counted once per member.
 	Group     int
 	GroupSize int
@@ -92,13 +92,15 @@ type Result struct {
 	Backend string
 }
 
-// Engine generates tests fault by fault. The zero value uses the DPLL
-// solver without limits on a pool of GOMAXPROCS workers.
+// Engine generates tests fault by fault. The zero value solves in region
+// groups on the incremental CDCL core, without limits, on a pool of
+// GOMAXPROCS workers.
 type Engine struct {
-	// Solver decides the ATPG-SAT instances; nil means a fresh DPLL per
-	// engine. The configuration is treated as read-only: workers derive
-	// per-call instances via sat.LimitedSolver when limits apply, so one
-	// Engine is safe for concurrent runs.
+	// Solver decides the ATPG-SAT instances; nil means the DPLL family,
+	// which solves in region groups (see RunOptions.GroupMax). The
+	// configuration is treated as read-only: workers derive per-call
+	// instances via sat.LimitedSolver when limits apply, so one Engine is
+	// safe for concurrent runs.
 	Solver sat.Solver
 	// VerifyTests re-simulates every generated vector against the fault
 	// and reports an internal error if it fails (a cross-check of the
@@ -107,15 +109,6 @@ type Engine struct {
 	// Workers is the number of concurrent fault workers used by Run and
 	// RunFaults; 0 means runtime.GOMAXPROCS(0), 1 forces the serial path.
 	Workers int
-	// DisableScratchReuse turns off the per-worker arenas: solver scratch,
-	// CNF encode buffers and fault-simulation buffers are then allocated
-	// fresh per fault, as in the pre-arena engine. Verdicts and test
-	// vectors are identical either way — the sub-formula cache only prunes
-	// UNSAT subtrees, so it can never change which model a search finds
-	// first — but node counts may shift slightly because a reused cache
-	// table keeps its grown capacity across faults and therefore evicts
-	// less. The switch exists for A/B benchmarking and bisection.
-	DisableScratchReuse bool
 
 	// testHookPanic, when set by a test, is invoked with each fault just
 	// before it is processed and may panic — exercising the per-fault
@@ -130,6 +123,9 @@ type Engine struct {
 // thousands of faults serially, so the solver's search buffers, the CNF
 // encoder's clause slab and the fault-simulation pack/simulate buffers
 // are reused across them instead of being reallocated per fault.
+// Verdicts and vectors never depend on the reuse: the sub-formula cache
+// only prunes UNSAT subtrees, so it cannot change which model a search
+// finds first.
 type workerScratch struct {
 	arena *sat.Arena
 	enc   *cnf.Encoder
@@ -140,12 +136,8 @@ type workerScratch struct {
 	eff effortEncoder
 }
 
-// newScratch returns a fresh per-worker scratch, or nil when reuse is
-// disabled (nil scratch selects the allocate-per-fault paths everywhere).
-func (e *Engine) newScratch() *workerScratch {
-	if e.DisableScratchReuse {
-		return nil
-	}
+// newScratch returns a fresh per-worker scratch.
+func newScratch() *workerScratch {
 	return &workerScratch{arena: sat.NewArena(), enc: new(cnf.Encoder)}
 }
 
@@ -185,14 +177,15 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// TestFault runs SAT-based test generation for one fault.
+// TestFault runs SAT-based test generation for one fault, on a
+// throwaway scratch.
 func (e *Engine) TestFault(c *logic.Circuit, f Fault) (Result, error) {
-	return e.testFault(c, f, sat.Limits{}, nil, 0)
+	return e.testFault(c, f, sat.Limits{}, newScratch(), 0)
 }
 
-// testFault is TestFault under per-call solver limits (a deadline or
-// cancellation surfaces as Status Aborted), optional per-worker scratch
-// reuse, and an optional sub-formula cache budget.
+// testFault is TestFault on a worker's scratch, under per-call solver
+// limits (a deadline or cancellation surfaces as Status Aborted) and an
+// optional sub-formula cache budget.
 func (e *Engine) testFault(c *logic.Circuit, f Fault, lim sat.Limits, ws *workerScratch, cacheLimit int64) (Result, error) {
 	return e.testFaultOn(c, f, ws, e.solverFor(lim, cacheLimit))
 }
@@ -211,12 +204,7 @@ func (e *Engine) testFaultOn(c *logic.Circuit, f Fault, ws *workerScratch, solve
 	if err != nil {
 		return res, err
 	}
-	var formula *cnf.Formula
-	if ws != nil {
-		formula, err = m.EncodeWith(ws.enc)
-	} else {
-		formula, err = m.Encode()
-	}
+	formula, err := m.EncodeWith(ws.enc)
 	if err != nil {
 		return res, err
 	}
@@ -225,7 +213,7 @@ func (e *Engine) testFaultOn(c *logic.Circuit, f Fault, ws *workerScratch, solve
 	res.BuildElapsed = time.Since(buildStart)
 	start := time.Now()
 	var sol sat.Solution
-	if as, ok := solver.(sat.ArenaSolver); ok && ws != nil {
+	if as, ok := solver.(sat.ArenaSolver); ok {
 		sol = as.SolveArena(formula, ws.arena)
 	} else {
 		sol = solver.Solve(formula)
@@ -416,22 +404,15 @@ type RunOptions struct {
 	// per-phase emission rule). Nil disables the log at the cost of one
 	// pointer check per fault.
 	EffortLog *EffortLog
-	// Incremental solves the faults of each fanout region as one group on
-	// a persistent per-worker CDCL instance under assumptions
-	// (sat.Incremental), so clauses learned for one fault prune the
-	// search for its region neighbors. Requires the DPLL solver family
-	// (a nil Engine.Solver or *sat.DPLL with learning enabled); other
-	// configurations silently fall back to fresh-per-fault solving.
-	// Verdicts and vectors are byte-identical to fresh-per-fault solving
-	// on the incremental path (GroupMax 1) at any worker count, but
-	// differ from the non-incremental path, whose solver does not use
-	// lex-first input branching — so a journal written by one mode is
-	// rejected by the other (see CheckpointFingerprint).
-	Incremental bool
 	// GroupMax caps the members per region group (0 = DefaultGroupMax,
-	// 1 = fresh-per-fault). Purely a knowledge-reuse knob: the dispatch
-	// order, drop set, verdicts and vectors are identical for every
-	// value.
+	// 1 = fresh-per-fault). An engine on the DPLL solver family (a nil
+	// Engine.Solver or *sat.DPLL with learning enabled) solves the faults
+	// of each fanout region as one group on a persistent per-worker CDCL
+	// instance under assumptions (sat.Incremental), so clauses learned
+	// for one fault prune the search for its region neighbors; any other
+	// solver decides each fault on its own. GroupMax is purely a
+	// knowledge-reuse knob: the dispatch order, drop set, verdicts and
+	// vectors are identical for every value.
 	GroupMax int
 	// EffortWidth additionally computes each fault's sub-circuit
 	// cut-width (internal/hypergraph + internal/mla) as an effort-log
@@ -445,12 +426,11 @@ type RunOptions struct {
 	// dispatched to the cheapest backend likely to decide it — fault-sim
 	// scheduling, the caching backtracker, the PODEM structural engine,
 	// or incremental region-grouped CDCL (see router.go). Requires the
-	// DPLL solver family like Incremental; other solver configurations
-	// fall back to the unrouted path. Routed runs are byte-identical to
-	// themselves at any worker count but produce different (equally
-	// valid) vectors than unrouted runs, so journals don't transfer
-	// across the mode boundary. Routed dispatch supersedes Incremental's
-	// ordering; hard-class faults still solve incrementally.
+	// DPLL solver family (see GroupMax); RunFaults rejects Route with any
+	// other solver. Routed runs are byte-identical to themselves at any
+	// worker count but produce different (equally valid) vectors than
+	// unrouted runs, so journals don't transfer across the mode
+	// boundary. Hard-class faults still solve in region groups.
 	Route bool
 	// RouteWidthMax bounds the sub-circuit node count the router may hand
 	// to the MLA layout heuristic when refining an ambiguous cut-width
@@ -508,6 +488,9 @@ func (e *Engine) Run(ctx context.Context, c *logic.Circuit, opt RunOptions) (*Su
 // recorded as Aborted — that status is reserved for per-fault resource
 // exhaustion.
 func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault, opt RunOptions) (*Summary, error) {
+	if opt.Route && !e.cdclCore() {
+		return nil, fmt.Errorf("atpg: Route requires the DPLL solver family (nil Engine.Solver or *sat.DPLL with learning), not %T", e.Solver)
+	}
 	start := time.Now()
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -525,12 +508,21 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 		preDecided: make([]bool, len(faults)),
 		resumed:    make([]bool, len(faults)),
 	}
+	st.pubHigh.Store(-1)
 	st.applyResume(opt.Resume)
 	tel := opt.Telemetry
 	tel.begin(len(faults), workers)
 	st.ring = obs.NewRing(obs.DefaultRingSize)
 	if tel != nil && tel.Ring != nil {
 		st.ring = tel.Ring
+	}
+	// Per-worker scratch arenas are created up front so the RPT pre-phase
+	// and the SAT workers share the same fault simulators and buffers;
+	// the serial call sites (replay records, the RPT coordinator, the
+	// final retry bookkeeping) borrow worker 0's.
+	scratches := make([]*workerScratch, workers)
+	for w := range scratches {
+		scratches[w] = newScratch()
 	}
 	if opt.EffortLog != nil {
 		es, err := newEffortState(c, faults, opt, workers)
@@ -543,12 +535,12 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 		// must still join one record to every decided fault.
 		for i, r := range st.results {
 			if r != nil && st.resumed[i] {
-				st.recordEffort(nil, i, r, "resume", r.Status, 0, -1, false)
+				st.recordEffort(scratches[0], i, r, "resume", r.Status, 0, -1, false)
 			}
 		}
 		if st.rptRestored {
 			for _, i := range st.rptDetectedIdx {
-				st.recordEffort(nil, i, nil, "resume", Detected, 0, -1, false)
+				st.recordEffort(scratches[0], i, nil, "resume", Detected, 0, -1, false)
 			}
 		}
 	}
@@ -559,12 +551,6 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	}
 	st.runSpan = runSpan.Context()
 	defer runSpan.End()
-	// Per-worker scratch arenas are created up front so the RPT pre-phase
-	// and the SAT workers share the same fault simulators and buffers.
-	scratches := make([]*workerScratch, workers)
-	for w := range scratches {
-		scratches[w] = e.newScratch()
-	}
 	stopWatchdog := e.startMemWatchdog(runCtx, st)
 	defer stopWatchdog()
 	rep := obs.StartReporter(telProgressEvery(tel), func() {
@@ -584,37 +570,34 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 			opt.Journal.RecordRPT(st.rptDetectedIdx, st.rptVectors, st.rptBatches)
 		}
 	}
-	// The dispatch order covers exactly the faults still undecided after
-	// resume replay and the pre-phase. The incremental path groups the
-	// order by fanout region; its flattened order is canonical across
-	// group-size caps, so the commit frontier and drop set are too.
-	st.incremental = e.incrementalEnabled(opt)
-	if e.routeEnabled(opt) {
-		// Routed portfolio dispatch: classify every live fault and order
-		// hard (grouped) → structural → low-width → trivial, so the cheap
-		// tail is mostly dropped by earlier backends' vectors before it is
-		// claimed. The router reuses the effort log's feature table when
-		// one was computed.
+	// The sweep plan covers exactly the faults still undecided after
+	// resume replay and the pre-phase. Grouped orders are canonical
+	// across group-size caps, so the commit frontier and drop set are too.
+	var class []EffortClass
+	if opt.Route {
+		// Routed portfolio dispatch: classify every live fault; the plan
+		// orders hard (grouped) → structural → low-width → trivial, so the
+		// cheap tail is mostly dropped by earlier backends' vectors before
+		// it is claimed. The router reuses the effort log's feature table
+		// when one was computed.
 		var feats []FaultFeatures
 		if st.effort != nil {
 			feats = st.effort.feats
 		} else {
 			feats = computeFeatures(c, faults, false, workers)
 		}
-		st.route = buildRoute(c, faults, st.preDecided, feats, opt.RouteWidthMax, opt.GroupMax, workers)
-		st.order = st.route.order
-		st.groups = st.route.groups
-		st.recordedF = newBitset(len(faults))
-		tel.observeGroups(st.groups)
-	} else if st.incremental {
-		st.order, st.groups = buildGroups(c, faults, st.preDecided, opt.GroupMax)
-		tel.observeGroups(st.groups)
-	} else {
-		st.order = effortOrder(c, faults, st.preDecided)
+		class = classifyFaults(c, faults, st.preDecided, feats, opt.RouteWidthMax, workers)
+		st.scoap = ComputeScoap(c)
 	}
+	st.plan = planDispatch(c, faults, st.preDecided, class, e.cdclCore(), opt.GroupMax)
+	st.plan.groupBudget, st.plan.singleBudget = opt.PerFaultBudget, opt.PerFaultBudget
+	if opt.Route {
+		st.plan.groupBudget = st.routedHardBudget()
+	}
+	tel.observeGroups(st.plan.groups)
 	sweepSpan := tel.startSpan("sweep", st.runSpan)
 	if sweepSpan.Active() {
-		sweepSpan.Items = int64(len(st.order))
+		sweepSpan.Items = int64(len(st.plan.order))
 	}
 	st.sweepSpan = sweepSpan.Context()
 	var wg sync.WaitGroup
@@ -623,13 +606,9 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			run := e.runWorker
-			if st.route != nil {
-				run = e.runRoutedWorker
-			} else if st.incremental {
-				run = e.runGroupWorker
-			}
-			if err := run(runCtx, st, w, scratches[w]); err != nil {
+			ws := scratches[w]
+			publish := func(p int, res Result) error { return st.publish(ws, w, p, res) }
+			if err := e.runPlan(runCtx, st, st.plan, w, ws, st.sweepSpan, publish); err != nil {
 				st.setErr(err)
 				cancel()
 			}
@@ -686,17 +665,8 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 		}
 	}
 	sum.Retries = retries
-	if st.route != nil {
-		rs := st.route.summary()
-		for _, r := range st.results {
-			if r != nil && r.Backend != "" {
-				rs.Backends[r.Backend]++
-			}
-		}
-		if n := int(st.droppedN.Load()); n > 0 {
-			rs.Backends["faultsim"] = n
-		}
-		sum.Routed = rs
+	if st.plan.class != nil {
+		sum.Routed = st.routeSummary()
 	}
 	sum.Phases.RPT = time.Duration(st.rptNS)
 	sum.Phases.FaultSim = time.Duration(st.simNS.Load())
@@ -724,12 +694,12 @@ type specResult struct {
 // runState is the state shared by the fault workers of one RunFaults call.
 //
 // Concurrency layout: the per-fault hot path is lock-free — workers claim
-// dispatch slots off the atomic cursor, read drop bits from the atomic
-// bitset, and publish results through atomic pointers. commitMu guards
-// the only serialized section, the commit frontier (verdict adoption,
-// vector keeping, flush simulation, journaling); workers never block on
-// it (kickCommit uses TryLock — whoever holds the lock picks up newly
-// published results). mu is left guarding only the cold state: the RPT
+// dispatch slots off the plan's atomic cursors, read drop bits from the
+// atomic bitset, and publish results through atomic pointers. commitMu
+// guards the only serialized section, the commit frontier (verdict
+// adoption, vector keeping, flush simulation, journaling); workers never
+// block on it (kickCommit uses TryLock — whoever holds the lock picks up
+// newly published results). mu is left guarding only the cold state: the RPT
 // pre-phase tallies and the first worker error.
 type runState struct {
 	c      *logic.Circuit
@@ -738,29 +708,23 @@ type runState struct {
 	faults []Fault
 
 	workers int
-	order   []int32 // dispatch order: undecided fault indices, biggest cone first
-	cursor  atomic.Int64
-	// Incremental region-grouped dispatch (nil/false on the fresh path):
-	// groups spans order, workers claim whole groups off groupCursor.
-	incremental bool
-	groups      []faultGroup
-	groupCursor atomic.Int64
-	// Routed portfolio dispatch (nil on the unrouted paths): the plan
-	// carries per-fault classes and the class-ordered dispatch order;
-	// groups then covers only the hard-class prefix of order.
-	route *routePlan
-	// recordedF dedups effort records for routed drops: a fault whose
-	// speculative solve is discarded by the worker must not also get the
-	// commit frontier's clean-drop record. Nil on unrouted runs.
-	recordedF  bitset
+	// plan is the sweep's dispatch plan: its order is the commit order,
+	// and on a routed run its classes are the router's predictions (the
+	// retry tiers escalate them). scoap guides the PODEM backend on
+	// routed runs.
+	plan       *dispatchPlan
+	scoap      *Scoap
 	droppedF   bitset                       // officially dropped by a committed vector flush
 	preDecided []bool                       // decided before dispatch: RPT detection or resume replay
 	published  []atomic.Pointer[specResult] // speculative solves, one slot per fault
+	// pubHigh is the highest plan position published so far (-1 before
+	// the first); the stall clock runs only while it is past the frontier.
+	pubHigh atomic.Int64
 
 	// Commit frontier state, all under commitMu.
 	commitMu    sync.Mutex
 	commitDirty atomic.Bool
-	frontier    int       // next position in order to commit
+	frontier    int       // next position in plan.order to commit
 	results     []*Result // official verdicts, one slot per fault
 	resumed     []bool    // verdicts replayed from a journal: final, never retried
 	pendingVecs [][]bool  // committed vectors not yet batch-simulated
@@ -809,9 +773,10 @@ type runState struct {
 	runSpan, rptSpan, sweepSpan obs.SpanContext
 
 	// Commit-frontier stall accounting, under commitMu: stallSince is
-	// when the frontier was first observed blocked at order position
-	// stallSlot (zero when not blocked); stallNS accumulates resolved
-	// stalls for Summary.Phases.FrontierStall.
+	// when the frontier was first observed blocked at plan position
+	// stallSlot with a later result already published (zero when not
+	// stalled); stallNS accumulates resolved stalls for
+	// Summary.Phases.FrontierStall.
 	stallSlot  int
 	stallSince time.Time
 	stallNS    atomic.Int64
@@ -947,13 +912,11 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 	// Slot 0 borrows the worker-scratch simulators (shared with the SAT
 	// phase's flush path) and returns them when the phase ends.
 	for w, ws := range scratches {
-		if ws != nil {
-			bufs[0].sims[w] = ws.sim
-		}
+		bufs[0].sims[w] = ws.sim
 	}
 	defer func() {
 		for w, ws := range scratches {
-			if ws != nil && bufs[0].sims[w] != nil {
+			if bufs[0].sims[w] != nil {
 				ws.sim = bufs[0].sims[w]
 			}
 		}
@@ -1145,77 +1108,27 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 	return nil
 }
 
-// runWorker claims and solves faults until the dispatch order is
-// exhausted or the context is cancelled. Claims are lock-free (see
-// claim); each solve is published speculatively and the worker then
-// offers to advance the shared commit frontier. worker is the pool
-// index, used to shard telemetry counters and label trace events; ws is
-// the worker's scratch arena (shared with the RPT pre-phase), nil when
-// reuse is disabled.
-func (e *Engine) runWorker(ctx context.Context, st *runState, worker int, ws *workerScratch) error {
-	cl := st.newClaimer()
-	tel := st.opt.Telemetry
-	// Each chunk reservation is one flight-recorder event and (under span
-	// tracing) rotates the worker's current dispatch-chunk span — the
-	// claim path itself stays lock-free either way.
-	var chunkSpan obs.Span
-	cl.ck.onChunk = func(lo, hi int) {
-		st.ring.Record("chunk", worker, int64(lo), int64(hi-lo), 0)
-		if tel.hasSpans() {
-			chunkSpan.End()
-			chunkSpan = tel.startSpan("dispatch-chunk", st.sweepSpan)
-			chunkSpan.Worker = worker
-			chunkSpan.Items = int64(hi - lo)
+// publish is the sweep's emit: it hands the speculative solve at plan
+// position p to the commit frontier — or, when a flush dropped the fault
+// while it was in flight, discards it as wasted (the official verdict is
+// "dropped") — and then offers to advance the frontier.
+func (st *runState) publish(ws *workerScratch, worker, p int, res Result) error {
+	i := int(st.plan.order[p])
+	if st.droppedF.get(i) {
+		st.countWasted(1)
+		if st.effort != nil {
+			st.recordEffort(ws, i, &res, "dropped", res.Status, 0, worker, true)
 		}
+		return nil
 	}
-	defer func() { chunkSpan.End() }()
-	var shrinkSeen int64
+	st.published[i].Store(&specResult{res: res, worker: int32(worker)})
 	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		st.maybeShrink(ws, worker, &shrinkSeen)
-		i := st.claim(&cl)
-		if i < 0 {
-			return nil
-		}
-		lim := sat.Limits{Cancel: ctx.Done()}
-		if st.opt.PerFaultBudget > 0 {
-			lim.Deadline = time.Now().Add(st.opt.PerFaultBudget)
-		}
-		fspan := tel.startSpan("fault", chunkSpan.Context())
-		if fspan.Active() {
-			fspan.Worker = worker
-			fspan.Detail = st.faults[i].Name(st.c)
-		}
-		res, err := e.safeTestFault(st.c, st.faults[i], lim, ws, st.opt.CacheLimit)
-		fspan.Items = res.SolverStats.SearchEffort()
-		fspan.End()
-		st.ring.Record("solve", worker, int64(i), int64(res.Status), res.Elapsed.Nanoseconds())
-		if err != nil {
-			return err
-		}
-		if res.Status == Errored {
-			st.dumpRingOnce("fault panic recovered", true)
-		}
-		if ctx.Err() != nil {
-			// The abort is a draining artifact, not a verdict on the fault.
-			return nil
-		}
-		if st.droppedF.get(i) {
-			// A flush dropped the fault while its solve was in flight; the
-			// official verdict is "dropped", so the solve is discarded.
-			st.countWasted(1)
-			if st.effort != nil {
-				st.recordEffort(ws, i, &res, "dropped", res.Status, 0, worker, true)
-			}
-			continue
-		}
-		st.published[i].Store(&specResult{res: res, worker: int32(worker)})
-		if err := st.kickCommit(ws, worker); err != nil {
-			return err
+		h := st.pubHigh.Load()
+		if int64(p) <= h || st.pubHigh.CompareAndSwap(h, int64(p)) {
+			break
 		}
 	}
+	return st.kickCommit(ws, worker)
 }
 
 // countWasted tallies speculative solves discarded because a committed
@@ -1261,22 +1174,26 @@ func (st *runState) kickCommit(ws *workerScratch, worker int) error {
 func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 	tel := st.opt.Telemetry
 	retryable := st.opt.RetryTiers > 0 && st.opt.PerFaultBudget > 0
-	for st.frontier < len(st.order) {
-		i := int(st.order[st.frontier])
+	routed := st.plan.class != nil
+	order := st.plan.order
+	for st.frontier < len(order) {
+		i := int(order[st.frontier])
 		if st.droppedF.get(i) {
 			if sr := st.published[i].Load(); sr != nil {
 				st.countWasted(1)
-				if st.effort != nil && (st.route == nil || st.recordedF.set(i)) {
+				if st.effort != nil {
 					st.recordEffort(ws, i, &sr.res, "dropped", sr.res.Status, 0, int(sr.worker), true)
 				}
-			} else if st.route != nil && st.effort != nil && st.recordedF.set(i) {
-				// Routed runs record clean drops too: the router predicted a
-				// class for this fault and fault simulation decided it, so the
-				// accuracy join still gets exactly one record (backend
-				// "faultsim", no solver work, not wasted).
-				st.recordEffort(ws, i, nil, "dropped", Detected, 0, -1, false)
 			}
-			if st.route != nil {
+			if routed {
+				// Routed runs record every drop's verdict too: the router
+				// predicted a class for this fault and fault simulation
+				// decided it, so the accuracy join gets exactly one
+				// non-wasted record (backend "faultsim", no solver work) —
+				// on top of the wasted record of any discarded solve.
+				if st.effort != nil {
+					st.recordEffort(ws, i, nil, "dropped", Detected, 0, -1, false)
+				}
 				tel.observeRouted(backendFaultSim, 0)
 			}
 			st.frontier++
@@ -1284,9 +1201,10 @@ func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 		}
 		sr := st.published[i].Load()
 		if sr == nil {
-			// Frontier blocked on an in-flight solve: start the stall clock
-			// on the first blocked observation of this slot.
-			if st.stallSlot != st.frontier || st.stallSince.IsZero() {
+			// Frontier blocked on an in-flight solve. It only stalls once a
+			// later result is waiting behind it: start the clock on the
+			// first such observation of this slot.
+			if st.pubHigh.Load() > int64(st.frontier) && (st.stallSlot != st.frontier || st.stallSince.IsZero()) {
 				st.stallSlot, st.stallSince = st.frontier, time.Now()
 			}
 			return nil
@@ -1318,7 +1236,7 @@ func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 		if tel != nil {
 			tel.observeFault(int(sr.worker), st.faults[i].Name(st.c), &res, time.Since(st.start))
 		}
-		if st.route != nil && res.Backend != "" {
+		if routed && res.Backend != "" {
 			tel.observeRouted(res.Backend, res.Elapsed.Nanoseconds())
 		}
 		// An aborted fault headed for the retry queue is not final yet;
@@ -1337,7 +1255,7 @@ func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 		}
 		if res.Status == Detected && st.opt.DropDetected {
 			st.pendingVecs = append(st.pendingVecs, res.Vector)
-			if len(st.pendingVecs) >= dropBatch || len(st.order)-st.frontier <= tailFlushWindow {
+			if len(st.pendingVecs) >= dropBatch || len(order)-st.frontier <= tailFlushWindow {
 				if err := st.flushLocked(ws, worker); err != nil {
 					return err
 				}
@@ -1351,47 +1269,36 @@ func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 // the uncommitted tail of the dispatch order and sets the drop bits of
 // the detected faults. Called with commitMu held. The atomic bitset is
 // the only state shared with the claim path, so flushes never make
-// claims wait — and with a scratch the flush allocates nothing: the pack
-// buffer, the simulator and the vector batch itself are all reused (the
-// old implementation copied an O(faults) dropped-snapshot under the run
-// mutex on every flush).
+// claims wait — and the flush allocates nothing: the pack buffer, the
+// simulator and the vector batch itself are all reused from the scratch
+// (the old implementation copied an O(faults) dropped-snapshot under the
+// run mutex on every flush).
 func (st *runState) flushLocked(ws *workerScratch, worker int) error {
 	batch := st.pendingVecs
 	if len(batch) == 0 {
 		return nil
 	}
 	simStart := time.Now()
-	var words []uint64
 	var err error
-	if ws != nil {
-		ws.pack, err = faultsim.PackPatternsInto(ws.pack, st.c, batch)
-		words = ws.pack
+	ws.pack, err = faultsim.PackPatternsInto(ws.pack, st.c, batch)
+	if err != nil {
+		return err
+	}
+	if ws.sim != nil {
+		err = ws.sim.Reset(ws.pack, len(batch))
 	} else {
-		words, err = faultsim.PackPatterns(st.c, batch)
+		ws.sim, err = faultsim.NewSimulator(st.c, ws.pack, len(batch))
 	}
 	if err != nil {
 		return err
 	}
-	var sim *faultsim.Simulator
-	if ws != nil && ws.sim != nil {
-		if err := ws.sim.Reset(words, len(batch)); err != nil {
-			return err
-		}
-		sim = ws.sim
-	} else {
-		sim, err = faultsim.NewSimulator(st.c, words, len(batch))
-		if err != nil {
-			return err
-		}
-		if ws != nil {
-			ws.sim = sim
-		}
-	}
+	sim := ws.sim
 	tel := st.opt.Telemetry
 	var droppedNames []string
 	dropped := 0
-	for p := st.frontier; p < len(st.order); p++ {
-		j := int(st.order[p])
+	order := st.plan.order
+	for p := st.frontier; p < len(order); p++ {
+		j := int(order[p])
 		if st.droppedF.get(j) {
 			continue
 		}

@@ -1,13 +1,12 @@
 package atpg
 
 // This file is the engine side of incremental region-grouped solving:
-// the gate deciding when the mode applies, the group worker that claims
-// whole region groups off an atomic cursor, and solveGroup, which
-// encodes one group formula and decides every member on a persistent
-// per-worker CDCL instance under assumptions. The retry tiers reuse
-// solveGroup over their own re-grouped queues (resilience.go), so a
-// retried fault also benefits from clauses learned by its region
-// neighbors in the same tier.
+// solveGroup, which encodes one group formula and decides every member
+// on a persistent per-worker CDCL instance under assumptions. The
+// dispatch loop (runPlan) calls it for the groups of every plan — the
+// sweep's and each retry tier's re-grouped queue — so a retried fault
+// also benefits from clauses learned by its region neighbors in the
+// same tier.
 
 import (
 	"context"
@@ -20,37 +19,13 @@ import (
 	"atpgeasy/internal/sat"
 )
 
-// incrementalEnabled reports whether the run uses the incremental
-// region-grouped path. It requires the DPLL solver family: the
-// incremental core is the DPLL engine plus assumptions and clause
-// retention, so any other configured solver (Simple, Caching, a custom
-// implementation) falls back to fresh-per-fault solving rather than
-// silently changing solvers. Learning-disabled ablation configurations
-// fall back too — retention without learning is a no-op.
-func (e *Engine) incrementalEnabled(opt RunOptions) bool {
-	if !opt.Incremental {
-		return false
-	}
-	switch s := e.Solver.(type) {
-	case nil:
-		return true
-	case *sat.DPLL:
-		return !s.DisableLearning
-	default:
-		return false
-	}
-}
-
-// routeEnabled reports whether the run uses cut-width-guided portfolio
-// routing. Like incrementalEnabled it requires the DPLL solver family:
-// the hard class solves on the incremental CDCL core and the fallback
-// path behind PODEM is a CDCL solve, so any other configured solver
-// falls back to the unrouted engine rather than silently changing
-// solvers.
-func (e *Engine) routeEnabled(opt RunOptions) bool {
-	if !opt.Route {
-		return false
-	}
+// cdclCore reports whether the engine's solver is the DPLL family the
+// incremental core belongs to (nil, or *sat.DPLL with learning on). Such
+// engines solve in region groups, and only they can route: the hard
+// class and PODEM's fallback are CDCL solves. Retention without learning
+// is a no-op, so learning-disabled DPLL solves singly like any other
+// solver.
+func (e *Engine) cdclCore() bool {
 	switch s := e.Solver.(type) {
 	case nil:
 		return true
@@ -62,64 +37,14 @@ func (e *Engine) routeEnabled(opt RunOptions) bool {
 }
 
 // incrementalFor returns the worker's persistent incremental instance —
-// the arena-held one when scratch reuse is on (so consecutive groups
-// reuse its buffers and Shrink reaches its learned DB), a fresh one per
-// group otherwise — configured with the engine solver's conflict bound.
+// arena-held, so consecutive groups reuse its buffers and Shrink reaches
+// its learned DB — configured with the engine solver's conflict bound.
 func (e *Engine) incrementalFor(ws *workerScratch) *sat.Incremental {
-	var inc *sat.Incremental
-	if ws != nil {
-		inc = ws.arena.Incremental()
-	} else {
-		inc = sat.NewIncremental()
-	}
+	inc := ws.arena.Incremental()
 	if d, ok := e.Solver.(*sat.DPLL); ok {
 		inc.MaxConflicts = d.MaxConflicts
 	}
 	return inc
-}
-
-// groupEmit receives one member's decided result. The main sweep
-// publishes it to the speculative slot and offers to advance the commit
-// frontier; the retry tiers adopt it directly into the results array.
-// solveGroup calls it in group (dispatch) order, skipping members whose
-// drop bit was set before their solve.
-type groupEmit func(i int, res Result) error
-
-// runGroupWorker is runWorker for the incremental path: workers claim
-// whole region groups (one atomic add each — a group is already a
-// chunk) and solve every member on the worker's persistent instance.
-func (e *Engine) runGroupWorker(ctx context.Context, st *runState, worker int, ws *workerScratch) error {
-	var shrinkSeen int64
-	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		st.maybeShrink(ws, worker, &shrinkSeen)
-		gi := int(st.groupCursor.Add(1) - 1)
-		if gi >= len(st.groups) {
-			return nil
-		}
-		g := &st.groups[gi]
-		err := e.solveGroup(ctx, st, st.order, g, ws, worker, &shrinkSeen, st.sweepSpan, st.opt.PerFaultBudget, func(i int, res Result) error {
-			if res.Status == Errored {
-				st.dumpRingOnce("fault panic recovered", true)
-			}
-			if st.droppedF.get(i) {
-				// Dropped between the solve and the publish: the official
-				// verdict is "dropped", so the solve is discarded.
-				st.countWasted(1)
-				if st.effort != nil {
-					st.recordEffort(ws, i, &res, "dropped", res.Status, 0, worker, true)
-				}
-				return nil
-			}
-			st.published[i].Store(&specResult{res: res, worker: int32(worker)})
-			return st.kickCommit(ws, worker)
-		})
-		if err != nil {
-			return err
-		}
-	}
 }
 
 // solveGroup decides every undropped member of one region group on the
@@ -127,40 +52,51 @@ func (e *Engine) runGroupWorker(ctx context.Context, st *runState, worker int, w
 // Load, then one SolveAssuming per member under its activation
 // assumptions. Members dropped before the build are excluded from the
 // encoding; members dropped after it are skipped without a solve —
-// both mirror the fresh path's claim-time drop check. A panic anywhere
+// both mirror the single-fault claim-time drop check. A panic anywhere
 // in the group becomes Errored results for the members not yet emitted,
 // and the worker's arena is replaced (sticky shrink caps carried over)
 // so the next group starts clean.
 //
-// order is the dispatch array g's span indexes into; budget, when
-// positive, bounds each member's solve separately (the group shares
-// learned clauses, never a deadline). Verdicts and vectors are
-// independent of group size and timing: the solver's lex-first
-// branching over the region's input variables makes each member's first
-// model project to the lex-least input assignment, whatever clauses
-// retention has added — see sat.Incremental's determinism contract.
-func (e *Engine) solveGroup(ctx context.Context, st *runState, order []int32, g *faultGroup, ws *workerScratch, worker int, shrinkSeen *int64, parent obs.SpanContext, budget time.Duration, emit groupEmit) (err error) {
+// The plan's group budget, when positive, bounds each member's solve
+// separately (the group shares learned clauses, never a deadline); on
+// a routed plan every verdict is labeled with the CDCL backend.
+// Verdicts and vectors are independent of group size and timing: the
+// solver's lex-first branching over the region's input variables makes
+// each member's first model project to the lex-least input assignment,
+// whatever clauses retention has added — see sat.Incremental's
+// determinism contract.
+func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan, g *faultGroup, ws *workerScratch, worker int, shrinkSeen *int64, parent obs.SpanContext, emit emitFunc) (err error) {
 	tel := st.opt.Telemetry
-	members := order[g.start:g.end]
+	members := pl.order[g.start:g.end]
 	emitted := make([]bool, len(members))
+	// decided hands member k's verdict to emit, labeled with the backend
+	// on a routed plan.
+	decided := func(k int, res Result) error {
+		if pl.class != nil {
+			res.Backend = backendCDCL
+		}
+		if res.Status == Errored {
+			st.dumpRingOnce("fault panic recovered", true)
+		}
+		emitted[k] = true
+		return emit(int(g.start)+k, res)
+	}
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
-		if ws != nil {
-			// The panic may have left the arena (and its incremental
-			// instance) mid-solve; replace it, carrying the watchdog's
-			// sticky caps so shrink state survives the swap.
-			prevCache, prevLearned := ws.arena.CacheCap(), ws.arena.LearnedCap()
-			ws.arena = sat.NewArena()
-			if prevCache > 0 {
-				for ws.arena.Shrink() > prevCache {
-				}
+		// The panic may have left the arena (and its incremental instance)
+		// mid-solve; replace it, carrying the watchdog's sticky caps so
+		// shrink state survives the swap.
+		prevCache, prevLearned := ws.arena.CacheCap(), ws.arena.LearnedCap()
+		ws.arena = sat.NewArena()
+		if prevCache > 0 {
+			for ws.arena.Shrink() > prevCache {
 			}
-			if prevLearned > 0 {
-				ws.arena.Incremental().LearnedLimit = prevLearned
-			}
+		}
+		if prevLearned > 0 {
+			ws.arena.Incremental().LearnedLimit = prevLearned
 		}
 		msg := fmt.Sprintf("panic: %v", r)
 		stack := string(debug.Stack())
@@ -173,7 +109,7 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, order []int32, g 
 				Fault: st.faults[i], Status: Errored, Err: msg, Stack: stack,
 				Group: g.id + 1, GroupSize: len(members),
 			}
-			if eerr := emit(i, res); eerr != nil && err == nil {
+			if eerr := decided(k, res); eerr != nil && err == nil {
 				err = eerr
 			}
 		}
@@ -218,9 +154,8 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, order []int32, g 
 		return err
 	}
 	if gm.Circuit != nil {
-		enc := ws.encoder()
 		var formula *cnf.Formula
-		formula, err = gm.EncodeWith(enc)
+		formula, err = gm.EncodeWith(ws.enc)
 		if err != nil {
 			return err
 		}
@@ -236,7 +171,7 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, order []int32, g 
 		mk := liveAt[k]
 		if mk < 0 || st.droppedF.get(i) {
 			// Dropped before (or since) the build: skipped without a
-			// solve, like a fresh-path fault dropped before its claim.
+			// solve, like a single fault dropped before its claim.
 			continue
 		}
 		if ctx.Err() != nil {
@@ -258,15 +193,14 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, order []int32, g 
 		}
 		if gm.Unobservable[mk] {
 			res.Status = Untestable
-			emitted[k] = true
-			if err = emit(i, res); err != nil {
+			if err = decided(k, res); err != nil {
 				return err
 			}
 			continue
 		}
 		lim := sat.Limits{Cancel: ctx.Done()}
-		if budget > 0 {
-			lim.Deadline = time.Now().Add(budget)
+		if pl.groupBudget > 0 {
+			lim.Deadline = time.Now().Add(pl.groupBudget)
 		}
 		fspan := tel.startSpan("fault", gspan.Context())
 		if fspan.Active() {
@@ -298,19 +232,9 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, order []int32, g 
 			// The abort is a draining artifact, not a verdict.
 			return nil
 		}
-		emitted[k] = true
-		if err = emit(i, res); err != nil {
+		if err = decided(k, res); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// encoder returns the scratch's reusable CNF encoder, or a fresh one
-// when scratch reuse is disabled.
-func (ws *workerScratch) encoder() *cnf.Encoder {
-	if ws != nil {
-		return ws.enc
-	}
-	return new(cnf.Encoder)
 }

@@ -1,19 +1,18 @@
 package atpg
 
-// The routed worker: the execution side of the cut-width-guided router
-// (router.go). A routed run's dispatch order is hard-class region groups
-// first, then the single-fault tail (structural → low-width → trivial);
-// this file drains both phases and aims each single fault at its class
-// backend — the PODEM structural engine, the Algorithm-1 caching
-// backtracker, or a CDCL solve — behind the same per-fault panic
-// barrier, speculative publish and deterministic commit frontier as the
-// unrouted engine. Backends differ only in how a verdict is found, never
-// in what it means: every path yields the same Detected / Untestable /
-// Aborted statuses and a verified vector, so routed runs stay
-// byte-identical at any worker count.
+// The routed backends: the execution side of the cut-width-guided
+// router (router.go). A routed plan's dispatch order is hard-class
+// region groups first, then the single-fault tail (structural →
+// low-width → trivial); the dispatch loop (runPlan) aims each single
+// fault at its class backend — the PODEM structural engine, the
+// Algorithm-1 caching backtracker, or a CDCL solve — behind the same
+// per-fault panic barrier, speculative publish and deterministic commit
+// frontier as every other plan. Backends differ only in how a verdict is
+// found, never in what it means: every path yields the same Detected /
+// Untestable / Aborted statuses and a verified vector, so routed runs
+// stay byte-identical at any worker count.
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -30,102 +29,6 @@ const (
 	backendCDCL    = "cdcl"
 )
 
-// runRoutedWorker is runWorker for the routed portfolio path. Phase one
-// drains the hard-class prefix as region groups on the incremental CDCL
-// backend (one atomic add per group, budget scaled by RouteHardScale);
-// phase two claims the single-fault tail in chunks and solves each fault
-// on its class backend. Both phases publish speculatively and commit
-// through the shared deterministic frontier.
-func (e *Engine) runRoutedWorker(ctx context.Context, st *runState, worker int, ws *workerScratch) error {
-	tel := st.opt.Telemetry
-	var shrinkSeen int64
-
-	hardBudget := st.routedHardBudget()
-	emit := func(i int, res Result) error {
-		res.Backend = backendCDCL
-		if res.Status == Errored {
-			st.dumpRingOnce("fault panic recovered", true)
-		}
-		if st.droppedF.get(i) {
-			// Dropped between the solve and the publish: the official
-			// verdict is "dropped", so the solve is discarded.
-			st.countWasted(1)
-			if st.effort != nil && st.recordedF.set(i) {
-				st.recordEffort(ws, i, &res, "dropped", res.Status, 0, worker, true)
-			}
-			return nil
-		}
-		st.published[i].Store(&specResult{res: res, worker: int32(worker)})
-		return st.kickCommit(ws, worker)
-	}
-	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		st.maybeShrink(ws, worker, &shrinkSeen)
-		gi := int(st.groupCursor.Add(1) - 1)
-		if gi >= len(st.groups) {
-			break
-		}
-		if err := e.solveGroup(ctx, st, st.order, &st.groups[gi], ws, worker, &shrinkSeen, st.sweepSpan, hardBudget, emit); err != nil {
-			return err
-		}
-	}
-
-	// Single-fault tail. Positions are relative to the hard prefix; the
-	// shared cursor spans only the tail, so group claims and single
-	// claims never collide.
-	base := st.route.hardEnd
-	cl := chunkClaimer{cursor: &st.cursor, n: len(st.order) - base, workers: st.workers}
-	cl.onChunk = func(lo, hi int) {
-		st.ring.Record("chunk", worker, int64(base+lo), int64(hi-lo), 0)
-	}
-	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		st.maybeShrink(ws, worker, &shrinkSeen)
-		p := cl.next()
-		if p < 0 {
-			return nil
-		}
-		i := int(st.order[base+p])
-		if st.droppedF.get(i) {
-			continue // dropped by a committed vector since reservation
-		}
-		fspan := tel.startSpan("fault", st.sweepSpan)
-		if fspan.Active() {
-			fspan.Worker = worker
-			fspan.Detail = st.faults[i].Name(st.c)
-		}
-		res, err := e.solveRouted(ctx, st, i, st.route.class[i], ws, st.opt.PerFaultBudget)
-		fspan.Items = res.SolverStats.SearchEffort()
-		fspan.End()
-		st.ring.Record("solve", worker, int64(i), int64(res.Status), res.Elapsed.Nanoseconds())
-		if err != nil {
-			return err
-		}
-		if res.Status == Errored {
-			st.dumpRingOnce("fault panic recovered", true)
-		}
-		if ctx.Err() != nil {
-			// The abort is a draining artifact, not a verdict on the fault.
-			return nil
-		}
-		if st.droppedF.get(i) {
-			st.countWasted(1)
-			if st.effort != nil && st.recordedF.set(i) {
-				st.recordEffort(ws, i, &res, "dropped", res.Status, 0, worker, true)
-			}
-			continue
-		}
-		st.published[i].Store(&specResult{res: res, worker: int32(worker)})
-		if err := st.kickCommit(ws, worker); err != nil {
-			return err
-		}
-	}
-}
-
 // routedHardBudget is PerFaultBudget scaled by RouteHardScale for the
 // hard class (0 stays 0: no budget means no deadline on any backend).
 func (st *runState) routedHardBudget() time.Duration {
@@ -141,34 +44,6 @@ func (st *runState) routedHardBudget() time.Duration {
 		scale = 1
 	}
 	return time.Duration(float64(b) * scale)
-}
-
-// solveRouted decides one single-dispatched fault on its class backend,
-// behind the engine's per-fault panic barrier. budget, when positive,
-// bounds the whole attempt — for the structural class that includes both
-// the PODEM search and its CDCL fallback, which inherits whatever of the
-// deadline PODEM left unspent.
-func (e *Engine) solveRouted(ctx context.Context, st *runState, i int, cls EffortClass, ws *workerScratch, budget time.Duration) (Result, error) {
-	f := st.faults[i]
-	return e.safeSolve(f, ws, func() (Result, error) {
-		lim := sat.Limits{Cancel: ctx.Done()}
-		if budget > 0 {
-			lim.Deadline = time.Now().Add(budget)
-		}
-		switch cls {
-		case ClassLowWidth:
-			return e.solveCachingBackend(st, f, ws, lim)
-		case ClassHard:
-			// Hard faults normally solve in the grouped prefix; a single
-			// hard solve only happens when retry escalation bumps a fault
-			// here — a fresh CDCL solve, no region group to join.
-			res, err := e.testFault(st.c, f, lim, ws, st.opt.CacheLimit)
-			res.Backend = backendCDCL
-			return res, err
-		default: // ClassTrivial, ClassStructural: survivors go through PODEM
-			return e.solvePodemBackend(st, f, ws, lim)
-		}
-	})
 }
 
 // solveCachingBackend is the low-width class's backend: the Algorithm-1
@@ -203,7 +78,7 @@ func (e *Engine) solvePodemBackend(st *runState, f Fault, ws *workerScratch, lim
 		Deadline:      lim.Deadline,
 		Cancel:        lim.Cancel,
 	}
-	if sc := st.route.scoap; sc != nil {
+	if sc := st.scoap; sc != nil {
 		popt.CC0, popt.CC1 = sc.CC0, sc.CC1
 	}
 	start := time.Now()

@@ -205,7 +205,7 @@ func runIncremental(t *testing.T, c *logic.Circuit, groupMax, workers int) *Summ
 	sum, err := eng.Run(context.Background(), c, RunOptions{
 		Collapse: true, DropDetected: true,
 		RPTBatches: DefaultRPTBatches, Seed: 42,
-		Incremental: true, GroupMax: groupMax,
+		GroupMax: groupMax,
 	})
 	if err != nil {
 		t.Fatalf("incremental run (groupMax=%d, workers=%d): %v", groupMax, workers, err)
@@ -317,7 +317,7 @@ func TestIncrementalUntestableIsolated(t *testing.T) {
 	}
 	faults := AllFaults(c)
 	eng := &Engine{VerifyTests: true, Workers: 1}
-	sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{Incremental: true})
+	sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,10 @@ func TestIncrementalUntestableIsolated(t *testing.T) {
 	if sum.Detected+sum.Untestable != sum.Total {
 		t.Fatalf("faults unaccounted: D%d U%d of %d", sum.Detected, sum.Untestable, sum.Total)
 	}
-	fresh, err := eng.RunFaults(context.Background(), c, faults, RunOptions{})
+	// Reference: every fault decided on its own by a learning-free DPLL
+	// (the engine then solves singly), sharing nothing between faults.
+	single := &Engine{Solver: &sat.DPLL{DisableLearning: true}, VerifyTests: true, Workers: 1}
+	fresh, err := single.RunFaults(context.Background(), c, faults, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +354,7 @@ func TestIncrementalMemWatchdogShrinksLearnedDB(t *testing.T) {
 	// to preempt a busy worker before it can sample the heap).
 	c := gen.ArrayMultiplier(7)
 	refEng := &Engine{VerifyTests: true, Workers: 2}
-	ref, err := refEng.Run(context.Background(), c, RunOptions{Incremental: true})
+	ref, err := refEng.Run(context.Background(), c, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +363,6 @@ func TestIncrementalMemWatchdogShrinksLearnedDB(t *testing.T) {
 	met := NewMetrics(reg, 2)
 	eng := &Engine{VerifyTests: true, Workers: 2, memCheckEvery: time.Millisecond}
 	sum, err := eng.Run(context.Background(), c, RunOptions{
-		Incremental:  true,
 		MemSoftLimit: 1,
 		Telemetry:    &Telemetry{Metrics: met},
 	})
@@ -390,7 +392,7 @@ func TestIncrementalPanicIsolation(t *testing.T) {
 			panic("injected region explosion")
 		}
 	}
-	sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{Incremental: true})
+	sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{})
 	if err != nil {
 		t.Fatalf("RunFaults: %v", err)
 	}
@@ -415,31 +417,48 @@ func TestIncrementalPanicIsolation(t *testing.T) {
 }
 
 // TestIncrementalRetryTiers forces aborts with a tiny budget and
-// requires the incremental retry path (re-grouped by region) to
-// recover them, matching the unlimited incremental run's verdicts.
+// requires the retry tiers to recover them through the dispatch loop,
+// matching the unlimited run's verdicts — on every plan a tier can lay
+// out: region groups (the queue re-grouped by region), single faults on
+// the engine's solver, and the routed portfolio (classes escalated one
+// step per tier, hard-escalated faults re-grouped). The pre-phase is off
+// so faults reach the solvers, and the 1ns sweep budget aborts them all.
 func TestIncrementalRetryTiers(t *testing.T) {
 	c := gen.ArrayMultiplier(3)
-	ref := runIncremental(t, c, DefaultGroupMax, 2)
-	eng := &Engine{VerifyTests: true, Workers: 2}
-	sum, err := eng.Run(context.Background(), c, RunOptions{
-		Collapse: true, DropDetected: true,
-		RPTBatches: DefaultRPTBatches, Seed: 42,
-		Incremental:    true,
-		PerFaultBudget: 50 * time.Microsecond,
-		RetryTiers:     8,
-		RetryBackoff:   8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Aborted > 0 {
-		t.Skipf("budget too tight even after retries on this machine (%d aborted)", sum.Aborted)
-	}
-	if sum.Detected+sum.DroppedByFaultSim != ref.Detected+ref.DroppedByFaultSim ||
-		sum.Untestable != ref.Untestable {
-		t.Fatalf("retried run (D%d+drop%d U%d) vs reference (D%d+drop%d U%d)",
-			sum.Detected, sum.DroppedByFaultSim, sum.Untestable,
-			ref.Detected, ref.DroppedByFaultSim, ref.Untestable)
+	for _, plan := range []struct {
+		name   string
+		solver sat.Solver
+		route  bool
+	}{
+		{name: "grouped"},
+		{name: "single", solver: &sat.DPLL{DisableLearning: true}},
+		{name: "routed", route: true},
+	} {
+		opt := RunOptions{Collapse: true, DropDetected: true, Route: plan.route}
+		ref, err := (&Engine{Solver: plan.solver, VerifyTests: true, Workers: 2}).Run(context.Background(), c, opt)
+		if err != nil {
+			t.Fatalf("%s reference: %v", plan.name, err)
+		}
+		opt.PerFaultBudget = time.Nanosecond // tiers: 8ns … 16.8ms
+		opt.RetryTiers = 8
+		opt.RetryBackoff = 8
+		sum, err := (&Engine{Solver: plan.solver, VerifyTests: true, Workers: 2}).Run(context.Background(), c, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", plan.name, err)
+		}
+		if len(sum.Retries) == 0 {
+			t.Fatalf("%s: a 1ns budget sent nothing to the retry tiers", plan.name)
+		}
+		if sum.Aborted > 0 {
+			t.Logf("%s: budget too tight even after retries on this machine (%d aborted)", plan.name, sum.Aborted)
+			continue
+		}
+		if sum.Detected+sum.DroppedByFaultSim != ref.Detected+ref.DroppedByFaultSim ||
+			sum.Untestable != ref.Untestable {
+			t.Fatalf("%s: retried run (D%d+drop%d U%d) vs reference (D%d+drop%d U%d)", plan.name,
+				sum.Detected, sum.DroppedByFaultSim, sum.Untestable,
+				ref.Detected, ref.DroppedByFaultSim, ref.Untestable)
+		}
 	}
 }
 
@@ -452,7 +471,7 @@ func TestIncrementalTelemetryCounters(t *testing.T) {
 	met := NewMetrics(reg, 1)
 	eng := &Engine{Workers: 1}
 	sum, err := eng.Run(context.Background(), c, RunOptions{
-		Collapse: true, Incremental: true,
+		Collapse:  true,
 		Telemetry: &Telemetry{Metrics: met},
 	})
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"atpgeasy/internal/logic"
@@ -77,15 +76,13 @@ type RetryTier struct {
 // only move faults between decided and aborted.
 func CheckpointFingerprint(c *logic.Circuit, faults []Fault, opt RunOptions) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%d|%d|%d|%t|", c.Name, len(c.Inputs),
+	// The "inc|" segment is a fixed marker: it once told region-grouped
+	// journals from those of a since-removed fresh-DPLL path, and stays
+	// so journals written before that path was removed still resume.
+	// GroupMax is excluded: vectors and verdicts are identical for every
+	// group-size cap.
+	fmt.Fprintf(h, "%s|%d|%d|%d|%d|%t|inc|", c.Name, len(c.Inputs),
 		opt.Seed, opt.RPTBatches, opt.RPTIdleStop, opt.DropDetected)
-	if opt.Incremental {
-		// The incremental path's lex-first branching yields different (but
-		// equally deterministic) vectors than the fresh path, so journals
-		// don't transfer across the mode boundary. GroupMax is excluded:
-		// vectors and verdicts are identical for every group-size cap.
-		fmt.Fprint(h, "inc|")
-	}
 	if opt.Route {
 		// Routed runs dispatch per-fault backends whose patterns differ
 		// from both unrouted modes (PODEM X-fill, the caching
@@ -119,16 +116,14 @@ func (e *Engine) safeSolve(f Fault, ws *workerScratch, solve func() (Result, err
 				Stack:  string(debug.Stack()),
 			}
 			err = nil
-			if ws != nil {
-				// The panic may have left the scratch arena mid-solve; a
-				// fresh one costs a few allocations on a path taken at most
-				// once per faulty cone, and guarantees the next fault starts
-				// from clean state. A sticky watchdog cap carries over.
-				prevCap := ws.arena.CacheCap()
-				ws.arena = sat.NewArena()
-				if prevCap > 0 {
-					for ws.arena.Shrink() > prevCap {
-					}
+			// The panic may have left the scratch arena mid-solve; a fresh
+			// one costs a few allocations on a path taken at most once per
+			// faulty cone, and guarantees the next fault starts from clean
+			// state. A sticky watchdog cap carries over.
+			prevCap := ws.arena.CacheCap()
+			ws.arena = sat.NewArena()
+			if prevCap > 0 {
+				for ws.arena.Shrink() > prevCap {
 				}
 			}
 		}
@@ -137,14 +132,6 @@ func (e *Engine) safeSolve(f Fault, ws *workerScratch, solve func() (Result, err
 		e.testHookPanic(f)
 	}
 	return solve()
-}
-
-// safeTestFault is testFault behind the recover barrier — the unrouted
-// engine's per-fault entry point.
-func (e *Engine) safeTestFault(c *logic.Circuit, f Fault, lim sat.Limits, ws *workerScratch, cacheLimit int64) (Result, error) {
-	return e.safeSolve(f, ws, func() (Result, error) {
-		return e.testFault(c, f, lim, ws, cacheLimit)
-	})
 }
 
 // applyResume pre-fills the run state with a previous run's journaled
@@ -193,9 +180,6 @@ func (st *runState) applyResume(rs *ResumeState) {
 // generation advanced since the worker last looked. Runs between faults
 // on the worker's own goroutine, so the arena is quiescent.
 func (st *runState) maybeShrink(ws *workerScratch, worker int, seen *int64) {
-	if ws == nil {
-		return
-	}
 	gen := st.shrinkGen.Load()
 	if gen == *seen {
 		return
@@ -296,9 +280,9 @@ func (e *Engine) runRetryTiers(ctx context.Context, st *runState, scratches []*w
 		// Each fault's slot is written by the one worker that claimed it
 		// (or its group), so the writes are disjoint.
 		decidedF := make([]bool, len(st.results))
-		// adoptRetry is the tier's verdict bookkeeping, shared by the
-		// fresh per-fault loop and the incremental group emit.
-		adoptRetry := func(ws *workerScratch, w, i int, res Result) {
+		// adopt is the tier's emit: the verdict replaces the fault's
+		// aborted result directly (there is no speculation to commit).
+		adopt := func(ws *workerScratch, w, i int, res Result) {
 			st.results[i] = &res
 			if res.Status != Aborted {
 				decidedF[i] = true
@@ -323,128 +307,40 @@ func (e *Engine) runRetryTiers(ctx context.Context, st *runState, scratches []*w
 				st.recordEffort(ws, i, &res, "retry", res.Status, tier, w, false)
 			}
 		}
-		// In incremental mode the tier re-groups its queue by fanout
-		// region, so a retried fault resumes on a shared region instance
-		// and reuses clauses learned by its neighbors in the same tier
-		// instead of cold-starting. In routed mode each fault's class is
-		// first escalated one step toward hard per tier: hard-escalated
-		// faults re-group for the incremental CDCL backend, the rest
-		// re-solve on their escalated class's backend.
-		var retryOrder []int32
-		var retryGroups []faultGroup
-		var singleQ []int
-		var singleCls []EffortClass
-		if st.route != nil {
-			hardQ := make([]bool, len(st.faults))
-			anyHard := false
-			for _, i := range queue {
-				ecls := st.route.class[i].escalate(tier)
-				if ecls == ClassHard {
-					hardQ[i] = true
-					anyHard = true
-				} else {
-					singleQ = append(singleQ, i)
-					singleCls = append(singleCls, ecls)
-				}
-			}
-			if anyHard {
-				skip := make([]bool, len(st.faults))
-				for i := range skip {
-					skip[i] = !hardQ[i]
-				}
-				retryOrder, retryGroups = buildGroups(st.c, st.faults, skip, opt.GroupMax)
-			}
-		} else if st.incremental {
-			inQueue := make([]bool, len(st.faults))
-			for _, i := range queue {
-				inQueue[i] = true
-			}
-			skip := make([]bool, len(st.faults))
-			for i := range skip {
-				skip[i] = !inQueue[i]
-			}
-			retryOrder, retryGroups = buildGroups(st.c, st.faults, skip, opt.GroupMax)
+		// The tier is a plan over its queue, laid out like the sweep's: on
+		// a grouped engine the queue is re-grouped by fanout region, so a
+		// retried fault resumes on a shared region instance and reuses
+		// clauses learned by its neighbors in the same tier; on a routed
+		// run each fault's class first escalates one step toward hard per
+		// tier, and hard-escalated faults re-group for the CDCL backend.
+		skip := make([]bool, len(st.faults))
+		for i := range skip {
+			skip[i] = true
 		}
-		var cursor, gcursor atomic.Int64
+		var class []EffortClass
+		if st.plan.class != nil {
+			class = make([]EffortClass, len(st.faults))
+		}
+		for _, i := range queue {
+			skip[i] = false
+			if class != nil {
+				class[i] = st.plan.class[i].escalate(tier)
+			}
+		}
+		pl := planDispatch(st.c, st.faults, skip, class, e.cdclCore(), opt.GroupMax)
+		pl.groupBudget, pl.singleBudget = budget, budget
 		var wg sync.WaitGroup
-		for w := range scratches {
-			w := w
+		for w, ws := range scratches {
+			w, ws := w, ws
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				ws := scratches[w]
-				var shrinkSeen int64
-				if st.incremental || st.route != nil {
-					for {
-						if ctx.Err() != nil {
-							return
-						}
-						st.maybeShrink(ws, w, &shrinkSeen)
-						gi := int(gcursor.Add(1) - 1)
-						if gi >= len(retryGroups) {
-							break
-						}
-						err := e.solveGroup(ctx, st, retryOrder, &retryGroups[gi], ws, w, &shrinkSeen, tierCtx, budget, func(i int, res Result) error {
-							if st.route != nil {
-								res.Backend = backendCDCL
-							}
-							if res.Status == Errored {
-								st.dumpRingOnce("fault panic recovered", true)
-							}
-							adoptRetry(ws, w, i, res)
-							return nil
-						})
-						if err != nil {
-							st.setErr(err)
-							return
-						}
-					}
-					if st.route == nil {
-						return // incremental groups cover the whole queue
-					}
+				emit := func(p int, res Result) error {
+					adopt(ws, w, int(pl.order[p]), res)
+					return nil
 				}
-				// The tier reuses the main sweep's chunked claim protocol
-				// over its own queue — in routed mode, over the non-hard
-				// remainder (hard-escalated faults went through the groups).
-				tail := queue
-				if st.route != nil {
-					tail = singleQ
-				}
-				cl := chunkClaimer{cursor: &cursor, n: len(tail), workers: len(scratches)}
-				for {
-					k := cl.next()
-					if k < 0 || ctx.Err() != nil {
-						return
-					}
-					st.maybeShrink(ws, w, &shrinkSeen)
-					i := tail[k]
-					fspan := tel.startSpan("fault", tierCtx)
-					if fspan.Active() {
-						fspan.Worker = w
-						fspan.Detail = st.faults[i].Name(st.c)
-					}
-					var res Result
-					var err error
-					if st.route != nil {
-						res, err = e.solveRouted(ctx, st, i, singleCls[k], ws, budget)
-					} else {
-						lim := sat.Limits{Cancel: ctx.Done(), Deadline: time.Now().Add(budget)}
-						res, err = e.safeTestFault(st.c, st.faults[i], lim, ws, opt.CacheLimit)
-					}
-					fspan.Items = res.SolverStats.SearchEffort()
-					fspan.End()
-					st.ring.Record("solve", w, int64(i), int64(res.Status), res.Elapsed.Nanoseconds())
-					if err != nil {
-						st.setErr(err)
-						return
-					}
-					if res.Status == Errored {
-						st.dumpRingOnce("fault panic recovered", true)
-					}
-					if ctx.Err() != nil {
-						return
-					}
-					adoptRetry(ws, w, i, res)
+				if err := e.runPlan(ctx, st, pl, w, ws, tierCtx, emit); err != nil {
+					st.setErr(err)
 				}
 			}()
 		}
@@ -476,7 +372,7 @@ func (e *Engine) runRetryTiers(ctx context.Context, st *runState, scratches []*w
 				opt.Journal.RecordFault(i, Aborted.String(), nil, "")
 			}
 			if st.effort != nil {
-				st.recordEffort(nil, i, st.results[i], "retry", Aborted, len(tiers), -1, false)
+				st.recordEffort(scratches[0], i, st.results[i], "retry", Aborted, len(tiers), -1, false)
 			}
 		}
 		st.retryPending.Store(0)

@@ -215,8 +215,8 @@ func TestRetryTiersRecoverAbortedFaults(t *testing.T) {
 		}
 	}
 	// The budget gate is deterministic, so the recovered run must decide
-	// exactly what an unbudgeted run decides.
-	plain, err := (&Engine{Workers: 2, Solver: &sat.DPLL{}}).RunFaults(context.Background(), c, faults, RunOptions{})
+	// exactly what an unbudgeted run on the same solver decides.
+	plain, err := (&Engine{Workers: 2, Solver: &budgetSolver{inner: &sat.DPLL{}}}).RunFaults(context.Background(), c, faults, RunOptions{})
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}

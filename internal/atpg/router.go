@@ -251,38 +251,15 @@ func classifyFault(ft FaultFeatures, width int32) EffortClass {
 	return ClassStructural
 }
 
-// routePlan is the routed dispatch schedule: a class and width per
-// fault, and a single dispatch order walked by the commit frontier —
-// hard faults first (grouped for the incremental backend), then
-// structural, then low-width, then trivial last, so that vectors
-// committed by the expensive backends drop the cheap tail via fault
-// simulation before it is ever claimed.
-type routePlan struct {
-	class []EffortClass // per fault index; meaningless where skip[i]
-	width []int32       // router's width estimate per fault index
-	order []int32       // full dispatch order (all live faults)
-	// groups cover order[:hardEnd] (the ClassHard prefix) for the
-	// incremental backend; singles start at order[hardEnd].
-	groups  []faultGroup
-	hardEnd int
-	// counts[class] is the number of live faults per class.
-	counts [4]int
-	// scoap is the circuit's testability measure table, shared by every
-	// PODEM solve for backtrace guidance.
-	scoap *Scoap
-}
-
-// buildRoute scores and classifies every live fault (sharded over
-// workers goroutines) and assembles the routed dispatch order.
-func buildRoute(c *logic.Circuit, faults []Fault, skip []bool, feats []FaultFeatures, widthMax, groupMax, workers int) *routePlan {
+// classifyFaults scores and classifies every live fault (sharded over
+// workers goroutines); faults in skip keep the zero class and are never
+// laid out. planDispatch turns the classes into the routed dispatch
+// order.
+func classifyFaults(c *logic.Circuit, faults []Fault, skip []bool, feats []FaultFeatures, widthMax, workers int) []EffortClass {
 	if widthMax <= 0 {
 		widthMax = DefaultRouteWidthMax
 	}
-	rp := &routePlan{
-		class: make([]EffortClass, len(faults)),
-		width: make([]int32, len(faults)),
-		scoap: ComputeScoap(c),
-	}
+	class := make([]EffortClass, len(faults))
 	if workers < 1 {
 		workers = 1
 	}
@@ -307,7 +284,6 @@ func buildRoute(c *logic.Circuit, faults []Fault, skip []bool, feats []FaultFeat
 			netWidth := make(map[int]int32)
 			for i := lo; i < hi; i++ {
 				if skip != nil && skip[i] {
-					rp.width[i] = -1
 					continue
 				}
 				w := int32(-1)
@@ -318,40 +294,12 @@ func buildRoute(c *logic.Circuit, faults []Fault, skip []bool, feats []FaultFeat
 						netWidth[faults[i].Net] = w
 					}
 				}
-				rp.width[i] = w
-				rp.class[i] = classifyFault(feats[i], w)
+				class[i] = classifyFault(feats[i], w)
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
-
-	// Hard prefix: reuse the region grouper so the incremental backend
-	// keeps its locality; skip everything that is not live ClassHard.
-	hardSkip := make([]bool, len(faults))
-	for i := range faults {
-		hardSkip[i] = (skip != nil && skip[i]) || rp.class[i] != ClassHard
-	}
-	hardOrder, groups := buildGroups(c, faults, hardSkip, groupMax)
-	rp.order = hardOrder
-	rp.groups = groups
-	rp.hardEnd = len(hardOrder)
-
-	// Single-fault tail: structural, then low-width, then trivial, each
-	// sub-list in the engine's usual largest-cone-first order.
-	for _, cls := range []EffortClass{ClassStructural, ClassLowWidth, ClassTrivial} {
-		classSkip := make([]bool, len(faults))
-		for i := range faults {
-			classSkip[i] = (skip != nil && skip[i]) || rp.class[i] != cls
-		}
-		rp.order = append(rp.order, effortOrder(c, faults, classSkip)...)
-	}
-	for i := range faults {
-		if skip != nil && skip[i] {
-			continue
-		}
-		rp.counts[rp.class[i]]++
-	}
-	return rp
+	return class
 }
 
 // RouteSummary reports the routed run's class and backend tallies in the
@@ -364,12 +312,21 @@ type RouteSummary struct {
 	Backends map[string]int `json:"backends"`
 }
 
-func (rp *routePlan) summary() *RouteSummary {
+// routeSummary tallies the routed sweep plan's live faults by class and
+// the decided results by backend; faults the flushes dropped count
+// under faultsim.
+func (st *runState) routeSummary() *RouteSummary {
 	rs := &RouteSummary{Classes: make(map[string]int), Backends: make(map[string]int)}
-	for cls, n := range rp.counts {
-		if n > 0 {
-			rs.Classes[EffortClass(cls).String()] = n
+	for _, i := range st.plan.order {
+		rs.Classes[st.plan.class[i].String()]++
+	}
+	for _, r := range st.results {
+		if r != nil && r.Backend != "" {
+			rs.Backends[r.Backend]++
 		}
+	}
+	if n := int(st.droppedN.Load()); n > 0 {
+		rs.Backends[backendFaultSim] = n
 	}
 	return rs
 }

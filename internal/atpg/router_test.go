@@ -3,6 +3,7 @@ package atpg
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"atpgeasy/internal/gen"
@@ -92,7 +93,7 @@ func routedRun(t *testing.T, c *logic.Circuit, workers int, opt RunOptions) *Sum
 func TestRoutedByteIdenticalAcrossWorkers(t *testing.T) {
 	c := gen.Random(gen.RandomParams{Inputs: 12, Gates: 120, Seed: 3})
 	for _, route := range []bool{true, false} {
-		opt := RunOptions{Collapse: true, Incremental: true, Route: route}
+		opt := RunOptions{Collapse: true, Route: route}
 		one := routedRun(t, c, 1, opt)
 		four := routedRun(t, c, 4, opt)
 		if len(one.Results) != len(four.Results) {
@@ -134,8 +135,8 @@ func TestRoutedMatchesUnroutedVerdicts(t *testing.T) {
 		"cla":  gen.CarryLookaheadAdder(4),
 		"mult": gen.ArrayMultiplier(4),
 	} {
-		unrouted := routedRun(t, c, 1, RunOptions{Collapse: true, Incremental: true})
-		routed := routedRun(t, c, 1, RunOptions{Collapse: true, Incremental: true, Route: true})
+		unrouted := routedRun(t, c, 1, RunOptions{Collapse: true})
+		routed := routedRun(t, c, 1, RunOptions{Collapse: true, Route: true})
 		if len(unrouted.Results) != len(routed.Results) {
 			t.Fatalf("%s: %d vs %d results", name, len(unrouted.Results), len(routed.Results))
 		}
@@ -160,21 +161,35 @@ func TestRoutedMatchesUnroutedVerdicts(t *testing.T) {
 	}
 }
 
-// TestRouteRequiresDPLL: routing silently turns off (falling back to
-// the unrouted engine rather than silently changing solvers) when the
-// configured solver is not the DPLL family.
+// TestRouteRequiresDPLL: routing needs the DPLL solver family (the hard
+// class and PODEM's fallback are CDCL solves), so a run asking for it on
+// any other solver is refused up front rather than silently run
+// unrouted or on a different solver.
 func TestRouteRequiresDPLL(t *testing.T) {
 	c := gen.CarryLookaheadAdder(2)
-	e := &Engine{Solver: &sat.Simple{}, Workers: 1}
-	sum, err := e.Run(context.Background(), c, RunOptions{Collapse: true, Route: true})
-	if err != nil {
-		t.Fatal(err)
+	for name, solver := range map[string]sat.Solver{
+		"simple":           &sat.Simple{},
+		"caching":          &sat.Caching{},
+		"dpll-no-learning": &sat.DPLL{DisableLearning: true},
+	} {
+		e := &Engine{Solver: solver, Workers: 1}
+		sum, err := e.Run(context.Background(), c, RunOptions{Collapse: true, Route: true})
+		if err == nil || !strings.Contains(err.Error(), "Route requires the DPLL solver") {
+			t.Errorf("%s: err = %v, want the DPLL-family error", name, err)
+		}
+		if sum != nil {
+			t.Errorf("%s: refused run returned a summary", name)
+		}
 	}
-	if sum.Routed != nil {
-		t.Errorf("route summary reported with a non-DPLL solver")
-	}
-	if sum.Coverage() != 1 {
-		t.Errorf("coverage %v", sum.Coverage())
+	for name, solver := range map[string]sat.Solver{"nil": nil, "dpll": &sat.DPLL{}} {
+		e := &Engine{Solver: solver, Workers: 1}
+		sum, err := e.Run(context.Background(), c, RunOptions{Collapse: true, Route: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if sum.Routed == nil || sum.Coverage() != 1 {
+			t.Errorf("%s: routed %v, coverage %v", name, sum.Routed, sum.Coverage())
+		}
 	}
 }
 
@@ -186,7 +201,7 @@ func TestRouteRequiresDPLL(t *testing.T) {
 func TestRoutedWithDropsAndRPT(t *testing.T) {
 	c := gen.ArrayMultiplier(4)
 	sum := routedRun(t, c, 2, RunOptions{
-		Collapse: true, Incremental: true, Route: true,
+		Collapse: true, Route: true,
 		DropDetected: true, RPTBatches: DefaultRPTBatches,
 	})
 	if sum.Coverage() != 1 {

@@ -2,69 +2,50 @@ package atpg
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"atpgeasy/internal/gen"
 	"atpgeasy/internal/sat"
 )
 
-// TestScratchReuseMatchesFresh is the correctness gate for the per-worker
-// arenas: the same run with scratch reuse on and off must produce
-// identical per-fault verdicts, vectors and solver search statistics.
-func TestScratchReuseMatchesFresh(t *testing.T) {
+// TestScratchReuseMatchesTestFault is the correctness gate for the
+// per-worker arenas: a run that reuses one worker's arena across every
+// fault must give the same per-fault verdicts and vectors as
+// Engine.TestFault, which solves each fault on a throwaway scratch. For
+// Simple the search itself must match too; for Caching node counts may
+// shift — a reused table keeps its grown capacity across faults and so
+// evicts less — but verdicts and vectors never depend on cache
+// behavior, because cache hits only prune UNSAT subtrees.
+func TestScratchReuseMatchesTestFault(t *testing.T) {
 	for cname, c := range parallelTestCircuits() {
 		for sname, solver := range map[string]sat.Solver{
 			"caching": &sat.Caching{},
-			"dpll":    &sat.DPLL{},
+			"simple":  &sat.Simple{},
 		} {
-			reuse := &Engine{Solver: solver, VerifyTests: true, Workers: 1}
-			fresh := &Engine{Solver: solver, VerifyTests: true, Workers: 1, DisableScratchReuse: true}
-			opt := RunOptions{Collapse: true}
-			rs, err := reuse.Run(context.Background(), c, opt)
+			eng := &Engine{Solver: solver, VerifyTests: true, Workers: 1}
+			faults := Collapse(c, AllFaults(c))
+			sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{})
 			if err != nil {
-				t.Fatalf("%s/%s reuse: %v", cname, sname, err)
+				t.Fatalf("%s/%s: %v", cname, sname, err)
 			}
-			fs, err := fresh.Run(context.Background(), c, opt)
-			if err != nil {
-				t.Fatalf("%s/%s fresh: %v", cname, sname, err)
+			if len(sum.Results) != len(faults) {
+				t.Fatalf("%s/%s: %d results for %d faults", cname, sname, len(sum.Results), len(faults))
 			}
-			if rs.Detected != fs.Detected || rs.Untestable != fs.Untestable || rs.Aborted != fs.Aborted {
-				t.Errorf("%s/%s: reuse (D%d U%d A%d) vs fresh (D%d U%d A%d)", cname, sname,
-					rs.Detected, rs.Untestable, rs.Aborted, fs.Detected, fs.Untestable, fs.Aborted)
-			}
-			if len(rs.Results) != len(fs.Results) {
-				t.Fatalf("%s/%s: %d vs %d results", cname, sname, len(rs.Results), len(fs.Results))
-			}
-			// For cache-free solvers the search itself must be bit-identical:
-			// the arenas only change where memory comes from. For Caching,
-			// node counts may shift slightly — a reused table keeps its grown
-			// capacity across faults and so evicts less — but verdicts and
-			// vectors (checked below) never depend on cache behavior, because
-			// cache hits only prune UNSAT subtrees.
 			_, hasCache := solver.(*sat.Caching)
-			for i := range rs.Results {
-				r, f := rs.Results[i], fs.Results[i]
-				if r.Fault != f.Fault || r.Status != f.Status {
-					t.Fatalf("%s/%s: result %d: %v/%v vs %v/%v", cname, sname, i,
-						r.Fault, r.Status, f.Fault, f.Status)
+			for k, r := range sum.Results {
+				want, err := eng.TestFault(c, faults[k])
+				if err != nil {
+					t.Fatalf("%s/%s: TestFault(%s): %v", cname, sname, faults[k].Name(c), err)
 				}
-				if !hasCache && (r.SolverStats.Nodes != f.SolverStats.Nodes ||
-					r.SolverStats.Decisions != f.SolverStats.Decisions) {
-					t.Errorf("%s/%s: fault %s stats diverge: reuse %+v vs fresh %+v", cname, sname,
-						r.Fault.Name(c), r.SolverStats, f.SolverStats)
+				if r.Fault != want.Fault || r.Status != want.Status || !reflect.DeepEqual(r.Vector, want.Vector) {
+					t.Fatalf("%s/%s: fault %s: run %v %v, TestFault %v %v", cname, sname,
+						faults[k].Name(c), r.Status, r.Vector, want.Status, want.Vector)
 				}
-			}
-			if len(rs.Vectors) != len(fs.Vectors) {
-				t.Fatalf("%s/%s: %d vs %d vectors", cname, sname, len(rs.Vectors), len(fs.Vectors))
-			}
-			for i := range rs.Vectors {
-				if len(rs.Vectors[i]) != len(fs.Vectors[i]) {
-					t.Fatalf("%s/%s: vector %d length differs", cname, sname, i)
-				}
-				for j := range rs.Vectors[i] {
-					if rs.Vectors[i][j] != fs.Vectors[i][j] {
-						t.Fatalf("%s/%s: vector %d bit %d differs", cname, sname, i, j)
-					}
+				if !hasCache && (r.SolverStats.Nodes != want.SolverStats.Nodes ||
+					r.SolverStats.Decisions != want.SolverStats.Decisions) {
+					t.Errorf("%s/%s: fault %s stats diverge: run %+v vs TestFault %+v", cname, sname,
+						r.Fault.Name(c), r.SolverStats, want.SolverStats)
 				}
 			}
 		}

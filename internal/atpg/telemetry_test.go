@@ -178,7 +178,8 @@ func TestSummaryPhases(t *testing.T) {
 
 // TestWallElapsedMonotonic: WallElapsed must be positive and bound every
 // per-fault solve interval under both serial and parallel runs; under -j 1
-// the summed SAT time can never exceed the wall clock.
+// the summed SAT time can never exceed the wall clock, and the commit
+// frontier never stalls (no result is ever published ahead of it).
 func TestWallElapsedMonotonic(t *testing.T) {
 	c := gen.ArrayMultiplier(4)
 	for _, workers := range []int{1, 4} {
@@ -199,6 +200,9 @@ func TestWallElapsedMonotonic(t *testing.T) {
 		if workers == 1 && sum.Elapsed > sum.WallElapsed {
 			t.Errorf("serial run: summed SAT time %v exceeds wall time %v",
 				sum.Elapsed, sum.WallElapsed)
+		}
+		if workers == 1 && sum.Phases.FrontierStall != 0 {
+			t.Errorf("serial run: frontier stall %v, want 0", sum.Phases.FrontierStall)
 		}
 	}
 }

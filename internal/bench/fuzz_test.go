@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -53,6 +54,28 @@ func TestReadCapped(t *testing.T) {
 	}
 	if _, err := ReadCapped(strings.NewReader(long), "t", 0, 0); err != nil {
 		t.Fatalf("uncapped read of long-comment netlist: %v", err)
+	}
+}
+
+// TestReadSmallNetlistAllocatesLittle: parsing a small netlist must cost
+// memory in proportion to the netlist, not a fixed line buffer sized for
+// the largest line the caps allow.
+func TestReadSmallNetlistAllocatesLittle(t *testing.T) {
+	data, err := os.ReadFile("../../examples/netlists/c17.bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const parses = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < parses; k++ {
+		if _, err := Read(bytes.NewReader(data), "c17"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / parses; per >= 64<<10 {
+		t.Fatalf("c17 parse allocates %d bytes, want < 64 KiB", per)
 	}
 }
 

@@ -59,17 +59,15 @@ func (c *cappedReader) Read(p []byte) (int, error) {
 
 // Scanner builds a line scanner over r with maxLine as the hard buffer
 // bound (non-positive selects DefaultMaxLine). Pair with ScanErr to map
-// the scanner's failure onto the cap sentinels.
+// the scanner's failure onto the cap sentinels. The buffer starts small
+// and grows on demand up to maxLine, so a small netlist costs a small
+// buffer.
 func Scanner(r io.Reader, maxLine int) *bufio.Scanner {
 	if maxLine <= 0 {
 		maxLine = DefaultMaxLine
 	}
 	sc := bufio.NewScanner(r)
-	initial := 1 << 20
-	if maxLine < initial {
-		initial = maxLine
-	}
-	sc.Buffer(make([]byte, initial), maxLine)
+	sc.Buffer(nil, maxLine)
 	return sc
 }
 

@@ -219,16 +219,16 @@ func (j *job) loadResult() (*JobResult, error) {
 // with: equivalence + dominance collapsing, the standard random-pattern
 // pre-phase, a fixed seed, fault dropping OFF (dropped faults are never
 // journaled, so crash resume is byte-identical only without dropping),
-// and the region-grouped incremental CDCL core. Only the per-fault
-// budget varies per job; it is excluded from the checkpoint fingerprint
-// because budgets never change a decided fault's vector.
+// and the engine's default region-grouped incremental CDCL core. Only
+// the per-fault budget varies per job; it is excluded from the
+// checkpoint fingerprint because budgets never change a decided fault's
+// vector.
 func jobRunOptions(tel *atpg.Telemetry, budget time.Duration, resume *atpg.ResumeState, journal atpg.JournalSink) atpg.RunOptions {
 	return atpg.RunOptions{
 		RPTBatches:     atpg.DefaultRPTBatches,
 		RPTIdleStop:    atpg.DefaultRPTIdleStop,
 		Seed:           1,
 		DropDetected:   false,
-		Incremental:    true,
 		GroupMax:       atpg.DefaultGroupMax,
 		PerFaultBudget: budget,
 		RetryTiers:     atpg.DefaultRetryTiers,
@@ -275,8 +275,8 @@ func (s *Server) runJob(parent context.Context, j *job) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.logf("job %s: panic: %v\n%s", j.meta.ID, r, debug.Stack())
-			_ = j.setState(StateFailed, fmt.Sprintf("internal panic: %v", r))
 			s.jobsCompleted.With(StateFailed).Inc()
+			_ = j.setState(StateFailed, fmt.Sprintf("internal panic: %v", r))
 		}
 	}()
 	if err := j.setState(StateRunning, ""); err != nil {
@@ -298,8 +298,8 @@ func (s *Server) runJob(parent context.Context, j *job) {
 
 	c, faults, err := s.loadJobCircuit(j)
 	if err != nil {
-		_ = j.setState(StateFailed, err.Error())
 		s.jobsCompleted.With(StateFailed).Inc()
+		_ = j.setState(StateFailed, err.Error())
 		return
 	}
 
@@ -314,8 +314,8 @@ func (s *Server) runJob(parent context.Context, j *job) {
 	opt := jobRunOptions(tel, time.Duration(j.meta.BudgetNS), nil, nil)
 	journal, resume, err := OpenJournal(j.ckptPath(), true, c, faults, opt, checkpoint.Options{})
 	if err != nil {
-		_ = j.setState(StateFailed, fmt.Sprintf("checkpoint: %v", err))
 		s.jobsCompleted.With(StateFailed).Inc()
+		_ = j.setState(StateFailed, fmt.Sprintf("checkpoint: %v", err))
 		return
 	}
 	opt.Resume = resume
@@ -343,33 +343,35 @@ func (s *Server) runJob(parent context.Context, j *job) {
 		s.logf("job %s: checkpoint journal: %v", j.meta.ID, cerr)
 	}
 
+	// Each terminal transition is counted before it is published, so a
+	// client that observes the state also finds it in /metrics.
 	switch {
 	case runErr == nil:
 		res := buildResult(sum, resumed)
 		if err := writeResult(j, res); err != nil {
-			_ = j.setState(StateFailed, fmt.Sprintf("persist result: %v", err))
 			s.jobsCompleted.With(StateFailed).Inc()
+			_ = j.setState(StateFailed, fmt.Sprintf("persist result: %v", err))
 			return
 		}
-		_ = j.setState(StateDone, "")
 		s.jobsCompleted.With(StateDone).Inc()
+		_ = j.setState(StateDone, "")
 	case errors.Is(runErr, context.DeadlineExceeded):
-		_ = j.setState(StateFailed, fmt.Sprintf("job deadline (%s) exceeded", time.Duration(j.meta.DeadlineNS)))
 		s.jobsCompleted.With(StateFailed).Inc()
+		_ = j.setState(StateFailed, fmt.Sprintf("job deadline (%s) exceeded", time.Duration(j.meta.DeadlineNS)))
 	case errors.Is(runErr, context.Canceled):
 		j.mu.Lock()
 		byUser := j.userCancel
 		j.mu.Unlock()
 		if byUser {
-			_ = j.setState(StateCanceled, "")
 			s.jobsCompleted.With(StateCanceled).Inc()
+			_ = j.setState(StateCanceled, "")
 		}
 		// Otherwise this is a drain: the job stays persisted as
 		// StateRunning with its journal synced, exactly the shape the
 		// restart scan resumes from. No terminal transition.
 	default:
-		_ = j.setState(StateFailed, runErr.Error())
 		s.jobsCompleted.With(StateFailed).Inc()
+		_ = j.setState(StateFailed, runErr.Error())
 	}
 }
 

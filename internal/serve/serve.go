@@ -546,8 +546,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case meta.State == StateQueued && s.queue.remove(id):
 		s.queueDepth.Set(int64(s.queue.depth()))
-		_ = j.setState(StateCanceled, "")
 		s.jobsCompleted.With(StateCanceled).Inc()
+		_ = j.setState(StateCanceled, "")
 		meta, _, _ = j.snapshot()
 		writeJSON(w, http.StatusOK, meta)
 	case !terminal(meta.State):
