@@ -128,7 +128,9 @@ func TestRoutedByteIdenticalAcrossWorkers(t *testing.T) {
 // TestRoutedMatchesUnroutedVerdicts: routing changes who decides a
 // fault, never what is decided — per-fault statuses and coverage match
 // the unrouted engine exactly (vectors may legitimately differ between
-// backends; VerifyTests checks each one independently).
+// backends; VerifyTests checks each one independently). The second
+// routed configuration caps PODEM at one backtrack, so many structural
+// faults take the cap-abort fallback onto the one-shot CDCL solver.
 func TestRoutedMatchesUnroutedVerdicts(t *testing.T) {
 	for name, c := range map[string]*logic.Circuit{
 		"rand": gen.Random(gen.RandomParams{Inputs: 12, Gates: 120, Seed: 5}),
@@ -136,27 +138,36 @@ func TestRoutedMatchesUnroutedVerdicts(t *testing.T) {
 		"mult": gen.ArrayMultiplier(4),
 	} {
 		unrouted := routedRun(t, c, 1, RunOptions{Collapse: true})
-		routed := routedRun(t, c, 1, RunOptions{Collapse: true, Route: true})
-		if len(unrouted.Results) != len(routed.Results) {
-			t.Fatalf("%s: %d vs %d results", name, len(unrouted.Results), len(routed.Results))
-		}
-		for i := range unrouted.Results {
-			a, b := unrouted.Results[i], routed.Results[i]
-			if a.Fault != b.Fault || a.Status != b.Status {
-				t.Errorf("%s: fault %s: status %v unrouted, %v routed (backend %s)",
-					name, a.Fault.Name(c), a.Status, b.Status, b.Backend)
+		for _, maxBT := range []int64{0, 1} {
+			routed := routedRun(t, c, 1, RunOptions{Collapse: true, Route: true, PodemMaxBacktracks: maxBT})
+			if len(unrouted.Results) != len(routed.Results) {
+				t.Fatalf("%s maxBT=%d: %d vs %d results", name, maxBT, len(unrouted.Results), len(routed.Results))
 			}
-		}
-		if unrouted.Coverage() != routed.Coverage() {
-			t.Errorf("%s: coverage %v unrouted, %v routed", name, unrouted.Coverage(), routed.Coverage())
-		}
-		// The routed tallies must cover every live fault.
-		total := 0
-		for _, n := range routed.Routed.Backends {
-			total += n
-		}
-		if total != routed.Total {
-			t.Errorf("%s: backend tallies sum to %d, want %d", name, total, routed.Total)
+			fallbacks := 0
+			for i := range unrouted.Results {
+				a, b := unrouted.Results[i], routed.Results[i]
+				if a.Fault != b.Fault || a.Status != b.Status {
+					t.Errorf("%s maxBT=%d: fault %s: status %v unrouted, %v routed (backend %s)",
+						name, maxBT, a.Fault.Name(c), a.Status, b.Status, b.Backend)
+				}
+				if b.Backend == backendCDCL && b.Group == 0 {
+					fallbacks++
+				}
+			}
+			if maxBT == 1 && fallbacks == 0 {
+				t.Errorf("%s: no fault took the PODEM cap-abort CDCL fallback at one backtrack", name)
+			}
+			if unrouted.Coverage() != routed.Coverage() {
+				t.Errorf("%s maxBT=%d: coverage %v unrouted, %v routed", name, maxBT, unrouted.Coverage(), routed.Coverage())
+			}
+			// The routed tallies must cover every live fault.
+			total := 0
+			for _, n := range routed.Routed.Backends {
+				total += n
+			}
+			if total != routed.Total {
+				t.Errorf("%s maxBT=%d: backend tallies sum to %d, want %d", name, maxBT, total, routed.Total)
+			}
 		}
 	}
 }

@@ -4,15 +4,17 @@ import (
 	"atpgeasy/internal/cnf"
 )
 
-// DPLL is the production solver used as the TEGUS stand-in: iterative
-// search with two-watched-literal unit propagation, first-UIP conflict
-// clause learning, activity-driven decisions with phase saving, and
-// geometric restarts. MaxConflicts, when positive, aborts with Unknown.
-// Limits adds deadline/cancellation aborts.
+// DPLL is the production solver used as the TEGUS stand-in: the
+// Incremental CDCL core (two-watched-literal unit propagation, first-UIP
+// conflict clause learning, activity-driven decisions with phase saving,
+// geometric restarts) run one-shot on a fresh instance, with no
+// assumptions and no priority order. MaxConflicts, when positive, aborts
+// with Unknown. Limits adds deadline/cancellation aborts.
 type DPLL struct {
 	MaxConflicts int64
-	// DisableLearning turns off conflict clause recording (pure DPLL with
-	// non-chronological backtracking disabled); used by ablation benches.
+	// DisableLearning turns off conflict clause recording: a conflict
+	// flips the most recent decision one level down instead (chronological
+	// backtracking). Used by the paper's learning ablation.
 	DisableLearning bool
 	Limits          Limits
 }
@@ -24,172 +26,25 @@ func (d *DPLL) WithLimits(l Limits) Solver {
 	return &cp
 }
 
-// Solve decides satisfiability of f.
+// Solve decides satisfiability of f on a fresh Incremental instance.
+// Limits that have already expired abort with Unknown before the
+// instance is built, as in the backtracking solvers; SolveAssuming
+// alone would report a level-0 conflict found by Load as Unsat.
 func (d *DPLL) Solve(f *cnf.Formula) Solution {
-	st := newDPLLState(f, d)
-	return st.run()
+	if d.Limits.expired() {
+		return Solution{Status: Unknown}
+	}
+	s := &Incremental{MaxConflicts: d.MaxConflicts, noLearning: d.DisableLearning}
+	s.Load(f, nil)
+	return s.SolveAssuming(nil, d.Limits)
 }
 
 const litUndef = cnf.Lit(-1)
 
-type dpllState struct {
-	cfg      *DPLL
-	numVars  int
-	clauses  [][]cnf.Lit // problem + learned clauses
-	nProblem int
-
-	watches  [][]int32 // per literal: clause indices watching that literal
-	assign   []cnf.Value
-	level    []int32
-	reason   []int32 // clause index, or -1 for decisions/assumptions
-	trail    []cnf.Lit
-	trailLim []int
-	qhead    int
-
-	activity []float64
-	varInc   float64
-	heap     *varHeap
-	phase    []bool
-	seen     []bool
-
-	stats  Stats
-	failed bool // UNSAT established at level 0
-}
-
-func newDPLLState(f *cnf.Formula, cfg *DPLL) *dpllState {
-	n := f.NumVars
-	st := &dpllState{
-		cfg:      cfg,
-		numVars:  n,
-		watches:  make([][]int32, 2*n),
-		assign:   make([]cnf.Value, n),
-		level:    make([]int32, n),
-		reason:   make([]int32, n),
-		activity: make([]float64, n),
-		varInc:   1.0,
-		phase:    make([]bool, n),
-		seen:     make([]bool, n),
-	}
-	for i := range st.reason {
-		st.reason[i] = -1
-	}
-	st.heap = newVarHeap(st.activity)
-	for v := 0; v < n; v++ {
-		st.heap.push(v)
-	}
-	for _, c := range f.Clauses {
-		norm, taut := append(cnf.Clause(nil), c...).Normalize()
-		if taut {
-			continue
-		}
-		switch len(norm) {
-		case 0:
-			st.failed = true
-		case 1:
-			if !st.enqueue(norm[0], -1) {
-				st.failed = true
-			}
-		default:
-			st.addClause([]cnf.Lit(norm))
-		}
-		// Bump initial activity by occurrence so early decisions favor
-		// frequently constrained variables.
-		for _, l := range norm {
-			st.activity[l.Var()] += 0.1
-		}
-	}
-	st.heap.rebuild(st.numVars)
-	return st
-}
-
-func (st *dpllState) addClause(lits []cnf.Lit) int32 {
-	ci := int32(len(st.clauses))
-	st.clauses = append(st.clauses, lits)
-	st.watches[lits[0]] = append(st.watches[lits[0]], ci)
-	st.watches[lits[1]] = append(st.watches[lits[1]], ci)
-	return ci
-}
-
-func (st *dpllState) litValue(l cnf.Lit) cnf.Value {
-	v := st.assign[l.Var()]
-	if v == cnf.Unassigned {
-		return cnf.Unassigned
-	}
-	if (v == cnf.True) != l.IsNeg() {
-		return cnf.True
-	}
-	return cnf.False
-}
-
-// enqueue asserts literal l with the given reason clause. It reports false
-// if l is already false (conflict at the caller's level).
-func (st *dpllState) enqueue(l cnf.Lit, reason int32) bool {
-	switch st.litValue(l) {
-	case cnf.True:
-		return true
-	case cnf.False:
-		return false
-	}
-	v := l.Var()
-	st.assign[v] = cnf.ValueOf(!l.IsNeg())
-	st.level[v] = int32(len(st.trailLim))
-	st.reason[v] = reason
-	st.trail = append(st.trail, l)
-	return true
-}
-
-// propagate performs unit propagation; it returns the index of a
-// conflicting clause or -1.
-func (st *dpllState) propagate() int32 {
-	for st.qhead < len(st.trail) {
-		p := st.trail[st.qhead]
-		st.qhead++
-		st.stats.Propagations++
-		falseLit := p.Not()
-		ws := st.watches[falseLit]
-		kept := ws[:0]
-		for wi := 0; wi < len(ws); wi++ {
-			ci := ws[wi]
-			c := st.clauses[ci]
-			// Ensure the falsified watch is c[1].
-			if c[0] == falseLit {
-				c[0], c[1] = c[1], c[0]
-			}
-			if st.litValue(c[0]) == cnf.True {
-				kept = append(kept, ci)
-				continue
-			}
-			moved := false
-			for k := 2; k < len(c); k++ {
-				if st.litValue(c[k]) != cnf.False {
-					c[1], c[k] = c[k], c[1]
-					st.watches[c[1]] = append(st.watches[c[1]], ci)
-					moved = true
-					break
-				}
-			}
-			if moved {
-				continue
-			}
-			kept = append(kept, ci)
-			if !st.enqueue(c[0], ci) {
-				// Conflict: restore remaining watchers and report.
-				kept = append(kept, ws[wi+1:]...)
-				st.watches[falseLit] = kept
-				return ci
-			}
-		}
-		st.watches[falseLit] = kept
-	}
-	return -1
-}
-
-func (st *dpllState) decisionLevel() int { return len(st.trailLim) }
-
-// Activity rescale parameters shared by the DPLL and Incremental
-// solvers: when any activity exceeds activityLimit, all activities and
-// the bump increment are scaled down together so their ratios — and
-// therefore the decision order — are preserved exactly.
+// Activity rescale parameters of the CDCL core: when any activity
+// exceeds activityLimit, all activities and the bump increment are
+// scaled down together so their ratios — and therefore the decision
+// order — are preserved exactly.
 const (
 	activityLimit   = 1e100
 	activityRescale = 1e-100
@@ -205,175 +60,6 @@ func rescaleActivities(activity []float64, varInc *float64) {
 		activity[i] *= activityRescale
 	}
 	*varInc *= activityRescale
-}
-
-func (st *dpllState) bumpVar(v int) {
-	st.activity[v] += st.varInc
-	if st.activity[v] > activityLimit {
-		rescaleActivities(st.activity, &st.varInc)
-	}
-	st.heap.update(v)
-}
-
-// analyze derives a 1-UIP learned clause from the conflict and returns it
-// with the backjump level.
-func (st *dpllState) analyze(confl int32) ([]cnf.Lit, int) {
-	learnt := []cnf.Lit{litUndef}
-	counter := 0
-	p := litUndef
-	index := len(st.trail) - 1
-	for {
-		c := st.clauses[confl]
-		for _, q := range c {
-			if q == p {
-				continue
-			}
-			v := q.Var()
-			if !st.seen[v] && st.level[v] > 0 {
-				st.seen[v] = true
-				st.bumpVar(v)
-				if int(st.level[v]) == st.decisionLevel() {
-					counter++
-				} else {
-					learnt = append(learnt, q)
-				}
-			}
-		}
-		for !st.seen[st.trail[index].Var()] {
-			index--
-		}
-		p = st.trail[index]
-		index--
-		st.seen[p.Var()] = false
-		counter--
-		if counter == 0 {
-			break
-		}
-		confl = st.reason[p.Var()]
-	}
-	learnt[0] = p.Not()
-	// Backjump level: highest level among the non-asserting literals.
-	back := 0
-	for i := 1; i < len(learnt); i++ {
-		if int(st.level[learnt[i].Var()]) > back {
-			back = int(st.level[learnt[i].Var()])
-		}
-	}
-	for _, l := range learnt[1:] {
-		st.seen[l.Var()] = false
-	}
-	return learnt, back
-}
-
-// cancelUntil pops the trail back to the given decision level.
-func (st *dpllState) cancelUntil(lvl int) {
-	if st.decisionLevel() <= lvl {
-		return
-	}
-	bound := st.trailLim[lvl]
-	for i := len(st.trail) - 1; i >= bound; i-- {
-		v := st.trail[i].Var()
-		st.phase[v] = st.assign[v] == cnf.True
-		st.assign[v] = cnf.Unassigned
-		st.reason[v] = -1
-		if !st.heap.contains(v) {
-			st.heap.push(v)
-		}
-	}
-	st.trail = st.trail[:bound]
-	st.trailLim = st.trailLim[:lvl]
-	st.qhead = bound
-}
-
-func (st *dpllState) pickBranchVar() int {
-	for st.heap.size() > 0 {
-		v := st.heap.pop()
-		if st.assign[v] == cnf.Unassigned {
-			return v
-		}
-	}
-	return -1
-}
-
-func (st *dpllState) run() Solution {
-	if st.cfg.Limits.expired() {
-		return Solution{Status: Unknown, Stats: st.stats}
-	}
-	if st.failed {
-		return Solution{Status: Unsat, Stats: st.stats}
-	}
-	if confl := st.propagate(); confl >= 0 {
-		return Solution{Status: Unsat, Stats: st.stats}
-	}
-	restartLimit := int64(100)
-	conflictsAtRestart := int64(0)
-	var steps int64
-	for {
-		steps++
-		if steps%limitCheck == 0 && st.cfg.Limits.expired() {
-			return Solution{Status: Unknown, Stats: st.stats}
-		}
-		confl := st.propagate()
-		if confl >= 0 {
-			st.stats.Conflicts++
-			conflictsAtRestart++
-			if st.decisionLevel() == 0 {
-				return Solution{Status: Unsat, Stats: st.stats}
-			}
-			if st.cfg.MaxConflicts > 0 && st.stats.Conflicts > st.cfg.MaxConflicts {
-				return Solution{Status: Unknown, Stats: st.stats}
-			}
-			if st.cfg.DisableLearning {
-				// Chronological backtracking: flip the most recent decision
-				// that still has an untried branch. We emulate by learning
-				// nothing and backjumping one level, asserting the negation
-				// of the last decision.
-				lastDecision := st.trail[st.trailLim[st.decisionLevel()-1]]
-				st.cancelUntil(st.decisionLevel() - 1)
-				if !st.enqueue(lastDecision.Not(), -1) {
-					return Solution{Status: Unsat, Stats: st.stats}
-				}
-				// Note: without learning this can revisit work; the reprise
-				// is bounded by MaxConflicts in the ablation benches.
-				continue
-			}
-			learnt, back := st.analyze(confl)
-			st.cancelUntil(back)
-			if len(learnt) == 1 {
-				if !st.enqueue(learnt[0], -1) {
-					return Solution{Status: Unsat, Stats: st.stats}
-				}
-			} else {
-				ci := st.addClause(learnt)
-				st.stats.Learned++
-				if !st.enqueue(learnt[0], ci) {
-					return Solution{Status: Unsat, Stats: st.stats}
-				}
-			}
-			st.varInc /= 0.95
-			continue
-		}
-		if conflictsAtRestart >= restartLimit {
-			conflictsAtRestart = 0
-			restartLimit = restartLimit * 3 / 2
-			st.cancelUntil(0)
-			continue
-		}
-		v := st.pickBranchVar()
-		if v < 0 {
-			model := make([]bool, st.numVars)
-			for i := range model {
-				model[i] = st.assign[i] == cnf.True
-			}
-			return Solution{Status: Sat, Model: model, Stats: st.stats}
-		}
-		st.stats.Decisions++
-		if st.decisionLevel()+1 > st.stats.MaxDepth {
-			st.stats.MaxDepth = st.decisionLevel() + 1
-		}
-		st.trailLim = append(st.trailLim, len(st.trail))
-		st.enqueue(cnf.NewLit(v, !st.phase[v]), -1)
-	}
 }
 
 // varHeap is an indexed max-heap over variable activities.

@@ -24,6 +24,9 @@ import (
 // byte-identical to fresh-per-fault solving: both extract the same
 // lex-least test vector.
 //
+// DPLL is this core run one-shot: a fresh instance, Loaded without a
+// priority order and solved once without assumptions.
+//
 // An Incremental value is not safe for concurrent use; the ATPG engine
 // keeps one per worker, held by the worker's Arena.
 type Incremental struct {
@@ -39,6 +42,11 @@ type Incremental struct {
 	// (high LBD, low activity) first.
 	LearnedLimit int64
 
+	// noLearning, set only by DPLL.Solve for the learning ablation,
+	// makes a conflict flip the most recent decision one level down
+	// instead of learning a clause.
+	noLearning bool
+
 	st incState
 }
 
@@ -51,16 +59,12 @@ const DefaultLearnedLimit = 16 << 20
 // clause reuse, it never disables the solver.
 const learnedShrinkFloor = 64 << 10
 
-// Activity rescale parameters shared with the DPLL solver (see
-// rescaleActivities in dpll.go).
-//
 // incState carries the persistent solver state between SolveAssuming
-// calls. The layout mirrors dpllState so the two solvers stay easy to
-// diff; the incremental additions are the clause slab (clauses must
-// outlive the encoder buffers Load copies them from), per-learned-
-// clause metadata (born call / LBD / activity), the priority branching
-// order, and the failed latch that distinguishes global UNSAT from
-// UNSAT-under-assumptions.
+// calls: the clause database and its clause slab (clauses must outlive
+// the encoder buffers Load copies them from), the trail, the decision
+// heuristics, per-learned-clause metadata (born call / LBD / activity),
+// the priority branching order, and the failed latch that distinguishes
+// global UNSAT from UNSAT-under-assumptions.
 type incState struct {
 	numVars  int
 	clauses  [][]cnf.Lit // problem clauses [0,nProblem) then learned
@@ -195,8 +199,9 @@ func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 		st.heap.push(v)
 	}
 
-	// Copy, normalize, and watch the problem clauses, mirroring
-	// newDPLLState so both solvers search the same clause set.
+	// Copy, normalize, and watch the problem clauses. Each occurrence
+	// bumps its variable's initial activity, so early decisions favor
+	// frequently constrained variables.
 	need := 0
 	for _, c := range f.Clauses {
 		need += len(c)
@@ -236,13 +241,6 @@ func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 	if !st.failed && s.propagate() >= 0 {
 		st.failed = true
 	}
-}
-
-// Solve implements the Solver interface: one-shot solving without
-// assumptions or priority order, Loading f fresh.
-func (s *Incremental) Solve(f *cnf.Formula) Solution {
-	s.Load(f, nil)
-	return s.SolveAssuming(nil, Limits{})
 }
 
 // SolveAssuming searches for a model of the loaded formula under the
@@ -324,6 +322,17 @@ func (s *Incremental) SolveAssuming(assumps []cnf.Lit, lim Limits) Solution {
 			}
 			if s.MaxConflicts > 0 && conflicts > s.MaxConflicts {
 				return finish(Unknown, nil)
+			}
+			if s.noLearning {
+				// Assert the negation of the most recent decision at the
+				// level below, with no reason clause. DPLL passes no
+				// assumptions, so every level starts with a decision.
+				// Without learned clauses the search can revisit work;
+				// MaxConflicts bounds it.
+				last := st.trail[st.trailLim[len(st.trailLim)-1]]
+				s.cancelUntil(len(st.trailLim) - 1)
+				s.enqueue(last.Not(), -1)
+				continue
 			}
 			learnt, back := s.analyze(confl)
 			// Backjumping below the assumption prefix is allowed:
@@ -418,8 +427,7 @@ func (s *Incremental) enqueue(l cnf.Lit, reason int32) bool {
 }
 
 // propagate performs two-watched-literal unit propagation, returning
-// the index of a conflicting clause or -1. Structurally identical to
-// dpllState.propagate.
+// the index of a conflicting clause or -1.
 func (s *Incremental) propagate() int32 {
 	st := &s.st
 	for st.qhead < len(st.trail) {
@@ -464,7 +472,7 @@ func (s *Incremental) propagate() int32 {
 }
 
 // bumpVar bumps a variable's VSIDS activity, rescaling activities and
-// varInc together on overflow via the helper shared with DPLL.
+// varInc together on overflow.
 func (s *Incremental) bumpVar(v int) {
 	st := &s.st
 	st.activity[v] += st.varInc
@@ -475,10 +483,9 @@ func (s *Incremental) bumpVar(v int) {
 }
 
 // analyze derives the 1-UIP learned clause for conflict confl and the
-// backjump level, mirroring dpllState.analyze. It additionally bumps
-// the activity of every learned clause on the conflict chain and
-// counts toward Stats.LearnedReused the ones born in earlier calls —
-// the direct measure of cross-fault knowledge reuse.
+// backjump level. It also bumps the activity of every learned clause on
+// the conflict chain and counts toward Stats.LearnedReused the ones born
+// in earlier calls — the direct measure of cross-fault knowledge reuse.
 func (s *Incremental) analyze(confl int32) ([]cnf.Lit, int) {
 	st := &s.st
 	learnt := []cnf.Lit{litUndef}

@@ -7,17 +7,18 @@ import (
 	"atpgeasy/internal/cnf"
 )
 
-// TestIncrementalAgreesWithBruteForce runs the incremental solver in
-// one-shot mode through the shared brute-force property, then re-solves
-// every formula on one persistent instance under empty assumptions to
-// check call-to-call independence of the verdict.
+// TestIncrementalAgreesWithBruteForce Loads every formula on one reused
+// instance and checks the verdict against brute force, then re-solves
+// it on the same loaded instance under empty assumptions to check
+// call-to-call independence of the verdict.
 func TestIncrementalAgreesWithBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s := NewIncremental()
 	for i := 0; i < 300; i++ {
 		f := randomFormula(rng, 2+rng.Intn(8), 1+rng.Intn(20))
 		want := bruteForce(f)
-		sol := s.Solve(f) // Load + SolveAssuming(nil) on the reused instance
+		s.Load(f, nil)
+		sol := s.SolveAssuming(nil, Limits{})
 		if sol.Status != want {
 			t.Fatalf("formula %d: incremental says %v, brute force %v\n%s", i, sol.Status, want, f)
 		}
@@ -282,7 +283,8 @@ func TestLearnedDBBound(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		g := randomFormula(rng, 4+rng.Intn(6), 2+rng.Intn(15))
 		want := bruteForce(g)
-		if got := s.Solve(g); got.Status != want {
+		s.Load(g, nil)
+		if got := s.SolveAssuming(nil, Limits{}); got.Status != want {
 			t.Fatalf("post-shrink formula %d: got %v, want %v", i, got.Status, want)
 		}
 	}
@@ -402,7 +404,8 @@ func TestActivityRescalePreservesOrder(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		f := randomFormula(rng, 6+rng.Intn(5), 10+rng.Intn(20))
 		want := bruteForce(f)
-		if got := s.Solve(f); got.Status != want {
+		s.Load(f, nil)
+		if got := s.SolveAssuming(nil, Limits{}); got.Status != want {
 			t.Fatalf("long-run formula %d: got %v, want %v", i, got.Status, want)
 		}
 	}

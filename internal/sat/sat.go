@@ -1,5 +1,5 @@
-// Package sat implements the three Boolean-satisfiability solvers used in
-// the reproduction of "Why is ATPG Easy?":
+// Package sat implements the Boolean-satisfiability solvers used in the
+// reproduction of "Why is ATPG Easy?":
 //
 //   - Simple: simple backtracking with a fixed static variable ordering —
 //     the base algorithm of Section 4.1 without the cache.
@@ -8,24 +8,29 @@
 //     branch whose residual sub-formula has been seen before. Its node
 //     count realizes the distinct-consistent-sub-formula (DCSF) bound of
 //     Theorem 4.1.
-//   - DPLL: a production conflict-driven solver (watched literals, 1-UIP
-//     learning, activity-based decisions) playing the role of TEGUS's SAT
-//     core in the Figure 1 experiment.
+//   - Incremental: the one conflict-driven (CDCL) core — watched
+//     literals, 1-UIP learning, activity-based decisions, restarts —
+//     playing the role of TEGUS's SAT solver. One instance is Loaded once
+//     and solved many times under assumptions, keeping its learned
+//     clauses between calls.
+//   - DPLL: the core's one-shot configuration, a fresh Incremental per
+//     Solve with no assumptions and no priority order. Its
+//     DisableLearning switch is the paper's learning ablation.
 //
 // All solvers consume cnf.Formula and return a Solution with a model on
-// SAT and search statistics.
+// SAT and search statistics. Simple, Caching and DPLL implement Solver.
 //
 // # Determinism contract
 //
 // Every solver in this package is a pure function of (formula, limits):
 // re-solving the same formula yields the same verdict, the same model,
 // and the same statistics, with no dependence on scheduling or timing.
-// Solvers that accept a priority variable list (DPLL, Incremental)
-// strengthen this to a lex-least guarantee: each decision assigns the
-// first unassigned priority variable to false before any
-// activity-ordered decision is considered, so the first model found
-// projects onto the priority variables as the lexicographically least
-// assignment among all models consistent with the assumptions — whatever
+// Incremental, when Loaded with a priority variable list, strengthens
+// this to a lex-least guarantee: each decision assigns the first
+// unassigned priority variable to false before any activity-ordered
+// decision is considered, so the first model found projects onto the
+// priority variables as the lexicographically least assignment among
+// all models consistent with the assumptions — whatever
 // learned clauses happen to be in the database, and whatever was solved
 // on the instance before. Callers lean on this contract wherever results
 // must not depend on execution order: the ATPG engine's region-grouped
@@ -67,13 +72,19 @@ func (s Status) String() string {
 }
 
 // Stats counts search work. Not every field is meaningful for every
-// solver: the Cache* fields apply to Caching; Conflicts/Learned to DPLL.
+// solver: the Cache* fields apply to Caching; Conflicts, Learned and the
+// learned-clause counters to the CDCL core (DPLL and Incremental).
 // The JSON tags fix the schema of trace events and -json summaries.
 type Stats struct {
-	Nodes        int64 `json:"nodes"` // backtracking nodes visited (Simple/Caching)
-	Decisions    int64 `json:"decisions"`
+	Nodes     int64 `json:"nodes"` // backtracking nodes visited (Simple/Caching)
+	Decisions int64 `json:"decisions"`
+	// Propagations counts literals propagated by the search. The core's
+	// level-0 pass over the problem's unit clauses runs in Load, before
+	// any call, and is not counted.
 	Propagations int64 `json:"propagations"`
 	Conflicts    int64 `json:"conflicts"`
+	// Learned counts the clauses conflict analysis learned, unit clauses
+	// included.
 	Learned      int64 `json:"learned"`
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
@@ -90,14 +101,15 @@ type Stats struct {
 	// arena would multiply-count one allocation.
 	CacheBytes int64 `json:"cache_bytes"`
 	MaxDepth   int   `json:"max_depth"`
-	// Incremental-solver counters (zero for the one-shot solvers).
-	// LearnedKept counts learned clauses alive at call start that were
-	// born in earlier SolveAssuming calls; LearnedReused counts how
-	// many learned-clause uses in this call's conflict analyses came
-	// from clauses born in earlier calls — the direct measure of
-	// cross-fault knowledge reuse. ClauseDBBytes is the learned
-	// database footprint at call end: a gauge, so Add takes the
-	// maximum like CacheBytes.
+	// Learned-clause database counters of the CDCL core. LearnedKept
+	// counts learned clauses alive at call start that were born in
+	// earlier SolveAssuming calls; LearnedReused counts how many
+	// learned-clause uses in this call's conflict analyses came from
+	// clauses born in earlier calls — the direct measure of cross-fault
+	// knowledge reuse. Both are zero on a one-shot DPLL solve.
+	// ClauseDBBytes is the learned database footprint at call end, set
+	// on DPLL results too: a gauge, so Add takes the maximum like
+	// CacheBytes.
 	LearnedKept   int64 `json:"learned_kept,omitempty"`
 	LearnedReused int64 `json:"learned_reused,omitempty"`
 	ClauseDBBytes int64 `json:"clause_db_bytes,omitempty"`
@@ -132,7 +144,7 @@ func (s *Stats) Add(o Stats) {
 }
 
 // SearchEffort collapses the search counters into one solver-agnostic
-// work scalar: the DPLL solver fills decisions/propagations/conflicts,
+// work scalar: the CDCL core fills decisions/propagations/conflicts,
 // the backtrackers fill nodes, and summing all four orders faults by
 // search work regardless of which solver decided them. This is the
 // effort axis of the per-fault effort log (the y of the source paper's
@@ -150,7 +162,7 @@ type Solution struct {
 	Stats  Stats
 }
 
-// Solver is the common interface of the three engines.
+// Solver is the common one-shot interface of Simple, Caching and DPLL.
 type Solver interface {
 	// Solve decides satisfiability of f. Implementations must not retain f.
 	Solve(f *cnf.Formula) Solution

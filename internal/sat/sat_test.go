@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -51,9 +52,11 @@ func solvers() map[string]Solver {
 	}
 }
 
-// TestSolversAgreeWithBruteForce is the central correctness property: all
-// three engines must agree with exhaustive enumeration, and any SAT model
-// must verify.
+// TestSolversAgreeWithBruteForce is the central correctness property: every
+// solver must agree with exhaustive enumeration, and any SAT model must
+// verify. It also checks the determinism contract: re-solving a formula
+// after solving a different one on the same solver value must return an
+// identical Solution — verdict, model and statistics.
 func TestSolversAgreeWithBruteForce(t *testing.T) {
 	for name, s := range solvers() {
 		s := s
@@ -72,6 +75,11 @@ func TestSolversAgreeWithBruteForce(t *testing.T) {
 						t.Logf("seed %d: bad model: %v", seed, err)
 						return false
 					}
+				}
+				s.Solve(randomFormula(rng, 3+rng.Intn(8), 2+rng.Intn(25)))
+				if again := s.Solve(f); !reflect.DeepEqual(again, sol) {
+					t.Logf("seed %d: re-solve differs:\nfirst  %+v\nsecond %+v", seed, sol, again)
+					return false
 				}
 				return true
 			}
@@ -220,15 +228,19 @@ func limitedSolvers(t *testing.T) map[string]LimitedSolver {
 }
 
 // TestDeadlineAborts: an already-expired deadline must abort every solver
-// with Unknown, even on a hard instance, without mutating the original
-// solver configuration.
+// with Unknown, on a hard instance and on one that unit propagation alone
+// refutes, without mutating the original solver configuration.
 func TestDeadlineAborts(t *testing.T) {
-	f := pigeonhole(8, 7)
+	contradiction := cnf.NewFormula(1)
+	contradiction.AddClause(cnf.NewLit(0, false))
+	contradiction.AddClause(cnf.NewLit(0, true))
 	past := Limits{Deadline: time.Now().Add(-time.Second)}
 	for name, ls := range limitedSolvers(t) {
 		limited := ls.WithLimits(past)
-		if got := limited.Solve(f).Status; got != Unknown {
-			t.Errorf("%s: expired deadline = %v, want Unknown", name, got)
+		for _, f := range []*cnf.Formula{pigeonhole(8, 7), contradiction} {
+			if got := limited.Solve(f).Status; got != Unknown {
+				t.Errorf("%s: expired deadline = %v, want Unknown", name, got)
+			}
 		}
 		// The original configuration must remain unlimited: the easy
 		// PHP(3,3) instance still solves.
@@ -422,17 +434,30 @@ func TestStatusString(t *testing.T) {
 	}
 }
 
+// TestDPLLLearnsClauses: the CDCL core learns on PHP(5,4), and the
+// DisableLearning ablation reaches the same verdict without learning
+// a single clause.
 func TestDPLLLearnsClauses(t *testing.T) {
 	f := pigeonhole(5, 4)
-	sol := (&DPLL{}).Solve(f)
-	if sol.Status != Unsat {
-		t.Fatalf("status %v", sol.Status)
-	}
-	if sol.Stats.Conflicts == 0 {
-		t.Error("no conflicts recorded on PHP(5,4)")
-	}
-	if sol.Stats.Learned == 0 {
-		t.Error("no clauses learned on PHP(5,4)")
+	for _, tc := range []struct {
+		name  string
+		dpll  *DPLL
+		learn bool
+	}{
+		{"learning", &DPLL{}, true},
+		{"no-learning", &DPLL{DisableLearning: true}, false},
+	} {
+		sol := tc.dpll.Solve(f)
+		if sol.Status != Unsat {
+			t.Fatalf("%s: status %v, want UNSAT", tc.name, sol.Status)
+		}
+		if sol.Stats.Conflicts == 0 {
+			t.Errorf("%s: no conflicts recorded on PHP(5,4)", tc.name)
+		}
+		if learned := sol.Stats.Learned > 0; learned != tc.learn {
+			t.Errorf("%s: %d clauses learned on PHP(5,4), want learning %v",
+				tc.name, sol.Stats.Learned, tc.learn)
+		}
 	}
 }
 
