@@ -102,8 +102,9 @@ const (
 const DefaultGroupMax = atpg.DefaultGroupMax
 
 // Observability types: attach a Telemetry to RunOptions to get live
-// metrics, a per-fault JSONL trace and periodic progress callbacks out of
-// an engine run. All hooks are optional and nil-safe; a nil Telemetry (the
+// metrics, a JSONL trace of run-level events and spans, and periodic
+// progress callbacks out of an engine run; the per-fault records go to
+// an EffortLog. All hooks are optional and nil-safe; a nil Telemetry (the
 // default) costs one pointer check per fault.
 type (
 	// Telemetry bundles the engine's observability hooks.
@@ -120,7 +121,9 @@ type (
 	// MetricsRegistry holds named metrics and renders them in Prometheus
 	// text format.
 	MetricsRegistry = obs.Registry
-	// Trace is a JSONL event sink for per-fault trace events.
+	// Trace is a JSONL event sink for the engine's run-level events
+	// (fault-simulation flushes, random-pattern batches, cache shrinks),
+	// span records and flight-recorder dumps.
 	Trace = obs.Trace
 	// MetricsServer serves /metrics, /debug/vars and /debug/pprof for a
 	// registry.

@@ -75,18 +75,20 @@
 //
 // Observability: -metrics-addr serves Prometheus-text /metrics,
 // /debug/vars and net/http/pprof for the duration of the run; -trace
-// writes one JSONL event per fault (and per fault-simulation flush);
-// -progress prints a live progress line (faults done, coverage, ETA) to
-// stderr on the given period; -json replaces the human summary on stdout
-// with a machine-readable JSON document (schema atpgeasy/run-summary/v1,
+// writes run-level JSONL events (one per fault-simulation flush,
+// random-pattern batch and watchdog cache shrink); -progress prints a
+// live progress line (faults done, coverage, ETA) to stderr on the given
+// period; -json replaces the human summary on stdout with a
+// machine-readable JSON document (schema atpgeasy/run-summary/v1,
 // documented in README.md). With -trace, the event stream also carries
 // hierarchical spans (run → phase → dispatch chunk/RPT batch/retry tier →
 // fault). -effort-log streams one structured record per fault verdict —
 // structural features joined with solver effort, schema
-// atpgeasy/effort/v1 — for cmd/atpgreport; -effort-width additionally
-// estimates each fault's sub-circuit cut-width (slower: one MLA layout
-// per fault). A crash or interrupt dumps the engine's flight-recorder
-// ring (most recent dispatch/solve/commit events) to stderr.
+// atpgeasy/effort/v1, the run's one per-fault record — for
+// cmd/atpgreport; -effort-width additionally estimates each fault's
+// sub-circuit cut-width (slower: one MLA layout per fault). A crash or
+// interrupt dumps the engine's flight-recorder ring (most recent
+// dispatch/solve/commit events) to stderr.
 package main
 
 import (
@@ -154,7 +156,7 @@ func main() {
 	dimacsDir := flag.String("dimacs", "", "dump every ATPG-SAT instance as DIMACS CNF into this directory")
 	verbose := flag.Bool("v", false, "print per-fault results")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this host:port for the duration of the run (port 0 picks one)")
-	traceFile := flag.String("trace", "", "write a per-fault JSONL event trace (with hierarchical spans) to this file")
+	traceFile := flag.String("trace", "", "write a JSONL trace of run-level events and hierarchical spans to this file (per-fault records go to -effort-log)")
 	effortLog := flag.String("effort-log", "", "stream per-fault effort records (features + solver effort, JSONL) to this file")
 	effortWidth := flag.Bool("effort-width", false, "include estimated sub-circuit cut-width in effort records (runs the MLA heuristic per fault)")
 	progressEvery := flag.Duration("progress", 0, "print a live progress line to stderr on this period (0 = off)")

@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -30,6 +29,7 @@ import (
 
 	"atpgeasy/internal/atpg"
 	"atpgeasy/internal/fit"
+	"atpgeasy/internal/ioguard"
 	"atpgeasy/internal/obs"
 	"atpgeasy/internal/stats"
 )
@@ -88,26 +88,38 @@ func fail(err error) {
 }
 
 // readSpans extracts the "kind":"span" records from a JSONL trace,
-// skipping the engine's fault/faultsim events interleaved in the same
-// stream.
+// skipping the engine's run-level events interleaved in the same stream.
+// Torn lines follow the checkpoint journal's rule, like the effort
+// decoder: a malformed final line is dropped, a malformed line with
+// records after it is an error.
 func readSpans(r io.Reader) ([]obs.SpanRecord, error) {
 	var spans []obs.SpanRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
+	sc := ioguard.Scanner(r, 0)
+	var torn error // a malformed line: fatal unless no record follows it
+	for n := 1; sc.Scan(); n++ {
 		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 || !bytes.Contains(line, []byte(`"kind":"span"`)) {
+		if len(line) == 0 {
+			continue
+		}
+		if torn != nil {
+			return nil, torn
+		}
+		if !bytes.Contains(line, []byte(`"kind":"span"`)) {
+			if !json.Valid(line) {
+				torn = fmt.Errorf("trace line %d: malformed record", n)
+			}
 			continue
 		}
 		var sp obs.SpanRecord
 		if err := json.Unmarshal(line, &sp); err != nil {
-			continue // tolerate a torn tail, like the effort decoder
+			torn = fmt.Errorf("trace line %d: malformed record: %v", n, err)
+			continue
 		}
 		if sp.Kind == "span" {
 			spans = append(spans, sp)
 		}
 	}
-	return spans, sc.Err()
+	return spans, ioguard.ScanErr("trace", sc.Err(), 0)
 }
 
 // featureCol names one structural-feature column of the effort log.
@@ -250,7 +262,7 @@ func buildReport(hdr atpg.EffortHeader, recs []atpg.EffortRecord, spans []obs.Sp
 	var solver []atpg.EffortRecord
 	for _, r := range recs {
 		if r.Phase == "dropped" {
-			// Routed runs also record the clean fault-sim drops (Wasted
+			// Clean fault-sim drops are verdict records too (Wasted
 			// false, zero solver work); only the discarded speculative
 			// solves count as waste.
 			if r.Wasted {

@@ -250,3 +250,19 @@ func TestBuildReportEmpty(t *testing.T) {
 		t.Error("empty report dropped the correlation section")
 	}
 }
+
+// TestReadSpansTornLines: like the effort decoder, the trace reader drops
+// a torn final line but refuses a malformed line with records after it.
+func TestReadSpansTornLines(t *testing.T) {
+	span := `{"kind":"span","id":1,"name":"run","start_ns":0,"dur_ns":5}`
+	event := `{"kind":"faultsim","t_ns":3,"worker":0,"batch":2}`
+	spans, err := readSpans(strings.NewReader(span + "\n" + event + "\n" + `{"kind":"span","id":2,"na`))
+	if err != nil || len(spans) != 1 || spans[0].Name != "run" {
+		t.Fatalf("torn tail: spans %+v, err %v", spans, err)
+	}
+	for _, torn := range []string{`{"kind":"span","id":2,"na`, `{"kind":"faults`} {
+		if spans, err := readSpans(strings.NewReader(span + "\n" + torn + "\n" + event + "\n")); err == nil {
+			t.Errorf("malformed middle line %q accepted as %+v", torn, spans)
+		}
+	}
+}

@@ -12,11 +12,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"sync"
 	"sync/atomic"
 
+	"atpgeasy/internal/ioguard"
 	"atpgeasy/internal/logic"
 )
 
@@ -36,16 +38,14 @@ type EffortHeader struct {
 	Width bool `json:"width"`
 }
 
-// EffortRecord is one fault's features-joined-with-outcome line. Exactly
-// one is emitted per fault that receives a verdict (RPT-detected,
-// solver-decided, retried or resumed), plus one wasted record (Phase
-// "dropped", Wasted true) per speculative solve discarded because fault
-// simulation dropped the fault first. On unrouted runs a dropped fault
-// has no verdict record — a drop costs no solver work and therefore has
-// no effort to report. On routed runs every dropped fault also gets its
-// verdict record (Phase "dropped", Wasted false, Backend "faultsim"):
-// the router predicted a class for the fault, and the accuracy join
-// needs the outcome even when no solver ran.
+// EffortRecord is one fault's features-joined-with-outcome line: the
+// run's per-fault record. Every fault that receives a verdict gets
+// exactly one record that is not Wasted, so a completed run's log holds
+// one per fault: RPT-detected, solver-decided, retried, resumed, or
+// dropped by fault simulation (Phase "dropped", Status "dropped", no
+// solver work, Backend "faultsim" on routed runs). Each speculative solve
+// discarded because fault simulation dropped the fault first adds one
+// more record, Phase "dropped" with Wasted true.
 type EffortRecord struct {
 	Kind string `json:"kind"` // "fault"
 	// Index is the fault-list index — the join key against spans, the
@@ -58,7 +58,8 @@ type EffortRecord struct {
 	FaultFeatures
 
 	// Phase names the pipeline stage that produced this verdict: "rpt",
-	// "sweep", "retry", "resume" or "dropped" (wasted speculative solve).
+	// "sweep", "retry", "resume" or "dropped" (fault simulation, or a
+	// wasted speculative solve).
 	Phase  string `json:"phase"`
 	Status string `json:"status"` // detected|untestable|aborted|error|dropped
 	// Tier is the retry tier that decided the fault (0 = main sweep).
@@ -95,6 +96,12 @@ type EffortRecord struct {
 	// "faultsim"). The pair is the router-accuracy dataset.
 	PredictedClass string `json:"predicted_class,omitempty"`
 	Backend        string `json:"backend,omitempty"`
+
+	// Err and Stack carry an errored fault's recovered panic: the panic
+	// message and the goroutine stack captured at recovery (a resumed
+	// record has the journaled message only).
+	Err   string `json:"err,omitempty"`
+	Stack string `json:"stack,omitempty"`
 }
 
 // EffortLog is the append-only JSONL sink for effort records. Emits from
@@ -220,24 +227,29 @@ func newEffortState(c *logic.Circuit, faults []Fault, opt RunOptions, workers in
 }
 
 // recordEffort emits one fault's effort record, encoded in the calling
-// worker's scratch (serial call sites borrow worker 0's). res may be nil
-// for verdicts that never ran a solver (RPT detections, clean drops);
-// any encoding or write error is sticky in the log and surfaced at
-// Close, never failing the run.
-func (st *runState) recordEffort(ws *workerScratch, i int, res *Result, phase string, status Status, tier, worker int, wasted bool) {
+// worker's scratch (serial call sites borrow worker 0's). res is nil for
+// verdicts that never ran a solver — RPT detections (status detected)
+// and clean drops — while a "dropped" record carrying a result is a
+// wasted speculative solve. Any encoding or write error is sticky in the
+// log and surfaced at Close, never failing the run.
+func (st *runState) recordEffort(ws *workerScratch, i int, res *Result, phase string, tier, worker int) {
 	es := st.effort
 	f := st.faults[i]
 	rec := EffortRecord{
 		Kind: "fault", Index: i, Fault: f.Name(st.c), Net: f.Net,
 		FaultFeatures: es.feats[i],
-		Phase:         phase, Status: status.String(),
-		Tier: tier, Worker: worker, Wasted: wasted,
+		Phase:         phase, Status: Detected.String(),
+		Tier: tier, Worker: worker,
 	}
 	if f.StuckAt {
 		rec.SA = 1
 	}
+	if res != nil {
+		rec.Status = res.Status.String()
+	}
 	if phase == "dropped" {
 		rec.Status = "dropped"
+		rec.Wasted = res != nil
 	}
 	if st.plan != nil && st.plan.class != nil {
 		rec.PredictedClass = st.plan.class[i].String()
@@ -257,6 +269,7 @@ func (st *runState) recordEffort(ws *workerScratch, i int, res *Result, phase st
 		rec.Effort = ss.SearchEffort()
 		rec.Group, rec.GroupSize = res.Group, res.GroupSize
 		rec.LearnedReused = ss.LearnedReused
+		rec.Err, rec.Stack = res.Err, res.Stack
 	}
 	// Errors are sticky in the log; the run itself never fails on telemetry.
 	if line, err := ws.eff.encode(&rec); err == nil {
@@ -265,19 +278,24 @@ func (st *runState) recordEffort(ws *workerScratch, i int, res *Result, phase st
 }
 
 // DecodeEffortLog parses an effort log stream into its header and
-// records, tolerating a truncated final line (a crashed run's log is
-// still analyzable). Returns an error for a missing or wrong-schema
-// header. Used by cmd/atpgreport and the round-trip tests.
+// records. Torn lines follow the checkpoint journal's rule: a malformed
+// final line is dropped (a crashed run's log is still analyzable), while
+// a malformed line with records after it is an error. A missing or
+// wrong-schema header is an error too. Used by cmd/atpgreport and the
+// round-trip tests.
 func DecodeEffortLog(r io.Reader) (EffortHeader, []EffortRecord, error) {
 	var hdr EffortHeader
 	var recs []EffortRecord
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc := ioguard.Scanner(r, 0)
 	first := true
-	for sc.Scan() {
+	var torn error // a malformed line: fatal unless no record follows it
+	for n := 1; sc.Scan(); n++ {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
+		}
+		if torn != nil {
+			return hdr, nil, torn
 		}
 		if first {
 			first = false
@@ -291,7 +309,8 @@ func DecodeEffortLog(r io.Reader) (EffortHeader, []EffortRecord, error) {
 		}
 		var rec EffortRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			break // truncated tail: keep what parsed
+			torn = fmt.Errorf("atpg: effort log line %d: malformed record: %v", n, err)
+			continue
 		}
 		if rec.Kind == "fault" {
 			recs = append(recs, rec)
@@ -300,7 +319,7 @@ func DecodeEffortLog(r io.Reader) (EffortHeader, []EffortRecord, error) {
 	if first {
 		return hdr, nil, errBadEffortHeader
 	}
-	return hdr, recs, sc.Err()
+	return hdr, recs, ioguard.ScanErr("atpg: effort log", sc.Err(), 0)
 }
 
 type effortDecodeError string

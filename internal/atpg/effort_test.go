@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"atpgeasy/internal/gen"
 	"atpgeasy/internal/logic"
@@ -133,98 +133,127 @@ func TestFaultFeatures(t *testing.T) {
 	}
 }
 
-// TestEffortLogRoundTrip is the log's core invariant: exactly one
-// non-wasted record per fault that received a verdict, statuses joining
-// Summary.Results losslessly, under both serial and parallel runs.
-func TestEffortLogRoundTrip(t *testing.T) {
-	c := gen.ArrayMultiplier(4)
+// TestEffortLogRoundTrip checks the effort log's core invariant on
+// unrouted runs, serial and parallel.
+func TestEffortLogRoundTrip(t *testing.T) { checkEffortLogInvariant(t, false) }
+
+// TestEffortLogRoutedInvariant checks the same invariant on routed runs,
+// where every record past the pre-phase also names the router's
+// predicted class and backend.
+func TestEffortLogRoutedInvariant(t *testing.T) { checkEffortLogInvariant(t, true) }
+
+// checkEffortLogInvariant runs one table over {1, 4} workers: exactly one
+// non-wasted record per fault — RPT-detected, solved or cleanly dropped —
+// with statuses and solver counters joining Summary.Results losslessly;
+// clean drops carry no solver work; and each wasted speculative solve
+// adds one wasted record. A 16-bit comparator resists random patterns:
+// after a short pre-phase it leaves faults for the solvers and for
+// fault-simulation drops.
+func checkEffortLogInvariant(t *testing.T, route bool) {
+	c := gen.Comparator(16)
 	for _, workers := range []int{1, 4} {
-		var buf bytes.Buffer
-		log := NewEffortLog(&buf)
-		eng := &Engine{Workers: workers}
-		sum, err := eng.Run(context.Background(), c, RunOptions{
-			Collapse: true, DropDetected: true,
-			RPTBatches: DefaultRPTBatches,
-			EffortLog:  log,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if err := log.Close(); err != nil {
-			t.Fatalf("workers=%d: close: %v", workers, err)
-		}
+		t.Run(fmt.Sprintf("j%d", workers), func(t *testing.T) {
+			var buf bytes.Buffer
+			log := NewEffortLog(&buf)
+			eng := &Engine{Workers: workers}
+			sum, err := eng.Run(context.Background(), c, RunOptions{
+				Collapse: true, DropDetected: true, Route: route,
+				RPTBatches: 4,
+				EffortLog:  log,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			if sum.DetectedByRPT == 0 || sum.DroppedByFaultSim == 0 || len(sum.Results) == 0 {
+				t.Fatalf("run exercises too little: %d rpt, %d dropped, %d solved",
+					sum.DetectedByRPT, sum.DroppedByFaultSim, len(sum.Results))
+			}
 
-		hdr, recs, err := DecodeEffortLog(&buf)
-		if err != nil {
-			t.Fatalf("workers=%d: decode: %v", workers, err)
-		}
-		if hdr.Schema != EffortSchema || hdr.Circuit != c.Name || hdr.Faults != sum.Total || hdr.Workers != workers {
-			t.Fatalf("workers=%d: header %+v", workers, hdr)
-		}
+			hdr, recs, err := DecodeEffortLog(&buf)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if hdr.Schema != EffortSchema || hdr.Circuit != c.Name || hdr.Faults != sum.Total || hdr.Workers != workers {
+				t.Fatalf("header %+v", hdr)
+			}
 
-		// Every fault with a verdict gets exactly one non-wasted record;
-		// cleanly dropped faults get none.
-		byIdx := map[int]EffortRecord{}
-		wasted := 0
-		for _, r := range recs {
-			if r.Phase == "dropped" {
-				wasted++
-				if !r.Wasted || r.Status != "dropped" {
-					t.Errorf("workers=%d: dropped record not marked wasted: %+v", workers, r)
+			byIdx := map[int]EffortRecord{}
+			wasted := 0
+			for _, r := range recs {
+				if r.Wasted {
+					wasted++
+					if r.Phase != "dropped" || r.Status != "dropped" {
+						t.Errorf("wasted record in phase %q status %q: %+v", r.Phase, r.Status, r)
+					}
+					continue
 				}
-				continue
+				if prev, dup := byIdx[r.Index]; dup {
+					t.Errorf("fault %d recorded twice: %+v / %+v", r.Index, prev, r)
+				}
+				byIdx[r.Index] = r
 			}
-			if prev, dup := byIdx[r.Index]; dup {
-				t.Errorf("workers=%d: fault %d recorded twice: %+v / %+v", workers, r.Index, prev, r)
+			if len(byIdx) != sum.Total {
+				t.Errorf("%d verdict records, want %d", len(byIdx), sum.Total)
 			}
-			byIdx[r.Index] = r
-		}
-		want := sum.Total - sum.DroppedByFaultSim
-		if len(byIdx) != want {
-			t.Errorf("workers=%d: %d verdict records, want %d (total %d − dropped %d)",
-				workers, len(byIdx), want, sum.Total, sum.DroppedByFaultSim)
-		}
-		if wasted != sum.WastedSolves {
-			t.Errorf("workers=%d: %d wasted records, want %d", workers, wasted, sum.WastedSolves)
-		}
-		if sum.DetectedByRPT > 0 {
-			rpt := 0
+			if wasted != sum.WastedSolves {
+				t.Errorf("%d wasted records, want %d", wasted, sum.WastedSolves)
+			}
+
+			byName := map[string]Result{}
+			for _, r := range sum.Results {
+				byName[r.Fault.Name(c)] = r
+			}
+			phases := map[string]int{}
 			for _, r := range byIdx {
-				if r.Phase == "rpt" {
-					rpt++
+				phases[r.Phase]++
+				if r.ConeSize < 1 || r.Gates < 1 {
+					t.Errorf("empty features on %+v", r)
+				}
+				if r.CutWidth != -1 {
+					t.Errorf("cut width %d recorded with extraction off", r.CutWidth)
+				}
+				// The router classifies the faults the pre-phase left.
+				if route && r.Phase != "rpt" && (r.PredictedClass == "" || r.Backend == "") {
+					t.Errorf("routed record without predicted class or backend: %+v", r)
+				}
+				switch r.Phase {
+				case "dropped":
+					if r.Status != "dropped" || r.Worker != -1 || r.SolveNS != 0 || r.Effort != 0 {
+						t.Errorf("clean drop with solver work: %+v", r)
+					}
+					if route && r.Backend != backendFaultSim {
+						t.Errorf("clean drop on backend %q: %+v", r.Backend, r)
+					}
+				case "rpt":
+					if r.Status != "detected" {
+						t.Errorf("rpt record with status %q", r.Status)
+					}
+				default:
+					// Statuses and solver counters join Summary.Results.
+					res, ok := byName[r.Fault]
+					if !ok {
+						t.Errorf("record %q (phase %s) has no summary result", r.Fault, r.Phase)
+						continue
+					}
+					if r.Status != res.Status.String() {
+						t.Errorf("%q status %q, summary says %q", r.Fault, r.Status, res.Status)
+					}
+					if r.Effort != res.SolverStats.SearchEffort() {
+						t.Errorf("%q effort %d, summary says %d", r.Fault, r.Effort, res.SolverStats.SearchEffort())
+					}
+					if r.Backend != res.Backend {
+						t.Errorf("%q backend %q, summary says %q", r.Fault, r.Backend, res.Backend)
+					}
 				}
 			}
-			if rpt != sum.DetectedByRPT {
-				t.Errorf("workers=%d: %d rpt records, want %d", workers, rpt, sum.DetectedByRPT)
+			if phases["rpt"] != sum.DetectedByRPT || phases["dropped"] != sum.DroppedByFaultSim || phases["sweep"] != len(sum.Results) {
+				t.Errorf("records by phase %v, want rpt %d, dropped %d, sweep %d",
+					phases, sum.DetectedByRPT, sum.DroppedByFaultSim, len(sum.Results))
 			}
-		}
-
-		// Statuses and solver counters must join Summary.Results exactly.
-		byName := map[string]Result{}
-		for _, r := range sum.Results {
-			byName[r.Fault.Name(c)] = r
-		}
-		for _, r := range byIdx {
-			if r.ConeSize < 1 || r.Gates < 1 {
-				t.Errorf("workers=%d: empty features on %+v", workers, r)
-			}
-			if r.CutWidth != -1 {
-				t.Errorf("workers=%d: cut width %d recorded with extraction off", workers, r.CutWidth)
-			}
-			res, ok := byName[r.Fault]
-			if !ok {
-				if r.Phase != "rpt" {
-					t.Errorf("workers=%d: record %q (phase %s) has no summary result", workers, r.Fault, r.Phase)
-				}
-				continue
-			}
-			if r.Status != res.Status.String() {
-				t.Errorf("workers=%d: %q status %q, summary says %q", workers, r.Fault, r.Status, res.Status)
-			}
-			if r.Effort != res.SolverStats.SearchEffort() {
-				t.Errorf("workers=%d: %q effort %d, summary says %d", workers, r.Fault, r.Effort, res.SolverStats.SearchEffort())
-			}
-		}
+		})
 	}
 }
 
@@ -249,6 +278,15 @@ func TestEffortLogSchemaRejected(t *testing.T) {
 	}
 	if hdr.Circuit != "x" || len(recs) != 1 || recs[0].Fault != "a/0" {
 		t.Errorf("truncated log parsed as %+v / %+v", hdr, recs)
+	}
+	// A malformed line with records after it is corruption, not a torn
+	// tail: like the checkpoint journal, the decoder refuses it.
+	mid := `{"kind":"header","schema":"atpgeasy/effort/v1","circuit":"x","faults":3}` + "\n" +
+		`{"kind":"fault","i":0,"fault":"a/0","phase":"sweep","status":"detected"}` + "\n" +
+		`{"kind":"fault","i":1,"fau` + "\n" +
+		`{"kind":"fault","i":2,"fault":"c/0","phase":"sweep","status":"untestable"}` + "\n"
+	if _, recs, err := DecodeEffortLog(strings.NewReader(mid)); err == nil {
+		t.Errorf("log with a malformed middle line accepted as %+v", recs)
 	}
 }
 
@@ -371,95 +409,6 @@ func TestSpanTree(t *testing.T) {
 		}
 		if faultsSpanned < len(sum.Results) {
 			t.Errorf("route=%v: %d fault spans for %d solved faults", route, faultsSpanned, len(sum.Results))
-		}
-	}
-}
-
-// TestRetryPendingETA: a progress snapshot taken after the main sweep but
-// before the retry tiers finish must still report remaining work.
-func TestRetryPendingETA(t *testing.T) {
-	p := Progress{Done: 10, Total: 10, RetryPending: 2, Elapsed: 10 * time.Second}
-	if eta := p.ETA(); eta <= 0 {
-		t.Errorf("ETA = %v with %d retries pending, want > 0", eta, p.RetryPending)
-	}
-	if !strings.Contains(p.String(), "retrying 2") {
-		t.Errorf("progress line %q does not mention pending retries", p.String())
-	}
-	done := Progress{Done: 10, Total: 10, Elapsed: 10 * time.Second}
-	if eta := done.ETA(); eta != 0 {
-		t.Errorf("ETA = %v on a finished run, want 0", eta)
-	}
-}
-
-// TestEffortLogRoutedInvariant: on a routed run every live fault emits
-// exactly one non-wasted effort record carrying the router's predicted
-// class — even faults no solver ever touched. Cleanly dropped faults
-// get a backend "faultsim" record (Phase "dropped", not wasted); solved
-// faults a record naming the backend that decided them; wasted
-// speculative solves stay extra records marked Wasted.
-func TestEffortLogRoutedInvariant(t *testing.T) {
-	c := gen.ArrayMultiplier(4)
-	for _, workers := range []int{1, 4} {
-		var buf bytes.Buffer
-		log := NewEffortLog(&buf)
-		eng := &Engine{Workers: workers}
-		sum, err := eng.Run(context.Background(), c, RunOptions{
-			Collapse: true, Route: true,
-			DropDetected: true, EffortLog: log,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if err := log.Close(); err != nil {
-			t.Fatalf("workers=%d: close: %v", workers, err)
-		}
-		_, recs, err := DecodeEffortLog(&buf)
-		if err != nil {
-			t.Fatalf("workers=%d: decode: %v", workers, err)
-		}
-
-		byIdx := map[int]EffortRecord{}
-		wasted := 0
-		for _, r := range recs {
-			if r.Wasted {
-				wasted++
-				if r.Phase != "dropped" {
-					t.Errorf("workers=%d: wasted record in phase %q: %+v", workers, r.Phase, r)
-				}
-				continue
-			}
-			if prev, dup := byIdx[r.Index]; dup {
-				t.Errorf("workers=%d: fault %d recorded twice: %+v / %+v", workers, r.Index, prev, r)
-			}
-			byIdx[r.Index] = r
-		}
-		// Exactly one non-wasted record per live fault: solved or dropped.
-		if len(byIdx) != sum.Total {
-			t.Errorf("workers=%d: %d verdict records, want %d", workers, len(byIdx), sum.Total)
-		}
-		if wasted != sum.WastedSolves {
-			t.Errorf("workers=%d: %d wasted records, want %d", workers, wasted, sum.WastedSolves)
-		}
-		drops := 0
-		for _, r := range byIdx {
-			if r.PredictedClass == "" {
-				t.Errorf("workers=%d: record without predicted class: %+v", workers, r)
-			}
-			if r.Backend == "" {
-				t.Errorf("workers=%d: record without backend: %+v", workers, r)
-			}
-			if r.Phase == "dropped" {
-				drops++
-				if r.Backend != "faultsim" {
-					t.Errorf("workers=%d: clean drop on backend %q: %+v", workers, r.Backend, r)
-				}
-				if r.SolveNS != 0 || r.Effort != 0 {
-					t.Errorf("workers=%d: clean drop with solver work: %+v", workers, r)
-				}
-			}
-		}
-		if drops != sum.DroppedByFaultSim {
-			t.Errorf("workers=%d: %d clean-drop records, want %d", workers, drops, sum.DroppedByFaultSim)
 		}
 	}
 }

@@ -278,6 +278,9 @@ type Summary struct {
 	WallElapsed time.Duration
 	// Phases breaks the run's work down by pipeline phase (summed over
 	// faults and workers, so each phase can exceed wall time in parallel).
+	// Like Elapsed and SolverTotals, its Build and Solve count only the
+	// final attempt of a fault the retry tiers re-ran; the /metrics work
+	// counters count every attempt.
 	Phases PhaseTimes
 	// SolverTotals merges the per-fault solver statistics of every fault
 	// that reached the solver.
@@ -367,7 +370,7 @@ type RunOptions struct {
 	// stalling the run. Requires a solver implementing sat.LimitedSolver
 	// (all three built-ins do).
 	PerFaultBudget time.Duration
-	// Telemetry, when non-nil, streams metrics, per-fault trace events and
+	// Telemetry, when non-nil, streams metrics, run-level trace events and
 	// periodic progress snapshots out of the run. Nil disables all
 	// instrumentation at the cost of one pointer check per fault.
 	Telemetry *Telemetry
@@ -399,7 +402,7 @@ type RunOptions struct {
 	// restored instead of re-run, preserving the deterministic vector set.
 	Resume *ResumeState
 	// EffortLog, when non-nil, streams one structured effort record per
-	// decided fault — structural features joined with the solver work the
+	// fault verdict — structural features joined with the solver work the
 	// verdict took (schema EffortSchema; see EffortRecord for the exact
 	// per-phase emission rule). Nil disables the log at the cost of one
 	// pointer check per fault.
@@ -535,12 +538,12 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 		// must still join one record to every decided fault.
 		for i, r := range st.results {
 			if r != nil && st.resumed[i] {
-				st.recordEffort(scratches[0], i, r, "resume", r.Status, 0, -1, false)
+				st.recordEffort(scratches[0], i, r, "resume", 0, -1)
 			}
 		}
 		if st.rptRestored {
 			for _, i := range st.rptDetectedIdx {
-				st.recordEffort(scratches[0], i, nil, "resume", Detected, 0, -1, false)
+				st.recordEffort(scratches[0], i, nil, "resume", 0, -1)
 			}
 		}
 	}
@@ -725,12 +728,12 @@ type runState struct {
 	commitMu    sync.Mutex
 	commitDirty atomic.Bool
 	frontier    int       // next position in plan.order to commit
-	results     []*Result // official verdicts, one slot per fault
+	results     []*Result // adopted results, one slot per fault; final once decided
 	resumed     []bool    // verdicts replayed from a journal: final, never retried
 	pendingVecs [][]bool  // committed vectors not yet batch-simulated
 
-	// Committed tallies, written under commitMu (or by the retry tiers),
-	// read lock-free by progress snapshots.
+	// Final-verdict tallies, written by decide and resume replay, read
+	// lock-free by progress snapshots.
 	doneN, detN, untN, abtN, errsN atomic.Int64
 	droppedN                       atomic.Int64 // flush drops only; RPT detections count separately
 	wastedN                        atomic.Int64 // speculative solves discarded at commit
@@ -780,10 +783,6 @@ type runState struct {
 	stallSlot  int
 	stallSince time.Time
 	stallNS    atomic.Int64
-
-	// retryPending counts aborted faults still owed a retry tier (fed
-	// into Progress.RetryPending so the ETA covers the escalation phase).
-	retryPending atomic.Int64
 }
 
 // dumpRingOnce writes the flight recorder to the trace sink — and, for
@@ -809,18 +808,52 @@ func (st *runState) progress() Progress {
 	st.mu.Unlock()
 	det := int(st.detN.Load())
 	return Progress{
-		Circuit:      st.c.Name,
-		Done:         int(st.doneN.Load()+st.droppedN.Load()) + rptDetected,
-		Total:        len(st.faults),
-		Detected:     det,
-		Untestable:   int(st.untN.Load()),
-		Aborted:      int(st.abtN.Load()),
-		Errors:       int(st.errsN.Load()),
-		Dropped:      int(st.droppedN.Load()),
-		RPTDetected:  rptDetected,
-		RetryPending: int(st.retryPending.Load()),
-		Vectors:      det + rptVectors,
-		Elapsed:      time.Since(st.start),
+		Circuit:     st.c.Name,
+		Done:        int(st.doneN.Load()+st.droppedN.Load()) + rptDetected,
+		Total:       len(st.faults),
+		Detected:    det,
+		Untestable:  int(st.untN.Load()),
+		Aborted:     int(st.abtN.Load()),
+		Errors:      int(st.errsN.Load()),
+		Dropped:     int(st.droppedN.Load()),
+		RPTDetected: rptDetected,
+		Vectors:     det + rptVectors,
+		Elapsed:     time.Since(st.start),
+	}
+}
+
+// tally counts one final verdict in the Progress tallies: a decided one
+// (decide) or one replayed from a journal (applyResume).
+func (st *runState) tally(s Status) {
+	st.doneN.Add(1)
+	switch s {
+	case Detected:
+		st.detN.Add(1)
+	case Untestable:
+		st.untN.Add(1)
+	case Aborted:
+		st.abtN.Add(1)
+	case Errored:
+		st.errsN.Add(1)
+	}
+}
+
+// decide makes fault i's verdict final, and is the only code that does:
+// it tallies the verdict for Progress, counts it in the /metrics verdict
+// counters, journals it and writes its effort record. The sweep's commit
+// frontier calls it for every verdict not headed for a retry tier; the
+// retry phase calls it for every tier verdict that is not Aborted and,
+// after the last tier of a run that was not cancelled, for every fault
+// still Aborted. Calls for one fault never overlap: the frontier holds
+// commitMu, and a tier slot belongs to the one worker that claimed it.
+func (st *runState) decide(ws *workerScratch, i int, res *Result, phase string, tier, worker int) {
+	st.tally(res.Status)
+	st.opt.Telemetry.observeVerdict(res)
+	if st.opt.Journal != nil {
+		st.opt.Journal.RecordFault(i, res.Status.String(), res.Vector, res.Err)
+	}
+	if st.effort != nil {
+		st.recordEffort(ws, i, res, phase, tier, worker)
 	}
 }
 
@@ -1054,14 +1087,6 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 			}
 			newVecs = append(newVecs, vec)
 		}
-		var detectedNames []string
-		if tel != nil && tel.Trace != nil {
-			for k := 0; k < br.n; k++ {
-				if !det[k] && masks[k] != 0 {
-					detectedNames = append(detectedNames, st.faults[live[k]].Name(c))
-				}
-			}
-		}
 		preDet := len(st.rptDetectedIdx)
 		st.mu.Lock()
 		for k := 0; k < br.n; k++ {
@@ -1078,7 +1103,7 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 			// The coordinator is the only rptDetectedIdx writer, so the
 			// slice tail past preDet is exactly this batch's detections.
 			for _, i := range st.rptDetectedIdx[preDet:] {
-				st.recordEffort(scratches[0], i, nil, "rpt", Detected, 0, -1, false)
+				st.recordEffort(scratches[0], i, nil, "rpt", 0, -1)
 			}
 		}
 		for k := 0; k < br.n; k++ {
@@ -1090,7 +1115,7 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 		st.ring.Record("rpt", -1, int64(detected), int64(len(newVecs)), time.Since(br.started).Nanoseconds())
 		br.span.Items = int64(detected)
 		br.span.End()
-		tel.observeRPTBatch(detected, len(newVecs), detectedNames, time.Since(br.started), time.Since(st.start))
+		tel.observeRPTBatch(detected, len(newVecs), time.Since(br.started), time.Since(st.start))
 		if detected == 0 {
 			idle++
 			continue
@@ -1117,7 +1142,7 @@ func (st *runState) publish(ws *workerScratch, worker, p int, res Result) error 
 	if st.droppedF.get(i) {
 		st.countWasted(1)
 		if st.effort != nil {
-			st.recordEffort(ws, i, &res, "dropped", res.Status, 0, worker, true)
+			st.recordEffort(ws, i, &res, "dropped", 0, worker)
 		}
 		return nil
 	}
@@ -1164,13 +1189,15 @@ func (st *runState) kickCommit(ws *workerScratch, worker int) error {
 }
 
 // commitLocked walks the dispatch order from the frontier, adopting each
-// slot's published result as the official verdict, in order: tallies,
-// telemetry, journaling and vector flushing all happen here — so their
-// order, and with DropDetected the entire drop set, is a deterministic
-// function of the dispatch order alone, independent of worker count and
-// solve timing. A slot whose solve is still in flight blocks the
-// frontier; a dropped slot is skipped, discarding any speculative result
-// as wasted. Called with commitMu held.
+// slot's published result, in order: its solver work is observed and,
+// unless it is an abort headed for the retry tiers, decide makes it
+// final; vector flushing happens here too — so the order of verdicts,
+// journal and effort records, and with DropDetected the entire drop set,
+// is a deterministic function of the dispatch order alone, independent
+// of worker count and solve timing. A slot whose solve is still in
+// flight blocks the frontier; a dropped slot gets its clean-drop record
+// and is skipped, discarding any speculative result as wasted. Called
+// with commitMu held.
 func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 	tel := st.opt.Telemetry
 	retryable := st.opt.RetryTiers > 0 && st.opt.PerFaultBudget > 0
@@ -1182,19 +1209,16 @@ func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 			if sr := st.published[i].Load(); sr != nil {
 				st.countWasted(1)
 				if st.effort != nil {
-					st.recordEffort(ws, i, &sr.res, "dropped", sr.res.Status, 0, int(sr.worker), true)
+					st.recordEffort(ws, i, &sr.res, "dropped", 0, int(sr.worker))
 				}
 			}
+			// Fault simulation decided the fault: its one non-wasted
+			// record carries no solver work.
+			if st.effort != nil {
+				st.recordEffort(ws, i, nil, "dropped", 0, -1)
+			}
 			if routed {
-				// Routed runs record every drop's verdict too: the router
-				// predicted a class for this fault and fault simulation
-				// decided it, so the accuracy join gets exactly one
-				// non-wasted record (backend "faultsim", no solver work) —
-				// on top of the wasted record of any discarded solve.
-				if st.effort != nil {
-					st.recordEffort(ws, i, nil, "dropped", Detected, 0, -1, false)
-				}
-				tel.observeRouted(backendFaultSim, 0)
+				tel.observeRouted(backendFaultSim)
 			}
 			st.frontier++
 			continue
@@ -1222,36 +1246,12 @@ func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 		st.frontier++
 		res := sr.res
 		st.results[i] = &res
-		st.doneN.Add(1)
-		switch res.Status {
-		case Detected:
-			st.detN.Add(1)
-		case Untestable:
-			st.untN.Add(1)
-		case Aborted:
-			st.abtN.Add(1)
-		case Errored:
-			st.errsN.Add(1)
-		}
-		if tel != nil {
-			tel.observeFault(int(sr.worker), st.faults[i].Name(st.c), &res, time.Since(st.start))
-		}
-		if routed && res.Backend != "" {
-			tel.observeRouted(res.Backend, res.Elapsed.Nanoseconds())
-		}
-		// An aborted fault headed for the retry queue is not final yet;
-		// journaling it now would make a resume skip a fault the retry
-		// tiers might still decide — and the effort log follows the same
-		// rule so each fault's single record carries its final verdict.
-		if res.Status == Aborted && retryable {
-			st.retryPending.Add(1)
-		} else {
-			if st.opt.Journal != nil {
-				st.opt.Journal.RecordFault(i, res.Status.String(), res.Vector, res.Err)
-			}
-			if st.effort != nil {
-				st.recordEffort(ws, i, &res, "sweep", res.Status, 0, int(sr.worker), false)
-			}
+		tel.observeAttempt(int(sr.worker), 0, &res)
+		// An abort headed for the retry queue is not final yet: journaling
+		// it now would make a resume skip a fault the tiers might still
+		// decide.
+		if res.Status != Aborted || !retryable {
+			st.decide(ws, i, &res, "sweep", 0, int(sr.worker))
 		}
 		if res.Status == Detected && st.opt.DropDetected {
 			st.pendingVecs = append(st.pendingVecs, res.Vector)
@@ -1294,7 +1294,6 @@ func (st *runState) flushLocked(ws *workerScratch, worker int) error {
 	}
 	sim := ws.sim
 	tel := st.opt.Telemetry
-	var droppedNames []string
 	dropped := 0
 	order := st.plan.order
 	for p := st.frontier; p < len(order); p++ {
@@ -1304,9 +1303,6 @@ func (st *runState) flushLocked(ws *workerScratch, worker int) error {
 		}
 		if sim.DetectsAny(st.faults[j].Net, st.faults[j].StuckAt) != 0 && st.droppedF.set(j) {
 			dropped++
-			if tel != nil && tel.Trace != nil {
-				droppedNames = append(droppedNames, st.faults[j].Name(st.c))
-			}
 		}
 	}
 	st.droppedN.Add(int64(dropped))
@@ -1318,7 +1314,7 @@ func (st *runState) flushLocked(ws *workerScratch, worker int) error {
 		tel.Spans.Observed("flush", st.sweepSpan, simTime, worker)
 	}
 	if tel != nil {
-		tel.observeFlush(worker, len(batch), dropped, droppedNames, simTime, time.Since(st.start))
+		tel.observeFlush(worker, len(batch), dropped, simTime, time.Since(st.start))
 	}
 	return nil
 }

@@ -35,11 +35,10 @@ func (f Fault) String() string {
 
 // Name renders the fault with the net's name in the circuit, e.g. "f/1".
 func (f Fault) Name(c *logic.Circuit) string {
-	v := 0
 	if f.StuckAt {
-		v = 1
+		return c.Nodes[f.Net].Name + "/1"
 	}
-	return fmt.Sprintf("%s/%d", c.Nodes[f.Net].Name, v)
+	return c.Nodes[f.Net].Name + "/0"
 }
 
 // AllFaults enumerates both stuck-at faults on every net of the circuit

@@ -162,17 +162,7 @@ func (st *runState) applyResume(rs *ResumeState) {
 		st.results[i] = &rc
 		st.preDecided[i] = true
 		st.resumed[i] = true
-		st.doneN.Add(1)
-		switch r.Status {
-		case Detected:
-			st.detN.Add(1)
-		case Untestable:
-			st.untN.Add(1)
-		case Aborted:
-			st.abtN.Add(1)
-		case Errored:
-			st.errsN.Add(1)
-		}
+		st.tally(r.Status)
 	}
 }
 
@@ -238,8 +228,8 @@ func (e *Engine) startMemWatchdog(ctx context.Context, st *runState) func() {
 // that hit PerFaultBudget are re-run on the worker pool for up to
 // RetryTiers rounds with geometrically increasing budgets, reusing the
 // per-worker scratch arenas. A fault leaves the queue as soon as a tier
-// decides it; survivors of the final tier stay Aborted and only then
-// reach the journal. Returns one summary entry per tier that ran.
+// decides it; survivors of the final tier stay Aborted, and only then is
+// that verdict final. Returns one summary entry per tier that ran.
 func (e *Engine) runRetryTiers(ctx context.Context, st *runState, scratches []*workerScratch) []RetryTier {
 	opt := st.opt
 	if opt.RetryTiers <= 0 || opt.PerFaultBudget <= 0 {
@@ -280,31 +270,15 @@ func (e *Engine) runRetryTiers(ctx context.Context, st *runState, scratches []*w
 		// Each fault's slot is written by the one worker that claimed it
 		// (or its group), so the writes are disjoint.
 		decidedF := make([]bool, len(st.results))
-		// adopt is the tier's emit: the verdict replaces the fault's
-		// aborted result directly (there is no speculation to commit).
+		// adopt is the tier's emit: the result replaces the fault's
+		// aborted one directly (there is no speculation to commit), and
+		// a verdict that is not Aborted is final.
 		adopt := func(ws *workerScratch, w, i int, res Result) {
 			st.results[i] = &res
+			tel.observeAttempt(w, tier, &res)
 			if res.Status != Aborted {
 				decidedF[i] = true
-				st.abtN.Add(-1)
-				st.retryPending.Add(-1)
-				switch res.Status {
-				case Detected:
-					st.detN.Add(1)
-				case Untestable:
-					st.untN.Add(1)
-				case Errored:
-					st.errsN.Add(1)
-				}
-			}
-			if tel != nil {
-				tel.observeRetry(w, st.faults[i].Name(st.c), &res, tier, time.Since(st.start))
-			}
-			if opt.Journal != nil && res.Status != Aborted {
-				opt.Journal.RecordFault(i, res.Status.String(), res.Vector, res.Err)
-			}
-			if st.effort != nil && res.Status != Aborted {
-				st.recordEffort(ws, i, &res, "retry", res.Status, tier, w, false)
+				st.decide(ws, i, &res, "retry", tier, w)
 			}
 		}
 		// The tier is a plan over its queue, laid out like the sweep's: on
@@ -362,20 +336,13 @@ func (e *Engine) runRetryTiers(ctx context.Context, st *runState, scratches []*w
 			return tiers
 		}
 	}
-	// Whatever is still queued is finally Aborted — journal it now, unless
-	// the run is draining (a later resume should get another shot). The
-	// effort log gets the same finality: one "retry" record per survivor,
-	// carrying the last tier's solver stats.
+	// Whatever is still queued is finally Aborted, carrying the last
+	// tier's result — unless the run is draining (a later resume should
+	// get another shot).
 	if ctx.Err() == nil {
 		for _, i := range queue {
-			if opt.Journal != nil {
-				opt.Journal.RecordFault(i, Aborted.String(), nil, "")
-			}
-			if st.effort != nil {
-				st.recordEffort(scratches[0], i, st.results[i], "retry", Aborted, len(tiers), -1, false)
-			}
+			st.decide(scratches[0], i, st.results[i], "retry", len(tiers), -1)
 		}
-		st.retryPending.Store(0)
 	}
 	return tiers
 }

@@ -3,7 +3,6 @@ package atpg
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"reflect"
 	"strings"
 	"sync"
@@ -67,14 +66,14 @@ func (s *recordingSink) state() *ResumeState {
 // TestPanicIsolation injects a panic into one fault's processing and
 // requires the run to survive it: every other fault gets its verdict,
 // the panicked fault reports status "error", Summary.Errors counts it,
-// and the trace carries the panic message plus a captured stack.
+// and its effort record carries the panic message plus a captured stack.
 func TestPanicIsolation(t *testing.T) {
 	c := gen.CarryLookaheadAdder(4)
 	faults := Collapse(c, AllFaults(c))
 	victim := faults[len(faults)/2]
 
 	var buf bytes.Buffer
-	trace := obs.NewTrace(&buf)
+	el := NewEffortLog(&buf)
 	reg := obs.NewRegistry()
 	met := NewMetrics(reg, 2)
 	eng := &Engine{Workers: 2}
@@ -84,7 +83,8 @@ func TestPanicIsolation(t *testing.T) {
 		}
 	}
 	sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{
-		Telemetry: &Telemetry{Metrics: met, Trace: trace},
+		Telemetry: &Telemetry{Metrics: met},
+		EffortLog: el,
 	})
 	if err != nil {
 		t.Fatalf("RunFaults: %v", err)
@@ -113,27 +113,24 @@ func TestPanicIsolation(t *testing.T) {
 	if !strings.Contains(errored.Stack, "goroutine") {
 		t.Fatalf("Result.Stack missing a goroutine stack: %.80q", errored.Stack)
 	}
-	if err := trace.Close(); err != nil {
-		t.Fatalf("trace close: %v", err)
+	if err := el.Close(); err != nil {
+		t.Fatalf("effort log close: %v", err)
+	}
+	_, recs, err := DecodeEffortLog(&buf)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
 	}
 	var found bool
-	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
-		if len(line) == 0 {
-			continue
-		}
-		var ev TraceEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			t.Fatalf("bad trace line %q: %v", line, err)
-		}
-		if ev.Status == "error" {
+	for _, r := range recs {
+		if r.Status == "error" {
 			found = true
-			if !strings.Contains(ev.Error, "injected cone explosion") || !strings.Contains(ev.Stack, "goroutine") {
-				t.Fatalf("error trace event lacks panic context: %+v", ev)
+			if r.Fault != victim.Name(c) || !strings.Contains(r.Err, "injected cone explosion") || !strings.Contains(r.Stack, "goroutine") {
+				t.Fatalf("error effort record lacks panic context: %+v", r)
 			}
 		}
 	}
 	if !found {
-		t.Fatal("no status:error event in the trace")
+		t.Fatal("no status:error record in the effort log")
 	}
 }
 

@@ -2,10 +2,10 @@ package atpg
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"atpgeasy/internal/obs"
-	"atpgeasy/internal/sat"
 )
 
 // Telemetry bundles the observability sinks of one engine run. Every
@@ -15,8 +15,10 @@ type Telemetry struct {
 	// Metrics receives atomic counter/gauge/histogram updates; build one
 	// over an obs.Registry with NewMetrics.
 	Metrics *Metrics
-	// Trace receives one structured TraceEvent per fault (solved or
-	// dropped) plus one per fault-simulation flush.
+	// Trace receives the run-level events: one TraceEvent per
+	// fault-simulation flush, random-pattern batch and watchdog shrink,
+	// plus span and flight-recorder records. Per-fault outcomes go to the
+	// effort log (RunOptions.EffortLog), not here.
 	Trace *obs.Trace
 	// Spans, when non-nil, mints hierarchical spans over the engine's
 	// control flow (run → phase → dispatch-chunk/RPT-batch/retry-tier →
@@ -51,9 +53,11 @@ func (t *Telemetry) startSpan(name string, parent obs.SpanContext) obs.Span {
 // Progress is a point-in-time snapshot of a running RunFaults call.
 type Progress struct {
 	Circuit string
-	// Done counts faults with a verdict: solved (detected, untestable or
-	// aborted), dropped-by-simulation, or detected by the random-pattern
-	// pre-phase.
+	// Done counts faults with a final verdict: solved (detected,
+	// untestable or aborted), dropped-by-simulation, or detected by the
+	// random-pattern pre-phase. A fault aborted by the sweep and queued for
+	// a retry tier is not done until a tier decides it or the last tier
+	// gives up on it.
 	Done, Total                            int
 	Detected, Untestable, Aborted, Dropped int
 	// Errors counts faults whose processing panicked (recovered, run
@@ -61,13 +65,8 @@ type Progress struct {
 	Errors int
 	// RPTDetected counts faults detected by the random-pattern pre-phase.
 	RPTDetected int
-	// RetryPending counts aborted faults still owed a retry tier: they
-	// are in Done (the sweep reported them aborted) but the run is not
-	// over until the escalation phase has re-solved them, so ETA counts
-	// them as remaining work.
-	RetryPending int
-	Vectors      int
-	Elapsed      time.Duration
+	Vectors     int
+	Elapsed     time.Duration
 }
 
 // Coverage returns the running fault coverage over testable faults,
@@ -81,11 +80,9 @@ func (p Progress) Coverage() float64 {
 }
 
 // ETA linearly extrapolates the remaining wall time from the rate so
-// far; zero until at least one fault is done. Retry-pending faults count
-// as remaining work: the old Total−Done formula hit zero at the end of
-// the main sweep and then sat silent through the whole retry phase.
+// far; zero until at least one fault is done.
 func (p Progress) ETA() time.Duration {
-	remaining := p.Total - p.Done + p.RetryPending
+	remaining := p.Total - p.Done
 	if p.Done == 0 || remaining <= 0 {
 		return 0
 	}
@@ -95,20 +92,20 @@ func (p Progress) ETA() time.Duration {
 
 // String renders the standard one-line progress report.
 func (p Progress) String() string {
-	s := fmt.Sprintf("%d/%d faults (%.1f%%)  detected %d  rpt %d  dropped %d  untestable %d  aborted %d  coverage %.1f%%  elapsed %v  eta %v",
+	return fmt.Sprintf("%d/%d faults (%.1f%%)  detected %d  rpt %d  dropped %d  untestable %d  aborted %d  coverage %.1f%%  elapsed %v  eta %v",
 		p.Done, p.Total, 100*float64(p.Done)/float64(max(p.Total, 1)),
 		p.Detected, p.RPTDetected, p.Dropped, p.Untestable, p.Aborted,
 		100*p.Coverage(), p.Elapsed.Round(time.Millisecond), p.ETA())
-	if p.RetryPending > 0 {
-		s += fmt.Sprintf("  retrying %d", p.RetryPending)
-	}
-	return s
 }
 
-// Metrics is the engine's metric set over an obs.Registry. Counters are
-// updated once per fault verdict (never inside the solver's search loop),
-// with the solver work counters sharded per worker so parallel runs never
-// contend on a cache line.
+// Metrics is the engine's metric set over an obs.Registry. The verdict
+// counters (faults done/detected/untestable/aborted/errored, panics,
+// vectors, routed) move once per final verdict; the work counters (phase
+// times, solver counters, the per-fault histograms, backend solve wall)
+// once per adopted solve attempt, so a fault retried by the escalation
+// tiers counts every attempt's work but one verdict. Nothing is updated
+// inside the solver's search loop, and the solver work counters are
+// sharded per worker so parallel runs never contend on a cache line.
 type Metrics struct {
 	FaultsTotal *obs.Gauge // faults in the current run
 	Workers     *obs.Gauge
@@ -140,9 +137,10 @@ type Metrics struct {
 	RetryAttempts  *obs.LabeledCounter
 	RetryRecovered *obs.LabeledCounter
 
-	// Routed portfolio dispatch: faults decided per backend ("podem",
-	// "caching", "cdcl", "faultsim") and the per-backend solve wall,
-	// both counted at commit adoption so they are worker-count-stable.
+	// Routed portfolio dispatch: final verdicts per backend ("podem",
+	// "caching", "cdcl", "faultsim") and every adopted attempt's solve
+	// wall per backend. Wasted speculative solves count in neither, so
+	// both are worker-count-stable.
 	RoutedTotal    *obs.LabeledCounter
 	BackendSolveNS *obs.LabeledCounter
 
@@ -239,22 +237,13 @@ func NewMetrics(reg *obs.Registry, shards int) *Metrics {
 	}
 }
 
-// TraceEvent is one line of the per-fault JSONL trace. Kind is "fault"
-// for a per-fault verdict (solved, dropped or rpt-detected), "faultsim"
-// for one fault-simulation flush, and "rpt" for one random-pattern batch.
+// TraceEvent is one run-level line of the JSONL trace: Kind "faultsim"
+// for one fault-simulation flush, "rpt" for one random-pattern batch and
+// "shrink" for one watchdog cache halving.
 type TraceEvent struct {
 	Kind   string `json:"kind"`
 	TimeNS int64  `json:"t_ns"` // wall time since the run started
 	Worker int    `json:"worker"`
-
-	// Fault verdict fields (Kind == "fault").
-	Fault   string     `json:"fault,omitempty"`
-	Status  string     `json:"status,omitempty"` // detected|untestable|aborted|dropped
-	Vars    int        `json:"vars,omitempty"`
-	Clauses int        `json:"clauses,omitempty"`
-	BuildNS int64      `json:"build_ns,omitempty"`
-	SolveNS int64      `json:"solve_ns,omitempty"`
-	Solver  *sat.Stats `json:"solver,omitempty"`
 
 	// Flush fields (Kind == "faultsim"); "rpt" batch events reuse Batch
 	// (patterns simulated), Dropped (faults newly detected) and SimNS.
@@ -266,13 +255,6 @@ type TraceEvent struct {
 	// new fault and were kept as test vectors.
 	Kept int `json:"kept,omitempty"`
 
-	// Error and Stack carry a recovered per-fault panic (Status "error"):
-	// the panic message and the captured goroutine stack.
-	Error string `json:"error,omitempty"`
-	Stack string `json:"stack,omitempty"`
-	// Tier labels a "fault" event re-solved by the retry phase with its
-	// escalation tier (0 = main sweep).
-	Tier int `json:"tier,omitempty"`
 	// CacheCap is the new per-worker cache byte cap of a "shrink" event.
 	CacheCap int64 `json:"cache_cap,omitempty"`
 }
@@ -286,49 +268,15 @@ func (t *Telemetry) begin(total, workers int) {
 	t.Metrics.Workers.Set(int64(workers))
 }
 
-// observeFault records one solved fault's verdict, phase timings and
-// solver statistics into the metric set and the trace.
-func (t *Telemetry) observeFault(worker int, name string, res *Result, sinceStart time.Duration) {
-	if t == nil {
+// observeAttempt records the solver work of one adopted attempt: a
+// result the sweep's commit frontier adopts, or any retry-tier result
+// (tier > 0), whether or not it decided the fault. That covers the phase
+// times, the solver counters, the per-fault histograms, the backend's
+// solve wall on routed runs and the tier's attempt and recovery counts.
+func (t *Telemetry) observeAttempt(worker, tier int, res *Result) {
+	if t == nil || t.Metrics == nil {
 		return
 	}
-	if m := t.Metrics; m != nil {
-		m.FaultsDone.Inc()
-		switch res.Status {
-		case Detected:
-			m.FaultsDetected.Inc()
-			m.Vectors.Inc()
-		case Untestable:
-			m.FaultsUntestable.Inc()
-		case Aborted:
-			m.FaultsAborted.Inc()
-		case Errored:
-			m.FaultsErrored.Inc()
-			m.FaultPanics.Inc()
-		}
-		t.observeSolverWork(worker, res)
-		m.HistSolveNS.Observe(res.Elapsed.Nanoseconds())
-		m.HistSolverNodes.Observe(res.SolverStats.Nodes)
-		if res.SolverStats.Nodes > 0 {
-			m.HistCacheHitPermill.Observe(1000 * res.SolverStats.CacheHits / res.SolverStats.Nodes)
-		}
-	}
-	if t.Trace != nil {
-		st := res.SolverStats
-		_ = t.Trace.Emit(TraceEvent{
-			Kind: "fault", TimeNS: sinceStart.Nanoseconds(), Worker: worker,
-			Fault: name, Status: res.Status.String(),
-			Vars: res.Vars, Clauses: res.Clauses,
-			BuildNS: res.BuildElapsed.Nanoseconds(), SolveNS: res.Elapsed.Nanoseconds(),
-			Solver: &st,
-			Error:  res.Err, Stack: res.Stack,
-		})
-	}
-}
-
-// observeSolverWork records a result's phase timings and solver search
-// counters (shared by the main sweep and the retry phase).
-func (t *Telemetry) observeSolverWork(worker int, res *Result) {
 	m := t.Metrics
 	m.PhaseBuildNS.Add(res.BuildElapsed.Nanoseconds())
 	m.PhaseSolveNS.Add(res.Elapsed.Nanoseconds())
@@ -348,22 +296,58 @@ func (t *Telemetry) observeSolverWork(worker int, res *Result) {
 	if st.ClauseDBBytes > 0 {
 		m.ClauseDBBytes.SetMax(st.ClauseDBBytes)
 	}
+	m.HistSolveNS.Observe(res.Elapsed.Nanoseconds())
+	m.HistSolverNodes.Observe(st.Nodes)
+	if st.Nodes > 0 {
+		m.HistCacheHitPermill.Observe(1000 * st.CacheHits / st.Nodes)
+	}
+	if res.Backend != "" && res.Elapsed > 0 {
+		m.BackendSolveNS.With(res.Backend).Add(res.Elapsed.Nanoseconds())
+	}
+	if tier > 0 {
+		label := strconv.Itoa(tier)
+		m.RetryAttempts.With(label).Inc()
+		if res.Status != Aborted {
+			m.RetryRecovered.With(label).Inc()
+		}
+	}
+}
+
+// observeVerdict counts one final verdict (see runState.decide).
+func (t *Telemetry) observeVerdict(res *Result) {
+	if t == nil || t.Metrics == nil {
+		return
+	}
+	m := t.Metrics
+	m.FaultsDone.Inc()
+	switch res.Status {
+	case Detected:
+		m.FaultsDetected.Inc()
+		m.Vectors.Inc()
+	case Untestable:
+		m.FaultsUntestable.Inc()
+	case Aborted:
+		m.FaultsAborted.Inc()
+	case Errored:
+		m.FaultsErrored.Inc()
+		m.FaultPanics.Inc()
+	}
+	if res.Backend != "" {
+		t.observeRouted(res.Backend)
+	}
 }
 
 // backendFaultSim labels faults a routed run decided without any solver
 // — dropped by fault simulation of earlier committed vectors.
 const backendFaultSim = "faultsim"
 
-// observeRouted counts one routed verdict against its deciding backend
-// and accumulates that backend's solve wall time.
-func (t *Telemetry) observeRouted(backend string, solveNS int64) {
+// observeRouted counts one routed run's final verdict against the
+// backend that decided it.
+func (t *Telemetry) observeRouted(backend string) {
 	if t == nil || t.Metrics == nil {
 		return
 	}
 	t.Metrics.RoutedTotal.With(backend).Inc()
-	if solveNS > 0 {
-		t.Metrics.BackendSolveNS.With(backend).Add(solveNS)
-	}
 }
 
 // observeGroups records the region-group size distribution of an
@@ -374,42 +358,6 @@ func (t *Telemetry) observeGroups(groups []faultGroup) {
 	}
 	for i := range groups {
 		t.Metrics.HistGroupSize.Observe(int64(groups[i].end - groups[i].start))
-	}
-}
-
-// observeRetry records one retry-tier re-solve. Verdict counters from
-// the main sweep are left alone (the fault was already counted done and
-// aborted there); the per-tier counters carry the escalation story, and
-// a recovered detection still counts its new vector.
-func (t *Telemetry) observeRetry(worker int, name string, res *Result, tier int, sinceStart time.Duration) {
-	if t == nil {
-		return
-	}
-	if m := t.Metrics; m != nil {
-		label := fmt.Sprintf("%d", tier)
-		m.RetryAttempts.With(label).Inc()
-		if res.Status != Aborted {
-			m.RetryRecovered.With(label).Inc()
-		}
-		if res.Status == Detected {
-			m.Vectors.Inc()
-		}
-		if res.Status == Errored {
-			m.FaultsErrored.Inc()
-			m.FaultPanics.Inc()
-		}
-		t.observeSolverWork(worker, res)
-	}
-	if t.Trace != nil {
-		st := res.SolverStats
-		_ = t.Trace.Emit(TraceEvent{
-			Kind: "fault", TimeNS: sinceStart.Nanoseconds(), Worker: worker,
-			Fault: name, Status: res.Status.String(), Tier: tier,
-			Vars: res.Vars, Clauses: res.Clauses,
-			BuildNS: res.BuildElapsed.Nanoseconds(), SolveNS: res.Elapsed.Nanoseconds(),
-			Solver: &st,
-			Error:  res.Err, Stack: res.Stack,
-		})
 	}
 }
 
@@ -455,11 +403,9 @@ func (t *Telemetry) observeShrink(worker int, newCap int64, sinceStart time.Dura
 	}
 }
 
-// observeFlush records one fault-simulation flush and the faults it
-// dropped. droppedNames is populated only when tracing (the flush path
-// stays allocation-free otherwise), so the metric counters take the
-// dropped count separately.
-func (t *Telemetry) observeFlush(worker, batch, dropped int, droppedNames []string, simTime, sinceStart time.Duration) {
+// observeFlush records one fault-simulation flush and the number of
+// faults it dropped.
+func (t *Telemetry) observeFlush(worker, batch, dropped int, simTime, sinceStart time.Duration) {
 	if t == nil {
 		return
 	}
@@ -473,18 +419,13 @@ func (t *Telemetry) observeFlush(worker, batch, dropped int, droppedNames []stri
 			Kind: "faultsim", TimeNS: sinceStart.Nanoseconds(), Worker: worker,
 			Batch: batch, Dropped: dropped, SimNS: simTime.Nanoseconds(),
 		})
-		for _, name := range droppedNames {
-			_ = t.Trace.Emit(TraceEvent{
-				Kind: "fault", TimeNS: sinceStart.Nanoseconds(), Worker: worker,
-				Fault: name, Status: "dropped",
-			})
-		}
 	}
 }
 
-// observeRPTBatch records one random-pattern batch: the faults it
-// detected, the patterns kept as vectors, and the batch simulation time.
-func (t *Telemetry) observeRPTBatch(detected, kept int, detectedNames []string, simTime, sinceStart time.Duration) {
+// observeRPTBatch records one random-pattern batch: the number of faults
+// it detected, the patterns kept as vectors, and the batch simulation
+// time.
+func (t *Telemetry) observeRPTBatch(detected, kept int, simTime, sinceStart time.Duration) {
 	if t == nil {
 		return
 	}
@@ -500,12 +441,6 @@ func (t *Telemetry) observeRPTBatch(detected, kept int, detectedNames []string, 
 			Kind: "rpt", TimeNS: sinceStart.Nanoseconds(),
 			Batch: 64, Dropped: detected, Kept: kept, SimNS: simTime.Nanoseconds(),
 		})
-		for _, name := range detectedNames {
-			_ = t.Trace.Emit(TraceEvent{
-				Kind: "fault", TimeNS: sinceStart.Nanoseconds(),
-				Fault: name, Status: "rpt",
-			})
-		}
 	}
 }
 

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"atpgeasy/internal/gen"
+	"atpgeasy/internal/logic"
 	"atpgeasy/internal/obs"
 	"atpgeasy/internal/sat"
 )
@@ -32,119 +34,209 @@ func decodeTrace(t *testing.T, buf *bytes.Buffer) []TraceEvent {
 }
 
 // TestTelemetryEndToEnd: a fully instrumented run must agree with its own
-// summary — metrics counters, trace events and the final progress
-// snapshot all describe the same run.
+// summary — the /metrics verdict counters, the effort log's records by
+// status and the final progress snapshot all describe the same run, and
+// the trace carries run-level events only. The retry arms abort every
+// solver-bound fault in the sweep and recover it in tier 2, so each fault
+// is decided by the retry phase, not the sweep; the routed arm checks
+// the per-backend verdict counter.
 func TestTelemetryEndToEnd(t *testing.T) {
-	c := gen.ArrayMultiplier(4)
-	reg := obs.NewRegistry()
-	m := NewMetrics(reg, 4)
-	var buf bytes.Buffer
-	tr := obs.NewTrace(&buf)
-	var mu sync.Mutex
-	var progresses []Progress
-	tel := &Telemetry{
-		Metrics:       m,
-		Trace:         tr,
-		ProgressEvery: time.Millisecond,
-		OnProgress: func(p Progress) {
-			mu.Lock()
-			progresses = append(progresses, p)
-			mu.Unlock()
-		},
+	retry := RunOptions{
+		Collapse: true, DropDetected: true,
+		PerFaultBudget: 10 * time.Millisecond, // tiers: 40ms, 160ms, 640ms
+		RetryTiers:     3,
+		RetryBackoff:   4,
 	}
-	eng := &Engine{VerifyTests: true, Workers: 4}
-	sum, err := eng.Run(context.Background(), c, RunOptions{
-		Collapse: true, DropDetected: true, Telemetry: tel,
-	})
-	if err != nil {
-		t.Fatal(err)
+	retryEngine := func(workers int) *Engine {
+		return &Engine{Workers: workers, Solver: &budgetSolver{inner: &sat.DPLL{}, need: 100 * time.Millisecond}}
 	}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Metrics must match the summary exactly.
-	checks := []struct {
+	arms := []struct {
 		name string
-		got  int64
-		want int64
+		c    *logic.Circuit
+		eng  *Engine
+		opt  RunOptions
 	}{
-		{"faults_done", m.FaultsDone.Value(), int64(sum.Total)},
-		{"detected", m.FaultsDetected.Value(), int64(sum.Detected)},
-		{"untestable", m.FaultsUntestable.Value(), int64(sum.Untestable)},
-		{"aborted", m.FaultsAborted.Value(), int64(sum.Aborted)},
-		{"dropped", m.FaultsDropped.Value(), int64(sum.DroppedByFaultSim)},
-		{"vectors", m.Vectors.Value(), int64(len(sum.Vectors))},
-		{"solver_nodes", m.SolverNodes.Value(), sum.SolverTotals.Nodes},
-		{"solver_decisions", m.SolverDecisions.Value(), sum.SolverTotals.Decisions},
-		{"solver_propagations", m.SolverPropagations.Value(), sum.SolverTotals.Propagations},
-		{"solver_conflicts", m.SolverConflicts.Value(), sum.SolverTotals.Conflicts},
-		{"phase_solve_ns", m.PhaseSolveNS.Value(), sum.Phases.Solve.Nanoseconds()},
-		{"phase_build_ns", m.PhaseBuildNS.Value(), sum.Phases.Build.Nanoseconds()},
-		{"phase_faultsim_ns", m.PhaseFaultSimNS.Value(), sum.Phases.FaultSim.Nanoseconds()},
-		{"hist_solve_count", m.HistSolveNS.Count(), int64(len(sum.Results))},
-		{"faults_gauge", m.FaultsTotal.Value(), int64(sum.Total)},
-		{"workers_gauge", m.Workers.Value(), 4},
+		{"grouped-j4", gen.ArrayMultiplier(4), &Engine{VerifyTests: true, Workers: 4}, RunOptions{Collapse: true, DropDetected: true}},
+		{"retry-j1", gen.CarryLookaheadAdder(4), retryEngine(1), retry},
+		{"retry-j4", gen.CarryLookaheadAdder(4), retryEngine(4), retry},
+		{"routed-j4", gen.Random(gen.RandomParams{Inputs: 20, Gates: 200, Seed: 3}), &Engine{Workers: 4},
+			RunOptions{Collapse: true, DropDetected: true, Route: true}},
 	}
-	for _, ck := range checks {
-		if ck.got != ck.want {
-			t.Errorf("metric %s = %d, want %d", ck.name, ck.got, ck.want)
-		}
-	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			m := NewMetrics(reg, arm.eng.Workers)
+			var buf, effort bytes.Buffer
+			tr := obs.NewTrace(&buf)
+			el := NewEffortLog(&effort)
+			var mu sync.Mutex
+			var progresses []Progress
+			opt := arm.opt
+			opt.EffortLog = el
+			opt.Telemetry = &Telemetry{
+				Metrics:       m,
+				Trace:         tr,
+				ProgressEvery: time.Millisecond,
+				OnProgress: func(p Progress) {
+					mu.Lock()
+					progresses = append(progresses, p)
+					mu.Unlock()
+				},
+			}
+			sum, err := arm.eng.Run(context.Background(), arm.c, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := el.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if opt.RetryTiers > 0 && (len(sum.Retries) < 2 || sum.Aborted != 0) {
+				t.Fatalf("retry arm: tiers %+v, %d aborted; want every fault recovered by tier 2", sum.Retries, sum.Aborted)
+			}
 
-	// The trace must carry exactly one "fault" event per fault: solved
-	// faults from their worker, dropped faults from the flush that killed
-	// them.
-	evs := decodeTrace(t, &buf)
-	faultEvents := map[string]int{}
-	flushes := 0
-	for _, ev := range evs {
-		switch ev.Kind {
-		case "fault":
-			faultEvents[ev.Fault]++
-			if ev.Status == "" {
-				t.Errorf("fault event without status: %+v", ev)
+			// The verdict counters move once per final verdict, so they
+			// must match the summary exactly.
+			type check struct {
+				name      string
+				got, want int64
 			}
-			if ev.Status != "dropped" && ev.Solver == nil {
-				t.Errorf("solved fault event without solver stats: %+v", ev)
+			checks := []check{
+				{"faults_done", m.FaultsDone.Value(), int64(sum.Total)},
+				{"detected", m.FaultsDetected.Value(), int64(sum.Detected)},
+				{"untestable", m.FaultsUntestable.Value(), int64(sum.Untestable)},
+				{"aborted", m.FaultsAborted.Value(), int64(sum.Aborted)},
+				{"errored", m.FaultsErrored.Value(), int64(sum.Errors)},
+				{"panics", m.FaultPanics.Value(), int64(sum.Errors)},
+				{"dropped", m.FaultsDropped.Value(), int64(sum.DroppedByFaultSim)},
+				{"vectors", m.Vectors.Value(), int64(len(sum.Vectors))},
+				{"faults_gauge", m.FaultsTotal.Value(), int64(sum.Total)},
+				{"workers_gauge", m.Workers.Value(), int64(arm.eng.Workers)},
+				{"phase_faultsim_ns", m.PhaseFaultSimNS.Value(), sum.Phases.FaultSim.Nanoseconds()},
 			}
-		case "faultsim":
-			flushes++
-			if ev.Batch <= 0 {
-				t.Errorf("flush with batch %d", ev.Batch)
+			// The work counters move once per adopted attempt: every
+			// result the sweep commits plus every retry-tier solve. The
+			// summary's totals count only each fault's final attempt, so
+			// they agree exactly only when no tier ran.
+			attempts := int64(len(sum.Results))
+			for _, tier := range sum.Retries {
+				attempts += int64(tier.Attempted)
 			}
-		default:
-			t.Errorf("unknown event kind %q", ev.Kind)
-		}
-	}
-	if len(faultEvents) != sum.Total {
-		t.Errorf("%d distinct fault events, want %d", len(faultEvents), sum.Total)
-	}
-	for name, n := range faultEvents {
-		if n != 1 {
-			t.Errorf("fault %s traced %d times", name, n)
-		}
-	}
-	if sum.DroppedByFaultSim > 0 && flushes == 0 {
-		t.Error("faults were dropped but no faultsim event was traced")
-	}
+			checks = append(checks, check{"hist_solve_count", m.HistSolveNS.Count(), attempts})
+			if len(sum.Retries) == 0 {
+				checks = append(checks,
+					check{"solver_nodes", m.SolverNodes.Value(), sum.SolverTotals.Nodes},
+					check{"solver_decisions", m.SolverDecisions.Value(), sum.SolverTotals.Decisions},
+					check{"solver_propagations", m.SolverPropagations.Value(), sum.SolverTotals.Propagations},
+					check{"solver_conflicts", m.SolverConflicts.Value(), sum.SolverTotals.Conflicts},
+					check{"phase_solve_ns", m.PhaseSolveNS.Value(), sum.Phases.Solve.Nanoseconds()},
+					check{"phase_build_ns", m.PhaseBuildNS.Value(), sum.Phases.Build.Nanoseconds()},
+				)
+			}
+			for _, ck := range checks {
+				if ck.got != ck.want {
+					t.Errorf("metric %s = %d, want %d", ck.name, ck.got, ck.want)
+				}
+			}
+			attempted, recovered := m.RetryAttempts.Values(), m.RetryRecovered.Values()
+			for _, tier := range sum.Retries {
+				label := strconv.Itoa(tier.Tier)
+				if attempted[label] != int64(tier.Attempted) || recovered[label] != int64(tier.Recovered) {
+					t.Errorf("tier %d: attempts %d recovered %d, summary %+v", tier.Tier, attempted[label], recovered[label], tier)
+				}
+			}
+			if sum.Routed != nil {
+				routed := m.RoutedTotal.Values()
+				if len(routed) != len(sum.Routed.Backends) {
+					t.Errorf("atpg_routed_total %v, summary backends %v", routed, sum.Routed.Backends)
+				}
+				for backend, n := range sum.Routed.Backends {
+					if routed[backend] != int64(n) {
+						t.Errorf("atpg_routed_total{%s} = %d, summary says %d", backend, routed[backend], n)
+					}
+				}
+			}
 
-	// The final progress snapshot is always emitted and must agree with
-	// the summary.
-	mu.Lock()
-	defer mu.Unlock()
-	if len(progresses) == 0 {
-		t.Fatal("no progress snapshots")
+			// The effort log's non-wasted records, counted by status,
+			// describe the same verdicts.
+			_, recs, err := DecodeEffortLog(&effort)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byStatus := map[string]int{}
+			for _, r := range recs {
+				if !r.Wasted {
+					byStatus[r.Status]++
+				}
+			}
+			want := map[string]int{
+				"detected": sum.Detected + sum.DetectedByRPT, "untestable": sum.Untestable,
+				"aborted": sum.Aborted, "error": sum.Errors, "dropped": sum.DroppedByFaultSim,
+			}
+			for status, n := range want {
+				if byStatus[status] != n {
+					t.Errorf("%d effort records with status %s, want %d", byStatus[status], status, n)
+				}
+			}
+			if len(byStatus) > len(want) {
+				t.Errorf("effort records by status %v, want only %v", byStatus, want)
+			}
+
+			// The trace carries run-level events only: no per-fault
+			// records, one faultsim event per flush.
+			flushes := 0
+			for _, ev := range decodeTrace(t, &buf) {
+				switch ev.Kind {
+				case "faultsim":
+					flushes++
+					if ev.Batch <= 0 {
+						t.Errorf("flush with batch %d", ev.Batch)
+					}
+				default:
+					t.Errorf("unexpected trace event kind %q", ev.Kind)
+				}
+			}
+			if sum.DroppedByFaultSim > 0 && flushes == 0 {
+				t.Error("faults were dropped but no faultsim event was traced")
+			}
+
+			// The final progress snapshot is always emitted and must agree
+			// with the summary.
+			mu.Lock()
+			defer mu.Unlock()
+			if len(progresses) == 0 {
+				t.Fatal("no progress snapshots")
+			}
+			last := progresses[len(progresses)-1]
+			if last.Done != sum.Total || last.Total != sum.Total {
+				t.Errorf("final progress %d/%d, want %d/%d", last.Done, last.Total, sum.Total, sum.Total)
+			}
+			if last.Detected != sum.Detected || last.Aborted != sum.Aborted || last.Untestable != sum.Untestable {
+				t.Errorf("final progress %+v, summary %d/%d/%d detected/untestable/aborted",
+					last, sum.Detected, sum.Untestable, sum.Aborted)
+			}
+			if last.Coverage() != sum.Coverage() {
+				t.Errorf("final progress coverage %v, summary %v", last.Coverage(), sum.Coverage())
+			}
+			if !strings.Contains(last.String(), "coverage") {
+				t.Errorf("progress line %q", last.String())
+			}
+		})
 	}
-	last := progresses[len(progresses)-1]
-	if last.Done != sum.Total || last.Total != sum.Total {
-		t.Errorf("final progress %d/%d, want %d/%d", last.Done, last.Total, sum.Total, sum.Total)
+}
+
+// TestProgressETA: the ETA reports remaining work while faults are still
+// undecided and reads zero once the run is finished.
+func TestProgressETA(t *testing.T) {
+	p := Progress{Done: 8, Total: 10, Elapsed: 10 * time.Second}
+	if eta := p.ETA(); eta <= 0 {
+		t.Errorf("ETA = %v with %d of %d faults done, want > 0", eta, p.Done, p.Total)
 	}
-	if last.Coverage() != sum.Coverage() {
-		t.Errorf("final progress coverage %v, summary %v", last.Coverage(), sum.Coverage())
-	}
-	if !strings.Contains(last.String(), "coverage") {
-		t.Errorf("progress line %q", last.String())
+	done := Progress{Done: 10, Total: 10, Elapsed: 10 * time.Second}
+	if eta := done.ETA(); eta != 0 {
+		t.Errorf("ETA = %v on a finished run, want 0", eta)
 	}
 }
 

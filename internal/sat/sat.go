@@ -74,7 +74,7 @@ func (s Status) String() string {
 // Stats counts search work. Not every field is meaningful for every
 // solver: the Cache* fields apply to Caching; Conflicts, Learned and the
 // learned-clause counters to the CDCL core (DPLL and Incremental).
-// The JSON tags fix the schema of trace events and -json summaries.
+// The JSON tags fix the schema of -json summaries.
 type Stats struct {
 	Nodes     int64 `json:"nodes"` // backtracking nodes visited (Simple/Caching)
 	Decisions int64 `json:"decisions"`
