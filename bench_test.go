@@ -545,61 +545,6 @@ func BenchmarkIncrementalCDCL(b *testing.B) {
 	}
 }
 
-// BenchmarkRoutedPortfolio is the router A/B: cut-width-guided portfolio
-// dispatch — trivial and structural faults on the PODEM backend with a
-// deterministic backtrack cap and CDCL fallback, low-width faults on the
-// caching backtracker, hard faults on region-grouped incremental CDCL —
-// against the same engine with routing off (everything on incremental
-// CDCL). Both runs decide the identical fault set with full coverage
-// (RPT and dropping off, one worker), so the rows isolate what routing
-// buys: ns/op is the full run including classification, conflicts the
-// CDCL work the structural backends avoided. cmd/scalecheck gates the
-// routed/unrouted ns ratio; the committed rows must also show routed
-// conflicts strictly below unrouted on both circuits.
-func BenchmarkRoutedPortfolio(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		c    *Circuit
-	}{
-		{"mult16", gen.ArrayMultiplier(16)},
-		{"rand200", gen.Random(gen.RandomParams{Inputs: 18, Gates: 200, Seed: 1})},
-	} {
-		run := func(b *testing.B, route bool) (conflicts int64) {
-			b.Helper()
-			eng := &atpg.Engine{Workers: 1}
-			for i := 0; i < b.N; i++ {
-				sum, err := eng.Run(context.Background(), tc.c, atpg.RunOptions{
-					Collapse: true, Route: route,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if sum.Aborted != 0 || sum.Errors != 0 {
-					b.Fatalf("aborted %d, errors %d", sum.Aborted, sum.Errors)
-				}
-				if route && sum.Routed == nil {
-					b.Fatal("routed run reported no route summary")
-				}
-				conflicts = sum.SolverTotals.Conflicts
-			}
-			b.ReportMetric(float64(conflicts), "conflicts")
-			return conflicts
-		}
-		var unroutedConflicts int64
-		b.Run(tc.name+"/unrouted", func(b *testing.B) {
-			unroutedConflicts = run(b, false)
-			recordBenchConflicts(b, 1, unroutedConflicts)
-		})
-		b.Run(tc.name+"/routed", func(b *testing.B) {
-			conflicts := run(b, true)
-			if unroutedConflicts > 0 && conflicts >= unroutedConflicts { // unrouted may be filtered out by -bench
-				b.Fatalf("routing saved no search: %d conflicts routed, %d unrouted", conflicts, unroutedConflicts)
-			}
-			recordBenchConflicts(b, 1, conflicts)
-		})
-	}
-}
-
 // BenchmarkEventDrivenFaultSim pits the event-driven simulator (fanout
 // cone only, lazy good-value reads) against the brute-force full-circuit
 // re-simulation it replaced, plus the early-exit query the fault-dropping

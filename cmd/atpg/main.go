@@ -8,8 +8,6 @@
 //	atpg -bench FILE | -blif FILE | -gen NAME
 //	     [-collapse] [-dominance] [-drop] [-solver dpll|caching|simple]
 //	     [-group-max N]
-//	     [-route] [-route-width-max N] [-route-hard-scale F]
-//	     [-podem-max-backtracks N]
 //	     [-j WORKERS] [-budget DURATION] [-cache-limit BYTES]
 //	     [-rpt-batches N] [-rpt-idle N] [-seed N]
 //	     [-retry-tiers N] [-retry-backoff F] [-mem-soft-limit BYTES]
@@ -39,21 +37,6 @@
 // solving, less repeated search. -group-max 1 is the fresh-per-fault
 // ablation: the same incremental core, every fault in its own group.
 // The caching and simple solvers decide each fault on its own.
-//
-// -route turns on cut-width-guided fault routing: every fault is scored
-// from its sub-circuit structure (cone size, SCOAP testability, a
-// bounded cut-width estimate) and dispatched to the backend predicted
-// cheapest — trivial cones last so fault simulation drops them, bounded
-// cut-width to the caching backtracker, mid-size cones to the PODEM
-// structural engine (capped at -podem-max-backtracks backtracks, CDCL
-// fallback past the cap), oversized or wide-and-large cones to the
-// incremental CDCL core with its budget scaled by -route-hard-scale.
-// -route-width-max bounds the sub-circuit size the router will refine
-// with an MLA layout search when its cheap width bound is ambiguous.
-// Routed runs report per-class and per-backend tallies and stay
-// byte-identical at any -j; -route=false (the default) is the unrouted
-// engine, untouched. -route requires the dpll solver; with caching or
-// simple the run is refused.
 //
 // Faults are dispatched to -j parallel workers (default: GOMAXPROCS);
 // -budget bounds the SAT time per fault, reporting over-budget faults as
@@ -101,7 +84,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -137,10 +119,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random-pattern generator seed (same seed = same run)")
 	solver := flag.String("solver", "dpll", "SAT engine: dpll, caching or simple")
 	groupMax := flag.Int("group-max", atpg.DefaultGroupMax, "max faults per region group on the dpll solver's incremental core (1 = fresh instance per fault)")
-	route := flag.Bool("route", false, "cut-width-guided fault routing: dispatch each fault to the backend (podem, caching, cdcl, faultsim) its structure predicts cheapest")
-	routeWidthMax := flag.Int("route-width-max", 0, "largest sub-circuit (nodes) the router refines with an MLA layout search (0 = default)")
-	routeHardScale := flag.Float64("route-hard-scale", 0, "per-fault budget multiplier for hard-class faults (0 = default)")
-	podemMaxBT := flag.Int64("podem-max-backtracks", 0, "PODEM backtrack cap before the deterministic CDCL fallback (0 = default, negative = unbounded)")
 	workers := flag.Int("j", 0, "parallel fault workers (0 = GOMAXPROCS)")
 	budget := flag.Duration("budget", 0, "per-fault SAT time budget (0 = none); over-budget faults abort")
 	cacheLimit := flag.Int64("cache-limit", 0, "caching solver's sub-formula cache bound per worker, in bytes (0 = 64 MiB default)")
@@ -227,22 +205,18 @@ func main() {
 	tel.Ring = ring
 
 	opt := atpg.RunOptions{
-		DropDetected:       *drop,
-		RPTBatches:         *rptBatches,
-		RPTIdleStop:        *rptIdle,
-		Seed:               *seed,
-		PerFaultBudget:     *budget,
-		Telemetry:          tel,
-		CacheLimit:         *cacheLimit,
-		RetryTiers:         *retryTiers,
-		RetryBackoff:       *retryBackoff,
-		MemSoftLimit:       *memSoftLimit,
-		EffortWidth:        *effortWidth,
-		GroupMax:           *groupMax,
-		Route:              *route,
-		RouteWidthMax:      *routeWidthMax,
-		RouteHardScale:     *routeHardScale,
-		PodemMaxBacktracks: *podemMaxBT,
+		DropDetected:   *drop,
+		RPTBatches:     *rptBatches,
+		RPTIdleStop:    *rptIdle,
+		Seed:           *seed,
+		PerFaultBudget: *budget,
+		Telemetry:      tel,
+		CacheLimit:     *cacheLimit,
+		RetryTiers:     *retryTiers,
+		RetryBackoff:   *retryBackoff,
+		MemSoftLimit:   *memSoftLimit,
+		EffortWidth:    *effortWidth,
+		GroupMax:       *groupMax,
 	}
 	if *effortLog != "" {
 		el, err := atpg.CreateEffortLog(*effortLog)
@@ -329,10 +303,6 @@ func main() {
 		fmt.Fprintf(info, "incremental: learned clauses kept %d   reused %d   clause-db peak %d bytes\n",
 			sum.SolverTotals.LearnedKept, sum.SolverTotals.LearnedReused, sum.SolverTotals.ClauseDBBytes)
 	}
-	if sum.Routed != nil {
-		fmt.Fprintf(info, "routing: classes %s   backends %s\n",
-			formatTally(sum.Routed.Classes), formatTally(sum.Routed.Backends))
-	}
 	if *jsonOut {
 		// The dpll solver is the only one that solves in region groups.
 		doc := buildJSONSummary(sum, *solver, effectiveWorkers, *budget, *solver == "dpll", *groupMax, interrupted)
@@ -417,24 +387,24 @@ func setupTelemetry(metricsAddr, traceFile string, progressEvery time.Duration, 
 // format version; see README.md ("Observability") for the field-by-field
 // description.
 type runSummaryJSON struct {
-	Schema      string             `json:"schema"`
-	Circuit     string             `json:"circuit"`
-	Solver      string             `json:"solver"`
-	Workers     int                `json:"workers"`
-	Incremental bool               `json:"incremental,omitempty"`
-	GroupMax    int                `json:"group_max,omitempty"`
-	BudgetNS    int64              `json:"budget_ns,omitempty"`
-	Faults      faultCountsJSON    `json:"faults"`
-	Coverage    float64            `json:"coverage"`
-	Vectors     int                `json:"vectors"`
-	RPT         rptJSON            `json:"rpt"`
-	Phases      atpg.PhaseTimes    `json:"phases"`
-	SATTimeNS   int64              `json:"sat_time_ns"`
-	WallNS      int64              `json:"wall_ns"`
-	SolverStats sat.Stats          `json:"solver_totals"`
-	Retries     []atpg.RetryTier   `json:"retries,omitempty"`
-	Routed      *atpg.RouteSummary `json:"routed,omitempty"`
-	Interrupted bool               `json:"interrupted,omitempty"`
+	Schema       string           `json:"schema"`
+	Circuit      string           `json:"circuit"`
+	Solver       string           `json:"solver"`
+	Workers      int              `json:"workers"`
+	Incremental  bool             `json:"incremental,omitempty"`
+	GroupMax     int              `json:"group_max,omitempty"`
+	BudgetNS     int64            `json:"budget_ns,omitempty"`
+	Faults       faultCountsJSON  `json:"faults"`
+	Coverage     float64          `json:"coverage"`
+	Vectors      int              `json:"vectors"`
+	WastedSolves int              `json:"wasted_solves"`
+	RPT          rptJSON          `json:"rpt"`
+	Phases       atpg.PhaseTimes  `json:"phases"`
+	SATTimeNS    int64            `json:"sat_time_ns"`
+	WallNS       int64            `json:"wall_ns"`
+	SolverStats  sat.Stats        `json:"solver_totals"`
+	Retries      []atpg.RetryTier `json:"retries,omitempty"`
+	Interrupted  bool             `json:"interrupted,omitempty"`
 }
 
 type faultCountsJSON struct {
@@ -477,8 +447,9 @@ func buildJSONSummary(sum *atpg.Summary, solver string, workers int, budget time
 			Errors:        sum.Errors,
 			Dropped:       sum.DroppedByFaultSim,
 		},
-		Coverage: sum.Coverage(),
-		Vectors:  len(sum.Vectors),
+		Coverage:     sum.Coverage(),
+		Vectors:      len(sum.Vectors),
+		WastedSolves: sum.WastedSolves,
 		RPT: rptJSON{
 			Batches: sum.RPTBatches,
 			Vectors: sum.RPTVectors,
@@ -488,24 +459,8 @@ func buildJSONSummary(sum *atpg.Summary, solver string, workers int, budget time
 		WallNS:      sum.WallElapsed.Nanoseconds(),
 		SolverStats: sum.SolverTotals,
 		Retries:     sum.Retries,
-		Routed:      sum.Routed,
 		Interrupted: interrupted,
 	}
-}
-
-// formatTally renders a name→count map with sorted keys, e.g.
-// "podem:2414 cdcl:14" sorted by name for stable output.
-func formatTally(m map[string]int) string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s:%d", k, m[k]))
-	}
-	return strings.Join(parts, " ")
 }
 
 // openCheckpoint opens (or, with resume, continues) the journal at path

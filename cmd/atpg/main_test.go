@@ -96,6 +96,7 @@ func TestBuildJSONSummary(t *testing.T) {
 		Errors:            1,
 		DroppedByFaultSim: 2,
 		DetectedByRPT:     4,
+		WastedSolves:      3,
 		Retries: []atpg.RetryTier{
 			{Tier: 1, Budget: 40 * time.Millisecond, Attempted: 2, Recovered: 1},
 		},
@@ -159,6 +160,17 @@ func TestBuildJSONSummary(t *testing.T) {
 	}
 	if m["coverage"] != float64(sum.Coverage()) {
 		t.Errorf("coverage = %v", m["coverage"])
+	}
+	if m["wasted_solves"] != float64(3) {
+		t.Errorf("wasted_solves = %v", m["wasted_solves"])
+	}
+	// wasted_solves is always present, 0 included (every serial run).
+	zero, err := json.Marshal(buildJSONSummary(&atpg.Summary{}, "dpll", 1, 0, true, 64, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(zero), `"wasted_solves":0`) {
+		t.Errorf("wasted_solves omitted when 0: %s", zero)
 	}
 	st, ok := m["solver_totals"].(map[string]any)
 	if !ok || st["nodes"] != float64(42) {

@@ -4,10 +4,7 @@
 // estimated cut-width — actually predicted where the solver spent its
 // search, phase by phase. It is the reporting half of the effort
 // observatory: the engine streams atpgeasy/effort/v1 records, this
-// command joins, bins, rank-correlates and fits them. For routed runs it
-// also scores the portfolio router: how well the predicted effort
-// classes ranked the observed search effort (the "Router accuracy"
-// section).
+// command joins, bins, rank-correlates and fits them.
 //
 // Usage:
 //
@@ -189,11 +186,6 @@ type Report struct {
 	// achieved and how reuse relates to search effort. Nil for a
 	// fresh-per-fault run.
 	Incremental *IncrementalReuse `json:"incremental,omitempty"`
-
-	// Router scores the routed portfolio's effort predictions against the
-	// observed outcomes when the log carries predicted_class fields. Nil
-	// for an unrouted run.
-	Router *RouterAccuracy `json:"router,omitempty"`
 }
 
 type PhaseWall struct {
@@ -317,115 +309,7 @@ func buildReport(hdr atpg.EffortHeader, recs []atpg.EffortRecord, spans []obs.Sp
 
 	rep.Top = topFaults(solver, spans, top)
 	rep.Incremental = incrementalReuse(solver, bins)
-	rep.Router = routerAccuracy(recs)
 	return rep
-}
-
-// RouterAccuracy is the report's router-accuracy section: did the
-// portfolio's cut-width-guided effort classes actually rank the faults
-// by how much search they cost? Built from the predicted_class/backend
-// columns of a routed run's records.
-type RouterAccuracy struct {
-	Faults   int            `json:"faults"`
-	Classes  map[string]int `json:"classes"`
-	Backends map[string]int `json:"backends"`
-	// Spearman rank-correlates the predicted class ordinal
-	// (trivial=0 … hard=3) against observed search effort over every
-	// decided fault — the single-number router-accuracy verdict.
-	Spearman float64 `json:"spearman"`
-	// Agreement is the confusion diagonal: the fraction of faults whose
-	// effort-quartile band equals their predicted class ordinal.
-	Agreement float64        `json:"agreement"`
-	Confusion []ConfusionRow `json:"confusion"`
-}
-
-// ConfusionRow is one predicted class's distribution over the observed
-// effort-quartile bands (cheapest quartile first).
-type ConfusionRow struct {
-	Class      string  `json:"class"`
-	Bands      [4]int  `json:"bands"`
-	MeanEffort float64 `json:"mean_effort"`
-}
-
-// classOrdinals maps the router's class names to their cost order; the
-// names are the String values of atpg.EffortClass.
-var classOrdinals = map[string]int{"trivial": 0, "low-width": 1, "structural": 2, "hard": 3}
-
-// routerAccuracy joins predicted effort classes with observed effort, or
-// nil when the log is from an unrouted run. Wasted speculative solves
-// are excluded (the committing record carries the fault's real outcome);
-// clean drops are included at zero effort — the router deliberately
-// schedules the trivial class last so drops land there for free, and the
-// join must score that choice too.
-func routerAccuracy(recs []atpg.EffortRecord) *RouterAccuracy {
-	var routed []atpg.EffortRecord
-	for _, r := range recs {
-		if r.PredictedClass != "" && !r.Wasted {
-			routed = append(routed, r)
-		}
-	}
-	if len(routed) == 0 {
-		return nil
-	}
-	ra := &RouterAccuracy{Faults: len(routed), Classes: map[string]int{}, Backends: map[string]int{}}
-	ord := make([]float64, len(routed))
-	eff := make([]float64, len(routed))
-	for i, r := range routed {
-		ra.Classes[r.PredictedClass]++
-		if r.Backend != "" {
-			ra.Backends[r.Backend]++
-		}
-		ord[i] = float64(classOrdinals[r.PredictedClass])
-		eff[i] = float64(r.Effort)
-	}
-	ra.Spearman = stats.Spearman(ord, eff)
-
-	// Quartile thresholds over the observed efforts; ties break toward
-	// the cheaper band, so an all-zero quartile stays in band 0.
-	sorted := append([]float64(nil), eff...)
-	sort.Float64s(sorted)
-	n := len(sorted)
-	q1, q2, q3 := sorted[(n-1)/4], sorted[(n-1)/2], sorted[3*(n-1)/4]
-	band := func(e float64) int {
-		switch {
-		case e <= q1:
-			return 0
-		case e <= q2:
-			return 1
-		case e <= q3:
-			return 2
-		default:
-			return 3
-		}
-	}
-
-	rows := map[string]*ConfusionRow{}
-	diag := 0
-	for i, r := range routed {
-		row, ok := rows[r.PredictedClass]
-		if !ok {
-			row = &ConfusionRow{Class: r.PredictedClass}
-			rows[r.PredictedClass] = row
-		}
-		b := band(eff[i])
-		row.Bands[b]++
-		row.MeanEffort += eff[i]
-		if b == int(ord[i]) {
-			diag++
-		}
-	}
-	ra.Agreement = float64(diag) / float64(len(routed))
-	// Rows in class-cost order, cheapest predicted class first.
-	names := make([]string, 0, len(rows))
-	for cls, row := range rows {
-		names = append(names, cls)
-		row.MeanEffort /= float64(ra.Classes[cls])
-	}
-	sort.Slice(names, func(a, b int) bool { return classOrdinals[names[a]] < classOrdinals[names[b]] })
-	for _, cls := range names {
-		ra.Confusion = append(ra.Confusion, *rows[cls])
-	}
-	return ra
 }
 
 // incrementalReuse aggregates the grouped records' reuse-vs-effort
@@ -618,19 +502,6 @@ func (rep *Report) Markdown() string {
 		b.WriteByte('\n')
 	}
 
-	if ra := rep.Router; ra != nil {
-		fmt.Fprintf(&b, "## Router accuracy\n\n")
-		fmt.Fprintf(&b, "%d routed faults — predicted classes: %s; backends: %s.\n",
-			ra.Faults, countLine(ra.Classes), countLine(ra.Backends))
-		fmt.Fprintf(&b, "Spearman rank correlation of predicted class (ordinal) vs observed effort: %+.3f. Effort-quartile agreement: %.1f%%.\n\n",
-			ra.Spearman, 100*ra.Agreement)
-		fmt.Fprintf(&b, "| predicted class | q1 (cheap) | q2 | q3 | q4 (costly) | mean effort |\n|---|---|---|---|---|---|\n")
-		for _, row := range ra.Confusion {
-			fmt.Fprintf(&b, "| %s | %d | %d | %d | %d | %.1f |\n",
-				row.Class, row.Bands[0], row.Bands[1], row.Bands[2], row.Bands[3], row.MeanEffort)
-		}
-		b.WriteByte('\n')
-	}
 	return b.String()
 }
 

@@ -142,85 +142,6 @@ func TestMarkdownRender(t *testing.T) {
 	}
 }
 
-// TestRouterAccuracySection: a routed run's log must grow the router
-// section — every decided fault joined (clean drops included), classes
-// and backends tallied, Spearman in range, confusion rows in class-cost
-// order — and an unrouted log must not.
-func TestRouterAccuracySection(t *testing.T) {
-	c := gen.ArrayMultiplier(4)
-	var effort bytes.Buffer
-	log := atpg.NewEffortLog(&effort)
-	eng := &atpg.Engine{Workers: 2}
-	sum, err := eng.Run(context.Background(), c, atpg.RunOptions{
-		Collapse: true, DropDetected: true, Route: true,
-		EffortLog: log,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := log.Close(); err != nil {
-		t.Fatal(err)
-	}
-	hdr, recs, err := atpg.DecodeEffortLog(&effort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := buildReport(hdr, recs, nil, 5, 6)
-	ra := rep.Router
-	if ra == nil {
-		t.Fatal("routed log produced no router section")
-	}
-	if ra.Faults != sum.Total {
-		t.Errorf("router joined %d faults, run decided %d", ra.Faults, sum.Total)
-	}
-	classTotal, backendTotal := 0, 0
-	for _, n := range ra.Classes {
-		classTotal += n
-	}
-	for _, n := range ra.Backends {
-		backendTotal += n
-	}
-	if classTotal != ra.Faults || backendTotal != ra.Faults {
-		t.Errorf("tallies: classes %d, backends %d, want %d", classTotal, backendTotal, ra.Faults)
-	}
-	if ra.Spearman < -1.0001 || ra.Spearman > 1.0001 {
-		t.Errorf("router spearman %v out of range", ra.Spearman)
-	}
-	if ra.Agreement < 0 || ra.Agreement > 1 {
-		t.Errorf("agreement %v out of range", ra.Agreement)
-	}
-	if len(ra.Confusion) == 0 {
-		t.Fatal("no confusion rows")
-	}
-	rowTotal := 0
-	for i, row := range ra.Confusion {
-		if ra.Classes[row.Class] == 0 {
-			t.Errorf("confusion row %q for a class with no faults", row.Class)
-		}
-		for _, n := range row.Bands {
-			rowTotal += n
-		}
-		if i > 0 && classOrdinals[row.Class] <= classOrdinals[ra.Confusion[i-1].Class] {
-			t.Errorf("confusion rows out of class order: %q after %q", row.Class, ra.Confusion[i-1].Class)
-		}
-	}
-	if rowTotal != ra.Faults {
-		t.Errorf("confusion rows cover %d faults, want %d", rowTotal, ra.Faults)
-	}
-	md := rep.Markdown()
-	for _, want := range []string{"Router accuracy", "rank correlation of predicted class"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q", want)
-		}
-	}
-
-	// Unrouted logs must not grow the section.
-	unrouted, urecs, _ := runObserved(t)
-	if rep := buildReport(unrouted, urecs, nil, 5, 6); rep.Router != nil {
-		t.Errorf("unrouted log grew a router section: %+v", rep.Router)
-	}
-}
-
 func TestRecordsFallbackAndJSON(t *testing.T) {
 	hdr, recs, _ := runObserved(t)
 	rep := buildReport(hdr, recs, nil, 3, 4)

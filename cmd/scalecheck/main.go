@@ -27,15 +27,6 @@
 // (default 1.05). Unlike the scaling gate this is a same-machine
 // single-worker ratio, so it is checked regardless of CPU count;
 // -max-incremental-regression 0 disables it.
-//
-// A fourth gate holds the routed portfolio's headline win: every
-// BenchmarkRoutedPortfolio unrouted/routed pair must keep routed ns/op
-// within -max-route-regression of unrouted (default 1.0 — routing must
-// never make a circuit slower) AND keep routed SAT conflicts strictly
-// below unrouted when the pair recorded any. Conflicts are
-// deterministic, so the conflict half of the gate has no noise margin;
-// -max-route-regression 0 disables the whole gate. Same-machine
-// single-worker ratios, so no cpus skip.
 package main
 
 import (
@@ -50,11 +41,10 @@ import (
 // row mirrors the BENCH_atpg.json fields scalecheck consumes; extra
 // fields are ignored.
 type row struct {
-	Name      string  `json:"name"`
-	NsPerOp   float64 `json:"ns_per_op"`
-	Workers   int     `json:"workers"`
-	CPUs      int     `json:"cpus"`
-	Conflicts float64 `json:"conflicts"`
+	Name    string  `json:"name"`
+	NsPerOp float64 `json:"ns_per_op"`
+	Workers int     `json:"workers"`
+	CPUs    int     `json:"cpus"`
 }
 
 func main() {
@@ -65,8 +55,6 @@ func main() {
 	maxOverhead := flag.Float64("max-effort-overhead", 1.03, "maximum on/off ns ratio for the effort-log pair (0 = skip the gate)")
 	incFamily := flag.String("incremental-family", "BenchmarkIncrementalCDCL", "fresh/incremental benchmark pairs to gate incremental solving on")
 	maxIncremental := flag.Float64("max-incremental-regression", 1.05, "maximum incremental/fresh ns ratio per pair (0 = skip the gate)")
-	routeFamily := flag.String("route-family", "BenchmarkRoutedPortfolio", "unrouted/routed benchmark pairs to gate fault routing on")
-	maxRoute := flag.Float64("max-route-regression", 1.0, "maximum routed/unrouted ns ratio per pair; routed conflicts must also stay below unrouted (0 = skip the gate)")
 	flag.Parse()
 	if err := run(*bench, *family, *minSpeedup, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "scalecheck: %v\n", err)
@@ -80,12 +68,6 @@ func main() {
 	}
 	if *maxIncremental > 0 {
 		if err := runIncremental(*bench, *incFamily, *maxIncremental, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "scalecheck: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *maxRoute > 0 {
-		if err := runRoute(*bench, *routeFamily, *maxRoute, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "scalecheck: %v\n", err)
 			os.Exit(1)
 		}
@@ -215,88 +197,6 @@ func runIncremental(benchPath, family string, maxRatio float64, out io.Writer) e
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d of %d incremental pairs above %.2fx of fresh", failed, len(order), maxRatio)
-	}
-	return nil
-}
-
-// runRoute gates the routed portfolio: every "<family>/<circuit>" pair
-// of "/unrouted" and "/routed" rows must keep routed ns/op within
-// maxRatio× unrouted, and — when the pair recorded conflicts — routed
-// conflicts strictly below unrouted. Like the incremental gate it
-// compares two single-worker runs on the same machine, so there is no
-// cpus skip; missing the family entirely is a note, a half-recorded
-// pair an error.
-func runRoute(benchPath, family string, maxRatio float64, out io.Writer) error {
-	rows, err := loadRows(benchPath)
-	if err != nil {
-		return err
-	}
-	type pair struct {
-		unrouted, routed *row
-	}
-	pairs := map[string]*pair{}
-	var order []string
-	for i := range rows {
-		name, ok := strings.CutPrefix(rows[i].Name, family+"/")
-		if !ok {
-			continue
-		}
-		var circ string
-		var unrouted bool
-		switch {
-		case strings.HasSuffix(name, "/unrouted"):
-			circ, unrouted = strings.TrimSuffix(name, "/unrouted"), true
-		case strings.HasSuffix(name, "/routed"):
-			circ = strings.TrimSuffix(name, "/routed")
-		default:
-			continue
-		}
-		p := pairs[circ]
-		if p == nil {
-			p = &pair{}
-			pairs[circ] = p
-			order = append(order, circ)
-		}
-		if unrouted {
-			p.unrouted = &rows[i]
-		} else {
-			p.routed = &rows[i]
-		}
-	}
-	if len(order) == 0 {
-		fmt.Fprintf(out, "skip %s: no unrouted/routed pairs recorded\n", family)
-		return nil
-	}
-	failed := 0
-	for _, circ := range order {
-		p := pairs[circ]
-		if p.unrouted == nil || p.routed == nil {
-			return fmt.Errorf("%s/%s: half-recorded pair (unrouted %v, routed %v)",
-				family, circ, p.unrouted != nil, p.routed != nil)
-		}
-		if p.unrouted.NsPerOp <= 0 || p.routed.NsPerOp <= 0 {
-			return fmt.Errorf("%s/%s: non-positive ns_per_op", family, circ)
-		}
-		ratio := p.routed.NsPerOp / p.unrouted.NsPerOp
-		status := "ok"
-		if ratio > maxRatio {
-			status = "FAIL"
-			failed++
-		}
-		fmt.Fprintf(out, "%-4s %s/%s: routed %.2fx of unrouted (%.1fms -> %.1fms, cap %.2fx)\n",
-			status, family, circ, ratio, p.unrouted.NsPerOp/1e6, p.routed.NsPerOp/1e6, maxRatio)
-		if p.unrouted.Conflicts > 0 || p.routed.Conflicts > 0 {
-			cStatus := "ok"
-			if p.routed.Conflicts >= p.unrouted.Conflicts {
-				cStatus = "FAIL"
-				failed++
-			}
-			fmt.Fprintf(out, "%-4s %s/%s: routed conflicts %.0f vs unrouted %.0f (must be below)\n",
-				cStatus, family, circ, p.routed.Conflicts, p.unrouted.Conflicts)
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d routed-portfolio checks failed (ns cap %.2fx, conflicts must drop)", failed, maxRatio)
 	}
 	return nil
 }

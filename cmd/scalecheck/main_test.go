@@ -210,92 +210,6 @@ func TestIncrementalSkipsAndHalfPairs(t *testing.T) {
 	}
 }
 
-const routeFam = "BenchmarkRoutedPortfolio"
-
-func TestRouteWithinCap(t *testing.T) {
-	// Routed faster and fewer conflicts on both circuits: both checks pass.
-	path := writeBench(t, `[
-		{"name": "BenchmarkRoutedPortfolio/mult16/unrouted", "ns_per_op": 100e6, "workers": 1, "cpus": 1, "conflicts": 307},
-		{"name": "BenchmarkRoutedPortfolio/mult16/routed", "ns_per_op": 45e6, "workers": 1, "cpus": 1, "conflicts": 184},
-		{"name": "BenchmarkRoutedPortfolio/rand200/unrouted", "ns_per_op": 50e6, "workers": 1, "cpus": 1, "conflicts": 2006},
-		{"name": "BenchmarkRoutedPortfolio/rand200/routed", "ns_per_op": 42e6, "workers": 1, "cpus": 1, "conflicts": 196}
-	]`)
-	var out strings.Builder
-	if err := runRoute(path, routeFam, 1.0, &out); err != nil {
-		t.Fatalf("within-cap pairs must pass: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "0.45x") || !strings.Contains(out.String(), "0.84x") {
-		t.Fatalf("expected recomputed ratios in output, got:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "conflicts 184 vs unrouted 307") {
-		t.Fatalf("expected the conflict check in output, got:\n%s", out.String())
-	}
-}
-
-func TestRouteSlowerFails(t *testing.T) {
-	// Routed slower than unrouted on one circuit: the healthy pair must
-	// not mask it.
-	path := writeBench(t, `[
-		{"name": "BenchmarkRoutedPortfolio/mult16/unrouted", "ns_per_op": 100e6, "workers": 1, "cpus": 1, "conflicts": 307},
-		{"name": "BenchmarkRoutedPortfolio/mult16/routed", "ns_per_op": 45e6, "workers": 1, "cpus": 1, "conflicts": 184},
-		{"name": "BenchmarkRoutedPortfolio/rand200/unrouted", "ns_per_op": 50e6, "workers": 1, "cpus": 1, "conflicts": 2006},
-		{"name": "BenchmarkRoutedPortfolio/rand200/routed", "ns_per_op": 60e6, "workers": 1, "cpus": 1, "conflicts": 196}
-	]`)
-	if err := runRoute(path, routeFam, 1.0, &strings.Builder{}); err == nil {
-		t.Fatal("routed 1.2x slower must fail a 1.0 cap")
-	}
-}
-
-func TestRouteConflictsUpFails(t *testing.T) {
-	// Routed faster but with MORE conflicts: the conflict half of the
-	// gate must catch it even though the ns check passes.
-	path := writeBench(t, `[
-		{"name": "BenchmarkRoutedPortfolio/mult16/unrouted", "ns_per_op": 100e6, "workers": 1, "cpus": 1, "conflicts": 307},
-		{"name": "BenchmarkRoutedPortfolio/mult16/routed", "ns_per_op": 45e6, "workers": 1, "cpus": 1, "conflicts": 400}
-	]`)
-	var out strings.Builder
-	err := runRoute(path, routeFam, 1.0, &out)
-	if err == nil {
-		t.Fatalf("routed with more conflicts must fail:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL") {
-		t.Fatalf("expected a FAIL line, got:\n%s", out.String())
-	}
-}
-
-func TestRouteSkipsAndHalfPairs(t *testing.T) {
-	// Absent family: a note, not a failure.
-	missing := writeBench(t, `[
-		{"name": "BenchmarkParallelATPG/mult8/workers-1", "ns_per_op": 100e6, "workers": 1, "cpus": 4}
-	]`)
-	var out strings.Builder
-	if err := runRoute(missing, routeFam, 1.0, &out); err != nil {
-		t.Fatalf("absent family must be skipped: %v", err)
-	}
-	if !strings.Contains(out.String(), "skip") {
-		t.Fatalf("expected a skip note, got:\n%s", out.String())
-	}
-	// Half-recorded pair: a broken bench run.
-	half := writeBench(t, `[
-		{"name": "BenchmarkRoutedPortfolio/mult16/routed", "ns_per_op": 45e6, "workers": 1, "cpus": 1, "conflicts": 184}
-	]`)
-	if err := runRoute(half, routeFam, 1.0, &strings.Builder{}); err == nil {
-		t.Fatal("half-recorded pair must fail")
-	}
-	// Pairs without conflicts recorded gate only the ns ratio.
-	noConf := writeBench(t, `[
-		{"name": "BenchmarkRoutedPortfolio/mult16/unrouted", "ns_per_op": 100e6, "workers": 1, "cpus": 1},
-		{"name": "BenchmarkRoutedPortfolio/mult16/routed", "ns_per_op": 45e6, "workers": 1, "cpus": 1}
-	]`)
-	out.Reset()
-	if err := runRoute(noConf, routeFam, 1.0, &out); err != nil {
-		t.Fatalf("conflict-less pair must gate ns only: %v\n%s", err, out.String())
-	}
-	if strings.Contains(out.String(), "conflicts") {
-		t.Fatalf("conflict check ran without recorded conflicts:\n%s", out.String())
-	}
-}
-
 func TestEffortOverheadSkips(t *testing.T) {
 	// Missing rows and single-CPU measurements are notes, not failures.
 	missing := writeBench(t, `[

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"atpgeasy/internal/faultsim"
+	"atpgeasy/internal/gen"
 	"atpgeasy/internal/logic"
 	"atpgeasy/internal/sat"
 )
@@ -237,8 +239,8 @@ func exhaustivelyTestable(c *logic.Circuit, f Fault) bool {
 	return false
 }
 
-// TestATPGAgainstExhaustive: property test over random circuits and all
-// three solvers.
+// TestATPGAgainstExhaustive: property test over random circuits, all
+// three solvers and the production engine.
 func TestATPGAgainstExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	engines := map[string]*Engine{
@@ -263,6 +265,68 @@ func TestATPGAgainstExhaustive(t *testing.T) {
 			}
 		}
 	}
+
+	// The production path — region groups on the incremental CDCL core —
+	// on mid-size circuits, with no pre-phase and no dropping so every
+	// fault reaches the solver. The checker shares no code with it: each
+	// Untestable verdict is refuted against all 2^n input patterns by
+	// brute-force fault simulation, and each Detected vector re-simulated.
+	for _, p := range []gen.RandomParams{
+		{Inputs: 12, Gates: 120, Seed: 5},
+		{Inputs: 10, Gates: 60, Seed: 7},
+	} {
+		c := gen.Random(p)
+		faults := AllFaults(c)
+		sum, err := (&Engine{VerifyTests: true}).RunFaults(context.Background(), c, faults, RunOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		if len(sum.Results) != len(faults) {
+			t.Fatalf("%s: %d results for %d faults", c.Name, len(sum.Results), len(faults))
+		}
+		words := exhaustivePatternWords(len(c.Inputs))
+		untestable := 0
+		for _, r := range sum.Results {
+			switch r.Status {
+			case Detected:
+				if !VerifyTest(c, r.Fault, r.Vector) {
+					t.Errorf("%s %s: vector misses the fault", c.Name, r.Fault.Name(c))
+				}
+			case Untestable:
+				untestable++
+				for _, w := range words {
+					if faultsim.ReferenceDetects(c, w, 64, r.Fault.Net, r.Fault.StuckAt) != 0 {
+						t.Errorf("%s %s: untestable, but an input pattern detects it", c.Name, r.Fault.Name(c))
+						break
+					}
+				}
+			default:
+				t.Errorf("%s %s: status %v on an unlimited run", c.Name, r.Fault.Name(c), r.Status)
+			}
+		}
+		if untestable == 0 {
+			t.Errorf("%s: no untestable fault to check", c.Name)
+		}
+	}
+}
+
+// exhaustivePatternWords packs all 2^n assignments of n ≥ 6 inputs into
+// 64-pattern words: word w, bit b is pattern 64w+b, whose input i is bit
+// i of the pattern number.
+func exhaustivePatternWords(n int) [][]uint64 {
+	words := make([][]uint64, 1<<uint(n-6))
+	for w := range words {
+		words[w] = make([]uint64, n)
+		for b := 0; b < 64; b++ {
+			pat := w<<6 | b
+			for i := 0; i < n; i++ {
+				if pat>>uint(i)&1 == 1 {
+					words[w][i] |= 1 << uint(b)
+				}
+			}
+		}
+	}
+	return words
 }
 
 // TestUntestableFaultDetected builds a circuit with redundancy: the fault

@@ -181,55 +181,31 @@ func (cl *chunkClaimer) next() int {
 
 // dispatchPlan is one pass of the dispatch loop — the main sweep or one
 // retry tier: the order its faults are laid out in (the order the commit
-// frontier walks), region groups over a prefix of that order, and how
-// each single fault after the prefix is solved. Workers share one plan
-// and claim from its two cursors.
+// frontier walks) and the region groups over a prefix of that order.
+// Workers share one plan and claim from its two cursors.
 type dispatchPlan struct {
 	order []int32
 	// groups partition order[:groupEnd]; each is solved on the worker's
-	// incremental CDCL instance. Single faults fill order[groupEnd:].
+	// incremental CDCL instance. Single faults fill order[groupEnd:] and
+	// solve on the engine's solver.
 	groups   []faultGroup
 	groupEnd int
-	// class is each fault's routed effort class, indexed by fault; a
-	// single fault solves on its class backend. Nil on an unrouted plan,
-	// whose singles solve on the engine's solver.
-	class []EffortClass
-	// groupBudget and singleBudget bound each member's or single fault's
-	// solve (0 = no deadline).
-	groupBudget, singleBudget time.Duration
+	// budget bounds each member's or single fault's solve (0 = no
+	// deadline).
+	budget time.Duration
 
 	groupCursor, singleCursor atomic.Int64
 }
 
-// planDispatch lays out a plan over the faults not in skip:
-//
-//   - routed (class non-nil): ClassHard faults in region groups, then the
-//     single-fault tail structural → low-width → trivial, each class in
-//     effort order, so vectors committed by the expensive backends drop
-//     the cheap tail before it is claimed;
-//   - grouped (the engine's solver is the incremental core's family):
-//     every fault in a region group;
-//   - otherwise every fault single, in effort order.
-func planDispatch(c *logic.Circuit, faults []Fault, skip []bool, class []EffortClass, grouped bool, groupMax int) *dispatchPlan {
-	pl := &dispatchPlan{class: class}
-	switch {
-	case class != nil:
-		only := func(cls EffortClass) []bool {
-			s := make([]bool, len(faults))
-			for i := range s {
-				s[i] = (skip != nil && skip[i]) || class[i] != cls
-			}
-			return s
-		}
-		pl.order, pl.groups = buildGroups(c, faults, only(ClassHard), groupMax)
-		pl.groupEnd = len(pl.order)
-		for _, cls := range []EffortClass{ClassStructural, ClassLowWidth, ClassTrivial} {
-			pl.order = append(pl.order, effortOrder(c, faults, only(cls))...)
-		}
-	case grouped:
+// planDispatch lays out a plan over the faults not in skip: every fault
+// in a region group when the engine's solver is the incremental core's
+// family (grouped), otherwise every fault single, in effort order.
+func planDispatch(c *logic.Circuit, faults []Fault, skip []bool, grouped bool, groupMax int, budget time.Duration) *dispatchPlan {
+	pl := &dispatchPlan{budget: budget}
+	if grouped {
 		pl.order, pl.groups = buildGroups(c, faults, skip, groupMax)
 		pl.groupEnd = len(pl.order)
-	default:
+	} else {
 		pl.order = effortOrder(c, faults, skip)
 	}
 	return pl
@@ -245,9 +221,9 @@ type emitFunc func(p int, res Result) error
 // groups off the group cursor (one atomic add each — a group is already
 // a chunk) and solves each on its incremental instance, then claims
 // single faults in chunks off the single cursor and solves each one on
-// its backend. Claims are lock-free; a fault dropped since its plan was
-// laid out is skipped without a solve. parent is the span the pass's
-// group and dispatch-chunk spans hang off.
+// the engine's solver. Claims are lock-free; a fault dropped since its
+// plan was laid out is skipped without a solve. parent is the span the
+// pass's group and dispatch-chunk spans hang off.
 func (e *Engine) runPlan(ctx context.Context, st *runState, pl *dispatchPlan, worker int, ws *workerScratch, parent obs.SpanContext, emit emitFunc) error {
 	var shrinkSeen int64
 	for {
@@ -318,25 +294,16 @@ func (e *Engine) runPlan(ctx context.Context, st *runState, pl *dispatchPlan, wo
 	}
 }
 
-// solveSingle decides one single-dispatched fault behind the per-fault
-// panic barrier: on its class backend on a routed plan, on the engine's
-// solver otherwise. The plan's single budget, when positive, bounds the
-// whole attempt — for the structural class both the PODEM search and
-// its CDCL fallback, which inherits whatever of the deadline PODEM left.
+// solveSingle decides one single-dispatched fault on the engine's solver
+// behind the per-fault panic barrier. The plan's budget, when positive,
+// bounds the solve.
 func (e *Engine) solveSingle(ctx context.Context, st *runState, pl *dispatchPlan, i int, ws *workerScratch) (Result, error) {
 	f := st.faults[i]
 	return e.safeSolve(f, ws, func() (Result, error) {
 		lim := sat.Limits{Cancel: ctx.Done()}
-		if pl.singleBudget > 0 {
-			lim.Deadline = time.Now().Add(pl.singleBudget)
+		if pl.budget > 0 {
+			lim.Deadline = time.Now().Add(pl.budget)
 		}
-		if pl.class == nil {
-			return e.testFault(st.c, f, lim, ws, st.opt.CacheLimit)
-		}
-		// Hard faults are always laid out in the grouped prefix.
-		if pl.class[i] == ClassLowWidth {
-			return e.solveCachingBackend(st, f, ws, lim)
-		}
-		return e.solvePodemBackend(st, f, ws, lim) // trivial survivors and structural
+		return e.testFault(st.c, f, lim, ws, st.opt.CacheLimit)
 	})
 }

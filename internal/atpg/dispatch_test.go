@@ -119,8 +119,8 @@ func TestEffortOrder(t *testing.T) {
 // core's race test. Timing fields and WastedSolves — the price of
 // speculation, not part of the official outcome — are the only summary
 // fields allowed to differ. The property is checked on every plan the
-// dispatch loop runs: region groups, groups of one, single faults on the
-// engine's solver, and the routed portfolio.
+// dispatch loop runs: region groups, groups of one, and single faults on
+// the engine's solver.
 func TestParallelByteIdenticalWithDrop(t *testing.T) {
 	circuits := parallelTestCircuits()
 	circuits["rand-big"] = gen.Random(gen.RandomParams{Inputs: 20, Gates: 200, Seed: 3})
@@ -128,12 +128,10 @@ func TestParallelByteIdenticalWithDrop(t *testing.T) {
 		name     string
 		solver   sat.Solver
 		groupMax int
-		route    bool
 	}{
 		{name: "grouped"},
 		{name: "grouped-max1", groupMax: 1},
 		{name: "single", solver: &sat.Caching{}},
-		{name: "routed", route: true},
 	}
 	for _, plan := range plans {
 		for cname, c := range circuits {
@@ -145,7 +143,7 @@ func TestParallelByteIdenticalWithDrop(t *testing.T) {
 			}
 			name := plan.name + "/" + cname
 			faults := Collapse(c, AllFaults(c))
-			opt := RunOptions{DropDetected: true, RPTBatches: 8, Seed: 42, GroupMax: plan.groupMax, Route: plan.route}
+			opt := RunOptions{DropDetected: true, RPTBatches: 8, Seed: 42, GroupMax: plan.groupMax}
 			serial, err := (&Engine{Solver: plan.solver, VerifyTests: true, Workers: 1}).RunFaults(context.Background(), c, faults, opt)
 			if err != nil {
 				t.Fatalf("%s serial: %v", name, err)
@@ -183,9 +181,6 @@ func TestParallelByteIdenticalWithDrop(t *testing.T) {
 					t.Errorf("%s: result %d differs: %v/%v vs %v/%v", name, i,
 						sr.Fault, sr.Status, pr.Fault, pr.Status)
 				}
-			}
-			if !reflect.DeepEqual(serial.Routed, par.Routed) {
-				t.Errorf("%s: route summaries differ: %+v vs %+v", name, serial.Routed, par.Routed)
 			}
 		}
 	}

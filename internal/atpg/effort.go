@@ -4,9 +4,9 @@ package atpg
 // fault's cheap structural features (features.go) with the effort its
 // decision actually took — which phase decided it, solver search
 // counters, wall time, retry tier, wasted-solve flag. The stream is the
-// dataset the source paper's Figure 1 plots, and the training data the
-// ROADMAP's cut-width-guided fault router needs. Schema-versioned like
-// the checkpoint journal; cmd/atpgreport consumes it.
+// dataset the source paper's Figure 1 plots, and cmd/atpgreport measures
+// how well each structural feature predicts the effort. Schema-versioned
+// like the checkpoint journal.
 
 import (
 	"bufio"
@@ -43,9 +43,9 @@ type EffortHeader struct {
 // exactly one record that is not Wasted, so a completed run's log holds
 // one per fault: RPT-detected, solver-decided, retried, resumed, or
 // dropped by fault simulation (Phase "dropped", Status "dropped", no
-// solver work, Backend "faultsim" on routed runs). Each speculative solve
-// discarded because fault simulation dropped the fault first adds one
-// more record, Phase "dropped" with Wasted true.
+// solver work). Each speculative solve discarded because fault
+// simulation dropped the fault first adds one more record, Phase
+// "dropped" with Wasted true.
 type EffortRecord struct {
 	Kind string `json:"kind"` // "fault"
 	// Index is the fault-list index — the join key against spans, the
@@ -88,14 +88,6 @@ type EffortRecord struct {
 	Group         int   `json:"group,omitempty"`
 	GroupSize     int   `json:"group_size,omitempty"`
 	LearnedReused int64 `json:"learned_reused,omitempty"`
-
-	// Routed portfolio dispatch (additive, absent on unrouted runs):
-	// PredictedClass is the router's effort class for this fault
-	// ("trivial", "low-width", "structural", "hard") and Backend the
-	// engine that actually decided it ("podem", "caching", "cdcl",
-	// "faultsim"). The pair is the router-accuracy dataset.
-	PredictedClass string `json:"predicted_class,omitempty"`
-	Backend        string `json:"backend,omitempty"`
 
 	// Err and Stack carry an errored fault's recovered panic: the panic
 	// message and the goroutine stack captured at recovery (a resumed
@@ -250,14 +242,6 @@ func (st *runState) recordEffort(ws *workerScratch, i int, res *Result, phase st
 	if phase == "dropped" {
 		rec.Status = "dropped"
 		rec.Wasted = res != nil
-	}
-	if st.plan != nil && st.plan.class != nil {
-		rec.PredictedClass = st.plan.class[i].String()
-		if res != nil && res.Backend != "" {
-			rec.Backend = res.Backend
-		} else if phase == "dropped" && res == nil {
-			rec.Backend = backendFaultSim
-		}
 	}
 	if res != nil {
 		rec.Vars, rec.Clauses = res.Vars, res.Clauses

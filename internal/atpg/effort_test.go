@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"atpgeasy/internal/gen"
 	"atpgeasy/internal/logic"
 	"atpgeasy/internal/obs"
+	"atpgeasy/internal/sat"
 )
 
 // TestScoapGates pins the classic SCOAP recurrences on hand-checkable
@@ -133,23 +135,14 @@ func TestFaultFeatures(t *testing.T) {
 	}
 }
 
-// TestEffortLogRoundTrip checks the effort log's core invariant on
-// unrouted runs, serial and parallel.
-func TestEffortLogRoundTrip(t *testing.T) { checkEffortLogInvariant(t, false) }
-
-// TestEffortLogRoutedInvariant checks the same invariant on routed runs,
-// where every record past the pre-phase also names the router's
-// predicted class and backend.
-func TestEffortLogRoutedInvariant(t *testing.T) { checkEffortLogInvariant(t, true) }
-
-// checkEffortLogInvariant runs one table over {1, 4} workers: exactly one
-// non-wasted record per fault — RPT-detected, solved or cleanly dropped —
-// with statuses and solver counters joining Summary.Results losslessly;
-// clean drops carry no solver work; and each wasted speculative solve
-// adds one wasted record. A 16-bit comparator resists random patterns:
-// after a short pre-phase it leaves faults for the solvers and for
-// fault-simulation drops.
-func checkEffortLogInvariant(t *testing.T, route bool) {
+// TestEffortLogRoundTrip checks the effort log's core invariant over
+// {1, 4} workers: exactly one non-wasted record per fault — RPT-detected,
+// solved or cleanly dropped — with statuses and solver counters joining
+// Summary.Results losslessly; clean drops carry no solver work; and each
+// wasted speculative solve adds one wasted record. A 16-bit comparator
+// resists random patterns: after a short pre-phase it leaves faults for
+// the solvers and for fault-simulation drops.
+func TestEffortLogRoundTrip(t *testing.T) {
 	c := gen.Comparator(16)
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("j%d", workers), func(t *testing.T) {
@@ -157,7 +150,7 @@ func checkEffortLogInvariant(t *testing.T, route bool) {
 			log := NewEffortLog(&buf)
 			eng := &Engine{Workers: workers}
 			sum, err := eng.Run(context.Background(), c, RunOptions{
-				Collapse: true, DropDetected: true, Route: route,
+				Collapse: true, DropDetected: true,
 				RPTBatches: 4,
 				EffortLog:  log,
 			})
@@ -215,17 +208,10 @@ func checkEffortLogInvariant(t *testing.T, route bool) {
 				if r.CutWidth != -1 {
 					t.Errorf("cut width %d recorded with extraction off", r.CutWidth)
 				}
-				// The router classifies the faults the pre-phase left.
-				if route && r.Phase != "rpt" && (r.PredictedClass == "" || r.Backend == "") {
-					t.Errorf("routed record without predicted class or backend: %+v", r)
-				}
 				switch r.Phase {
 				case "dropped":
 					if r.Status != "dropped" || r.Worker != -1 || r.SolveNS != 0 || r.Effort != 0 {
 						t.Errorf("clean drop with solver work: %+v", r)
-					}
-					if route && r.Backend != backendFaultSim {
-						t.Errorf("clean drop on backend %q: %+v", r.Backend, r)
 					}
 				case "rpt":
 					if r.Status != "detected" {
@@ -243,9 +229,6 @@ func checkEffortLogInvariant(t *testing.T, route bool) {
 					}
 					if r.Effort != res.SolverStats.SearchEffort() {
 						t.Errorf("%q effort %d, summary says %d", r.Fault, r.Effort, res.SolverStats.SearchEffort())
-					}
-					if r.Backend != res.Backend {
-						t.Errorf("%q backend %q, summary says %q", r.Fault, r.Backend, res.Backend)
 					}
 				}
 			}
@@ -290,27 +273,59 @@ func TestEffortLogSchemaRejected(t *testing.T) {
 	}
 }
 
+// TestEffortLogDecodesRoutedV1: logs written by the since-removed routed
+// dispatch carry two more per-record fields (the router's predicted
+// class and the deciding backend) under the same v1 schema. The fixture
+// is such a log, of c17; it must still decode, record for record, so
+// cmd/atpgreport can read it.
+func TestEffortLogDecodesRoutedV1(t *testing.T) {
+	f, err := os.Open("testdata/effort-v1-routed.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	hdr, recs, err := DecodeEffortLog(f)
+	if err != nil {
+		t.Fatalf("routed v1 log rejected: %v", err)
+	}
+	if hdr.Schema != EffortSchema || len(recs) != hdr.Faults {
+		t.Fatalf("header %+v, %d records", hdr, len(recs))
+	}
+	for _, r := range recs {
+		if r.Fault == "" || r.Gates < 1 || (r.Status != "detected" && r.Status != "dropped") {
+			t.Errorf("record decoded as %+v", r)
+		}
+	}
+}
+
 // TestSpanTree: a traced run must emit a well-formed span forest — one
 // root "run" span, every other span's parent resolving to an emitted
 // span, every fault span hanging off the dispatch loop's "group" (region
 // group) or "dispatch-chunk" (single faults) span, and fault spans
 // joining the effort log by fault name. The circuit leaves work past
 // the pre-phase for the solvers; the grouped plan puts every fault
-// under a group span, the routed plan its single faults under
-// dispatch-chunk spans.
+// under a group span, the single plan (learning-free DPLL, which solves
+// each fault on its own) every fault under a dispatch-chunk span.
 func TestSpanTree(t *testing.T) {
 	c := gen.Random(gen.RandomParams{Inputs: 20, Gates: 200, Seed: 3})
-	for _, route := range []bool{false, true} {
+	for _, plan := range []struct {
+		name   string
+		solver sat.Solver
+		want   string // the span every fault span hangs off
+	}{
+		{name: "grouped", want: "group"},
+		{name: "single", solver: &sat.DPLL{DisableLearning: true}, want: "dispatch-chunk"},
+	} {
 		var trace bytes.Buffer
 		tr := obs.NewTrace(&trace)
 		var effort bytes.Buffer
 		log := NewEffortLog(&effort)
-		eng := &Engine{Workers: 4}
+		eng := &Engine{Workers: 4, Solver: plan.solver}
 		sum, err := eng.Run(context.Background(), c, RunOptions{
 			Collapse: true, DropDetected: true,
-			RPTBatches: DefaultRPTBatches, Route: route,
-			EffortLog: log,
-			Telemetry: &Telemetry{Trace: tr, Spans: obs.NewTracer(tr)},
+			RPTBatches: DefaultRPTBatches,
+			EffortLog:  log,
+			Telemetry:  &Telemetry{Trace: tr, Spans: obs.NewTracer(tr)},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -322,7 +337,7 @@ func TestSpanTree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(sum.Results) == 0 {
-			t.Fatalf("route=%v: no fault reached the solvers", route)
+			t.Fatalf("%s: no fault reached the solvers", plan.name)
 		}
 
 		var spans []obs.SpanRecord
@@ -373,21 +388,15 @@ func TestSpanTree(t *testing.T) {
 				if sp.Detail == "" {
 					t.Errorf("fault span without a fault name: %+v", sp)
 				}
-				if p := ids[sp.Parent].Name; p != "group" && p != "dispatch-chunk" {
-					t.Errorf("route=%v: fault span under %q, want group or dispatch-chunk", route, p)
+				if p := ids[sp.Parent].Name; p != plan.want {
+					t.Errorf("%s: fault span under %q, want %s", plan.name, p, plan.want)
 				}
 			}
 		}
 		for _, want := range []string{"run", "sweep", "rpt"} {
 			if names[want] == 0 {
-				t.Errorf("route=%v: no %q span emitted (have %v)", route, want, names)
+				t.Errorf("%s: no %q span emitted (have %v)", plan.name, want, names)
 			}
-		}
-		if !route && names["group"] == 0 {
-			t.Errorf("grouped run emitted no group span (have %v)", names)
-		}
-		if route && names["dispatch-chunk"] == 0 {
-			t.Errorf("routed run emitted no dispatch-chunk span (have %v)", names)
 		}
 
 		// Fault spans join the effort log by fault name: every solved
@@ -404,11 +413,11 @@ func TestSpanTree(t *testing.T) {
 		}
 		for _, r := range recs {
 			if r.Phase == "sweep" && !spanned[r.Fault] {
-				t.Errorf("route=%v: solved fault %q has an effort record but no span", route, r.Fault)
+				t.Errorf("%s: solved fault %q has an effort record but no span", plan.name, r.Fault)
 			}
 		}
 		if faultsSpanned < len(sum.Results) {
-			t.Errorf("route=%v: %d fault spans for %d solved faults", route, faultsSpanned, len(sum.Results))
+			t.Errorf("%s: %d fault spans for %d solved faults", plan.name, faultsSpanned, len(sum.Results))
 		}
 	}
 }

@@ -87,9 +87,6 @@ type Result struct {
 	// panic value and the goroutine stack captured at recovery.
 	Err   string
 	Stack string
-	// Backend names the portfolio backend that produced this verdict on a
-	// routed run: "podem", "caching" or "cdcl". Empty on unrouted runs.
-	Backend string
 }
 
 // Engine generates tests fault by fault. The zero value solves in region
@@ -187,12 +184,6 @@ func (e *Engine) TestFault(c *logic.Circuit, f Fault) (Result, error) {
 // limits (a deadline or cancellation surfaces as Status Aborted) and an
 // optional sub-formula cache budget.
 func (e *Engine) testFault(c *logic.Circuit, f Fault, lim sat.Limits, ws *workerScratch, cacheLimit int64) (Result, error) {
-	return e.testFaultOn(c, f, ws, e.solverFor(lim, cacheLimit))
-}
-
-// testFaultOn is testFault on an explicit, already-limited solver — the
-// routed engine uses it to aim one fault at a specific backend.
-func (e *Engine) testFaultOn(c *logic.Circuit, f Fault, ws *workerScratch, solver sat.Solver) (Result, error) {
 	res := Result{Fault: f}
 	buildStart := time.Now()
 	m, err := NewMiter(c, f)
@@ -211,6 +202,7 @@ func (e *Engine) testFaultOn(c *logic.Circuit, f Fault, ws *workerScratch, solve
 	res.Vars = formula.NumVars
 	res.Clauses = formula.NumClauses()
 	res.BuildElapsed = time.Since(buildStart)
+	solver := e.solverFor(lim, cacheLimit)
 	start := time.Now()
 	var sol sat.Solution
 	if as, ok := solver.(sat.ArenaSolver); ok {
@@ -288,9 +280,6 @@ type Summary struct {
 	// Retries describes the escalating-budget retry phase, one entry per
 	// tier that ran (nil when retries were disabled or nothing aborted).
 	Retries []RetryTier
-	// Routed summarizes a routed run: live faults per predicted effort
-	// class and decided faults per backend. Nil on unrouted runs.
-	Routed *RouteSummary
 }
 
 // PhaseTimes is the per-phase work breakdown of a run. The phases
@@ -423,30 +412,6 @@ type RunOptions struct {
 	// it runs a layout heuristic per fault, which dwarfs the other
 	// (two-DFS) features on large circuits.
 	EffortWidth bool
-	// Route enables cut-width-guided fault routing: each fault is scored
-	// from its structural features plus a bounded cut-width estimate,
-	// classified (trivial / low-width / structural / hard), and
-	// dispatched to the cheapest backend likely to decide it — fault-sim
-	// scheduling, the caching backtracker, the PODEM structural engine,
-	// or incremental region-grouped CDCL (see router.go). Requires the
-	// DPLL solver family (see GroupMax); RunFaults rejects Route with any
-	// other solver. Routed runs are byte-identical to themselves at any
-	// worker count but produce different (equally valid) vectors than
-	// unrouted runs, so journals don't transfer across the mode
-	// boundary. Hard-class faults still solve in region groups.
-	Route bool
-	// RouteWidthMax bounds the sub-circuit node count the router may hand
-	// to the MLA layout heuristic when refining an ambiguous cut-width
-	// estimate; larger cones keep the O(pins) topological-order upper
-	// bound (0 = DefaultRouteWidthMax).
-	RouteWidthMax int
-	// RouteHardScale multiplies PerFaultBudget for hard-class faults
-	// (0 = DefaultRouteHardScale; values < 1 clamp to 1).
-	RouteHardScale float64
-	// PodemMaxBacktracks caps the PODEM backend's search per fault; a
-	// cap abort is deterministic and falls back to a CDCL solve
-	// (0 = DefaultPodemMaxBacktracks, negative = unbounded).
-	PodemMaxBacktracks int64
 }
 
 // dropBatch is the committed-vector count that triggers a fault-simulation
@@ -491,9 +456,6 @@ func (e *Engine) Run(ctx context.Context, c *logic.Circuit, opt RunOptions) (*Su
 // recorded as Aborted — that status is reserved for per-fault resource
 // exhaustion.
 func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault, opt RunOptions) (*Summary, error) {
-	if opt.Route && !e.cdclCore() {
-		return nil, fmt.Errorf("atpg: Route requires the DPLL solver family (nil Engine.Solver or *sat.DPLL with learning), not %T", e.Solver)
-	}
 	start := time.Now()
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -576,27 +538,7 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	// The sweep plan covers exactly the faults still undecided after
 	// resume replay and the pre-phase. Grouped orders are canonical
 	// across group-size caps, so the commit frontier and drop set are too.
-	var class []EffortClass
-	if opt.Route {
-		// Routed portfolio dispatch: classify every live fault; the plan
-		// orders hard (grouped) → structural → low-width → trivial, so the
-		// cheap tail is mostly dropped by earlier backends' vectors before
-		// it is claimed. The router reuses the effort log's feature table
-		// when one was computed.
-		var feats []FaultFeatures
-		if st.effort != nil {
-			feats = st.effort.feats
-		} else {
-			feats = computeFeatures(c, faults, false, workers)
-		}
-		class = classifyFaults(c, faults, st.preDecided, feats, opt.RouteWidthMax, workers)
-		st.scoap = ComputeScoap(c)
-	}
-	st.plan = planDispatch(c, faults, st.preDecided, class, e.cdclCore(), opt.GroupMax)
-	st.plan.groupBudget, st.plan.singleBudget = opt.PerFaultBudget, opt.PerFaultBudget
-	if opt.Route {
-		st.plan.groupBudget = st.routedHardBudget()
-	}
+	st.plan = planDispatch(c, faults, st.preDecided, e.cdclCore(), opt.GroupMax, opt.PerFaultBudget)
 	tel.observeGroups(st.plan.groups)
 	sweepSpan := tel.startSpan("sweep", st.runSpan)
 	if sweepSpan.Active() {
@@ -668,9 +610,6 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 		}
 	}
 	sum.Retries = retries
-	if st.plan.class != nil {
-		sum.Routed = st.routeSummary()
-	}
 	sum.Phases.RPT = time.Duration(st.rptNS)
 	sum.Phases.FaultSim = time.Duration(st.simNS.Load())
 	sum.Phases.FrontierStall = time.Duration(st.stallNS.Load())
@@ -711,12 +650,8 @@ type runState struct {
 	faults []Fault
 
 	workers int
-	// plan is the sweep's dispatch plan: its order is the commit order,
-	// and on a routed run its classes are the router's predictions (the
-	// retry tiers escalate them). scoap guides the PODEM backend on
-	// routed runs.
+	// plan is the sweep's dispatch plan: its order is the commit order.
 	plan       *dispatchPlan
-	scoap      *Scoap
 	droppedF   bitset                       // officially dropped by a committed vector flush
 	preDecided []bool                       // decided before dispatch: RPT detection or resume replay
 	published  []atomic.Pointer[specResult] // speculative solves, one slot per fault
@@ -1201,7 +1136,6 @@ func (st *runState) kickCommit(ws *workerScratch, worker int) error {
 func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 	tel := st.opt.Telemetry
 	retryable := st.opt.RetryTiers > 0 && st.opt.PerFaultBudget > 0
-	routed := st.plan.class != nil
 	order := st.plan.order
 	for st.frontier < len(order) {
 		i := int(order[st.frontier])
@@ -1216,9 +1150,6 @@ func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 			// record carries no solver work.
 			if st.effort != nil {
 				st.recordEffort(ws, i, nil, "dropped", 0, -1)
-			}
-			if routed {
-				tel.observeRouted(backendFaultSim)
 			}
 			st.frontier++
 			continue

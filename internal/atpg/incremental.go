@@ -21,10 +21,8 @@ import (
 
 // cdclCore reports whether the engine's solver is the DPLL family the
 // incremental core belongs to (nil, or *sat.DPLL with learning on). Such
-// engines solve in region groups, and only they can route: the hard
-// class and PODEM's fallback are CDCL solves. Retention without learning
-// is a no-op, so learning-disabled DPLL solves singly like any other
-// solver.
+// engines solve in region groups. Retention without learning is a no-op,
+// so learning-disabled DPLL solves singly like any other solver.
 func (e *Engine) cdclCore() bool {
 	switch s := e.Solver.(type) {
 	case nil:
@@ -57,9 +55,8 @@ func (e *Engine) incrementalFor(ws *workerScratch) *sat.Incremental {
 // and the worker's arena is replaced (sticky shrink caps carried over)
 // so the next group starts clean.
 //
-// The plan's group budget, when positive, bounds each member's solve
-// separately (the group shares learned clauses, never a deadline); on
-// a routed plan every verdict is labeled with the CDCL backend.
+// The plan's budget, when positive, bounds each member's solve
+// separately (the group shares learned clauses, never a deadline).
 // Verdicts and vectors are independent of group size and timing: the
 // solver's lex-first branching over the region's input variables makes
 // each member's first model project to the lex-least input assignment,
@@ -69,12 +66,8 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 	tel := st.opt.Telemetry
 	members := pl.order[g.start:g.end]
 	emitted := make([]bool, len(members))
-	// decided hands member k's verdict to emit, labeled with the backend
-	// on a routed plan.
+	// decided hands member k's verdict to emit.
 	decided := func(k int, res Result) error {
-		if pl.class != nil {
-			res.Backend = backendCDCL
-		}
 		if res.Status == Errored {
 			st.dumpRingOnce("fault panic recovered", true)
 		}
@@ -199,8 +192,8 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 			continue
 		}
 		lim := sat.Limits{Cancel: ctx.Done()}
-		if pl.groupBudget > 0 {
-			lim.Deadline = time.Now().Add(pl.groupBudget)
+		if pl.budget > 0 {
+			lim.Deadline = time.Now().Add(pl.budget)
 		}
 		fspan := tel.startSpan("fault", gspan.Context())
 		if fspan.Active() {

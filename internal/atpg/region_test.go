@@ -418,23 +418,20 @@ func TestIncrementalPanicIsolation(t *testing.T) {
 
 // TestIncrementalRetryTiers forces aborts with a tiny budget and
 // requires the retry tiers to recover them through the dispatch loop,
-// matching the unlimited run's verdicts — on every plan a tier can lay
-// out: region groups (the queue re-grouped by region), single faults on
-// the engine's solver, and the routed portfolio (classes escalated one
-// step per tier, hard-escalated faults re-grouped). The pre-phase is off
-// so faults reach the solvers, and the 1ns sweep budget aborts them all.
+// matching the unlimited run's verdicts — on both plans a tier can lay
+// out: region groups (the queue re-grouped by region) and single faults
+// on the engine's solver. The pre-phase is off so faults reach the
+// solvers, and the 1ns sweep budget aborts them all.
 func TestIncrementalRetryTiers(t *testing.T) {
 	c := gen.ArrayMultiplier(3)
 	for _, plan := range []struct {
 		name   string
 		solver sat.Solver
-		route  bool
 	}{
 		{name: "grouped"},
 		{name: "single", solver: &sat.DPLL{DisableLearning: true}},
-		{name: "routed", route: true},
 	} {
-		opt := RunOptions{Collapse: true, DropDetected: true, Route: plan.route}
+		opt := RunOptions{Collapse: true, DropDetected: true}
 		ref, err := (&Engine{Solver: plan.solver, VerifyTests: true, Workers: 2}).Run(context.Background(), c, opt)
 		if err != nil {
 			t.Fatalf("%s reference: %v", plan.name, err)

@@ -83,18 +83,6 @@ func CheckpointFingerprint(c *logic.Circuit, faults []Fault, opt RunOptions) uin
 	// group-size cap.
 	fmt.Fprintf(h, "%s|%d|%d|%d|%d|%t|inc|", c.Name, len(c.Inputs),
 		opt.Seed, opt.RPTBatches, opt.RPTIdleStop, opt.DropDetected)
-	if opt.Route {
-		// Routed runs dispatch per-fault backends whose patterns differ
-		// from both unrouted modes (PODEM X-fill, the caching
-		// backtracker's variable-index order), so journals don't transfer
-		// either. The routing knobs that change which backend (and hence
-		// which deterministic vector) a fault gets are hashed too:
-		// RouteWidthMax moves faults between classes and
-		// PodemMaxBacktracks decides where the deterministic CDCL
-		// fallback kicks in. RouteHardScale is excluded — budgets only
-		// move faults between decided and aborted.
-		fmt.Fprintf(h, "route:%d:%d|", opt.RouteWidthMax, opt.PodemMaxBacktracks)
-	}
 	for _, f := range faults {
 		fmt.Fprintf(h, "%d:%t;", f.Net, f.StuckAt)
 	}
@@ -103,9 +91,8 @@ func CheckpointFingerprint(c *logic.Circuit, faults []Fault, opt RunOptions) uin
 
 // safeSolve runs one fault's solve behind the per-fault recover barrier:
 // a panic anywhere in the pipeline (miter build, CNF encode, search,
-// vector extraction — any backend) becomes an Errored result carrying
-// the panic message and stack, and the run continues with the next
-// fault.
+// vector extraction) becomes an Errored result carrying the panic
+// message and stack, and the run continues with the next fault.
 func (e *Engine) safeSolve(f Fault, ws *workerScratch, solve func() (Result, error)) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -284,25 +271,15 @@ func (e *Engine) runRetryTiers(ctx context.Context, st *runState, scratches []*w
 		// The tier is a plan over its queue, laid out like the sweep's: on
 		// a grouped engine the queue is re-grouped by fanout region, so a
 		// retried fault resumes on a shared region instance and reuses
-		// clauses learned by its neighbors in the same tier; on a routed
-		// run each fault's class first escalates one step toward hard per
-		// tier, and hard-escalated faults re-group for the CDCL backend.
+		// clauses learned by its neighbors in the same tier.
 		skip := make([]bool, len(st.faults))
 		for i := range skip {
 			skip[i] = true
 		}
-		var class []EffortClass
-		if st.plan.class != nil {
-			class = make([]EffortClass, len(st.faults))
-		}
 		for _, i := range queue {
 			skip[i] = false
-			if class != nil {
-				class[i] = st.plan.class[i].escalate(tier)
-			}
 		}
-		pl := planDispatch(st.c, st.faults, skip, class, e.cdclCore(), opt.GroupMax)
-		pl.groupBudget, pl.singleBudget = budget, budget
+		pl := planDispatch(st.c, st.faults, skip, e.cdclCore(), opt.GroupMax, budget)
 		var wg sync.WaitGroup
 		for w, ws := range scratches {
 			w, ws := w, ws

@@ -4,9 +4,9 @@ package atpg
 // predictors of per-fault ATPG difficulty: CC0/CC1 estimate how many
 // line assignments it takes to set a net to 0/1, CO how many it takes to
 // propagate the net's value to a primary output. The effort log pairs
-// them with the observed solver effort so the report (and eventually a
-// fault router) can measure how much of the paper's "ATPG is easy"
-// structure these O(circuit) features already explain.
+// them with the observed solver effort so cmd/atpgreport can measure how
+// much of the paper's "ATPG is easy" structure these O(circuit) features
+// already explain.
 
 import "atpgeasy/internal/logic"
 

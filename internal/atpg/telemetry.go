@@ -100,12 +100,12 @@ func (p Progress) String() string {
 
 // Metrics is the engine's metric set over an obs.Registry. The verdict
 // counters (faults done/detected/untestable/aborted/errored, panics,
-// vectors, routed) move once per final verdict; the work counters (phase
-// times, solver counters, the per-fault histograms, backend solve wall)
-// once per adopted solve attempt, so a fault retried by the escalation
-// tiers counts every attempt's work but one verdict. Nothing is updated
-// inside the solver's search loop, and the solver work counters are
-// sharded per worker so parallel runs never contend on a cache line.
+// vectors) move once per final verdict; the work counters (phase times,
+// solver counters, the per-fault histograms) once per adopted solve
+// attempt, so a fault retried by the escalation tiers counts every
+// attempt's work but one verdict. Nothing is updated inside the solver's
+// search loop, and the solver work counters are sharded per worker so
+// parallel runs never contend on a cache line.
 type Metrics struct {
 	FaultsTotal *obs.Gauge // faults in the current run
 	Workers     *obs.Gauge
@@ -136,13 +136,6 @@ type Metrics struct {
 	CacheShrinks   *obs.Counter
 	RetryAttempts  *obs.LabeledCounter
 	RetryRecovered *obs.LabeledCounter
-
-	// Routed portfolio dispatch: final verdicts per backend ("podem",
-	// "caching", "cdcl", "faultsim") and every adopted attempt's solve
-	// wall per backend. Wasted speculative solves count in neither, so
-	// both are worker-count-stable.
-	RoutedTotal    *obs.LabeledCounter
-	BackendSolveNS *obs.LabeledCounter
 
 	PhaseRPTNS      *obs.Counter
 	PhaseBuildNS    *obs.Counter
@@ -206,9 +199,6 @@ func NewMetrics(reg *obs.Registry, shards int) *Metrics {
 		RetryAttempts:  reg.LabeledCounter("atpg_retry_attempts_total", "aborted faults re-run by the retry phase", "tier"),
 		RetryRecovered: reg.LabeledCounter("atpg_retry_recovered_total", "faults decided by a retry tier", "tier"),
 
-		RoutedTotal:    reg.LabeledCounter("atpg_routed_total", "faults decided per portfolio backend (routed runs)", "backend"),
-		BackendSolveNS: reg.LabeledCounter("atpg_backend_solve_ns_total", "solve wall time per portfolio backend (routed runs)", "backend"),
-
 		PhaseRPTNS:      reg.Counter("atpg_phase_rpt_ns_total", "random-pattern pre-phase time"),
 		PhaseBuildNS:    reg.Counter("atpg_phase_build_ns_total", "miter construction + CNF encoding time"),
 		PhaseSolveNS:    reg.Counter("atpg_phase_solve_ns_total", "SAT solving time"),
@@ -271,8 +261,8 @@ func (t *Telemetry) begin(total, workers int) {
 // observeAttempt records the solver work of one adopted attempt: a
 // result the sweep's commit frontier adopts, or any retry-tier result
 // (tier > 0), whether or not it decided the fault. That covers the phase
-// times, the solver counters, the per-fault histograms, the backend's
-// solve wall on routed runs and the tier's attempt and recovery counts.
+// times, the solver counters, the per-fault histograms and the tier's
+// attempt and recovery counts.
 func (t *Telemetry) observeAttempt(worker, tier int, res *Result) {
 	if t == nil || t.Metrics == nil {
 		return
@@ -300,9 +290,6 @@ func (t *Telemetry) observeAttempt(worker, tier int, res *Result) {
 	m.HistSolverNodes.Observe(st.Nodes)
 	if st.Nodes > 0 {
 		m.HistCacheHitPermill.Observe(1000 * st.CacheHits / st.Nodes)
-	}
-	if res.Backend != "" && res.Elapsed > 0 {
-		m.BackendSolveNS.With(res.Backend).Add(res.Elapsed.Nanoseconds())
 	}
 	if tier > 0 {
 		label := strconv.Itoa(tier)
@@ -332,22 +319,6 @@ func (t *Telemetry) observeVerdict(res *Result) {
 		m.FaultsErrored.Inc()
 		m.FaultPanics.Inc()
 	}
-	if res.Backend != "" {
-		t.observeRouted(res.Backend)
-	}
-}
-
-// backendFaultSim labels faults a routed run decided without any solver
-// — dropped by fault simulation of earlier committed vectors.
-const backendFaultSim = "faultsim"
-
-// observeRouted counts one routed run's final verdict against the
-// backend that decided it.
-func (t *Telemetry) observeRouted(backend string) {
-	if t == nil || t.Metrics == nil {
-		return
-	}
-	t.Metrics.RoutedTotal.With(backend).Inc()
 }
 
 // observeGroups records the region-group size distribution of an

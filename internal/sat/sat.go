@@ -35,10 +35,7 @@
 // on the instance before. Callers lean on this contract wherever results
 // must not depend on execution order: the ATPG engine's region-grouped
 // incremental solving extracts the same test vector a fresh solve would
-// (see Incremental), and the routed portfolio's backends can hand faults
-// to each other without perturbing any other fault's pattern. The
-// internal/podem package honors the same contract on the structural
-// side, resolving every search choice by smallest node ID.
+// (see Incremental), whatever the region group's size or history.
 package sat
 
 import (
