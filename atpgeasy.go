@@ -83,8 +83,7 @@ type (
 )
 
 // DefaultCacheLimit is the Caching solver's sub-formula cache bound in
-// bytes when no explicit limit is configured (RunOptions.CacheLimit or
-// Caching.CacheLimit of 0).
+// bytes when its CacheLimit is 0 (see NewCachingBounded).
 const DefaultCacheLimit = sat.DefaultCacheLimit
 
 // Random-pattern pre-phase defaults (RunOptions.RPTBatches and

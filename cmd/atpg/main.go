@@ -211,7 +211,6 @@ func main() {
 		Seed:           *seed,
 		PerFaultBudget: *budget,
 		Telemetry:      tel,
-		CacheLimit:     *cacheLimit,
 		RetryTiers:     *retryTiers,
 		RetryBackoff:   *retryBackoff,
 		MemSoftLimit:   *memSoftLimit,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,6 +16,7 @@ import (
 	"atpgeasy/internal/atpg"
 	"atpgeasy/internal/bench"
 	"atpgeasy/internal/checkpoint"
+	"atpgeasy/internal/cnf"
 	"atpgeasy/internal/gen"
 	"atpgeasy/internal/sat"
 	"atpgeasy/internal/serve"
@@ -83,6 +85,55 @@ func TestLoadCircuit(t *testing.T) {
 	}
 	if _, err := loadCircuit("/nonexistent.bench", "", ""); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestDumpDIMACSNameCollision: -dimacs on a netlist with a net named
+// like one of the ATPG-SAT construction's own copies (z~xor, the XOR
+// of output z) must write one parseable instance per observable fault
+// instead of panicking on a duplicate node name.
+func TestDumpDIMACSNameCollision(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "red.bench")
+	netlist := "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nna = NOT(a)\nr = AND(a, na)\nz~xor = BUF(b)\nz = OR(r, z~xor)\n"
+	if err := os.WriteFile(path, []byte(netlist), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := loadCircuit(path, "", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := atpg.Collapse(c, atpg.AllFaults(c))
+	observable := 0
+	for _, f := range faults {
+		for _, id := range c.TransitiveFanout(f.Net) {
+			if c.IsOutput(id) {
+				observable++
+				break
+			}
+		}
+	}
+	out := filepath.Join(dir, "cnf")
+	if err := dumpDIMACS(c, faults, out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(out, "*.cnf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if observable == 0 || len(files) != observable {
+		t.Fatalf("%d DIMACS files for %d observable faults", len(files), observable)
+	}
+	for _, name := range files {
+		f, err := os.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = cnf.ReadDIMACS(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }
 

@@ -394,7 +394,7 @@ func phaseWalls(recs []atpg.EffortRecord, spans []obs.SpanRecord) ([]PhaseWall, 
 }
 
 // topFaults lists the k highest-effort solver records; with spans, each
-// gets its ancestry chain (run → sweep → dispatch-chunk → fault).
+// gets its ancestry chain (run → sweep → group → fault).
 func topFaults(solver []atpg.EffortRecord, spans []obs.SpanRecord, k int) []TopFault {
 	byEffort := append([]atpg.EffortRecord(nil), solver...)
 	sort.SliceStable(byEffort, func(a, b int) bool { return byEffort[a].Effort > byEffort[b].Effort })

@@ -310,11 +310,12 @@ func TestATPGAgainstExhaustive(t *testing.T) {
 	}
 }
 
-// exhaustivePatternWords packs all 2^n assignments of n ≥ 6 inputs into
+// exhaustivePatternWords packs all 2^n assignments of n inputs into
 // 64-pattern words: word w, bit b is pattern 64w+b, whose input i is bit
-// i of the pattern number.
+// i of the pattern number. Below 6 inputs the one word repeats the
+// assignments.
 func exhaustivePatternWords(n int) [][]uint64 {
-	words := make([][]uint64, 1<<uint(n-6))
+	words := make([][]uint64, 1<<uint(max(n-6, 0)))
 	for w := range words {
 		words[w] = make([]uint64, n)
 		for b := 0; b < 64; b++ {

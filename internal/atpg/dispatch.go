@@ -2,12 +2,11 @@ package atpg
 
 // This file is the engine's contention-free dispatch layer: the atomic
 // drop bitset shared by claims and flushes, the effort-ordered dispatch
-// array (largest fanout cone first), the chunked claim protocol, the
-// dispatch plan, and runPlan — the one loop every worker of the sweep
-// and of each retry tier runs. None of these paths take a lock: claims
-// advance an atomic cursor and read drop bits, flushes set drop bits,
-// and the deterministic commit frontier in engine.go is the only
-// serialized section.
+// array (largest fanout cone first), the dispatch plan, and runPlan —
+// the one loop every worker of the sweep and of each retry tier runs.
+// None of these paths take a lock: claims advance an atomic cursor and
+// read drop bits, flushes set drop bits, and the deterministic commit
+// frontier in engine.go is the only serialized section.
 
 import (
 	"context"
@@ -17,7 +16,6 @@ import (
 
 	"atpgeasy/internal/logic"
 	"atpgeasy/internal/obs"
-	"atpgeasy/internal/sat"
 )
 
 // bitset is a fixed-size concurrent bitset. Readers and writers
@@ -55,8 +53,8 @@ func (b bitset) set(i int) bool {
 // effortOrder builds the dispatch order of the undecided faults: indices
 // into faults, largest fanout cone first, fault-list order among equals.
 // The fanout-cone size is a cheap structural proxy for solver effort (the
-// miter is built from the fanin of the fanout cone, so a bigger cone
-// means a bigger ATPG-SAT instance): scheduling the expensive faults
+// formula encodes the fanin of the fanout cone, so a bigger cone means
+// a bigger ATPG-SAT instance): scheduling the expensive faults
 // first keeps one hard fault from serializing the tail of a parallel
 // run. skip marks faults already decided (RPT pre-phase or a resumed
 // journal); they get no dispatch slot at all.
@@ -84,8 +82,8 @@ func effortOrder(c *logic.Circuit, faults []Fault, skip []bool) []int32 {
 
 // coneSizer memoizes fanout-cone node counts, the structural effort
 // proxy shared by the effort-ordered dispatch and the region grouping
-// (region.go): the miter is built from the fanin of the fanout cone,
-// so a bigger cone means a bigger ATPG-SAT instance.
+// (region.go): the formula encodes the fanin of the fanout cone, so a
+// bigger cone means a bigger ATPG-SAT instance.
 type coneSizer struct {
 	c     *logic.Circuit
 	cone  map[int]int32 // net -> fanout-cone node count
@@ -121,94 +119,49 @@ func (s *coneSizer) coneOf(net int) int32 {
 	return size
 }
 
-// Claim chunking: a worker reserves a small run of dispatch slots with
-// one atomic add instead of one per fault, guided-self-scheduling style —
-// chunks shrink as the list drains so the tail still balances across
-// workers.
-const (
-	maxClaimChunk = 8
-	claimChunkDiv = 4 // chunk ≈ remaining / (claimChunkDiv · workers)
-)
-
-// chunkClaimer hands out the positions [0, n) of a shared work list,
-// reserving them in chunks off an atomic cursor. One instance per worker,
-// all pointing at the same cursor.
-type chunkClaimer struct {
-	cursor  *atomic.Int64
-	n       int
-	workers int
-	lo, hi  int // reserved, not yet popped
-	// onChunk, when set, observes each successful chunk reservation
-	// (positions [lo, hi)) — the observability hook feeding the flight
-	// recorder and dispatch-chunk spans. Called on the claiming worker's
-	// goroutine, outside any lock.
-	onChunk func(lo, hi int)
-}
-
-// next returns the next reserved position, or -1 at exhaustion. Lock-free:
-// one CAS per chunk.
-func (cl *chunkClaimer) next() int {
-	for cl.lo >= cl.hi {
-		cur := cl.cursor.Load()
-		remaining := cl.n - int(cur)
-		if remaining <= 0 {
-			return -1
-		}
-		chunk := remaining / (claimChunkDiv * cl.workers)
-		if chunk < 1 {
-			chunk = 1
-		}
-		if chunk > maxClaimChunk {
-			chunk = maxClaimChunk
-		}
-		if cl.workers == 1 {
-			// A single worker commits after every solve; claiming one slot
-			// at a time lets each flush drop faults before they are
-			// claimed, so a serial run never solves a fault redundantly.
-			chunk = 1
-		}
-		if cl.cursor.CompareAndSwap(cur, cur+int64(chunk)) {
-			cl.lo, cl.hi = int(cur), int(cur)+chunk
-			if cl.onChunk != nil {
-				cl.onChunk(cl.lo, cl.hi)
-			}
-		}
-	}
-	p := cl.lo
-	cl.lo++
-	return p
-}
-
 // dispatchPlan is one pass of the dispatch loop — the main sweep or one
 // retry tier: the order its faults are laid out in (the order the commit
-// frontier walks) and the region groups over a prefix of that order.
-// Workers share one plan and claim from its two cursors.
+// frontier walks) and the groups that partition that order. Workers
+// share one plan and claim whole groups off its cursor.
 type dispatchPlan struct {
-	order []int32
-	// groups partition order[:groupEnd]; each is solved on the worker's
-	// incremental CDCL instance. Single faults fill order[groupEnd:] and
-	// solve on the engine's solver.
-	groups   []faultGroup
-	groupEnd int
-	// budget bounds each member's or single fault's solve (0 = no
-	// deadline).
+	order  []int32
+	groups []faultGroup
+	// grouped marks region groups, each solved on the worker's
+	// incremental CDCL instance; otherwise every group is one fault,
+	// solved one-shot on the engine's solver.
+	grouped bool
+	// budget bounds each fault's solve (0 = no deadline).
 	budget time.Duration
 
-	groupCursor, singleCursor atomic.Int64
+	cursor atomic.Int64
 }
 
-// planDispatch lays out a plan over the faults not in skip: every fault
-// in a region group when the engine's solver is the incremental core's
-// family (grouped), otherwise every fault single, in effort order.
+// planDispatch lays out a plan over the faults not in skip: region
+// groups when the engine's solver is the incremental core's family
+// (grouped), otherwise one group per fault, in effort order.
 func planDispatch(c *logic.Circuit, faults []Fault, skip []bool, grouped bool, groupMax int, budget time.Duration) *dispatchPlan {
-	pl := &dispatchPlan{budget: budget}
+	pl := &dispatchPlan{grouped: grouped, budget: budget}
 	if grouped {
 		pl.order, pl.groups = buildGroups(c, faults, skip, groupMax)
-		pl.groupEnd = len(pl.order)
-	} else {
-		pl.order = effortOrder(c, faults, skip)
+		return pl
+	}
+	pl.order = effortOrder(c, faults, skip)
+	pl.groups = make([]faultGroup, len(pl.order))
+	for p := range pl.groups {
+		pl.groups[p] = faultGroup{id: p, start: int32(p), end: int32(p + 1)}
 	}
 	return pl
+}
+
+// result starts the Result of fault f solved in group g. Group and
+// GroupSize are set on region groups only: 0 marks a fault solved on
+// its own.
+func (pl *dispatchPlan) result(g *faultGroup, f Fault) Result {
+	res := Result{Fault: f}
+	if pl.grouped {
+		res.Group, res.GroupSize = g.id+1, int(g.end-g.start)
+	}
+	return res
 }
 
 // emitFunc receives one decided fault by its position in the plan's
@@ -217,93 +170,21 @@ func planDispatch(c *logic.Circuit, faults []Fault, skip []bool, grouped bool, g
 type emitFunc func(p int, res Result) error
 
 // runPlan is the engine's one dispatch loop, run by every worker of the
-// sweep and of each retry tier. The worker first claims whole region
-// groups off the group cursor (one atomic add each — a group is already
-// a chunk) and solves each on its incremental instance, then claims
-// single faults in chunks off the single cursor and solves each one on
-// the engine's solver. Claims are lock-free; a fault dropped since its
-// plan was laid out is skipped without a solve. parent is the span the
-// pass's group and dispatch-chunk spans hang off.
+// sweep and of each retry tier: the worker claims whole groups off the
+// plan's cursor (one atomic add each) and solves each with solveGroup.
+// Claims are lock-free. parent is the span the pass's group spans hang
+// off.
 func (e *Engine) runPlan(ctx context.Context, st *runState, pl *dispatchPlan, worker int, ws *workerScratch, parent obs.SpanContext, emit emitFunc) error {
 	var shrinkSeen int64
-	for {
-		if ctx.Err() != nil {
-			return nil
-		}
+	for ctx.Err() == nil {
 		st.maybeShrink(ws, worker, &shrinkSeen)
-		gi := int(pl.groupCursor.Add(1) - 1)
+		gi := int(pl.cursor.Add(1) - 1)
 		if gi >= len(pl.groups) {
-			break
+			return nil
 		}
 		if err := e.solveGroup(ctx, st, pl, &pl.groups[gi], ws, worker, &shrinkSeen, parent, emit); err != nil {
 			return err
 		}
 	}
-
-	tel := st.opt.Telemetry
-	// Each chunk reservation is one flight-recorder event and (under span
-	// tracing) rotates the worker's current dispatch-chunk span.
-	var chunkSpan obs.Span
-	defer func() { chunkSpan.End() }()
-	cl := chunkClaimer{cursor: &pl.singleCursor, n: len(pl.order) - pl.groupEnd, workers: st.workers}
-	cl.onChunk = func(lo, hi int) {
-		st.ring.Record("chunk", worker, int64(pl.groupEnd+lo), int64(hi-lo), 0)
-		if tel.hasSpans() {
-			chunkSpan.End()
-			chunkSpan = tel.startSpan("dispatch-chunk", parent)
-			chunkSpan.Worker = worker
-			chunkSpan.Items = int64(hi - lo)
-		}
-	}
-	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		st.maybeShrink(ws, worker, &shrinkSeen)
-		k := cl.next()
-		if k < 0 {
-			return nil
-		}
-		p := pl.groupEnd + k
-		i := int(pl.order[p])
-		if st.droppedF.get(i) {
-			continue // dropped by a committed vector since the plan was laid out
-		}
-		fspan := tel.startSpan("fault", chunkSpan.Context())
-		if fspan.Active() {
-			fspan.Worker = worker
-			fspan.Detail = st.faults[i].Name(st.c)
-		}
-		res, err := e.solveSingle(ctx, st, pl, i, ws)
-		fspan.Items = res.SolverStats.SearchEffort()
-		fspan.End()
-		st.ring.Record("solve", worker, int64(i), int64(res.Status), res.Elapsed.Nanoseconds())
-		if err != nil {
-			return err
-		}
-		if res.Status == Errored {
-			st.dumpRingOnce("fault panic recovered", true)
-		}
-		if ctx.Err() != nil {
-			// The abort is a draining artifact, not a verdict on the fault.
-			return nil
-		}
-		if err := emit(p, res); err != nil {
-			return err
-		}
-	}
-}
-
-// solveSingle decides one single-dispatched fault on the engine's solver
-// behind the per-fault panic barrier. The plan's budget, when positive,
-// bounds the solve.
-func (e *Engine) solveSingle(ctx context.Context, st *runState, pl *dispatchPlan, i int, ws *workerScratch) (Result, error) {
-	f := st.faults[i]
-	return e.safeSolve(f, ws, func() (Result, error) {
-		lim := sat.Limits{Cancel: ctx.Done()}
-		if pl.budget > 0 {
-			lim.Deadline = time.Now().Add(pl.budget)
-		}
-		return e.testFault(st.c, f, lim, ws, st.opt.CacheLimit)
-	})
+	return nil
 }

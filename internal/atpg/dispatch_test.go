@@ -258,7 +258,6 @@ func flushState(tb testing.TB, c *logic.Circuit, nVecs int) (*runState, *workerS
 		opt:      RunOptions{DropDetected: true},
 		start:    time.Now(),
 		faults:   faults,
-		workers:  1,
 		results:  make([]*Result, len(faults)),
 		droppedF: newBitset(len(faults)),
 	}
@@ -271,7 +270,7 @@ func flushState(tb testing.TB, c *logic.Circuit, nVecs int) (*runState, *workerS
 			vecs[p][i] = rng.Intn(2) == 1
 		}
 	}
-	return st, newScratch(), vecs
+	return st, newScratch(c), vecs
 }
 
 // flushOnce reloads the pending batch and runs one flush, resetting the

@@ -300,21 +300,20 @@ func TestEffortLogDecodesRoutedV1(t *testing.T) {
 
 // TestSpanTree: a traced run must emit a well-formed span forest — one
 // root "run" span, every other span's parent resolving to an emitted
-// span, every fault span hanging off the dispatch loop's "group" (region
-// group) or "dispatch-chunk" (single faults) span, and fault spans
-// joining the effort log by fault name. The circuit leaves work past
-// the pre-phase for the solvers; the grouped plan puts every fault
-// under a group span, the single plan (learning-free DPLL, which solves
-// each fault on its own) every fault under a dispatch-chunk span.
+// span, every fault span hanging off the dispatch loop's "group" span,
+// and fault spans joining the effort log by fault name. The circuit
+// leaves work past the pre-phase for the solvers; both plans put every
+// fault under a group span: a region group on the grouped plan, a
+// one-fault group on the single plan (learning-free DPLL, which solves
+// each fault on its own).
 func TestSpanTree(t *testing.T) {
 	c := gen.Random(gen.RandomParams{Inputs: 20, Gates: 200, Seed: 3})
 	for _, plan := range []struct {
 		name   string
 		solver sat.Solver
-		want   string // the span every fault span hangs off
 	}{
-		{name: "grouped", want: "group"},
-		{name: "single", solver: &sat.DPLL{DisableLearning: true}, want: "dispatch-chunk"},
+		{name: "grouped"},
+		{name: "single", solver: &sat.DPLL{DisableLearning: true}},
 	} {
 		var trace bytes.Buffer
 		tr := obs.NewTrace(&trace)
@@ -388,8 +387,8 @@ func TestSpanTree(t *testing.T) {
 				if sp.Detail == "" {
 					t.Errorf("fault span without a fault name: %+v", sp)
 				}
-				if p := ids[sp.Parent].Name; p != plan.want {
-					t.Errorf("%s: fault span under %q, want %s", plan.name, p, plan.want)
+				if p := ids[sp.Parent].Name; p != "group" {
+					t.Errorf("%s: fault span under %q, want group", plan.name, p)
 				}
 			}
 		}

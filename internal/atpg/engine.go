@@ -71,8 +71,8 @@ type Result struct {
 	Clauses int
 	// Elapsed is the SAT-solving wall time, Figure 1's y-axis.
 	Elapsed time.Duration
-	// BuildElapsed is the instance-construction wall time (miter + CNF
-	// encoding) preceding the solve.
+	// BuildElapsed is the formula-encoding wall time preceding the solve
+	// (for a region group: encoding and loading the shared formula).
 	BuildElapsed time.Duration
 	// SolverStats carries the solver's search counters.
 	SolverStats sat.Stats
@@ -117,54 +117,28 @@ type Engine struct {
 }
 
 // workerScratch is one worker's allocation arena. A worker processes
-// thousands of faults serially, so the solver's search buffers, the CNF
-// encoder's clause slab and the fault-simulation pack/simulate buffers
-// are reused across them instead of being reallocated per fault.
-// Verdicts and vectors never depend on the reuse: the sub-formula cache
-// only prunes UNSAT subtrees, so it cannot change which model a search
-// finds first.
+// thousands of faults serially, so the solver's search buffers, the
+// formula encoder's node maps and clause slab and the fault-simulation
+// pack/simulate buffers are reused across them instead of being
+// reallocated per fault. Verdicts and vectors never depend on the reuse:
+// the sub-formula cache only prunes UNSAT subtrees, so it cannot change
+// which model a search finds first.
 type workerScratch struct {
 	arena *sat.Arena
-	enc   *cnf.Encoder
+	enc   *formulaEncoder
 	pack  []uint64
 	sim   *faultsim.Simulator
 	// eff is the worker's effort-record encoding buffer, reused across
 	// faults so an enabled effort log adds no per-fault allocations.
 	eff effortEncoder
+	// live and liveAt are solveGroup's member buffers.
+	live   []Fault
+	liveAt []int
 }
 
-// newScratch returns a fresh per-worker scratch.
-func newScratch() *workerScratch {
-	return &workerScratch{arena: sat.NewArena(), enc: new(cnf.Encoder)}
-}
-
-func (e *Engine) solver() sat.Solver {
-	if e.Solver != nil {
-		return e.Solver
-	}
-	return &sat.DPLL{}
-}
-
-// solverFor specializes the engine's solver configuration with per-call
-// limits and an optional sub-formula cache budget. Solvers that don't
-// implement sat.LimitedSolver run unlimited; cacheLimit only applies to
-// *sat.Caching.
-func (e *Engine) solverFor(lim sat.Limits, cacheLimit int64) sat.Solver {
-	s := e.solver()
-	if cacheLimit > 0 {
-		if cs, ok := s.(*sat.Caching); ok {
-			cp := *cs
-			cp.CacheLimit = cacheLimit
-			s = &cp
-		}
-	}
-	if lim.IsZero() {
-		return s
-	}
-	if ls, ok := s.(sat.LimitedSolver); ok {
-		return ls.WithLimits(lim)
-	}
-	return s
+// newScratch returns a fresh per-worker scratch for circuit c.
+func newScratch(c *logic.Circuit) *workerScratch {
+	return &workerScratch{arena: sat.NewArena(), enc: newFormulaEncoder(c)}
 }
 
 func (e *Engine) workers() int {
@@ -174,35 +148,38 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// TestFault runs SAT-based test generation for one fault, on a
-// throwaway scratch.
+// TestFault runs SAT-based test generation for one fault: it encodes
+// the fault's ATPG-SAT formula and solves it one-shot on the engine's
+// solver, on a throwaway scratch.
 func (e *Engine) TestFault(c *logic.Circuit, f Fault) (Result, error) {
-	return e.testFault(c, f, sat.Limits{}, newScratch(), 0)
-}
-
-// testFault is TestFault on a worker's scratch, under per-call solver
-// limits (a deadline or cancellation surfaces as Status Aborted) and an
-// optional sub-formula cache budget.
-func (e *Engine) testFault(c *logic.Circuit, f Fault, lim sat.Limits, ws *workerScratch, cacheLimit int64) (Result, error) {
+	ws := newScratch(c)
 	res := Result{Fault: f}
-	buildStart := time.Now()
-	m, err := NewMiter(c, f)
-	if err == ErrUnobservable {
+	start := time.Now()
+	formula, err := ws.enc.encode([]Fault{f}, false)
+	res.BuildElapsed = time.Since(start)
+	if err != nil {
+		return res, err
+	}
+	if formula == nil {
 		res.Status = Untestable
-		res.BuildElapsed = time.Since(buildStart)
 		return res, nil
 	}
-	if err != nil {
-		return res, err
+	res.Vars, res.Clauses = formula.NumVars, formula.NumClauses()
+	return res, e.solveOneShot(c, &res, formula, sat.Limits{}, ws)
+}
+
+// solveOneShot decides a one-fault formula on the engine's solver (nil:
+// DPLL), specialized with lim when it implements sat.LimitedSolver, and
+// settles res from the answer. The formula aliases the worker's
+// encoder, so the solve must finish before the next encode.
+func (e *Engine) solveOneShot(c *logic.Circuit, res *Result, formula *cnf.Formula, lim sat.Limits, ws *workerScratch) error {
+	solver := e.Solver
+	if solver == nil {
+		solver = &sat.DPLL{}
 	}
-	formula, err := m.EncodeWith(ws.enc)
-	if err != nil {
-		return res, err
+	if ls, ok := solver.(sat.LimitedSolver); ok && !lim.IsZero() {
+		solver = ls.WithLimits(lim)
 	}
-	res.Vars = formula.NumVars
-	res.Clauses = formula.NumClauses()
-	res.BuildElapsed = time.Since(buildStart)
-	solver := e.solverFor(lim, cacheLimit)
 	start := time.Now()
 	var sol sat.Solution
 	if as, ok := solver.(sat.ArenaSolver); ok {
@@ -211,20 +188,27 @@ func (e *Engine) testFault(c *logic.Circuit, f Fault, lim sat.Limits, ws *worker
 		sol = solver.Solve(formula)
 	}
 	res.Elapsed = time.Since(start)
+	return e.settle(c, res, sol, ws.enc)
+}
+
+// settle turns a solver answer on the encoder's last formula into the
+// fault's verdict: a model becomes a test vector (re-simulated under
+// VerifyTests), UNSAT means untestable, anything else aborted.
+func (e *Engine) settle(c *logic.Circuit, res *Result, sol sat.Solution, enc *formulaEncoder) error {
 	res.SolverStats = sol.Stats
 	switch sol.Status {
 	case sat.Sat:
 		res.Status = Detected
-		res.Vector = m.ExtractTest(c, sol.Model)
-		if e.VerifyTests && !VerifyTest(c, f, res.Vector) {
-			return res, fmt.Errorf("atpg: generated vector fails to detect %s (pipeline bug)", f.Name(c))
+		res.Vector = enc.extract(sol.Model)
+		if e.VerifyTests && !VerifyTest(c, res.Fault, res.Vector) {
+			return fmt.Errorf("atpg: generated vector fails to detect %s (pipeline bug)", res.Fault.Name(c))
 		}
 	case sat.Unsat:
 		res.Status = Untestable
 	default:
 		res.Status = Aborted
 	}
-	return res, nil
+	return nil
 }
 
 // Summary aggregates a full-circuit ATPG run.
@@ -284,7 +268,7 @@ type Summary struct {
 
 // PhaseTimes is the per-phase work breakdown of a run. The phases
 // partition the measured work: each duration is accumulated on a disjoint
-// code path (RPT batch simulation, miter+CNF construction, SAT search,
+// code path (RPT batch simulation, formula encoding, SAT search,
 // drop-list flush simulation), so on a single worker their sum is at most
 // WallElapsed; in parallel runs Build/Solve/FaultSim sum over workers and
 // can exceed it.
@@ -292,7 +276,8 @@ type PhaseTimes struct {
 	// RPT is the random-pattern pre-phase wall time (it runs before the
 	// worker pool starts, so it never overlaps the other phases).
 	RPT time.Duration `json:"rpt_ns"`
-	// Build is miter construction + CNF encoding time.
+	// Build is formula-encoding time (for region groups, encoding plus
+	// loading the incremental instance).
 	Build time.Duration `json:"build_ns"`
 	// Solve is SAT search time (equals Summary.Elapsed).
 	Solve time.Duration `json:"solve_ns"`
@@ -363,10 +348,6 @@ type RunOptions struct {
 	// periodic progress snapshots out of the run. Nil disables all
 	// instrumentation at the cost of one pointer check per fault.
 	Telemetry *Telemetry
-	// CacheLimit bounds the Caching solver's sub-formula cache in bytes
-	// per worker (0 = sat.DefaultCacheLimit). Ignored by solvers without a
-	// cache (Simple, DPLL).
-	CacheLimit int64
 	// RetryTiers, when positive together with PerFaultBudget, re-runs
 	// faults that exhausted their budget after the main sweep, up to this
 	// many escalation tiers with geometrically increasing budgets. A fault
@@ -441,9 +422,11 @@ func (e *Engine) Run(ctx context.Context, c *logic.Circuit, opt RunOptions) (*Su
 }
 
 // RunFaults generates tests for the given fault list on a pool of
-// e.Workers workers. Dispatch is contention-free: faults are ordered
-// largest-fanout-cone-first and claimed in small chunks off an atomic
-// cursor, solved speculatively, and committed by a deterministic frontier
+// e.Workers workers. Dispatch is contention-free: faults are laid out
+// in groups (fanout-region groups on the DPLL family, one fault each
+// otherwise) in largest-fanout-cone-first order and claimed a group at a
+// time off an atomic cursor, solved speculatively, and committed by a
+// deterministic frontier
 // that walks the dispatch order. With opt.DropDetected, committed vectors
 // are batch fault-simulated against the uncommitted tail (drop marks live
 // in an atomic bitset read lock-free by claims) — so the detected/dropped
@@ -466,7 +449,6 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 		opt:        opt,
 		start:      start,
 		faults:     faults,
-		workers:    workers,
 		results:    make([]*Result, len(faults)),
 		published:  make([]atomic.Pointer[specResult], len(faults)),
 		droppedF:   newBitset(len(faults)),
@@ -487,7 +469,7 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	// final retry bookkeeping) borrow worker 0's.
 	scratches := make([]*workerScratch, workers)
 	for w := range scratches {
-		scratches[w] = newScratch()
+		scratches[w] = newScratch(c)
 	}
 	if opt.EffortLog != nil {
 		es, err := newEffortState(c, faults, opt, workers)
@@ -539,7 +521,9 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	// resume replay and the pre-phase. Grouped orders are canonical
 	// across group-size caps, so the commit frontier and drop set are too.
 	st.plan = planDispatch(c, faults, st.preDecided, e.cdclCore(), opt.GroupMax, opt.PerFaultBudget)
-	tel.observeGroups(st.plan.groups)
+	if st.plan.grouped {
+		tel.observeGroups(st.plan.groups)
+	}
 	sweepSpan := tel.startSpan("sweep", st.runSpan)
 	if sweepSpan.Active() {
 		sweepSpan.Items = int64(len(st.plan.order))
@@ -636,7 +620,7 @@ type specResult struct {
 // runState is the state shared by the fault workers of one RunFaults call.
 //
 // Concurrency layout: the per-fault hot path is lock-free — workers claim
-// dispatch slots off the plan's atomic cursors, read drop bits from the
+// groups off the plan's atomic cursor, read drop bits from the
 // atomic bitset, and publish results through atomic pointers. commitMu
 // guards the only serialized section, the commit frontier (verdict
 // adoption, vector keeping, flush simulation, journaling); workers never
@@ -649,7 +633,6 @@ type runState struct {
 	start  time.Time
 	faults []Fault
 
-	workers int
 	// plan is the sweep's dispatch plan: its order is the commit order.
 	plan       *dispatchPlan
 	droppedF   bitset                       // officially dropped by a committed vector flush

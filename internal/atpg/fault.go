@@ -6,9 +6,10 @@
 // C_ψ^fo (the faulty copy of the transitive fanout).
 //
 // The package provides fault enumeration and structural collapsing, the
-// subcircuit and miter constructions, CNF encoding, a per-fault engine
-// with test extraction and verification, and a full-circuit run with
-// fault-simulation-based test-set compaction.
+// subcircuit and miter constructions, the engine's direct ATPG-SAT
+// encoding, a per-fault engine with test extraction and verification,
+// and a full-circuit run with fault-simulation-based test-set
+// compaction.
 package atpg
 
 import (

@@ -2,7 +2,7 @@ package atpg
 
 // Per-fault structural features for the effort log: everything here is
 // computable without solving — fanout-cone shape, the size of the
-// sub-circuit the miter is built from, SCOAP testability, and (behind
+// sub-circuit the formula encodes, SCOAP testability, and (behind
 // RunOptions.EffortWidth, since it runs the MLA heuristic per fault) the
 // estimated cut-width of the fault's sub-circuit, the source paper's
 // headline predictor. The effort report correlates each column against
@@ -27,7 +27,7 @@ type FaultFeatures struct {
 	ConeDepth int32 `json:"cone_depth"`
 	// Gates is the gate count (non-input, non-constant nodes) of the
 	// fault's sub-circuit — fanin of the fanout cone, the structure the
-	// miter is actually built from, so it tracks instance size (Figure 1's
+	// formula actually encodes, so it tracks instance size (Figure 1's
 	// x-axis) without encoding anything.
 	Gates int32 `json:"gates"`
 	// CC0/CC1/CO are the fault net's SCOAP measures (see ComputeScoap).
@@ -92,7 +92,7 @@ func (x *featureExtractor) extract(f Fault) FaultFeatures {
 
 	// Fanin DFS from the whole cone (same stamp: cone nodes are already
 	// marked, so the walk only adds the side inputs' support) counts the
-	// gates of the sub-circuit the miter is built from.
+	// gates of the sub-circuit the formula encodes.
 	gates := int32(0)
 	for _, n := range x.cone {
 		if c.Nodes[n].Type >= logic.Buf {

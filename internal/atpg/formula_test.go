@@ -1,0 +1,113 @@
+package atpg
+
+import (
+	"bytes"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"atpgeasy/internal/bench"
+	"atpgeasy/internal/decomp"
+	"atpgeasy/internal/gen"
+	"atpgeasy/internal/logic"
+)
+
+// collisionBench returns a 7-line netlist whose BUF net is named net. The
+// names r~f0, r~flt and z~xor are the ones a named-circuit construction
+// of the ATPG-SAT instance would invent for its own copies of r and z.
+func collisionBench(net string) []byte {
+	return []byte(strings.ReplaceAll(`INPUT(a)
+INPUT(b)
+OUTPUT(z)
+na = NOT(a)
+r = AND(a, na)
+NET = BUF(b)
+z = OR(r, NET)
+`, "NET", net))
+}
+
+// collisionNets names the BUF nets of the collision netlists.
+var collisionNets = []string{"r~f0", "r~flt", "z~xor"}
+
+// formulaTestCircuits returns the encoder's reference circuits, each raw
+// and technology-decomposed: two random netlists, an adder, a
+// multiplier, a many-output decoder, an ALU, an XOR tree and the
+// collision netlists.
+func formulaTestCircuits(t *testing.T) map[string]*logic.Circuit {
+	t.Helper()
+	raw := map[string]*logic.Circuit{
+		"rand1":   gen.Random(gen.RandomParams{Inputs: 10, Gates: 60, Seed: 7}),
+		"rand2":   gen.Random(gen.RandomParams{Inputs: 12, Gates: 120, Seed: 5}),
+		"cla4":    gen.CarryLookaheadAdder(4),
+		"mult4":   gen.ArrayMultiplier(4),
+		"dec5":    gen.Decoder(5),
+		"alu4":    gen.ALU(4),
+		"parity8": gen.ParityTree(8),
+	}
+	for _, net := range collisionNets {
+		c, err := bench.Read(bytes.NewReader(collisionBench(net)), net)
+		if err != nil {
+			t.Fatalf("%s: %v", net, err)
+		}
+		raw[net] = c
+	}
+	out := make(map[string]*logic.Circuit, 2*len(raw))
+	for name, c := range raw {
+		d, err := decomp.Decompose(c, 3)
+		if err != nil {
+			t.Fatalf("%s: decompose: %v", name, err)
+		}
+		out[name] = c
+		out[name+"/decomposed"] = d
+	}
+	return out
+}
+
+// TestFormulaMatchesMiter pins the engine's encoder to the reference
+// construction: for every fault, the ungated formula has Miter.Encode's
+// variable count and clause list exactly, an unobservable fault gets no
+// formula where NewMiter reports ErrUnobservable, and vector extraction
+// agrees with Miter.ExtractTest on random models.
+func TestFormulaMatchesMiter(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for name, c := range formulaTestCircuits(t) {
+		fe := newFormulaEncoder(c)
+		for _, f := range AllFaults(c) {
+			m, merr := NewMiter(c, f)
+			got, err := fe.encode([]Fault{f}, false)
+			if err != nil {
+				t.Fatalf("%s %s: encode: %v", name, f.Name(c), err)
+			}
+			if merr == ErrUnobservable {
+				if got != nil {
+					t.Fatalf("%s %s: unobservable fault got a formula", name, f.Name(c))
+				}
+				continue
+			}
+			if merr != nil {
+				t.Fatalf("%s %s: NewMiter: %v", name, f.Name(c), merr)
+			}
+			want, err := m.Encode()
+			if err != nil {
+				t.Fatalf("%s %s: Miter.Encode: %v", name, f.Name(c), err)
+			}
+			if got == nil {
+				t.Fatalf("%s %s: no formula for an observable fault", name, f.Name(c))
+			}
+			if got.NumVars != want.NumVars || !reflect.DeepEqual(got.Clauses, want.Clauses) {
+				t.Fatalf("%s %s: formula (%d vars, %d clauses) differs from Miter.Encode's (%d, %d)", name, f.Name(c),
+					got.NumVars, got.NumClauses(), want.NumVars, want.NumClauses())
+			}
+			for trial := 0; trial < 4; trial++ {
+				model := make([]bool, want.NumVars)
+				for v := range model {
+					model[v] = rng.Intn(2) == 1
+				}
+				if g, w := fe.extract(model), m.ExtractTest(c, model); !reflect.DeepEqual(g, w) {
+					t.Fatalf("%s %s: extract %v, Miter.ExtractTest %v", name, f.Name(c), g, w)
+				}
+			}
+		}
+	}
+}

@@ -1,12 +1,13 @@
 package atpg
 
-// This file is the engine side of incremental region-grouped solving:
-// solveGroup, which encodes one group formula and decides every member
-// on a persistent per-worker CDCL instance under assumptions. The
-// dispatch loop (runPlan) calls it for the groups of every plan — the
-// sweep's and each retry tier's re-grouped queue — so a retried fault
-// also benefits from clauses learned by its region neighbors in the
-// same tier.
+// This file is the engine side of solving a group: solveGroup, which
+// encodes one formula per group and decides every member — a region
+// group's members on a persistent per-worker CDCL instance under
+// assumptions, a one-fault group's member one-shot on the engine's
+// solver. The dispatch loop (runPlan) calls it for the groups of every
+// plan — the sweep's and each retry tier's re-grouped queue — so a
+// retried fault also benefits from clauses learned by its region
+// neighbors in the same tier.
 
 import (
 	"context"
@@ -45,18 +46,21 @@ func (e *Engine) incrementalFor(ws *workerScratch) *sat.Incremental {
 	return inc
 }
 
-// solveGroup decides every undropped member of one region group on the
-// worker's incremental instance: one GroupMiter build, one formula
-// Load, then one SolveAssuming per member under its activation
-// assumptions. Members dropped before the build are excluded from the
-// encoding; members dropped after it are skipped without a solve —
-// both mirror the single-fault claim-time drop check. A panic anywhere
-// in the group becomes Errored results for the members not yet emitted,
-// and the worker's arena is replaced (sticky shrink caps carried over)
-// so the next group starts clean.
+// solveGroup decides every undropped member of one group of the plan.
+// It encodes one formula over the members still live: on a grouped plan
+// the region's gated formula, loaded into the worker's incremental
+// instance and solved once per member under its activation assumptions;
+// otherwise the one member's own formula, solved one-shot on the
+// engine's solver. Members dropped before the encode are excluded from
+// it; members dropped after it are skipped without a solve — both
+// mirror a claim-time drop check. solveGroup is the engine's one
+// per-fault panic barrier: a panic anywhere in the group becomes
+// Errored results for the members not yet emitted, and the worker's
+// arena is replaced (sticky shrink caps carried over) so the next group
+// starts clean.
 //
 // The plan's budget, when positive, bounds each member's solve
-// separately (the group shares learned clauses, never a deadline).
+// separately (a region group shares learned clauses, never a deadline).
 // Verdicts and vectors are independent of group size and timing: the
 // solver's lex-first branching over the region's input variables makes
 // each member's first model project to the lex-least input assignment,
@@ -65,13 +69,13 @@ func (e *Engine) incrementalFor(ws *workerScratch) *sat.Incremental {
 func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan, g *faultGroup, ws *workerScratch, worker int, shrinkSeen *int64, parent obs.SpanContext, emit emitFunc) (err error) {
 	tel := st.opt.Telemetry
 	members := pl.order[g.start:g.end]
-	emitted := make([]bool, len(members))
+	next := 0 // members[:next] are emitted or skipped
 	// decided hands member k's verdict to emit.
 	decided := func(k int, res Result) error {
 		if res.Status == Errored {
 			st.dumpRingOnce("fault panic recovered", true)
 		}
-		emitted[k] = true
+		next = k + 1
 		return emit(int(g.start)+k, res)
 	}
 	defer func() {
@@ -93,15 +97,13 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 		}
 		msg := fmt.Sprintf("panic: %v", r)
 		stack := string(debug.Stack())
-		for k, idx := range members {
-			i := int(idx)
-			if emitted[k] || st.droppedF.get(i) {
+		for k := next; k < len(members); k++ {
+			i := int(members[k])
+			if st.droppedF.get(i) {
 				continue
 			}
-			res := Result{
-				Fault: st.faults[i], Status: Errored, Err: msg, Stack: stack,
-				Group: g.id + 1, GroupSize: len(members),
-			}
+			res := pl.result(g, st.faults[i])
+			res.Status, res.Err, res.Stack = Errored, msg, stack
 			if eerr := decided(k, res); eerr != nil && err == nil {
 				err = eerr
 			}
@@ -111,50 +113,42 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 	gspan := tel.startSpan("group", parent)
 	if gspan.Active() {
 		gspan.Worker = worker
-		gspan.Detail = fmt.Sprintf("region-%d", g.region)
+		if pl.grouped {
+			gspan.Detail = fmt.Sprintf("region-%d", g.region)
+		}
 		gspan.Items = int64(len(members))
 	}
 	defer gspan.End()
 	st.ring.Record("group", worker, int64(g.id), int64(len(members)), 0)
 
-	// Build the shared region formula over the members still live. The
-	// live set depends on flush timing, but neither verdicts nor vectors
-	// do: a member's deactivated clauses are satisfied by its negated
+	// Encode the formula over the members still live. The live set
+	// depends on flush timing, but neither verdicts nor vectors do: a
+	// member's deactivated clauses are satisfied by its negated
 	// selector, and absent inputs extract as false — exactly the value
 	// lex-first branching gives them when present.
 	buildStart := time.Now()
-	live := make([]Fault, 0, len(members))
-	liveAt := make([]int, len(members)) // member k -> index into live, or -1
-	for k, idx := range members {
+	live, liveAt := ws.live[:0], ws.liveAt[:0] // liveAt: member k -> index into live, or -1
+	for _, idx := range members {
 		i := int(idx)
 		if st.droppedF.get(i) {
-			liveAt[k] = -1
+			liveAt = append(liveAt, -1)
 			continue
 		}
-		liveAt[k] = len(live)
+		liveAt = append(liveAt, len(live))
 		live = append(live, st.faults[i])
 	}
+	ws.live, ws.liveAt = live, liveAt
 	if len(live) == 0 {
 		return nil
 	}
-	var (
-		gm            *GroupMiter
-		vars, clauses int
-		inc           *sat.Incremental
-	)
-	gm, err = NewGroupMiter(st.c, live)
+	formula, err := ws.enc.encode(live, pl.grouped)
 	if err != nil {
 		return err
 	}
-	if gm.Circuit != nil {
-		var formula *cnf.Formula
-		formula, err = gm.EncodeWith(ws.enc)
-		if err != nil {
-			return err
-		}
-		vars, clauses = formula.NumVars, formula.NumClauses()
+	var inc *sat.Incremental
+	if formula != nil && pl.grouped {
 		inc = e.incrementalFor(ws)
-		inc.Load(formula, gm.Priority)
+		inc.Load(formula, ws.enc.priority)
 	}
 	buildElapsed := time.Since(buildStart)
 
@@ -163,8 +157,8 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 		i := int(idx)
 		mk := liveAt[k]
 		if mk < 0 || st.droppedF.get(i) {
-			// Dropped before (or since) the build: skipped without a
-			// solve, like a single fault dropped before its claim.
+			// Dropped before (or since) the encode: skipped without a
+			// solve.
 			continue
 		}
 		if ctx.Err() != nil {
@@ -177,14 +171,15 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 		if e.testHookPanic != nil {
 			e.testHookPanic(st.faults[i])
 		}
-		res := Result{Fault: st.faults[i], Group: g.id + 1, GroupSize: len(members)}
+		res := pl.result(g, st.faults[i])
 		if buildElapsed > 0 {
-			// The group build is attributed to its first emitted member,
-			// so summed phase times still account for it exactly once.
+			// The group's encode is attributed to its first emitted
+			// member, so summed phase times still account for it exactly
+			// once.
 			res.BuildElapsed = buildElapsed
 			buildElapsed = 0
 		}
-		if gm.Unobservable[mk] {
+		if ws.enc.unobservable[mk] {
 			res.Status = Untestable
 			if err = decided(k, res); err != nil {
 				return err
@@ -200,25 +195,20 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 			fspan.Worker = worker
 			fspan.Detail = st.faults[i].Name(st.c)
 		}
-		res.Vars, res.Clauses = vars, clauses
-		start := time.Now()
-		assumps = gm.Assumptions(mk, assumps)
-		sol := inc.SolveAssuming(assumps, lim)
-		res.Elapsed = time.Since(start)
-		res.SolverStats = sol.Stats
-		fspan.Items = sol.Stats.SearchEffort()
+		res.Vars, res.Clauses = formula.NumVars, formula.NumClauses()
+		if pl.grouped {
+			start := time.Now()
+			assumps = ws.enc.assumptions(mk, assumps)
+			sol := inc.SolveAssuming(assumps, lim)
+			res.Elapsed = time.Since(start)
+			err = e.settle(st.c, &res, sol, ws.enc)
+		} else {
+			err = e.solveOneShot(st.c, &res, formula, lim, ws)
+		}
+		fspan.Items = res.SolverStats.SearchEffort()
 		fspan.End()
-		switch sol.Status {
-		case sat.Sat:
-			res.Status = Detected
-			res.Vector = gm.ExtractTest(st.c, sol.Model)
-			if e.VerifyTests && !VerifyTest(st.c, st.faults[i], res.Vector) {
-				return fmt.Errorf("atpg: generated vector fails to detect %s (pipeline bug)", st.faults[i].Name(st.c))
-			}
-		case sat.Unsat:
-			res.Status = Untestable
-		default:
-			res.Status = Aborted
+		if err != nil {
+			return err
 		}
 		st.ring.Record("solve", worker, int64(i), int64(res.Status), res.Elapsed.Nanoseconds())
 		if ctx.Err() != nil {

@@ -59,13 +59,15 @@ type Miter struct {
 	Observable []int
 }
 
-// NewMiter constructs C_ψ^ATPG. The fault is untestable iff the resulting
-// CIRCUIT-SAT instance (see Encode) is unsatisfiable. It returns an error
-// when the fault has no observable output (trivially untestable); callers
-// treat that as UNSAT without building a formula.
+// ErrUnobservable is NewMiter's error for a fault with no observable
+// output (trivially untestable); callers treat it as UNSAT without
+// building a formula.
 var ErrUnobservable = fmt.Errorf("atpg: fault has no observable output")
 
-// NewMiter builds the ATPG miter for fault f on circuit c.
+// NewMiter builds the ATPG miter C_ψ^ATPG for fault f on circuit c. The
+// fault is untestable iff its CIRCUIT-SAT instance (see Encode) is
+// unsatisfiable. The engine encodes the same formula straight from c
+// (formula.go); Miter is the reference construction.
 func NewMiter(c *logic.Circuit, f Fault) (*Miter, error) {
 	if f.Net < 0 || f.Net >= c.NumNodes() {
 		return nil, fmt.Errorf("atpg: fault net %d out of range", f.Net)
@@ -121,7 +123,7 @@ func NewMiter(c *logic.Circuit, f Fault) (*Miter, error) {
 	for _, id := range foList {
 		n := &c.Nodes[id]
 		if id == f.Net {
-			faultyOf[id] = b.Const(n.Name+"~flt", f.StuckAt)
+			faultyOf[id] = b.Const(freshName(b, n.Name+"~flt"), f.StuckAt)
 			continue
 		}
 		fanin := make([]int, len(n.Fanin))
@@ -132,13 +134,13 @@ func NewMiter(c *logic.Circuit, f Fault) (*Miter, error) {
 				fanin[i] = goodOf[fi]
 			}
 		}
-		faultyOf[id] = b.GateN(n.Type, n.Name+"~flt", fanin, n.Neg)
+		faultyOf[id] = b.GateN(n.Type, freshName(b, n.Name+"~flt"), fanin, n.Neg)
 	}
 	// Pairwise XOR of the observable outputs; each XOR is a primary output
 	// of the miter, so the CIRCUIT-SAT "some output is 1" clause states
 	// that at least one output pair differs.
 	for _, o := range observable {
-		x := b.Gate(logic.Xor, c.Nodes[o].Name+"~xor", goodOf[o], faultyOf[o])
+		x := b.Gate(logic.Xor, freshName(b, c.Nodes[o].Name+"~xor"), goodOf[o], faultyOf[o])
 		b.MarkOutput(x)
 	}
 	mc, err := b.Build()
@@ -155,20 +157,25 @@ func NewMiter(c *logic.Circuit, f Fault) (*Miter, error) {
 	}, nil
 }
 
+// freshName returns name, extended until no node of b carries it yet.
+// The copies' names never reach the clauses, but a parent net may
+// already be called like one of them.
+func freshName(b *logic.Builder, name string) string {
+	for {
+		if _, taken := b.Lookup(name); !taken {
+			return name
+		}
+		name += "~"
+	}
+}
+
 // Encode builds the ATPG-SAT formula: the CIRCUIT-SAT formula of the
 // miter plus the fault-activation unit clause asserting the good fault
 // net carries the complement of the stuck value. (The activation clause is
 // implied by the XOR outputs but stating it explicitly matches the
 // problem definition and speeds up every solver.)
 func (m *Miter) Encode() (*cnf.Formula, error) {
-	return m.EncodeWith(new(cnf.Encoder))
-}
-
-// EncodeWith is Encode through a reusable encoder, amortizing the
-// formula's allocations across faults; the result is valid only until
-// the encoder's next Encode call.
-func (m *Miter) EncodeWith(enc *cnf.Encoder) (*cnf.Formula, error) {
-	f, err := enc.Encode(m.Circuit, nil)
+	f, err := cnf.FromCircuit(m.Circuit, nil)
 	if err != nil {
 		return nil, err
 	}

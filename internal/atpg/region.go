@@ -1,19 +1,17 @@
 package atpg
 
-// Region-grouped incremental solving: collapsed faults whose miters
-// share a transitive-fanout region are encoded into one formula with
-// per-fault activation (selector) literals and solved on one
-// incremental CDCL instance under assumptions, so clauses learned for
-// one fault prune the search for its region neighbors (InF-ATPG's
-// fanout-region organization, PAPERS.md). This file holds the grouping
-// — region heads, the canonical group order — and the GroupMiter, the
-// multi-fault generalization of Miter.
+// Region-grouped incremental solving: collapsed faults whose ATPG-SAT
+// instances share a transitive-fanout region are encoded into one
+// formula with per-fault activation (selector) literals and solved on
+// one incremental CDCL instance under assumptions, so clauses learned
+// for one fault prune the search for its region neighbors (InF-ATPG's
+// fanout-region organization, PAPERS.md). This file holds the grouping:
+// region heads and the canonical group order. The group formula is
+// formulaEncoder.encodeGroup's.
 
 import (
-	"fmt"
 	"sort"
 
-	"atpgeasy/internal/cnf"
 	"atpgeasy/internal/logic"
 )
 
@@ -140,226 +138,4 @@ func buildGroups(c *logic.Circuit, faults []Fault, skip []bool, groupMax int) ([
 		order = append(order, m...)
 	}
 	return order, groups
-}
-
-// GroupMiter is the multi-fault generalization of Miter: one good copy
-// of the union of the members' C_ψ^sub supports, plus a faulty fanout
-// cone and per-output XORs for each member, with the member's fault
-// activation and observability clauses gated behind a selector
-// variable. Solving under assumptions that enable exactly one selector
-// is equivalent to solving that member's own miter — and every clause
-// the solver learns is implied by the shared formula alone, so it
-// stays valid for every member.
-type GroupMiter struct {
-	// Circuit is the shared region circuit. It has no marked outputs:
-	// the per-member observability clauses replace the global
-	// "some output differs" clause of the single-fault encoding.
-	Circuit *logic.Circuit
-	// Faults lists the member faults, in group order.
-	Faults []Fault
-	// GoodOf maps a parent node ID to its good-copy node, or -1.
-	GoodOf []int
-	// GoodFault[k] is the good copy of member k's fault net (-1 when
-	// the member is unobservable).
-	GoodFault []int
-	// Unobservable[k] reports that member k has no output in its
-	// fanout: trivially untestable, excluded from the encoding.
-	Unobservable []bool
-	// Priority lists the good-copy variables of the parent primary
-	// inputs present in the region, in parent input order. Handed to
-	// the incremental solver as the lex branching order, it makes the
-	// first model's input projection lex-least — the determinism
-	// anchor for byte-identical vectors at any group size.
-	Priority []int
-	// selVar[k] is member k's selector variable (-1 if unobservable),
-	// assigned by EncodeWith after the region circuit's variables.
-	selVar []int
-	// xorsOf[k] lists member k's XOR difference nets, in output order.
-	xorsOf [][]int
-}
-
-// NewGroupMiter builds the shared region miter for the given member
-// faults of circuit c. Members with no observable output get
-// Unobservable and take no part in the encoding; if every member is
-// unobservable the GroupMiter is still returned (with no formula
-// worth encoding) and the caller synthesizes untestable results.
-func NewGroupMiter(c *logic.Circuit, members []Fault) (*GroupMiter, error) {
-	g := &GroupMiter{
-		Faults:       members,
-		GoodOf:       make([]int, c.NumNodes()),
-		GoodFault:    make([]int, len(members)),
-		Unobservable: make([]bool, len(members)),
-		selVar:       make([]int, len(members)),
-	}
-	for i := range g.GoodOf {
-		g.GoodOf[i] = -1
-	}
-	for k := range members {
-		g.GoodFault[k] = -1
-		g.selVar[k] = -1
-	}
-
-	outSet := make(map[int]bool)
-	for _, o := range c.Outputs {
-		outSet[o] = true
-	}
-	foLists := make([][]int, len(members))
-	observable := make([][]int, len(members))
-	var allFO []int
-	for k, f := range members {
-		if f.Net < 0 || f.Net >= c.NumNodes() {
-			return nil, fmt.Errorf("atpg: fault net %d out of range", f.Net)
-		}
-		foLists[k] = c.TransitiveFanout(f.Net)
-		for _, id := range foLists[k] {
-			if outSet[id] {
-				observable[k] = append(observable[k], id)
-			}
-		}
-		if len(observable[k]) == 0 {
-			g.Unobservable[k] = true
-			continue
-		}
-		allFO = append(allFO, foLists[k]...)
-	}
-	if len(allFO) == 0 {
-		return g, nil // every member trivially untestable
-	}
-	subIDs := c.TransitiveFanin(allFO...)
-
-	b := logic.NewBuilder(fmt.Sprintf("%s_region_%d", c.Name, members[0].Net))
-	for _, id := range subIDs {
-		n := &c.Nodes[id]
-		switch n.Type {
-		case logic.Input:
-			g.GoodOf[id] = b.Input(n.Name)
-		case logic.Const0:
-			g.GoodOf[id] = b.Const(n.Name, false)
-		case logic.Const1:
-			g.GoodOf[id] = b.Const(n.Name, true)
-		default:
-			fanin := make([]int, len(n.Fanin))
-			for i, fi := range n.Fanin {
-				fanin[i] = g.GoodOf[fi]
-			}
-			g.GoodOf[id] = b.GateN(n.Type, n.Name, fanin, n.Neg)
-		}
-	}
-
-	// Per-member faulty cones and XOR difference nets, exactly as in
-	// NewMiter but with a member-unique name suffix and without
-	// marking outputs: activation and observability are per-member
-	// clauses added by EncodeWith, gated behind the member's selector.
-	g.xorsOf = make([][]int, len(members))
-	faultyOf := make([]int, c.NumNodes())
-	for k, f := range members {
-		if g.Unobservable[k] {
-			continue
-		}
-		inFO := make([]bool, c.NumNodes())
-		for _, id := range foLists[k] {
-			inFO[id] = true
-			faultyOf[id] = -1
-		}
-		suffix := fmt.Sprintf("~f%d", k)
-		for _, id := range foLists[k] {
-			n := &c.Nodes[id]
-			if id == f.Net {
-				faultyOf[id] = b.Const(n.Name+suffix, f.StuckAt)
-				continue
-			}
-			fanin := make([]int, len(n.Fanin))
-			for i, fi := range n.Fanin {
-				if inFO[fi] {
-					fanin[i] = faultyOf[fi]
-				} else {
-					fanin[i] = g.GoodOf[fi]
-				}
-			}
-			faultyOf[id] = b.GateN(n.Type, n.Name+suffix, fanin, n.Neg)
-		}
-		g.GoodFault[k] = g.GoodOf[f.Net]
-		for _, o := range observable[k] {
-			x := b.Gate(logic.Xor, c.Nodes[o].Name+suffix+"~xor", g.GoodOf[o], faultyOf[o])
-			g.xorsOf[k] = append(g.xorsOf[k], x)
-		}
-	}
-	mc, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	g.Circuit = mc
-	for _, in := range c.Inputs {
-		if mid := g.GoodOf[in]; mid >= 0 {
-			g.Priority = append(g.Priority, mid)
-		}
-	}
-	return g, nil
-}
-
-// EncodeWith encodes the region circuit through a reusable encoder and
-// appends the gated per-member clauses: for each observable member k
-// with selector s_k,
-//
-//	¬s_k ∨ activation_k   (good fault net carries the complement of the stuck value)
-//	¬s_k ∨ xor_k,1 ∨ …    (some observable output pair differs)
-//
-// Assuming s_k (and ¬s_j for the other members) therefore reduces the
-// formula to member k's single-fault ATPG instance. The result aliases
-// encoder buffers and is valid only until the encoder's next Encode —
-// the incremental solver's Load copies it.
-func (g *GroupMiter) EncodeWith(enc *cnf.Encoder) (*cnf.Formula, error) {
-	f, err := enc.Encode(g.Circuit, nil)
-	if err != nil {
-		return nil, err
-	}
-	next := f.NumVars
-	for k := range g.Faults {
-		if g.Unobservable[k] {
-			continue
-		}
-		g.selVar[k] = next
-		next++
-		sel := cnf.NewLit(g.selVar[k], true) // ¬s_k
-		f.AddClause(sel, cnf.NewLit(g.GoodFault[k], g.Faults[k].StuckAt))
-		obs := make([]cnf.Lit, 0, len(g.xorsOf[k])+1)
-		obs = append(obs, sel)
-		for _, x := range g.xorsOf[k] {
-			obs = append(obs, cnf.NewLit(x, false))
-		}
-		f.AddClause(obs...)
-	}
-	return f, nil
-}
-
-// Assumptions appends member k's assumption literals to buf: its own
-// selector asserted, every other member's selector negated — the
-// negations keep the solver from wandering into other members'
-// activation clauses, and make UNSAT mean exactly "member k is
-// untestable".
-func (g *GroupMiter) Assumptions(k int, buf []cnf.Lit) []cnf.Lit {
-	buf = buf[:0]
-	buf = append(buf, cnf.NewLit(g.selVar[k], false))
-	for j := range g.Faults {
-		if j != k && g.selVar[j] >= 0 {
-			buf = append(buf, cnf.NewLit(g.selVar[j], true))
-		}
-	}
-	return buf
-}
-
-// ExtractTest converts a satisfying model under member k's assumptions
-// into a test vector over the parent circuit's primary inputs. Inputs
-// outside the region are don't-cares returned as false — and because
-// the solver branches lex-first over Priority, inputs inside the
-// region but irrelevant to member k come out false too, making the
-// vector identical to the one a fresh single-fault solve extracts.
-func (g *GroupMiter) ExtractTest(c *logic.Circuit, model []bool) []bool {
-	vec := make([]bool, len(c.Inputs))
-	for i, in := range c.Inputs {
-		if mid := g.GoodOf[in]; mid >= 0 {
-			vec[i] = model[mid]
-		}
-	}
-	return vec
 }

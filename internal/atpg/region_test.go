@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"atpgeasy/internal/cnf"
 	"atpgeasy/internal/gen"
 	"atpgeasy/internal/logic"
 	"atpgeasy/internal/obs"
@@ -97,12 +96,13 @@ func TestBuildGroupsCanonicalOrder(t *testing.T) {
 	}
 }
 
-// TestGroupMiterMatchesMiter solves every fault of every region group
-// through the group encoding under assumptions on one incremental
-// instance, and requires member-by-member agreement with the fresh
-// single-fault miter: same verdict, and a group-extracted vector that
-// detects the fault and is byte-identical to the fresh one.
-func TestGroupMiterMatchesMiter(t *testing.T) {
+// TestGroupFormulaMatchesMiter solves every fault of every region
+// group through the gated group formula under assumptions on one
+// incremental instance, and requires member-by-member agreement with
+// the fresh single-fault solve: same verdict, and a group-extracted
+// vector that detects the fault and is byte-identical to the one the
+// member's own one-member group yields.
+func TestGroupFormulaMatchesMiter(t *testing.T) {
 	for name, c := range regionTestCircuits() {
 		faults := Collapse(c, AllFaults(c))
 		order, groups := buildGroups(c, faults, nil, DefaultGroupMax)
@@ -117,24 +117,21 @@ func TestGroupMiterMatchesMiter(t *testing.T) {
 		}
 		// The fresh baseline for vectors must come from the same lex-first
 		// branching; re-solve each fault alone on the incremental path.
+		fe := newFormulaEncoder(c)
 		freshVec := make(map[int][]bool, len(faults))
 		for _, idx := range order {
-			gm, err := NewGroupMiter(c, []Fault{faults[idx]})
-			if err != nil {
-				t.Fatalf("%s: solo GroupMiter: %v", name, err)
-			}
-			if gm.Unobservable[0] {
-				continue
-			}
-			f, err := gm.EncodeWith(new(cnf.Encoder))
+			f, err := fe.encode([]Fault{faults[idx]}, true)
 			if err != nil {
 				t.Fatalf("%s: solo encode: %v", name, err)
 			}
+			if f == nil {
+				continue
+			}
 			inc := sat.NewIncremental()
-			inc.Load(f, gm.Priority)
-			sol := inc.SolveAssuming(gm.Assumptions(0, nil), sat.Limits{})
+			inc.Load(f, fe.priority)
+			sol := inc.SolveAssuming(fe.assumptions(0, nil), sat.Limits{})
 			if sol.Status == sat.Sat {
-				freshVec[int(idx)] = gm.ExtractTest(c, sol.Model)
+				freshVec[int(idx)] = fe.extract(sol.Model)
 			}
 		}
 		for _, g := range groups {
@@ -142,36 +139,32 @@ func TestGroupMiterMatchesMiter(t *testing.T) {
 			for _, idx := range order[g.start:g.end] {
 				members = append(members, faults[idx])
 			}
-			gm, err := NewGroupMiter(c, members)
+			f, err := fe.encode(members, true)
 			if err != nil {
-				t.Fatalf("%s: NewGroupMiter: %v", name, err)
+				t.Fatalf("%s: encode: %v", name, err)
 			}
 			var inc *sat.Incremental
-			if gm.Circuit != nil {
-				f, err := gm.EncodeWith(new(cnf.Encoder))
-				if err != nil {
-					t.Fatalf("%s: EncodeWith: %v", name, err)
-				}
+			if f != nil {
 				inc = sat.NewIncremental()
-				inc.Load(f, gm.Priority)
+				inc.Load(f, fe.priority)
 			}
 			for k := range members {
 				i := int(order[int(g.start)+k])
 				want := fresh[i]
-				if gm.Unobservable[k] {
+				if fe.unobservable[k] {
 					if want.Status != Untestable {
 						t.Fatalf("%s: %s unobservable in group but %v fresh",
 							name, members[k].Name(c), want.Status)
 					}
 					continue
 				}
-				sol := inc.SolveAssuming(gm.Assumptions(k, nil), sat.Limits{})
+				sol := inc.SolveAssuming(fe.assumptions(k, nil), sat.Limits{})
 				switch sol.Status {
 				case sat.Sat:
 					if want.Status != Detected {
 						t.Fatalf("%s: %s SAT in group, %v fresh", name, members[k].Name(c), want.Status)
 					}
-					vec := gm.ExtractTest(c, sol.Model)
+					vec := fe.extract(sol.Model)
 					if !VerifyTest(c, members[k], vec) {
 						t.Fatalf("%s: group vector for %s does not detect it", name, members[k].Name(c))
 					}

@@ -1,22 +1,21 @@
 package atpg
 
-// This file is the engine's resilience layer: per-fault panic isolation,
-// the checkpoint/resume plumbing (the journal itself lives in
-// internal/checkpoint), the escalating-budget retry tiers for faults
-// that exhaust PerFaultBudget, and the soft-memory watchdog that shrinks
-// solver caches instead of letting the process grow toward an OOM kill.
+// This file is the engine's resilience layer: the checkpoint/resume
+// plumbing (the journal itself lives in internal/checkpoint), the
+// escalating-budget retry tiers for faults that exhaust PerFaultBudget,
+// and the soft-memory watchdog that shrinks solver caches instead of
+// letting the process grow toward an OOM kill. The per-fault panic
+// barrier is solveGroup's (incremental.go).
 
 import (
 	"context"
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 
 	"atpgeasy/internal/logic"
-	"atpgeasy/internal/sat"
 )
 
 // Default retry escalation: three tiers, each with four times the
@@ -87,38 +86,6 @@ func CheckpointFingerprint(c *logic.Circuit, faults []Fault, opt RunOptions) uin
 		fmt.Fprintf(h, "%d:%t;", f.Net, f.StuckAt)
 	}
 	return h.Sum64()
-}
-
-// safeSolve runs one fault's solve behind the per-fault recover barrier:
-// a panic anywhere in the pipeline (miter build, CNF encode, search,
-// vector extraction) becomes an Errored result carrying the panic
-// message and stack, and the run continues with the next fault.
-func (e *Engine) safeSolve(f Fault, ws *workerScratch, solve func() (Result, error)) (res Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = Result{
-				Fault:  f,
-				Status: Errored,
-				Err:    fmt.Sprintf("panic: %v", r),
-				Stack:  string(debug.Stack()),
-			}
-			err = nil
-			// The panic may have left the scratch arena mid-solve; a fresh
-			// one costs a few allocations on a path taken at most once per
-			// faulty cone, and guarantees the next fault starts from clean
-			// state. A sticky watchdog cap carries over.
-			prevCap := ws.arena.CacheCap()
-			ws.arena = sat.NewArena()
-			if prevCap > 0 {
-				for ws.arena.Shrink() > prevCap {
-				}
-			}
-		}
-	}()
-	if e.testHookPanic != nil {
-		e.testHookPanic(f)
-	}
-	return solve()
 }
 
 // applyResume pre-fills the run state with a previous run's journaled

@@ -57,11 +57,10 @@ func TestScratchReuseMatchesTestFault(t *testing.T) {
 // budget, in parallel, under the race detector in CI.
 func TestScratchReuseWithDropAndCacheLimit(t *testing.T) {
 	c := gen.Random(gen.RandomParams{Inputs: 10, Gates: 60, Seed: 7})
-	e := &Engine{Solver: &sat.Caching{}, VerifyTests: true, Workers: 4}
+	e := &Engine{Solver: &sat.Caching{CacheLimit: 1 << 16}, VerifyTests: true, Workers: 4}
 	sum, err := e.Run(context.Background(), c, RunOptions{
 		Collapse:     true,
 		DropDetected: true,
-		CacheLimit:   1 << 16,
 	})
 	if err != nil {
 		t.Fatal(err)

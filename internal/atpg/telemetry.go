@@ -21,9 +21,10 @@ type Telemetry struct {
 	// effort log (RunOptions.EffortLog), not here.
 	Trace *obs.Trace
 	// Spans, when non-nil, mints hierarchical spans over the engine's
-	// control flow (run → phase → dispatch-chunk/RPT-batch/retry-tier →
-	// fault) and emits them to the tracer's sink as "kind":"span"
-	// records. Build one over the Trace sink with obs.NewTracer.
+	// control flow (run → phase (rpt, sweep, retry-tier) → group or
+	// RPT-batch → fault) and emits them to the tracer's sink as
+	// "kind":"span" records. Build one over the Trace sink with
+	// obs.NewTracer.
 	Spans *obs.Tracer
 	// Ring, when non-nil, replaces the engine's built-in flight recorder
 	// so the caller can dump it on its own signals (the CLI dumps on
@@ -200,7 +201,7 @@ func NewMetrics(reg *obs.Registry, shards int) *Metrics {
 		RetryRecovered: reg.LabeledCounter("atpg_retry_recovered_total", "faults decided by a retry tier", "tier"),
 
 		PhaseRPTNS:      reg.Counter("atpg_phase_rpt_ns_total", "random-pattern pre-phase time"),
-		PhaseBuildNS:    reg.Counter("atpg_phase_build_ns_total", "miter construction + CNF encoding time"),
+		PhaseBuildNS:    reg.Counter("atpg_phase_build_ns_total", "formula encoding time"),
 		PhaseSolveNS:    reg.Counter("atpg_phase_solve_ns_total", "SAT solving time"),
 		PhaseFaultSimNS: reg.Counter("atpg_phase_faultsim_ns_total", "fault-simulation flush time"),
 

@@ -142,10 +142,12 @@ func GateClauses(t logic.GateType, out int, in []Lit) ([]Clause, error) {
 // Encoder builds CIRCUIT-SAT formulas with reusable buffers, amortizing
 // the per-clause and per-gate allocations of FromCircuit across the
 // thousands of fault instances an ATPG worker encodes. The zero value is
-// ready to use. An Encoder must not be used concurrently, and the
-// *Formula returned by Encode (including its clauses and names) aliases
-// the encoder's buffers: it is valid only until the next Encode call;
-// callers needing to keep it must Clone it.
+// ready to use. Besides Encode, which encodes a whole circuit, it takes
+// clauses one gate or clause at a time: Reset, then Gate and Clause in
+// formula order, then Finish. An Encoder must not be used concurrently,
+// and the *Formula returned by Encode or Finish (including its clauses
+// and names) aliases the encoder's buffers: it is valid only until the
+// next Reset or Encode call; callers needing to keep it must Clone it.
 type Encoder struct {
 	w       clauseWriter
 	f       Formula
@@ -154,10 +156,30 @@ type Encoder struct {
 	in      []Lit
 }
 
+// Reset starts a new formula, discarding the clauses of the last one.
+func (e *Encoder) Reset() { e.w.reset() }
+
+// Gate appends the Figure 2 consistency clauses of one gate with output
+// variable out and input literals in (see GateClauses).
+func (e *Encoder) Gate(t logic.GateType, out int, in []Lit) error {
+	return e.w.emitGate(t, out, in)
+}
+
+// Clause appends one clause.
+func (e *Encoder) Clause(lits ...Lit) { e.w.add(lits...) }
+
+// Finish returns the formula over variables 0..numVars-1 made of the
+// clauses appended since Reset, in order, without variable names.
+func (e *Encoder) Finish(numVars int) *Formula {
+	e.clauses = e.w.clauses(e.clauses[:0])
+	e.f = Formula{NumVars: numVars, Clauses: e.clauses}
+	return &e.f
+}
+
 // Encode is FromCircuit with buffer reuse; see the Encoder doc for the
 // result's lifetime.
 func (e *Encoder) Encode(c *logic.Circuit, forced map[int]bool) (*Formula, error) {
-	e.w.reset()
+	e.Reset()
 	e.names = e.names[:0]
 	for i := range c.Nodes {
 		e.names = append(e.names, c.Nodes[i].Name)
@@ -170,22 +192,20 @@ func (e *Encoder) Encode(c *logic.Circuit, forced map[int]bool) (*Formula, error
 		switch n.Type {
 		case logic.Input:
 			// free variable, no clauses
-		case logic.Const0:
-			e.w.add(NewLit(id, true))
-		case logic.Const1:
-			e.w.add(NewLit(id, false))
+		case logic.Const0, logic.Const1:
+			e.Clause(NewLit(id, n.Type == logic.Const0))
 		default:
 			e.in = e.in[:0]
 			for i, fi := range n.Fanin {
 				e.in = append(e.in, NewLit(fi, n.Negated(i)))
 			}
-			if err := e.w.emitGate(n.Type, id, e.in); err != nil {
+			if err := e.Gate(n.Type, id, e.in); err != nil {
 				return nil, fmt.Errorf("gate %q: %w", n.Name, err)
 			}
 		}
 	}
 	for id, v := range forced {
-		e.w.add(NewLit(id, !v))
+		e.Clause(NewLit(id, !v))
 	}
 	if len(c.Outputs) > 0 {
 		for _, o := range c.Outputs {
@@ -193,9 +213,9 @@ func (e *Encoder) Encode(c *logic.Circuit, forced map[int]bool) (*Formula, error
 		}
 		e.w.end()
 	}
-	e.clauses = e.w.clauses(e.clauses[:0])
-	e.f = Formula{NumVars: c.NumNodes(), Clauses: e.clauses, VarNames: e.names}
-	return &e.f, nil
+	f := e.Finish(c.NumNodes())
+	f.VarNames = e.names
+	return f, nil
 }
 
 // FromCircuit builds the CIRCUIT-SAT formula f(C) of Section 2: one

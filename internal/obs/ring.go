@@ -21,10 +21,10 @@ import (
 const DefaultRingSize = 512
 
 // RingEvent is one flight-recorder entry. Kind names the event (the
-// engine records "chunk", "solve", "flush", "rpt", "stall", "tier",
-// "shrink", "panic"); A and B are two event-specific integer arguments
-// (fault index and status for a solve, chunk bounds for a claim, ...)
-// kept as plain ints so recording never allocates.
+// engine records "group", "solve", "flush", "rpt", "stall", "tier",
+// "shrink"); A and B are two event-specific integer arguments (fault
+// index and status for a solve, group id and size for a claimed group,
+// ...) kept as plain ints so recording never allocates.
 type RingEvent struct {
 	Seq    uint64 `json:"seq"`
 	TNS    int64  `json:"t_ns"` // since the ring's epoch (its creation)

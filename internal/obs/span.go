@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Span tracing: a Tracer mints hierarchical spans — run → phase →
-// dispatch-chunk/RPT-batch/retry-tier → fault — and emits each finished
+// Span tracing: a Tracer mints hierarchical spans — run → phase (rpt,
+// sweep, retry-tier) → group or RPT-batch → fault — and emits each finished
 // span to a Trace sink as one `"kind":"span"` JSONL record carrying its
 // ID and its parent's ID, so consumers (cmd/atpgreport) can rebuild the
 // tree and attribute wall time to the engine's real control flow. A span
