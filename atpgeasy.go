@@ -68,7 +68,7 @@ type (
 	// Summary aggregates a full-circuit ATPG run.
 	Summary = atpg.Summary
 	// RunOptions control a full-circuit ATPG run (collapsing, fault
-	// dropping, per-fault budget, per-worker solver cache limit).
+	// dropping, the random-pattern pre-phase, per-fault budget, retries).
 	RunOptions = atpg.RunOptions
 	// Engine generates tests fault by fault on a configurable worker pool.
 	Engine = atpg.Engine
@@ -121,7 +121,8 @@ type (
 	// text format.
 	MetricsRegistry = obs.Registry
 	// Trace is a JSONL event sink for the engine's run-level events
-	// (fault-simulation flushes, random-pattern batches, cache shrinks),
+	// (fault-simulation flushes, random-pattern batches, learned-clause
+	// budget shrinks),
 	// span records and flight-recorder dumps.
 	Trace = obs.Trace
 	// MetricsServer serves /metrics, /debug/vars and /debug/pprof for a
@@ -358,7 +359,7 @@ func NewDPLL() Solver { return &sat.DPLL{} }
 func NewCaching(order []int) Solver { return &sat.Caching{Order: order} }
 
 // NewCachingBounded is NewCaching with an explicit sub-formula cache
-// memory bound in bytes per solver/worker (0 = DefaultCacheLimit). A full
+// memory bound in bytes per solver (0 = DefaultCacheLimit). A full
 // cache evicts least-recently-referenced entries, trading pruning power
 // for flat memory; results are unaffected.
 func NewCachingBounded(order []int, cacheLimit int64) Solver {

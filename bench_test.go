@@ -416,34 +416,6 @@ func BenchmarkCachingSolver(b *testing.B) {
 	})
 }
 
-// BenchmarkEngineArenaReuse measures a full collapsed run on the
-// per-worker scratch arenas: solver buffers, CNF encoder slab and
-// fault-simulation scratch reused across faults.
-func BenchmarkEngineArenaReuse(b *testing.B) {
-	c := gen.ParityTree(16)
-	b.Run("arena-reuse", func(b *testing.B) {
-		eng := &atpg.Engine{Solver: &sat.Caching{}, Workers: 1}
-		opt := atpg.RunOptions{Collapse: true}
-		allocs := testing.AllocsPerRun(1, func() {
-			if _, err := eng.Run(context.Background(), c, opt); err != nil {
-				b.Fatal(err)
-			}
-		})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sum, err := eng.Run(context.Background(), c, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if sum.Aborted != 0 {
-				b.Fatalf("aborted %d", sum.Aborted)
-			}
-		}
-		recordBenchAllocs(b, 1, allocs)
-	})
-}
-
 // BenchmarkRPTPhase is the tentpole A/B: the full engine run with and
 // without the random-pattern pre-phase, at equal coverage. The committed
 // BENCH_atpg.json rows must show the rpt-on case issuing ≤50% of the

@@ -6,9 +6,8 @@
 // Usage:
 //
 //	atpg -bench FILE | -blif FILE | -gen NAME
-//	     [-collapse] [-dominance] [-drop] [-solver dpll|caching|simple]
-//	     [-group-max N]
-//	     [-j WORKERS] [-budget DURATION] [-cache-limit BYTES]
+//	     [-collapse] [-dominance] [-drop] [-group-max N]
+//	     [-j WORKERS] [-budget DURATION]
 //	     [-rpt-batches N] [-rpt-idle N] [-seed N]
 //	     [-retry-tiers N] [-retry-backoff F] [-mem-soft-limit BYTES]
 //	     [-checkpoint FILE] [-resume] [-checkpoint-sync] [-checkpoint-every DUR]
@@ -29,19 +28,17 @@
 // run reproducible. -dominance adds dominance-based fault collapsing on
 // top of -collapse equivalence collapsing.
 //
-// With the default dpll solver the engine runs incrementally: faults
-// sharing a transitive-fanout region are grouped (at most -group-max per
-// group), encoded once with per-fault activation literals, and solved on
-// a persistent per-worker CDCL instance that keeps learned clauses alive
-// across the group — same verdicts and vectors as fresh-per-fault
-// solving, less repeated search. -group-max 1 is the fresh-per-fault
-// ablation: the same incremental core, every fault in its own group.
-// The caching and simple solvers decide each fault on its own.
+// The engine runs incrementally: faults sharing a transitive-fanout
+// region are grouped (at most -group-max per group), encoded once with
+// per-fault activation literals, and solved on a persistent per-worker
+// CDCL instance that keeps learned clauses alive across the group — same
+// verdicts and vectors as fresh-per-fault solving, less repeated search.
+// -group-max 1 is the fresh-per-fault ablation: the same incremental
+// core, every fault in its own group.
 //
 // Faults are dispatched to -j parallel workers (default: GOMAXPROCS);
 // -budget bounds the SAT time per fault, reporting over-budget faults as
-// aborted instead of stalling the run; -cache-limit bounds the caching
-// solver's sub-formula table per worker (bytes, 0 = the 64 MiB default). Interrupting the run (SIGINT or
+// aborted instead of stalling the run. Interrupting the run (SIGINT or
 // SIGTERM) drains the workers and prints the partial results.
 //
 // Robustness: with -budget, faults that exhaust their budget enter a
@@ -53,15 +50,15 @@
 // besides), so a killed run resumes with -resume: decided faults are
 // skipped and the random-pattern pre-phase is replayed from the journal,
 // reproducing the uninterrupted run's vector set. -mem-soft-limit arms a
-// heap watchdog that shrinks the per-worker solver caches under memory
-// pressure instead of growing toward an OOM kill.
+// heap watchdog that shrinks the per-worker learned-clause budgets under
+// memory pressure instead of growing toward an OOM kill.
 //
 // Observability: -metrics-addr serves Prometheus-text /metrics,
 // /debug/vars and net/http/pprof for the duration of the run; -trace
 // writes run-level JSONL events (one per fault-simulation flush,
-// random-pattern batch and watchdog cache shrink); -progress prints a
-// live progress line (faults done, coverage, ETA) to stderr on the given
-// period; -json replaces the human summary on stdout with a
+// random-pattern batch and watchdog learned-budget shrink); -progress
+// prints a live progress line (faults done, coverage, ETA) to stderr on
+// the given period; -json replaces the human summary on stdout with a
 // machine-readable JSON document (schema atpgeasy/run-summary/v1,
 // documented in README.md). With -trace, the event stream also carries
 // hierarchical spans (run → phase → dispatch chunk/RPT batch/retry tier →
@@ -102,11 +99,6 @@ import (
 	"atpgeasy/internal/serve"
 )
 
-// dpllMaxConflicts bounds the CLI's DPLL solver so no fault can search
-// forever — the analogue of the 50M-node cap on the backtracking solvers.
-// -budget tightens this further in wall-clock terms.
-const dpllMaxConflicts = 10_000_000
-
 func main() {
 	benchFile := flag.String("bench", "", "read an ISCAS .bench netlist")
 	blifFile := flag.String("blif", "", "read a BLIF model")
@@ -117,14 +109,12 @@ func main() {
 	rptBatches := flag.Int("rpt-batches", atpg.DefaultRPTBatches, "random-pattern pre-phase: max 64-pattern batches (0 = disable)")
 	rptIdle := flag.Int("rpt-idle", atpg.DefaultRPTIdleStop, "stop the pre-phase after this many consecutive batches detecting nothing new")
 	seed := flag.Int64("seed", 1, "random-pattern generator seed (same seed = same run)")
-	solver := flag.String("solver", "dpll", "SAT engine: dpll, caching or simple")
-	groupMax := flag.Int("group-max", atpg.DefaultGroupMax, "max faults per region group on the dpll solver's incremental core (1 = fresh instance per fault)")
+	groupMax := flag.Int("group-max", atpg.DefaultGroupMax, "max faults per region group on the incremental CDCL core (1 = fresh instance per fault)")
 	workers := flag.Int("j", 0, "parallel fault workers (0 = GOMAXPROCS)")
 	budget := flag.Duration("budget", 0, "per-fault SAT time budget (0 = none); over-budget faults abort")
-	cacheLimit := flag.Int64("cache-limit", 0, "caching solver's sub-formula cache bound per worker, in bytes (0 = 64 MiB default)")
 	retryTiers := flag.Int("retry-tiers", atpg.DefaultRetryTiers, "escalation tiers re-running over-budget faults with growing budgets (0 = no retries)")
 	retryBackoff := flag.Float64("retry-backoff", atpg.DefaultRetryBackoff, "per-fault budget multiplier between retry tiers")
-	memSoftLimit := flag.Int64("mem-soft-limit", 0, "soft heap limit in bytes: above it, worker solver caches are halved between faults (0 = off)")
+	memSoftLimit := flag.Int64("mem-soft-limit", 0, "soft heap limit in bytes: above it, worker learned-clause budgets are halved between faults (0 = off)")
 	ckptPath := flag.String("checkpoint", "", "journal final fault verdicts to this JSONL file for crash recovery")
 	resumeRun := flag.Bool("resume", false, "replay the -checkpoint journal, skipping faults it already decided")
 	ckptSync := flag.Bool("checkpoint-sync", false, "fsync the checkpoint journal after every record (survives power loss, not just kill -9)")
@@ -170,16 +160,6 @@ func main() {
 	}
 
 	eng := &atpg.Engine{VerifyTests: true, Workers: *workers}
-	switch *solver {
-	case "dpll":
-		eng.Solver = &sat.DPLL{MaxConflicts: dpllMaxConflicts}
-	case "caching":
-		eng.Solver = &sat.Caching{MaxNodes: 50_000_000, CacheLimit: *cacheLimit}
-	case "simple":
-		eng.Solver = &sat.Simple{MaxNodes: 50_000_000}
-	default:
-		fail(fmt.Errorf("unknown solver %q", *solver))
-	}
 	if *dimacsDir != "" {
 		if err := dumpDIMACS(c, faults, *dimacsDir, info); err != nil {
 			fail(err)
@@ -303,8 +283,7 @@ func main() {
 			sum.SolverTotals.LearnedKept, sum.SolverTotals.LearnedReused, sum.SolverTotals.ClauseDBBytes)
 	}
 	if *jsonOut {
-		// The dpll solver is the only one that solves in region groups.
-		doc := buildJSONSummary(sum, *solver, effectiveWorkers, *budget, *solver == "dpll", *groupMax, interrupted)
+		doc := buildJSONSummary(sum, effectiveWorkers, *budget, *groupMax, interrupted)
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
@@ -388,9 +367,7 @@ func setupTelemetry(metricsAddr, traceFile string, progressEvery time.Duration, 
 type runSummaryJSON struct {
 	Schema       string           `json:"schema"`
 	Circuit      string           `json:"circuit"`
-	Solver       string           `json:"solver"`
 	Workers      int              `json:"workers"`
-	Incremental  bool             `json:"incremental,omitempty"`
 	GroupMax     int              `json:"group_max,omitempty"`
 	BudgetNS     int64            `json:"budget_ns,omitempty"`
 	Faults       faultCountsJSON  `json:"faults"`
@@ -423,14 +400,12 @@ type rptJSON struct {
 
 const summarySchema = "atpgeasy/run-summary/v1"
 
-func buildJSONSummary(sum *atpg.Summary, solver string, workers int, budget time.Duration, incremental bool, groupMax int, interrupted bool) runSummaryJSON {
+func buildJSONSummary(sum *atpg.Summary, workers int, budget time.Duration, groupMax int, interrupted bool) runSummaryJSON {
 	return runSummaryJSON{
-		Schema:      summarySchema,
-		Circuit:     sum.Circuit,
-		Solver:      solver,
-		Workers:     workers,
-		Incremental: incremental,
-		GroupMax:    groupMax,
+		Schema:   summarySchema,
+		Circuit:  sum.Circuit,
+		Workers:  workers,
+		GroupMax: groupMax,
 		BudgetNS: func() int64 {
 			if budget > 0 {
 				return budget.Nanoseconds()

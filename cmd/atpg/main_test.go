@@ -164,7 +164,7 @@ func TestBuildJSONSummary(t *testing.T) {
 		},
 		SolverTotals: sat.Stats{Nodes: 42, Decisions: 7},
 	}
-	doc := buildJSONSummary(sum, "dpll", 4, 100*time.Millisecond, true, 64, false)
+	doc := buildJSONSummary(sum, 4, 100*time.Millisecond, 64, false)
 	raw, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestBuildJSONSummary(t *testing.T) {
 		t.Errorf("wasted_solves = %v", m["wasted_solves"])
 	}
 	// wasted_solves is always present, 0 included (every serial run).
-	zero, err := json.Marshal(buildJSONSummary(&atpg.Summary{}, "dpll", 1, 0, true, 64, false))
+	zero, err := json.Marshal(buildJSONSummary(&atpg.Summary{}, 1, 0, 64, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +242,8 @@ func TestBuildJSONSummary(t *testing.T) {
 	if !strings.Contains(string(raw), `"workers":4`) {
 		t.Errorf("workers missing: %s", raw)
 	}
-	if m["incremental"] != true || m["group_max"] != float64(64) {
-		t.Errorf("incremental = %v, group_max = %v", m["incremental"], m["group_max"])
+	if m["group_max"] != float64(64) {
+		t.Errorf("group_max = %v", m["group_max"])
 	}
 }
 

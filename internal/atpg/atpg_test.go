@@ -239,28 +239,46 @@ func exhaustivelyTestable(c *logic.Circuit, f Fault) bool {
 	return false
 }
 
-// TestATPGAgainstExhaustive: property test over random circuits, all
-// three solvers and the production engine.
+// TestATPGAgainstExhaustive: property test over random circuits. On
+// every fault the paper's solvers, run directly on Miter.Encode's
+// ATPG-SAT formula, and TestFault must agree with exhaustive simulation,
+// and every model's extracted vector must detect the fault.
 func TestATPGAgainstExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	engines := map[string]*Engine{
-		"dpll":    {Solver: &sat.DPLL{}, VerifyTests: true},
-		"simple":  {Solver: &sat.Simple{}, VerifyTests: true},
-		"caching": {Solver: &sat.Caching{}, VerifyTests: true},
-	}
+	eng := &Engine{VerifyTests: true}
+	solvers := map[string]sat.Solver{"simple": &sat.Simple{}, "caching": &sat.Caching{}}
 	for trial := 0; trial < 8; trial++ {
 		c := randomCircuit(rng, 10)
-		faults := AllFaults(c)
-		for name, eng := range engines {
-			for _, f := range faults {
-				res, err := eng.TestFault(c, f)
-				if err != nil {
-					t.Fatalf("trial %d %s %s: %v", trial, name, f.Name(c), err)
+		for _, f := range AllFaults(c) {
+			want := exhaustivelyTestable(c, f)
+			res, err := eng.TestFault(c, f)
+			if err != nil {
+				t.Fatalf("trial %d TestFault %s: %v", trial, f.Name(c), err)
+			}
+			if (res.Status == Detected) != want {
+				t.Errorf("trial %d TestFault %s: status %v, testable=%v", trial, f.Name(c), res.Status, want)
+			}
+			m, err := NewMiter(c, f)
+			if err == ErrUnobservable {
+				if want {
+					t.Errorf("trial %d %s: unobservable, but a test exists", trial, f.Name(c))
 				}
-				want := exhaustivelyTestable(c, f)
-				if (res.Status == Detected) != want {
-					t.Errorf("trial %d %s %s: status %v, testable=%v",
-						trial, name, f.Name(c), res.Status, want)
+				continue
+			}
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, f.Name(c), err)
+			}
+			formula, err := m.Encode()
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, f.Name(c), err)
+			}
+			for name, s := range solvers {
+				sol := s.Solve(formula)
+				if (sol.Status == sat.Sat) != want {
+					t.Errorf("trial %d %s %s: %v, testable=%v", trial, name, f.Name(c), sol.Status, want)
+				}
+				if sol.Status == sat.Sat && !VerifyTest(c, f, m.ExtractTest(c, sol.Model)) {
+					t.Errorf("trial %d %s %s: model's vector misses the fault", trial, name, f.Name(c))
 				}
 			}
 		}

@@ -1,16 +1,15 @@
 package atpg
 
 // This file is the engine's contention-free dispatch layer: the atomic
-// drop bitset shared by claims and flushes, the effort-ordered dispatch
-// array (largest fanout cone first), the dispatch plan, and runPlan —
-// the one loop every worker of the sweep and of each retry tier runs.
+// drop bitset shared by claims and flushes, the fanout-cone sizes the
+// dispatch order is sorted by, the dispatch plan, and runPlan — the one
+// loop every worker of the sweep and of each retry tier runs.
 // None of these paths take a lock: claims advance an atomic cursor and
 // read drop bits, flushes set drop bits, and the deterministic commit
 // frontier in engine.go is the only serialized section.
 
 import (
 	"context"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -50,40 +49,11 @@ func (b bitset) set(i int) bool {
 	}
 }
 
-// effortOrder builds the dispatch order of the undecided faults: indices
-// into faults, largest fanout cone first, fault-list order among equals.
-// The fanout-cone size is a cheap structural proxy for solver effort (the
-// formula encodes the fanin of the fanout cone, so a bigger cone means
-// a bigger ATPG-SAT instance): scheduling the expensive faults
-// first keeps one hard fault from serializing the tail of a parallel
-// run. skip marks faults already decided (RPT pre-phase or a resumed
-// journal); they get no dispatch slot at all.
-func effortOrder(c *logic.Circuit, faults []Fault, skip []bool) []int32 {
-	sizer := newConeSizer(c)
-	effort := make([]int32, len(faults))
-	order := make([]int32, 0, len(faults))
-	for i, f := range faults {
-		if skip != nil && skip[i] {
-			continue
-		}
-		effort[i] = sizer.coneOf(f.Net)
-		order = append(order, int32(i))
-	}
-	// Full tie-break on the fault index makes the order deterministic
-	// without a stable sort.
-	sort.Slice(order, func(a, b int) bool {
-		if ea, eb := effort[order[a]], effort[order[b]]; ea != eb {
-			return ea > eb
-		}
-		return order[a] < order[b]
-	})
-	return order
-}
-
 // coneSizer memoizes fanout-cone node counts, the structural effort
-// proxy shared by the effort-ordered dispatch and the region grouping
-// (region.go): the formula encodes the fanin of the fanout cone, so a
-// bigger cone means a bigger ATPG-SAT instance.
+// proxy the region grouping (region.go) orders dispatch by: the formula
+// encodes the fanin of the fanout cone, so a bigger cone means a bigger
+// ATPG-SAT instance, and scheduling the expensive faults first keeps one
+// hard fault from serializing the tail of a parallel run.
 type coneSizer struct {
 	c     *logic.Circuit
 	cone  map[int]int32 // net -> fanout-cone node count
@@ -121,47 +91,24 @@ func (s *coneSizer) coneOf(net int) int32 {
 
 // dispatchPlan is one pass of the dispatch loop — the main sweep or one
 // retry tier: the order its faults are laid out in (the order the commit
-// frontier walks) and the groups that partition that order. Workers
-// share one plan and claim whole groups off its cursor.
+// frontier walks) and the region groups that partition that order.
+// Workers share one plan and claim whole groups off its cursor.
 type dispatchPlan struct {
 	order  []int32
 	groups []faultGroup
-	// grouped marks region groups, each solved on the worker's
-	// incremental CDCL instance; otherwise every group is one fault,
-	// solved one-shot on the engine's solver.
-	grouped bool
 	// budget bounds each fault's solve (0 = no deadline).
 	budget time.Duration
 
 	cursor atomic.Int64
 }
 
-// planDispatch lays out a plan over the faults not in skip: region
-// groups when the engine's solver is the incremental core's family
-// (grouped), otherwise one group per fault, in effort order.
-func planDispatch(c *logic.Circuit, faults []Fault, skip []bool, grouped bool, groupMax int, budget time.Duration) *dispatchPlan {
-	pl := &dispatchPlan{grouped: grouped, budget: budget}
-	if grouped {
-		pl.order, pl.groups = buildGroups(c, faults, skip, groupMax)
-		return pl
-	}
-	pl.order = effortOrder(c, faults, skip)
-	pl.groups = make([]faultGroup, len(pl.order))
-	for p := range pl.groups {
-		pl.groups[p] = faultGroup{id: p, start: int32(p), end: int32(p + 1)}
-	}
+// planDispatch lays out a plan over the faults not in skip (RPT
+// detections, resumed verdicts, or faults outside a retry queue): they
+// get no dispatch slot at all.
+func planDispatch(c *logic.Circuit, faults []Fault, skip []bool, groupMax int, budget time.Duration) *dispatchPlan {
+	pl := &dispatchPlan{budget: budget}
+	pl.order, pl.groups = buildGroups(c, faults, skip, groupMax)
 	return pl
-}
-
-// result starts the Result of fault f solved in group g. Group and
-// GroupSize are set on region groups only: 0 marks a fault solved on
-// its own.
-func (pl *dispatchPlan) result(g *faultGroup, f Fault) Result {
-	res := Result{Fault: f}
-	if pl.grouped {
-		res.Group, res.GroupSize = g.id+1, int(g.end-g.start)
-	}
-	return res
 }
 
 // emitFunc receives one decided fault by its position in the plan's

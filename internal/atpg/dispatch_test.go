@@ -11,7 +11,6 @@ import (
 
 	"atpgeasy/internal/gen"
 	"atpgeasy/internal/logic"
-	"atpgeasy/internal/sat"
 )
 
 // TestBitsetSetGet covers the drop bitset's single-owner transition
@@ -55,9 +54,11 @@ func TestBitsetSetGet(t *testing.T) {
 	}
 }
 
-// TestEffortOrder: the dispatch order must cover every undecided fault
-// exactly once, skip decided ones, and be sorted by fanout-cone size
-// (descending) with the fault index breaking ties — the schedule that
+// TestEffortOrder: under a skip mask, the dispatch order must cover
+// every undecided fault exactly once and no decided one, in effort
+// order: regions by their largest fanout cone (descending, the smallest
+// fault index breaking ties), each region's faults consecutive and
+// sorted by cone size (descending) then fault index — the schedule that
 // keeps one hard fault from serializing the tail.
 func TestEffortOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -67,7 +68,7 @@ func TestEffortOrder(t *testing.T) {
 	for i := range skip {
 		skip[i] = i%3 == 0
 	}
-	order := effortOrder(c, faults, skip)
+	order, _ := buildGroups(c, faults, skip, 4)
 	seen := make(map[int32]bool, len(order))
 	for _, i := range order {
 		if skip[i] {
@@ -101,11 +102,36 @@ func TestEffortOrder(t *testing.T) {
 		}
 		return len(seen)
 	}
-	for k := 1; k < len(order); k++ {
-		ca, cb := cone(faults[order[k-1]].Net), cone(faults[order[k]].Net)
-		if ca < cb || (ca == cb && order[k-1] >= order[k]) {
-			t.Fatalf("order[%d]=%d (cone %d) before order[%d]=%d (cone %d)",
-				k-1, order[k-1], ca, k, order[k], cb)
+	// A region's first fault carries its largest cone.
+	type region struct {
+		head, cone int
+		minIdx     int32
+	}
+	head := regionHeads(c)
+	var regions []region
+	seenRegion := map[int]bool{}
+	for k, i := range order {
+		h := int(head[faults[i].Net])
+		if k > 0 && regions[len(regions)-1].head == h {
+			prev := order[k-1]
+			ca, cb := cone(faults[prev].Net), cone(faults[i].Net)
+			if ca < cb || (ca == cb && prev >= i) {
+				t.Fatalf("order[%d]=%d (cone %d) before order[%d]=%d (cone %d)", k-1, prev, ca, k, i, cb)
+			}
+			regions[len(regions)-1].minIdx = min(regions[len(regions)-1].minIdx, i)
+			continue
+		}
+		if seenRegion[h] {
+			t.Fatalf("region-%d's faults are not consecutive", h)
+		}
+		seenRegion[h] = true
+		regions = append(regions, region{head: h, cone: cone(faults[i].Net), minIdx: i})
+	}
+	for r := 1; r < len(regions); r++ {
+		a, b := regions[r-1], regions[r]
+		if a.cone < b.cone || (a.cone == b.cone && a.minIdx >= b.minIdx) {
+			t.Fatalf("region-%d (cone %d, fault %d) before region-%d (cone %d, fault %d)",
+				a.head, a.cone, a.minIdx, b.head, b.cone, b.minIdx)
 		}
 	}
 }
@@ -118,39 +144,36 @@ func TestEffortOrder(t *testing.T) {
 // worker timing.) Built with -race in CI, this doubles as the concurrent
 // core's race test. Timing fields and WastedSolves — the price of
 // speculation, not part of the official outcome — are the only summary
-// fields allowed to differ. The property is checked on every plan the
-// dispatch loop runs: region groups, groups of one, and single faults on
-// the engine's solver.
+// fields allowed to differ. The property is checked at the default
+// group-size cap and at 1 (a fresh instance per fault), whose vector
+// sets must also match each other.
 func TestParallelByteIdenticalWithDrop(t *testing.T) {
 	circuits := parallelTestCircuits()
 	circuits["rand-big"] = gen.Random(gen.RandomParams{Inputs: 20, Gates: 200, Seed: 3})
-	plans := []struct {
+	refs := map[string]*Summary{} // the first plan's serial run, per circuit
+	for _, plan := range []struct {
 		name     string
-		solver   sat.Solver
 		groupMax int
 	}{
-		{name: "grouped"},
+		{name: "grouped", groupMax: DefaultGroupMax},
 		{name: "grouped-max1", groupMax: 1},
-		{name: "single", solver: &sat.Caching{}},
-	}
-	for _, plan := range plans {
+	} {
 		for cname, c := range circuits {
-			if plan.solver != nil && cname == "rand-big" {
-				// The caching backtracker is only fast on bounded cut-width;
-				// its wide-cone faults here cost seconds per run, which the
-				// repeated -race CI pass cannot afford.
-				continue
-			}
 			name := plan.name + "/" + cname
 			faults := Collapse(c, AllFaults(c))
 			opt := RunOptions{DropDetected: true, RPTBatches: 8, Seed: 42, GroupMax: plan.groupMax}
-			serial, err := (&Engine{Solver: plan.solver, VerifyTests: true, Workers: 1}).RunFaults(context.Background(), c, faults, opt)
+			serial, err := (&Engine{VerifyTests: true, Workers: 1}).RunFaults(context.Background(), c, faults, opt)
 			if err != nil {
 				t.Fatalf("%s serial: %v", name, err)
 			}
-			par, err := (&Engine{Solver: plan.solver, VerifyTests: true, Workers: 8}).RunFaults(context.Background(), c, faults, opt)
+			par, err := (&Engine{VerifyTests: true, Workers: 8}).RunFaults(context.Background(), c, faults, opt)
 			if err != nil {
 				t.Fatalf("%s parallel: %v", name, err)
+			}
+			if ref, ok := refs[cname]; !ok {
+				refs[cname] = serial
+			} else if !reflect.DeepEqual(ref.Vectors, serial.Vectors) {
+				t.Errorf("%s: vector set differs from the default group-size cap", name)
 			}
 			if serial.WastedSolves != 0 {
 				t.Errorf("%s: serial run wasted %d solves, want 0", name, serial.WastedSolves)
@@ -181,6 +204,9 @@ func TestParallelByteIdenticalWithDrop(t *testing.T) {
 					t.Errorf("%s: result %d differs: %v/%v vs %v/%v", name, i,
 						sr.Fault, sr.Status, pr.Fault, pr.Status)
 				}
+				if sr.Group < 1 || pr.Group < 1 {
+					t.Errorf("%s: result %d solved outside a region group", name, i)
+				}
 			}
 		}
 	}
@@ -197,7 +223,7 @@ func TestNoRedundantSolveAfterDrop(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		var attempts atomic.Int64
 		eng := &Engine{Workers: workers}
-		eng.testHookPanic = func(Fault) { attempts.Add(1) }
+		eng.testHook = func(Fault, time.Duration) bool { attempts.Add(1); return false }
 		sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{DropDetected: true})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -261,7 +287,7 @@ func flushState(tb testing.TB, c *logic.Circuit, nVecs int) (*runState, *workerS
 		results:  make([]*Result, len(faults)),
 		droppedF: newBitset(len(faults)),
 	}
-	st.plan = &dispatchPlan{order: effortOrder(c, faults, nil)}
+	st.plan = planDispatch(c, faults, nil, 0, 0)
 	rng := rand.New(rand.NewSource(7))
 	vecs := make([][]bool, nVecs)
 	for p := range vecs {

@@ -9,17 +9,14 @@ package atpg
 // like the checkpoint journal.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"sync"
-	"sync/atomic"
 
 	"atpgeasy/internal/ioguard"
 	"atpgeasy/internal/logic"
+	"atpgeasy/internal/obs"
 )
 
 // EffortSchema versions the effort-log format. Bump on any incompatible
@@ -72,19 +69,17 @@ type EffortRecord struct {
 	BuildNS int64 `json:"build_ns,omitempty"`
 	SolveNS int64 `json:"solve_ns,omitempty"`
 
-	Nodes        int64 `json:"nodes,omitempty"`
 	Decisions    int64 `json:"decisions,omitempty"`
 	Propagations int64 `json:"propagations,omitempty"`
 	Conflicts    int64 `json:"conflicts,omitempty"`
-	CacheHits    int64 `json:"cache_hits,omitempty"`
 	// Effort is sat.Stats.SearchEffort — the log's canonical solver-work
 	// scalar, present (possibly 0) on every record.
 	Effort int64 `json:"effort"`
 
-	// Incremental region-grouped solving (additive, absent on faults
-	// solved singly): Group is the 1-based canonical region-group id,
-	// GroupSize its member count, and LearnedReused the retained learned
-	// clauses this fault's solve used in conflict analysis.
+	// Region-grouped solving (absent on records without a solve): Group
+	// is the 1-based canonical region-group id, GroupSize its member
+	// count, and LearnedReused the retained learned clauses this fault's
+	// solve used in conflict analysis.
 	Group         int   `json:"group,omitempty"`
 	GroupSize     int   `json:"group_size,omitempty"`
 	LearnedReused int64 `json:"learned_reused,omitempty"`
@@ -96,35 +91,24 @@ type EffortRecord struct {
 	Stack string `json:"stack,omitempty"`
 }
 
-// EffortLog is the append-only JSONL sink for effort records. Emits from
-// concurrent workers are serialized; encoding happens outside the lock
-// in per-worker scratch buffers, so the critical section is one buffered
-// write. A nil *EffortLog discards records.
-type EffortLog struct {
-	mu     sync.Mutex
-	bw     *bufio.Writer
-	closer io.Closer
-	err    error
-	n      atomic.Int64
-}
+// EffortLog is the append-only JSONL sink for effort records, written
+// through an obs.Trace: records are encoded outside its lock in
+// per-worker scratch buffers, so the critical section is one buffered
+// write, and the first write error is sticky. A nil *EffortLog discards
+// records.
+type EffortLog struct{ sink *obs.Trace }
 
 // NewEffortLog wraps w in a buffered effort-record sink. If w is an
 // io.Closer, Close closes it after flushing.
-func NewEffortLog(w io.Writer) *EffortLog {
-	l := &EffortLog{bw: bufio.NewWriterSize(w, 1<<16)}
-	if c, ok := w.(io.Closer); ok {
-		l.closer = c
-	}
-	return l
-}
+func NewEffortLog(w io.Writer) *EffortLog { return &EffortLog{obs.NewTrace(w)} }
 
 // CreateEffortLog opens (truncating) an effort log file at path.
 func CreateEffortLog(path string) (*EffortLog, error) {
-	f, err := os.Create(path)
+	tr, err := obs.CreateTrace(path)
 	if err != nil {
 		return nil, err
 	}
-	return NewEffortLog(f), nil
+	return &EffortLog{tr}, nil
 }
 
 // Records returns the number of records written so far (header included).
@@ -132,26 +116,7 @@ func (l *EffortLog) Records() int64 {
 	if l == nil {
 		return 0
 	}
-	return l.n.Load()
-}
-
-// write appends one pre-encoded line (ending in '\n'). The first error
-// is retained and returned by every later call and by Close.
-func (l *EffortLog) write(line []byte) error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
-	}
-	if _, err := l.bw.Write(line); err != nil {
-		l.err = err
-		return err
-	}
-	l.n.Add(1)
-	return nil
+	return l.sink.Events()
 }
 
 // Close flushes the buffer and closes the underlying writer if it is a
@@ -160,18 +125,7 @@ func (l *EffortLog) Close() error {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.bw.Flush(); err != nil && l.err == nil {
-		l.err = err
-	}
-	if l.closer != nil {
-		if err := l.closer.Close(); err != nil && l.err == nil {
-			l.err = err
-		}
-		l.closer = nil
-	}
-	return l.err
+	return l.sink.Close()
 }
 
 // effortEncoder is one worker's reusable record-encoding scratch: the
@@ -215,7 +169,7 @@ func newEffortState(c *logic.Circuit, faults []Fault, opt RunOptions, workers in
 	if err != nil {
 		return nil, err
 	}
-	return es, es.log.write(append(hdr, '\n'))
+	return es, es.log.sink.WriteLine(append(hdr, '\n'))
 }
 
 // recordEffort emits one fault's effort record, encoded in the calling
@@ -248,8 +202,7 @@ func (st *runState) recordEffort(ws *workerScratch, i int, res *Result, phase st
 		rec.BuildNS = res.BuildElapsed.Nanoseconds()
 		rec.SolveNS = res.Elapsed.Nanoseconds()
 		ss := res.SolverStats
-		rec.Nodes, rec.Decisions, rec.Propagations = ss.Nodes, ss.Decisions, ss.Propagations
-		rec.Conflicts, rec.CacheHits = ss.Conflicts, ss.CacheHits
+		rec.Decisions, rec.Propagations, rec.Conflicts = ss.Decisions, ss.Propagations, ss.Conflicts
 		rec.Effort = ss.SearchEffort()
 		rec.Group, rec.GroupSize = res.Group, res.GroupSize
 		rec.LearnedReused = ss.LearnedReused
@@ -257,7 +210,7 @@ func (st *runState) recordEffort(ws *workerScratch, i int, res *Result, phase st
 	}
 	// Errors are sticky in the log; the run itself never fails on telemetry.
 	if line, err := ws.eff.encode(&rec); err == nil {
-		_ = es.log.write(line)
+		_ = es.log.sink.WriteLine(line)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"atpgeasy/internal/gen"
 	"atpgeasy/internal/logic"
 	"atpgeasy/internal/obs"
-	"atpgeasy/internal/sat"
 )
 
 // TestScoapGates pins the classic SCOAP recurrences on hand-checkable
@@ -302,27 +301,26 @@ func TestEffortLogDecodesRoutedV1(t *testing.T) {
 // root "run" span, every other span's parent resolving to an emitted
 // span, every fault span hanging off the dispatch loop's "group" span,
 // and fault spans joining the effort log by fault name. The circuit
-// leaves work past the pre-phase for the solvers; both plans put every
-// fault under a group span: a region group on the grouped plan, a
-// one-fault group on the single plan (learning-free DPLL, which solves
-// each fault on its own).
+// leaves work past the pre-phase for the solvers; at the default
+// group-size cap and at 1 every fault hangs off its region group's span.
 func TestSpanTree(t *testing.T) {
 	c := gen.Random(gen.RandomParams{Inputs: 20, Gates: 200, Seed: 3})
 	for _, plan := range []struct {
-		name   string
-		solver sat.Solver
+		name     string
+		groupMax int
 	}{
-		{name: "grouped"},
-		{name: "single", solver: &sat.DPLL{DisableLearning: true}},
+		{name: "grouped", groupMax: DefaultGroupMax},
+		{name: "grouped-max1", groupMax: 1},
 	} {
 		var trace bytes.Buffer
 		tr := obs.NewTrace(&trace)
 		var effort bytes.Buffer
 		log := NewEffortLog(&effort)
-		eng := &Engine{Workers: 4, Solver: plan.solver}
+		eng := &Engine{Workers: 4}
 		sum, err := eng.Run(context.Background(), c, RunOptions{
 			Collapse: true, DropDetected: true,
 			RPTBatches: DefaultRPTBatches,
+			GroupMax:   plan.groupMax,
 			EffortLog:  log,
 			Telemetry:  &Telemetry{Trace: tr, Spans: obs.NewTracer(tr)},
 		})

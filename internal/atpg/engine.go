@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"atpgeasy/internal/cnf"
 	"atpgeasy/internal/faultsim"
 	"atpgeasy/internal/logic"
 	"atpgeasy/internal/obs"
@@ -76,11 +75,11 @@ type Result struct {
 	BuildElapsed time.Duration
 	// SolverStats carries the solver's search counters.
 	SolverStats sat.Stats
-	// Group and GroupSize identify the incremental region group the fault
-	// was solved in: Group is the 1-based canonical group id (stable
-	// across worker counts; 0 means the fault was solved singly) and
-	// GroupSize the group's member count. For grouped faults Vars/Clauses
-	// report the shared group formula, counted once per member.
+	// Group and GroupSize identify the region group the fault was solved
+	// in: Group is the 1-based canonical group id (stable across worker
+	// counts; 0 on a TestFault result) and GroupSize the group's member
+	// count. For grouped faults Vars/Clauses report the shared group
+	// formula, counted once per member.
 	Group     int
 	GroupSize int
 	// Err and Stack describe the recovered panic of an Errored fault: the
@@ -90,15 +89,10 @@ type Result struct {
 }
 
 // Engine generates tests fault by fault. The zero value solves in region
-// groups on the incremental CDCL core, without limits, on a pool of
-// GOMAXPROCS workers.
+// groups on the incremental CDCL core (see RunOptions.GroupMax) on a pool
+// of GOMAXPROCS workers. An Engine is read-only during a run, so one
+// Engine is safe for concurrent runs.
 type Engine struct {
-	// Solver decides the ATPG-SAT instances; nil means the DPLL family,
-	// which solves in region groups (see RunOptions.GroupMax). The
-	// configuration is treated as read-only: workers derive per-call
-	// instances via sat.LimitedSolver when limits apply, so one Engine is
-	// safe for concurrent runs.
-	Solver sat.Solver
 	// VerifyTests re-simulates every generated vector against the fault
 	// and reports an internal error if it fails (a cross-check of the
 	// whole encode/solve/extract pipeline).
@@ -107,27 +101,32 @@ type Engine struct {
 	// RunFaults; 0 means runtime.GOMAXPROCS(0), 1 forces the serial path.
 	Workers int
 
-	// testHookPanic, when set by a test, is invoked with each fault just
-	// before it is processed and may panic — exercising the per-fault
-	// panic-isolation path without planting bugs in production code.
-	testHookPanic func(Fault)
+	// testHook, when set by a test, is called with each live group member
+	// just before it is decided, and with the plan's per-fault budget
+	// (0 = none). It may panic, exercising the per-fault panic barrier
+	// without planting bugs in production code, and a member it reports
+	// true for is Aborted in place of its solve.
+	testHook func(f Fault, budget time.Duration) (abort bool)
 	// memCheckEvery overrides the memory watchdog's sampling period in
 	// tests (0 = the production 250ms).
 	memCheckEvery time.Duration
 }
 
+// maxConflicts bounds every CDCL solve the engine runs, so no fault can
+// search forever even without a per-fault budget.
+const maxConflicts = 10_000_000
+
 // workerScratch is one worker's allocation arena. A worker processes
-// thousands of faults serially, so the solver's search buffers, the
+// thousands of faults serially, so the incremental solver's buffers, the
 // formula encoder's node maps and clause slab and the fault-simulation
 // pack/simulate buffers are reused across them instead of being
-// reallocated per fault. Verdicts and vectors never depend on the reuse:
-// the sub-formula cache only prunes UNSAT subtrees, so it cannot change
-// which model a search finds first.
+// reallocated per fault. Verdicts and vectors never depend on the reuse
+// (see sat.Incremental's determinism contract).
 type workerScratch struct {
-	arena *sat.Arena
-	enc   *formulaEncoder
-	pack  []uint64
-	sim   *faultsim.Simulator
+	inc  *sat.Incremental
+	enc  *formulaEncoder
+	pack []uint64
+	sim  *faultsim.Simulator
 	// eff is the worker's effort-record encoding buffer, reused across
 	// faults so an enabled effort log adds no per-fault allocations.
 	eff effortEncoder
@@ -138,7 +137,7 @@ type workerScratch struct {
 
 // newScratch returns a fresh per-worker scratch for circuit c.
 func newScratch(c *logic.Circuit) *workerScratch {
-	return &workerScratch{arena: sat.NewArena(), enc: newFormulaEncoder(c)}
+	return &workerScratch{inc: &sat.Incremental{MaxConflicts: maxConflicts}, enc: newFormulaEncoder(c)}
 }
 
 func (e *Engine) workers() int {
@@ -148,14 +147,14 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// TestFault runs SAT-based test generation for one fault: it encodes
-// the fault's ATPG-SAT formula and solves it one-shot on the engine's
-// solver, on a throwaway scratch.
+// TestFault runs SAT-based test generation for one fault — Figure 1's
+// per-instance path: it encodes the fault's ungated ATPG-SAT formula and
+// solves it one-shot on sat.DPLL.
 func (e *Engine) TestFault(c *logic.Circuit, f Fault) (Result, error) {
-	ws := newScratch(c)
+	enc := newFormulaEncoder(c)
 	res := Result{Fault: f}
 	start := time.Now()
-	formula, err := ws.enc.encode([]Fault{f}, false)
+	formula, err := enc.encode([]Fault{f}, false)
 	res.BuildElapsed = time.Since(start)
 	if err != nil {
 		return res, err
@@ -165,30 +164,10 @@ func (e *Engine) TestFault(c *logic.Circuit, f Fault) (Result, error) {
 		return res, nil
 	}
 	res.Vars, res.Clauses = formula.NumVars, formula.NumClauses()
-	return res, e.solveOneShot(c, &res, formula, sat.Limits{}, ws)
-}
-
-// solveOneShot decides a one-fault formula on the engine's solver (nil:
-// DPLL), specialized with lim when it implements sat.LimitedSolver, and
-// settles res from the answer. The formula aliases the worker's
-// encoder, so the solve must finish before the next encode.
-func (e *Engine) solveOneShot(c *logic.Circuit, res *Result, formula *cnf.Formula, lim sat.Limits, ws *workerScratch) error {
-	solver := e.Solver
-	if solver == nil {
-		solver = &sat.DPLL{}
-	}
-	if ls, ok := solver.(sat.LimitedSolver); ok && !lim.IsZero() {
-		solver = ls.WithLimits(lim)
-	}
-	start := time.Now()
-	var sol sat.Solution
-	if as, ok := solver.(sat.ArenaSolver); ok {
-		sol = as.SolveArena(formula, ws.arena)
-	} else {
-		sol = solver.Solve(formula)
-	}
+	start = time.Now()
+	sol := (&sat.DPLL{MaxConflicts: maxConflicts}).Solve(formula)
 	res.Elapsed = time.Since(start)
-	return e.settle(c, res, sol, ws.enc)
+	return res, e.settle(c, &res, sol, enc)
 }
 
 // settle turns a solver answer on the encoder's last formula into the
@@ -330,7 +309,7 @@ type RunOptions struct {
 	// (use DefaultRPTBatches for the standard flow).
 	RPTBatches int
 	// RPTIdleStop stops the pre-phase early after this many consecutive
-	// batches that detect no new fault (0 = DefaultRPTIdleStop).
+	// batches that detect no new fault (≤0 = DefaultRPTIdleStop).
 	RPTIdleStop int
 	// Seed drives the random pattern generator. Runs with the same seed
 	// and options produce identical vectors and summaries, regardless of
@@ -341,8 +320,7 @@ type RunOptions struct {
 	DropDetected bool
 	// PerFaultBudget, when positive, bounds the SAT time spent on each
 	// fault; a fault whose solve exceeds it is reported Aborted instead of
-	// stalling the run. Requires a solver implementing sat.LimitedSolver
-	// (all three built-ins do).
+	// stalling the run.
 	PerFaultBudget time.Duration
 	// Telemetry, when non-nil, streams metrics, run-level trace events and
 	// periodic progress snapshots out of the run. Nil disables all
@@ -358,8 +336,9 @@ type RunOptions struct {
 	RetryBackoff float64
 	// MemSoftLimit, when positive, arms a watchdog that samples the Go
 	// heap and — while it exceeds this many bytes — has each worker halve
-	// its solver cache table (sat.Arena.Shrink) between faults, degrading
-	// pruning instead of letting the process grow toward an OOM kill.
+	// its learned-clause budget (sat.Incremental.ShrinkLearned) between
+	// faults, degrading clause reuse instead of letting the process grow
+	// toward an OOM kill.
 	MemSoftLimit int64
 	// Journal, when non-nil, receives every final fault verdict and the
 	// random-pattern pre-phase outcome as they are decided — the engine
@@ -378,12 +357,10 @@ type RunOptions struct {
 	// pointer check per fault.
 	EffortLog *EffortLog
 	// GroupMax caps the members per region group (0 = DefaultGroupMax,
-	// 1 = fresh-per-fault). An engine on the DPLL solver family (a nil
-	// Engine.Solver or *sat.DPLL with learning enabled) solves the faults
-	// of each fanout region as one group on a persistent per-worker CDCL
-	// instance under assumptions (sat.Incremental), so clauses learned
-	// for one fault prune the search for its region neighbors; any other
-	// solver decides each fault on its own. GroupMax is purely a
+	// 1 = fresh-per-fault). The engine solves the faults of each fanout
+	// region as one group on a persistent per-worker CDCL instance under
+	// assumptions (sat.Incremental), so clauses learned for one fault
+	// prune the search for its region neighbors. GroupMax is purely a
 	// knowledge-reuse knob: the dispatch order, drop set, verdicts and
 	// vectors are identical for every value.
 	GroupMax int
@@ -393,6 +370,14 @@ type RunOptions struct {
 	// it runs a layout heuristic per fault, which dwarfs the other
 	// (two-DFS) features on large circuits.
 	EffortWidth bool
+}
+
+// rptIdleStop is the effective RPTIdleStop.
+func (o RunOptions) rptIdleStop() int {
+	if o.RPTIdleStop <= 0 {
+		return DefaultRPTIdleStop
+	}
+	return o.RPTIdleStop
 }
 
 // dropBatch is the committed-vector count that triggers a fault-simulation
@@ -423,11 +408,9 @@ func (e *Engine) Run(ctx context.Context, c *logic.Circuit, opt RunOptions) (*Su
 
 // RunFaults generates tests for the given fault list on a pool of
 // e.Workers workers. Dispatch is contention-free: faults are laid out
-// in groups (fanout-region groups on the DPLL family, one fault each
-// otherwise) in largest-fanout-cone-first order and claimed a group at a
-// time off an atomic cursor, solved speculatively, and committed by a
-// deterministic frontier
-// that walks the dispatch order. With opt.DropDetected, committed vectors
+// in fanout-region groups in largest-fanout-cone-first order and claimed
+// a group at a time off an atomic cursor, solved speculatively, and
+// committed by a deterministic frontier that walks the dispatch order. With opt.DropDetected, committed vectors
 // are batch fault-simulated against the uncommitted tail (drop marks live
 // in an atomic bitset read lock-free by claims) — so the detected/dropped
 // split, the vector set and the whole summary are identical at any worker
@@ -520,10 +503,8 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	// The sweep plan covers exactly the faults still undecided after
 	// resume replay and the pre-phase. Grouped orders are canonical
 	// across group-size caps, so the commit frontier and drop set are too.
-	st.plan = planDispatch(c, faults, st.preDecided, e.cdclCore(), opt.GroupMax, opt.PerFaultBudget)
-	if st.plan.grouped {
-		tel.observeGroups(st.plan.groups)
-	}
+	st.plan = planDispatch(c, faults, st.preDecided, opt.GroupMax, opt.PerFaultBudget)
+	tel.observeGroups(st.plan.groups)
 	sweepSpan := tel.startSpan("sweep", st.runSpan)
 	if sweepSpan.Active() {
 		sweepSpan.Items = int64(len(st.plan.order))
@@ -673,7 +654,7 @@ type runState struct {
 
 	// shrinkGen is bumped by the memory watchdog while the heap exceeds
 	// the soft limit; workers compare it to a local counter between faults
-	// and halve their arena's cache table when it advanced.
+	// and halve their learned-clause budget when it advanced.
 	shrinkGen atomic.Int64
 
 	// simNS accumulates fault-simulation flush time.
@@ -810,10 +791,7 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 	if opt.RPTBatches <= 0 || len(st.faults) == 0 {
 		return nil
 	}
-	idleStop := opt.RPTIdleStop
-	if idleStop <= 0 {
-		idleStop = DefaultRPTIdleStop
-	}
+	idleStop := opt.rptIdleStop()
 	phaseStart := time.Now()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	c := st.c

@@ -84,7 +84,7 @@ func bump(stamp *uint32, marks []uint32) uint32 {
 // ascending node ID; for each observable member its faulty cone in
 // ascending ID (the fault net a constant), then one XOR per observable
 // output in ascending output ID; then activation and observation.
-// Ungated (one member, a one-shot solve) that is Miter.Encode's
+// Ungated (one member, TestFault's one-shot solve) that is Miter.Encode's
 // observation clause (some XOR is 1) and activation unit (the good
 // fault net carries the complement of the stuck value). Gated (a region
 // group on the incremental core) each observable member k gets a

@@ -10,13 +10,11 @@ import (
 	"atpgeasy/internal/decomp"
 	"atpgeasy/internal/faultsim"
 	"atpgeasy/internal/gen"
-	"atpgeasy/internal/sat"
 )
 
-// FuzzEngineDifferential runs the engine's two dispatch kinds against
-// each other on small netlists: region groups on the incremental core
-// (the nil solver) and one-fault groups solved one-shot (learning-free
-// DPLL). Neither run may report an error or an Errored fault, their
+// FuzzEngineDifferential runs region groups on the incremental core
+// against TestFault's one-shot solve of each fault's ungated formula on
+// small netlists. Neither may report an error or an Errored fault, their
 // verdicts must agree fault by fault wherever neither aborted, and every
 // Untestable verdict is refuted against all 2^n input patterns by
 // reference fault simulation. Detected vectors are re-simulated by
@@ -49,30 +47,23 @@ func FuzzEngineDifferential(f *testing.F) {
 		if err != nil || len(c.Inputs) > 12 || c.NumNodes() > 100 {
 			return
 		}
-		opt := RunOptions{Collapse: true}
-		grouped, err := (&Engine{VerifyTests: true, Workers: 2}).Run(context.Background(), c, opt)
+		eng := &Engine{VerifyTests: true, Workers: 2}
+		grouped, err := eng.Run(context.Background(), c, RunOptions{Collapse: true})
 		if err != nil {
 			t.Fatalf("region groups: %v", err)
 		}
-		single, err := (&Engine{Solver: &sat.DPLL{DisableLearning: true}, VerifyTests: true, Workers: 2}).Run(context.Background(), c, opt)
-		if err != nil {
-			t.Fatalf("one-fault groups: %v", err)
-		}
-		if len(grouped.Results) != len(single.Results) {
-			t.Fatalf("%d results grouped, %d one-fault", len(grouped.Results), len(single.Results))
-		}
 		words := exhaustivePatternWords(len(c.Inputs))
-		for k, g := range grouped.Results {
-			s := single.Results[k]
+		for _, g := range grouped.Results {
 			name := g.Fault.Name(c)
-			if g.Fault != s.Fault {
-				t.Fatalf("result %d: fault %s grouped, %s one-fault", k, name, s.Fault.Name(c))
+			s, err := eng.TestFault(c, g.Fault)
+			if err != nil {
+				t.Fatalf("TestFault %s: %v", name, err)
 			}
-			if g.Status == Errored || s.Status == Errored {
-				t.Fatalf("%s errored: %q / %q", name, g.Err, s.Err)
+			if g.Status == Errored {
+				t.Fatalf("%s errored: %q", name, g.Err)
 			}
 			if g.Status != Aborted && s.Status != Aborted && g.Status != s.Status {
-				t.Fatalf("%s: %v grouped, %v one-fault", name, g.Status, s.Status)
+				t.Fatalf("%s: %v grouped, %v by TestFault", name, g.Status, s.Status)
 			}
 			if g.Status != Untestable && s.Status != Untestable {
 				continue

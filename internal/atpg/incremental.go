@@ -1,13 +1,11 @@
 package atpg
 
 // This file is the engine side of solving a group: solveGroup, which
-// encodes one formula per group and decides every member — a region
-// group's members on a persistent per-worker CDCL instance under
-// assumptions, a one-fault group's member one-shot on the engine's
-// solver. The dispatch loop (runPlan) calls it for the groups of every
-// plan — the sweep's and each retry tier's re-grouped queue — so a
-// retried fault also benefits from clauses learned by its region
-// neighbors in the same tier.
+// encodes one formula per region group and decides every member on the
+// worker's persistent CDCL instance under assumptions. The dispatch loop
+// (runPlan) calls it for the groups of every plan — the sweep's and each
+// retry tier's re-grouped queue — so a retried fault also benefits from
+// clauses learned by its region neighbors in the same tier.
 
 import (
 	"context"
@@ -20,44 +18,16 @@ import (
 	"atpgeasy/internal/sat"
 )
 
-// cdclCore reports whether the engine's solver is the DPLL family the
-// incremental core belongs to (nil, or *sat.DPLL with learning on). Such
-// engines solve in region groups. Retention without learning is a no-op,
-// so learning-disabled DPLL solves singly like any other solver.
-func (e *Engine) cdclCore() bool {
-	switch s := e.Solver.(type) {
-	case nil:
-		return true
-	case *sat.DPLL:
-		return !s.DisableLearning
-	default:
-		return false
-	}
-}
-
-// incrementalFor returns the worker's persistent incremental instance —
-// arena-held, so consecutive groups reuse its buffers and Shrink reaches
-// its learned DB — configured with the engine solver's conflict bound.
-func (e *Engine) incrementalFor(ws *workerScratch) *sat.Incremental {
-	inc := ws.arena.Incremental()
-	if d, ok := e.Solver.(*sat.DPLL); ok {
-		inc.MaxConflicts = d.MaxConflicts
-	}
-	return inc
-}
-
 // solveGroup decides every undropped member of one group of the plan.
-// It encodes one formula over the members still live: on a grouped plan
-// the region's gated formula, loaded into the worker's incremental
-// instance and solved once per member under its activation assumptions;
-// otherwise the one member's own formula, solved one-shot on the
-// engine's solver. Members dropped before the encode are excluded from
-// it; members dropped after it are skipped without a solve — both
-// mirror a claim-time drop check. solveGroup is the engine's one
-// per-fault panic barrier: a panic anywhere in the group becomes
-// Errored results for the members not yet emitted, and the worker's
-// arena is replaced (sticky shrink caps carried over) so the next group
-// starts clean.
+// It encodes the region's gated formula over the members still live,
+// loads it into the worker's incremental instance and solves it once
+// per member under that member's activation assumptions. Members
+// dropped before the encode are excluded from it; members dropped after
+// it are skipped without a solve — both mirror a claim-time drop check.
+// solveGroup is the engine's one per-fault panic barrier: a panic
+// anywhere in the group becomes Errored results for the members not yet
+// emitted, and the worker's instance is replaced (its sticky shrunk
+// learned budget carried over) so the next group starts clean.
 //
 // The plan's budget, when positive, bounds each member's solve
 // separately (a region group shares learned clauses, never a deadline).
@@ -83,18 +53,10 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 		if r == nil {
 			return
 		}
-		// The panic may have left the arena (and its incremental instance)
-		// mid-solve; replace it, carrying the watchdog's sticky caps so
-		// shrink state survives the swap.
-		prevCache, prevLearned := ws.arena.CacheCap(), ws.arena.LearnedCap()
-		ws.arena = sat.NewArena()
-		if prevCache > 0 {
-			for ws.arena.Shrink() > prevCache {
-			}
-		}
-		if prevLearned > 0 {
-			ws.arena.Incremental().LearnedLimit = prevLearned
-		}
+		// The panic may have left the instance mid-solve; replace it,
+		// carrying the watchdog's sticky budget so shrink state survives
+		// the swap.
+		ws.inc = &sat.Incremental{MaxConflicts: maxConflicts, LearnedLimit: ws.inc.LearnedLimit}
 		msg := fmt.Sprintf("panic: %v", r)
 		stack := string(debug.Stack())
 		for k := next; k < len(members); k++ {
@@ -102,7 +64,7 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 			if st.droppedF.get(i) {
 				continue
 			}
-			res := pl.result(g, st.faults[i])
+			res := g.result(st.faults[i])
 			res.Status, res.Err, res.Stack = Errored, msg, stack
 			if eerr := decided(k, res); eerr != nil && err == nil {
 				err = eerr
@@ -113,9 +75,7 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 	gspan := tel.startSpan("group", parent)
 	if gspan.Active() {
 		gspan.Worker = worker
-		if pl.grouped {
-			gspan.Detail = fmt.Sprintf("region-%d", g.region)
-		}
+		gspan.Detail = fmt.Sprintf("region-%d", g.region)
 		gspan.Items = int64(len(members))
 	}
 	defer gspan.End()
@@ -141,14 +101,12 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 	if len(live) == 0 {
 		return nil
 	}
-	formula, err := ws.enc.encode(live, pl.grouped)
+	formula, err := ws.enc.encode(live, true)
 	if err != nil {
 		return err
 	}
-	var inc *sat.Incremental
-	if formula != nil && pl.grouped {
-		inc = e.incrementalFor(ws)
-		inc.Load(formula, ws.enc.priority)
+	if formula != nil {
+		ws.inc.Load(formula, ws.enc.priority)
 	}
 	buildElapsed := time.Since(buildStart)
 
@@ -168,10 +126,8 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 		// watchdog-driven shrink can reduce the learned DB here — a
 		// 64-member group must not outrun the memory watchdog.
 		st.maybeShrink(ws, worker, shrinkSeen)
-		if e.testHookPanic != nil {
-			e.testHookPanic(st.faults[i])
-		}
-		res := pl.result(g, st.faults[i])
+		abort := e.testHook != nil && e.testHook(st.faults[i], pl.budget)
+		res := g.result(st.faults[i])
 		if buildElapsed > 0 {
 			// The group's encode is attributed to its first emitted
 			// member, so summed phase times still account for it exactly
@@ -196,15 +152,14 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 			fspan.Detail = st.faults[i].Name(st.c)
 		}
 		res.Vars, res.Clauses = formula.NumVars, formula.NumClauses()
-		if pl.grouped {
-			start := time.Now()
+		start := time.Now()
+		var sol sat.Solution // Unknown: the hook aborted the member
+		if !abort {
 			assumps = ws.enc.assumptions(mk, assumps)
-			sol := inc.SolveAssuming(assumps, lim)
-			res.Elapsed = time.Since(start)
-			err = e.settle(st.c, &res, sol, ws.enc)
-		} else {
-			err = e.solveOneShot(st.c, &res, formula, lim, ws)
+			sol = ws.inc.SolveAssuming(assumps, lim)
 		}
+		res.Elapsed = time.Since(start)
+		err = e.settle(st.c, &res, sol, ws.enc)
 		fspan.Items = res.SolverStats.SearchEffort()
 		fspan.End()
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"atpgeasy/internal/gen"
 	"atpgeasy/internal/logic"
-	"atpgeasy/internal/sat"
 )
 
 func parallelTestCircuits() map[string]*logic.Circuit {
@@ -126,11 +125,10 @@ func TestParallelResultsInFaultOrder(t *testing.T) {
 }
 
 // TestPerFaultBudgetAborts: an expired per-fault budget must turn every
-// solver call into a prompt Aborted, not a hang — even for the unlimited
-// Simple solver on multiplier miters it could never finish.
+// solver call into a prompt Aborted, not a hang.
 func TestPerFaultBudgetAborts(t *testing.T) {
 	c := gen.ArrayMultiplier(4)
-	eng := &Engine{Solver: &sat.Simple{}, Workers: 2}
+	eng := &Engine{Workers: 2}
 	done := make(chan *Summary, 1)
 	errc := make(chan error, 1)
 	go func() {

@@ -63,11 +63,16 @@ type faultGroup struct {
 	start, end int32 // span [start, end) of positions in the dispatch order
 }
 
+// result starts the Result of fault f solved in group g.
+func (g *faultGroup) result(f Fault) Result {
+	return Result{Fault: f, Group: g.id + 1, GroupSize: int(g.end - g.start)}
+}
+
 // buildGroups computes the incremental dispatch order and its group
 // spans. The order is canonical and independent of groupMax: regions
 // are sorted by (largest member cone first, smallest member index
-// among equals), members within a region by (cone, index) — the same
-// comparator as effortOrder — and groups are consecutive chunks of at
+// among equals), members within a region by (cone, index), and groups
+// are consecutive chunks of at
 // most groupMax members that never span regions. Because the flattened
 // fault order is identical for every groupMax, the engine's commit
 // frontier, flush points and drop decisions are too: group size is

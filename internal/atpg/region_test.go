@@ -323,16 +323,16 @@ func TestIncrementalUntestableIsolated(t *testing.T) {
 	if sum.Detected+sum.Untestable != sum.Total {
 		t.Fatalf("faults unaccounted: D%d U%d of %d", sum.Detected, sum.Untestable, sum.Total)
 	}
-	// Reference: every fault decided on its own by a learning-free DPLL
-	// (the engine then solves singly), sharing nothing between faults.
-	single := &Engine{Solver: &sat.DPLL{DisableLearning: true}, VerifyTests: true, Workers: 1}
-	fresh, err := single.RunFaults(context.Background(), c, faults, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Detected != sum.Detected || fresh.Untestable != sum.Untestable {
-		t.Fatalf("incremental (D%d U%d) vs fresh (D%d U%d)",
-			sum.Detected, sum.Untestable, fresh.Detected, fresh.Untestable)
+	// Reference: every fault decided on its own by TestFault, sharing
+	// nothing between faults.
+	for _, r := range sum.Results {
+		fresh, err := eng.TestFault(c, r.Fault)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh.Status != r.Status {
+			t.Fatalf("%s: incremental %v vs TestFault %v", r.Fault.Name(c), r.Status, fresh.Status)
+		}
 	}
 }
 
@@ -380,10 +380,11 @@ func TestIncrementalPanicIsolation(t *testing.T) {
 	faults := Collapse(c, AllFaults(c))
 	victim := faults[len(faults)/2]
 	eng := &Engine{Workers: 2}
-	eng.testHookPanic = func(f Fault) {
+	eng.testHook = func(f Fault, _ time.Duration) bool {
 		if f == victim {
 			panic("injected region explosion")
 		}
+		return false
 	}
 	sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{})
 	if err != nil {
@@ -411,28 +412,29 @@ func TestIncrementalPanicIsolation(t *testing.T) {
 
 // TestIncrementalRetryTiers forces aborts with a tiny budget and
 // requires the retry tiers to recover them through the dispatch loop,
-// matching the unlimited run's verdicts — on both plans a tier can lay
-// out: region groups (the queue re-grouped by region) and single faults
-// on the engine's solver. The pre-phase is off so faults reach the
-// solvers, and the 1ns sweep budget aborts them all.
+// matching the unlimited run's verdicts — with each tier's queue
+// re-grouped by region at the default group-size cap and at 1. The
+// pre-phase is off so faults reach the solvers, and the 1ns sweep
+// budget aborts them all.
 func TestIncrementalRetryTiers(t *testing.T) {
 	c := gen.ArrayMultiplier(3)
+	eng := &Engine{VerifyTests: true, Workers: 2}
 	for _, plan := range []struct {
-		name   string
-		solver sat.Solver
+		name     string
+		groupMax int
 	}{
-		{name: "grouped"},
-		{name: "single", solver: &sat.DPLL{DisableLearning: true}},
+		{name: "grouped", groupMax: DefaultGroupMax},
+		{name: "grouped-max1", groupMax: 1},
 	} {
-		opt := RunOptions{Collapse: true, DropDetected: true}
-		ref, err := (&Engine{Solver: plan.solver, VerifyTests: true, Workers: 2}).Run(context.Background(), c, opt)
+		opt := RunOptions{Collapse: true, DropDetected: true, GroupMax: plan.groupMax}
+		ref, err := eng.Run(context.Background(), c, opt)
 		if err != nil {
 			t.Fatalf("%s reference: %v", plan.name, err)
 		}
 		opt.PerFaultBudget = time.Nanosecond // tiers: 8ns … 16.8ms
 		opt.RetryTiers = 8
 		opt.RetryBackoff = 8
-		sum, err := (&Engine{Solver: plan.solver, VerifyTests: true, Workers: 2}).Run(context.Background(), c, opt)
+		sum, err := eng.Run(context.Background(), c, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", plan.name, err)
 		}

@@ -3,8 +3,8 @@ package atpg
 // This file is the engine's resilience layer: the checkpoint/resume
 // plumbing (the journal itself lives in internal/checkpoint), the
 // escalating-budget retry tiers for faults that exhaust PerFaultBudget,
-// and the soft-memory watchdog that shrinks solver caches instead of
-// letting the process grow toward an OOM kill. The per-fault panic
+// and the soft-memory watchdog that shrinks the workers' learned-clause
+// databases instead of letting the process grow toward an OOM kill. The per-fault panic
 // barrier is solveGroup's (incremental.go).
 
 import (
@@ -70,9 +70,11 @@ type RetryTier struct {
 // CheckpointFingerprint hashes everything that determines a run's
 // verdict/vector identity — circuit, exact fault list, seed and the
 // deterministic run options — so a journal from a different run is
-// rejected instead of silently mis-applied. Worker count and budgets are
-// deliberately excluded: verdicts are worker-independent, and budgets
-// only move faults between decided and aborted.
+// rejected instead of silently mis-applied. Options are hashed as the
+// run applies them, so an RPTIdleStop of 0 matches DefaultRPTIdleStop.
+// Worker count and budgets are deliberately excluded: verdicts are
+// worker-independent, and budgets only move faults between decided and
+// aborted.
 func CheckpointFingerprint(c *logic.Circuit, faults []Fault, opt RunOptions) uint64 {
 	h := fnv.New64a()
 	// The "inc|" segment is a fixed marker: it once told region-grouped
@@ -81,7 +83,7 @@ func CheckpointFingerprint(c *logic.Circuit, faults []Fault, opt RunOptions) uin
 	// GroupMax is excluded: vectors and verdicts are identical for every
 	// group-size cap.
 	fmt.Fprintf(h, "%s|%d|%d|%d|%d|%t|inc|", c.Name, len(c.Inputs),
-		opt.Seed, opt.RPTBatches, opt.RPTIdleStop, opt.DropDetected)
+		opt.Seed, opt.RPTBatches, opt.rptIdleStop(), opt.DropDetected)
 	for _, f := range faults {
 		fmt.Fprintf(h, "%d:%t;", f.Net, f.StuckAt)
 	}
@@ -120,16 +122,17 @@ func (st *runState) applyResume(rs *ResumeState) {
 	}
 }
 
-// maybeShrink halves the worker's solver cache when the watchdog
-// generation advanced since the worker last looked. Runs between faults
-// on the worker's own goroutine, so the arena is quiescent.
+// maybeShrink halves the worker's learned-clause budget when the
+// watchdog generation advanced since the worker last looked. Runs
+// between faults on the worker's own goroutine, so the instance is
+// fully backtracked.
 func (st *runState) maybeShrink(ws *workerScratch, worker int, seen *int64) {
 	gen := st.shrinkGen.Load()
 	if gen == *seen {
 		return
 	}
 	*seen = gen
-	newCap := ws.arena.Shrink()
+	newCap := ws.inc.ShrinkLearned()
 	st.ring.Record("shrink", worker, newCap, 0, 0)
 	st.opt.Telemetry.observeShrink(worker, newCap, time.Since(st.start))
 	// A shrink means memory pressure — worth a flight-recorder dump on
@@ -139,8 +142,8 @@ func (st *runState) maybeShrink(ws *workerScratch, worker int, seen *int64) {
 
 // startMemWatchdog arms the soft-memory watchdog when the run has a
 // MemSoftLimit: a sampler reads the Go heap size on a period and, while
-// it exceeds the limit, bumps the shrink generation — at most one cache
-// halving per worker per sample. The returned stop function blocks until
+// it exceeds the limit, bumps the shrink generation — at most one
+// learned-budget halving per worker per sample. The returned stop function blocks until
 // the sampler exits.
 func (e *Engine) startMemWatchdog(ctx context.Context, st *runState) func() {
 	if st.opt.MemSoftLimit <= 0 {
@@ -235,10 +238,10 @@ func (e *Engine) runRetryTiers(ctx context.Context, st *runState, scratches []*w
 				st.decide(ws, i, &res, "retry", tier, w)
 			}
 		}
-		// The tier is a plan over its queue, laid out like the sweep's: on
-		// a grouped engine the queue is re-grouped by fanout region, so a
-		// retried fault resumes on a shared region instance and reuses
-		// clauses learned by its neighbors in the same tier.
+		// The tier is a plan over its queue, laid out like the sweep's:
+		// the queue is re-grouped by fanout region, so a retried fault
+		// resumes on a shared region instance and reuses clauses learned
+		// by its neighbors in the same tier.
 		skip := make([]bool, len(st.faults))
 		for i := range skip {
 			skip[i] = true
@@ -246,7 +249,7 @@ func (e *Engine) runRetryTiers(ctx context.Context, st *runState, scratches []*w
 		for _, i := range queue {
 			skip[i] = false
 		}
-		pl := planDispatch(st.c, st.faults, skip, e.cdclCore(), opt.GroupMax, budget)
+		pl := planDispatch(st.c, st.faults, skip, opt.GroupMax, budget)
 		var wg sync.WaitGroup
 		for w, ws := range scratches {
 			w, ws := w, ws

@@ -9,10 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"atpgeasy/internal/cnf"
 	"atpgeasy/internal/gen"
 	"atpgeasy/internal/obs"
-	"atpgeasy/internal/sat"
 )
 
 // recordingSink is a JournalSink capturing records in memory, with an
@@ -77,10 +75,11 @@ func TestPanicIsolation(t *testing.T) {
 	reg := obs.NewRegistry()
 	met := NewMetrics(reg, 2)
 	eng := &Engine{Workers: 2}
-	eng.testHookPanic = func(f Fault) {
+	eng.testHook = func(f Fault, _ time.Duration) bool {
 		if f == victim {
 			panic("injected cone explosion")
 		}
+		return false
 	}
 	sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{
 		Telemetry: &Telemetry{Metrics: met},
@@ -134,27 +133,12 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
-// budgetSolver aborts with Unknown whenever its per-call deadline allows
-// less than `need` of solving time, and otherwise delegates to a real
-// solver — making "this fault needs a bigger budget" deterministic
-// instead of wall-clock-dependent.
-type budgetSolver struct {
-	inner sat.Solver
-	need  time.Duration
-	lim   sat.Limits
-}
-
-func (s *budgetSolver) Solve(f *cnf.Formula) sat.Solution {
-	if !s.lim.Deadline.IsZero() && time.Until(s.lim.Deadline) < s.need {
-		return sat.Solution{Status: sat.Unknown}
-	}
-	return s.inner.Solve(f)
-}
-
-func (s *budgetSolver) WithLimits(lim sat.Limits) sat.Solver {
-	cp := *s
-	cp.lim = lim
-	return &cp
+// abortBelow returns a test hook that reports a member Aborted in place
+// of its solve whenever the per-fault budget is set and below need —
+// making "this fault needs a bigger budget" deterministic instead of
+// wall-clock-dependent.
+func abortBelow(need time.Duration) func(Fault, time.Duration) bool {
+	return func(_ Fault, budget time.Duration) bool { return budget > 0 && budget < need }
 }
 
 // TestRetryTiersRecoverAbortedFaults runs with a budget every fault
@@ -166,10 +150,7 @@ func TestRetryTiersRecoverAbortedFaults(t *testing.T) {
 	faults := Collapse(c, AllFaults(c))
 	reg := obs.NewRegistry()
 	met := NewMetrics(reg, 2)
-	eng := &Engine{
-		Workers: 2,
-		Solver:  &budgetSolver{inner: &sat.DPLL{}, need: 100 * time.Millisecond},
-	}
+	eng := &Engine{Workers: 2, testHook: abortBelow(100 * time.Millisecond)}
 	sink := newRecordingSink()
 	sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{
 		PerFaultBudget: 10 * time.Millisecond, // tiers: 40ms, 160ms, 640ms
@@ -212,8 +193,8 @@ func TestRetryTiersRecoverAbortedFaults(t *testing.T) {
 		}
 	}
 	// The budget gate is deterministic, so the recovered run must decide
-	// exactly what an unbudgeted run on the same solver decides.
-	plain, err := (&Engine{Workers: 2, Solver: &budgetSolver{inner: &sat.DPLL{}}}).RunFaults(context.Background(), c, faults, RunOptions{})
+	// exactly what an unbudgeted run decides.
+	plain, err := (&Engine{Workers: 2}).RunFaults(context.Background(), c, faults, RunOptions{})
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -287,27 +268,22 @@ func TestCrashResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestMemWatchdogShrinksCaches arms the watchdog with an impossible
-// 1-byte soft limit and a 1ms sampling period: workers must halve their
-// solver caches as they go, visible in atpg_cache_shrinks_total.
-func TestMemWatchdogShrinksCaches(t *testing.T) {
-	c := gen.Random(gen.RandomParams{Inputs: 10, Gates: 60, Seed: 7})
-	faults := AllFaults(c)
-	reg := obs.NewRegistry()
-	met := NewMetrics(reg, 2)
-	eng := &Engine{Workers: 2, Solver: &sat.Caching{}, memCheckEvery: time.Millisecond}
-	sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{
-		MemSoftLimit: 1,
-		Telemetry:    &Telemetry{Metrics: met},
-	})
-	if err != nil {
-		t.Fatalf("RunFaults: %v", err)
+// TestCheckpointFingerprintEffectiveIdleStop: an RPTIdleStop of 0 runs
+// exactly like an explicit DefaultRPTIdleStop, so both must fingerprint
+// alike — otherwise a journal written under one refuses to resume under
+// the other — while a different idle stop must not.
+func TestCheckpointFingerprintEffectiveIdleStop(t *testing.T) {
+	c := gen.CarryLookaheadAdder(4)
+	faults := Collapse(c, AllFaults(c))
+	implicit := RunOptions{RPTBatches: DefaultRPTBatches, Seed: 1, DropDetected: true}
+	explicit, other := implicit, implicit
+	explicit.RPTIdleStop = DefaultRPTIdleStop
+	other.RPTIdleStop = DefaultRPTIdleStop + 1
+	if CheckpointFingerprint(c, faults, implicit) != CheckpointFingerprint(c, faults, explicit) {
+		t.Error("RPTIdleStop 0 and DefaultRPTIdleStop fingerprint differently")
 	}
-	if sum.Detected == 0 {
-		t.Fatal("run decided nothing")
-	}
-	if met.CacheShrinks.Value() == 0 {
-		t.Fatal("watchdog never shrank a cache (atpg_cache_shrinks_total = 0)")
+	if CheckpointFingerprint(c, faults, other) == CheckpointFingerprint(c, faults, explicit) {
+		t.Error("a different RPTIdleStop fingerprints alike")
 	}
 }
 

@@ -132,7 +132,8 @@ type Metrics struct {
 	HistFrontierStall *obs.Histogram
 
 	// Resilience counters: recovered per-fault panics, watchdog-driven
-	// cache halvings, and the retry escalation broken down by tier.
+	// learned-clause budget halvings, and the retry escalation broken down
+	// by tier.
 	FaultPanics    *obs.Counter
 	CacheShrinks   *obs.Counter
 	RetryAttempts  *obs.LabeledCounter
@@ -143,17 +144,9 @@ type Metrics struct {
 	PhaseSolveNS    *obs.Counter
 	PhaseFaultSimNS *obs.Counter
 
-	SolverNodes          *obs.ShardedCounter
-	SolverDecisions      *obs.ShardedCounter
-	SolverPropagations   *obs.ShardedCounter
-	SolverConflicts      *obs.ShardedCounter
-	SolverCacheHits      *obs.ShardedCounter
-	SolverCacheMisses    *obs.ShardedCounter
-	SolverCacheEvictions *obs.ShardedCounter
-
-	// SolverCacheBytes tracks the largest per-worker sub-formula cache
-	// footprint seen so far (a high-water mark, not a sum).
-	SolverCacheBytes *obs.Gauge
+	SolverDecisions    *obs.ShardedCounter
+	SolverPropagations *obs.ShardedCounter
+	SolverConflicts    *obs.ShardedCounter
 
 	// Incremental region-grouped solving: clauses alive at call start,
 	// retained clauses used on conflict-analysis chains, and the largest
@@ -163,9 +156,7 @@ type Metrics struct {
 	ClauseDBBytes *obs.Gauge
 	HistGroupSize *obs.Histogram
 
-	HistSolveNS         *obs.Histogram
-	HistSolverNodes     *obs.Histogram
-	HistCacheHitPermill *obs.Histogram
+	HistSolveNS *obs.Histogram
 
 	CoveragePermille *obs.Gauge
 }
@@ -196,7 +187,7 @@ func NewMetrics(reg *obs.Registry, shards int) *Metrics {
 		HistFrontierStall: reg.Histogram("atpg_frontier_stall_ns", "per-adoption commit-frontier stall (log2 ns buckets)"),
 
 		FaultPanics:    reg.Counter("atpg_fault_panics_total", "per-fault panics recovered by the worker barrier"),
-		CacheShrinks:   reg.Counter("atpg_cache_shrinks_total", "solver cache halvings forced by the memory watchdog"),
+		CacheShrinks:   reg.Counter("atpg_cache_shrinks_total", "learned-clause budget halvings forced by the memory watchdog"),
 		RetryAttempts:  reg.LabeledCounter("atpg_retry_attempts_total", "aborted faults re-run by the retry phase", "tier"),
 		RetryRecovered: reg.LabeledCounter("atpg_retry_recovered_total", "faults decided by a retry tier", "tier"),
 
@@ -205,24 +196,16 @@ func NewMetrics(reg *obs.Registry, shards int) *Metrics {
 		PhaseSolveNS:    reg.Counter("atpg_phase_solve_ns_total", "SAT solving time"),
 		PhaseFaultSimNS: reg.Counter("atpg_phase_faultsim_ns_total", "fault-simulation flush time"),
 
-		SolverNodes:          reg.ShardedCounter("atpg_solver_nodes_total", "backtracking nodes visited", shards),
-		SolverDecisions:      reg.ShardedCounter("atpg_solver_decisions_total", "solver decisions", shards),
-		SolverPropagations:   reg.ShardedCounter("atpg_solver_propagations_total", "unit propagations", shards),
-		SolverConflicts:      reg.ShardedCounter("atpg_solver_conflicts_total", "solver conflicts", shards),
-		SolverCacheHits:      reg.ShardedCounter("atpg_solver_cache_hits_total", "sub-formula cache hits", shards),
-		SolverCacheMisses:    reg.ShardedCounter("atpg_solver_cache_misses_total", "sub-formula cache misses", shards),
-		SolverCacheEvictions: reg.ShardedCounter("atpg_solver_cache_evictions_total", "sub-formula cache evictions", shards),
-
-		SolverCacheBytes: reg.Gauge("atpg_solver_cache_bytes", "largest per-worker sub-formula cache footprint, bytes"),
+		SolverDecisions:    reg.ShardedCounter("atpg_solver_decisions_total", "solver decisions", shards),
+		SolverPropagations: reg.ShardedCounter("atpg_solver_propagations_total", "unit propagations", shards),
+		SolverConflicts:    reg.ShardedCounter("atpg_solver_conflicts_total", "solver conflicts", shards),
 
 		LearnedKept:   reg.ShardedCounter("atpg_learned_kept_total", "learned clauses alive at solver call start (incremental mode)", shards),
 		LearnedReused: reg.ShardedCounter("atpg_learned_reused_total", "retained learned clauses used by later conflict analyses", shards),
 		ClauseDBBytes: reg.Gauge("atpg_clause_db_bytes", "largest per-worker learned-clause database, bytes"),
 		HistGroupSize: reg.Histogram("atpg_group_size", "region-group member count (log2 buckets)"),
 
-		HistSolveNS:         reg.Histogram("atpg_fault_solve_ns", "per-fault SAT solve time (log2 ns buckets)"),
-		HistSolverNodes:     reg.Histogram("atpg_fault_solver_nodes", "per-fault solver nodes (log2 buckets)"),
-		HistCacheHitPermill: reg.Histogram("atpg_fault_cache_hit_permille", "per-fault cache hits per 1000 nodes"),
+		HistSolveNS: reg.Histogram("atpg_fault_solve_ns", "per-fault SAT solve time (log2 ns buckets)"),
 
 		CoveragePermille: reg.Gauge("atpg_coverage_permille", "running fault coverage over testable faults, ‰"),
 	}
@@ -230,7 +213,7 @@ func NewMetrics(reg *obs.Registry, shards int) *Metrics {
 
 // TraceEvent is one run-level line of the JSONL trace: Kind "faultsim"
 // for one fault-simulation flush, "rpt" for one random-pattern batch and
-// "shrink" for one watchdog cache halving.
+// "shrink" for one watchdog learned-clause budget halving.
 type TraceEvent struct {
 	Kind   string `json:"kind"`
 	TimeNS int64  `json:"t_ns"` // wall time since the run started
@@ -246,8 +229,9 @@ type TraceEvent struct {
 	// new fault and were kept as test vectors.
 	Kept int `json:"kept,omitempty"`
 
-	// CacheCap is the new per-worker cache byte cap of a "shrink" event.
-	CacheCap int64 `json:"cache_cap,omitempty"`
+	// LearnedCap is the worker's new learned-clause byte budget of a
+	// "shrink" event.
+	LearnedCap int64 `json:"learned_cap,omitempty"`
 }
 
 // begin records the run shape at start time.
@@ -272,26 +256,15 @@ func (t *Telemetry) observeAttempt(worker, tier int, res *Result) {
 	m.PhaseBuildNS.Add(res.BuildElapsed.Nanoseconds())
 	m.PhaseSolveNS.Add(res.Elapsed.Nanoseconds())
 	st := res.SolverStats
-	m.SolverNodes.Add(worker, st.Nodes)
 	m.SolverDecisions.Add(worker, st.Decisions)
 	m.SolverPropagations.Add(worker, st.Propagations)
 	m.SolverConflicts.Add(worker, st.Conflicts)
-	m.SolverCacheHits.Add(worker, st.CacheHits)
-	m.SolverCacheMisses.Add(worker, st.CacheMisses)
-	m.SolverCacheEvictions.Add(worker, st.CacheEvictions)
-	if st.CacheBytes > 0 {
-		m.SolverCacheBytes.SetMax(st.CacheBytes)
-	}
 	m.LearnedKept.Add(worker, st.LearnedKept)
 	m.LearnedReused.Add(worker, st.LearnedReused)
 	if st.ClauseDBBytes > 0 {
 		m.ClauseDBBytes.SetMax(st.ClauseDBBytes)
 	}
 	m.HistSolveNS.Observe(res.Elapsed.Nanoseconds())
-	m.HistSolverNodes.Observe(st.Nodes)
-	if st.Nodes > 0 {
-		m.HistCacheHitPermill.Observe(1000 * st.CacheHits / st.Nodes)
-	}
 	if tier > 0 {
 		label := strconv.Itoa(tier)
 		m.RetryAttempts.With(label).Inc()
@@ -359,7 +332,7 @@ func (t *Telemetry) observeRingDump(reason string, r *obs.Ring) {
 	_ = t.Trace.Emit(ringDump{Kind: "ring-dump", Reason: reason, Events: r.Snapshot()})
 }
 
-// observeShrink records one watchdog-forced cache halving.
+// observeShrink records one watchdog-forced learned-budget halving.
 func (t *Telemetry) observeShrink(worker int, newCap int64, sinceStart time.Duration) {
 	if t == nil {
 		return
@@ -370,7 +343,7 @@ func (t *Telemetry) observeShrink(worker int, newCap int64, sinceStart time.Dura
 	if t.Trace != nil {
 		_ = t.Trace.Emit(TraceEvent{
 			Kind: "shrink", TimeNS: sinceStart.Nanoseconds(), Worker: worker,
-			CacheCap: newCap,
+			LearnedCap: newCap,
 		})
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"atpgeasy/internal/gen"
 	"atpgeasy/internal/logic"
 	"atpgeasy/internal/obs"
-	"atpgeasy/internal/sat"
 )
 
 // decodeTrace parses a JSONL buffer into events.
@@ -47,7 +46,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		RetryBackoff:   4,
 	}
 	retryEngine := func(workers int) *Engine {
-		return &Engine{Workers: workers, Solver: &budgetSolver{inner: &sat.DPLL{}, need: 100 * time.Millisecond}}
+		return &Engine{Workers: workers, testHook: abortBelow(100 * time.Millisecond)}
 	}
 	arms := []struct {
 		name string
@@ -124,7 +123,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 			checks = append(checks, check{"hist_solve_count", m.HistSolveNS.Count(), attempts})
 			if len(sum.Retries) == 0 {
 				checks = append(checks,
-					check{"solver_nodes", m.SolverNodes.Value(), sum.SolverTotals.Nodes},
 					check{"solver_decisions", m.SolverDecisions.Value(), sum.SolverTotals.Decisions},
 					check{"solver_propagations", m.SolverPropagations.Value(), sum.SolverTotals.Propagations},
 					check{"solver_conflicts", m.SolverConflicts.Value(), sum.SolverTotals.Conflicts},
@@ -285,31 +283,38 @@ func TestWallElapsedMonotonic(t *testing.T) {
 	}
 }
 
-// TestCachingSolverCancelMidRun: cancelling the run context must reach
-// the Caching solver's Limits.Cancel check mid-search and drain promptly
-// (PR 1 covered the deadline path; this is the cancel-channel path
-// threaded through the engine).
-func TestCachingSolverCancelMidRun(t *testing.T) {
-	c := gen.ArrayMultiplier(5)
-	eng := &Engine{Solver: &sat.Caching{}, Workers: 2}
+// TestEngineCancelMidRun: cancelling the run context mid-sweep must
+// reach the in-flight solves' Limits.Cancel and drain promptly with
+// context.Canceled and a partial summary. The cancel fires once a few
+// verdicts are journaled, so it always lands while most of mult8's
+// faults are still undecided.
+func TestEngineCancelMidRun(t *testing.T) {
+	c := gen.ArrayMultiplier(8)
+	eng := &Engine{Workers: 2}
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
-	done := make(chan error, 1)
+	defer cancel()
+	sink := newRecordingSink()
+	sink.cancel, sink.cancelAfter = cancel, 5
+	type outcome struct {
+		sum *Summary
+		err error
+	}
+	done := make(chan outcome, 1)
 	start := time.Now()
 	go func() {
-		_, err := eng.Run(ctx, c, RunOptions{Collapse: true})
-		done <- err
+		sum, err := eng.Run(ctx, c, RunOptions{Collapse: true, Journal: sink})
+		done <- outcome{sum, err}
 	}()
 	select {
-	case err := <-done:
-		if err != context.Canceled {
-			t.Fatalf("err = %v, want context.Canceled", err)
+	case out := <-done:
+		if out.err != context.Canceled {
+			t.Fatalf("err = %v, want context.Canceled", out.err)
+		}
+		if len(out.sum.Results) >= out.sum.Total {
+			t.Fatalf("run decided all %d faults before the cancel", out.sum.Total)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("cancelled Caching run did not drain")
+		t.Fatal("cancelled run did not drain")
 	}
 	if e := time.Since(start); e > 20*time.Second {
 		t.Errorf("drain took %v", e)

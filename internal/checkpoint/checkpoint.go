@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 )
 
@@ -333,7 +334,7 @@ func (j *Journal) rotateLocked() error {
 		for i := range j.state.Faults {
 			idxs = append(idxs, i)
 		}
-		sortInts(idxs)
+		slices.Sort(idxs)
 		for _, i := range idxs {
 			fv := j.state.Faults[i]
 			idx := i
@@ -409,15 +410,4 @@ func (j *Journal) Close() error {
 	}
 	j.f, j.bw = nil, nil
 	return j.err
-}
-
-// sortInts is sort.Ints without pulling the sort package's interface
-// machinery into the hot path (rotation is rare; this keeps imports
-// minimal).
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for k := i; k > 0 && a[k] < a[k-1]; k-- {
-			a[k], a[k-1] = a[k-1], a[k]
-		}
-	}
 }

@@ -1,6 +1,8 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -88,13 +90,19 @@ func TestLoadToleratesTruncatedTail(t *testing.T) {
 	}
 }
 
+// TestResumeCompactsAndContinues: resuming compacts the journal into a
+// segment listing its fault records in ascending index order, whatever
+// order they were decided in, and then keeps appending.
 func TestResumeCompactsAndContinues(t *testing.T) {
+	const n = 3000
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	j, err := New(path, testHeader(), nil, Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	j.RecordFault(0, "detected", []bool{true, false}, "")
+	for i := n - 1; i >= 0; i-- {
+		j.RecordFault(i, "detected", []bool{true, false}, "")
+	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -107,10 +115,31 @@ func TestResumeCompactsAndContinues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New with prior: %v", err)
 	}
-	if j2.Len() != 1 {
+	if j2.Len() != n {
 		t.Fatalf("resumed journal lost records: len=%d", j2.Len())
 	}
-	j2.RecordFault(1, "aborted", nil, "")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var r record
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatalf("compacted line %q: %v", line, err)
+		}
+		if r.Kind != "fault" {
+			continue
+		}
+		if *r.Index != next {
+			t.Fatalf("compacted segment lists fault %d where %d belongs", *r.Index, next)
+		}
+		next++
+	}
+	if next != n {
+		t.Fatalf("compacted segment lists %d of %d faults", next, n)
+	}
+	j2.RecordFault(n, "aborted", nil, "")
 	if err := j2.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -119,8 +148,8 @@ func TestResumeCompactsAndContinues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reload: %v", err)
 	}
-	if len(st.Faults) != 2 {
-		t.Fatalf("want both faults after resume, got %+v", st.Faults)
+	if len(st.Faults) != n+1 {
+		t.Fatalf("want %d faults after resume, got %d", n+1, len(st.Faults))
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"atpgeasy/internal/atpg"
 	"atpgeasy/internal/fit"
 	"atpgeasy/internal/obs"
-	"atpgeasy/internal/sat"
 	"atpgeasy/internal/stats"
 )
 
@@ -59,7 +58,7 @@ type Figure1Result struct {
 // instance solve time against instance size.
 func Figure1(cfg Config) (*Figure1Result, error) {
 	res := &Figure1Result{}
-	eng := &atpg.Engine{Solver: &sat.DPLL{}, VerifyTests: true}
+	eng := &atpg.Engine{VerifyTests: true}
 	hist := obs.NewHistogram()
 	for _, suiteName := range []string{SuiteMCNC, SuiteISCAS} {
 		ncs, err := suite(suiteName, cfg)

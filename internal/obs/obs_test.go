@@ -200,6 +200,9 @@ func TestNilTrace(t *testing.T) {
 	if err := tr.Emit(struct{}{}); err != nil {
 		t.Error(err)
 	}
+	if err := tr.WriteLine([]byte("{}\n")); err != nil {
+		t.Error(err)
+	}
 	if tr.Events() != 0 {
 		t.Error("nil trace recorded events")
 	}
@@ -217,6 +220,9 @@ func TestTraceRetainsFirstError(t *testing.T) {
 	big := strings.Repeat("x", 1<<17) // larger than the buffer: forces a flush
 	if err := tr.Emit(big); err == nil {
 		t.Fatal("no error from failing writer")
+	}
+	if err := tr.WriteLine([]byte("{}\n")); err == nil {
+		t.Fatal("WriteLine lost the write error")
 	}
 	if err := tr.Close(); err == nil {
 		t.Fatal("Close lost the write error")

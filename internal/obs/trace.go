@@ -61,6 +61,26 @@ func (t *Trace) Emit(v any) error {
 	return nil
 }
 
+// WriteLine appends one pre-encoded JSON line (ending in '\n') under the
+// same lock and sticky error as Emit, so a caller can encode outside the
+// lock and hold it only for one buffered write. It counts as one event.
+func (t *Trace) WriteLine(line []byte) error {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.err != nil {
+		return t.err
+	}
+	if _, err := t.bw.Write(line); err != nil {
+		t.err = err
+		return err
+	}
+	t.events.Add(1)
+	return nil
+}
+
 // Events returns the number of events emitted so far.
 func (t *Trace) Events() int64 {
 	if t == nil {

@@ -4,10 +4,10 @@ import "atpgeasy/internal/cnf"
 
 // Arena holds the reusable scratch of the backtracking solvers: the
 // assignment, clause counters, occurrence lists, digest state and the
-// bounded sub-formula cache. The ATPG engine gives each worker one Arena
-// and passes it to SolveArena for every fault the worker processes;
-// buffers grow to the largest instance seen and are then reused
-// allocation-free. An Arena must not be used by concurrent solves.
+// bounded sub-formula cache. A caller solving many formulas in sequence
+// passes one Arena to SolveArena for each; buffers grow to the largest
+// instance seen and are then reused allocation-free. An Arena must not
+// be used by concurrent solves.
 type Arena struct {
 	bt backtracker
 
@@ -24,90 +24,10 @@ type Arena struct {
 	litDig     []digest
 
 	table cacheTable
-	// cacheCap, when non-zero, is a sticky byte cap imposed by Shrink:
-	// every subsequent solve clamps its configured cache limit to it, so a
-	// table halved under memory pressure stays halved instead of being
-	// regrown by the next solve's reset.
-	cacheCap int64
-
-	// inc is the worker's incremental CDCL instance, created lazily by
-	// Incremental(). Holding it here extends the arena's buffer-reuse
-	// contract to the solver's own state: consecutive region groups
-	// reuse its trail/watch/clause buffers, and Shrink reaches its
-	// learned-clause database under memory pressure.
-	inc *Incremental
 }
 
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
-
-// cacheShrinkFloor is the smallest cap Shrink will impose — enough for a
-// minimum-size table, so shrinking degrades pruning rather than
-// disabling the solver.
-var cacheShrinkFloor = int64(cacheMinSlots) * cacheSlotBytes
-
-// Shrink halves the arena's sub-formula cache budget and releases the
-// excess table slab immediately. The new budget is sticky (see cacheCap)
-// and bottoms out at a minimum-size table. Cached entries are dropped —
-// costing only lost pruning opportunities, never wrong answers. Shrink
-// must be called from the goroutine that owns the arena, between solves;
-// it returns the new byte cap.
-func (a *Arena) Shrink() int64 {
-	cur := a.cacheCap
-	if cur <= 0 {
-		cur = a.table.limit
-	}
-	if cur <= 0 {
-		cur = DefaultCacheLimit
-	}
-	c := cur / 2
-	if c < cacheShrinkFloor {
-		c = cacheShrinkFloor
-	}
-	a.cacheCap = c
-	a.table.shrinkTo(c)
-	if a.inc != nil {
-		a.inc.ShrinkLearned()
-	}
-	return c
-}
-
-// CacheCap reports the sticky cache byte cap (0 = uncapped).
-func (a *Arena) CacheCap() int64 { return a.cacheCap }
-
-// Incremental returns the arena's incremental CDCL instance, creating
-// it on first use. Like every other arena buffer it must only be used
-// by the goroutine that owns the arena.
-func (a *Arena) Incremental() *Incremental {
-	if a.inc == nil {
-		a.inc = NewIncremental()
-	}
-	return a.inc
-}
-
-// LearnedCap reports the incremental instance's sticky learned-clause
-// budget (0 if no instance exists or it is unshrunk). The resilience
-// layer uses it to carry shrink state onto a replacement arena after a
-// worker panic.
-func (a *Arena) LearnedCap() int64 {
-	if a.inc == nil {
-		return 0
-	}
-	return a.inc.LearnedLimit
-}
-
-// CacheBytes reports the cache table's current accounted footprint.
-func (a *Arena) CacheBytes() int64 { return a.table.bytes() }
-
-// ArenaSolver is implemented by solvers whose per-solve scratch can be
-// reused across consecutive solves via an Arena.
-type ArenaSolver interface {
-	Solver
-	// SolveArena is Solve using (and growing) a's buffers; passing nil is
-	// equivalent to Solve. The arena must not be shared across concurrent
-	// calls.
-	SolveArena(f *cnf.Formula, a *Arena) Solution
-}
 
 // sized returns buf with length n, reusing its backing array when large
 // enough; contents are unspecified.

@@ -8,11 +8,10 @@ import (
 // no caching — the baseline that Algorithm 1 augments. Order is the static
 // variable ordering h (nil = variable index order). MaxNodes, when
 // positive, aborts the search with Unknown after that many backtracking
-// nodes. Limits adds deadline/cancellation aborts.
+// nodes.
 type Simple struct {
 	Order    []int
 	MaxNodes int64
-	Limits   Limits
 }
 
 // Solve decides satisfiability by depth-first search over the ordering.
@@ -20,18 +19,11 @@ func (s *Simple) Solve(f *cnf.Formula) Solution { return s.SolveArena(f, nil) }
 
 // SolveArena is Solve with reusable scratch; see Arena.
 func (s *Simple) SolveArena(f *cnf.Formula, a *Arena) Solution {
-	bt, ok := newBacktracker(f, s.Order, a, btConfig{maxNodes: s.MaxNodes, limits: s.Limits})
+	bt, ok := newBacktracker(f, s.Order, a, btConfig{maxNodes: s.MaxNodes})
 	if !ok {
 		return Solution{Status: Unknown}
 	}
 	return bt.run()
-}
-
-// WithLimits returns a copy of the configuration with per-call limits.
-func (s *Simple) WithLimits(l Limits) Solver {
-	cp := *s
-	cp.Limits = l
-	return &cp
 }
 
 // Caching is Algorithm 1 of the paper: simple backtracking with a fixed
@@ -53,7 +45,6 @@ func (s *Simple) WithLimits(l Limits) Solver {
 type Caching struct {
 	Order    []int
 	MaxNodes int64
-	Limits   Limits
 	// CacheLimit bounds the sub-formula table's memory in bytes; 0 means
 	// DefaultCacheLimit. A full table evicts second-chance, losing only
 	// pruning opportunities, never soundness.
@@ -80,7 +71,6 @@ func (s *Caching) Solve(f *cnf.Formula) Solution { return s.SolveArena(f, nil) }
 func (s *Caching) SolveArena(f *cnf.Formula, a *Arena) Solution {
 	bt, ok := newBacktracker(f, s.Order, a, btConfig{
 		maxNodes:   s.MaxNodes,
-		limits:     s.Limits,
 		useCache:   true,
 		cacheLimit: s.CacheLimit,
 		verifyKeys: s.VerifyKeys,
@@ -92,17 +82,9 @@ func (s *Caching) SolveArena(f *cnf.Formula, a *Arena) Solution {
 	return bt.run()
 }
 
-// WithLimits returns a copy of the configuration with per-call limits.
-func (s *Caching) WithLimits(l Limits) Solver {
-	cp := *s
-	cp.Limits = l
-	return &cp
-}
-
 // btConfig carries the per-solve configuration into newBacktracker.
 type btConfig struct {
 	maxNodes   int64
-	limits     Limits
 	useCache   bool
 	cacheLimit int64
 	verifyKeys bool
@@ -147,7 +129,6 @@ type backtracker struct {
 	litDig     []digest
 
 	arena   *Arena
-	limits  Limits
 	stats   Stats
 	aborted bool
 }
@@ -170,7 +151,6 @@ func newBacktracker(f *cnf.Formula, order []int, a *Arena, cfg btConfig) (*backt
 		verify:   cfg.verifyKeys,
 		weak:     cfg.weakHash,
 		maxNodes: cfg.maxNodes,
-		limits:   cfg.limits,
 		arena:    a,
 	}
 	n, m := f.NumVars, len(f.Clauses)
@@ -234,9 +214,6 @@ func newBacktracker(f *cnf.Formula, order []int, a *Arena, cfg btConfig) (*backt
 			bt.clsContrib[ci] = contrib
 			bt.dig.add(contrib)
 		}
-		if a.cacheCap > 0 && (cfg.cacheLimit <= 0 || cfg.cacheLimit > a.cacheCap) {
-			cfg.cacheLimit = a.cacheCap
-		}
 		a.table.reset(cfg.cacheLimit)
 	}
 	return bt, true
@@ -259,9 +236,6 @@ func (bt *backtracker) occOf(l cnf.Lit) []int32 {
 }
 
 func (bt *backtracker) run() Solution {
-	if bt.limits.expired() {
-		return Solution{Status: Unknown, Stats: bt.stats}
-	}
 	if bt.numNull > 0 {
 		return bt.finish(Solution{Status: Unsat})
 	}
@@ -413,10 +387,6 @@ func (bt *backtracker) search(pos int, b bool) bool {
 		bt.stats.Decisions++
 	}
 	if bt.maxNodes > 0 && bt.stats.Nodes > bt.maxNodes {
-		bt.aborted = true
-		return false
-	}
-	if bt.stats.Nodes%limitCheck == 0 && bt.limits.expired() {
 		bt.aborted = true
 		return false
 	}

@@ -236,34 +236,6 @@ func (t *cacheTable) reclaim(keep int) {
 	}
 }
 
-// shrinkTo lowers the table's byte limit and, when the current slab no
-// longer fits, replaces it with a smaller one. Cached entries are
-// discarded (the table is only ever a pruning accelerator). Must not run
-// concurrently with a solve using this table.
-func (t *cacheTable) shrinkTo(limit int64) {
-	if limit <= 0 {
-		return
-	}
-	if t.limit <= 0 || limit < t.limit {
-		t.limit = limit
-	}
-	maxSlots := cacheProbe * 2
-	for int64(maxSlots*2)*cacheSlotBytes <= t.limit && maxSlots < 1<<30 {
-		maxSlots *= 2
-	}
-	t.maxSlots = maxSlots
-	if len(t.slots) > maxSlots {
-		n := cacheMinSlots
-		if n > maxSlots {
-			n = maxSlots
-		}
-		t.slots = make([]cacheEntry, n)
-		t.mask = uint64(n - 1)
-		t.epoch = 1
-		t.live, t.keyBytes, t.hand = 0, 0, 0
-	}
-}
-
 // maybeGrow doubles the table once load reaches 3/4, up to the byte
 // limit's slot budget. Entries that no longer fit their probe window
 // after rehashing are dropped (rare at this load factor).

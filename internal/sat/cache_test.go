@@ -144,16 +144,16 @@ func TestArenaReuseMatchesFreshSolve(t *testing.T) {
 		formulas = append(formulas, randomFormula(rng, 4+rng.Intn(8), 6+rng.Intn(20)))
 	}
 
-	for name, mk := range map[string]func() ArenaSolver{
-		"simple":        func() ArenaSolver { return &Simple{} },
-		"caching":       func() ArenaSolver { return &Caching{} },
-		"caching-exact": func() ArenaSolver { return &Caching{VerifyKeys: true} },
+	for name, solve := range map[string]func(*cnf.Formula, *Arena) Solution{
+		"simple":        (&Simple{}).SolveArena,
+		"caching":       (&Caching{}).SolveArena,
+		"caching-exact": (&Caching{VerifyKeys: true}).SolveArena,
 	} {
 		t.Run(name, func(t *testing.T) {
 			arena := NewArena()
 			for i, f := range formulas {
-				fresh := mk().Solve(f)
-				reused := mk().SolveArena(f, arena)
+				fresh := solve(f, nil)
+				reused := solve(f, arena)
 				if fresh.Status != reused.Status {
 					t.Fatalf("formula %d: fresh = %v, arena = %v", i, fresh.Status, reused.Status)
 				}
@@ -189,54 +189,5 @@ func TestArenaCacheResetBetweenSolves(t *testing.T) {
 	if again.Status != base.Status || again.Stats.CacheHits != base.Stats.CacheHits ||
 		again.Stats.CacheMisses != base.Stats.CacheMisses || again.Stats.Nodes != base.Stats.Nodes {
 		t.Fatalf("warm arena changed the search: fresh %+v, warm %+v", base.Stats, again.Stats)
-	}
-}
-
-// TestArenaShrinkIsStickyAndSound halves a warm arena's cache budget and
-// checks (a) the slab actually shrinks, (b) the cap survives later solves
-// (reset must not regrow past it), and (c) verdicts are unchanged — a
-// smaller cache may only lose pruning opportunities.
-func TestArenaShrinkIsStickyAndSound(t *testing.T) {
-	f := pigeonhole(8, 7)
-	arena := NewArena()
-	base := (&Caching{}).SolveArena(f, arena)
-	if base.Status != Unsat {
-		t.Fatalf("pigeonhole(8,7) = %v, want Unsat", base.Status)
-	}
-	before := arena.CacheBytes()
-	if before <= cacheShrinkFloor {
-		t.Fatalf("warm cache too small to exercise Shrink: %d bytes", before)
-	}
-
-	capBytes := arena.Shrink()
-	if capBytes <= 0 || capBytes >= DefaultCacheLimit {
-		t.Fatalf("Shrink cap = %d", capBytes)
-	}
-	if arena.CacheCap() != capBytes {
-		t.Fatalf("CacheCap = %d, want %d", arena.CacheCap(), capBytes)
-	}
-	if got := arena.CacheBytes(); got > before {
-		t.Fatalf("slab grew across Shrink: %d -> %d", before, got)
-	}
-
-	// Shrink repeatedly: the cap must bottom out at the floor, not zero.
-	for i := 0; i < 40; i++ {
-		capBytes = arena.Shrink()
-	}
-	if capBytes != cacheShrinkFloor {
-		t.Fatalf("Shrink floor = %d, want %d", capBytes, cacheShrinkFloor)
-	}
-
-	// Later solves must respect the sticky cap and still be correct.
-	again := (&Caching{}).SolveArena(f, arena)
-	if again.Status != Unsat {
-		t.Fatalf("post-shrink verdict = %v, want Unsat", again.Status)
-	}
-	if again.Stats.CacheBytes > capBytes {
-		t.Fatalf("reset regrew past sticky cap: %d > %d", again.Stats.CacheBytes, capBytes)
-	}
-	if again.Stats.Nodes < base.Stats.Nodes {
-		t.Fatalf("shrunk cache visited fewer nodes (%d) than full cache (%d)",
-			again.Stats.Nodes, base.Stats.Nodes)
 	}
 }

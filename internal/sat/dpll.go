@@ -9,34 +9,16 @@ import (
 // conflict clause learning, activity-driven decisions with phase saving,
 // geometric restarts) run one-shot on a fresh instance, with no
 // assumptions and no priority order. MaxConflicts, when positive, aborts
-// with Unknown. Limits adds deadline/cancellation aborts.
+// with Unknown.
 type DPLL struct {
 	MaxConflicts int64
-	// DisableLearning turns off conflict clause recording: a conflict
-	// flips the most recent decision one level down instead (chronological
-	// backtracking). Used by the paper's learning ablation.
-	DisableLearning bool
-	Limits          Limits
-}
-
-// WithLimits returns a copy of the configuration with per-call limits.
-func (d *DPLL) WithLimits(l Limits) Solver {
-	cp := *d
-	cp.Limits = l
-	return &cp
 }
 
 // Solve decides satisfiability of f on a fresh Incremental instance.
-// Limits that have already expired abort with Unknown before the
-// instance is built, as in the backtracking solvers; SolveAssuming
-// alone would report a level-0 conflict found by Load as Unsat.
 func (d *DPLL) Solve(f *cnf.Formula) Solution {
-	if d.Limits.expired() {
-		return Solution{Status: Unknown}
-	}
-	s := &Incremental{MaxConflicts: d.MaxConflicts, noLearning: d.DisableLearning}
+	s := &Incremental{MaxConflicts: d.MaxConflicts}
 	s.Load(f, nil)
-	return s.SolveAssuming(nil, d.Limits)
+	return s.SolveAssuming(nil, Limits{})
 }
 
 const litUndef = cnf.Lit(-1)

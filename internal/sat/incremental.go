@@ -28,7 +28,7 @@ import (
 // priority order and solved once without assumptions.
 //
 // An Incremental value is not safe for concurrent use; the ATPG engine
-// keeps one per worker, held by the worker's Arena.
+// keeps one per worker.
 type Incremental struct {
 	// MaxConflicts bounds the conflicts of a single SolveAssuming call
 	// (0 = unbounded). The call returns Unknown when exhausted; the
@@ -42,11 +42,6 @@ type Incremental struct {
 	// (high LBD, low activity) first.
 	LearnedLimit int64
 
-	// noLearning, set only by DPLL.Solve for the learning ablation,
-	// makes a conflict flip the most recent decision one level down
-	// instead of learning a clause.
-	noLearning bool
-
 	st incState
 }
 
@@ -54,9 +49,8 @@ type Incremental struct {
 // Incremental.LearnedLimit is zero.
 const DefaultLearnedLimit = 16 << 20
 
-// learnedShrinkFloor is the smallest budget ShrinkLearned imposes,
-// mirroring cacheShrinkFloor on the arena cache: shrinking degrades
-// clause reuse, it never disables the solver.
+// learnedShrinkFloor is the smallest budget ShrinkLearned imposes:
+// shrinking degrades clause reuse, it never disables the solver.
 const learnedShrinkFloor = 64 << 10
 
 // incState carries the persistent solver state between SolveAssuming
@@ -129,9 +123,8 @@ func (s *Incremental) NumLearned() int { return len(s.st.clauses) - s.st.nProble
 
 // ShrinkLearned halves the learned-clause budget (sticky, floored at
 // learnedShrinkFloor) and immediately reduces the database to fit.
-// Arena.Shrink calls it under memory pressure, between solves, when the
-// owning worker's arena holds an incremental instance. It returns the
-// new budget.
+// The ATPG engine's memory watchdog calls it between solves. It returns
+// the new budget.
 func (s *Incremental) ShrinkLearned() int64 {
 	cur := s.effectiveLearnedLimit()
 	next := cur / 2
@@ -322,17 +315,6 @@ func (s *Incremental) SolveAssuming(assumps []cnf.Lit, lim Limits) Solution {
 			}
 			if s.MaxConflicts > 0 && conflicts > s.MaxConflicts {
 				return finish(Unknown, nil)
-			}
-			if s.noLearning {
-				// Assert the negation of the most recent decision at the
-				// level below, with no reason clause. DPLL passes no
-				// assumptions, so every level starts with a decision.
-				// Without learned clauses the search can revisit work;
-				// MaxConflicts bounds it.
-				last := st.trail[st.trailLim[len(st.trailLim)-1]]
-				s.cancelUntil(len(st.trailLim) - 1)
-				s.enqueue(last.Not(), -1)
-				continue
 			}
 			learnt, back := s.analyze(confl)
 			// Backjumping below the assumption prefix is allowed:

@@ -260,23 +260,6 @@ func TestLearnedDBBound(t *testing.T) {
 		t.Fatalf("learned DB %d bytes exceeds shrunk budget %d", s.LearnedBytes(), learnedShrinkFloor)
 	}
 
-	// Arena.Shrink reaches the instance's DB too.
-	a := NewArena()
-	inc := a.Incremental()
-	if inc != a.Incremental() {
-		t.Fatal("Arena.Incremental not cached")
-	}
-	inc.Load(pigeonhole(6, 5), nil)
-	inc.SolveAssuming(nil, Limits{})
-	before := inc.effectiveLearnedLimit()
-	a.Shrink()
-	if after := inc.LearnedLimit; after >= before {
-		t.Fatalf("Arena.Shrink did not halve learned budget: %d -> %d", before, after)
-	}
-	if a.LearnedCap() != inc.LearnedLimit {
-		t.Fatalf("LearnedCap %d != LearnedLimit %d", a.LearnedCap(), inc.LearnedLimit)
-	}
-
 	// Verdicts survive aggressive reduction: re-solve a satisfiable
 	// series on the floor-budget instance.
 	rng := rand.New(rand.NewSource(3))

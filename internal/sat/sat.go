@@ -14,8 +14,7 @@
 //     and solved many times under assumptions, keeping its learned
 //     clauses between calls.
 //   - DPLL: the core's one-shot configuration, a fresh Incremental per
-//     Solve with no assumptions and no priority order. Its
-//     DisableLearning switch is the paper's learning ablation.
+//     Solve with no assumptions and no priority order.
 //
 // All solvers consume cnf.Formula and return a Solution with a model on
 // SAT and search statistics. Simple, Caching and DPLL implement Solver.
@@ -165,9 +164,10 @@ type Solver interface {
 	Solve(f *cnf.Formula) Solution
 }
 
-// Limits carries per-call abort controls. The zero value imposes none.
-// Searches observe both mechanisms at a coarse cadence (every limitCheck
-// nodes), so aborts cost no measurable overhead on easy instances.
+// Limits carries the per-call abort controls of Incremental.SolveAssuming.
+// The zero value imposes none. The search observes both mechanisms at a
+// coarse cadence (every limitCheck steps), so aborts cost no measurable
+// overhead on easy instances.
 type Limits struct {
 	// Deadline, when non-zero, aborts the search with Unknown once passed.
 	Deadline time.Time
@@ -175,9 +175,6 @@ type Limits struct {
 	// Typically a context's Done channel.
 	Cancel <-chan struct{}
 }
-
-// IsZero reports whether the limits impose nothing.
-func (l Limits) IsZero() bool { return l.Deadline.IsZero() && l.Cancel == nil }
 
 // expired reports whether the search must stop now.
 func (l Limits) expired() bool {
@@ -191,20 +188,10 @@ func (l Limits) expired() bool {
 	return !l.Deadline.IsZero() && !time.Now().Before(l.Deadline)
 }
 
-// limitCheck is the node cadence at which search loops consult Limits.
+// limitCheck is the step cadence at which SolveAssuming consults Limits.
 // Coarse enough that time.Now stays off the hot path, fine enough that a
 // per-fault budget is honored within microseconds.
 const limitCheck = 1024
-
-// LimitedSolver is implemented by solvers that support per-call abort
-// limits. WithLimits returns a configured copy so a shared, read-only
-// solver configuration can be specialized per call — the ATPG engine uses
-// this to give every fault its own deadline without sharing mutable state
-// across workers.
-type LimitedSolver interface {
-	Solver
-	WithLimits(Limits) Solver
-}
 
 // Verify checks that a claimed model satisfies the formula; it returns an
 // error naming the first violated clause. Used in tests and by the ATPG

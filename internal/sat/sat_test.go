@@ -48,7 +48,6 @@ func solvers() map[string]Solver {
 		"caching":       &Caching{},
 		"caching-exact": &Caching{VerifyKeys: true},
 		"dpll":          &DPLL{},
-		"dpll-nolearn":  &DPLL{DisableLearning: true},
 	}
 }
 
@@ -212,75 +211,59 @@ func TestConflictLimitAborts(t *testing.T) {
 	}
 }
 
-// limitedSolvers returns each engine as a LimitedSolver; all three
-// built-ins must implement per-call limits.
-func limitedSolvers(t *testing.T) map[string]LimitedSolver {
-	t.Helper()
-	out := make(map[string]LimitedSolver)
-	for name, s := range solvers() {
-		ls, ok := s.(LimitedSolver)
-		if !ok {
-			t.Fatalf("%s does not implement LimitedSolver", name)
-		}
-		out[name] = ls
-	}
-	return out
-}
-
-// TestDeadlineAborts: an already-expired deadline must abort every solver
-// with Unknown, on a hard instance and on one that unit propagation alone
-// refutes, without mutating the original solver configuration.
+// TestDeadlineAborts: an already-expired deadline must abort
+// SolveAssuming with Unknown before any search, on an unsatisfiable and
+// a satisfiable instance, and leave the instance valid: the next call
+// without limits decides it.
 func TestDeadlineAborts(t *testing.T) {
-	contradiction := cnf.NewFormula(1)
-	contradiction.AddClause(cnf.NewLit(0, false))
-	contradiction.AddClause(cnf.NewLit(0, true))
 	past := Limits{Deadline: time.Now().Add(-time.Second)}
-	for name, ls := range limitedSolvers(t) {
-		limited := ls.WithLimits(past)
-		for _, f := range []*cnf.Formula{pigeonhole(8, 7), contradiction} {
-			if got := limited.Solve(f).Status; got != Unknown {
-				t.Errorf("%s: expired deadline = %v, want Unknown", name, got)
-			}
+	for _, tc := range []struct {
+		f    *cnf.Formula
+		want Status
+	}{{pigeonhole(5, 4), Unsat}, {pigeonhole(3, 3), Sat}} {
+		s := NewIncremental()
+		s.Load(tc.f, nil)
+		sol := s.SolveAssuming(nil, past)
+		if sol.Status != Unknown || sol.Stats.Decisions != 0 {
+			t.Errorf("expired deadline = %v after %d decisions, want Unknown before any", sol.Status, sol.Stats.Decisions)
 		}
-		// The original configuration must remain unlimited: the easy
-		// PHP(3,3) instance still solves.
-		if got := ls.Solve(pigeonhole(3, 3)).Status; got != Sat {
-			t.Errorf("%s: WithLimits mutated the original configuration (%v)", name, got)
+		if got := s.SolveAssuming(nil, Limits{}).Status; got != tc.want {
+			t.Errorf("unlimited retry = %v, want %v", got, tc.want)
 		}
 	}
 }
 
-// TestCancelAborts: a closed Cancel channel must abort mid-search.
+// TestCancelAborts: a closed Cancel channel must abort the search.
 func TestCancelAborts(t *testing.T) {
-	f := pigeonhole(8, 7)
 	cancelled := make(chan struct{})
 	close(cancelled)
-	for name, ls := range limitedSolvers(t) {
-		if got := ls.WithLimits(Limits{Cancel: cancelled}).Solve(f).Status; got != Unknown {
-			t.Errorf("%s: closed cancel channel = %v, want Unknown", name, got)
-		}
+	s := NewIncremental()
+	s.Load(pigeonhole(8, 7), nil)
+	if got := s.SolveAssuming(nil, Limits{Cancel: cancelled}).Status; got != Unknown {
+		t.Errorf("closed cancel channel = %v, want Unknown", got)
 	}
 }
 
-// TestCachingCancelMidSearch: a cancel channel closed while the Caching
-// solver is deep in its search must abort it promptly with Unknown —
-// the cancel-channel analogue of the deadline tests (the engine relies on
-// this path to drain parallel runs). PHP(12,11) takes the caching solver
-// seconds uncancelled, so the 25 ms cancel always lands mid-search.
-func TestCachingCancelMidSearch(t *testing.T) {
-	f := pigeonhole(12, 11)
+// TestIncrementalCancelMidSearch: a cancel channel closed while the
+// search is deep in a hard instance must abort it promptly with Unknown
+// — the cancel-channel analogue of the deadline tests (the engine relies
+// on this path to drain parallel runs). Resolution proofs of PHP(12,11)
+// are exponential, so the 25 ms cancel always lands mid-search.
+func TestIncrementalCancelMidSearch(t *testing.T) {
+	s := NewIncremental()
+	s.Load(pigeonhole(12, 11), nil)
 	cancel := make(chan struct{})
 	go func() {
 		time.Sleep(25 * time.Millisecond)
 		close(cancel)
 	}()
 	start := time.Now()
-	sol := (&Caching{Limits: Limits{Cancel: cancel}}).Solve(f)
+	sol := s.SolveAssuming(nil, Limits{Cancel: cancel})
 	elapsed := time.Since(start)
 	if sol.Status != Unknown {
 		t.Fatalf("status = %v, want Unknown (cancelled mid-search)", sol.Status)
 	}
-	if sol.Stats.Nodes == 0 {
+	if sol.Stats.Conflicts == 0 {
 		t.Error("solver aborted before searching at all — cancel did not land mid-search")
 	}
 	if elapsed > 5*time.Second {
@@ -289,11 +272,13 @@ func TestCachingCancelMidSearch(t *testing.T) {
 }
 
 // TestLimitsHonoredPromptly: a short deadline must abort a search that
-// would otherwise run far past it (the check cadence is limitCheck nodes).
+// would otherwise run far past it (the check cadence is limitCheck
+// steps).
 func TestLimitsHonoredPromptly(t *testing.T) {
-	f := pigeonhole(9, 8) // far beyond the deadline's reach for Simple
+	s := NewIncremental()
+	s.Load(pigeonhole(12, 11), nil) // far beyond the deadline's reach
 	start := time.Now()
-	sol := (&Simple{Limits: Limits{Deadline: start.Add(50 * time.Millisecond)}}).Solve(f)
+	sol := s.SolveAssuming(nil, Limits{Deadline: start.Add(50 * time.Millisecond)})
 	elapsed := time.Since(start)
 	if sol.Status != Unknown {
 		t.Fatalf("status = %v, want Unknown", sol.Status)
@@ -434,30 +419,17 @@ func TestStatusString(t *testing.T) {
 	}
 }
 
-// TestDPLLLearnsClauses: the CDCL core learns on PHP(5,4), and the
-// DisableLearning ablation reaches the same verdict without learning
-// a single clause.
+// TestDPLLLearnsClauses: the CDCL core learns on PHP(5,4).
 func TestDPLLLearnsClauses(t *testing.T) {
-	f := pigeonhole(5, 4)
-	for _, tc := range []struct {
-		name  string
-		dpll  *DPLL
-		learn bool
-	}{
-		{"learning", &DPLL{}, true},
-		{"no-learning", &DPLL{DisableLearning: true}, false},
-	} {
-		sol := tc.dpll.Solve(f)
-		if sol.Status != Unsat {
-			t.Fatalf("%s: status %v, want UNSAT", tc.name, sol.Status)
-		}
-		if sol.Stats.Conflicts == 0 {
-			t.Errorf("%s: no conflicts recorded on PHP(5,4)", tc.name)
-		}
-		if learned := sol.Stats.Learned > 0; learned != tc.learn {
-			t.Errorf("%s: %d clauses learned on PHP(5,4), want learning %v",
-				tc.name, sol.Stats.Learned, tc.learn)
-		}
+	sol := (&DPLL{}).Solve(pigeonhole(5, 4))
+	if sol.Status != Unsat {
+		t.Fatalf("status %v, want UNSAT", sol.Status)
+	}
+	if sol.Stats.Conflicts == 0 {
+		t.Error("no conflicts recorded on PHP(5,4)")
+	}
+	if sol.Stats.Learned == 0 {
+		t.Error("no clauses learned on PHP(5,4)")
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"atpgeasy/internal/checkpoint"
 	"atpgeasy/internal/decomp"
 	"atpgeasy/internal/logic"
-	"atpgeasy/internal/sat"
 )
 
 // Job states. A job is admitted as StateQueued, picked up by a runner
@@ -32,10 +31,6 @@ const (
 	StateFailed   = "failed"
 	StateCanceled = "canceled"
 )
-
-// dpllMaxConflicts mirrors the CLI's conflict cap so no job's fault can
-// search forever even without a wall-clock budget.
-const dpllMaxConflicts = 10_000_000
 
 // JobMeta is a job's durable identity and lifecycle record —
 // meta.json in the job directory, rewritten atomically on every state
@@ -328,11 +323,7 @@ func (s *Server) runJob(parent context.Context, j *job) {
 		}
 	}
 
-	eng := &atpg.Engine{
-		VerifyTests: true,
-		Workers:     s.cfg.EngineWorkers,
-		Solver:      &sat.DPLL{MaxConflicts: dpllMaxConflicts},
-	}
+	eng := &atpg.Engine{VerifyTests: true, Workers: s.cfg.EngineWorkers}
 	sum, runErr := eng.RunFaults(ctx, c, faults, opt)
 
 	// The journal must be durable before the job reports any outcome —
