@@ -86,10 +86,10 @@ type (
 // bytes when its CacheLimit is 0 (see NewCachingBounded).
 const DefaultCacheLimit = sat.DefaultCacheLimit
 
-// Random-pattern pre-phase defaults (RunOptions.RPTBatches and
-// RPTIdleStop): up to DefaultRPTBatches 64-pattern batches, stopping
-// early after DefaultRPTIdleStop consecutive batches with no new
-// detections.
+// Random-pattern pre-phase parameters: DefaultRPTBatches is the standard
+// RunOptions.RPTBatches cap on 64-pattern batches, and every run stops
+// the phase early after DefaultRPTIdleStop consecutive batches with no
+// new detections.
 const (
 	DefaultRPTBatches  = atpg.DefaultRPTBatches
 	DefaultRPTIdleStop = atpg.DefaultRPTIdleStop
@@ -128,8 +128,8 @@ type (
 	// MetricsServer serves /metrics, /debug/vars and /debug/pprof for a
 	// registry.
 	MetricsServer = obs.Server
-	// SpanTracer emits hierarchical span records (run → phase → chunk →
-	// fault) into a Trace sink; wire one into Telemetry.Spans.
+	// SpanTracer emits hierarchical span records (run → phase → group or
+	// rpt-batch → fault) into a Trace sink; wire one into Telemetry.Spans.
 	SpanTracer = obs.Tracer
 	// SpanContext identifies an in-flight span for parenting children.
 	SpanContext = obs.SpanContext

@@ -8,7 +8,7 @@
 //	atpg -bench FILE | -blif FILE | -gen NAME
 //	     [-collapse] [-dominance] [-drop] [-group-max N]
 //	     [-j WORKERS] [-budget DURATION]
-//	     [-rpt-batches N] [-rpt-idle N] [-seed N]
+//	     [-rpt-batches N] [-seed N]
 //	     [-retry-tiers N] [-retry-backoff F] [-mem-soft-limit BYTES]
 //	     [-checkpoint FILE] [-resume] [-checkpoint-sync] [-checkpoint-every DUR]
 //	     [-metrics-addr ADDR] [-trace FILE] [-progress DUR] [-json]
@@ -23,10 +23,11 @@
 // to -rpt-batches batches of 64 seeded random patterns are fault-simulated
 // against the whole fault list, keeping only patterns that detect a new
 // fault; the SAT engine then targets just the random-pattern-resistant
-// survivors. -rpt-batches 0 disables the phase, -rpt-idle stops it after
-// that many consecutive unproductive batches, and -seed makes the whole
-// run reproducible. -dominance adds dominance-based fault collapsing on
-// top of -collapse equivalence collapsing.
+// survivors. -rpt-batches 0 disables the phase; it also stops after
+// atpg.DefaultRPTIdleStop (4) consecutive batches that detect nothing
+// new. -seed makes the whole run reproducible. -dominance adds
+// dominance-based fault collapsing on top of -collapse equivalence
+// collapsing.
 //
 // The engine runs incrementally: faults sharing a transitive-fanout
 // region are grouped (at most -group-max per group), encoded once with
@@ -61,9 +62,9 @@
 // the given period; -json replaces the human summary on stdout with a
 // machine-readable JSON document (schema atpgeasy/run-summary/v1,
 // documented in README.md). With -trace, the event stream also carries
-// hierarchical spans (run → phase → dispatch chunk/RPT batch/retry tier →
-// fault). -effort-log streams one structured record per fault verdict —
-// structural features joined with solver effort, schema
+// hierarchical spans (run → phase (rpt, sweep, retry-tier) → group or
+// rpt-batch → fault). -effort-log streams one structured record per
+// fault verdict — structural features joined with solver effort, schema
 // atpgeasy/effort/v1, the run's one per-fault record — for
 // cmd/atpgreport; -effort-width additionally estimates each fault's
 // sub-circuit cut-width (slower: one MLA layout per fault). A crash or
@@ -107,7 +108,6 @@ func main() {
 	dominance := flag.Bool("dominance", true, "additionally apply dominance-based fault collapsing")
 	drop := flag.Bool("drop", true, "drop faults detected by earlier vectors (fault simulation)")
 	rptBatches := flag.Int("rpt-batches", atpg.DefaultRPTBatches, "random-pattern pre-phase: max 64-pattern batches (0 = disable)")
-	rptIdle := flag.Int("rpt-idle", atpg.DefaultRPTIdleStop, "stop the pre-phase after this many consecutive batches detecting nothing new")
 	seed := flag.Int64("seed", 1, "random-pattern generator seed (same seed = same run)")
 	groupMax := flag.Int("group-max", atpg.DefaultGroupMax, "max faults per region group on the incremental CDCL core (1 = fresh instance per fault)")
 	workers := flag.Int("j", 0, "parallel fault workers (0 = GOMAXPROCS)")
@@ -187,7 +187,6 @@ func main() {
 	opt := atpg.RunOptions{
 		DropDetected:   *drop,
 		RPTBatches:     *rptBatches,
-		RPTIdleStop:    *rptIdle,
 		Seed:           *seed,
 		PerFaultBudget: *budget,
 		Telemetry:      tel,
@@ -273,7 +272,7 @@ func main() {
 			rt.Tier, rt.Budget, rt.Attempted, rt.Recovered)
 	}
 	fmt.Fprintf(info, "fault coverage (testable): %.2f%%   vectors: %d   SAT time: %v   wall: %v\n",
-		100*sum.Coverage(), len(sum.Vectors), sum.Elapsed, sum.WallElapsed.Round(time.Microsecond))
+		100*sum.Coverage(), len(sum.Vectors), sum.Phases.Solve, sum.WallElapsed.Round(time.Microsecond))
 	fmt.Fprintf(info, "phases: rpt %v   build %v   solve %v   fault-sim %v\n",
 		sum.Phases.RPT.Round(time.Microsecond),
 		sum.Phases.Build.Round(time.Microsecond), sum.Phases.Solve.Round(time.Microsecond),
@@ -429,7 +428,7 @@ func buildJSONSummary(sum *atpg.Summary, workers int, budget time.Duration, grou
 			Vectors: sum.RPTVectors,
 		},
 		Phases:      sum.Phases,
-		SATTimeNS:   sum.Elapsed.Nanoseconds(),
+		SATTimeNS:   sum.Phases.Solve.Nanoseconds(),
 		WallNS:      sum.WallElapsed.Nanoseconds(),
 		SolverStats: sum.SolverTotals,
 		Retries:     sum.Retries,

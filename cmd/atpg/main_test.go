@@ -154,7 +154,6 @@ func TestBuildJSONSummary(t *testing.T) {
 		RPTBatches:  3,
 		RPTVectors:  5,
 		Vectors:     make([][]bool, 11),
-		Elapsed:     3 * time.Millisecond,
 		WallElapsed: 2 * time.Millisecond,
 		Phases: atpg.PhaseTimes{
 			RPT:      250 * time.Microsecond,

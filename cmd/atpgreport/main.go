@@ -363,7 +363,7 @@ func phaseWalls(recs []atpg.EffortRecord, spans []obs.SpanRecord) ([]PhaseWall, 
 		order := []string{}
 		for _, sp := range spans {
 			switch sp.Name {
-			case "run", "rpt", "sweep", "retry-tier", "frontier-stall", "flush", "rpt-batch", "rpt-compact", "checkpoint":
+			case "run", "rpt", "sweep", "retry-tier", "frontier-stall", "flush", "rpt-batch", "checkpoint":
 				w, ok := agg[sp.Name]
 				if !ok {
 					w = &PhaseWall{Phase: sp.Name}

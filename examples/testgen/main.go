@@ -36,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("ATPG: %d solver calls, %d dropped by fault simulation, SAT time %v\n",
-		len(sum.Results), sum.DroppedByFaultSim, sum.Elapsed)
+		len(sum.Results), sum.DroppedByFaultSim, sum.Phases.Solve)
 	fmt.Printf("coverage of testable faults: %.2f%%  (%d untestable/redundant faults found)\n",
 		100*sum.Coverage(), sum.Untestable)
 	fmt.Printf("compacted test set: %d vectors for %d faults\n", len(sum.Vectors), sum.Total)

@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -140,6 +141,17 @@ func newScratch(c *logic.Circuit) *workerScratch {
 	return &workerScratch{inc: &sat.Incremental{MaxConflicts: maxConflicts}, enc: newFormulaEncoder(c)}
 }
 
+// simulator loads n packed patterns into the worker's fault simulator,
+// creating it on first use.
+func (ws *workerScratch) simulator(c *logic.Circuit, words []uint64, n int) (*faultsim.Simulator, error) {
+	if ws.sim == nil {
+		sim, err := faultsim.NewSimulator(c, words, n)
+		ws.sim = sim
+		return sim, err
+	}
+	return ws.sim, ws.sim.Reset(words, n)
+}
+
 func (e *Engine) workers() int {
 	if e.Workers > 0 {
 		return e.Workers
@@ -226,16 +238,13 @@ type Summary struct {
 	// fault-list order regardless of which worker finished first, so
 	// parallel runs are deterministic modulo fault dropping.
 	Results []Result
-	// Elapsed is total SAT time summed over faults. Under a parallel run
-	// it exceeds wall time; compare WallElapsed.
-	Elapsed time.Duration
 	// WallElapsed is the wall-clock duration of the whole run.
 	WallElapsed time.Duration
 	// Phases breaks the run's work down by pipeline phase (summed over
 	// faults and workers, so each phase can exceed wall time in parallel).
-	// Like Elapsed and SolverTotals, its Build and Solve count only the
-	// final attempt of a fault the retry tiers re-ran; the /metrics work
-	// counters count every attempt.
+	// Like SolverTotals, its Build and Solve count only the final attempt
+	// of a fault the retry tiers re-ran; the /metrics work counters count
+	// every attempt.
 	Phases PhaseTimes
 	// SolverTotals merges the per-fault solver statistics of every fault
 	// that reached the solver.
@@ -258,7 +267,9 @@ type PhaseTimes struct {
 	// Build is formula-encoding time (for region groups, encoding plus
 	// loading the incremental instance).
 	Build time.Duration `json:"build_ns"`
-	// Solve is SAT search time (equals Summary.Elapsed).
+	// Solve is SAT search time summed over the faults that reached the
+	// solver (each Result's Elapsed). Under a parallel run it exceeds wall
+	// time; compare Summary.WallElapsed.
 	Solve time.Duration `json:"solve_ns"`
 	// FaultSim is the time spent batch-simulating vectors to drop faults.
 	FaultSim time.Duration `json:"faultsim_ns"`
@@ -282,11 +293,13 @@ func (s Summary) Coverage() float64 {
 	return float64(s.Detected+s.DroppedByFaultSim+s.DetectedByRPT) / float64(testable)
 }
 
-// Default random-pattern pre-phase parameters, used by the facade and the
-// CLI. 32 batches of 64 patterns saturate the easy faults of every
-// generated benchmark circuit; 4 idle batches is enough slack that the
-// phase does not give up on a cold streak while the fault list is still
-// shrinking fast.
+// Random-pattern pre-phase parameters: DefaultRPTBatches is the standard
+// flow's RunOptions.RPTBatches, and every run stops the phase after
+// DefaultRPTIdleStop consecutive batches that detect nothing new. 32
+// batches of 64 patterns saturate the easy faults of every generated
+// benchmark circuit; 4 idle batches is enough slack that the phase does
+// not give up on a cold streak while the fault list is still shrinking
+// fast.
 const (
 	DefaultRPTBatches  = 32
 	DefaultRPTIdleStop = 4
@@ -305,12 +318,11 @@ type RunOptions struct {
 	// RPTBatches enables the random-pattern pre-phase: up to RPTBatches
 	// batches of 64 seeded random patterns are fault-simulated against the
 	// whole undetected fault list before any SAT solving; patterns that
-	// detect a new fault are kept as test vectors. 0 disables the phase
-	// (use DefaultRPTBatches for the standard flow).
+	// detect a new fault are kept as test vectors. The phase stops early
+	// once the list is empty or DefaultRPTIdleStop consecutive batches
+	// detect nothing new. 0 disables the phase (use DefaultRPTBatches for
+	// the standard flow).
 	RPTBatches int
-	// RPTIdleStop stops the pre-phase early after this many consecutive
-	// batches that detect no new fault (≤0 = DefaultRPTIdleStop).
-	RPTIdleStop int
 	// Seed drives the random pattern generator. Runs with the same seed
 	// and options produce identical vectors and summaries, regardless of
 	// worker count.
@@ -370,14 +382,6 @@ type RunOptions struct {
 	// it runs a layout heuristic per fault, which dwarfs the other
 	// (two-DFS) features on large circuits.
 	EffortWidth bool
-}
-
-// rptIdleStop is the effective RPTIdleStop.
-func (o RunOptions) rptIdleStop() int {
-	if o.RPTIdleStop <= 0 {
-		return DefaultRPTIdleStop
-	}
-	return o.RPTIdleStop
 }
 
 // dropBatch is the committed-vector count that triggers a fault-simulation
@@ -448,8 +452,8 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	}
 	// Per-worker scratch arenas are created up front so the RPT pre-phase
 	// and the SAT workers share the same fault simulators and buffers;
-	// the serial call sites (replay records, the RPT coordinator, the
-	// final retry bookkeeping) borrow worker 0's.
+	// the serial call sites (replay records, the RPT loop's effort
+	// records, the final retry bookkeeping) borrow worker 0's.
 	scratches := make([]*workerScratch, workers)
 	for w := range scratches {
 		scratches[w] = newScratch(c)
@@ -558,7 +562,6 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 			continue // detected by RPT, dropped by fault simulation, or never reached before cancellation
 		}
 		sum.Results = append(sum.Results, *r)
-		sum.Elapsed += r.Elapsed
 		sum.Phases.Build += r.BuildElapsed
 		sum.Phases.Solve += r.Elapsed
 		sum.SolverTotals.Add(r.SolverStats)
@@ -640,9 +643,9 @@ type runState struct {
 	mu  sync.Mutex
 	err error
 
-	// Random-pattern pre-phase outcome. Written by the (serial) RPT
-	// coordinator before the worker pool starts; the per-batch counters
-	// are updated under mu so progress snapshots see them live.
+	// Random-pattern pre-phase outcome. Written by runRPT's serial loop
+	// before the worker pool starts; the per-batch counters are updated
+	// under mu so progress snapshots see them live.
 	rptDetected    int
 	rptBatches     int
 	rptVectors     [][]bool
@@ -766,42 +769,27 @@ func (st *runState) setErr(err error) {
 
 // runRPT is the random-pattern pre-phase: seeded 64-pattern batches are
 // fault-simulated against the whole undetected fault list, sharded across
-// per-batch simulator sets; patterns that detect a new fault are kept as
-// test vectors and the detected faults never reach the solver. The phase
-// stops after opt.RPTBatches batches, after RPTIdleStop consecutive
-// batches detecting nothing new, or when the list is empty.
-//
-// The phase is pipelined: while the coordinator runs the greedy
-// pattern-keep loop of batch b, batch b+1 is already simulating on a
-// second simulator set (the old coordinator-serial keep/compact loop left
-// every worker idle between batches, capping default-mode runs at ~1
-// worker). Speculation never changes the outcome: a fault's detection
-// mask depends only on the circuit and the pattern words, so masks
-// computed against a stale live list are still valid — entries detected
-// by an earlier batch are skipped by flag, and the arrays are compacted
-// lazily (taking a one-batch pipeline bubble) once a quarter of them is
-// dead. Pattern generation stays on the coordinator with a seeded serial
-// RNG, and every issue/stop/compact decision is a function of
-// deterministically consumed batch outcomes alone — so the kept vector
-// set and the surviving fault list are identical for any worker count,
-// and a speculative batch discarded at the stopping point is never
-// counted.
+// the workers' simulators; patterns that detect a new fault are kept as
+// test vectors and the detected faults never reach the solver. Before
+// each batch the phase checks its stop rule: it stops once opt.RPTBatches
+// batches have run, the live list is empty, or the last
+// DefaultRPTIdleStop batches detected nothing. Pattern words come from
+// one seeded RNG in batch order, and a fault's detection mask depends
+// only on the circuit and those words, so the kept vector set and the
+// surviving fault list are identical for any worker count.
 func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerScratch) error {
 	opt := st.opt
 	if opt.RPTBatches <= 0 || len(st.faults) == 0 {
 		return nil
 	}
-	idleStop := opt.rptIdleStop()
 	phaseStart := time.Now()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	c := st.c
 	tel := opt.Telemetry
-	workers := len(scratches)
 
-	// Live view of the fault list. det flags entries detected by an
-	// already-consumed batch (skipped until the next compaction);
-	// liveCount tracks the true survivor count.
-	live := make([]int, 0, len(st.faults)) // indices into st.faults
+	// The live fault list in fault-list order: indices into st.faults
+	// and the nets and stuck-at values the shards simulate.
+	live := make([]int, 0, len(st.faults))
 	nets := make([]int, 0, len(st.faults))
 	sas := make([]bool, 0, len(st.faults))
 	for i, f := range st.faults {
@@ -812,165 +800,50 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 		nets = append(nets, f.Net)
 		sas = append(sas, f.StuckAt)
 	}
-	det := make([]bool, len(live))
-	liveCount := len(live)
-	detSince := 0 // detections since the last compaction
-
-	// batchRun is one 64-pattern batch in flight: its pattern words, the
-	// per-fault detection masks its shards fill in, and its own simulator
-	// set (two batches overlap, so they cannot share simulators).
-	type batchRun struct {
-		words   []uint64
-		masks   []uint64
-		n       int // live-array length at issue time; masks[:n] are valid
-		started time.Time
-		span    obs.Span // open from issue to consume (pipeline overlap shows as overlapping spans)
-		wg      sync.WaitGroup
-		errs    []error
-		sims    []*faultsim.Simulator
-	}
-	newRun := func() *batchRun {
-		return &batchRun{
-			words: make([]uint64, len(c.Inputs)),
-			masks: make([]uint64, len(live)),
-			errs:  make([]error, workers),
-			sims:  make([]*faultsim.Simulator, workers),
+	words := make([]uint64, len(c.Inputs))
+	masks := make([]uint64, len(live))
+	errs := make([]error, len(scratches))
+	var wg sync.WaitGroup
+	for idle := 0; st.rptBatches < opt.RPTBatches && len(live) > 0 && idle < DefaultRPTIdleStop && ctx.Err() == nil; {
+		started := time.Now()
+		span := tel.startSpan("rpt-batch", st.rptSpan)
+		for i := range words {
+			words[i] = rng.Uint64()
 		}
-	}
-	bufs := [2]*batchRun{newRun(), newRun()}
-	// Slot 0 borrows the worker-scratch simulators (shared with the SAT
-	// phase's flush path) and returns them when the phase ends.
-	for w, ws := range scratches {
-		bufs[0].sims[w] = ws.sim
-	}
-	defer func() {
-		for w, ws := range scratches {
-			if bufs[0].sims[w] != nil {
-				ws.sim = bufs[0].sims[w]
-			}
-		}
-	}()
-
-	issue := func(br *batchRun) {
-		br.started = time.Now()
-		br.span = tel.startSpan("rpt-batch", st.rptSpan)
-		for i := range br.words {
-			br.words[i] = rng.Uint64()
-		}
-		br.n = len(live)
-		masks := br.masks[:br.n]
-		// Shard the live list across the batch's simulators. Each shard
+		// Shard the live list across the workers' simulators. Each shard
 		// writes its slice of masks; full masks (not early-exit) because
 		// the greedy keep below needs every detecting pattern.
-		chunk := (br.n + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			if lo >= br.n {
+		n := len(live)
+		chunk := (n + len(scratches) - 1) / len(scratches)
+		for w, ws := range scratches {
+			lo, hi := w*chunk, min((w+1)*chunk, n)
+			if lo >= hi {
 				break
 			}
-			hi := min(lo+chunk, br.n)
-			br.wg.Add(1)
-			go func(w, lo, hi int) {
-				defer br.wg.Done()
-				sim := br.sims[w]
-				var err error
-				if sim == nil {
-					sim, err = faultsim.NewSimulator(c, br.words, 64)
-				} else {
-					err = sim.Reset(br.words, 64)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sim, err := ws.simulator(c, words, 64)
+				if errs[w] = err; err == nil {
+					sim.DetectAll(nets[lo:hi], sas[lo:hi], masks[lo:hi], false)
 				}
-				if err != nil {
-					br.errs[w] = err
-					return
-				}
-				br.sims[w] = sim
-				sim.DetectAll(nets[lo:hi], sas[lo:hi], masks[lo:hi], false)
-			}(w, lo, hi)
+			}()
 		}
-	}
-
-	issued, consumed, idle := 0, 0, 0
-	compactPending := false
-	// canIssue gates the first issue and every speculation alike; all of
-	// its inputs are deterministic functions of the consumed batches.
-	canIssue := func() bool {
-		return issued < opt.RPTBatches && liveCount > 0 && idle < idleStop &&
-			!compactPending && ctx.Err() == nil
-	}
-	// Any batch still in flight when the loop decides to stop is
-	// discarded: waited on (the shards reference the live arrays) but
-	// never counted or consumed.
-	drain := func() {
-		for consumed < issued {
-			br := bufs[consumed%2]
-			br.wg.Wait()
-			if br.span.Active() {
-				br.span.Detail = "discarded"
-				br.span.End()
-			}
-			consumed++
-		}
-	}
-	defer drain()
-
-	for {
-		if consumed == issued {
-			if compactPending {
-				// Pipeline bubble: nothing in flight references the live
-				// arrays, so compact them down to the survivors.
-				cspan := tel.startSpan("rpt-compact", st.rptSpan)
-				cspan.Items = int64(detSince)
-				nw := 0
-				for k := range live {
-					if det[k] {
-						continue
-					}
-					live[nw], nets[nw], sas[nw] = live[k], nets[k], sas[k]
-					det[nw] = false
-					nw++
-				}
-				live, nets, sas, det = live[:nw], nets[:nw], sas[:nw], det[:nw]
-				detSince = 0
-				compactPending = false
-				cspan.End()
-				st.ring.Record("rpt", -1, int64(nw), 0, 0)
-			}
-			if !canIssue() {
-				break
-			}
-			issue(bufs[issued%2])
-			issued++
-		}
-		// Speculate: start the next batch before consuming the current one.
-		if consumed+1 == issued && canIssue() {
-			issue(bufs[issued%2])
-			issued++
-		}
-		br := bufs[consumed%2]
-		br.wg.Wait()
-		for _, err := range br.errs {
-			if err != nil {
-				return err
-			}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			return err
 		}
 		if ctx.Err() != nil {
-			consumed++ // discard uncounted; drain handles any speculative batch
-			break
+			break // a cancelled batch is discarded uncounted, span and all
 		}
 		// Greedy pattern keep, in fault-list order: a fault whose mask
 		// misses every kept pattern contributes its lowest detecting
 		// pattern, so every detected fault is covered by a kept pattern.
-		masks := br.masks[:br.n]
 		var kept uint64
-		detected := 0
-		for k := 0; k < br.n; k++ {
-			if det[k] || masks[k] == 0 {
-				continue
+		for _, m := range masks[:n] {
+			if m != 0 && m&kept == 0 {
+				kept |= 1 << uint(bits.TrailingZeros64(m))
 			}
-			if masks[k]&kept == 0 {
-				kept |= 1 << uint(bits.TrailingZeros64(masks[k]))
-			}
-			detected++
 		}
 		var newVecs [][]bool
 		for p := 0; p < 64; p++ {
@@ -979,48 +852,45 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 			}
 			vec := make([]bool, len(c.Inputs))
 			for i := range vec {
-				vec[i] = br.words[i]&(1<<uint(p)) != 0
+				vec[i] = words[i]&(1<<uint(p)) != 0
 			}
 			newVecs = append(newVecs, vec)
 		}
+		// Record the detections and compact the live list down to the
+		// survivors in place.
 		preDet := len(st.rptDetectedIdx)
 		st.mu.Lock()
-		for k := 0; k < br.n; k++ {
-			if !det[k] && masks[k] != 0 {
+		nw := 0
+		for k, m := range masks[:n] {
+			if m != 0 {
 				st.preDecided[live[k]] = true
 				st.rptDetectedIdx = append(st.rptDetectedIdx, live[k])
+				continue
 			}
+			live[nw], nets[nw], sas[nw] = live[k], nets[k], sas[k]
+			nw++
 		}
+		detected := n - nw
 		st.rptDetected += detected
 		st.rptBatches++
 		st.rptVectors = append(st.rptVectors, newVecs...)
 		st.mu.Unlock()
+		live, nets, sas = live[:nw], nets[:nw], sas[:nw]
 		if st.effort != nil {
-			// The coordinator is the only rptDetectedIdx writer, so the
-			// slice tail past preDet is exactly this batch's detections.
+			// This loop is the only rptDetectedIdx writer, so the slice
+			// tail past preDet is exactly this batch's detections.
 			for _, i := range st.rptDetectedIdx[preDet:] {
 				st.recordEffort(scratches[0], i, nil, "rpt", 0, -1)
 			}
 		}
-		for k := 0; k < br.n; k++ {
-			if masks[k] != 0 {
-				det[k] = true
-			}
-		}
-		consumed++
-		st.ring.Record("rpt", -1, int64(detected), int64(len(newVecs)), time.Since(br.started).Nanoseconds())
-		br.span.Items = int64(detected)
-		br.span.End()
-		tel.observeRPTBatch(detected, len(newVecs), time.Since(br.started), time.Since(st.start))
+		st.ring.Record("rpt", -1, int64(detected), int64(len(newVecs)), time.Since(started).Nanoseconds())
+		span.Items = int64(detected)
+		span.End()
+		tel.observeRPTBatch(detected, len(newVecs), time.Since(started), time.Since(st.start))
 		if detected == 0 {
 			idle++
-			continue
-		}
-		idle = 0
-		liveCount -= detected
-		detSince += detected
-		if detSince*4 >= len(live) {
-			compactPending = true
+		} else {
+			idle = 0
 		}
 	}
 	st.mu.Lock()
@@ -1176,15 +1046,10 @@ func (st *runState) flushLocked(ws *workerScratch, worker int) error {
 	if err != nil {
 		return err
 	}
-	if ws.sim != nil {
-		err = ws.sim.Reset(ws.pack, len(batch))
-	} else {
-		ws.sim, err = faultsim.NewSimulator(st.c, ws.pack, len(batch))
-	}
+	sim, err := ws.simulator(st.c, ws.pack, len(batch))
 	if err != nil {
 		return err
 	}
-	sim := ws.sim
 	tel := st.opt.Telemetry
 	dropped := 0
 	order := st.plan.order

@@ -7,7 +7,7 @@ package atpg
 // for one fault prune the search for its region neighbors (InF-ATPG's
 // fanout-region organization, PAPERS.md). This file holds the grouping:
 // region heads and the canonical group order. The group formula is
-// formulaEncoder.encodeGroup's.
+// formulaEncoder.encode's (formula.go).
 
 import (
 	"sort"

@@ -70,11 +70,11 @@ type RetryTier struct {
 // CheckpointFingerprint hashes everything that determines a run's
 // verdict/vector identity — circuit, exact fault list, seed and the
 // deterministic run options — so a journal from a different run is
-// rejected instead of silently mis-applied. Options are hashed as the
-// run applies them, so an RPTIdleStop of 0 matches DefaultRPTIdleStop.
-// Worker count and budgets are deliberately excluded: verdicts are
-// worker-independent, and budgets only move faults between decided and
-// aborted.
+// rejected instead of silently mis-applied. The pre-phase's idle stop is
+// hashed too: it was once a run option, and journals written at its
+// default, DefaultRPTIdleStop, still resume. Worker count and budgets are
+// deliberately excluded: verdicts are worker-independent, and budgets
+// only move faults between decided and aborted.
 func CheckpointFingerprint(c *logic.Circuit, faults []Fault, opt RunOptions) uint64 {
 	h := fnv.New64a()
 	// The "inc|" segment is a fixed marker: it once told region-grouped
@@ -83,7 +83,7 @@ func CheckpointFingerprint(c *logic.Circuit, faults []Fault, opt RunOptions) uin
 	// GroupMax is excluded: vectors and verdicts are identical for every
 	// group-size cap.
 	fmt.Fprintf(h, "%s|%d|%d|%d|%d|%t|inc|", c.Name, len(c.Inputs),
-		opt.Seed, opt.RPTBatches, opt.rptIdleStop(), opt.DropDetected)
+		opt.Seed, opt.RPTBatches, DefaultRPTIdleStop, opt.DropDetected)
 	for _, f := range faults {
 		fmt.Fprintf(h, "%d:%t;", f.Net, f.StuckAt)
 	}

@@ -28,7 +28,6 @@ func TestJobFingerprintGolden(t *testing.T) {
 	cli := atpg.RunOptions{
 		DropDetected: true,
 		RPTBatches:   atpg.DefaultRPTBatches,
-		RPTIdleStop:  atpg.DefaultRPTIdleStop,
 		Seed:         1,
 	}
 	cliNoRPT := cli

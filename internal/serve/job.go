@@ -221,7 +221,6 @@ func (j *job) loadResult() (*JobResult, error) {
 func jobRunOptions(tel *atpg.Telemetry, budget time.Duration, resume *atpg.ResumeState, journal atpg.JournalSink) atpg.RunOptions {
 	return atpg.RunOptions{
 		RPTBatches:     atpg.DefaultRPTBatches,
-		RPTIdleStop:    atpg.DefaultRPTIdleStop,
 		Seed:           1,
 		DropDetected:   false,
 		GroupMax:       atpg.DefaultGroupMax,
@@ -379,7 +378,7 @@ func buildResult(sum *atpg.Summary, resumed int) *JobResult {
 		Errors:        sum.Errors,
 		Coverage:      sum.Coverage(),
 		Vectors:       make([]string, len(sum.Vectors)),
-		SATTimeNS:     sum.Elapsed.Nanoseconds(),
+		SATTimeNS:     sum.Phases.Solve.Nanoseconds(),
 		WallNS:        sum.WallElapsed.Nanoseconds(),
 		Resumed:       resumed,
 	}
