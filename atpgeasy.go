@@ -101,10 +101,10 @@ const (
 const DefaultGroupMax = atpg.DefaultGroupMax
 
 // Observability types: attach a Telemetry to RunOptions to get live
-// metrics, a JSONL trace of run-level events and spans, and periodic
-// progress callbacks out of an engine run; the per-fault records go to
-// an EffortLog. All hooks are optional and nil-safe; a nil Telemetry (the
-// default) costs one pointer check per fault.
+// metrics, a JSONL trace of the run's spans with its flight recorder,
+// and periodic progress callbacks out of an engine run; the per-fault
+// records go to an EffortLog. All hooks are optional and nil-safe; a nil
+// Telemetry (the default) costs one pointer check per fault.
 type (
 	// Telemetry bundles the engine's observability hooks.
 	Telemetry = atpg.Telemetry
@@ -120,23 +120,17 @@ type (
 	// MetricsRegistry holds named metrics and renders them in Prometheus
 	// text format.
 	MetricsRegistry = obs.Registry
-	// Trace is a JSONL event sink for the engine's run-level events
-	// (fault-simulation flushes, random-pattern batches, learned-clause
-	// budget shrinks),
-	// span records and flight-recorder dumps.
+	// Trace is a run's event record: it mints the engine's hierarchical
+	// spans (run → phase → group or rpt-batch → fault, plus flush,
+	// frontier-stall and shrink), keeps the newest in a flight recorder
+	// (Dump, Snapshot) and, given a writer, writes each as a JSONL
+	// "kind":"span" line. Wire one into Telemetry.Trace.
 	Trace = obs.Trace
 	// MetricsServer serves /metrics, /debug/vars and /debug/pprof for a
 	// registry.
 	MetricsServer = obs.Server
-	// SpanTracer emits hierarchical span records (run → phase → group or
-	// rpt-batch → fault) into a Trace sink; wire one into Telemetry.Spans.
-	SpanTracer = obs.Tracer
 	// SpanContext identifies an in-flight span for parenting children.
 	SpanContext = obs.SpanContext
-	// FlightRing is the engine's always-on flight recorder: a fixed-size
-	// lock-free ring of recent dispatch/solve/commit events, dumped on
-	// panics and interrupts.
-	FlightRing = obs.Ring
 	// EffortLog is the append-only JSONL sink for per-fault effort
 	// records (schema EffortSchema); wire one into RunOptions.EffortLog.
 	EffortLog = atpg.EffortLog
@@ -163,19 +157,13 @@ func NewEngineMetrics(reg *MetricsRegistry, shards int) *EngineMetrics {
 	return atpg.NewMetrics(reg, shards)
 }
 
-// NewTrace wraps w in a JSONL trace sink. Close flushes (and closes w if
-// it is an io.Closer).
+// NewTrace returns a trace writing JSONL spans to w, or a record-only
+// trace (flight recorder only) when w is nil. Close flushes (and closes
+// w if it is an io.Closer).
 func NewTrace(w io.Writer) *Trace { return obs.NewTrace(w) }
 
 // CreateTrace creates path and returns a JSONL trace sink writing to it.
 func CreateTrace(path string) (*Trace, error) { return obs.CreateTrace(path) }
-
-// NewSpanTracer returns a span tracer emitting into sink.
-func NewSpanTracer(sink *Trace) *SpanTracer { return obs.NewTracer(sink) }
-
-// NewFlightRing returns a flight-recorder ring holding the most recent n
-// events (rounded up to a power of two, minimum 16).
-func NewFlightRing(n int) *FlightRing { return obs.NewRing(n) }
 
 // NewEffortLog wraps w in a buffered effort-record sink.
 func NewEffortLog(w io.Writer) *EffortLog { return atpg.NewEffortLog(w) }
@@ -242,8 +230,7 @@ type (
 	CheckpointState = checkpoint.State
 	// CheckpointHeader binds a journal to one exact run.
 	CheckpointHeader = checkpoint.Header
-	// CheckpointOptions configure journal durability (per-record fsync,
-	// rotation threshold).
+	// CheckpointOptions configure journal durability (per-record fsync).
 	CheckpointOptions = checkpoint.Options
 )
 
@@ -299,7 +286,7 @@ func CollapseFaults(c *Circuit, faults []Fault) []Fault { return atpg.Collapse(c
 // GenerateTest runs SAT-based test generation for one fault with the
 // default (DPLL) solver and verifies any produced vector by simulation.
 func GenerateTest(c *Circuit, f Fault) (TestResult, error) {
-	eng := &atpg.Engine{VerifyTests: true}
+	eng := &atpg.Engine{}
 	return eng.TestFault(c, f)
 }
 
@@ -322,7 +309,7 @@ func RunATPG(c *Circuit) (*Summary, error) {
 // clauses shared between a region's faults); run Engine.Run with
 // RunOptions.GroupMax 1 yourself for the fresh-per-fault ablation.
 func RunATPGParallel(ctx context.Context, c *Circuit, workers int, perFaultBudget time.Duration) (*Summary, error) {
-	eng := &atpg.Engine{VerifyTests: true, Workers: workers}
+	eng := &atpg.Engine{Workers: workers}
 	return eng.Run(ctx, c, atpg.RunOptions{
 		Collapse:       true,
 		Dominance:      true,

@@ -56,20 +56,20 @@
 //
 // Observability: -metrics-addr serves Prometheus-text /metrics,
 // /debug/vars and net/http/pprof for the duration of the run; -trace
-// writes run-level JSONL events (one per fault-simulation flush,
-// random-pattern batch and watchdog learned-budget shrink); -progress
-// prints a live progress line (faults done, coverage, ETA) to stderr on
-// the given period; -json replaces the human summary on stdout with a
+// writes the run's spans as JSONL "kind":"span" records — run → phase
+// (rpt, sweep, retry-tier) → group or rpt-batch → fault, plus one span
+// per fault-simulation flush, commit-frontier stall, watchdog
+// learned-budget shrink and checkpoint sync; -progress prints a live
+// progress line (faults done, coverage, ETA) to stderr on the given
+// period; -json replaces the human summary on stdout with a
 // machine-readable JSON document (schema atpgeasy/run-summary/v1,
-// documented in README.md). With -trace, the event stream also carries
-// hierarchical spans (run → phase (rpt, sweep, retry-tier) → group or
-// rpt-batch → fault). -effort-log streams one structured record per
-// fault verdict — structural features joined with solver effort, schema
-// atpgeasy/effort/v1, the run's one per-fault record — for
+// documented in README.md). -effort-log streams one structured record
+// per fault verdict — structural features joined with solver effort,
+// schema atpgeasy/effort/v1, the run's one per-fault record — for
 // cmd/atpgreport; -effort-width additionally estimates each fault's
-// sub-circuit cut-width (slower: one MLA layout per fault). A crash or
-// interrupt dumps the engine's flight-recorder ring (most recent
-// dispatch/solve/commit events) to stderr.
+// sub-circuit cut-width (slower: one MLA layout per fault). The same
+// spans, -trace or not, feed a flight recorder of the newest 64, which a
+// fault panic or an interrupt dumps to stderr.
 package main
 
 import (
@@ -118,13 +118,13 @@ func main() {
 	ckptPath := flag.String("checkpoint", "", "journal final fault verdicts to this JSONL file for crash recovery")
 	resumeRun := flag.Bool("resume", false, "replay the -checkpoint journal, skipping faults it already decided")
 	ckptSync := flag.Bool("checkpoint-sync", false, "fsync the checkpoint journal after every record (survives power loss, not just kill -9)")
-	ckptEvery := flag.Duration("checkpoint-every", 5*time.Second, "periodic checkpoint fsync interval (0 = only on rotation and exit)")
+	ckptEvery := flag.Duration("checkpoint-every", 5*time.Second, "periodic checkpoint fsync interval (0 = only on open and exit)")
 	decompose := flag.Bool("decompose", true, "tech-decompose to ≤3-input AND/OR first (as TEGUS requires)")
 	vectors := flag.Bool("vectors", false, "print the generated test vectors")
 	dimacsDir := flag.String("dimacs", "", "dump every ATPG-SAT instance as DIMACS CNF into this directory")
 	verbose := flag.Bool("v", false, "print per-fault results")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this host:port for the duration of the run (port 0 picks one)")
-	traceFile := flag.String("trace", "", "write a JSONL trace of run-level events and hierarchical spans to this file (per-fault records go to -effort-log)")
+	traceFile := flag.String("trace", "", "write the run's hierarchical spans to this file as JSONL \"kind\":\"span\" records (per-fault records go to -effort-log)")
 	effortLog := flag.String("effort-log", "", "stream per-fault effort records (features + solver effort, JSONL) to this file")
 	effortWidth := flag.Bool("effort-width", false, "include estimated sub-circuit cut-width in effort records (runs the MLA heuristic per fault)")
 	progressEvery := flag.Duration("progress", 0, "print a live progress line to stderr on this period (0 = off)")
@@ -159,7 +159,7 @@ func main() {
 		faults = atpg.CollapseDominance(c, faults)
 	}
 
-	eng := &atpg.Engine{VerifyTests: true, Workers: *workers}
+	eng := &atpg.Engine{Workers: *workers}
 	if *dimacsDir != "" {
 		if err := dumpDIMACS(c, faults, *dimacsDir, info); err != nil {
 			fail(err)
@@ -175,14 +175,15 @@ func main() {
 		fail(err)
 	}
 
-	// The flight recorder is always on: it is a fixed-size ring, costs a
-	// few atomics per event, and is the only record of the engine's recent
-	// dispatch/solve/commit activity when a run is interrupted.
-	ring := obs.NewRing(obs.DefaultRingSize)
+	// The flight recorder is always on: without -trace the run's spans
+	// still go to a record-only trace, the only record of the engine's
+	// recent activity when a run is interrupted.
 	if tel == nil {
 		tel = &atpg.Telemetry{}
 	}
-	tel.Ring = ring
+	if tel.Trace == nil {
+		tel.Trace = obs.NewTrace(nil)
+	}
 
 	opt := atpg.RunOptions{
 		DropDetected:   *drop,
@@ -220,7 +221,7 @@ func main() {
 				*ckptPath, len(opt.Resume.Faults), len(faults))
 		}
 	}
-	stopSyncer := startCheckpointSyncer(ctx, journal, *ckptEvery, tel.Spans)
+	stopSyncer := startCheckpointSyncer(ctx, journal, *ckptEvery, tel.Trace)
 
 	sum, err := eng.RunFaults(ctx, c, faults, opt)
 
@@ -255,7 +256,7 @@ func main() {
 	}
 	if interrupted {
 		fmt.Fprintln(os.Stderr, "atpg: interrupted — partial results follow")
-		ring.Dump(os.Stderr, 32)
+		tel.Trace.Dump(os.Stderr, 32)
 	}
 	if *verbose {
 		for _, r := range sum.Results {
@@ -340,7 +341,6 @@ func setupTelemetry(metricsAddr, traceFile string, progressEvery time.Duration, 
 			return nil, nil, err
 		}
 		tel.Trace = tr
-		tel.Spans = obs.NewTracer(tr)
 		closers = append(closers, tr.Close)
 	}
 	if progressEvery > 0 {
@@ -451,15 +451,15 @@ func openCheckpoint(path string, resume bool, c *logic.Circuit, faults []atpg.Fa
 // startCheckpointSyncer fsyncs the journal on the given period and once
 // more when ctx is cancelled (SIGINT/SIGTERM), so a signal-drained run's
 // verdicts are durable even if the process is then killed hard. Each
-// flush is traced as a top-level "checkpoint" span (nil tracer = no-op).
+// flush is recorded as a top-level "checkpoint" span on tr.
 // The returned stop function waits for the goroutine to exit; it is a
 // no-op without a journal.
-func startCheckpointSyncer(ctx context.Context, j *checkpoint.Journal, every time.Duration, spans *obs.Tracer) func() {
+func startCheckpointSyncer(ctx context.Context, j *checkpoint.Journal, every time.Duration, tr *obs.Trace) func() {
 	if j == nil {
 		return func() {}
 	}
 	flush := func() {
-		sp := spans.Start("checkpoint", obs.SpanContext{})
+		sp := tr.Start("checkpoint", obs.SpanContext{})
 		j.Sync()
 		sp.End()
 	}

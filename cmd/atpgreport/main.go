@@ -84,9 +84,9 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// readSpans extracts the "kind":"span" records from a JSONL trace,
-// skipping the engine's run-level events interleaved in the same stream.
-// Torn lines follow the checkpoint journal's rule, like the effort
+// readSpans extracts the "kind":"span" records from a JSONL trace. The
+// engine writes nothing else to a trace; other valid records (run-level
+// events in traces from older versions) are skipped. Torn lines follow the checkpoint journal's rule, like the effort
 // decoder: a malformed final line is dropped, a malformed line with
 // records after it is an error.
 func readSpans(r io.Reader) ([]obs.SpanRecord, error) {

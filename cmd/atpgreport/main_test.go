@@ -25,7 +25,7 @@ func runObserved(t *testing.T) (atpg.EffortHeader, []atpg.EffortRecord, []obs.Sp
 	if _, err := eng.Run(context.Background(), c, atpg.RunOptions{
 		Collapse: true, DropDetected: true,
 		EffortLog: log,
-		Telemetry: &atpg.Telemetry{Trace: tr, Spans: obs.NewTracer(tr)},
+		Telemetry: &atpg.Telemetry{Trace: tr},
 	}); err != nil {
 		t.Fatal(err)
 	}

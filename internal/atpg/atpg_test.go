@@ -197,7 +197,7 @@ func TestMiterUnobservable(t *testing.T) {
 // and cross-checks every outcome against exhaustive simulation.
 func TestATPGFigure4a(t *testing.T) {
 	c := logic.Figure4a()
-	eng := &Engine{VerifyTests: true}
+	eng := &Engine{}
 	for _, f := range AllFaults(c) {
 		res, err := eng.TestFault(c, f)
 		if err != nil {
@@ -245,7 +245,7 @@ func exhaustivelyTestable(c *logic.Circuit, f Fault) bool {
 // and every model's extracted vector must detect the fault.
 func TestATPGAgainstExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	eng := &Engine{VerifyTests: true}
+	eng := &Engine{}
 	solvers := map[string]sat.Solver{"simple": &sat.Simple{}, "caching": &sat.Caching{}}
 	for trial := 0; trial < 8; trial++ {
 		c := randomCircuit(rng, 10)
@@ -295,7 +295,7 @@ func TestATPGAgainstExhaustive(t *testing.T) {
 	} {
 		c := gen.Random(p)
 		faults := AllFaults(c)
-		sum, err := (&Engine{VerifyTests: true}).RunFaults(context.Background(), c, faults, RunOptions{})
+		sum, err := (&Engine{}).RunFaults(context.Background(), c, faults, RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
@@ -381,7 +381,7 @@ func TestUntestableFault(t *testing.T) {
 
 func TestRunFullCircuit(t *testing.T) {
 	c := logic.Figure4a()
-	eng := &Engine{VerifyTests: true}
+	eng := &Engine{}
 	sum, err := eng.Run(context.Background(), c, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -403,7 +403,7 @@ func TestRunFullCircuit(t *testing.T) {
 func TestRunWithCollapseAndDrop(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	c := randomCircuit(rng, 30)
-	eng := &Engine{VerifyTests: true}
+	eng := &Engine{}
 	plain, err := eng.Run(context.Background(), c, RunOptions{})
 	if err != nil {
 		t.Fatal(err)

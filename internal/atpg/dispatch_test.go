@@ -11,6 +11,7 @@ import (
 
 	"atpgeasy/internal/gen"
 	"atpgeasy/internal/logic"
+	"atpgeasy/internal/obs"
 )
 
 // TestBitsetSetGet covers the drop bitset's single-owner transition
@@ -162,11 +163,11 @@ func TestParallelByteIdenticalWithDrop(t *testing.T) {
 			name := plan.name + "/" + cname
 			faults := Collapse(c, AllFaults(c))
 			opt := RunOptions{DropDetected: true, RPTBatches: 8, Seed: 42, GroupMax: plan.groupMax}
-			serial, err := (&Engine{VerifyTests: true, Workers: 1}).RunFaults(context.Background(), c, faults, opt)
+			serial, err := (&Engine{Workers: 1}).RunFaults(context.Background(), c, faults, opt)
 			if err != nil {
 				t.Fatalf("%s serial: %v", name, err)
 			}
-			par, err := (&Engine{VerifyTests: true, Workers: 8}).RunFaults(context.Background(), c, faults, opt)
+			par, err := (&Engine{Workers: 8}).RunFaults(context.Background(), c, faults, opt)
 			if err != nil {
 				t.Fatalf("%s parallel: %v", name, err)
 			}
@@ -256,7 +257,7 @@ func TestNoRedundantSolveAfterDrop(t *testing.T) {
 func TestTailFlushDropsFinalBatch(t *testing.T) {
 	c := logic.Figure4a()
 	faults := Collapse(c, AllFaults(c))
-	eng := &Engine{VerifyTests: true, Workers: 1}
+	eng := &Engine{Workers: 1}
 	sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{DropDetected: true})
 	if err != nil {
 		t.Fatal(err)
@@ -286,6 +287,7 @@ func flushState(tb testing.TB, c *logic.Circuit, nVecs int) (*runState, *workerS
 		faults:   faults,
 		results:  make([]*Result, len(faults)),
 		droppedF: newBitset(len(faults)),
+		trace:    obs.NewTrace(nil),
 	}
 	st.plan = planDispatch(c, faults, nil, 0, 0)
 	rng := rand.New(rand.NewSource(7))
@@ -313,7 +315,8 @@ func flushOnce(tb testing.TB, st *runState, ws *workerScratch, vecs [][]bool) {
 
 // TestFlushZeroAlloc asserts the satellite fix directly: a flush on the
 // scratch path performs zero allocations — no O(faults) drop-list
-// snapshot, no per-flush buffers. Skipped under -race, whose
+// snapshot, no per-flush buffers, and its flush span goes to the run's
+// record-only trace without allocating. Skipped under -race, whose
 // instrumentation allocates.
 func TestFlushZeroAlloc(t *testing.T) {
 	if raceEnabled {

@@ -45,8 +45,9 @@ type EffortHeader struct {
 // "dropped" with Wasted true.
 type EffortRecord struct {
 	Kind string `json:"kind"` // "fault"
-	// Index is the fault-list index — the join key against spans, the
-	// checkpoint journal and Summary.Results.
+	// Index is the fault-list index — the join key against the
+	// checkpoint journal and Summary.Results. Fault, the fault's name, is
+	// the join key against fault spans, whose detail it is.
 	Index int    `json:"i"`
 	Fault string `json:"fault"`
 	Net   int    `json:"net"`

@@ -322,7 +322,7 @@ func TestSpanTree(t *testing.T) {
 			RPTBatches: DefaultRPTBatches,
 			GroupMax:   plan.groupMax,
 			EffortLog:  log,
-			Telemetry:  &Telemetry{Trace: tr, Spans: obs.NewTracer(tr)},
+			Telemetry:  &Telemetry{Trace: tr},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,10 +95,6 @@ type Result struct {
 // of GOMAXPROCS workers. An Engine is read-only during a run, so one
 // Engine is safe for concurrent runs.
 type Engine struct {
-	// VerifyTests re-simulates every generated vector against the fault
-	// and reports an internal error if it fails (a cross-check of the
-	// whole encode/solve/extract pipeline).
-	VerifyTests bool
 	// Workers is the number of concurrent fault workers used by Run and
 	// RunFaults; 0 means runtime.GOMAXPROCS(0), 1 forces the serial path.
 	Workers int
@@ -179,19 +176,20 @@ func (e *Engine) TestFault(c *logic.Circuit, f Fault) (Result, error) {
 	start = time.Now()
 	sol := (&sat.DPLL{MaxConflicts: maxConflicts}).Solve(formula)
 	res.Elapsed = time.Since(start)
-	return res, e.settle(c, &res, sol, enc)
+	return res, settle(c, &res, sol, enc)
 }
 
 // settle turns a solver answer on the encoder's last formula into the
-// fault's verdict: a model becomes a test vector (re-simulated under
-// VerifyTests), UNSAT means untestable, anything else aborted.
-func (e *Engine) settle(c *logic.Circuit, res *Result, sol sat.Solution, enc *formulaEncoder) error {
+// fault's verdict: a model becomes a test vector, re-simulated against
+// the fault as a cross-check of the whole encode/solve/extract pipeline;
+// UNSAT means untestable, anything else aborted.
+func settle(c *logic.Circuit, res *Result, sol sat.Solution, enc *formulaEncoder) error {
 	res.SolverStats = sol.Stats
 	switch sol.Status {
 	case sat.Sat:
 		res.Status = Detected
 		res.Vector = enc.extract(sol.Model)
-		if e.VerifyTests && !VerifyTest(c, res.Fault, res.Vector) {
+		if !VerifyTest(c, res.Fault, res.Vector) {
 			return fmt.Errorf("atpg: generated vector fails to detect %s (pipeline bug)", res.Fault.Name(c))
 		}
 	case sat.Unsat:
@@ -334,9 +332,9 @@ type RunOptions struct {
 	// fault; a fault whose solve exceeds it is reported Aborted instead of
 	// stalling the run.
 	PerFaultBudget time.Duration
-	// Telemetry, when non-nil, streams metrics, run-level trace events and
-	// periodic progress snapshots out of the run. Nil disables all
-	// instrumentation at the cost of one pointer check per fault.
+	// Telemetry, when non-nil, streams metrics, the run's spans and
+	// periodic progress snapshots out of the run. Nil disables metrics and
+	// progress; the spans then go only to a private flight recorder.
 	Telemetry *Telemetry
 	// RetryTiers, when positive together with PerFaultBudget, re-runs
 	// faults that exhausted their budget after the main sweep, up to this
@@ -446,9 +444,9 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	st.applyResume(opt.Resume)
 	tel := opt.Telemetry
 	tel.begin(len(faults), workers)
-	st.ring = obs.NewRing(obs.DefaultRingSize)
-	if tel != nil && tel.Ring != nil {
-		st.ring = tel.Ring
+	st.trace = obs.NewTrace(nil)
+	if tel != nil && tel.Trace != nil {
+		st.trace = tel.Trace
 	}
 	// Per-worker scratch arenas are created up front so the RPT pre-phase
 	// and the SAT workers share the same fault simulators and buffers;
@@ -478,11 +476,9 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 			}
 		}
 	}
-	runSpan := tel.startSpan("run", obs.SpanContext{})
-	if runSpan.Active() {
-		runSpan.Detail = c.Name
-		runSpan.Items = int64(len(faults))
-	}
+	runSpan := st.trace.Start("run", obs.SpanContext{})
+	runSpan.Detail = c.Name
+	runSpan.Items = int64(len(faults))
 	st.runSpan = runSpan.Context()
 	defer runSpan.End()
 	stopWatchdog := e.startMemWatchdog(runCtx, st)
@@ -491,7 +487,7 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 		tel.observeProgress(st.progress())
 	})
 	if !st.rptRestored {
-		rptSpan := tel.startSpan("rpt", st.runSpan)
+		rptSpan := st.trace.Start("rpt", st.runSpan)
 		st.rptSpan = rptSpan.Context()
 		err := e.runRPT(runCtx, st, scratches)
 		rptSpan.Items = int64(st.rptDetected)
@@ -509,10 +505,8 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	// across group-size caps, so the commit frontier and drop set are too.
 	st.plan = planDispatch(c, faults, st.preDecided, opt.GroupMax, opt.PerFaultBudget)
 	tel.observeGroups(st.plan.groups)
-	sweepSpan := tel.startSpan("sweep", st.runSpan)
-	if sweepSpan.Active() {
-		sweepSpan.Items = int64(len(st.plan.order))
-	}
+	sweepSpan := st.trace.Start("sweep", st.runSpan)
+	sweepSpan.Items = int64(len(st.plan.order))
 	st.sweepSpan = sweepSpan.Context()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -663,18 +657,17 @@ type runState struct {
 	// simNS accumulates fault-simulation flush time.
 	simNS atomic.Int64
 
-	// ring is the always-on flight recorder (Telemetry.Ring when set,
-	// otherwise a run-private DefaultRingSize ring); dumped once per run
-	// on the first fault panic or watchdog shrink.
-	ring       *obs.Ring
-	ringDumped atomic.Bool
+	// trace records every run-level event as a span: Telemetry.Trace when
+	// set, otherwise a run-private record-only trace. Its flight recorder
+	// is dumped to stderr on the run's first fault panic (dumped).
+	trace  *obs.Trace
+	dumped atomic.Bool
 
 	// effort is the enabled effort log's run state (features + sink);
 	// nil when RunOptions.EffortLog is nil.
 	effort *effortState
 
 	// Span contexts of the run's phase spans, for attaching children.
-	// Zero (inert) unless Telemetry.Spans is set.
 	runSpan, rptSpan, sweepSpan obs.SpanContext
 
 	// Commit-frontier stall accounting, under commitMu: stallSince is
@@ -687,19 +680,15 @@ type runState struct {
 	stallNS    atomic.Int64
 }
 
-// dumpRingOnce writes the flight recorder to the trace sink — and, for
-// hard failures (fault panics), to stderr — at most once per run: the
-// first trigger wins, so a burst of panics costs one dump. SIGINT dumps
-// are the CLI's own, from the ring it passes via Telemetry.Ring.
-func (st *runState) dumpRingOnce(reason string, toStderr bool) {
-	if st.ringDumped.Swap(true) {
+// dumpOnce prints the flight recorder to stderr on the run's first fault
+// panic; later panics print nothing, so a burst of them costs one dump.
+// SIGINT dumps are the CLI's own, from the Telemetry.Trace it passes.
+func (st *runState) dumpOnce() {
+	if st.dumped.Swap(true) {
 		return
 	}
-	if toStderr {
-		fmt.Fprintf(os.Stderr, "atpg: %s — dumping flight recorder\n", reason)
-		st.ring.Dump(os.Stderr, 64)
-	}
-	st.opt.Telemetry.observeRingDump(reason, st.ring)
+	fmt.Fprintln(os.Stderr, "atpg: fault panic recovered — dumping flight recorder")
+	st.trace.Dump(os.Stderr, 0)
 }
 
 // progress snapshots the run: worker-phase tallies from the commit
@@ -785,7 +774,6 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 	phaseStart := time.Now()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	c := st.c
-	tel := opt.Telemetry
 
 	// The live fault list in fault-list order: indices into st.faults
 	// and the nets and stuck-at values the shards simulate.
@@ -806,7 +794,7 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 	var wg sync.WaitGroup
 	for idle := 0; st.rptBatches < opt.RPTBatches && len(live) > 0 && idle < DefaultRPTIdleStop && ctx.Err() == nil; {
 		started := time.Now()
-		span := tel.startSpan("rpt-batch", st.rptSpan)
+		span := st.trace.Start("rpt-batch", st.rptSpan)
 		for i := range words {
 			words[i] = rng.Uint64()
 		}
@@ -883,10 +871,10 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 				st.recordEffort(scratches[0], i, nil, "rpt", 0, -1)
 			}
 		}
-		st.ring.Record("rpt", -1, int64(detected), int64(len(newVecs)), time.Since(started).Nanoseconds())
 		span.Items = int64(detected)
+		span.Detail = "kept-" + strconv.Itoa(len(newVecs))
 		span.End()
-		tel.observeRPTBatch(detected, len(newVecs), time.Since(started), time.Since(st.start))
+		opt.Telemetry.observeRPTBatch(detected, len(newVecs), time.Since(started))
 		if detected == 0 {
 			idle++
 		} else {
@@ -999,11 +987,8 @@ func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 			stall := time.Since(st.stallSince)
 			st.stallSince = time.Time{}
 			st.stallNS.Add(stall.Nanoseconds())
-			st.ring.Record("stall", worker, int64(i), 0, stall.Nanoseconds())
 			tel.observeStall(stall)
-			if tel.hasSpans() {
-				tel.Spans.Observed("frontier-stall", st.sweepSpan, stall, worker)
-			}
+			st.trace.Observed("frontier-stall", st.sweepSpan, stall, worker, st.faults[i].Name(st.c))
 		}
 		st.frontier++
 		res := sr.res
@@ -1027,6 +1012,16 @@ func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 	return nil
 }
 
+// flushDetails label flush spans by batch size without allocating: the
+// commit frontier flushes as soon as dropBatch vectors are pending, so a
+// batch never holds more.
+var flushDetails = func() (d [dropBatch + 1]string) {
+	for n := range d {
+		d[n] = "vectors-" + strconv.Itoa(n)
+	}
+	return d
+}()
+
 // flushLocked batch fault-simulates the pending committed vectors against
 // the uncommitted tail of the dispatch order and sets the drop bits of
 // the detected faults. Called with commitMu held. The atomic bitset is
@@ -1041,6 +1036,7 @@ func (st *runState) flushLocked(ws *workerScratch, worker int) error {
 		return nil
 	}
 	simStart := time.Now()
+	span := st.trace.Start("flush", st.sweepSpan)
 	var err error
 	ws.pack, err = faultsim.PackPatternsInto(ws.pack, st.c, batch)
 	if err != nil {
@@ -1050,7 +1046,6 @@ func (st *runState) flushLocked(ws *workerScratch, worker int) error {
 	if err != nil {
 		return err
 	}
-	tel := st.opt.Telemetry
 	dropped := 0
 	order := st.plan.order
 	for p := st.frontier; p < len(order); p++ {
@@ -1066,12 +1061,9 @@ func (st *runState) flushLocked(ws *workerScratch, worker int) error {
 	st.pendingVecs = st.pendingVecs[:0]
 	simTime := time.Since(simStart)
 	st.simNS.Add(simTime.Nanoseconds())
-	st.ring.Record("flush", worker, int64(len(batch)), int64(dropped), simTime.Nanoseconds())
-	if tel.hasSpans() {
-		tel.Spans.Observed("flush", st.sweepSpan, simTime, worker)
-	}
-	if tel != nil {
-		tel.observeFlush(worker, len(batch), dropped, simTime, time.Since(st.start))
-	}
+	span.Worker, span.Items = worker, int64(dropped)
+	span.Detail = flushDetails[len(batch)]
+	span.End()
+	st.opt.Telemetry.observeFlush(dropped, simTime)
 	return nil
 }

@@ -17,8 +17,8 @@ import (
 // small netlists. Neither may report an error or an Errored fault, their
 // verdicts must agree fault by fault wherever neither aborted, and every
 // Untestable verdict is refuted against all 2^n input patterns by
-// reference fault simulation. Detected vectors are re-simulated by
-// VerifyTests.
+// reference fault simulation. Both paths re-simulate every detected
+// vector before reporting it.
 func FuzzEngineDifferential(f *testing.F) {
 	c17, err := os.ReadFile("../../examples/netlists/c17.bench")
 	if err != nil {
@@ -47,7 +47,7 @@ func FuzzEngineDifferential(f *testing.F) {
 		if err != nil || len(c.Inputs) > 12 || c.NumNodes() > 100 {
 			return
 		}
-		eng := &Engine{VerifyTests: true, Workers: 2}
+		eng := &Engine{Workers: 2}
 		grouped, err := eng.Run(context.Background(), c, RunOptions{Collapse: true})
 		if err != nil {
 			t.Fatalf("region groups: %v", err)

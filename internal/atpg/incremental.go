@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"strconv"
 	"time"
 
 	"atpgeasy/internal/cnf"
@@ -37,13 +38,12 @@ import (
 // whatever clauses retention has added — see sat.Incremental's
 // determinism contract.
 func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan, g *faultGroup, ws *workerScratch, worker int, shrinkSeen *int64, parent obs.SpanContext, emit emitFunc) (err error) {
-	tel := st.opt.Telemetry
 	members := pl.order[g.start:g.end]
 	next := 0 // members[:next] are emitted or skipped
 	// decided hands member k's verdict to emit.
 	decided := func(k int, res Result) error {
 		if res.Status == Errored {
-			st.dumpRingOnce("fault panic recovered", true)
+			st.dumpOnce()
 		}
 		next = k + 1
 		return emit(int(g.start)+k, res)
@@ -72,14 +72,11 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 		}
 	}()
 
-	gspan := tel.startSpan("group", parent)
-	if gspan.Active() {
-		gspan.Worker = worker
-		gspan.Detail = fmt.Sprintf("region-%d", g.region)
-		gspan.Items = int64(len(members))
-	}
+	gspan := st.trace.Start("group", parent)
+	gspan.Worker = worker
+	gspan.Detail = "region-" + strconv.Itoa(int(g.region))
+	gspan.Items = int64(len(members))
 	defer gspan.End()
-	st.ring.Record("group", worker, int64(g.id), int64(len(members)), 0)
 
 	// Encode the formula over the members still live. The live set
 	// depends on flush timing, but neither verdicts nor vectors do: a
@@ -146,11 +143,9 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 		if pl.budget > 0 {
 			lim.Deadline = time.Now().Add(pl.budget)
 		}
-		fspan := tel.startSpan("fault", gspan.Context())
-		if fspan.Active() {
-			fspan.Worker = worker
-			fspan.Detail = st.faults[i].Name(st.c)
-		}
+		fspan := st.trace.Start("fault", gspan.Context())
+		fspan.Worker = worker
+		fspan.Detail = st.faults[i].Name(st.c)
 		res.Vars, res.Clauses = formula.NumVars, formula.NumClauses()
 		start := time.Now()
 		var sol sat.Solution // Unknown: the hook aborted the member
@@ -159,13 +154,12 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 			sol = ws.inc.SolveAssuming(assumps, lim)
 		}
 		res.Elapsed = time.Since(start)
-		err = e.settle(st.c, &res, sol, ws.enc)
+		err = settle(st.c, &res, sol, ws.enc)
 		fspan.Items = res.SolverStats.SearchEffort()
 		fspan.End()
 		if err != nil {
 			return err
 		}
-		st.ring.Record("solve", worker, int64(i), int64(res.Status), res.Elapsed.Nanoseconds())
 		if ctx.Err() != nil {
 			// The abort is a draining artifact, not a verdict.
 			return nil

@@ -22,8 +22,8 @@ func parallelTestCircuits() map[string]*logic.Circuit {
 // exactly — same per-fault statuses in the same (fault-list) order.
 func TestParallelMatchesSerialNoDrop(t *testing.T) {
 	for name, c := range parallelTestCircuits() {
-		serial := &Engine{VerifyTests: true, Workers: 1}
-		par := &Engine{VerifyTests: true, Workers: 4}
+		serial := &Engine{Workers: 1}
+		par := &Engine{Workers: 4}
 		opt := RunOptions{Collapse: true}
 		ss, err := serial.Run(context.Background(), c, opt)
 		if err != nil {
@@ -63,8 +63,8 @@ func TestParallelMatchesSerialNoDrop(t *testing.T) {
 // run.
 func TestParallelMatchesSerialWithDrop(t *testing.T) {
 	for name, c := range parallelTestCircuits() {
-		serial := &Engine{VerifyTests: true, Workers: 1}
-		par := &Engine{VerifyTests: true, Workers: 4}
+		serial := &Engine{Workers: 1}
+		par := &Engine{Workers: 4}
 		opt := RunOptions{Collapse: true, DropDetected: true}
 		ss, err := serial.Run(context.Background(), c, opt)
 		if err != nil {
@@ -96,7 +96,7 @@ func TestParallelResultsInFaultOrder(t *testing.T) {
 	for i, f := range faults {
 		pos[f] = i
 	}
-	eng := &Engine{VerifyTests: true, Workers: 4}
+	eng := &Engine{Workers: 4}
 	sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{})
 	if err != nil {
 		t.Fatal(err)

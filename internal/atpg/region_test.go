@@ -194,7 +194,7 @@ func TestGroupFormulaMatchesMiter(t *testing.T) {
 // the given group cap and worker count, full TEGUS options.
 func runIncremental(t *testing.T, c *logic.Circuit, groupMax, workers int) *Summary {
 	t.Helper()
-	eng := &Engine{VerifyTests: true, Workers: workers}
+	eng := &Engine{Workers: workers}
 	sum, err := eng.Run(context.Background(), c, RunOptions{
 		Collapse: true, DropDetected: true,
 		RPTBatches: DefaultRPTBatches, Seed: 42,
@@ -309,7 +309,7 @@ func TestIncrementalUntestableIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := AllFaults(c)
-	eng := &Engine{VerifyTests: true, Workers: 1}
+	eng := &Engine{Workers: 1}
 	sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +346,7 @@ func TestIncrementalMemWatchdogShrinksLearnedDB(t *testing.T) {
 	// even on a single CPU (the watchdog goroutine needs the scheduler
 	// to preempt a busy worker before it can sample the heap).
 	c := gen.ArrayMultiplier(7)
-	refEng := &Engine{VerifyTests: true, Workers: 2}
+	refEng := &Engine{Workers: 2}
 	ref, err := refEng.Run(context.Background(), c, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +354,7 @@ func TestIncrementalMemWatchdogShrinksLearnedDB(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	met := NewMetrics(reg, 2)
-	eng := &Engine{VerifyTests: true, Workers: 2, memCheckEvery: time.Millisecond}
+	eng := &Engine{Workers: 2, memCheckEvery: time.Millisecond}
 	sum, err := eng.Run(context.Background(), c, RunOptions{
 		MemSoftLimit: 1,
 		Telemetry:    &Telemetry{Metrics: met},
@@ -418,7 +418,7 @@ func TestIncrementalPanicIsolation(t *testing.T) {
 // budget aborts them all.
 func TestIncrementalRetryTiers(t *testing.T) {
 	c := gen.ArrayMultiplier(3)
-	eng := &Engine{VerifyTests: true, Workers: 2}
+	eng := &Engine{Workers: 2}
 	for _, plan := range []struct {
 		name     string
 		groupMax int

@@ -132,12 +132,11 @@ func (st *runState) maybeShrink(ws *workerScratch, worker int, seen *int64) {
 		return
 	}
 	*seen = gen
-	newCap := ws.inc.ShrinkLearned()
-	st.ring.Record("shrink", worker, newCap, 0, 0)
-	st.opt.Telemetry.observeShrink(worker, newCap, time.Since(st.start))
-	// A shrink means memory pressure — worth a flight-recorder dump on
-	// the trace sink (not stderr: shrinking is degradation, not failure).
-	st.dumpRingOnce("memory watchdog shrink", false)
+	span := st.trace.Start("shrink", st.runSpan)
+	span.Worker = worker
+	span.Items = ws.inc.ShrinkLearned()
+	span.End()
+	st.opt.Telemetry.observeShrink()
 }
 
 // startMemWatchdog arms the soft-memory watchdog when the run has a
@@ -217,13 +216,10 @@ func (e *Engine) runRetryTiers(ctx context.Context, st *runState, scratches []*w
 	for tier := 1; tier <= opt.RetryTiers && len(queue) > 0 && ctx.Err() == nil; tier++ {
 		budget = time.Duration(float64(budget) * backoff)
 		entry := RetryTier{Tier: tier, Budget: budget, Attempted: len(queue)}
-		tierSpan := tel.startSpan("retry-tier", st.runSpan)
-		if tierSpan.Active() {
-			tierSpan.Detail = fmt.Sprintf("tier-%d", tier)
-			tierSpan.Items = int64(len(queue))
-		}
+		tierSpan := st.trace.Start("retry-tier", st.runSpan)
+		tierSpan.Detail = fmt.Sprintf("tier-%d", tier)
+		tierSpan.Items = int64(len(queue))
 		tierCtx := tierSpan.Context()
-		st.ring.Record("tier", -1, int64(tier), int64(len(queue)), 0)
 		// Each fault's slot is written by the one worker that claimed it
 		// (or its group), so the writes are disjoint.
 		decidedF := make([]bool, len(st.results))

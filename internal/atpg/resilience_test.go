@@ -3,6 +3,8 @@ package atpg
 import (
 	"bytes"
 	"context"
+	"io"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -14,24 +16,28 @@ import (
 	"atpgeasy/internal/obs"
 )
 
-// recordingSink is a JournalSink capturing records in memory, with an
-// optional context cancel fired once `cancelAfter` fault verdicts have
-// landed — simulating a run killed mid-flight.
+// recordingSink is a JournalSink capturing records in memory and
+// counting the calls (RecordRPT, and RecordFault per fault index), with
+// an optional context cancel fired once `cancelAfter` fault verdicts
+// have landed — simulating a run killed mid-flight.
 type recordingSink struct {
 	mu          sync.Mutex
 	cancel      context.CancelFunc
 	cancelAfter int
 	rpt         *ResumeRPT
 	faults      map[int]Result
+	rptCalls    int
+	faultCalls  map[int]int
 }
 
 func newRecordingSink() *recordingSink {
-	return &recordingSink{faults: make(map[int]Result)}
+	return &recordingSink{faults: make(map[int]Result), faultCalls: make(map[int]int)}
 }
 
 func (s *recordingSink) RecordRPT(detected []int, vectors [][]bool, batches int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.rptCalls++
 	rpt := &ResumeRPT{Detected: append([]int(nil), detected...), Batches: batches}
 	for _, v := range vectors {
 		rpt.Vectors = append(rpt.Vectors, append([]bool(nil), v...))
@@ -47,6 +53,7 @@ func (s *recordingSink) RecordFault(i int, status string, vector []bool, errMsg 
 		panic("journal sink got unknown status " + status)
 	}
 	s.faults[i] = Result{Status: st, Vector: append([]bool(nil), vector...), Err: errMsg}
+	s.faultCalls[i]++
 	if s.cancel != nil && len(s.faults) >= s.cancelAfter {
 		s.cancel()
 	}
@@ -140,6 +147,148 @@ func TestPanicIsolation(t *testing.T) {
 // wall-clock-dependent.
 func abortBelow(need time.Duration) func(Fault, time.Duration) bool {
 	return func(_ Fault, budget time.Duration) bool { return budget > 0 && budget < need }
+}
+
+// recordedOnce fails the test unless the sink saw RecordRPT at most once
+// and every fault index at most once.
+func (s *recordingSink) recordedOnce(t *testing.T, what string) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.rptCalls > 1 {
+		t.Errorf("%s: RecordRPT called %d times", what, s.rptCalls)
+	}
+	for i, n := range s.faultCalls {
+		if n > 1 {
+			t.Errorf("%s: fault %d journaled %d times", what, i, n)
+		}
+	}
+}
+
+// TestJournalRecordsEachVerdictOnce: the engine journals the pre-phase at
+// most once and each fault at most once — the property that lets the
+// checkpoint journal stay append-only, with no superseded record to
+// compact away. It holds with dropping on, with sweep aborts (forced by
+// the hook) that the retry tiers recover, at 1 and 4 workers, and across
+// a cancel followed by a resume, whose journal continues the cancelled
+// run's without repeating any of its records.
+func TestJournalRecordsEachVerdictOnce(t *testing.T) {
+	c := gen.Random(gen.RandomParams{Inputs: 20, Gates: 200, Seed: 3})
+	faults := CollapseDominance(c, Collapse(c, AllFaults(c)))
+	// With the pre-phase off (it is still journaled, empty) the sweep
+	// gets the detectable faults, so its vectors drop others.
+	opt := RunOptions{
+		DropDetected: true, Seed: 42,
+		PerFaultBudget: 10 * time.Millisecond, // tiers: 40ms, 160ms, 640ms
+		RetryTiers:     3,
+		RetryBackoff:   4,
+	}
+	for _, workers := range []int{1, 4} {
+		name := "workers=" + itoa(workers)
+		// The hook aborts the faults on even nets below a 100ms budget:
+		// the sweep still commits the others' vectors and flushes, and
+		// tier 2 decides the aborted ones.
+		abort := abortBelow(100 * time.Millisecond)
+		eng := func() *Engine {
+			return &Engine{Workers: workers, testHook: func(f Fault, budget time.Duration) bool {
+				return f.Net%2 == 0 && abort(f, budget)
+			}}
+		}
+		full := newRecordingSink()
+		fopt := opt
+		fopt.Journal = full
+		sum, err := eng().RunFaults(context.Background(), c, faults, fopt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(sum.Retries) < 2 || sum.Retries[1].Recovered == 0 || sum.Aborted != 0 || sum.DroppedByFaultSim == 0 {
+			t.Fatalf("%s: tiers %+v, %d aborted, %d dropped; want drops and aborts recovered by tier 2",
+				name, sum.Retries, sum.Aborted, sum.DroppedByFaultSim)
+		}
+		full.recordedOnce(t, name)
+		if full.rptCalls != 1 || len(full.faults) != len(sum.Results) {
+			t.Errorf("%s: %d RecordRPT calls and %d journaled faults, want 1 and %d",
+				name, full.rptCalls, len(full.faults), len(sum.Results))
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cut := newRecordingSink()
+		cut.cancel, cut.cancelAfter = cancel, 5
+		copt := opt
+		copt.Journal = cut
+		_, err = eng().RunFaults(ctx, c, faults, copt)
+		cancel()
+		if err != context.Canceled {
+			t.Fatalf("%s: cancelled run returned %v", name, err)
+		}
+		cut.recordedOnce(t, name+" cancelled")
+		rest := newRecordingSink()
+		ropt := opt
+		ropt.Journal, ropt.Resume = rest, cut.state()
+		if _, err := eng().RunFaults(context.Background(), c, faults, ropt); err != nil {
+			t.Fatalf("%s resume: %v", name, err)
+		}
+		rest.recordedOnce(t, name+" resumed")
+		if cut.rptCalls+rest.rptCalls > 1 {
+			t.Errorf("%s: pre-phase journaled by the cancelled run and again by the resume", name)
+		}
+		for i := range rest.faultCalls {
+			if cut.faultCalls[i] > 0 {
+				t.Errorf("%s: fault %d journaled by the cancelled run and again by the resume", name, i)
+			}
+		}
+	}
+}
+
+// TestFaultPanicAfterShrinkDumpsRecorder: a memory-watchdog shrink must
+// not use up the run's one flight-recorder dump, so a fault panic after
+// a shrink still prints the recorder to stderr. One worker makes the
+// order fixed: the worker shrinks between faults, then its next fault
+// panics.
+func TestFaultPanicAfterShrinkDumpsRecorder(t *testing.T) {
+	c := gen.ArrayMultiplier(7)
+	met := NewMetrics(obs.NewRegistry(), 1)
+	var panicked atomic.Bool
+	eng := &Engine{Workers: 1, memCheckEvery: time.Millisecond}
+	eng.testHook = func(Fault, time.Duration) bool {
+		if met.CacheShrinks.Value() > 0 && panicked.CompareAndSwap(false, true) {
+			panic("injected panic after a shrink")
+		}
+		return false
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	captured := make(chan []byte)
+	go func() {
+		data, _ := io.ReadAll(r)
+		captured <- data
+	}()
+	saved := os.Stderr
+	os.Stderr = w
+	sum, runErr := eng.Run(context.Background(), c, RunOptions{
+		MemSoftLimit: 1,
+		Telemetry:    &Telemetry{Metrics: met},
+	})
+	os.Stderr = saved
+	w.Close()
+	stderr := <-captured
+	r.Close()
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if !panicked.Load() {
+		t.Fatal("the watchdog never shrank the learned budget during the run")
+	}
+	if sum.Errors == 0 {
+		t.Fatal("no Errored result after the injected panic")
+	}
+	for _, want := range []string{"fault panic recovered", "flight recorder:", " shrink "} {
+		if !bytes.Contains(stderr, []byte(want)) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
+	}
 }
 
 // TestRetryTiersRecoverAbortedFaults runs with a budget every fault

@@ -50,7 +50,7 @@ func TestRPTDeterminism(t *testing.T) {
 		}
 		var base *Summary
 		for _, workers := range []int{1, 2, 4} {
-			eng := &Engine{VerifyTests: true, Workers: workers}
+			eng := &Engine{Workers: workers}
 			sum, err := eng.Run(context.Background(), c, opt)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)
@@ -99,15 +99,15 @@ func TestRPTDeterminism(t *testing.T) {
 	}
 }
 
-// rptBatchItems runs the engine with spans on and returns the summary and
+// rptBatchItems runs the engine with a trace writer and returns the summary and
 // the detection count of every emitted rpt-batch span, in emission order
 // (the pre-phase is serial, so that is batch order).
 func rptBatchItems(t *testing.T, c *logic.Circuit, workers int, opt RunOptions) (*Summary, []int64) {
 	t.Helper()
 	var trace bytes.Buffer
 	tr := obs.NewTrace(&trace)
-	opt.Telemetry = &Telemetry{Spans: obs.NewTracer(tr)}
-	sum, err := (&Engine{VerifyTests: true, Workers: workers}).Run(context.Background(), c, opt)
+	opt.Telemetry = &Telemetry{Trace: tr}
+	sum, err := (&Engine{Workers: workers}).Run(context.Background(), c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestRPTReducesSolverCalls(t *testing.T) {
 func TestRPTVectorSetCoversClaimedFaults(t *testing.T) {
 	for name, c := range parallelTestCircuits() {
 		faults := CollapseDominance(c, Collapse(c, AllFaults(c)))
-		eng := &Engine{VerifyTests: true, Workers: 4}
+		eng := &Engine{Workers: 4}
 		sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{
 			DropDetected: true, RPTBatches: DefaultRPTBatches, Seed: 9,
 		})
@@ -349,7 +349,7 @@ func TestDominanceEndToEnd(t *testing.T) {
 	if len(pairs) == 0 {
 		t.Fatal("no dominance pairs on cla4")
 	}
-	eng := &Engine{VerifyTests: true, Workers: 2}
+	eng := &Engine{Workers: 2}
 	sum, err := eng.Run(context.Background(), c, RunOptions{
 		Collapse: true, Dominance: true, DropDetected: true,
 		RPTBatches: DefaultRPTBatches, Seed: 5,

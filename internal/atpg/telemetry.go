@@ -9,46 +9,30 @@ import (
 )
 
 // Telemetry bundles the observability sinks of one engine run. Every
-// field is optional; a nil *Telemetry (the default) disables all
-// instrumentation, leaving only a nil check on the per-fault path.
+// field is optional; a nil *Telemetry (the default) disables metrics and
+// progress, and the run records its spans only in a private flight
+// recorder (see Trace).
 type Telemetry struct {
 	// Metrics receives atomic counter/gauge/histogram updates; build one
 	// over an obs.Registry with NewMetrics.
 	Metrics *Metrics
-	// Trace receives the run-level events: one TraceEvent per
-	// fault-simulation flush, random-pattern batch and watchdog shrink,
-	// plus span and flight-recorder records. Per-fault outcomes go to the
-	// effort log (RunOptions.EffortLog), not here.
+	// Trace is the run's event record. The engine records every run-level
+	// event on it once, as a span: run → phase (rpt, sweep, retry-tier) →
+	// group or rpt-batch → fault, plus a flush span per fault-simulation
+	// flush (items: faults dropped; detail: vectors-N), a frontier-stall
+	// span per commit-frontier stall (detail: the fault it waited on) and
+	// a shrink span per watchdog learned-clause budget halving (items: the
+	// worker's new budget). Its flight recorder keeps the newest spans and
+	// is printed to stderr on the run's first fault panic; a Trace with a
+	// writer also writes each span as a "kind":"span" line. Nil gives the
+	// run a private record-only trace. Per-fault outcomes go to the effort
+	// log (RunOptions.EffortLog), not here.
 	Trace *obs.Trace
-	// Spans, when non-nil, mints hierarchical spans over the engine's
-	// control flow (run → phase (rpt, sweep, retry-tier) → group or
-	// RPT-batch → fault) and emits them to the tracer's sink as
-	// "kind":"span" records. Build one over the Trace sink with
-	// obs.NewTracer.
-	Spans *obs.Tracer
-	// Ring, when non-nil, replaces the engine's built-in flight recorder
-	// so the caller can dump it on its own signals (the CLI dumps on
-	// SIGINT). The engine always keeps a recorder — a nil Ring just makes
-	// it invisible outside panic/watchdog dumps.
-	Ring *obs.Ring
 	// ProgressEvery, when positive together with OnProgress, invokes
 	// OnProgress with a run snapshot on that period. Regardless of the
 	// period, OnProgress (if set) is called once more when the run ends.
 	ProgressEvery time.Duration
 	OnProgress    func(Progress)
-}
-
-// hasSpans reports whether span instrumentation is live — call sites use
-// it to skip work (fault-name formatting) that only feeds span records.
-func (t *Telemetry) hasSpans() bool { return t != nil && t.Spans != nil }
-
-// startSpan begins a span when span tracing is enabled; otherwise it
-// returns the inert zero Span.
-func (t *Telemetry) startSpan(name string, parent obs.SpanContext) obs.Span {
-	if t == nil || t.Spans == nil {
-		return obs.Span{}
-	}
-	return t.Spans.Start(name, parent)
 }
 
 // Progress is a point-in-time snapshot of a running RunFaults call.
@@ -211,29 +195,6 @@ func NewMetrics(reg *obs.Registry, shards int) *Metrics {
 	}
 }
 
-// TraceEvent is one run-level line of the JSONL trace: Kind "faultsim"
-// for one fault-simulation flush, "rpt" for one random-pattern batch and
-// "shrink" for one watchdog learned-clause budget halving.
-type TraceEvent struct {
-	Kind   string `json:"kind"`
-	TimeNS int64  `json:"t_ns"` // wall time since the run started
-	Worker int    `json:"worker"`
-
-	// Flush fields (Kind == "faultsim"); "rpt" batch events reuse Batch
-	// (patterns simulated), Dropped (faults newly detected) and SimNS.
-	Batch   int   `json:"batch,omitempty"`   // vectors simulated
-	Dropped int   `json:"dropped,omitempty"` // faults newly dropped
-	SimNS   int64 `json:"sim_ns,omitempty"`
-
-	// Kept is the number of patterns of an "rpt" batch that detected a
-	// new fault and were kept as test vectors.
-	Kept int `json:"kept,omitempty"`
-
-	// LearnedCap is the worker's new learned-clause byte budget of a
-	// "shrink" event.
-	LearnedCap int64 `json:"learned_cap,omitempty"`
-}
-
 // begin records the run shape at start time.
 func (t *Telemetry) begin(total, workers int) {
 	if t == nil || t.Metrics == nil {
@@ -315,78 +276,37 @@ func (t *Telemetry) observeStall(d time.Duration) {
 	t.Metrics.HistFrontierStall.Observe(d.Nanoseconds())
 }
 
-// ringDump is the JSONL form of a flight-recorder dump on the trace
-// sink: the trigger and the surviving events in one record.
-type ringDump struct {
-	Kind   string          `json:"kind"` // "ring-dump"
-	Reason string          `json:"reason"`
-	Events []obs.RingEvent `json:"events"`
-}
-
-// observeRingDump writes the flight recorder's surviving events to the
-// trace sink, tagged with what triggered the dump.
-func (t *Telemetry) observeRingDump(reason string, r *obs.Ring) {
-	if t == nil || t.Trace == nil || r == nil {
-		return
-	}
-	_ = t.Trace.Emit(ringDump{Kind: "ring-dump", Reason: reason, Events: r.Snapshot()})
-}
-
-// observeShrink records one watchdog-forced learned-budget halving.
-func (t *Telemetry) observeShrink(worker int, newCap int64, sinceStart time.Duration) {
-	if t == nil {
-		return
-	}
-	if t.Metrics != nil {
+// observeShrink counts one watchdog-forced learned-budget halving.
+func (t *Telemetry) observeShrink() {
+	if t != nil && t.Metrics != nil {
 		t.Metrics.CacheShrinks.Inc()
 	}
-	if t.Trace != nil {
-		_ = t.Trace.Emit(TraceEvent{
-			Kind: "shrink", TimeNS: sinceStart.Nanoseconds(), Worker: worker,
-			LearnedCap: newCap,
-		})
-	}
 }
 
-// observeFlush records one fault-simulation flush and the number of
-// faults it dropped.
-func (t *Telemetry) observeFlush(worker, batch, dropped int, simTime, sinceStart time.Duration) {
-	if t == nil {
+// observeFlush counts one fault-simulation flush and the faults it
+// dropped.
+func (t *Telemetry) observeFlush(dropped int, simTime time.Duration) {
+	if t == nil || t.Metrics == nil {
 		return
 	}
-	if m := t.Metrics; m != nil {
-		m.FaultsDone.Add(int64(dropped))
-		m.FaultsDropped.Add(int64(dropped))
-		m.PhaseFaultSimNS.Add(simTime.Nanoseconds())
-	}
-	if t.Trace != nil {
-		_ = t.Trace.Emit(TraceEvent{
-			Kind: "faultsim", TimeNS: sinceStart.Nanoseconds(), Worker: worker,
-			Batch: batch, Dropped: dropped, SimNS: simTime.Nanoseconds(),
-		})
-	}
+	m := t.Metrics
+	m.FaultsDone.Add(int64(dropped))
+	m.FaultsDropped.Add(int64(dropped))
+	m.PhaseFaultSimNS.Add(simTime.Nanoseconds())
 }
 
-// observeRPTBatch records one random-pattern batch: the number of faults
-// it detected, the patterns kept as vectors, and the batch simulation
-// time.
-func (t *Telemetry) observeRPTBatch(detected, kept int, simTime, sinceStart time.Duration) {
-	if t == nil {
+// observeRPTBatch counts one random-pattern batch: the faults it
+// detected, the patterns kept as vectors, and the batch simulation time.
+func (t *Telemetry) observeRPTBatch(detected, kept int, simTime time.Duration) {
+	if t == nil || t.Metrics == nil {
 		return
 	}
-	if m := t.Metrics; m != nil {
-		m.FaultsDone.Add(int64(detected))
-		m.RPTDetected.Add(int64(detected))
-		m.RPTBatches.Inc()
-		m.Vectors.Add(int64(kept))
-		m.PhaseRPTNS.Add(simTime.Nanoseconds())
-	}
-	if t.Trace != nil {
-		_ = t.Trace.Emit(TraceEvent{
-			Kind: "rpt", TimeNS: sinceStart.Nanoseconds(),
-			Batch: 64, Dropped: detected, Kept: kept, SimNS: simTime.Nanoseconds(),
-		})
-	}
+	m := t.Metrics
+	m.FaultsDone.Add(int64(detected))
+	m.RPTDetected.Add(int64(detected))
+	m.RPTBatches.Inc()
+	m.Vectors.Add(int64(kept))
+	m.PhaseRPTNS.Add(simTime.Nanoseconds())
 }
 
 // observeProgress pushes a snapshot to the progress callback and the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,27 +16,31 @@ import (
 	"atpgeasy/internal/obs"
 )
 
-// decodeTrace parses a JSONL buffer into events.
-func decodeTrace(t *testing.T, buf *bytes.Buffer) []TraceEvent {
+// decodeTrace parses a JSONL trace into its records, failing the test on
+// any line that is not a span.
+func decodeTrace(t *testing.T, data []byte) []obs.SpanRecord {
 	t.Helper()
-	var evs []TraceEvent
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+	var spans []obs.SpanRecord
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 		if line == "" {
 			continue
 		}
-		var ev TraceEvent
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+		var sp obs.SpanRecord
+		if err := json.Unmarshal([]byte(line), &sp); err != nil {
 			t.Fatalf("trace line %q: %v", line, err)
 		}
-		evs = append(evs, ev)
+		if sp.Kind != "span" {
+			t.Fatalf("trace line %q is not a span", line)
+		}
+		spans = append(spans, sp)
 	}
-	return evs
+	return spans
 }
 
 // TestTelemetryEndToEnd: a fully instrumented run must agree with its own
 // summary — the /metrics verdict counters, the effort log's records by
-// status and the final progress snapshot all describe the same run, and
-// the trace carries run-level events only. The retry arms abort every
+// status, the trace's flush spans and the final progress snapshot all
+// describe the same run, and the trace holds spans only. The retry arms abort every
 // solver-bound fault in the sweep and recover it in tier 2, so each fault
 // is decided by the retry phase, not the sweep.
 func TestTelemetryEndToEnd(t *testing.T) {
@@ -54,7 +59,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		eng  *Engine
 		opt  RunOptions
 	}{
-		{"grouped-j4", gen.ArrayMultiplier(4), &Engine{VerifyTests: true, Workers: 4}, RunOptions{Collapse: true, DropDetected: true}},
+		{"grouped-j4", gen.ArrayMultiplier(4), &Engine{Workers: 4}, RunOptions{Collapse: true, DropDetected: true}},
 		{"retry-j1", gen.CarryLookaheadAdder(4), retryEngine(1), retry},
 		{"retry-j4", gen.CarryLookaheadAdder(4), retryEngine(4), retry},
 	}
@@ -168,22 +173,24 @@ func TestTelemetryEndToEnd(t *testing.T) {
 				t.Errorf("effort records by status %v, want only %v", byStatus, want)
 			}
 
-			// The trace carries run-level events only: no per-fault
-			// records, one faultsim event per flush.
-			flushes := 0
-			for _, ev := range decodeTrace(t, &buf) {
-				switch ev.Kind {
-				case "faultsim":
-					flushes++
-					if ev.Batch <= 0 {
-						t.Errorf("flush with batch %d", ev.Batch)
-					}
-				default:
-					t.Errorf("unexpected trace event kind %q", ev.Kind)
+			// The trace holds spans only, and one flush span per flush:
+			// their items are the faults each flush dropped.
+			flushes, flushDropped := 0, int64(0)
+			for _, sp := range decodeTrace(t, buf.Bytes()) {
+				if sp.Name != "flush" {
+					continue
+				}
+				flushes++
+				flushDropped += sp.Items
+				if !strings.HasPrefix(sp.Detail, "vectors-") || sp.Detail == "vectors-0" {
+					t.Errorf("flush span detail %q, want vectors-N", sp.Detail)
 				}
 			}
+			if flushDropped != int64(sum.DroppedByFaultSim) {
+				t.Errorf("flush spans dropped %d faults, summary %d", flushDropped, sum.DroppedByFaultSim)
+			}
 			if sum.DroppedByFaultSim > 0 && flushes == 0 {
-				t.Error("faults were dropped but no faultsim event was traced")
+				t.Error("faults were dropped but no flush span was traced")
 			}
 
 			// The final progress snapshot is always emitted and must agree
@@ -337,5 +344,38 @@ func TestTelemetryProgressOnly(t *testing.T) {
 	defer mu.Unlock()
 	if calls == 0 {
 		t.Error("OnProgress never called")
+	}
+}
+
+// TestRecorderMatchesTraceTail: the flight recorder and the trace file
+// are one record. Every span the run finished is a trace line, and the
+// recorder's spans are, in order, the last lines of the same run's trace
+// — at one worker and at four.
+func TestRecorderMatchesTraceTail(t *testing.T) {
+	c := gen.Random(gen.RandomParams{Inputs: 20, Gates: 200, Seed: 3})
+	for _, workers := range []int{1, 4} {
+		var buf bytes.Buffer
+		tr := obs.NewTrace(&buf)
+		_, err := (&Engine{Workers: workers}).Run(context.Background(), c, RunOptions{
+			Collapse: true, DropDetected: true, RPTBatches: DefaultRPTBatches,
+			Telemetry: &Telemetry{Trace: tr},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		file := decodeTrace(t, buf.Bytes())
+		if uint64(len(file)) != tr.Recorded() {
+			t.Fatalf("workers=%d: %d trace lines for %d recorded spans", workers, len(file), tr.Recorded())
+		}
+		rec := tr.Snapshot()
+		if len(rec) != 64 || len(file) <= len(rec) {
+			t.Fatalf("workers=%d: recorder holds %d of %d spans, want the newest 64", workers, len(rec), len(file))
+		}
+		if tail := file[len(file)-len(rec):]; !reflect.DeepEqual(rec, tail) {
+			t.Fatalf("workers=%d: recorder %+v\nis not the trace's tail %+v", workers, rec, tail)
+		}
 	}
 }

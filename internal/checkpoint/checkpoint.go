@@ -5,19 +5,20 @@
 //
 // The journal is a sequence of JSON lines: a header identifying the run
 // (circuit, fault list hash, seed), at most one random-pattern-pre-phase
-// record, and one record per finally-decided fault. Records are appended
-// and flushed to the OS as they happen, so a hard kill loses at most the
-// trailing partial line — which Load tolerates and discards. When the
-// segment grows past Options.RotateBytes the journal compacts itself:
-// the full state is rewritten to <path>.tmp, fsynced, and atomically
-// renamed over the journal, so readers (and crashes) only ever observe a
-// complete old segment or a complete new one.
+// record, and one record per finally-decided fault. The engine decides
+// each fault once, so a journal never holds a superseded record and is
+// never rewritten mid-run: records are appended and flushed to the OS as
+// they happen, so a hard kill loses at most the trailing partial line —
+// which Load tolerates and discards. New writes a journal's starting
+// content (the header, plus a resumed run's records) to <path>.tmp,
+// fsyncs it and atomically renames it over the journal, so a torn tail
+// from the killed run never survives a resume.
 //
 // Durability policy: every record is flushed to the operating system
 // immediately (surviving process death); fsync — surviving power loss —
-// happens on rotation and Close always, on every record when
-// Options.Sync is set, and whenever the caller invokes Sync (the CLI
-// does so periodically and on SIGINT/SIGTERM).
+// happens on open and Close always, on every record when Options.Sync is
+// set, and whenever the caller invokes Sync (the CLI does so
+// periodically and on SIGINT/SIGTERM).
 package checkpoint
 
 import (
@@ -32,10 +33,6 @@ import (
 
 // Schema is the journal format version, stored in the header record.
 const Schema = "atpgeasy/checkpoint/v1"
-
-// DefaultRotateBytes is the segment size that triggers compaction when
-// Options.RotateBytes is zero.
-const DefaultRotateBytes = 8 << 20
 
 // Header identifies the run a journal belongs to. Resume refuses to
 // apply a journal whose header does not match the current run, so stale
@@ -91,11 +88,8 @@ type record struct {
 type Options struct {
 	// Sync fsyncs after every appended record. Off (the default), records
 	// still reach the OS immediately — surviving kill -9 — and are fsynced
-	// on rotation, Close and explicit Sync calls.
+	// on open, Close and explicit Sync calls.
 	Sync bool
-	// RotateBytes compacts the journal once a segment exceeds this size
-	// (0 = DefaultRotateBytes).
-	RotateBytes int64
 }
 
 // Journal is an open checkpoint journal. All methods are safe for
@@ -103,14 +97,11 @@ type Options struct {
 // while the Record methods stay callable, so a full disk degrades a run
 // to uncheckpointed rather than killing it.
 type Journal struct {
-	mu    sync.Mutex
-	path  string
-	f     *os.File
-	bw    *bufio.Writer
-	opt   Options
-	state State // mirror of everything appended, for compaction
-	seg   int64 // bytes appended since the last rotation
-	err   error
+	mu  sync.Mutex
+	f   *os.File
+	bw  *bufio.Writer
+	opt Options
+	err error
 }
 
 // EncodeVector renders a test vector as the journal's bit-string form.
@@ -199,28 +190,51 @@ func Load(path string) (*State, error) {
 
 // New creates (or, with prior, continues) a journal at path. hdr
 // identifies the current run; when prior — a Load result — is given, its
-// header must match hdr exactly or New refuses, and the journal is
-// immediately compacted so the on-disk file is a clean snapshot of the
-// resumed state. Without prior, any existing file at path is replaced
-// atomically.
+// header must match hdr exactly or New refuses, and the new journal
+// starts with prior's records, faults in ascending index order. The
+// starting content is written to <path>.tmp, fsynced and renamed over
+// path, replacing any existing file atomically; the journal then appends
+// to it.
 func New(path string, hdr Header, prior *State, opt Options) (*Journal, error) {
 	hdr.Schema = Schema
 	if prior != nil && prior.Header != hdr {
 		return nil, fmt.Errorf("checkpoint: %s does not match this run: journal %+v, run %+v",
 			path, prior.Header, hdr)
 	}
-	j := &Journal{path: path, opt: opt}
-	if j.opt.RotateBytes <= 0 {
-		j.opt.RotateBytes = DefaultRotateBytes
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, err
 	}
-	j.state = State{Header: hdr, Faults: make(map[int]FaultVerdict)}
+	j := &Journal{f: f, bw: bufio.NewWriterSize(f, 1<<16), opt: opt}
+	j.writeLocked(record{Kind: "header", Header: &hdr})
 	if prior != nil {
-		j.state.RPT = prior.RPT
-		for i, v := range prior.Faults {
-			j.state.Faults[i] = v
+		if prior.RPT != nil {
+			j.writeLocked(record{Kind: "rpt", RPT: prior.RPT})
+		}
+		idxs := make([]int, 0, len(prior.Faults))
+		for i := range prior.Faults {
+			idxs = append(idxs, i)
+		}
+		slices.Sort(idxs)
+		for _, i := range idxs {
+			fv := prior.Faults[i]
+			j.writeLocked(record{Kind: "fault", Index: &i, Fault: &fv})
 		}
 	}
-	if err := j.rotateLocked(); err != nil {
+	err = j.err
+	if err == nil {
+		err = j.bw.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
 		return nil, err
 	}
 	return j, nil
@@ -231,16 +245,6 @@ func (j *Journal) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Len returns the number of finally-decided faults recorded so far.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.state.Faults)
 }
 
 // RecordRPT journals the random-pattern pre-phase outcome.
@@ -255,7 +259,6 @@ func (j *Journal) RecordRPT(detected []int, vectors [][]bool, batches int) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state.RPT = rpt
 	j.appendLocked(record{Kind: "rpt", RPT: rpt})
 }
 
@@ -269,104 +272,35 @@ func (j *Journal) RecordFault(i int, status string, vector []bool, errMsg string
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state.Faults[i] = fv
-	idx := i
-	j.appendLocked(record{Kind: "fault", Index: &idx, Fault: &fv})
+	j.appendLocked(record{Kind: "fault", Index: &i, Fault: &fv})
 }
 
-// appendLocked encodes one record, flushes it to the OS, applies the
-// fsync policy, and rotates when the segment outgrows the limit. Called
-// with j.mu held.
+// appendLocked appends one record, flushes it to the OS and applies the
+// fsync policy. Called with j.mu held.
 func (j *Journal) appendLocked(r record) {
-	if j.err != nil || j.bw == nil {
+	if j.f == nil {
+		return
+	}
+	j.writeLocked(r)
+	if j.err == nil {
+		j.err = j.bw.Flush()
+	}
+	if j.err == nil && j.opt.Sync {
+		j.err = j.f.Sync()
+	}
+}
+
+// writeLocked encodes one record into the buffer. Called with j.mu held
+// (or, in New, before the journal is shared).
+func (j *Journal) writeLocked(r record) {
+	if j.err != nil {
 		return
 	}
 	line, err := json.Marshal(r)
-	if err != nil {
-		j.err = err
-		return
+	if err == nil {
+		_, err = j.bw.Write(append(line, '\n'))
 	}
-	line = append(line, '\n')
-	if _, err := j.bw.Write(line); err != nil {
-		j.err = err
-		return
-	}
-	if err := j.bw.Flush(); err != nil {
-		j.err = err
-		return
-	}
-	if j.opt.Sync {
-		if err := j.f.Sync(); err != nil {
-			j.err = err
-			return
-		}
-	}
-	j.seg += int64(len(line))
-	if j.seg > j.opt.RotateBytes {
-		j.err = j.rotateLocked()
-	}
-}
-
-// rotateLocked writes the compacted state to <path>.tmp, fsyncs it, and
-// renames it over the journal — the atomic segment rotation. The journal
-// then continues appending to the new segment.
-func (j *Journal) rotateLocked() error {
-	if j.f != nil {
-		j.bw.Flush()
-		j.f.Close()
-		j.f, j.bw = nil, nil
-	}
-	tmp := j.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	enc := json.NewEncoder(bw)
-	hdr := j.state.Header
-	werr := enc.Encode(record{Kind: "header", Header: &hdr})
-	if j.state.RPT != nil && werr == nil {
-		werr = enc.Encode(record{Kind: "rpt", RPT: j.state.RPT})
-	}
-	if werr == nil {
-		// Deterministic segment content: fault records in index order.
-		idxs := make([]int, 0, len(j.state.Faults))
-		for i := range j.state.Faults {
-			idxs = append(idxs, i)
-		}
-		slices.Sort(idxs)
-		for _, i := range idxs {
-			fv := j.state.Faults[i]
-			idx := i
-			if werr = enc.Encode(record{Kind: "fault", Index: &idx, Fault: &fv}); werr != nil {
-				break
-			}
-		}
-	}
-	if werr == nil {
-		werr = bw.Flush()
-	}
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return werr
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		return err
-	}
-	nf, err := os.OpenFile(j.path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	j.f = nf
-	j.bw = bufio.NewWriterSize(nf, 1<<16)
-	j.seg = 0
-	return nil
+	j.err = err
 }
 
 // Sync flushes buffered records and fsyncs the journal file. The CLI

@@ -90,9 +90,9 @@ func TestLoadToleratesTruncatedTail(t *testing.T) {
 	}
 }
 
-// TestResumeCompactsAndContinues: resuming compacts the journal into a
-// segment listing its fault records in ascending index order, whatever
-// order they were decided in, and then keeps appending.
+// TestResumeCompactsAndContinues: resuming rewrites the journal to list
+// its fault records in ascending index order, whatever order they were
+// decided in, and then keeps appending.
 func TestResumeCompactsAndContinues(t *testing.T) {
 	const n = 3000
 	path := filepath.Join(t.TempDir(), "run.ckpt")
@@ -115,9 +115,6 @@ func TestResumeCompactsAndContinues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New with prior: %v", err)
 	}
-	if j2.Len() != n {
-		t.Fatalf("resumed journal lost records: len=%d", j2.Len())
-	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +135,9 @@ func TestResumeCompactsAndContinues(t *testing.T) {
 	}
 	if next != n {
 		t.Fatalf("compacted segment lists %d of %d faults", next, n)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("tmp file left behind: %v", err)
 	}
 	j2.RecordFault(n, "aborted", nil, "")
 	if err := j2.Close(); err != nil {
@@ -173,54 +173,16 @@ func TestResumeRejectsMismatchedHeader(t *testing.T) {
 	}
 }
 
-func TestRotationCompactsSupersededRecords(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	// Tiny rotation threshold: every few appends trigger a compaction.
-	j, err := New(path, testHeader(), nil, Options{RotateBytes: 256})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	for rewrite := 0; rewrite < 20; rewrite++ {
-		j.RecordFault(0, "aborted", nil, "")
-	}
-	j.RecordFault(0, "detected", []bool{true}, "")
-	if err := j.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 21 appends at ~50 bytes each would exceed 1KiB without compaction.
-	if info.Size() > 512 {
-		t.Fatalf("journal did not compact: %d bytes", info.Size())
-	}
-	st, err := Load(path)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if got := st.Faults[0].Status; got != "detected" {
-		t.Fatalf("last-writer-wins violated: %q", got)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatalf("tmp segment left behind: %v", err)
-	}
-}
-
-// TestConcurrentRecordFaultRacesRotation hammers RecordFault from many
-// goroutines with a rotation threshold small enough that compactions
-// constantly interleave with appends — the exact write pattern of a
+// TestConcurrentRecordFaultLosesNoVerdict hammers RecordFault from many
+// goroutines, with Sync calls interleaved — the write pattern of a
 // parallel engine run with worker-count > 1. Run under -race; the
-// correctness claim is that no verdict is lost across any rotation.
-func TestConcurrentRecordFaultRacesRotation(t *testing.T) {
+// correctness claim is that no verdict is lost or torn.
+func TestConcurrentRecordFaultLosesNoVerdict(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	hdr := testHeader()
 	const workers, perWorker = 8, 50
 	hdr.Faults = workers * perWorker
-	// ~60-byte records against a 512-byte segment: a rotation roughly
-	// every 8 appends, hundreds over the test.
-	j, err := New(path, hdr, nil, Options{RotateBytes: 512})
+	j, err := New(path, hdr, nil, Options{})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -242,7 +204,6 @@ func TestConcurrentRecordFaultRacesRotation(t *testing.T) {
 				}
 				if k%16 == 0 {
 					j.Sync()
-					j.Len()
 				}
 			}
 		}()
@@ -256,7 +217,7 @@ func TestConcurrentRecordFaultRacesRotation(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	if len(st.Faults) != workers*perWorker {
-		t.Fatalf("lost verdicts across rotations: %d/%d", len(st.Faults), workers*perWorker)
+		t.Fatalf("lost verdicts: %d/%d", len(st.Faults), workers*perWorker)
 	}
 	for i := 0; i < workers*perWorker; i++ {
 		fv, ok := st.Faults[i]

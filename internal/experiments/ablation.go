@@ -138,7 +138,7 @@ func CollapsingAblation(cfg Config) (*CollapsingResult, error) {
 		)
 	}
 	res := &CollapsingResult{}
-	eng := &atpg.Engine{VerifyTests: true}
+	eng := &atpg.Engine{}
 	for _, nc := range circuits {
 		all := atpg.AllFaults(nc.C)
 		collapsed := atpg.Collapse(nc.C, all)

@@ -58,7 +58,7 @@ type Figure1Result struct {
 // instance solve time against instance size.
 func Figure1(cfg Config) (*Figure1Result, error) {
 	res := &Figure1Result{}
-	eng := &atpg.Engine{VerifyTests: true}
+	eng := &atpg.Engine{}
 	hist := obs.NewHistogram()
 	for _, suiteName := range []string{SuiteMCNC, SuiteISCAS} {
 		ncs, err := suite(suiteName, cfg)

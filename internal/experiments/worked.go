@@ -101,7 +101,7 @@ func WorkedExample(cfg Config) (*WorkedResult, error) {
 	}
 	res.MiterBound = core.Lemma42Bound(res.WidthA)
 
-	eng := &atpg.Engine{VerifyTests: true}
+	eng := &atpg.Engine{}
 	ar, err := eng.TestFault(c, fault)
 	if err != nil {
 		return nil, err

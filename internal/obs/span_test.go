@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -12,11 +13,10 @@ import (
 func TestSpanEmitsRecord(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTrace(&buf)
-	tc := NewTracer(tr)
 
-	root := tc.Start("run", SpanContext{})
+	root := tr.Start("run", SpanContext{})
 	root.Items = 42
-	child := tc.Start("phase", root.Context())
+	child := tr.Start("phase", root.Context())
 	child.Detail = "rpt"
 	child.Worker = 3
 	child.End()
@@ -51,32 +51,34 @@ func TestSpanEmitsRecord(t *testing.T) {
 	if recs[0].DurNS < 0 || recs[0].StartNS < recs[1].StartNS {
 		t.Errorf("child timing inconsistent: %+v vs root %+v", recs[0], recs[1])
 	}
+	if got := tr.Recorded(); got != 2 {
+		t.Errorf("Recorded = %d, want 2", got)
+	}
 }
 
 func TestSpanZeroValueAndNilTracerInert(t *testing.T) {
 	var s Span
-	if s.Active() {
-		t.Error("zero Span reports Active")
-	}
 	s.End() // must not panic
 
-	var tc *Tracer
-	s2 := tc.Start("x", SpanContext{})
-	if s2.Active() {
-		t.Error("nil-tracer span reports Active")
+	var tr *Trace
+	s2 := tr.Start("x", SpanContext{})
+	if s2.Context().ID != 0 {
+		t.Error("nil trace minted an ID")
 	}
 	s2.End()
-	if ctx := tc.Observed("y", SpanContext{}, 0, 0); ctx.ID != 0 {
-		t.Error("nil tracer minted an ID")
+	if ctx := tr.Observed("y", SpanContext{}, 0, 0, ""); ctx.ID != 0 {
+		t.Error("nil trace minted an observed ID")
+	}
+	if tr.Recorded() != 0 || tr.Snapshot() != nil {
+		t.Error("nil trace recorded spans")
 	}
 }
 
 func TestTracerObserved(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTrace(&buf)
-	tc := NewTracer(tr)
-	parent := tc.Start("run", SpanContext{})
-	ctx := tc.Observed("stall", parent.Context(), 1000, 2)
+	parent := tr.Start("run", SpanContext{})
+	ctx := tr.Observed("stall", parent.Context(), 1000, 2, "n7/0")
 	if ctx.ID == 0 || ctx.Parent != parent.Context().ID {
 		t.Fatalf("observed context %+v", ctx)
 	}
@@ -86,7 +88,7 @@ func TestTracerObserved(t *testing.T) {
 	if err := json.Unmarshal([]byte(strings.SplitN(buf.String(), "\n", 2)[0]), &r); err != nil {
 		t.Fatal(err)
 	}
-	if r.Name != "stall" || r.DurNS != 1000 || r.Worker != 2 {
+	if r.Name != "stall" || r.DurNS != 1000 || r.Worker != 2 || r.Detail != "n7/0" {
 		t.Errorf("observed record %+v", r)
 	}
 }
@@ -94,7 +96,6 @@ func TestTracerObserved(t *testing.T) {
 func TestTracerConcurrentIDsUnique(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTrace(&buf)
-	tc := NewTracer(tr)
 	const workers, per = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -102,7 +103,7 @@ func TestTracerConcurrentIDsUnique(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				s := tc.Start("fault", SpanContext{})
+				s := tr.Start("fault", SpanContext{})
 				s.End()
 			}
 		}()
@@ -126,72 +127,113 @@ func TestTracerConcurrentIDsUnique(t *testing.T) {
 	}
 }
 
+// TestRingRecordAndSnapshot: a record-only trace writes nothing and its
+// flight recorder holds the newest 64 finished spans, oldest first.
 func TestRingRecordAndSnapshot(t *testing.T) {
-	r := NewRing(16)
-	for i := 0; i < 40; i++ {
-		r.Record("solve", i%4, int64(i), 1, 10)
+	tr := NewTrace(nil)
+	if tr.rec.Load() != nil {
+		t.Fatal("recorder allocated before the first span")
 	}
-	if got := r.Recorded(); got != 40 {
-		t.Fatalf("Recorded = %d, want 40", got)
+	for i := 0; i < 100; i++ {
+		s := tr.Start("solve", SpanContext{})
+		s.Items = int64(i)
+		s.End()
 	}
-	evs := r.Snapshot()
-	if len(evs) != 16 {
-		t.Fatalf("snapshot kept %d events, want 16 (capacity)", len(evs))
+	if got := tr.Recorded(); got != 100 {
+		t.Fatalf("Recorded = %d, want 100", got)
 	}
-	for k := 1; k < len(evs); k++ {
-		if evs[k].Seq <= evs[k-1].Seq {
-			t.Fatalf("snapshot not seq-ordered at %d: %d <= %d", k, evs[k].Seq, evs[k-1].Seq)
+	spans := tr.Snapshot()
+	if len(spans) != recorderSize {
+		t.Fatalf("snapshot kept %d spans, want %d (capacity)", len(spans), recorderSize)
+	}
+	for k, sp := range spans {
+		if want := int64(100 - recorderSize + k); sp.Items != want || sp.Kind != "span" {
+			t.Fatalf("snapshot[%d] = %+v, want the span with items %d", k, sp, want)
 		}
 	}
-	// The survivors are the most recent claims.
-	if evs[len(evs)-1].A != 39 {
-		t.Errorf("newest event A = %d, want 39", evs[len(evs)-1].A)
+	if tr.Events() != 0 {
+		t.Errorf("record-only trace wrote %d lines", tr.Events())
+	}
+	if err := tr.Emit(map[string]int{"x": 1}); err != nil {
+		t.Errorf("Emit on a record-only trace: %v", err)
+	}
+	if err := tr.Close(); err != nil {
+		t.Errorf("Close on a record-only trace: %v", err)
 	}
 }
 
+// TestRingNilSafe: a nil trace's recorder reads are inert.
 func TestRingNilSafe(t *testing.T) {
-	var r *Ring
-	r.Record("x", 0, 0, 0, 0)
-	if r.Snapshot() != nil || r.Recorded() != 0 {
-		t.Error("nil ring not inert")
+	var tr *Trace
+	if tr.Snapshot() != nil || tr.Recorded() != 0 {
+		t.Error("nil trace not inert")
 	}
-	r.Dump(&bytes.Buffer{}, 0)
-}
-
-func TestRingConcurrentWriters(t *testing.T) {
-	r := NewRing(64)
-	const workers, per = 8, 500
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				r.Record("chunk", w, int64(i), 0, 0)
-				if i%64 == 0 {
-					r.Snapshot() // concurrent reads must not race writers
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.Recorded(); got != workers*per {
-		t.Fatalf("Recorded = %d, want %d", got, workers*per)
-	}
-	evs := r.Snapshot()
-	if len(evs) == 0 || len(evs) > 64 {
-		t.Fatalf("snapshot size %d out of range", len(evs))
-	}
-}
-
-func TestRingDump(t *testing.T) {
-	r := NewRing(16)
-	r.Record("panic", 2, 7, 0, 1500)
 	var buf bytes.Buffer
-	r.Dump(&buf, 8)
+	tr.Dump(&buf, 0)
+	if buf.Len() != 0 {
+		t.Errorf("nil trace dumped %q", buf.String())
+	}
+	NewTrace(nil).Dump(&buf, 0) // no span yet: header only
+	if !strings.HasPrefix(buf.String(), "flight recorder: 0 of 0") {
+		t.Errorf("empty dump %q", buf.String())
+	}
+}
+
+// TestRingConcurrentWriters: spans finishing on many goroutines while
+// others snapshot the recorder must not race (run under -race), and every
+// span is counted.
+func TestRingConcurrentWriters(t *testing.T) {
+	for _, w := range []*bytes.Buffer{nil, new(bytes.Buffer)} {
+		var tr *Trace
+		if w == nil {
+			tr = NewTrace(nil)
+		} else {
+			tr = NewTrace(w)
+		}
+		const workers, per = 8, 500
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					s := tr.Start("group", SpanContext{})
+					s.Worker = g
+					s.End()
+					if i%64 == 0 {
+						tr.Snapshot() // concurrent reads must not race writers
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if got := tr.Recorded(); got != workers*per {
+			t.Fatalf("Recorded = %d, want %d", got, workers*per)
+		}
+		if n := len(tr.Snapshot()); n == 0 || n > recorderSize {
+			t.Fatalf("snapshot size %d out of range", n)
+		}
+	}
+}
+
+// TestRingDump: the dump lists the newest spans with their name, worker,
+// items and detail, under a header counting what was recorded.
+func TestRingDump(t *testing.T) {
+	tr := NewTrace(nil)
+	for i := 0; i < 3; i++ {
+		s := tr.Start("fault", SpanContext{})
+		s.Worker, s.Items, s.Detail = 2, 7, fmt.Sprintf("n%d/1", i)
+		s.End()
+	}
+	var buf bytes.Buffer
+	tr.Dump(&buf, 2)
 	out := buf.String()
-	if !strings.Contains(out, "flight recorder") || !strings.Contains(out, "panic") || !strings.Contains(out, "a=7") {
-		t.Errorf("dump output missing fields:\n%s", out)
+	for _, want := range []string{"flight recorder: 2 of 3 recorded spans", "w2 fault", "items=7", "n2/1"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("dump output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "n0/1") {
+		t.Errorf("dump of the newest 2 printed the oldest span:\n%s", out)
 	}
 }

@@ -88,7 +88,6 @@ type job struct {
 	meta        JobMeta
 	progress    atpg.Progress
 	hasProgress bool
-	result      *JobResult
 	changed     chan struct{}
 	// userCancel marks a DELETE-initiated cancellation, distinguishing it
 	// from a drain (which must leave the job resumable, not canceled).
@@ -187,15 +186,10 @@ func (j *job) netlistPath() string { return filepath.Join(j.dir, "netlist") }
 func (j *job) ckptPath() string    { return filepath.Join(j.dir, "ckpt") }
 func (j *job) resultPath() string  { return filepath.Join(j.dir, "result.json") }
 
-// loadResult reads result.json back, caching it on the job.
+// loadResult reads result.json back. The daemon keeps no copy of a
+// finished job's result in memory: GET /jobs/{id} and /vectors read it
+// from disk on demand.
 func (j *job) loadResult() (*JobResult, error) {
-	j.mu.Lock()
-	if j.result != nil {
-		r := j.result
-		j.mu.Unlock()
-		return r, nil
-	}
-	j.mu.Unlock()
 	data, err := os.ReadFile(j.resultPath())
 	if err != nil {
 		return nil, err
@@ -204,9 +198,6 @@ func (j *job) loadResult() (*JobResult, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, err
 	}
-	j.mu.Lock()
-	j.result = &r
-	j.mu.Unlock()
 	return &r, nil
 }
 
@@ -297,6 +288,9 @@ func (s *Server) runJob(parent context.Context, j *job) {
 		return
 	}
 
+	// The job's coverage series lives while the engine runs: the engine
+	// makes its last OnProgress call before RunFaults returns.
+	defer s.jobProgress.Forget(j.meta.ID)
 	tel := &atpg.Telemetry{
 		Metrics:       s.met,
 		ProgressEvery: s.cfg.ProgressEvery,
@@ -322,7 +316,7 @@ func (s *Server) runJob(parent context.Context, j *job) {
 		}
 	}
 
-	eng := &atpg.Engine{VerifyTests: true, Workers: s.cfg.EngineWorkers}
+	eng := &atpg.Engine{Workers: s.cfg.EngineWorkers}
 	sum, runErr := eng.RunFaults(ctx, c, faults, opt)
 
 	// The journal must be durable before the job reports any outcome —
@@ -388,7 +382,7 @@ func buildResult(sum *atpg.Summary, resumed int) *JobResult {
 	return res
 }
 
-// writeResult persists result.json (tmp+rename) and caches it.
+// writeResult persists result.json (tmp+rename).
 func writeResult(j *job, res *JobResult) error {
 	data, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
@@ -398,11 +392,5 @@ func writeResult(j *job, res *JobResult) error {
 	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, j.resultPath()); err != nil {
-		return err
-	}
-	j.mu.Lock()
-	j.result = res
-	j.mu.Unlock()
-	return nil
+	return os.Rename(tmp, j.resultPath())
 }

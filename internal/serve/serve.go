@@ -152,7 +152,7 @@ func Start(cfg Config) (*Server, error) {
 		jobsCompleted: reg.LabeledCounter("atpgd_jobs_completed_total", "jobs reaching a terminal state", "state"),
 		queueDepth:    reg.Gauge("atpgd_queue_depth", "jobs waiting in the admission queue"),
 		jobsRunning:   reg.Gauge("atpgd_jobs_running", "jobs currently executing"),
-		jobProgress:   reg.LabeledGauge("atpgd_job_coverage_permille", "per-job running fault coverage, in permille", "job"),
+		jobProgress:   reg.LabeledGauge("atpgd_job_coverage_permille", "running fault coverage of each running job, in permille", "job"),
 	}
 	s.jobCtx, s.jobCancel = context.WithCancel(context.Background())
 	if cfg.ChaosHook != nil {
@@ -567,7 +567,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		delete(s.jobs, id)
 		s.mu.Unlock()
-		s.jobProgress.Forget(id)
 		if err := os.RemoveAll(j.dir); err != nil {
 			writeJSON(w, http.StatusInternalServerError, errorDoc{err.Error()})
 			return

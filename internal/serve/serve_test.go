@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -481,4 +482,68 @@ func TestRestartRequeuesPersistedJobs(t *testing.T) {
 	if len(metas) != 2 {
 		t.Fatalf("listed %d jobs after restart, want 2", len(metas))
 	}
+}
+
+// TestFinishedJobsServedFromDisk: the daemon keeps no per-job copy of
+// what it has persisted. Once three jobs finish, /metrics holds no
+// per-job coverage series, and each job's document and vectors are still
+// served from its result.json — also by a daemon restarted on the same
+// data dir.
+func TestFinishedJobsServedFromDisk(t *testing.T) {
+	cfg := Config{
+		Addr: "127.0.0.1:0", DataDir: t.TempDir(),
+		EngineWorkers: 2, ProgressEvery: 2 * time.Millisecond,
+		Logf: func(string, ...any) {},
+	}
+	s1, err := Start(cfg)
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	submissions := []struct{ params, body string }{
+		{"?name=c17", c17Bench},
+		{"?name=mux2&format=blif", mux2BLIF},
+		{"?name=rand", genBenchNetlist(t, 8, 60, 5)},
+	}
+	want := map[string][]string{}
+	for _, sub := range submissions {
+		meta, resp := submitJob(t, s1, sub.params, sub.body)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("submit %s: status %d", sub.params, resp.StatusCode)
+		}
+		doc := waitJobState(t, s1, meta.ID, StateDone)
+		if doc.Result == nil || len(doc.Result.Vectors) == 0 {
+			t.Fatalf("job %s done without vectors: %+v", meta.ID, doc.Result)
+		}
+		want[meta.ID] = doc.Result.Vectors
+	}
+	check := func(s *Server) {
+		t.Helper()
+		if metrics := scrapeMetrics(t, s); strings.Contains(metrics, "atpgd_job_coverage_permille{") {
+			t.Errorf("finished jobs left per-job series on /metrics:\n%s", metrics)
+		}
+		for id, vecs := range want {
+			doc := getJob(t, s, id)
+			if doc.Result == nil || !reflect.DeepEqual(doc.Result.Vectors, vecs) {
+				t.Errorf("job %s: document result %+v, want vectors %v", id, doc.Result, vecs)
+			}
+			resp, err := http.Get("http://" + s.Addr() + "/jobs/" + id + "/vectors")
+			if err != nil {
+				t.Fatalf("GET vectors: %v", err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if got := strings.Fields(string(body)); resp.StatusCode != http.StatusOK || !reflect.DeepEqual(got, vecs) {
+				t.Errorf("job %s: /vectors status %d, %v; want %v", id, resp.StatusCode, got, vecs)
+			}
+		}
+	}
+	check(s1)
+	s1.Close()
+
+	s2, err := Start(cfg)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer s2.Close()
+	check(s2)
 }
