@@ -140,7 +140,7 @@ type (
 	// EffortHeader is the first record of an effort log.
 	EffortHeader = atpg.EffortHeader
 	// FaultFeatures is the cheap structural feature vector of one fault
-	// (fanout cone, sub-circuit gates, SCOAP, optional cut-width).
+	// (fanout cone, sub-circuit gates, SCOAP).
 	FaultFeatures = atpg.FaultFeatures
 )
 
@@ -234,11 +234,12 @@ type (
 	CheckpointOptions = checkpoint.Options
 )
 
-// Retry-phase defaults (RunOptions.RetryTiers / RetryBackoff): three
-// escalation tiers, each with four times the previous budget.
+// Retry escalation: DefaultRetryTiers is the standard RunOptions.RetryTiers,
+// and each tier runs with RetryBackoff times the previous tier's
+// per-fault budget.
 const (
-	DefaultRetryTiers   = atpg.DefaultRetryTiers
-	DefaultRetryBackoff = atpg.DefaultRetryBackoff
+	DefaultRetryTiers = atpg.DefaultRetryTiers
+	RetryBackoff      = atpg.RetryBackoff
 )
 
 // OpenCheckpoint creates (or, with a prior Load result, continues) a
@@ -302,23 +303,27 @@ func RunATPG(c *Circuit) (*Summary, error) {
 
 // RunATPGParallel is RunATPG with explicit parallelism and robustness
 // controls: workers fault-solving goroutines (0 = GOMAXPROCS), a
-// per-fault SAT budget (0 = unlimited), and a context whose cancellation
-// drains the run and returns the partial summary with ctx.Err().
-// Summary.Results and Vectors come back in fault-list order regardless of
-// worker completion order. Solving is incremental (region-grouped, learned
-// clauses shared between a region's faults); run Engine.Run with
-// RunOptions.GroupMax 1 yourself for the fresh-per-fault ablation.
+// per-fault SAT budget (0 = unlimited; faults that exhaust it are re-run
+// in DefaultRetryTiers escalating tiers before they count as aborted),
+// and a context whose cancellation drains the run and returns the
+// partial summary with ctx.Err(). Summary.Results and Vectors come back
+// in fault-list order regardless of worker completion order. Solving is
+// incremental (region-grouped, learned clauses shared between a region's
+// faults); for the fresh-per-fault ablation, run Engine.Run yourself
+// with DefaultRunOptions and GroupMax 1.
 func RunATPGParallel(ctx context.Context, c *Circuit, workers int, perFaultBudget time.Duration) (*Summary, error) {
+	opt := atpg.DefaultRunOptions()
+	opt.PerFaultBudget = perFaultBudget
 	eng := &atpg.Engine{Workers: workers}
-	return eng.Run(ctx, c, atpg.RunOptions{
-		Collapse:       true,
-		Dominance:      true,
-		DropDetected:   true,
-		RPTBatches:     atpg.DefaultRPTBatches,
-		Seed:           1,
-		PerFaultBudget: perFaultBudget,
-	})
+	return eng.Run(ctx, c, opt)
 }
+
+// DefaultRunOptions returns the options RunATPG runs with: equivalence
+// and dominance collapsing, the seeded random-pattern pre-phase at
+// DefaultRPTBatches, fault dropping, and DefaultRetryTiers retry tiers
+// (active once PerFaultBudget is set). Start from it to vary one option
+// on an Engine.Run.
+func DefaultRunOptions() RunOptions { return atpg.DefaultRunOptions() }
 
 // VerifyTest checks by simulation that the vector detects the fault.
 func VerifyTest(c *Circuit, f Fault, vec []bool) bool { return atpg.VerifyTest(c, f, vec) }

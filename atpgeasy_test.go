@@ -73,6 +73,30 @@ func TestFacadeRunATPGParallel(t *testing.T) {
 	}
 }
 
+// TestFacadeRunATPGParallelRetries checks that RunATPGParallel runs the
+// standard flow's retry tiers: under a 1 ns budget the solver-bound
+// faults abort in the sweep and in every tier, so Summary.Retries holds
+// DefaultRetryTiers tiers, each with RetryBackoff times the previous
+// tier's budget.
+func TestFacadeRunATPGParallelRetries(t *testing.T) {
+	c := gen.Random(gen.RandomParams{Inputs: 18, Gates: 200, Seed: 1})
+	sum, err := RunATPGParallel(context.Background(), c, 2, time.Nanosecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sum.Retries) != DefaultRetryTiers {
+		t.Fatalf("%d retry tiers under a 1ns budget, want %d (aborted %d)",
+			len(sum.Retries), DefaultRetryTiers, sum.Aborted)
+	}
+	budget := time.Nanosecond
+	for _, rt := range sum.Retries {
+		budget *= RetryBackoff
+		if rt.Budget != budget || rt.Attempted == 0 {
+			t.Errorf("tier %d: budget %v over %d faults, want %v over some", rt.Tier, rt.Budget, rt.Attempted, budget)
+		}
+	}
+}
+
 func TestFacadeSolversAgree(t *testing.T) {
 	c := logic.Figure4a()
 	f, err := EncodeATPG(c, Fault{Net: c.MustLookup("f"), StuckAt: true})

@@ -23,7 +23,7 @@ type benchRecord struct {
 	NsPerOp float64 `json:"ns_per_op"`
 	Workers int     `json:"workers,omitempty"`
 	// AllocsPerOp is filled by benchmarks that measure allocation counts
-	// (the solver-cache and arena A/B benches); 0 means not measured.
+	// (the solver-cache A/B bench); 0 means not measured.
 	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
 	// SATCalls is filled by the end-to-end A/B benches that count SAT
 	// solver invocations per run (the RPT pre-phase ablation). A pointer

@@ -324,58 +324,12 @@ func BenchmarkEffortLogOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkResidualKey compares the two residual-key builders: the
-// string-returning ResidualKey (one allocation per call) against
-// AppendResidualKey into a reused buffer (zero steady-state allocations).
-// This is the per-node cost the caching solver's exact-key mode pays.
-func BenchmarkResidualKey(b *testing.B) {
-	c := gen.CarryLookaheadAdder(16)
-	f, err := cnf.FromCircuit(c, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// A mid-search partial assignment: every third variable set, so the
-	// residual keeps a healthy mix of satisfied, shrunk and open clauses.
-	assign := make([]cnf.Value, f.NumVars)
-	for v := 0; v < f.NumVars; v += 3 {
-		if v%2 == 0 {
-			assign[v] = cnf.True
-		} else {
-			assign[v] = cnf.False
-		}
-	}
-	b.Run("string", func(b *testing.B) {
-		allocs := testing.AllocsPerRun(10, func() { _ = f.ResidualKey(assign) })
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if len(f.ResidualKey(assign)) == 0 {
-				b.Fatal("empty key")
-			}
-		}
-		recordBenchAllocs(b, 1, allocs)
-	})
-	b.Run("append-reuse", func(b *testing.B) {
-		var buf []byte
-		allocs := testing.AllocsPerRun(10, func() { buf = f.AppendResidualKey(buf[:0], assign) })
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf = f.AppendResidualKey(buf[:0], assign)
-			if len(buf) == 0 {
-				b.Fatal("empty key")
-			}
-		}
-		recordBenchAllocs(b, 1, allocs)
-	})
-}
-
 // BenchmarkCachingSolver is the tentpole A/B: Algorithm 1 on a log-width
-// ATPG miter under the MLA ordering, with the cache keyed three ways —
+// ATPG miter under the MLA ordering, with the cache keyed two ways —
 // exact byte keys rebuilt per node (the old scheme, kept as VerifyKeys
-// mode), the incremental 128-bit digest, and the digest plus a reused
-// solver arena. The committed BENCH_atpg.json rows must show hashed ≥2×
-// faster and ≥10× fewer allocations than exact-key.
+// mode) and the incremental 128-bit digest. The committed BENCH_atpg.json
+// rows must show hashed ≥2× faster and ≥10× fewer allocations than
+// exact-key.
 func BenchmarkCachingSolver(b *testing.B) {
 	c := gen.ParityTree(48)
 	faults := atpg.Collapse(c, atpg.AllFaults(c))
@@ -409,11 +363,6 @@ func BenchmarkCachingSolver(b *testing.B) {
 	b.Run("hashed", func(b *testing.B) {
 		s := &sat.Caching{Order: order}
 		run(b, func() sat.Solution { return s.Solve(f) })
-	})
-	b.Run("hashed-arena", func(b *testing.B) {
-		s := &sat.Caching{Order: order}
-		arena := sat.NewArena()
-		run(b, func() sat.Solution { return s.SolveArena(f, arena) })
 	})
 }
 

@@ -9,10 +9,10 @@
 //	     [-collapse] [-dominance] [-drop] [-group-max N]
 //	     [-j WORKERS] [-budget DURATION]
 //	     [-rpt-batches N] [-seed N]
-//	     [-retry-tiers N] [-retry-backoff F] [-mem-soft-limit BYTES]
+//	     [-retry-tiers N] [-mem-soft-limit BYTES]
 //	     [-checkpoint FILE] [-resume] [-checkpoint-sync] [-checkpoint-every DUR]
 //	     [-metrics-addr ADDR] [-trace FILE] [-progress DUR] [-json]
-//	     [-effort-log FILE] [-effort-width]
+//	     [-effort-log FILE]
 //	     [-decompose] [-vectors] [-dimacs DIR] [-v]
 //
 // Generated circuit names (NAME): ripple<N>, cla<N>, mult<N>, alu<N>,
@@ -44,8 +44,9 @@
 //
 // Robustness: with -budget, faults that exhaust their budget enter a
 // bounded retry queue re-run after the main sweep with geometrically
-// escalating budgets (-retry-tiers tiers, ×-retry-backoff each); a fault
-// is reported aborted only after the final tier. -checkpoint journals
+// escalating budgets (-retry-tiers tiers, each atpg.RetryBackoff = 4
+// times the last); a fault is reported aborted only after the final
+// tier. -checkpoint journals
 // every final verdict to an append-only JSONL file (flushed per record,
 // fsynced per record with -checkpoint-sync, and every -checkpoint-every
 // besides), so a killed run resumes with -resume: decided faults are
@@ -66,10 +67,8 @@
 // documented in README.md). -effort-log streams one structured record
 // per fault verdict — structural features joined with solver effort,
 // schema atpgeasy/effort/v1, the run's one per-fault record — for
-// cmd/atpgreport; -effort-width additionally estimates each fault's
-// sub-circuit cut-width (slower: one MLA layout per fault). The same
-// spans, -trace or not, feed a flight recorder of the newest 64, which a
-// fault panic or an interrupt dumps to stderr.
+// cmd/atpgreport. The same spans, -trace or not, feed a flight recorder
+// of the newest 64, which a fault panic or an interrupt dumps to stderr.
 package main
 
 import (
@@ -104,17 +103,17 @@ func main() {
 	benchFile := flag.String("bench", "", "read an ISCAS .bench netlist")
 	blifFile := flag.String("blif", "", "read a BLIF model")
 	genName := flag.String("gen", "", "build a generated circuit (see -h)")
-	collapse := flag.Bool("collapse", true, "apply structural fault collapsing (gate-local equivalence)")
-	dominance := flag.Bool("dominance", true, "additionally apply dominance-based fault collapsing")
-	drop := flag.Bool("drop", true, "drop faults detected by earlier vectors (fault simulation)")
-	rptBatches := flag.Int("rpt-batches", atpg.DefaultRPTBatches, "random-pattern pre-phase: max 64-pattern batches (0 = disable)")
-	seed := flag.Int64("seed", 1, "random-pattern generator seed (same seed = same run)")
-	groupMax := flag.Int("group-max", atpg.DefaultGroupMax, "max faults per region group on the incremental CDCL core (1 = fresh instance per fault)")
+	opt := atpg.DefaultRunOptions()
+	flag.BoolVar(&opt.Collapse, "collapse", opt.Collapse, "apply structural fault collapsing (gate-local equivalence)")
+	flag.BoolVar(&opt.Dominance, "dominance", opt.Dominance, "additionally apply dominance-based fault collapsing")
+	flag.BoolVar(&opt.DropDetected, "drop", opt.DropDetected, "drop faults detected by earlier vectors (fault simulation)")
+	flag.IntVar(&opt.RPTBatches, "rpt-batches", opt.RPTBatches, "random-pattern pre-phase: max 64-pattern batches (0 = disable)")
+	flag.Int64Var(&opt.Seed, "seed", opt.Seed, "random-pattern generator seed (same seed = same run)")
+	flag.IntVar(&opt.GroupMax, "group-max", atpg.DefaultGroupMax, "max faults per region group on the incremental CDCL core (1 = fresh instance per fault)")
 	workers := flag.Int("j", 0, "parallel fault workers (0 = GOMAXPROCS)")
-	budget := flag.Duration("budget", 0, "per-fault SAT time budget (0 = none); over-budget faults abort")
-	retryTiers := flag.Int("retry-tiers", atpg.DefaultRetryTiers, "escalation tiers re-running over-budget faults with growing budgets (0 = no retries)")
-	retryBackoff := flag.Float64("retry-backoff", atpg.DefaultRetryBackoff, "per-fault budget multiplier between retry tiers")
-	memSoftLimit := flag.Int64("mem-soft-limit", 0, "soft heap limit in bytes: above it, worker learned-clause budgets are halved between faults (0 = off)")
+	flag.DurationVar(&opt.PerFaultBudget, "budget", 0, "per-fault SAT time budget (0 = none); over-budget faults abort")
+	flag.IntVar(&opt.RetryTiers, "retry-tiers", opt.RetryTiers, "escalation tiers re-running over-budget faults with growing budgets (0 = no retries)")
+	flag.Int64Var(&opt.MemSoftLimit, "mem-soft-limit", 0, "soft heap limit in bytes: above it, worker learned-clause budgets are halved between faults (0 = off)")
 	ckptPath := flag.String("checkpoint", "", "journal final fault verdicts to this JSONL file for crash recovery")
 	resumeRun := flag.Bool("resume", false, "replay the -checkpoint journal, skipping faults it already decided")
 	ckptSync := flag.Bool("checkpoint-sync", false, "fsync the checkpoint journal after every record (survives power loss, not just kill -9)")
@@ -126,7 +125,6 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this host:port for the duration of the run (port 0 picks one)")
 	traceFile := flag.String("trace", "", "write the run's hierarchical spans to this file as JSONL \"kind\":\"span\" records (per-fault records go to -effort-log)")
 	effortLog := flag.String("effort-log", "", "stream per-fault effort records (features + solver effort, JSONL) to this file")
-	effortWidth := flag.Bool("effort-width", false, "include estimated sub-circuit cut-width in effort records (runs the MLA heuristic per fault)")
 	progressEvery := flag.Duration("progress", 0, "print a live progress line to stderr on this period (0 = off)")
 	jsonOut := flag.Bool("json", false, "print a machine-readable JSON run summary to stdout (human report moves to stderr)")
 	flag.Parse()
@@ -152,10 +150,10 @@ func main() {
 	// The collapsed fault list is computed here (not inside the engine) so
 	// the checkpoint header can fingerprint its exact content.
 	faults := atpg.AllFaults(c)
-	if *collapse {
+	if opt.Collapse {
 		faults = atpg.Collapse(c, faults)
 	}
-	if *dominance {
+	if opt.Dominance {
 		faults = atpg.CollapseDominance(c, faults)
 	}
 
@@ -185,18 +183,7 @@ func main() {
 		tel.Trace = obs.NewTrace(nil)
 	}
 
-	opt := atpg.RunOptions{
-		DropDetected:   *drop,
-		RPTBatches:     *rptBatches,
-		Seed:           *seed,
-		PerFaultBudget: *budget,
-		Telemetry:      tel,
-		RetryTiers:     *retryTiers,
-		RetryBackoff:   *retryBackoff,
-		MemSoftLimit:   *memSoftLimit,
-		EffortWidth:    *effortWidth,
-		GroupMax:       *groupMax,
-	}
+	opt.Telemetry = tel
 	if *effortLog != "" {
 		el, err := atpg.CreateEffortLog(*effortLog)
 		if err != nil {
@@ -283,7 +270,7 @@ func main() {
 			sum.SolverTotals.LearnedKept, sum.SolverTotals.LearnedReused, sum.SolverTotals.ClauseDBBytes)
 	}
 	if *jsonOut {
-		doc := buildJSONSummary(sum, effectiveWorkers, *budget, *groupMax, interrupted)
+		doc := buildJSONSummary(sum, effectiveWorkers, opt.PerFaultBudget, opt.GroupMax, interrupted)
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {

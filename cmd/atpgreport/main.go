@@ -1,8 +1,8 @@
 // Command atpgreport turns a run's per-fault effort log (and optionally
 // its trace) into the paper's predicted-vs-actual analysis: which cheap
-// structural features — fanout-cone size, sub-circuit gate count, SCOAP,
-// estimated cut-width — actually predicted where the solver spent its
-// search, phase by phase. It is the reporting half of the effort
+// structural features — fanout-cone size and depth, sub-circuit gate
+// count, SCOAP — actually predicted where the solver spent its search,
+// phase by phase. It is the reporting half of the effort
 // observatory: the engine streams atpgeasy/effort/v1 records, this
 // command joins, bins, rank-correlates and fits them.
 //
@@ -125,21 +125,14 @@ type featureCol struct {
 	Get  func(atpg.FaultFeatures) int32
 }
 
-// featureCols returns the feature columns to analyze; cut_width only
-// when the log was recorded with width extraction on.
-func featureCols(width bool) []featureCol {
-	cols := []featureCol{
-		{"cone_size", func(f atpg.FaultFeatures) int32 { return f.ConeSize }},
-		{"cone_depth", func(f atpg.FaultFeatures) int32 { return f.ConeDepth }},
-		{"gates", func(f atpg.FaultFeatures) int32 { return f.Gates }},
-		{"cc0", func(f atpg.FaultFeatures) int32 { return f.CC0 }},
-		{"cc1", func(f atpg.FaultFeatures) int32 { return f.CC1 }},
-		{"co", func(f atpg.FaultFeatures) int32 { return f.CO }},
-	}
-	if width {
-		cols = append(cols, featureCol{"cut_width", func(f atpg.FaultFeatures) int32 { return f.CutWidth }})
-	}
-	return cols
+// featureCols are the feature columns to analyze.
+var featureCols = []featureCol{
+	{"cone_size", func(f atpg.FaultFeatures) int32 { return f.ConeSize }},
+	{"cone_depth", func(f atpg.FaultFeatures) int32 { return f.ConeDepth }},
+	{"gates", func(f atpg.FaultFeatures) int32 { return f.Gates }},
+	{"cc0", func(f atpg.FaultFeatures) int32 { return f.CC0 }},
+	{"cc1", func(f atpg.FaultFeatures) int32 { return f.CC1 }},
+	{"co", func(f atpg.FaultFeatures) int32 { return f.CO }},
 }
 
 // Report is the full analysis, renderable as markdown or JSON.
@@ -148,7 +141,6 @@ type Report struct {
 	Faults  int    `json:"faults"`
 	Workers int    `json:"workers"`
 	Records int    `json:"records"`
-	Width   bool   `json:"width"`
 
 	// PhaseCounts counts verdict records per pipeline phase; Wasted the
 	// discarded speculative solves on top.
@@ -246,8 +238,7 @@ func isSolverPhase(p string) bool {
 
 func buildReport(hdr atpg.EffortHeader, recs []atpg.EffortRecord, spans []obs.SpanRecord, top, bins int) *Report {
 	rep := &Report{
-		Circuit: hdr.Circuit, Faults: hdr.Faults, Workers: hdr.Workers,
-		Records: len(recs), Width: hdr.Width,
+		Circuit: hdr.Circuit, Faults: hdr.Faults, Workers: hdr.Workers, Records: len(recs),
 		PhaseCounts: map[string]int{}, Statuses: map[string]int{},
 	}
 
@@ -280,9 +271,8 @@ func buildReport(hdr atpg.EffortHeader, recs []atpg.EffortRecord, spans []obs.Sp
 	for i, r := range solver {
 		effort[i] = float64(r.Effort)
 	}
-	cols := featureCols(hdr.Width)
 	xs := make([]float64, len(solver))
-	for _, col := range cols {
+	for _, col := range featureCols {
 		for i, r := range solver {
 			xs[i] = float64(col.Get(r.FaultFeatures))
 		}
@@ -436,8 +426,8 @@ func topFaults(solver []atpg.EffortRecord, spans []obs.SpanRecord, k int) []TopF
 func (rep *Report) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# ATPG effort report: %s\n\n", rep.Circuit)
-	fmt.Fprintf(&b, "- faults: %d, records: %d, workers: %d, cut-width extraction: %v\n",
-		rep.Faults, rep.Records, rep.Workers, rep.Width)
+	fmt.Fprintf(&b, "- faults: %d, records: %d, workers: %d\n",
+		rep.Faults, rep.Records, rep.Workers)
 	fmt.Fprintf(&b, "- phases: %s\n", countLine(rep.PhaseCounts))
 	fmt.Fprintf(&b, "- statuses: %s\n", countLine(rep.Statuses))
 	fmt.Fprintf(&b, "- wasted speculative solves: %d\n\n", rep.Wasted)

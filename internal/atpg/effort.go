@@ -30,9 +30,6 @@ type EffortHeader struct {
 	Circuit string `json:"circuit"`
 	Faults  int    `json:"faults"`
 	Workers int    `json:"workers"`
-	// Width records whether cut-width extraction (RunOptions.EffortWidth)
-	// was on — readers treat cut_width −1 as absent either way.
-	Width bool `json:"width"`
 }
 
 // EffortRecord is one fault's features-joined-with-outcome line: the
@@ -158,14 +155,14 @@ type effortState struct {
 // newEffortState precomputes every fault's features and writes the log
 // header. Runs before resume replay and the RPT pre-phase so all of
 // their records carry features too.
-func newEffortState(c *logic.Circuit, faults []Fault, opt RunOptions, workers int) (*effortState, error) {
+func newEffortState(log *EffortLog, c *logic.Circuit, faults []Fault, workers int) (*effortState, error) {
 	es := &effortState{
-		log:   opt.EffortLog,
-		feats: computeFeatures(c, faults, opt.EffortWidth, workers),
+		log:   log,
+		feats: computeFeatures(c, faults, workers),
 	}
 	hdr, err := json.Marshal(EffortHeader{
 		Kind: "header", Schema: EffortSchema, Circuit: c.Name,
-		Faults: len(faults), Workers: workers, Width: opt.EffortWidth,
+		Faults: len(faults), Workers: workers,
 	})
 	if err != nil {
 		return nil, err

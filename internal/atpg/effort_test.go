@@ -107,7 +107,7 @@ func TestFaultFeatures(t *testing.T) {
 	c := bld.MustBuild()
 
 	faults := []Fault{{Net: a, StuckAt: false}, {Net: out, StuckAt: true}}
-	feats := computeFeatures(c, faults, false, 2)
+	feats := computeFeatures(c, faults, 2)
 
 	fa := feats[0]
 	if fa.ConeSize != 3 || fa.ConeDepth != 3 {
@@ -115,9 +115,6 @@ func TestFaultFeatures(t *testing.T) {
 	}
 	if fa.Gates != 2 {
 		t.Errorf("a: gates = %d, want 2", fa.Gates)
-	}
-	if fa.CutWidth != -1 {
-		t.Errorf("a: cut width = %d, want -1 when extraction is off", fa.CutWidth)
 	}
 	fo := feats[1]
 	if fo.ConeSize != 1 || fo.ConeDepth != 1 {
@@ -127,10 +124,34 @@ func TestFaultFeatures(t *testing.T) {
 	if fo.Gates != 2 {
 		t.Errorf("out: gates = %d, want 2", fo.Gates)
 	}
+}
 
-	wide := computeFeatures(c, faults, true, 1)
-	if wide[0].CutWidth < 1 {
-		t.Errorf("cut width = %d, want >= 1 with extraction on", wide[0].CutWidth)
+// TestEffortLogEmptyFaultList runs an empty fault list with an effort
+// log at 1 and 4 workers: the run reports 0 faults and the log holds only
+// its header.
+func TestEffortLogEmptyFaultList(t *testing.T) {
+	c := gen.RippleAdder(2)
+	for _, workers := range []int{1, 4} {
+		var buf bytes.Buffer
+		opt := DefaultRunOptions()
+		opt.EffortLog = NewEffortLog(&buf)
+		sum, err := (&Engine{Workers: workers}).RunFaults(context.Background(), c, nil, opt)
+		if err != nil {
+			t.Fatalf("j%d: %v", workers, err)
+		}
+		if err := opt.EffortLog.Close(); err != nil {
+			t.Fatalf("j%d: close: %v", workers, err)
+		}
+		if sum.Total != 0 || len(sum.Vectors) != 0 {
+			t.Errorf("j%d: summary %d faults, %d vectors, want 0 and 0", workers, sum.Total, len(sum.Vectors))
+		}
+		hdr, recs, err := DecodeEffortLog(&buf)
+		if err != nil {
+			t.Fatalf("j%d: decode: %v", workers, err)
+		}
+		if hdr.Schema != EffortSchema || hdr.Faults != 0 || len(recs) != 0 {
+			t.Errorf("j%d: header %+v and %d records, want a 0-fault header only", workers, hdr, len(recs))
+		}
 	}
 }
 
@@ -203,9 +224,6 @@ func TestEffortLogRoundTrip(t *testing.T) {
 				phases[r.Phase]++
 				if r.ConeSize < 1 || r.Gates < 1 {
 					t.Errorf("empty features on %+v", r)
-				}
-				if r.CutWidth != -1 {
-					t.Errorf("cut width %d recorded with extraction off", r.CutWidth)
 				}
 				switch r.Phase {
 				case "dropped":

@@ -338,12 +338,10 @@ type RunOptions struct {
 	Telemetry *Telemetry
 	// RetryTiers, when positive together with PerFaultBudget, re-runs
 	// faults that exhausted their budget after the main sweep, up to this
-	// many escalation tiers with geometrically increasing budgets. A fault
-	// is reported Aborted only after the final tier also fails.
+	// many escalation tiers, each with RetryBackoff times the previous
+	// tier's budget. A fault is reported Aborted only after the final tier
+	// also fails.
 	RetryTiers int
-	// RetryBackoff is the budget multiplier between tiers (values <= 1
-	// select DefaultRetryBackoff).
-	RetryBackoff float64
 	// MemSoftLimit, when positive, arms a watchdog that samples the Go
 	// heap and — while it exceeds this many bytes — has each worker halve
 	// its learned-clause budget (sat.Incremental.ShrinkLearned) between
@@ -374,12 +372,23 @@ type RunOptions struct {
 	// knowledge-reuse knob: the dispatch order, drop set, verdicts and
 	// vectors are identical for every value.
 	GroupMax int
-	// EffortWidth additionally computes each fault's sub-circuit
-	// cut-width (internal/hypergraph + internal/mla) as an effort-log
-	// feature — the source paper's Figure 8 predictor. Off by default:
-	// it runs a layout heuristic per fault, which dwarfs the other
-	// (two-DFS) features on large circuits.
-	EffortWidth bool
+}
+
+// DefaultRunOptions returns the standard flow that the facade's RunATPG,
+// the atpg command's flag defaults and atpgd's jobs start from:
+// equivalence and dominance collapsing, the seeded random-pattern
+// pre-phase at DefaultRPTBatches, fault dropping, and DefaultRetryTiers
+// escalation tiers for faults that exhaust a PerFaultBudget the caller
+// sets. GroupMax is left 0 (DefaultGroupMax).
+func DefaultRunOptions() RunOptions {
+	return RunOptions{
+		Collapse:     true,
+		Dominance:    true,
+		RPTBatches:   DefaultRPTBatches,
+		Seed:         1,
+		DropDetected: true,
+		RetryTiers:   DefaultRetryTiers,
+	}
 }
 
 // dropBatch is the committed-vector count that triggers a fault-simulation
@@ -457,7 +466,7 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 		scratches[w] = newScratch(c)
 	}
 	if opt.EffortLog != nil {
-		es, err := newEffortState(c, faults, opt, workers)
+		es, err := newEffortState(opt.EffortLog, c, faults, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -2,18 +2,13 @@ package atpg
 
 // Per-fault structural features for the effort log: everything here is
 // computable without solving — fanout-cone shape, the size of the
-// sub-circuit the formula encodes, SCOAP testability, and (behind
-// RunOptions.EffortWidth, since it runs the MLA heuristic per fault) the
-// estimated cut-width of the fault's sub-circuit, the source paper's
-// headline predictor. The effort report correlates each column against
-// the observed solver effort.
+// sub-circuit the formula encodes and SCOAP testability. The effort
+// report correlates each column against the observed solver effort.
 
 import (
 	"sync"
 
-	"atpgeasy/internal/hypergraph"
 	"atpgeasy/internal/logic"
-	"atpgeasy/internal/mla"
 )
 
 // FaultFeatures is the structural feature vector of one fault, embedded
@@ -34,10 +29,6 @@ type FaultFeatures struct {
 	CC0 int32 `json:"cc0"`
 	CC1 int32 `json:"cc1"`
 	CO  int32 `json:"co"`
-	// CutWidth is the MLA-estimated cut-width of the fault's sub-circuit
-	// — the paper's Figure 8 quantity. −1 when RunOptions.EffortWidth is
-	// off (it costs a layout heuristic per fault).
-	CutWidth int32 `json:"cut_width"`
 }
 
 // featureExtractor computes FaultFeatures with reused mark/stack buffers
@@ -46,7 +37,6 @@ type FaultFeatures struct {
 type featureExtractor struct {
 	c     *logic.Circuit
 	scoap *Scoap
-	width bool
 
 	mark  []int
 	stamp int
@@ -54,17 +44,16 @@ type featureExtractor struct {
 	cone  []int // fanout cone of the current fault, reused
 }
 
-func newFeatureExtractor(c *logic.Circuit, scoap *Scoap, width bool) *featureExtractor {
-	return &featureExtractor{c: c, scoap: scoap, width: width, mark: make([]int, len(c.Nodes))}
+func newFeatureExtractor(c *logic.Circuit, scoap *Scoap) *featureExtractor {
+	return &featureExtractor{c: c, scoap: scoap, mark: make([]int, len(c.Nodes))}
 }
 
 func (x *featureExtractor) extract(f Fault) FaultFeatures {
 	c := x.c
 	ft := FaultFeatures{
-		CC0:      x.scoap.CC0[f.Net],
-		CC1:      x.scoap.CC1[f.Net],
-		CO:       x.scoap.CO[f.Net],
-		CutWidth: -1,
+		CC0: x.scoap.CC0[f.Net],
+		CC1: x.scoap.CC1[f.Net],
+		CO:  x.scoap.CO[f.Net],
 	}
 
 	// Fanout cone DFS: size and deepest level reached.
@@ -113,13 +102,6 @@ func (x *featureExtractor) extract(f Fault) FaultFeatures {
 		x.stack = append(x.stack, c.Nodes[n].Fanin...)
 	}
 	ft.Gates = gates
-
-	if x.width {
-		if sub, err := SubCircuit(c, f); err == nil {
-			w, _ := mla.EstimateCutWidth(hypergraph.FromCircuit(sub.Circuit), mla.Options{})
-			ft.CutWidth = int32(w)
-		}
-	}
 	return ft
 }
 
@@ -127,7 +109,10 @@ func (x *featureExtractor) extract(f Fault) FaultFeatures {
 // workers goroutines (each with its own extractor over the shared SCOAP
 // table). Runs before the pre-phase so RPT-decided faults get feature
 // vectors too.
-func computeFeatures(c *logic.Circuit, faults []Fault, width bool, workers int) []FaultFeatures {
+func computeFeatures(c *logic.Circuit, faults []Fault, workers int) []FaultFeatures {
+	if len(faults) == 0 {
+		return nil
+	}
 	feats := make([]FaultFeatures, len(faults))
 	scoap := ComputeScoap(c)
 	if workers < 1 {
@@ -147,7 +132,7 @@ func computeFeatures(c *logic.Circuit, faults []Fault, width bool, workers int) 
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			x := newFeatureExtractor(c, scoap, width)
+			x := newFeatureExtractor(c, scoap)
 			for i := lo; i < hi; i++ {
 				feats[i] = x.extract(faults[i])
 			}

@@ -431,9 +431,8 @@ func TestIncrementalRetryTiers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s reference: %v", plan.name, err)
 		}
-		opt.PerFaultBudget = time.Nanosecond // tiers: 8ns … 16.8ms
-		opt.RetryTiers = 8
-		opt.RetryBackoff = 8
+		opt.PerFaultBudget = time.Nanosecond // tiers: 4ns … 16.8ms
+		opt.RetryTiers = 12
 		sum, err := eng.Run(context.Background(), c, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", plan.name, err)

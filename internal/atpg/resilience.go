@@ -18,12 +18,12 @@ import (
 	"atpgeasy/internal/logic"
 )
 
-// Default retry escalation: three tiers, each with four times the
-// previous budget, so a fault gets up to 1+4+16+64 = 85x the base budget
-// before it is finally reported aborted.
+// Retry escalation: by default three tiers, each with RetryBackoff times
+// the previous budget, so a fault gets up to 1+4+16+64 = 85x the base
+// budget before it is finally reported aborted.
 const (
-	DefaultRetryTiers   = 3
-	DefaultRetryBackoff = 4.0
+	DefaultRetryTiers = 3
+	RetryBackoff      = 4
 )
 
 // memWatchdogEvery is the production sampling period of the soft-memory
@@ -206,15 +206,11 @@ func (e *Engine) runRetryTiers(ctx context.Context, st *runState, scratches []*w
 		return nil
 	}
 
-	backoff := opt.RetryBackoff
-	if backoff <= 1 {
-		backoff = DefaultRetryBackoff
-	}
 	tel := opt.Telemetry
 	budget := opt.PerFaultBudget
 	var tiers []RetryTier
 	for tier := 1; tier <= opt.RetryTiers && len(queue) > 0 && ctx.Err() == nil; tier++ {
-		budget = time.Duration(float64(budget) * backoff)
+		budget *= RetryBackoff
 		entry := RetryTier{Tier: tier, Budget: budget, Attempted: len(queue)}
 		tierSpan := st.trace.Start("retry-tier", st.runSpan)
 		tierSpan.Detail = fmt.Sprintf("tier-%d", tier)

@@ -181,7 +181,6 @@ func TestJournalRecordsEachVerdictOnce(t *testing.T) {
 		DropDetected: true, Seed: 42,
 		PerFaultBudget: 10 * time.Millisecond, // tiers: 40ms, 160ms, 640ms
 		RetryTiers:     3,
-		RetryBackoff:   4,
 	}
 	for _, workers := range []int{1, 4} {
 		name := "workers=" + itoa(workers)
@@ -305,7 +304,6 @@ func TestRetryTiersRecoverAbortedFaults(t *testing.T) {
 	sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{
 		PerFaultBudget: 10 * time.Millisecond, // tiers: 40ms, 160ms, 640ms
 		RetryTiers:     3,
-		RetryBackoff:   4,
 		Telemetry:      &Telemetry{Metrics: met},
 		Journal:        sink,
 	})

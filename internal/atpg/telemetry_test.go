@@ -48,7 +48,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		Collapse: true, DropDetected: true,
 		PerFaultBudget: 10 * time.Millisecond, // tiers: 40ms, 160ms, 640ms
 		RetryTiers:     3,
-		RetryBackoff:   4,
 	}
 	retryEngine := func(workers int) *Engine {
 		return &Engine{Workers: workers, testHook: abortBelow(100 * time.Millisecond)}

@@ -210,8 +210,8 @@ func (f *Formula) HasNullClause(assign []Value) bool {
 
 // Residual returns the sub-formula obtained under the partial assignment:
 // satisfied clauses are dropped and false literals removed from the rest.
-// The paper caches sub-formulas "as sets of clauses"; ResidualKey provides
-// the canonical cache key for this representation.
+// The paper caches sub-formulas "as sets of clauses"; AppendResidualKey
+// provides the canonical cache key for this representation.
 func (f *Formula) Residual(assign []Value) []Clause {
 	var out []Clause
 	for _, c := range f.Clauses {
@@ -242,8 +242,8 @@ func (f *Formula) Residual(assign []Value) []Clause {
 }
 
 // AppendUvarint appends x in LEB128 varint form. It is the literal
-// encoding of the canonical residual key shared by ResidualKey, the sat
-// package's exact cache keys and internal/core's DCSF counter.
+// encoding of the canonical residual key shared by AppendResidualKey,
+// the sat package's exact cache keys and internal/core's DCSF counter.
 func AppendUvarint(buf []byte, x uint64) []byte {
 	for x >= 0x80 {
 		buf = append(buf, byte(x)|0x80)
@@ -288,7 +288,8 @@ func (c Clause) satisfiedUnder(assign []Value) bool {
 // encoding of every non-satisfied clause, in formula order. Clause order
 // and within-clause literal order are fixed by the formula, so for a given
 // formula two assignments produce the same key iff they induce the same
-// residual clause set.
+// residual clause set — the paper's sub-formula identity (footnote 2:
+// clause-set identity, not functional equivalence).
 func (f *Formula) AppendResidualKey(buf []byte, assign []Value) []byte {
 	for _, c := range f.Clauses {
 		if c.satisfiedUnder(assign) {
@@ -297,15 +298,6 @@ func (f *Formula) AppendResidualKey(buf []byte, assign []Value) []byte {
 		buf = c.AppendResidualLits(buf, assign)
 	}
 	return buf
-}
-
-// ResidualKey builds a canonical string key for the residual sub-formula
-// under the partial assignment. Two sub-formulas are identical if and only
-// if they have the same set of clauses (footnote 2 of the paper: clause-set
-// identity, not functional equivalence). Callers on a hot path should use
-// AppendResidualKey with a reused buffer instead.
-func (f *Formula) ResidualKey(assign []Value) string {
-	return string(f.AppendResidualKey(nil, assign))
 }
 
 // Clone returns a deep copy of the formula.

@@ -101,11 +101,12 @@ func TestResidualAndKey(t *testing.T) {
 	}
 	// Keys are canonical: same clause set regardless of how it was reached.
 	assign2 := []Value{False, Unassigned, Unassigned}
-	if f.ResidualKey(assign) != f.ResidualKey(assign2) {
+	key := func(a []Value) string { return string(f.AppendResidualKey(nil, a)) }
+	if key(assign) != key(assign2) {
 		t.Error("keys differ for identical assignments")
 	}
 	assign2[0] = True
-	if f.ResidualKey(assign) == f.ResidualKey(assign2) {
+	if key(assign) == key(assign2) {
 		t.Error("keys equal for different residuals")
 	}
 }

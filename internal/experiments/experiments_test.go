@@ -63,7 +63,10 @@ func TestFigure1Quick(t *testing.T) {
 	}
 	// The headline claim: the overwhelming majority of instances solve
 	// fast. On modern hardware and quick-mode sizes everything is fast.
-	if res.FracUnder10ms < 0.9 {
+	// Race instrumentation slows each solve several-fold and pushes about
+	// one instance in ten past the 10 ms bar, so only the race build
+	// skips this wall-clock check; every other check runs in both.
+	if !raceEnabled && res.FracUnder10ms < 0.9 {
 		t.Errorf("only %.0f%% under 10 ms", 100*res.FracUnder10ms)
 	}
 	var sb strings.Builder

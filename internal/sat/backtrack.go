@@ -15,11 +15,8 @@ type Simple struct {
 }
 
 // Solve decides satisfiability by depth-first search over the ordering.
-func (s *Simple) Solve(f *cnf.Formula) Solution { return s.SolveArena(f, nil) }
-
-// SolveArena is Solve with reusable scratch; see Arena.
-func (s *Simple) SolveArena(f *cnf.Formula, a *Arena) Solution {
-	bt, ok := newBacktracker(f, s.Order, a, btConfig{maxNodes: s.MaxNodes})
+func (s *Simple) Solve(f *cnf.Formula) Solution {
+	bt, ok := newBacktracker(f, s.Order, btConfig{maxNodes: s.MaxNodes})
 	if !ok {
 		return Solution{Status: Unknown}
 	}
@@ -64,12 +61,8 @@ type Caching struct {
 }
 
 // Solve runs Algorithm 1.
-func (s *Caching) Solve(f *cnf.Formula) Solution { return s.SolveArena(f, nil) }
-
-// SolveArena is Solve with reusable scratch and a cache table that
-// persists (emptied in O(1)) across the arena's solves; see Arena.
-func (s *Caching) SolveArena(f *cnf.Formula, a *Arena) Solution {
-	bt, ok := newBacktracker(f, s.Order, a, btConfig{
+func (s *Caching) Solve(f *cnf.Formula) Solution {
+	bt, ok := newBacktracker(f, s.Order, btConfig{
 		maxNodes:   s.MaxNodes,
 		useCache:   true,
 		cacheLimit: s.CacheLimit,
@@ -128,48 +121,39 @@ type backtracker struct {
 	clsContrib []digest
 	litDig     []digest
 
-	arena   *Arena
+	table   cacheTable
 	stats   Stats
 	aborted bool
 }
 
-// newBacktracker prepares a search over f in a's buffers (a == nil uses a
-// throwaway arena). It reports false when the ordering is invalid.
-func newBacktracker(f *cnf.Formula, order []int, a *Arena, cfg btConfig) (*backtracker, bool) {
-	if a == nil {
-		a = &Arena{}
-	}
-	ord, ok := checkOrder(order, f.NumVars, a)
+// newBacktracker prepares a search over f in buffers of its own. It
+// reports false when the ordering is invalid.
+func newBacktracker(f *cnf.Formula, order []int, cfg btConfig) (*backtracker, bool) {
+	ord, ok := checkOrder(order, f.NumVars)
 	if !ok {
 		return nil, false
 	}
-	bt := &a.bt
-	*bt = backtracker{
+	n, m := f.NumVars, len(f.Clauses)
+	bt := &backtracker{
 		f:        f,
 		order:    ord,
 		useCache: cfg.useCache,
 		verify:   cfg.verifyKeys,
 		weak:     cfg.weakHash,
 		maxNodes: cfg.maxNodes,
-		arena:    a,
+		assign:   make([]cnf.Value, n),
+		satCnt:   make([]int32, m),
+		falseCnt: make([]int32, m),
 	}
-	n, m := f.NumVars, len(f.Clauses)
-	a.assign = zeroed(a.assign, n)
-	a.satCnt = zeroed(a.satCnt, m)
-	a.falseCnt = zeroed(a.falseCnt, m)
-	bt.assign, bt.satCnt, bt.falseCnt = a.assign, a.satCnt, a.falseCnt
 
 	// Occurrence lists in CSR form: one flat slice plus offsets, built by
-	// counting sort. Flat storage reuses cleanly across solves and keeps a
-	// literal's occurrences contiguous.
-	a.occOff = zeroed(a.occOff, 2*n+1)
-	off := a.occOff
+	// counting sort, so a literal's occurrences are contiguous.
+	off := make([]int32, 2*n+1)
 	total := 0
 	for _, c := range f.Clauses {
 		total += len(c)
 	}
-	a.occ = sized(a.occ, total)
-	occ := a.occ
+	occ := make([]int32, total)
 	for _, c := range f.Clauses {
 		for _, l := range c {
 			off[int(l)+1]++
@@ -197,13 +181,12 @@ func newBacktracker(f *cnf.Formula, order []int, a *Arena, cfg btConfig) (*backt
 	}
 
 	if cfg.useCache {
-		a.litDig = sized(a.litDig, 2*n)
-		for l := range a.litDig {
-			a.litDig[l] = litDigest(cnf.Lit(l))
+		bt.litDig = make([]digest, 2*n)
+		for l := range bt.litDig {
+			bt.litDig[l] = litDigest(cnf.Lit(l))
 		}
-		a.clsSum = sized(a.clsSum, m)
-		a.clsContrib = sized(a.clsContrib, m)
-		bt.litDig, bt.clsSum, bt.clsContrib = a.litDig, a.clsSum, a.clsContrib
+		bt.clsSum = make([]digest, m)
+		bt.clsContrib = make([]digest, m)
 		for ci, c := range f.Clauses {
 			var sum digest
 			for _, l := range c {
@@ -214,7 +197,7 @@ func newBacktracker(f *cnf.Formula, order []int, a *Arena, cfg btConfig) (*backt
 			bt.clsContrib[ci] = contrib
 			bt.dig.add(contrib)
 		}
-		a.table.reset(cfg.cacheLimit)
+		bt.table.init(cfg.cacheLimit)
 	}
 	return bt, true
 }
@@ -260,7 +243,7 @@ func (bt *backtracker) run() Solution {
 // finish attaches the search and cache statistics to the solution.
 func (bt *backtracker) finish(sol Solution) Solution {
 	if bt.useCache {
-		t := &bt.arena.table
+		t := &bt.table
 		bt.stats.CacheEntries = t.live
 		bt.stats.CacheEvictions = t.evictions
 		bt.stats.CacheBytes = t.bytes()
@@ -410,7 +393,7 @@ func (bt *backtracker) search(pos int, b bool) bool {
 		if bt.verify {
 			key = bt.residualKey()
 		}
-		hit, collisions := bt.arena.table.lookup(dig, key)
+		hit, collisions := bt.table.lookup(dig, key)
 		bt.stats.CacheCollisions += collisions
 		if hit {
 			bt.stats.CacheHits++
@@ -429,7 +412,7 @@ func (bt *backtracker) search(pos int, b bool) bool {
 		return true
 	}
 	if bt.useCache && !bt.aborted {
-		bt.arena.table.insert(dig, key)
+		bt.table.insert(dig, key)
 	}
 	bt.unassignVar(v)
 	return false

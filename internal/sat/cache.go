@@ -55,14 +55,12 @@ func litDigest(l cnf.Lit) digest {
 	return digest{mix64(x * 0x9e3779b97f4a7c15), mix64(x ^ 0xd1b54a32d192ed03)}
 }
 
-// cacheEntry is one slot of the table. An entry is live iff its epoch
-// equals the table's current epoch, which makes clearing the whole table
-// between solves O(1) (bump the epoch) instead of O(capacity).
+// cacheEntry is one slot of the table; used marks it occupied.
 type cacheEntry struct {
-	dig   digest
-	key   []byte // exact residual key; nil outside verification mode
-	epoch uint32
-	ref   bool // second-chance reference bit
+	dig  digest
+	key  []byte // exact residual key; nil outside verification mode
+	used bool
+	ref  bool // second-chance reference bit
 }
 
 // cacheSlotBytes is the accounted size of one slot.
@@ -77,7 +75,6 @@ var cacheSlotBytes = int64(unsafe.Sizeof(cacheEntry{}))
 type cacheTable struct {
 	slots     []cacheEntry
 	mask      uint64
-	epoch     uint32
 	maxSlots  int
 	limit     int64 // byte budget over slab + stored keys
 	live      int64
@@ -89,45 +86,20 @@ type cacheTable struct {
 // cacheMinSlots is the initial (and minimum) slot count.
 const cacheMinSlots = 1 << 10
 
-// reset prepares the table for a new solve under the given byte limit
-// (0 = DefaultCacheLimit). Previously grown slabs are kept when they fit
-// the new limit, so arena reuse stays allocation-free.
-func (t *cacheTable) reset(limit int64) {
+// init sizes an empty table for one solve under the given byte limit
+// (0 = DefaultCacheLimit).
+func (t *cacheTable) init(limit int64) {
 	if limit <= 0 {
 		limit = DefaultCacheLimit
 	}
 	t.limit = limit
-	maxSlots := cacheProbe * 2 // floor so tiny limits still yield a working table
-	for int64(maxSlots*2)*cacheSlotBytes <= limit && maxSlots < 1<<30 {
-		maxSlots *= 2
+	t.maxSlots = cacheProbe * 2 // floor so tiny limits still yield a working table
+	for int64(t.maxSlots*2)*cacheSlotBytes <= limit && t.maxSlots < 1<<30 {
+		t.maxSlots *= 2
 	}
-	t.maxSlots = maxSlots
-	if t.keyBytes > 0 {
-		// Drop stored keys from a previous verification-mode solve so the
-		// byte accounting restarts from zero.
-		for i := range t.slots {
-			t.slots[i].key = nil
-		}
-		t.keyBytes = 0
-	}
-	if len(t.slots) == 0 || len(t.slots) > maxSlots {
-		n := cacheMinSlots
-		if n > maxSlots {
-			n = maxSlots
-		}
-		t.slots = make([]cacheEntry, n)
-		t.mask = uint64(n - 1)
-		t.epoch = 1
-	} else {
-		t.epoch++
-		if t.epoch == 0 {
-			// Epoch wrapped: stale stamps from 2^32 solves ago would alias
-			// the new epoch. Clear and restart above the zero value.
-			clear(t.slots)
-			t.epoch = 1
-		}
-	}
-	t.live, t.evictions, t.hand = 0, 0, 0
+	n := min(cacheMinSlots, t.maxSlots)
+	t.slots = make([]cacheEntry, n)
+	t.mask = uint64(n - 1)
 }
 
 // bytes is the accounted footprint: slot slab plus stored exact keys.
@@ -142,7 +114,7 @@ func (t *cacheTable) lookup(dig digest, key []byte) (hit bool, collisions int64)
 	i := dig[0] & t.mask
 	for p := uint64(0); p < cacheProbe; p++ {
 		s := &t.slots[(i+p)&t.mask]
-		if s.epoch != t.epoch {
+		if !s.used {
 			return false, collisions // empty slot ends the probe chain
 		}
 		if s.dig == dig {
@@ -167,7 +139,7 @@ func (t *cacheTable) insert(dig digest, key []byte) {
 	for p := uint64(0); p < cacheProbe; p++ {
 		j := int((i + p) & t.mask)
 		s := &t.slots[j]
-		if s.epoch != t.epoch {
+		if !s.used {
 			t.place(j, dig, key, false)
 			t.maybeGrow()
 			return
@@ -197,7 +169,7 @@ func (t *cacheTable) place(j int, dig digest, key []byte, evict bool) {
 		t.live--
 	}
 	s.dig = dig
-	s.epoch = t.epoch
+	s.used = true
 	s.ref = false
 	if key == nil {
 		s.key = nil
@@ -221,14 +193,14 @@ func (t *cacheTable) reclaim(keep int) {
 		j := int(t.hand & t.mask)
 		t.hand++
 		s := &t.slots[j]
-		if j == keep || s.epoch != t.epoch {
+		if j == keep || !s.used {
 			continue
 		}
 		if s.ref {
 			s.ref = false
 			continue
 		}
-		s.epoch = t.epoch - 1 // any non-current epoch marks the slot empty
+		s.used = false
 		t.keyBytes -= int64(len(s.key))
 		s.key = nil
 		t.live--
@@ -249,15 +221,15 @@ func (t *cacheTable) maybeGrow() {
 	t.live, t.keyBytes = 0, 0
 	for i := range old {
 		s := &old[i]
-		if s.epoch != t.epoch {
+		if !s.used {
 			continue
 		}
 		home := s.dig[0] & t.mask
 		placed := false
 		for p := uint64(0); p < cacheProbe; p++ {
 			j := (home + p) & t.mask
-			if t.slots[j].epoch != t.epoch {
-				t.slots[j] = cacheEntry{dig: s.dig, key: s.key, epoch: t.epoch, ref: s.ref}
+			if !t.slots[j].used {
+				t.slots[j] = cacheEntry{dig: s.dig, key: s.key, used: true, ref: s.ref}
 				t.live++
 				t.keyBytes += int64(len(s.key))
 				placed = true

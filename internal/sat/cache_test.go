@@ -132,62 +132,3 @@ func TestCacheLimitBoundsMemory(t *testing.T) {
 		t.Errorf("exact-key CacheBytes = %d, exceeds limit %d", exact.Stats.CacheBytes, limit)
 	}
 }
-
-// TestArenaReuseMatchesFreshSolve runs a mixed bag of formulas twice —
-// once with a fresh solver per formula, once through a single shared
-// arena — and requires bit-identical outcomes and search statistics.
-// This is the correctness half of the engine's cross-fault arena reuse.
-func TestArenaReuseMatchesFreshSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	formulas := []*cnf.Formula{pigeonhole(5, 4), pigeonhole(4, 4)}
-	for i := 0; i < 12; i++ {
-		formulas = append(formulas, randomFormula(rng, 4+rng.Intn(8), 6+rng.Intn(20)))
-	}
-
-	for name, solve := range map[string]func(*cnf.Formula, *Arena) Solution{
-		"simple":        (&Simple{}).SolveArena,
-		"caching":       (&Caching{}).SolveArena,
-		"caching-exact": (&Caching{VerifyKeys: true}).SolveArena,
-	} {
-		t.Run(name, func(t *testing.T) {
-			arena := NewArena()
-			for i, f := range formulas {
-				fresh := solve(f, nil)
-				reused := solve(f, arena)
-				if fresh.Status != reused.Status {
-					t.Fatalf("formula %d: fresh = %v, arena = %v", i, fresh.Status, reused.Status)
-				}
-				if reused.Status == Sat {
-					if err := Verify(f, reused.Model); err != nil {
-						t.Fatalf("formula %d: arena model invalid: %v", i, err)
-					}
-				}
-				fs, rs := fresh.Stats, reused.Stats
-				if fs.Nodes != rs.Nodes || fs.Decisions != rs.Decisions ||
-					fs.Propagations != rs.Propagations || fs.CacheHits != rs.CacheHits {
-					t.Fatalf("formula %d: stats diverge: fresh %+v, arena %+v", i, fs, rs)
-				}
-			}
-		})
-	}
-}
-
-// TestArenaCacheResetBetweenSolves checks that a reused arena never leaks
-// cached UNSAT residuals from one formula into the next: a formula solved
-// after many unrelated ones must report the same hit/miss profile as on a
-// fresh arena.
-func TestArenaCacheResetBetweenSolves(t *testing.T) {
-	arena := NewArena()
-	probe := pigeonhole(6, 5)
-	base := (&Caching{}).SolveArena(probe, NewArena())
-
-	rng := rand.New(rand.NewSource(41))
-	for i := 0; i < 10; i++ {
-		(&Caching{}).SolveArena(randomFormula(rng, 6, 18), arena)
-	}
-	again := (&Caching{}).SolveArena(probe, arena)
-	if again.Status != base.Status || again.Stats.CacheHits != base.Stats.CacheHits ||
-		again.Stats.CacheMisses != base.Stats.CacheMisses || again.Stats.Nodes != base.Stats.Nodes {
-		t.Fatalf("warm arena changed the search: fresh %+v, warm %+v", base.Stats, again.Stats)
-	}
-}

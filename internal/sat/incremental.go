@@ -146,6 +146,25 @@ func (s *Incremental) ShrinkLearned() int64 {
 // level 0). Only then may a caller record an Unsat result as global.
 func (s *Incremental) Failed() bool { return s.st.failed }
 
+// sized returns buf with length n, reusing its backing array when large
+// enough; contents are unspecified.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]T, n)
+}
+
+// zeroed returns buf with length n and all elements zeroed.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) >= n {
+		buf = buf[:n]
+		clear(buf)
+		return buf
+	}
+	return make([]T, n)
+}
+
 // Load resets the instance to formula f with branching priority order
 // prio (may be nil for pure activity branching). The clause data is
 // copied: f may alias encoder buffers the caller will overwrite.

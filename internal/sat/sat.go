@@ -93,8 +93,7 @@ type Stats struct {
 	CacheCollisions int64 `json:"cache_collisions"`
 	// CacheBytes is the cache's memory footprint (slot slab + stored keys)
 	// at the end of the solve. It is a gauge, not a flow: Add takes the
-	// maximum, since summing per-fault snapshots of the same per-worker
-	// arena would multiply-count one allocation.
+	// maximum, the largest table any one solve held.
 	CacheBytes int64 `json:"cache_bytes"`
 	MaxDepth   int   `json:"max_depth"`
 	// Learned-clause database counters of the CDCL core. LearnedKept
@@ -216,25 +215,24 @@ func Verify(f *cnf.Formula, model []bool) error {
 }
 
 // checkOrder validates that order is a permutation covering all n
-// variables; a nil order means the identity, materialized in the arena's
-// reusable buffer.
-func checkOrder(order []int, n int, a *Arena) ([]int, bool) {
+// variables; a nil order means the identity.
+func checkOrder(order []int, n int) ([]int, bool) {
 	if order == nil {
-		a.order = sized(a.order, n)
-		for i := range a.order {
-			a.order[i] = i
+		order = make([]int, n)
+		for i := range order {
+			order[i] = i
 		}
-		return a.order, true
+		return order, true
 	}
 	if len(order) != n {
 		return nil, false
 	}
-	a.seen = zeroed(a.seen, n)
+	seen := make([]bool, n)
 	for _, v := range order {
-		if v < 0 || v >= n || a.seen[v] {
+		if v < 0 || v >= n || seen[v] {
 			return nil, false
 		}
-		a.seen[v] = true
+		seen[v] = true
 	}
 	return order, true
 }

@@ -3,9 +3,11 @@ package serve
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"atpgeasy/internal/atpg"
 	"atpgeasy/internal/bench"
+	"atpgeasy/internal/checkpoint"
 	"atpgeasy/internal/decomp"
 )
 
@@ -25,11 +27,7 @@ func TestJobFingerprintGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	faults := atpg.CollapseDominance(c, atpg.Collapse(c, atpg.AllFaults(c)))
-	cli := atpg.RunOptions{
-		DropDetected: true,
-		RPTBatches:   atpg.DefaultRPTBatches,
-		Seed:         1,
-	}
+	cli := atpg.DefaultRunOptions()
 	cliNoRPT := cli
 	cliNoRPT.RPTBatches = 0
 	for _, tc := range []struct {
@@ -44,5 +42,21 @@ func TestJobFingerprintGolden(t *testing.T) {
 		if got := atpg.CheckpointFingerprint(c, faults, tc.opt); got != tc.want {
 			t.Errorf("%s: checkpoint fingerprint %#x, want %#x", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestJobRunOptionsDefaultFlow pins jobRunOptions to the standard flow:
+// atpg.DefaultRunOptions with fault dropping off (drops are not
+// journaled), plus the job's budget and sinks.
+func TestJobRunOptionsDefaultFlow(t *testing.T) {
+	tel := &atpg.Telemetry{}
+	resume := &atpg.ResumeState{}
+	journal := new(checkpoint.Journal)
+	want := atpg.DefaultRunOptions()
+	want.DropDetected = false
+	want.PerFaultBudget = time.Second
+	want.Telemetry, want.Resume, want.Journal = tel, resume, journal
+	if got := jobRunOptions(tel, time.Second, resume, journal); got != want {
+		t.Fatalf("jobRunOptions = %+v, want %+v", got, want)
 	}
 }

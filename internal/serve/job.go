@@ -201,27 +201,20 @@ func (j *job) loadResult() (*JobResult, error) {
 	return &r, nil
 }
 
-// jobRunOptions is the fixed deterministic option set every job runs
-// with: equivalence + dominance collapsing, the standard random-pattern
-// pre-phase, a fixed seed, fault dropping OFF (dropped faults are never
-// journaled, so crash resume is byte-identical only without dropping),
-// and the engine's default region-grouped incremental CDCL core. Only
-// the per-fault budget varies per job; it is excluded from the
-// checkpoint fingerprint because budgets never change a decided fault's
-// vector.
+// jobRunOptions is the option set every job runs with: the standard flow
+// (atpg.DefaultRunOptions) with fault dropping OFF, since dropped faults
+// are never journaled and crash resume is byte-identical only without
+// dropping. Only the per-fault budget varies per job; it is excluded
+// from the checkpoint fingerprint because budgets never change a decided
+// fault's vector.
 func jobRunOptions(tel *atpg.Telemetry, budget time.Duration, resume *atpg.ResumeState, journal atpg.JournalSink) atpg.RunOptions {
-	return atpg.RunOptions{
-		RPTBatches:     atpg.DefaultRPTBatches,
-		Seed:           1,
-		DropDetected:   false,
-		GroupMax:       atpg.DefaultGroupMax,
-		PerFaultBudget: budget,
-		RetryTiers:     atpg.DefaultRetryTiers,
-		RetryBackoff:   atpg.DefaultRetryBackoff,
-		Telemetry:      tel,
-		Resume:         resume,
-		Journal:        journal,
-	}
+	opt := atpg.DefaultRunOptions()
+	opt.DropDetected = false
+	opt.PerFaultBudget = budget
+	opt.Telemetry = tel
+	opt.Resume = resume
+	opt.Journal = journal
+	return opt
 }
 
 // loadJobCircuit parses the job's persisted netlist (behind the same
