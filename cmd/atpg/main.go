@@ -49,11 +49,13 @@
 // tier. -checkpoint journals
 // every final verdict to an append-only JSONL file (flushed per record,
 // fsynced per record with -checkpoint-sync, and every -checkpoint-every
-// besides), so a killed run resumes with -resume: decided faults are
-// skipped and the random-pattern pre-phase is replayed from the journal,
-// reproducing the uninterrupted run's vector set. -mem-soft-limit arms a
-// heap watchdog that shrinks the per-worker learned-clause budgets under
-// memory pressure instead of growing toward an OOM kill.
+// besides), so a killed run resumes with -resume: the pre-phase is
+// replayed from the journal and each journaled verdict is adopted at its
+// own dispatch position, where its vector drops faults again, so the
+// resume reproduces the uninterrupted run's vector set, -drop or not.
+// -mem-soft-limit arms a heap watchdog that shrinks the per-worker
+// learned-clause budgets under memory pressure instead of growing toward
+// an OOM kill.
 //
 // Observability: -metrics-addr serves Prometheus-text /metrics,
 // /debug/vars and net/http/pprof for the duration of the run; -trace

@@ -414,8 +414,10 @@ func TestCLITraceFlushOnInterrupt(t *testing.T) {
 }
 
 // TestCLICheckpointResume: a -resume of a completed journal must skip
-// every decided fault and reproduce the original run's coverage and
-// vector count exactly.
+// every decided fault and reproduce the original run's coverage, fault
+// counts and vectors exactly. It runs the default flow, fault dropping
+// included, on a comparator whose sweep drops most of its faults: the
+// journal holds no drops, so the resume must re-derive every one.
 func TestCLICheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
@@ -424,10 +426,12 @@ func TestCLICheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "run.ckpt")
 
+	// run returns the -json summary and the -vectors listing, which
+	// -json moves to stderr.
 	run := func(extra ...string) (map[string]any, string) {
 		args := append([]string{
-			"-gen", "rand200", "-j", "2", "-drop=false", "-seed", "7",
-			"-rpt-batches", "8", "-checkpoint", ckpt, "-json",
+			"-gen", "cmp48", "-j", "2", "-seed", "7",
+			"-checkpoint", ckpt, "-json", "-vectors",
 		}, extra...)
 		cmd := exec.Command(bin, args...)
 		var stdout, stderr bytes.Buffer
@@ -441,8 +445,15 @@ func TestCLICheckpointResume(t *testing.T) {
 		}
 		return doc, stderr.String()
 	}
+	vectors := func(stderr string) string {
+		i := strings.Index(stderr, "test vectors (inputs:")
+		if i < 0 {
+			t.Fatalf("no vector listing on stderr:\n%s", stderr)
+		}
+		return stderr[i:]
+	}
 
-	first, _ := run()
+	first, firstErr := run()
 	journal, err := os.ReadFile(ckpt)
 	if err != nil {
 		t.Fatal(err)
@@ -450,14 +461,20 @@ func TestCLICheckpointResume(t *testing.T) {
 	if !bytes.Contains(journal, []byte(`"kind":"fault"`)) {
 		t.Fatal("journal holds no solver verdicts — circuit too easy for this test")
 	}
+	if faults, _ := first["faults"].(map[string]any); faults["dropped_by_sim"] == float64(0) {
+		t.Fatal("the run dropped no faults — it cannot tell a resume that re-derives drops")
+	}
 
-	second, stderr := run("-resume")
-	if !strings.Contains(stderr, "resuming") {
-		t.Errorf("resume not reported on stderr: %s", stderr)
+	second, secondErr := run("-resume")
+	if !strings.Contains(secondErr, "resuming") {
+		t.Errorf("resume not reported on stderr: %s", secondErr)
 	}
 	for _, field := range []string{"coverage", "vectors", "faults"} {
 		if fmt.Sprint(first[field]) != fmt.Sprint(second[field]) {
 			t.Errorf("%s differs across resume: %v vs %v", field, first[field], second[field])
 		}
+	}
+	if vectors(firstErr) != vectors(secondErr) {
+		t.Error("-vectors listing differs across resume")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"atpgeasy/internal/faultsim"
 	"atpgeasy/internal/gen"
 	"atpgeasy/internal/logic"
 	"atpgeasy/internal/obs"
@@ -213,6 +214,93 @@ func TestParallelByteIdenticalWithDrop(t *testing.T) {
 	}
 }
 
+// TestExactDropRule pins the drop rule on a sweep long enough for a
+// batched rule to break it: cmp48 after a short pre-phase leaves
+// hundreds of faults to the sweep. At 1, 4 and 8 workers and at the
+// default group-size cap and 1, every run must keep the rule
+// (checkExactDrops) and reproduce the first run's vectors and counts.
+// (Per-result formula sizes are not compared: a worker ahead of the
+// frontier encodes a group before earlier vectors drop its members.)
+func TestExactDropRule(t *testing.T) {
+	c := gen.Comparator(48)
+	faults := Collapse(c, AllFaults(c))
+	var ref *Summary
+	for _, groupMax := range []int{DefaultGroupMax, 1} {
+		for _, workers := range []int{1, 4, 8} {
+			name := "group-max=" + itoa(groupMax) + "/workers=" + itoa(workers)
+			sink := newRecordingSink()
+			opt := RunOptions{DropDetected: true, RPTBatches: 8, Seed: 42, GroupMax: groupMax, Journal: sink}
+			sum, err := (&Engine{Workers: workers}).RunFaults(context.Background(), c, faults, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			checkExactDrops(t, name, c, faults, sink.state().RPT.Detected, sum)
+			if ref == nil {
+				ref = sum
+				continue
+			}
+			if !reflect.DeepEqual(sum.Vectors, ref.Vectors) || sum.Detected != ref.Detected ||
+				sum.DroppedByFaultSim != ref.DroppedByFaultSim || sum.Untestable != ref.Untestable {
+				t.Errorf("%s: %d vectors, D%d drop%d U%d; first run %d vectors, D%d drop%d U%d", name,
+					len(sum.Vectors), sum.Detected, sum.DroppedByFaultSim, sum.Untestable,
+					len(ref.Vectors), ref.Detected, ref.DroppedByFaultSim, ref.Untestable)
+			}
+		}
+	}
+}
+
+// checkExactDrops checks the drop rule on a finished run: laid out in the
+// sweep's plan (the pre-phase's detections skipped), every fault the
+// sweep solved is detected by no Detected vector at an earlier plan
+// position, and every fault it dropped by at least one. The brute-force
+// reference simulator decides detection.
+func checkExactDrops(t *testing.T, name string, c *logic.Circuit, faults []Fault, rptDetected []int, sum *Summary) {
+	t.Helper()
+	skip := make([]bool, len(faults))
+	for _, i := range rptDetected {
+		skip[i] = true
+	}
+	solved := make(map[Fault]Result, len(sum.Results))
+	for _, r := range sum.Results {
+		solved[r.Fault] = r
+	}
+	var earlier [][]bool // Detected vectors at earlier plan positions
+	detectedEarlier := func(f Fault) bool {
+		for lo := 0; lo < len(earlier); lo += 64 {
+			batch := earlier[lo:min(lo+64, len(earlier))]
+			words, err := faultsim.PackPatterns(c, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if faultsim.ReferenceDetects(c, words, len(batch), f.Net, f.StuckAt) != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	dropped := 0
+	for _, i := range planDispatch(c, faults, skip, 0, 0).order {
+		f := faults[i]
+		r, ok := solved[f]
+		if !ok {
+			dropped++
+		}
+		if hit := detectedEarlier(f); ok && hit {
+			t.Errorf("%s: solved fault %s is detected by a vector at an earlier plan position", name, f.Name(c))
+			return
+		} else if !ok && !hit {
+			t.Errorf("%s: dropped fault %s is detected by no vector at an earlier plan position", name, f.Name(c))
+			return
+		}
+		if ok && r.Status == Detected {
+			earlier = append(earlier, r.Vector)
+		}
+	}
+	if dropped != sum.DroppedByFaultSim {
+		t.Errorf("%s: %d plan faults without a result, summary dropped %d", name, dropped, sum.DroppedByFaultSim)
+	}
+}
+
 // TestNoRedundantSolveAfterDrop is the redundant-solve counter test: the
 // solve-attempt hook must account for every solver call as either an
 // official result or a counted wasted solve — no fault is ever solved
@@ -250,34 +338,9 @@ func TestNoRedundantSolveAfterDrop(t *testing.T) {
 	}
 }
 
-// TestTailFlushDropsFinalBatch is the regression test for the lost final
-// drop-batch: Figure4a yields 10 detectable faults, fewer than dropBatch,
-// so the old engine's pending vectors were never flushed and no fault was
-// ever dropped. The tail-flush window must fault-simulate them anyway.
-func TestTailFlushDropsFinalBatch(t *testing.T) {
-	c := logic.Figure4a()
-	faults := Collapse(c, AllFaults(c))
-	eng := &Engine{Workers: 1}
-	sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{DropDetected: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Detected >= dropBatch {
-		t.Fatalf("workload detects %d ≥ dropBatch vectors; it no longer pins the tail-flush path", sum.Detected)
-	}
-	if sum.DroppedByFaultSim == 0 {
-		t.Fatal("no faults dropped: the final sub-dropBatch vector batch was never flushed")
-	}
-	if sum.Detected+sum.DroppedByFaultSim+sum.Untestable != sum.Total {
-		t.Fatalf("verdicts %d+%d+%d do not partition %d faults",
-			sum.Detected, sum.DroppedByFaultSim, sum.Untestable, sum.Total)
-	}
-}
-
 // flushState builds a runState ready for direct flushLocked calls: a
-// dispatch order over the whole fault list and a set of committed
-// vectors pending simulation.
-func flushState(tb testing.TB, c *logic.Circuit, nVecs int) (*runState, *workerScratch, [][]bool) {
+// dispatch order over the whole fault list and one committed vector.
+func flushState(tb testing.TB, c *logic.Circuit) (*runState, *workerScratch, []bool) {
 	tb.Helper()
 	faults := Collapse(c, AllFaults(c))
 	st := &runState{
@@ -287,28 +350,25 @@ func flushState(tb testing.TB, c *logic.Circuit, nVecs int) (*runState, *workerS
 		faults:   faults,
 		results:  make([]*Result, len(faults)),
 		droppedF: newBitset(len(faults)),
+		resumed:  make([]bool, len(faults)),
 		trace:    obs.NewTrace(nil),
 	}
 	st.plan = planDispatch(c, faults, nil, 0, 0)
 	rng := rand.New(rand.NewSource(7))
-	vecs := make([][]bool, nVecs)
-	for p := range vecs {
-		vecs[p] = make([]bool, len(c.Inputs))
-		for i := range vecs[p] {
-			vecs[p][i] = rng.Intn(2) == 1
-		}
+	vec := make([]bool, len(c.Inputs))
+	for i := range vec {
+		vec[i] = rng.Intn(2) == 1
 	}
-	return st, newScratch(c), vecs
+	return st, newScratch(c), vec
 }
 
-// flushOnce reloads the pending batch and runs one flush, resetting the
-// drop bits in place so every iteration scans the full tail.
-func flushOnce(tb testing.TB, st *runState, ws *workerScratch, vecs [][]bool) {
+// flushOnce runs one flush of the vector, resetting the drop bits in
+// place so every iteration scans the full tail.
+func flushOnce(tb testing.TB, st *runState, ws *workerScratch, vec []bool) {
 	for i := range st.droppedF {
 		st.droppedF[i].Store(0)
 	}
-	st.pendingVecs = append(st.pendingVecs[:0], vecs...)
-	if err := st.flushLocked(ws, 0); err != nil {
+	if err := st.flushLocked(ws, 0, vec); err != nil {
 		tb.Fatal(err)
 	}
 }
@@ -322,27 +382,27 @@ func TestFlushZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
-	st, ws, vecs := flushState(t, gen.CarryLookaheadAdder(8), dropBatch)
-	flushOnce(t, st, ws, vecs) // warm up the pack buffer and simulator
-	allocs := testing.AllocsPerRun(20, func() { flushOnce(t, st, ws, vecs) })
+	st, ws, vec := flushState(t, gen.CarryLookaheadAdder(8))
+	flushOnce(t, st, ws, vec) // warm up the pack buffer and simulator
+	allocs := testing.AllocsPerRun(20, func() { flushOnce(t, st, ws, vec) })
 	if allocs != 0 {
 		t.Fatalf("flush allocates %.1f objects per call, want 0", allocs)
 	}
 }
 
-// BenchmarkFlushDropList measures one drop-list flush (pack + simulate +
-// bitset marking) against the cla32 tail and enforces the zero-allocation
-// contract in the timed path.
+// BenchmarkFlushDropList measures one drop-list flush of one committed
+// vector (pack + simulate + bitset marking) against the cla32 tail and
+// enforces the zero-allocation contract in the timed path.
 func BenchmarkFlushDropList(b *testing.B) {
-	st, ws, vecs := flushState(b, gen.CarryLookaheadAdder(32), dropBatch)
-	flushOnce(b, st, ws, vecs)
-	allocs := testing.AllocsPerRun(10, func() { flushOnce(b, st, ws, vecs) })
+	st, ws, vec := flushState(b, gen.CarryLookaheadAdder(32))
+	flushOnce(b, st, ws, vec)
+	allocs := testing.AllocsPerRun(10, func() { flushOnce(b, st, ws, vec) })
 	if !raceEnabled && allocs != 0 {
 		b.Fatalf("flush allocates %.1f objects per call, want 0", allocs)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		flushOnce(b, st, ws, vecs)
+		flushOnce(b, st, ws, vec)
 	}
 }

@@ -233,8 +233,7 @@ type Summary struct {
 	Vectors [][]bool
 	// Results holds the per-fault SAT outcomes for the faults that reached
 	// the solver — the data series of Figure 1. Results come back in
-	// fault-list order regardless of which worker finished first, so
-	// parallel runs are deterministic modulo fault dropping.
+	// fault-list order regardless of which worker finished first.
 	Results []Result
 	// WallElapsed is the wall-clock duration of the whole run.
 	WallElapsed time.Duration
@@ -255,7 +254,7 @@ type Summary struct {
 // PhaseTimes is the per-phase work breakdown of a run. The phases
 // partition the measured work: each duration is accumulated on a disjoint
 // code path (RPT batch simulation, formula encoding, SAT search,
-// drop-list flush simulation), so on a single worker their sum is at most
+// per-vector drop flushes), so on a single worker their sum is at most
 // WallElapsed; in parallel runs Build/Solve/FaultSim sum over workers and
 // can exceed it.
 type PhaseTimes struct {
@@ -269,7 +268,8 @@ type PhaseTimes struct {
 	// solver (each Result's Elapsed). Under a parallel run it exceeds wall
 	// time; compare Summary.WallElapsed.
 	Solve time.Duration `json:"solve_ns"`
-	// FaultSim is the time spent batch-simulating vectors to drop faults.
+	// FaultSim is the time spent fault-simulating each committed vector
+	// against the uncommitted faults to drop the ones it detects.
 	FaultSim time.Duration `json:"faultsim_ns"`
 	// FrontierStall is commit-frontier stall time: how long the
 	// deterministic commit order sat blocked on one in-flight solve while
@@ -325,8 +325,8 @@ type RunOptions struct {
 	// and options produce identical vectors and summaries, regardless of
 	// worker count.
 	Seed int64
-	// DropDetected fault-simulates each new vector against the remaining
-	// faults and skips the covered ones (classic TEGUS flow).
+	// DropDetected fault-simulates each committed vector against the rest
+	// of the sweep and skips the faults it detects (classic TEGUS flow).
 	DropDetected bool
 	// PerFaultBudget, when positive, bounds the SAT time spent on each
 	// fault; a fault whose solve exceeds it is reported Aborted instead of
@@ -353,10 +353,10 @@ type RunOptions struct {
 	// side of the crash-recovery checkpoint (see internal/checkpoint).
 	// Faults headed for the retry queue are journaled only once final.
 	Journal JournalSink
-	// Resume pre-applies verdicts replayed from a previous run's journal:
-	// decided faults are skipped (their verdicts and vectors enter the
-	// summary unchanged) and a journaled random-pattern pre-phase is
-	// restored instead of re-run, preserving the deterministic vector set.
+	// Resume replays a previous run's journal: a journaled pre-phase is
+	// restored instead of re-run, and each journaled verdict is adopted
+	// at its own plan position, where its vector drops faults again — so
+	// drops are re-derived, not journaled, and the vector set is preserved.
 	Resume *ResumeState
 	// EffortLog, when non-nil, streams one structured effort record per
 	// fault verdict — structural features joined with the solver work the
@@ -391,20 +391,6 @@ func DefaultRunOptions() RunOptions {
 	}
 }
 
-// dropBatch is the committed-vector count that triggers a fault-simulation
-// flush. Well below the 64-pattern word width: dropping early saves
-// solver calls on the remaining fault list.
-const dropBatch = 16
-
-// tailFlushWindow is the flush policy's end-game: once fewer than this
-// many dispatch slots remain uncommitted, every committed vector is
-// flushed immediately instead of waiting for a full dropBatch. Without
-// it the final sub-batch of vectors was never fault-simulated, so tail
-// faults lost their chance to be dropped and were solved redundantly.
-// The window depends only on the commit frontier, so the drop set stays
-// identical at any worker count.
-const tailFlushWindow = 64
-
 // Run generates tests for every stuck-at fault of the circuit.
 func (e *Engine) Run(ctx context.Context, c *logic.Circuit, opt RunOptions) (*Summary, error) {
 	faults := AllFaults(c)
@@ -421,11 +407,13 @@ func (e *Engine) Run(ctx context.Context, c *logic.Circuit, opt RunOptions) (*Su
 // e.Workers workers. Dispatch is contention-free: faults are laid out
 // in fanout-region groups in largest-fanout-cone-first order and claimed
 // a group at a time off an atomic cursor, solved speculatively, and
-// committed by a deterministic frontier that walks the dispatch order. With opt.DropDetected, committed vectors
-// are batch fault-simulated against the uncommitted tail (drop marks live
-// in an atomic bitset read lock-free by claims) — so the detected/dropped
-// split, the vector set and the whole summary are identical at any worker
-// count, unlike a racy first-come drop list.
+// committed by a deterministic frontier that walks the dispatch order.
+// With opt.DropDetected the frontier fault-simulates each committed
+// vector against the uncommitted tail at once (drop marks live in an
+// atomic bitset read lock-free by claims): a fault is dropped iff a
+// vector at an earlier plan position detects it, so the whole summary is
+// identical at any worker count, and a resume that replays journaled
+// verdicts through the frontier reproduces it too.
 //
 // Cancelling ctx drains the run: in-flight solves abort at the next limit
 // check, no new faults are claimed, and the partial summary is returned
@@ -439,15 +427,15 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 
 	workers := e.workers()
 	st := &runState{
-		c:          c,
-		opt:        opt,
-		start:      start,
-		faults:     faults,
-		results:    make([]*Result, len(faults)),
-		published:  make([]atomic.Pointer[specResult], len(faults)),
-		droppedF:   newBitset(len(faults)),
-		preDecided: make([]bool, len(faults)),
-		resumed:    make([]bool, len(faults)),
+		c:         c,
+		opt:       opt,
+		start:     start,
+		faults:    faults,
+		results:   make([]*Result, len(faults)),
+		published: make([]atomic.Pointer[specResult], len(faults)),
+		droppedF:  newBitset(len(faults)),
+		byRPT:     make([]bool, len(faults)),
+		resumed:   make([]bool, len(faults)),
 	}
 	st.pubHigh.Store(-1)
 	st.applyResume(opt.Resume)
@@ -471,14 +459,9 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 			return nil, err
 		}
 		st.effort = es
-		// Verdicts replayed from a journal get their records now — they
-		// were decided by the resumed run, features and all, but this log
+		// A replayed pre-phase's detections get their records now, as
+		// replayed verdicts get theirs at the commit frontier: this log
 		// must still join one record to every decided fault.
-		for i, r := range st.results {
-			if r != nil && st.resumed[i] {
-				st.recordEffort(scratches[0], i, r, "resume", 0, -1)
-			}
-		}
 		if st.rptRestored {
 			for _, i := range st.rptDetectedIdx {
 				st.recordEffort(scratches[0], i, nil, "resume", 0, -1)
@@ -509,14 +492,21 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 			opt.Journal.RecordRPT(st.rptDetectedIdx, st.rptVectors, st.rptBatches)
 		}
 	}
-	// The sweep plan covers exactly the faults still undecided after
-	// resume replay and the pre-phase. Grouped orders are canonical
-	// across group-size caps, so the commit frontier and drop set are too.
-	st.plan = planDispatch(c, faults, st.preDecided, opt.GroupMax, opt.PerFaultBudget)
+	// The sweep plan covers every fault the pre-phase left, journaled
+	// verdicts included: it is the uninterrupted run's plan. Grouped
+	// orders are canonical across group-size caps, so the commit frontier
+	// and drop set are too.
+	st.plan = planDispatch(c, faults, st.byRPT, opt.GroupMax, opt.PerFaultBudget)
 	tel.observeGroups(st.plan.groups)
 	sweepSpan := st.trace.Start("sweep", st.runSpan)
 	sweepSpan.Items = int64(len(st.plan.order))
 	st.sweepSpan = sweepSpan.Context()
+	// Commit the journaled verdicts at the head of the plan before any
+	// worker claims a group; a completed journal replays here, solve-free.
+	if err := st.kickCommit(scratches[0], 0); err != nil {
+		st.setErr(err)
+		cancel()
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
@@ -621,10 +611,11 @@ type runState struct {
 	faults []Fault
 
 	// plan is the sweep's dispatch plan: its order is the commit order.
-	plan       *dispatchPlan
-	droppedF   bitset                       // officially dropped by a committed vector flush
-	preDecided []bool                       // decided before dispatch: RPT detection or resume replay
-	published  []atomic.Pointer[specResult] // speculative solves, one slot per fault
+	plan      *dispatchPlan
+	droppedF  bitset                       // officially dropped by a committed vector's flush
+	byRPT     []bool                       // detected by the pre-phase, run or restored: the sweep skips these
+	published []atomic.Pointer[specResult] // speculative solves and replayed verdicts, one slot per fault
+	resumed   []bool                       // replayed from a journal: never solved, dropped or retried
 	// pubHigh is the highest plan position published so far (-1 before
 	// the first); the stall clock runs only while it is past the frontier.
 	pubHigh atomic.Int64
@@ -634,8 +625,6 @@ type runState struct {
 	commitDirty atomic.Bool
 	frontier    int       // next position in plan.order to commit
 	results     []*Result // adopted results, one slot per fault; final once decided
-	resumed     []bool    // verdicts replayed from a journal: final, never retried
-	pendingVecs [][]bool  // committed vectors not yet batch-simulated
 
 	// Final-verdict tallies, written by decide and resume replay, read
 	// lock-free by progress snapshots.
@@ -723,7 +712,7 @@ func (st *runState) progress() Progress {
 }
 
 // tally counts one final verdict in the Progress tallies: a decided one
-// (decide) or one replayed from a journal (applyResume).
+// (decide) or one replayed from a journal (commitLocked).
 func (st *runState) tally(s Status) {
 	st.doneN.Add(1)
 	switch s {
@@ -790,7 +779,7 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 	nets := make([]int, 0, len(st.faults))
 	sas := make([]bool, 0, len(st.faults))
 	for i, f := range st.faults {
-		if st.preDecided[i] {
+		if st.resumed[i] {
 			continue // already decided by a resumed journal
 		}
 		live = append(live, i)
@@ -860,7 +849,7 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 		nw := 0
 		for k, m := range masks[:n] {
 			if m != 0 {
-				st.preDecided[live[k]] = true
+				st.byRPT[live[k]] = true
 				st.rptDetectedIdx = append(st.rptDetectedIdx, live[k])
 				continue
 			}
@@ -896,20 +885,23 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 	return nil
 }
 
+// passedDropped fills a dropped fault's slot once the frontier passes it.
+var passedDropped = new(specResult)
+
 // publish is the sweep's emit: it hands the speculative solve at plan
 // position p to the commit frontier — or, when a flush dropped the fault
 // while it was in flight, discards it as wasted (the official verdict is
-// "dropped") — and then offers to advance the frontier.
+// "dropped") — and then offers to advance the frontier. Exactly one of
+// publish and the frontier counts a wasted solve, whoever fills the slot.
 func (st *runState) publish(ws *workerScratch, worker, p int, res Result) error {
 	i := int(st.plan.order[p])
-	if st.droppedF.get(i) {
+	if st.droppedF.get(i) || !st.published[i].CompareAndSwap(nil, &specResult{res: res, worker: int32(worker)}) {
 		st.countWasted(1)
 		if st.effort != nil {
 			st.recordEffort(ws, i, &res, "dropped", 0, worker)
 		}
 		return nil
 	}
-	st.published[i].Store(&specResult{res: res, worker: int32(worker)})
 	for {
 		h := st.pubHigh.Load()
 		if int64(p) <= h || st.pubHigh.CompareAndSwap(h, int64(p)) {
@@ -954,13 +946,13 @@ func (st *runState) kickCommit(ws *workerScratch, worker int) error {
 // commitLocked walks the dispatch order from the frontier, adopting each
 // slot's published result, in order: its solver work is observed and,
 // unless it is an abort headed for the retry tiers, decide makes it
-// final; vector flushing happens here too — so the order of verdicts,
-// journal and effort records, and with DropDetected the entire drop set,
-// is a deterministic function of the dispatch order alone, independent
-// of worker count and solve timing. A slot whose solve is still in
-// flight blocks the frontier; a dropped slot gets its clean-drop record
-// and is skipped, discarding any speculative result as wasted. Called
-// with commitMu held.
+// final (a verdict replayed from a journal is only tallied and
+// recorded); with DropDetected each adopted vector is flushed at once —
+// so the order of verdicts, journal and effort records, and the entire
+// drop set, is a deterministic function of the dispatch order alone. A
+// slot whose solve is still in flight blocks the frontier; a dropped slot
+// gets its clean-drop record and is skipped, discarding any speculative
+// result as wasted. Called with commitMu held.
 func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 	tel := st.opt.Telemetry
 	retryable := st.opt.RetryTiers > 0 && st.opt.PerFaultBudget > 0
@@ -968,7 +960,7 @@ func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 	for st.frontier < len(order) {
 		i := int(order[st.frontier])
 		if st.droppedF.get(i) {
-			if sr := st.published[i].Load(); sr != nil {
+			if sr := st.published[i].Swap(passedDropped); sr != nil {
 				st.countWasted(1)
 				if st.effort != nil {
 					st.recordEffort(ws, i, &sr.res, "dropped", 0, int(sr.worker))
@@ -1002,56 +994,51 @@ func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 		st.frontier++
 		res := sr.res
 		st.results[i] = &res
-		tel.observeAttempt(int(sr.worker), 0, &res)
-		// An abort headed for the retry queue is not final yet: journaling
-		// it now would make a resume skip a fault the tiers might still
-		// decide.
-		if res.Status != Aborted || !retryable {
-			st.decide(ws, i, &res, "sweep", 0, int(sr.worker))
+		if st.resumed[i] {
+			st.tally(res.Status)
+			if st.effort != nil {
+				st.recordEffort(ws, i, &res, "resume", 0, -1)
+			}
+		} else {
+			tel.observeAttempt(int(sr.worker), 0, &res)
+			// An abort headed for the retry queue is not final yet:
+			// journaling it now would make a resume skip a fault the
+			// tiers might still decide.
+			if res.Status != Aborted || !retryable {
+				st.decide(ws, i, &res, "sweep", 0, int(sr.worker))
+			}
 		}
 		if res.Status == Detected && st.opt.DropDetected {
-			st.pendingVecs = append(st.pendingVecs, res.Vector)
-			if len(st.pendingVecs) >= dropBatch || len(order)-st.frontier <= tailFlushWindow {
-				if err := st.flushLocked(ws, worker); err != nil {
-					return err
-				}
+			if err := st.flushLocked(ws, worker, res.Vector); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// flushDetails label flush spans by batch size without allocating: the
-// commit frontier flushes as soon as dropBatch vectors are pending, so a
-// batch never holds more.
-var flushDetails = func() (d [dropBatch + 1]string) {
-	for n := range d {
-		d[n] = "vectors-" + strconv.Itoa(n)
-	}
-	return d
-}()
+// settled reports whether sweep fault i needs no solve: it was dropped,
+// or its verdict was replayed from a journal.
+func (st *runState) settled(i int) bool {
+	return st.resumed[i] || st.droppedF.get(i)
+}
 
-// flushLocked batch fault-simulates the pending committed vectors against
-// the uncommitted tail of the dispatch order and sets the drop bits of
-// the detected faults. Called with commitMu held. The atomic bitset is
-// the only state shared with the claim path, so flushes never make
-// claims wait — and the flush allocates nothing: the pack buffer, the
-// simulator and the vector batch itself are all reused from the scratch
-// (the old implementation copied an O(faults) dropped-snapshot under the
-// run mutex on every flush).
-func (st *runState) flushLocked(ws *workerScratch, worker int) error {
-	batch := st.pendingVecs
-	if len(batch) == 0 {
-		return nil
-	}
+// flushLocked fault-simulates the vector just committed against the
+// uncommitted tail of the dispatch order and sets the drop bits of the
+// faults it detects; replayed verdicts are final and never dropped.
+// Called with commitMu held. The atomic bitset is the only state shared
+// with the claim path, so flushes never make claims wait — and the flush
+// allocates nothing: the pack buffer and the simulator are reused from
+// the scratch.
+func (st *runState) flushLocked(ws *workerScratch, worker int, vec []bool) error {
 	simStart := time.Now()
 	span := st.trace.Start("flush", st.sweepSpan)
 	var err error
-	ws.pack, err = faultsim.PackPatternsInto(ws.pack, st.c, batch)
+	ws.pack, err = faultsim.PackPatternsInto(ws.pack, st.c, [][]bool{vec})
 	if err != nil {
 		return err
 	}
-	sim, err := ws.simulator(st.c, ws.pack, len(batch))
+	sim, err := ws.simulator(st.c, ws.pack, 1)
 	if err != nil {
 		return err
 	}
@@ -1059,7 +1046,7 @@ func (st *runState) flushLocked(ws *workerScratch, worker int) error {
 	order := st.plan.order
 	for p := st.frontier; p < len(order); p++ {
 		j := int(order[p])
-		if st.droppedF.get(j) {
+		if st.settled(j) {
 			continue
 		}
 		if sim.DetectsAny(st.faults[j].Net, st.faults[j].StuckAt) != 0 && st.droppedF.set(j) {
@@ -1067,11 +1054,9 @@ func (st *runState) flushLocked(ws *workerScratch, worker int) error {
 		}
 	}
 	st.droppedN.Add(int64(dropped))
-	st.pendingVecs = st.pendingVecs[:0]
 	simTime := time.Since(simStart)
 	st.simNS.Add(simTime.Nanoseconds())
 	span.Worker, span.Items = worker, int64(dropped)
-	span.Detail = flushDetails[len(batch)]
 	span.End()
 	st.opt.Telemetry.observeFlush(dropped, simTime)
 	return nil

@@ -19,11 +19,11 @@ import (
 	"atpgeasy/internal/sat"
 )
 
-// solveGroup decides every undropped member of one group of the plan.
+// solveGroup decides every unsettled member of one group of the plan.
 // It encodes the region's gated formula over the members still live,
 // loads it into the worker's incremental instance and solves it once
 // per member under that member's activation assumptions. Members
-// dropped before the encode are excluded from it; members dropped after
+// settled before the encode are excluded from it; members dropped after
 // it are skipped without a solve — both mirror a claim-time drop check.
 // solveGroup is the engine's one per-fault panic barrier: a panic
 // anywhere in the group becomes Errored results for the members not yet
@@ -61,7 +61,7 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 		stack := string(debug.Stack())
 		for k := next; k < len(members); k++ {
 			i := int(members[k])
-			if st.droppedF.get(i) {
+			if st.settled(i) {
 				continue
 			}
 			res := g.result(st.faults[i])
@@ -87,7 +87,7 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 	live, liveAt := ws.live[:0], ws.liveAt[:0] // liveAt: member k -> index into live, or -1
 	for _, idx := range members {
 		i := int(idx)
-		if st.droppedF.get(i) {
+		if st.settled(i) {
 			liveAt = append(liveAt, -1)
 			continue
 		}

@@ -72,9 +72,11 @@ type RetryTier struct {
 // deterministic run options — so a journal from a different run is
 // rejected instead of silently mis-applied. The pre-phase's idle stop is
 // hashed too: it was once a run option, and journals written at its
-// default, DefaultRPTIdleStop, still resume. Worker count and budgets are
-// deliberately excluded: verdicts are worker-independent, and budgets
-// only move faults between decided and aborted.
+// default, DefaultRPTIdleStop, still resume. With DropDetected the drop
+// rule is hashed too, so journals written under batched drops are
+// refused. Worker count and budgets are deliberately excluded: verdicts
+// are worker-independent, and budgets only move faults between decided
+// and aborted.
 func CheckpointFingerprint(c *logic.Circuit, faults []Fault, opt RunOptions) uint64 {
 	h := fnv.New64a()
 	// The "inc|" segment is a fixed marker: it once told region-grouped
@@ -84,6 +86,9 @@ func CheckpointFingerprint(c *logic.Circuit, faults []Fault, opt RunOptions) uin
 	// group-size cap.
 	fmt.Fprintf(h, "%s|%d|%d|%d|%d|%t|inc|", c.Name, len(c.Inputs),
 		opt.Seed, opt.RPTBatches, DefaultRPTIdleStop, opt.DropDetected)
+	if opt.DropDetected {
+		fmt.Fprint(h, "exact-drop|")
+	}
 	for _, f := range faults {
 		fmt.Fprintf(h, "%d:%t;", f.Net, f.StuckAt)
 	}
@@ -91,17 +96,17 @@ func CheckpointFingerprint(c *logic.Circuit, faults []Fault, opt RunOptions) uin
 }
 
 // applyResume pre-fills the run state with a previous run's journaled
-// progress: decided faults are marked pre-decided (they get no dispatch
-// slot) with their verdicts installed verbatim, and a completed pre-phase
-// is restored so it is not re-run.
+// progress: a completed pre-phase is restored so it is not re-run, and
+// each journaled verdict is published into its fault's slot, for the
+// commit frontier to adopt.
 func (st *runState) applyResume(rs *ResumeState) {
 	if rs == nil {
 		return
 	}
 	if rs.RPT != nil {
 		for _, i := range rs.RPT.Detected {
-			if i >= 0 && i < len(st.preDecided) {
-				st.preDecided[i] = true
+			if i >= 0 && i < len(st.byRPT) {
+				st.byRPT[i] = true
 			}
 		}
 		st.rptDetectedIdx = append([]int(nil), rs.RPT.Detected...)
@@ -114,11 +119,8 @@ func (st *runState) applyResume(rs *ResumeState) {
 		if i < 0 || i >= len(st.results) {
 			continue
 		}
-		rc := r
-		st.results[i] = &rc
-		st.preDecided[i] = true
+		st.published[i].Store(&specResult{res: r, worker: -1})
 		st.resumed[i] = true
-		st.tally(r.Status)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"atpgeasy/internal/gen"
+	"atpgeasy/internal/logic"
 	"atpgeasy/internal/obs"
 )
 
@@ -358,85 +359,101 @@ func TestRetryTiersRecoverAbortedFaults(t *testing.T) {
 // TestCrashResumeEquivalence cancels a run mid-sweep (the in-process
 // stand-in for kill -9: only journaled verdicts survive), resumes from
 // the journal, and requires byte-identical vectors and coverage versus
-// an uninterrupted run — at 1 and 8 workers.
+// an uninterrupted run — at 1 and 8 workers, with dropping off and on.
+// With dropping on, the faults the interrupted run dropped are not
+// journaled: the resume must re-derive them by replaying the journaled
+// verdicts through the commit frontier at their plan positions.
 func TestCrashResumeEquivalence(t *testing.T) {
-	// A random circuit rather than the multiplier: RPT detects every
-	// multiplier fault, leaving nothing for the SAT phase to journal. This
-	// one leaves ~185 solver verdicts (redundant + hard faults), so the
-	// cancel lands mid-sweep.
-	c := gen.Random(gen.RandomParams{Inputs: 20, Gates: 200, Seed: 3})
-	faults := CollapseDominance(c, Collapse(c, AllFaults(c)))
-	opt := RunOptions{RPTBatches: DefaultRPTBatches, Seed: 42}
+	// The drop-off arm runs a random circuit rather than the multiplier:
+	// RPT detects every multiplier fault, leaving nothing for the SAT
+	// phase to journal. This one leaves ~185 solver verdicts (redundant +
+	// hard faults), so the cancel lands mid-sweep. The comparator's
+	// sweep is hundreds of faults long, most of them dropped.
+	arms := []struct {
+		name string
+		c    *logic.Circuit
+		drop bool
+	}{
+		{"rand200", gen.Random(gen.RandomParams{Inputs: 20, Gates: 200, Seed: 3}), false},
+		{"cmp48-drop", gen.Comparator(48), true},
+	}
 	const cancelAt = 5
 
-	for _, workers := range []int{1, 8} {
-		bopt := opt
-		bsink := newRecordingSink()
-		bopt.Journal = bsink
-		baseline, err := (&Engine{Workers: workers}).RunFaults(context.Background(), c, faults, bopt)
-		if err != nil {
-			t.Fatalf("workers=%d baseline: %v", workers, err)
-		}
-		// The sweep's first dispatch slot: the faults the pre-phase left,
-		// laid out as the run lays them out.
-		skip := make([]bool, len(faults))
-		for _, i := range bsink.state().RPT.Detected {
-			skip[i] = true
-		}
-		first := faults[planDispatch(c, faults, skip, 0, 0).order[0]]
-
-		// Interrupted run: cancel as the sweep reaches its cancelAt-th live
-		// member, the first slot aside. The members still in flight or not
-		// yet reached then go unpublished, so the commit frontier stops
-		// short of the end. Waiting for one journaled verdict first, which
-		// the first slot's worker always delivers, leaves the resume
-		// something to replay.
-		ctx, cancel := context.WithCancel(context.Background())
-		sink := newRecordingSink()
-		var reached atomic.Int64
-		eng := &Engine{Workers: workers, testHook: func(f Fault, _ time.Duration) bool {
-			if f != first && reached.Add(1) == cancelAt {
-				for len(sink.state().Faults) == 0 {
-					time.Sleep(time.Millisecond)
-				}
-				cancel()
+	for _, arm := range arms {
+		c := arm.c
+		faults := CollapseDominance(c, Collapse(c, AllFaults(c)))
+		opt := RunOptions{RPTBatches: DefaultRPTBatches, Seed: 42, DropDetected: arm.drop}
+		for _, workers := range []int{1, 8} {
+			name := arm.name + " workers=" + itoa(workers)
+			bopt := opt
+			bsink := newRecordingSink()
+			bopt.Journal = bsink
+			baseline, err := (&Engine{Workers: workers}).RunFaults(context.Background(), c, faults, bopt)
+			if err != nil {
+				t.Fatalf("%s baseline: %v", name, err)
 			}
-			return false
-		}}
-		iopt := opt
-		iopt.Journal = sink
-		_, err = eng.RunFaults(ctx, c, faults, iopt)
-		cancel()
-		if err == nil {
-			t.Fatalf("workers=%d: interrupted run finished before the cancel", workers)
-		}
-		prior := sink.state()
-		if prior.RPT == nil {
-			t.Fatalf("workers=%d: pre-phase missing from the journal", workers)
-		}
-		if len(prior.Faults) == 0 || len(prior.Faults) >= len(baseline.Results) {
-			t.Fatalf("workers=%d: %d of %d verdicts journaled before the cancel, want some but not all",
-				workers, len(prior.Faults), len(baseline.Results))
-		}
+			// The sweep's first dispatch slot: the faults the pre-phase
+			// left, laid out as the run lays them out.
+			skip := make([]bool, len(faults))
+			for _, i := range bsink.state().RPT.Detected {
+				skip[i] = true
+			}
+			first := faults[planDispatch(c, faults, skip, 0, 0).order[0]]
 
-		ropt := opt
-		ropt.Resume = prior
-		resumed, err := (&Engine{Workers: workers}).RunFaults(context.Background(), c, faults, ropt)
-		if err != nil {
-			t.Fatalf("workers=%d resume: %v", workers, err)
-		}
-		if !reflect.DeepEqual(resumed.Vectors, baseline.Vectors) {
-			t.Fatalf("workers=%d: resumed vector set differs from uninterrupted run", workers)
-		}
-		if resumed.Coverage() != baseline.Coverage() {
-			t.Fatalf("workers=%d: coverage %v after resume, want %v",
-				workers, resumed.Coverage(), baseline.Coverage())
-		}
-		if resumed.Detected != baseline.Detected || resumed.Untestable != baseline.Untestable ||
-			resumed.DetectedByRPT != baseline.DetectedByRPT {
-			t.Fatalf("workers=%d: resumed tallies %d/%d/%d, want %d/%d/%d", workers,
-				resumed.Detected, resumed.Untestable, resumed.DetectedByRPT,
-				baseline.Detected, baseline.Untestable, baseline.DetectedByRPT)
+			// Interrupted run: cancel as the sweep reaches its cancelAt-th
+			// live member, the first slot aside. The members still in
+			// flight or not yet reached then go unpublished, so the commit
+			// frontier stops short of the end. Waiting for one journaled
+			// verdict first, which the first slot's worker always
+			// delivers, leaves the resume something to replay.
+			ctx, cancel := context.WithCancel(context.Background())
+			sink := newRecordingSink()
+			var reached atomic.Int64
+			eng := &Engine{Workers: workers, testHook: func(f Fault, _ time.Duration) bool {
+				if f != first && reached.Add(1) == cancelAt {
+					for len(sink.state().Faults) == 0 {
+						time.Sleep(time.Millisecond)
+					}
+					cancel()
+				}
+				return false
+			}}
+			iopt := opt
+			iopt.Journal = sink
+			_, err = eng.RunFaults(ctx, c, faults, iopt)
+			cancel()
+			if err == nil {
+				t.Fatalf("%s: interrupted run finished before the cancel", name)
+			}
+			prior := sink.state()
+			if prior.RPT == nil {
+				t.Fatalf("%s: pre-phase missing from the journal", name)
+			}
+			if len(prior.Faults) == 0 || len(prior.Faults) >= len(baseline.Results) {
+				t.Fatalf("%s: %d of %d verdicts journaled before the cancel, want some but not all",
+					name, len(prior.Faults), len(baseline.Results))
+			}
+
+			ropt := opt
+			ropt.Resume = prior
+			resumed, err := (&Engine{Workers: workers}).RunFaults(context.Background(), c, faults, ropt)
+			if err != nil {
+				t.Fatalf("%s resume: %v", name, err)
+			}
+			if !reflect.DeepEqual(resumed.Vectors, baseline.Vectors) {
+				t.Fatalf("%s: resumed vector set differs from uninterrupted run (%d vs %d vectors)",
+					name, len(resumed.Vectors), len(baseline.Vectors))
+			}
+			if resumed.Coverage() != baseline.Coverage() {
+				t.Fatalf("%s: coverage %v after resume, want %v",
+					name, resumed.Coverage(), baseline.Coverage())
+			}
+			if resumed.Detected != baseline.Detected || resumed.Untestable != baseline.Untestable ||
+				resumed.DetectedByRPT != baseline.DetectedByRPT || resumed.DroppedByFaultSim != baseline.DroppedByFaultSim {
+				t.Fatalf("%s: resumed tallies %d/%d/%d/%d, want %d/%d/%d/%d", name,
+					resumed.Detected, resumed.Untestable, resumed.DetectedByRPT, resumed.DroppedByFaultSim,
+					baseline.Detected, baseline.Untestable, baseline.DetectedByRPT, baseline.DroppedByFaultSim)
+			}
 		}
 	}
 }
@@ -444,14 +461,21 @@ func TestCrashResumeEquivalence(t *testing.T) {
 // TestCheckpointFingerprintEffectiveIdleStop: the pre-phase's idle stop
 // was once a run option whose 0 meant DefaultRPTIdleStop, and is now
 // always DefaultRPTIdleStop. The fingerprint must still hash it as it did
-// then, so a journal written under the option's default resumes; the
-// golden value is the one that option-era releases wrote.
+// then, so a drop-off journal written under the option's default
+// resumes; the golden value is the one that option-era releases wrote
+// for this option set. The drop-on value of that era must no longer
+// match: such a journal was written under batched drops, which the exact
+// drop rule does not replay.
 func TestCheckpointFingerprintEffectiveIdleStop(t *testing.T) {
 	c := gen.CarryLookaheadAdder(4)
 	faults := Collapse(c, AllFaults(c))
-	opt := RunOptions{RPTBatches: DefaultRPTBatches, Seed: 1, DropDetected: true}
-	if got, want := CheckpointFingerprint(c, faults, opt), uint64(0x56889e709e9eeb0f); got != want {
+	opt := RunOptions{RPTBatches: DefaultRPTBatches, Seed: 1, DropDetected: false}
+	if got, want := CheckpointFingerprint(c, faults, opt), uint64(0xc051795e4c52fd34); got != want {
 		t.Errorf("checkpoint fingerprint %#x, want %#x", got, want)
+	}
+	opt.DropDetected = true
+	if got, batched := CheckpointFingerprint(c, faults, opt), uint64(0x56889e709e9eeb0f); got == batched {
+		t.Errorf("drop-on checkpoint fingerprint %#x still matches batched-drop journals", got)
 	}
 }
 

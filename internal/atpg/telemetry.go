@@ -18,8 +18,8 @@ type Telemetry struct {
 	Metrics *Metrics
 	// Trace is the run's event record. The engine records every run-level
 	// event on it once, as a span: run → phase (rpt, sweep, retry-tier) →
-	// group or rpt-batch → fault, plus a flush span per fault-simulation
-	// flush (items: faults dropped; detail: vectors-N), a frontier-stall
+	// group or rpt-batch → fault, plus a flush span per Detected vector
+	// the sweep commits (items: the faults it dropped), a frontier-stall
 	// span per commit-frontier stall (detail: the fault it waited on) and
 	// a shrink span per watchdog learned-clause budget halving (items: the
 	// worker's new budget). Its flight recorder keeps the newest spans and

