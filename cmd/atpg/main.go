@@ -263,9 +263,10 @@ func main() {
 	}
 	fmt.Fprintf(info, "fault coverage (testable): %.2f%%   vectors: %d   SAT time: %v   wall: %v\n",
 		100*sum.Coverage(), len(sum.Vectors), sum.Phases.Solve, sum.WallElapsed.Round(time.Microsecond))
-	fmt.Fprintf(info, "phases: rpt %v   build %v   solve %v   fault-sim %v\n",
+	fmt.Fprintf(info, "phases: rpt %v   build %v (load %v)   solve %v   fault-sim %v\n",
 		sum.Phases.RPT.Round(time.Microsecond),
-		sum.Phases.Build.Round(time.Microsecond), sum.Phases.Solve.Round(time.Microsecond),
+		sum.Phases.Build.Round(time.Microsecond), sum.Phases.Load.Round(time.Microsecond),
+		sum.Phases.Solve.Round(time.Microsecond),
 		sum.Phases.FaultSim.Round(time.Microsecond))
 	if sum.SolverTotals.LearnedKept > 0 || sum.SolverTotals.LearnedReused > 0 {
 		fmt.Fprintf(info, "incremental: learned clauses kept %d   reused %d   clause-db peak %d bytes\n",

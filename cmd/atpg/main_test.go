@@ -158,6 +158,7 @@ func TestBuildJSONSummary(t *testing.T) {
 		Phases: atpg.PhaseTimes{
 			RPT:      250 * time.Microsecond,
 			Build:    time.Millisecond,
+			Load:     400 * time.Microsecond,
 			Solve:    3 * time.Millisecond,
 			FaultSim: 500 * time.Microsecond,
 		},
@@ -199,7 +200,8 @@ func TestBuildJSONSummary(t *testing.T) {
 	if !ok {
 		t.Fatalf("phases = %T", m["phases"])
 	}
-	if phases["rpt_ns"] != 2.5e5 || phases["build_ns"] != 1e6 || phases["solve_ns"] != 3e6 || phases["faultsim_ns"] != 5e5 {
+	if phases["rpt_ns"] != 2.5e5 || phases["build_ns"] != 1e6 || phases["load_ns"] != 4e5 ||
+		phases["solve_ns"] != 3e6 || phases["faultsim_ns"] != 5e5 {
 		t.Errorf("phases = %v", phases)
 	}
 	if m["sat_time_ns"] != 3e6 || m["wall_ns"] != 2e6 {

@@ -104,10 +104,10 @@ type dispatchPlan struct {
 
 // planDispatch lays out a plan over the faults not in skip (RPT
 // detections, resumed verdicts, or faults outside a retry queue): they
-// get no dispatch slot at all.
-func planDispatch(c *logic.Circuit, faults []Fault, skip []bool, groupMax int, budget time.Duration) *dispatchPlan {
+// get no dispatch slot at all. head is regionHeads(c).
+func planDispatch(c *logic.Circuit, head []int32, faults []Fault, skip []bool, groupMax int, budget time.Duration) *dispatchPlan {
 	pl := &dispatchPlan{budget: budget}
-	pl.order, pl.groups = buildGroups(c, faults, skip, groupMax)
+	pl.order, pl.groups = buildGroups(c, head, faults, skip, groupMax)
 	return pl
 }
 

@@ -13,6 +13,7 @@ import (
 	"atpgeasy/internal/gen"
 	"atpgeasy/internal/logic"
 	"atpgeasy/internal/obs"
+	"atpgeasy/internal/sat"
 )
 
 // TestBitsetSetGet covers the drop bitset's single-owner transition
@@ -70,7 +71,7 @@ func TestEffortOrder(t *testing.T) {
 	for i := range skip {
 		skip[i] = i%3 == 0
 	}
-	order, _ := buildGroups(c, faults, skip, 4)
+	order, _ := buildGroups(c, regionHeads(c), faults, skip, 4)
 	seen := make(map[int32]bool, len(order))
 	for _, i := range order {
 		if skip[i] {
@@ -148,10 +149,15 @@ func TestEffortOrder(t *testing.T) {
 // speculation, not part of the official outcome — are the only summary
 // fields allowed to differ. The property is checked at the default
 // group-size cap and at 1 (a fresh instance per fault), whose vector
-// sets must also match each other.
+// sets must also match each other. cmp48's long sweep drops many
+// members of groups a worker has already claimed. Per-result formula
+// sizes (Result.Vars/Clauses) depend on which members are still live
+// when a worker encodes their group, so they are compared between two
+// serial runs, where that is a function of the plan alone.
 func TestParallelByteIdenticalWithDrop(t *testing.T) {
 	circuits := parallelTestCircuits()
 	circuits["rand-big"] = gen.Random(gen.RandomParams{Inputs: 20, Gates: 200, Seed: 3})
+	circuits["cmp48"] = gen.Comparator(48)
 	refs := map[string]*Summary{} // the first plan's serial run, per circuit
 	for _, plan := range []struct {
 		name     string
@@ -167,6 +173,10 @@ func TestParallelByteIdenticalWithDrop(t *testing.T) {
 			serial, err := (&Engine{Workers: 1}).RunFaults(context.Background(), c, faults, opt)
 			if err != nil {
 				t.Fatalf("%s serial: %v", name, err)
+			}
+			again, err := (&Engine{Workers: 1}).RunFaults(context.Background(), c, faults, opt)
+			if err != nil {
+				t.Fatalf("%s serial again: %v", name, err)
 			}
 			par, err := (&Engine{Workers: 8}).RunFaults(context.Background(), c, faults, opt)
 			if err != nil {
@@ -195,16 +205,20 @@ func TestParallelByteIdenticalWithDrop(t *testing.T) {
 					par.Detected, par.Untestable, par.Aborted, par.Errors,
 					par.DroppedByFaultSim, par.DetectedByRPT, par.RPTBatches, par.RPTVectors)
 			}
-			if len(serial.Results) != len(par.Results) {
-				t.Fatalf("%s: %d results vs %d", name, len(serial.Results), len(par.Results))
+			if len(serial.Results) != len(par.Results) || len(serial.Results) != len(again.Results) {
+				t.Fatalf("%s: %d results vs %d at 8 workers, %d serially again", name,
+					len(serial.Results), len(par.Results), len(again.Results))
 			}
 			for i := range serial.Results {
-				sr, pr := serial.Results[i], par.Results[i]
+				sr, pr, ar := serial.Results[i], par.Results[i], again.Results[i]
 				if sr.Fault != pr.Fault || sr.Status != pr.Status ||
-					sr.Vars != pr.Vars || sr.Clauses != pr.Clauses ||
 					!reflect.DeepEqual(sr.Vector, pr.Vector) {
 					t.Errorf("%s: result %d differs: %v/%v vs %v/%v", name, i,
 						sr.Fault, sr.Status, pr.Fault, pr.Status)
+				}
+				if sr.Vars != ar.Vars || sr.Clauses != ar.Clauses {
+					t.Errorf("%s: result %d formula size %d/%d vs %d/%d between serial runs", name, i,
+						sr.Vars, sr.Clauses, ar.Vars, ar.Clauses)
 				}
 				if sr.Group < 1 || pr.Group < 1 {
 					t.Errorf("%s: result %d solved outside a region group", name, i)
@@ -279,7 +293,7 @@ func checkExactDrops(t *testing.T, name string, c *logic.Circuit, faults []Fault
 		return false
 	}
 	dropped := 0
-	for _, i := range planDispatch(c, faults, skip, 0, 0).order {
+	for _, i := range planDispatch(c, regionHeads(c), faults, skip, 0, 0).order {
 		f := faults[i]
 		r, ok := solved[f]
 		if !ok {
@@ -353,13 +367,14 @@ func flushState(tb testing.TB, c *logic.Circuit) (*runState, *workerScratch, []b
 		resumed:  make([]bool, len(faults)),
 		trace:    obs.NewTrace(nil),
 	}
-	st.plan = planDispatch(c, faults, nil, 0, 0)
+	st.head = regionHeads(c)
+	st.plan = planDispatch(c, st.head, faults, nil, 0, 0)
 	rng := rand.New(rand.NewSource(7))
 	vec := make([]bool, len(c.Inputs))
 	for i := range vec {
 		vec[i] = rng.Intn(2) == 1
 	}
-	return st, newScratch(c), vec
+	return st, newScratch(c, st.head), vec
 }
 
 // flushOnce runs one flush of the vector, resetting the drop bits in
@@ -387,6 +402,52 @@ func TestFlushZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() { flushOnce(t, st, ws, vec) })
 	if allocs != 0 {
 		t.Fatalf("flush allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// TestBuildZeroAlloc asserts that a group's build allocates nothing on a
+// warmed worker: encoding the gated formula of the circuit's largest
+// region group and loading it into the worker's incremental instance
+// reuse the encoder's and the solver's buffers. Skipped under -race,
+// whose instrumentation allocates.
+func TestBuildZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under -race")
+	}
+	c := gen.ArrayMultiplier(6)
+	head := regionHeads(c)
+	faults := Collapse(c, AllFaults(c))
+	order, groups := buildGroups(c, head, faults, nil, DefaultGroupMax)
+	g := groups[0]
+	for _, gg := range groups {
+		if gg.end-gg.start > g.end-g.start {
+			g = gg
+		}
+	}
+	var members []Fault
+	for _, i := range order[g.start:g.end] {
+		members = append(members, faults[i])
+	}
+	if len(members) < 2 {
+		t.Fatalf("largest group has %d members", len(members))
+	}
+	ws := newScratch(c, head)
+	build := func() {
+		f, err := ws.enc.encode(members, true)
+		if err != nil || f == nil {
+			t.Fatalf("encode: %v (formula %v)", err, f)
+		}
+		ws.inc.Load(f, ws.enc.priority)
+	}
+	// Warm up as a worker does: build the group and solve every member.
+	build()
+	for k := range members {
+		if !ws.enc.unobservable[k] {
+			ws.inc.SolveAssuming(ws.enc.assumptions(k, nil), sat.Limits{})
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, build); allocs != 0 {
+		t.Fatalf("a group build allocates %.1f objects, want 0", allocs)
 	}
 }
 

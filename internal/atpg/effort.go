@@ -65,6 +65,7 @@ type EffortRecord struct {
 	Vars    int   `json:"vars,omitempty"`
 	Clauses int   `json:"clauses,omitempty"`
 	BuildNS int64 `json:"build_ns,omitempty"`
+	LoadNS  int64 `json:"load_ns,omitempty"` // the loading part of BuildNS
 	SolveNS int64 `json:"solve_ns,omitempty"`
 
 	Decisions    int64 `json:"decisions,omitempty"`
@@ -198,6 +199,7 @@ func (st *runState) recordEffort(ws *workerScratch, i int, res *Result, phase st
 	if res != nil {
 		rec.Vars, rec.Clauses = res.Vars, res.Clauses
 		rec.BuildNS = res.BuildElapsed.Nanoseconds()
+		rec.LoadNS = res.LoadElapsed.Nanoseconds()
 		rec.SolveNS = res.Elapsed.Nanoseconds()
 		ss := res.SolverStats
 		rec.Decisions, rec.Propagations, rec.Conflicts = ss.Decisions, ss.Propagations, ss.Conflicts

@@ -247,6 +247,9 @@ func TestEffortLogRoundTrip(t *testing.T) {
 					if r.Effort != res.SolverStats.SearchEffort() {
 						t.Errorf("%q effort %d, summary says %d", r.Fault, r.Effort, res.SolverStats.SearchEffort())
 					}
+					if r.BuildNS != res.BuildElapsed.Nanoseconds() || r.LoadNS != res.LoadElapsed.Nanoseconds() {
+						t.Errorf("%q build/load %d/%d ns, summary says %v/%v", r.Fault, r.BuildNS, r.LoadNS, res.BuildElapsed, res.LoadElapsed)
+					}
 				}
 			}
 			if phases["rpt"] != sum.DetectedByRPT || phases["dropped"] != sum.DroppedByFaultSim || phases["sweep"] != len(sum.Results) {

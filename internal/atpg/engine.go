@@ -67,7 +67,12 @@ type Result struct {
 	// when Status is Detected).
 	Vector []bool
 	// Vars and Clauses are the ATPG-SAT instance size — the x-axis of
-	// Figure 1 of the paper.
+	// Figure 1 of the paper. A grouped fault reports its group's formula,
+	// which is encoded over the members still live when a worker claims
+	// the group: with fault dropping on, a worker ahead of the commit
+	// frontier may encode members an earlier vector then drops, so the
+	// sizes can vary with the worker count and timing, while verdicts and
+	// vectors do not.
 	Vars    int
 	Clauses int
 	// Elapsed is the SAT-solving wall time, Figure 1's y-axis.
@@ -75,6 +80,10 @@ type Result struct {
 	// BuildElapsed is the formula-encoding wall time preceding the solve
 	// (for a region group: encoding and loading the shared formula).
 	BuildElapsed time.Duration
+	// LoadElapsed is the part of BuildElapsed spent loading a region
+	// group's formula into the incremental instance (0 on a TestFault
+	// result, whose one-shot solve loads inside Elapsed).
+	LoadElapsed time.Duration
 	// SolverStats carries the solver's search counters.
 	SolverStats sat.Stats
 	// Group and GroupSize identify the region group the fault was solved
@@ -133,9 +142,10 @@ type workerScratch struct {
 	liveAt []int
 }
 
-// newScratch returns a fresh per-worker scratch for circuit c.
-func newScratch(c *logic.Circuit) *workerScratch {
-	return &workerScratch{inc: &sat.Incremental{MaxConflicts: maxConflicts}, enc: newFormulaEncoder(c)}
+// newScratch returns a fresh per-worker scratch for circuit c, whose
+// region heads are head.
+func newScratch(c *logic.Circuit, head []int32) *workerScratch {
+	return &workerScratch{inc: &sat.Incremental{MaxConflicts: maxConflicts}, enc: newFormulaEncoder(c, head)}
 }
 
 // simulator loads n packed patterns into the worker's fault simulator,
@@ -160,7 +170,7 @@ func (e *Engine) workers() int {
 // per-instance path: it encodes the fault's ungated ATPG-SAT formula and
 // solves it one-shot on sat.DPLL.
 func (e *Engine) TestFault(c *logic.Circuit, f Fault) (Result, error) {
-	enc := newFormulaEncoder(c)
+	enc := newFormulaEncoder(c, regionHeads(c))
 	res := Result{Fault: f}
 	start := time.Now()
 	formula, err := enc.encode([]Fault{f}, false)
@@ -264,6 +274,8 @@ type PhaseTimes struct {
 	// Build is formula-encoding time (for region groups, encoding plus
 	// loading the incremental instance).
 	Build time.Duration `json:"build_ns"`
+	// Load is the loading part of Build; it is not a phase of its own.
+	Load time.Duration `json:"load_ns"`
 	// Solve is SAT search time summed over the faults that reached the
 	// solver (each Result's Elapsed). Under a parallel run it exceeds wall
 	// time; compare Summary.WallElapsed.
@@ -449,9 +461,10 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	// and the SAT workers share the same fault simulators and buffers;
 	// the serial call sites (replay records, the RPT loop's effort
 	// records, the final retry bookkeeping) borrow worker 0's.
+	st.head = regionHeads(c)
 	scratches := make([]*workerScratch, workers)
 	for w := range scratches {
-		scratches[w] = newScratch(c)
+		scratches[w] = newScratch(c, st.head)
 	}
 	if opt.EffortLog != nil {
 		es, err := newEffortState(opt.EffortLog, c, faults, workers)
@@ -496,7 +509,7 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	// verdicts included: it is the uninterrupted run's plan. Grouped
 	// orders are canonical across group-size caps, so the commit frontier
 	// and drop set are too.
-	st.plan = planDispatch(c, faults, st.byRPT, opt.GroupMax, opt.PerFaultBudget)
+	st.plan = planDispatch(c, st.head, faults, st.byRPT, opt.GroupMax, opt.PerFaultBudget)
 	tel.observeGroups(st.plan.groups)
 	sweepSpan := st.trace.Start("sweep", st.runSpan)
 	sweepSpan.Items = int64(len(st.plan.order))
@@ -556,6 +569,7 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 		}
 		sum.Results = append(sum.Results, *r)
 		sum.Phases.Build += r.BuildElapsed
+		sum.Phases.Load += r.LoadElapsed
 		sum.Phases.Solve += r.Elapsed
 		sum.SolverTotals.Add(r.SolverStats)
 		switch r.Status {
@@ -606,6 +620,7 @@ type specResult struct {
 // pre-phase tallies and the first worker error.
 type runState struct {
 	c      *logic.Circuit
+	head   []int32 // regionHeads(c), for every plan and formula encoder
 	opt    RunOptions
 	start  time.Time
 	faults []Fault

@@ -3,10 +3,14 @@ package atpg
 // This file is the engine's one formula encoder. It writes the ATPG-SAT
 // instance of Section 2 (Figure 3: a good copy of C_ψ^sub, a faulty copy
 // of C_ψ^fo, one XOR per observable output) straight from the parent
-// circuit's node IDs into a reusable cnf.Encoder, numbering variables
-// and ordering clauses exactly as Miter.Encode does for the Figure 3
-// circuit. Miter stays the reference construction; the encoder builds
-// no circuit and names no node.
+// circuit's node IDs into a reusable cnf.Encoder. A one-fault formula
+// numbers variables and orders clauses exactly as Miter.Encode does for
+// the Figure 3 circuit; Miter stays the reference construction, and the
+// encoder builds no circuit and names no node. A region group's formula
+// keeps the same good copy but shares one faulty copy of the region
+// head's fanout cone among its members, each member adding only its
+// fanout-free chain up to the head (InF-ATPG's fanout-free regions,
+// PAPERS.md), so a group costs about as much as one fault.
 
 import (
 	"fmt"
@@ -22,17 +26,22 @@ import (
 // between formulas.
 type formulaEncoder struct {
 	c     *logic.Circuit
-	isOut []bool // per node: a primary output of c
+	head  []int32 // regionHeads(c), shared read-only by a run's encoders
+	isOut []bool  // per node: a primary output of c
 	enc   cnf.Encoder
 
 	// goodVar[id] is node id's good-copy variable while goodAt[id] ==
-	// goodStamp; faultyVar[id] its faulty copy's while mark[id] holds the
-	// member's cone stamp. mark also serves the fanout walks.
-	goodVar, faultyVar []int32
-	goodAt, mark       []uint32
-	goodStamp, stamp   uint32
+	// goodStamp; faultyLit[id] its faulty copy's literal while mark[id]
+	// holds the stamp of the faulty part being written (a region head
+	// feeding its shared cone reads as its negated good copy). mark also
+	// serves the fanout walks.
+	goodVar          []int32
+	faultyLit        []cnf.Lit
+	goodAt, mark     []uint32
+	goodStamp, stamp uint32
 
-	cones      []int        // the members' observable fanout cones, concatenated, each ascending
+	nodes      []int        // the heads' cones and the members' chains, concatenated, each ascending
+	heads      []headSpan   // per distinct region head of the members
 	spans      []memberSpan // per member
 	ids, stack []int
 	lits       []cnf.Lit
@@ -47,17 +56,40 @@ type formulaEncoder struct {
 	unobservable []bool
 }
 
-// memberSpan locates one member's part of the formula: its cone ends at
-// cones[coneEnd], its XOR variables are [xorLo, xorHi).
-type memberSpan struct{ coneEnd, xorLo, xorHi int }
+// headSpan is one region head h of the members. Its fanout cone, h
+// first, is nodes[coneLo:coneHi]; outBelow reports a primary output in
+// the cone past h, live that an observable member has h for its head.
+// A gated formula's shared faulty copy of the cone past h has its XOR
+// variables in [xorLo, xorHi).
+type headSpan struct {
+	h              int
+	coneLo, coneHi int
+	outBelow, live bool
+	xorLo, xorHi   int
+}
 
-func newFormulaEncoder(c *logic.Circuit) *formulaEncoder {
+// memberSpan locates one member's part of the formula: its chain, the
+// single-reader path from the fault net up to its head (head excluded),
+// is nodes[chainLo:chainHi]; heads[head] is its head; its own XOR
+// variables are [xorLo, xorHi), and exit is its helper variable into
+// the head's shared cone (-1 when it has none).
+type memberSpan struct {
+	chainLo, chainHi int
+	head             int
+	xorLo, xorHi     int
+	exit             int
+}
+
+// newFormulaEncoder returns an encoder for c; head is regionHeads(c),
+// computed once per run and shared by the run's encoders.
+func newFormulaEncoder(c *logic.Circuit, head []int32) *formulaEncoder {
 	n := len(c.Nodes)
 	fe := &formulaEncoder{
 		c:         c,
+		head:      head,
 		isOut:     make([]bool, n),
 		goodVar:   make([]int32, n),
-		faultyVar: make([]int32, n),
+		faultyLit: make([]cnf.Lit, n),
 		goodAt:    make([]uint32, n),
 		mark:      make([]uint32, n),
 	}
@@ -79,42 +111,58 @@ func bump(stamp *uint32, marks []uint32) uint32 {
 
 // encode returns the ATPG-SAT formula of the members, or nil when none
 // is observable. The formula aliases the encoder's buffers until the
-// next encode. Its variables and clauses come in this order: good
-// copies of the fanin of the observable members' fanout cones, in
-// ascending node ID; for each observable member its faulty cone in
-// ascending ID (the fault net a constant), then one XOR per observable
-// output in ascending output ID; then activation and observation.
-// Ungated (one member, TestFault's one-shot solve) that is Miter.Encode's
-// observation clause (some XOR is 1) and activation unit (the good
-// fault net carries the complement of the stuck value). Gated (a region
-// group on the incremental core) each observable member k gets a
-// selector s_k, numbered after every circuit variable, and in member
-// order the clauses
+// next encode.
+//
+// A member's fanout cone is its chain — the nets from the fault net up
+// to its region head h, each read by the next alone — followed by h's
+// own fanout cone. Both shapes start with the good copies of the fanin
+// of the observable members' fanout cones, in ascending node ID.
+//
+// Ungated (one member, TestFault's one-shot solve) the rest is
+// Miter.Encode's, clause for clause: the faulty cone in ascending ID
+// (the fault net a constant), one XOR per observable output in
+// ascending output ID, the observation clause (some XOR is 1) and the
+// activation unit (the good fault net carries the complement of the
+// stuck value).
+//
+// Gated (a region group on the incremental core) the members share
+// their head's cone. A fault leaves its region only through h, so past
+// h the faulty circuit is either the good one (faulty h = good h) or
+// the good one with h flipped. Per live head h with an output past it
+// the formula has one faulty copy of the cone past h, fed by ¬good(h),
+// and one XOR per output in it; per observable member k its faulty
+// chain up to h in ascending ID, one XOR per output on it (h included),
+// and a helper e_k with e_k → faulty h ≠ good h and e_k → some XOR past
+// h. Each observable member k gets a selector s_k, numbered after every
+// circuit variable, and in member order the clauses
 //
 //	¬s_k ∨ activation_k
-//	¬s_k ∨ xor_k,1 ∨ …
+//	¬s_k ∨ xor_k,1 ∨ … ∨ e_k
 //
 // so solving under assumptions (s_k, ¬s_j for the others) is solving
 // member k's own instance, and every learned clause stays valid for
 // every member.
 func (fe *formulaEncoder) encode(members []Fault, gated bool) (*cnf.Formula, error) {
 	c := fe.c
-	fe.cones, fe.spans = fe.cones[:0], fe.spans[:0]
+	fe.nodes, fe.heads, fe.spans = fe.nodes[:0], fe.heads[:0], fe.spans[:0]
 	fe.selectors, fe.unobservable = fe.selectors[:0], fe.unobservable[:0]
 	observed := false
 	for _, f := range members {
 		if f.Net < 0 || f.Net >= len(c.Nodes) {
 			return nil, fmt.Errorf("atpg: fault net %d out of range", f.Net)
 		}
-		start := len(fe.cones)
-		fe.stack = append(fe.stack[:0], f.Net)
-		fe.cones = fe.reach(fe.cones, fe.mark, bump(&fe.stamp, fe.mark), true)
-		observable := slices.ContainsFunc(fe.cones[start:], func(id int) bool { return fe.isOut[id] })
-		if !observable {
-			fe.cones = fe.cones[:start]
+		sp := memberSpan{head: fe.headOf(f.Net), exit: -1}
+		hd := &fe.heads[sp.head]
+		observable := hd.outBelow || fe.isOut[hd.h]
+		sp.chainLo = len(fe.nodes)
+		for id := f.Net; id != hd.h; id = c.Nodes[id].Fanout[0] {
+			fe.nodes = append(fe.nodes, id)
+			observable = observable || fe.isOut[id]
 		}
+		sp.chainHi = len(fe.nodes)
+		hd.live = hd.live || observable
 		observed = observed || observable
-		fe.spans = append(fe.spans, memberSpan{coneEnd: len(fe.cones)})
+		fe.spans = append(fe.spans, sp)
 		fe.selectors = append(fe.selectors, -1)
 		fe.unobservable = append(fe.unobservable, !observable)
 	}
@@ -123,7 +171,17 @@ func (fe *formulaEncoder) encode(members []Fault, gated bool) (*cnf.Formula, err
 	}
 
 	fe.enc.Reset()
-	fe.stack = append(fe.stack[:0], fe.cones...)
+	fe.stack = fe.stack[:0]
+	for k, sp := range fe.spans {
+		if !fe.unobservable[k] {
+			fe.stack = append(fe.stack, fe.nodes[sp.chainLo:sp.chainHi]...)
+		}
+	}
+	for _, hd := range fe.heads {
+		if hd.live {
+			fe.stack = append(fe.stack, fe.nodes[hd.coneLo:hd.coneHi]...)
+		}
+	}
 	fe.ids = fe.reach(fe.ids[:0], fe.goodAt, bump(&fe.goodStamp, fe.goodAt), false)
 	for v, id := range fe.ids {
 		fe.goodVar[id] = int32(v)
@@ -131,38 +189,65 @@ func (fe *formulaEncoder) encode(members []Fault, gated bool) (*cnf.Formula, err
 			return nil, err
 		}
 	}
-	n, start := len(fe.ids), 0
+	n := len(fe.ids)
+	if gated {
+		for i := range fe.heads {
+			hd := &fe.heads[i]
+			if !hd.live || !hd.outBelow {
+				continue
+			}
+			in := bump(&fe.stamp, fe.mark)
+			fe.mark[hd.h], fe.faultyLit[hd.h] = in, fe.goodLit(hd.h).Not()
+			below := fe.nodes[hd.coneLo+1 : hd.coneHi]
+			var err error
+			if n, err = fe.faultyPart(below, n, in, -1, false); err != nil {
+				return nil, err
+			}
+			hd.xorLo = n
+			n = fe.xors(below, n)
+			hd.xorHi = n
+		}
+	}
 	for k, f := range members {
-		cone := fe.cones[start:fe.spans[k].coneEnd]
-		start = fe.spans[k].coneEnd
 		if fe.unobservable[k] {
 			continue
 		}
+		sp := &fe.spans[k]
+		hd := &fe.heads[sp.head]
+		chain, cone := fe.nodes[sp.chainLo:sp.chainHi], fe.nodes[hd.coneLo:hd.coneHi]
+		if gated {
+			cone = cone[:1] // h; the shared copy carries the cone past it
+		}
 		in := bump(&fe.stamp, fe.mark)
-		for _, id := range cone {
-			fe.faultyVar[id], fe.mark[id] = int32(n), in
-			if id == f.Net {
-				fe.enc.Clause(cnf.NewLit(n, !f.StuckAt))
-			} else if err := fe.node(id, n, in); err != nil {
-				return nil, err
+		var err error
+		if n, err = fe.faultyPart(chain, n, in, f.Net, f.StuckAt); err != nil {
+			return nil, err
+		}
+		if n, err = fe.faultyPart(cone, n, in, f.Net, f.StuckAt); err != nil {
+			return nil, err
+		}
+		sp.xorLo = n
+		n = fe.xors(cone, fe.xors(chain, n))
+		sp.xorHi = n
+		if hd.xorHi > hd.xorLo {
+			sp.exit = n
+			e, fh, gh := cnf.NewLit(n, true), fe.faultyLit[hd.h], fe.goodLit(hd.h)
+			fe.enc.Clause(e, fh, gh)
+			fe.enc.Clause(e, fh.Not(), gh.Not())
+			fe.lits = append(fe.lits[:0], e)
+			for x := hd.xorLo; x < hd.xorHi; x++ {
+				fe.lits = append(fe.lits, cnf.NewLit(x, false))
 			}
+			fe.enc.Clause(fe.lits...)
 			n++
 		}
-		fe.spans[k].xorLo = n
-		for _, id := range cone {
-			if fe.isOut[id] {
-				fe.lits = append(fe.lits[:0], cnf.NewLit(int(fe.goodVar[id]), false), cnf.NewLit(int(fe.faultyVar[id]), false))
-				_ = fe.enc.Gate(logic.Xor, n, fe.lits) // a 2-input XOR always encodes
-				n++
-			}
-		}
-		fe.spans[k].xorHi = n
 	}
 
 	for k, f := range members {
 		if fe.unobservable[k] {
 			continue
 		}
+		sp := &fe.spans[k]
 		act := cnf.NewLit(int(fe.goodVar[f.Net]), f.StuckAt)
 		fe.lits = fe.lits[:0]
 		if gated {
@@ -171,8 +256,11 @@ func (fe *formulaEncoder) encode(members []Fault, gated bool) (*cnf.Formula, err
 			fe.enc.Clause(fe.lits[0], act)
 			n++
 		}
-		for x := fe.spans[k].xorLo; x < fe.spans[k].xorHi; x++ {
+		for x := sp.xorLo; x < sp.xorHi; x++ {
 			fe.lits = append(fe.lits, cnf.NewLit(x, false))
+		}
+		if sp.exit >= 0 {
+			fe.lits = append(fe.lits, cnf.NewLit(sp.exit, false))
 		}
 		fe.enc.Clause(fe.lits...)
 		if !gated {
@@ -186,6 +274,57 @@ func (fe *formulaEncoder) encode(members []Fault, gated bool) (*cnf.Formula, err
 		}
 	}
 	return fe.enc.Finish(n), nil
+}
+
+// headOf returns the index in fe.heads of net's region head, walking the
+// head's fanout cone into fe.nodes the first time the head is seen.
+func (fe *formulaEncoder) headOf(net int) int {
+	h := int(fe.head[net])
+	for k := range fe.heads {
+		if fe.heads[k].h == h {
+			return k
+		}
+	}
+	hd := headSpan{h: h, coneLo: len(fe.nodes)}
+	fe.stack = append(fe.stack[:0], h)
+	fe.nodes = fe.reach(fe.nodes, fe.mark, bump(&fe.stamp, fe.mark), true)
+	hd.coneHi = len(fe.nodes)
+	hd.outBelow = slices.ContainsFunc(fe.nodes[hd.coneLo+1:], func(id int) bool { return fe.isOut[id] })
+	fe.heads = append(fe.heads, hd)
+	return len(fe.heads) - 1
+}
+
+// goodLit is node id's good-copy literal.
+func (fe *formulaEncoder) goodLit(id int) cnf.Lit { return cnf.NewLit(int(fe.goodVar[id]), false) }
+
+// faultyPart numbers the faulty copies of ids from variable n on,
+// stamping them in, and emits their clauses: the fault net (fault, or
+// -1 for none) is the constant stuckAt, every other node its gate. It
+// returns the next free variable.
+func (fe *formulaEncoder) faultyPart(ids []int, n int, in uint32, fault int, stuckAt bool) (int, error) {
+	for _, id := range ids {
+		fe.faultyLit[id], fe.mark[id] = cnf.NewLit(n, false), in
+		if id == fault {
+			fe.enc.Clause(cnf.NewLit(n, !stuckAt))
+		} else if err := fe.node(id, n, in); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, nil
+}
+
+// xors emits, from variable n on, one XOR of the good and faulty copies
+// per primary output among ids, and returns the next free variable.
+func (fe *formulaEncoder) xors(ids []int, n int) int {
+	for _, id := range ids {
+		if fe.isOut[id] {
+			fe.lits = append(fe.lits[:0], fe.goodLit(id), fe.faultyLit[id])
+			_ = fe.enc.Gate(logic.Xor, n, fe.lits) // a 2-input XOR always encodes
+			n++
+		}
+	}
+	return n
 }
 
 // reach walks from the nodes on fe.stack along fanout (or fanin) edges,
@@ -217,7 +356,7 @@ func (fe *formulaEncoder) reach(dst []int, marks []uint32, stamp uint32, fanout 
 
 // node emits node id's clauses as variable v: a constant's unit clause,
 // or the gate's clauses over each fanin's faulty copy when the fanin is
-// in the cone stamped in, its good copy otherwise (in 0: good copies).
+// stamped in, its good copy otherwise (in 0: good copies).
 func (fe *formulaEncoder) node(id, v int, in uint32) error {
 	n := &fe.c.Nodes[id]
 	switch n.Type {
@@ -229,11 +368,14 @@ func (fe *formulaEncoder) node(id, v int, in uint32) error {
 	}
 	fe.lits = fe.lits[:0]
 	for i, fi := range n.Fanin {
-		w := fe.goodVar[fi]
+		l := fe.goodLit(fi)
 		if in != 0 && fe.mark[fi] == in {
-			w = fe.faultyVar[fi]
+			l = fe.faultyLit[fi]
 		}
-		fe.lits = append(fe.lits, cnf.NewLit(int(w), n.Negated(i)))
+		if n.Negated(i) {
+			l = l.Not()
+		}
+		fe.lits = append(fe.lits, l)
 	}
 	if err := fe.enc.Gate(n.Type, v, fe.lits); err != nil {
 		return fmt.Errorf("gate %q: %w", n.Name, err)

@@ -102,9 +102,11 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 	if err != nil {
 		return err
 	}
+	loadStart := time.Now()
 	if formula != nil {
 		ws.inc.Load(formula, ws.enc.priority)
 	}
+	loadElapsed := time.Since(loadStart)
 	buildElapsed := time.Since(buildStart)
 
 	var assumps []cnf.Lit
@@ -126,10 +128,10 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 		abort := e.testHook != nil && e.testHook(st.faults[i], pl.budget)
 		res := g.result(st.faults[i])
 		if buildElapsed > 0 {
-			// The group's encode is attributed to its first emitted
-			// member, so summed phase times still account for it exactly
-			// once.
-			res.BuildElapsed = buildElapsed
+			// The group's encode and load are attributed to its first
+			// emitted member, so summed phase times still account for
+			// them exactly once.
+			res.BuildElapsed, res.LoadElapsed = buildElapsed, loadElapsed
 			buildElapsed = 0
 		}
 		if ws.enc.unobservable[mk] {

@@ -26,8 +26,9 @@ const DefaultGroupMax = 64
 // reader's head (its fanout cone is {net} ∪ cone(reader), so its miter
 // support C_ψ^sub is identical); a fanout stem or sink is its own
 // head. Faults with equal heads have (near-)identical miter support
-// and are grouped onto one solver instance. Node IDs are topologically
-// ordered, so one reverse sweep suffices.
+// and are grouped onto one solver instance, where they share one faulty
+// copy of the head's fanout cone (formula.go). Node IDs are
+// topologically ordered, so one reverse sweep suffices.
 func regionHeads(c *logic.Circuit) []int32 {
 	head := make([]int32, len(c.Nodes))
 	for id := len(c.Nodes) - 1; id >= 0; id-- {
@@ -69,20 +70,19 @@ func (g *faultGroup) result(f Fault) Result {
 }
 
 // buildGroups computes the incremental dispatch order and its group
-// spans. The order is canonical and independent of groupMax: regions
-// are sorted by (largest member cone first, smallest member index
-// among equals), members within a region by (cone, index), and groups
-// are consecutive chunks of at
-// most groupMax members that never span regions. Because the flattened
-// fault order is identical for every groupMax, the engine's commit
-// frontier, flush points and drop decisions are too: group size is
-// purely a knowledge-reuse knob, with groupMax 1 degenerating to
+// spans over the region heads head (regionHeads(c)). The order is
+// canonical and independent of groupMax: regions are sorted by (largest
+// member cone first, smallest member index among equals), members
+// within a region by (cone, index), and groups are consecutive chunks
+// of at most groupMax members that never span regions. Because the
+// flattened fault order is identical for every groupMax, the engine's
+// commit frontier, flush points and drop decisions are too: group size
+// is purely a knowledge-reuse knob, with groupMax 1 degenerating to
 // fresh-per-fault solving.
-func buildGroups(c *logic.Circuit, faults []Fault, skip []bool, groupMax int) ([]int32, []faultGroup) {
+func buildGroups(c *logic.Circuit, head []int32, faults []Fault, skip []bool, groupMax int) ([]int32, []faultGroup) {
 	if groupMax <= 0 {
 		groupMax = DefaultGroupMax
 	}
-	head := regionHeads(c)
 	sizer := newConeSizer(c)
 
 	type regionAgg struct {

@@ -62,9 +62,9 @@ func TestBuildGroupsCanonicalOrder(t *testing.T) {
 	for name, c := range regionTestCircuits() {
 		faults := Collapse(c, AllFaults(c))
 		head := regionHeads(c)
-		refOrder, _ := buildGroups(c, faults, nil, 1)
+		refOrder, _ := buildGroups(c, head, faults, nil, 1)
 		for _, max := range []int{2, 3, 7, DefaultGroupMax} {
-			order, groups := buildGroups(c, faults, nil, max)
+			order, groups := buildGroups(c, head, faults, nil, max)
 			if len(order) != len(refOrder) {
 				t.Fatalf("%s max=%d: order length %d vs %d", name, max, len(order), len(refOrder))
 			}
@@ -96,16 +96,63 @@ func TestBuildGroupsCanonicalOrder(t *testing.T) {
 	}
 }
 
+// sharedConeCircuits returns netlists whose regions take the gated
+// formula's special cases: a primary output on a fanout-free chain
+// (g1), a region head that is a primary output with outputs below it
+// (h in "head-out"), and heads with no output below them, one a primary
+// output itself (s) and one observable only through its chain (t,
+// reached from the output g3). Net dup reads its chain net on both
+// pins.
+func sharedConeCircuits() map[string]*logic.Circuit {
+	out := map[string]*logic.Circuit{}
+	for _, name := range []string{"chain-out", "head-out"} {
+		b := logic.NewBuilder(name)
+		a, bb, cc, d, e := b.Input("a"), b.Input("b"), b.Input("c"), b.Input("d"), b.Input("e")
+		g1 := b.Gate(logic.And, "g1", a, bb)
+		g2 := b.Gate(logic.Or, "g2", g1, cc)
+		dup := b.Gate(logic.And, "dup", g2, g2)
+		h := b.Gate(logic.Nand, "h", dup, d)
+		o1 := b.Gate(logic.And, "o1", h, e)
+		o2 := b.Gate(logic.Xor, "o2", h, a)
+		o3 := b.Gate(logic.Nor, "o3", o1, o2)
+		b.MarkOutput(g1)
+		b.MarkOutput(o2)
+		b.MarkOutput(o3)
+		if name == "head-out" {
+			b.MarkOutput(h)
+		}
+		out[name] = b.MustBuild()
+	}
+	b := logic.NewBuilder("head-sink")
+	a, bb, cc, d := b.Input("a"), b.Input("b"), b.Input("c"), b.Input("d")
+	s := b.Gate(logic.Or, "s", b.Gate(logic.And, "g1", a, bb), cc)
+	b.Gate(logic.And, "x1", s, d)
+	b.Gate(logic.Nor, "x2", s, a)
+	g3 := b.Gate(logic.Xor, "g3", cc, d)
+	tt := b.Gate(logic.Nand, "t", g3, bb)
+	b.Gate(logic.Or, "y1", tt, a)
+	b.Gate(logic.And, "y2", tt, d)
+	b.MarkOutput(s)
+	b.MarkOutput(g3)
+	out["head-sink"] = b.MustBuild()
+	return out
+}
+
 // TestGroupFormulaMatchesMiter solves every fault of every region
 // group through the gated group formula under assumptions on one
 // incremental instance, and requires member-by-member agreement with
 // the fresh single-fault solve: same verdict, and a group-extracted
 // vector that detects the fault and is byte-identical to the one the
-// member's own one-member group yields.
+// member's ungated formula yields under the same lex-first branching.
 func TestGroupFormulaMatchesMiter(t *testing.T) {
-	for name, c := range regionTestCircuits() {
+	circuits := regionTestCircuits()
+	for name, c := range sharedConeCircuits() {
+		circuits[name] = c
+	}
+	for name, c := range circuits {
 		faults := Collapse(c, AllFaults(c))
-		order, groups := buildGroups(c, faults, nil, DefaultGroupMax)
+		head := regionHeads(c)
+		order, groups := buildGroups(c, head, faults, nil, DefaultGroupMax)
 		eng := &Engine{}
 		fresh := make(map[int]Result, len(faults))
 		for _, idx := range order {
@@ -116,11 +163,12 @@ func TestGroupFormulaMatchesMiter(t *testing.T) {
 			fresh[int(idx)] = res
 		}
 		// The fresh baseline for vectors must come from the same lex-first
-		// branching; re-solve each fault alone on the incremental path.
-		fe := newFormulaEncoder(c)
+		// branching: solve each fault's ungated formula — the reference
+		// shape, Miter.Encode's clause for clause — with fe.priority.
+		fe := newFormulaEncoder(c, head)
 		freshVec := make(map[int][]bool, len(faults))
 		for _, idx := range order {
-			f, err := fe.encode([]Fault{faults[idx]}, true)
+			f, err := fe.encode([]Fault{faults[idx]}, false)
 			if err != nil {
 				t.Fatalf("%s: solo encode: %v", name, err)
 			}
@@ -129,7 +177,7 @@ func TestGroupFormulaMatchesMiter(t *testing.T) {
 			}
 			inc := sat.NewIncremental()
 			inc.Load(f, fe.priority)
-			sol := inc.SolveAssuming(fe.assumptions(0, nil), sat.Limits{})
+			sol := inc.SolveAssuming(nil, sat.Limits{})
 			if sol.Status == sat.Sat {
 				freshVec[int(idx)] = fe.extract(sol.Model)
 			}

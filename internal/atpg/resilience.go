@@ -243,7 +243,7 @@ func (e *Engine) runRetryTiers(ctx context.Context, st *runState, scratches []*w
 		for _, i := range queue {
 			skip[i] = false
 		}
-		pl := planDispatch(st.c, st.faults, skip, opt.GroupMax, budget)
+		pl := planDispatch(st.c, st.head, st.faults, skip, opt.GroupMax, budget)
 		var wg sync.WaitGroup
 		for w, ws := range scratches {
 			w, ws := w, ws

@@ -398,7 +398,7 @@ func TestCrashResumeEquivalence(t *testing.T) {
 			for _, i := range bsink.state().RPT.Detected {
 				skip[i] = true
 			}
-			first := faults[planDispatch(c, faults, skip, 0, 0).order[0]]
+			first := faults[planDispatch(c, regionHeads(c), faults, skip, 0, 0).order[0]]
 
 			// Interrupted run: cancel as the sweep reaches its cancelAt-th
 			// live member, the first slot aside. The members still in

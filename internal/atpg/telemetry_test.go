@@ -233,8 +233,9 @@ func TestProgressETA(t *testing.T) {
 }
 
 // TestSummaryPhases: the per-phase breakdown must be self-consistent —
-// Build and Solve equal the summed per-result times, Build is positive,
-// and with fault dropping disabled FaultSim is zero.
+// Build, Load and Solve equal the summed per-result times, Build is
+// positive, every result's load is part of its build, and with fault
+// dropping disabled FaultSim is zero.
 func TestSummaryPhases(t *testing.T) {
 	c := gen.CarryLookaheadAdder(4)
 	eng := &Engine{Workers: 2}
@@ -248,13 +249,20 @@ func TestSummaryPhases(t *testing.T) {
 	if sum.Phases.FaultSim != 0 {
 		t.Errorf("Phases.FaultSim = %v without DropDetected", sum.Phases.FaultSim)
 	}
-	var build, solve time.Duration
+	var build, load, solve time.Duration
 	for _, r := range sum.Results {
 		build += r.BuildElapsed
+		load += r.LoadElapsed
 		solve += r.Elapsed
+		if r.LoadElapsed > r.BuildElapsed {
+			t.Errorf("%s: LoadElapsed %v exceeds BuildElapsed %v", r.Fault.Name(c), r.LoadElapsed, r.BuildElapsed)
+		}
 	}
 	if build != sum.Phases.Build {
 		t.Errorf("summed BuildElapsed %v != Phases.Build %v", build, sum.Phases.Build)
+	}
+	if load != sum.Phases.Load || load <= 0 {
+		t.Errorf("summed LoadElapsed %v, Phases.Load %v; want equal and positive", load, sum.Phases.Load)
 	}
 	if solve != sum.Phases.Solve {
 		t.Errorf("summed Elapsed %v != Phases.Solve %v", solve, sum.Phases.Solve)

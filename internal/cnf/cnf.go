@@ -9,7 +9,7 @@ package cnf
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -51,11 +51,12 @@ func (l Lit) String() string {
 // Clause is a disjunction of literals.
 type Clause []Lit
 
-// Normalize sorts the literals and removes duplicates. It reports whether
-// the clause is a tautology (contains both a literal and its complement),
-// in which case the clause contents are unspecified.
+// Normalize sorts the literals in place and removes duplicates; it does
+// not allocate. It reports whether the clause is a tautology (contains
+// both a literal and its complement), in which case the clause contents
+// are unspecified.
 func (c Clause) Normalize() (Clause, bool) {
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+	slices.Sort(c)
 	out := c[:0]
 	for i, l := range c {
 		if i > 0 && l == c[i-1] {

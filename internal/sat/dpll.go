@@ -51,12 +51,16 @@ type varHeap struct {
 	pos  []int // var → heap index, -1 if absent
 }
 
-func newVarHeap(act []float64) *varHeap {
-	h := &varHeap{act: act, pos: make([]int, len(act))}
-	for i := range h.pos {
-		h.pos[i] = -1
+// reset makes h hold every variable of act in the identity layout,
+// reusing its buffers. That layout is a heap while all activities are
+// equal; after changing them in bulk, call rebuild.
+func (h *varHeap) reset(act []float64) {
+	h.act = act
+	h.heap = sized(h.heap, len(act))
+	h.pos = sized(h.pos, len(act))
+	for v := range act {
+		h.heap[v], h.pos[v] = v, v
 	}
-	return h
 }
 
 func (h *varHeap) size() int           { return len(h.heap) }

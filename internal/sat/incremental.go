@@ -75,7 +75,7 @@ type incState struct {
 
 	activity []float64
 	varInc   float64
-	heap     *varHeap
+	heap     varHeap
 	phase    []bool
 	seen     []bool
 
@@ -167,10 +167,12 @@ func zeroed[T any](buf []T, n int) []T {
 
 // Load resets the instance to formula f with branching priority order
 // prio (may be nil for pure activity branching). The clause data is
-// copied: f may alias encoder buffers the caller will overwrite.
-// Learned clauses, activities, and phases from any previous Load are
-// discarded — Load is a cold start for a new formula; knowledge reuse
-// happens across SolveAssuming calls, not across Loads.
+// copied: f may alias encoder buffers the caller will overwrite, and f
+// itself is left untouched. Learned clauses, activities, and phases from
+// any previous Load are discarded — Load is a cold start for a new
+// formula; knowledge reuse happens across SolveAssuming calls, not
+// across Loads. Load reuses the instance's buffers, so reloading a
+// formula no larger than an earlier one allocates nothing.
 func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 	st := &s.st
 	n := f.NumVars
@@ -205,15 +207,14 @@ func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 	st.priority = append(st.priority[:0], prio...)
 
 	// The heap aliases the activity slice, which zeroed may have
-	// reallocated; rebuild it from scratch.
-	st.heap = newVarHeap(st.activity)
-	for v := 0; v < n; v++ {
-		st.heap.push(v)
-	}
+	// reallocated.
+	st.heap.reset(st.activity)
 
-	// Copy, normalize, and watch the problem clauses. Each occurrence
-	// bumps its variable's initial activity, so early decisions favor
-	// frequently constrained variables.
+	// Copy each problem clause into the slab, normalize it there and
+	// watch it; a tautology, unit or empty clause gives its slab space
+	// back. The slab is sized up front, so clause views never move. Each
+	// occurrence bumps its variable's initial activity, so early
+	// decisions favor frequently constrained variables.
 	need := 0
 	for _, c := range f.Clauses {
 		need += len(c)
@@ -223,7 +224,10 @@ func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 	}
 	st.slab = st.slab[:0]
 	for _, c := range f.Clauses {
-		norm, taut := append(cnf.Clause(nil), c...).Normalize()
+		start := len(st.slab)
+		st.slab = append(st.slab, c...)
+		norm, taut := cnf.Clause(st.slab[start:]).Normalize()
+		st.slab = st.slab[:start] // re-extended below for a watched clause
 		if taut {
 			continue
 		}
@@ -235,9 +239,9 @@ func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 				st.failed = true
 			}
 		default:
-			start := len(st.slab)
-			st.slab = append(st.slab, norm...)
-			cl := st.slab[start : start+len(norm) : start+len(norm)]
+			end := start + len(norm)
+			st.slab = st.slab[:end]
+			cl := st.slab[start:end:end]
 			ci := int32(len(st.clauses))
 			st.clauses = append(st.clauses, cl)
 			st.watches[cl[0]] = append(st.watches[cl[0]], ci)

@@ -2,10 +2,118 @@ package sat
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"atpgeasy/internal/cnf"
 )
+
+// TestLoadMatchesNormalize checks Load's in-slab normalization against
+// cnf.Clause.Normalize on a copy of each clause. On random clause lists
+// with duplicate literals, tautologies, unit clauses and, in some lists,
+// an empty clause, Load must keep exactly the normalized clauses of two
+// or more literals as problem clauses, in order; report Failed() exactly
+// when unit propagation over the normalized list reaches a conflict; and
+// leave f byte-identical. All lists are loaded on one reused instance.
+func TestLoadMatchesNormalize(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	s := NewIncremental()
+	var failedLists int
+	const lists = 600
+	for i := 0; i < lists; i++ {
+		nv := 2 + rng.Intn(10)
+		f := cnf.NewFormula(nv)
+		for k := 1 + rng.Intn(30); k > 0; k-- {
+			c := make(cnf.Clause, 1+rng.Intn(5))
+			for j := range c {
+				c[j] = cnf.NewLit(rng.Intn(nv), rng.Intn(2) == 1)
+			}
+			f.Clauses = append(f.Clauses, c)
+		}
+		if rng.Intn(10) == 0 {
+			at := rng.Intn(len(f.Clauses) + 1)
+			f.Clauses = slices.Insert(f.Clauses, at, cnf.Clause{})
+		}
+		before := &cnf.Formula{NumVars: f.NumVars}
+		for _, c := range f.Clauses {
+			before.Clauses = append(before.Clauses, slices.Clone(c))
+		}
+
+		// The reference: normalize a copy of each clause.
+		var kept, all []cnf.Clause
+		empty := false
+		for _, c := range f.Clauses {
+			norm, taut := append(cnf.Clause(nil), c...).Normalize()
+			if taut {
+				continue
+			}
+			empty = empty || len(norm) == 0
+			all = append(all, norm)
+			if len(norm) >= 2 {
+				kept = append(kept, norm)
+			}
+		}
+		wantFailed := empty || unitPropagationConflict(nv, all)
+
+		s.Load(f, nil)
+		if !reflect.DeepEqual(f, before) {
+			t.Fatalf("list %d: Load changed its formula", i)
+		}
+		got := s.st.clauses[:s.st.nProblem]
+		if len(got) != len(kept) {
+			t.Fatalf("list %d: %d problem clauses, want %d", i, len(got), len(kept))
+		}
+		for k := range kept {
+			// Load's own propagation may swap watched literals; compare
+			// the clauses as literal sets.
+			g := slices.Clone(got[k])
+			slices.Sort(g)
+			if !slices.Equal(g, kept[k]) {
+				t.Fatalf("list %d: problem clause %d is %v, want %v", i, k, g, kept[k])
+			}
+		}
+		if s.Failed() != wantFailed {
+			t.Fatalf("list %d: Failed() = %v, want %v", i, s.Failed(), wantFailed)
+		}
+		if wantFailed {
+			failedLists++
+		}
+	}
+	if failedLists == 0 || failedLists == lists {
+		t.Fatalf("%d of %d lists failed: the generator misses a case", failedLists, lists)
+	}
+}
+
+// unitPropagationConflict runs unit propagation to a fixpoint over the
+// clauses and reports whether it reaches a conflict.
+func unitPropagationConflict(nv int, clauses []cnf.Clause) bool {
+	assign := make([]cnf.Value, nv)
+	for changed := true; changed; {
+		changed = false
+		for _, c := range clauses {
+			free, open := cnf.Lit(-1), 0
+			sat := false
+			for _, l := range c {
+				switch v := assign[l.Var()]; {
+				case v == cnf.Unassigned:
+					free, open = l, open+1
+				case (v == cnf.True) != l.IsNeg():
+					sat = true
+				}
+			}
+			switch {
+			case sat:
+			case open == 0:
+				return true
+			case open == 1:
+				assign[free.Var()] = cnf.ValueOf(!free.IsNeg())
+				changed = true
+			}
+		}
+	}
+	return false
+}
 
 // TestIncrementalAgreesWithBruteForce Loads every formula on one reused
 // instance and checks the verdict against brute force, then re-solves
