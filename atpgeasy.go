@@ -121,7 +121,7 @@ type (
 	// text format.
 	MetricsRegistry = obs.Registry
 	// Trace is a run's event record: it mints the engine's hierarchical
-	// spans (run → phase → group or rpt-batch → fault, plus flush,
+	// spans (run → phase (rpt, sweep) → group or rpt-batch → fault, plus flush,
 	// frontier-stall and shrink), keeps the newest in a flight recorder
 	// (Dump, Snapshot) and, given a writer, writes each as a JSONL
 	// "kind":"span" line. Wire one into Telemetry.Trace.
@@ -209,12 +209,12 @@ const (
 	Errored    = atpg.Errored
 )
 
-// Resilience types: escalating retries for over-budget faults, and the
-// crash-recovery checkpoint journal (see internal/checkpoint and the
+// Resilience types: in-place budget escalation for over-budget faults,
+// and the crash-recovery checkpoint journal (see internal/checkpoint and the
 // README's "Crash recovery & retries" section).
 type (
-	// RetryTier summarizes one escalation tier of the post-sweep retry
-	// phase (Summary.Retries).
+	// RetryTier summarizes one budget escalation tier (Summary.Retries),
+	// derived from the committed results' Tier.
 	RetryTier = atpg.RetryTier
 	// ResumeState pre-applies verdicts replayed from a previous run's
 	// journal (RunOptions.Resume).
@@ -234,9 +234,9 @@ type (
 	CheckpointOptions = checkpoint.Options
 )
 
-// Retry escalation: DefaultRetryTiers is the standard RunOptions.RetryTiers,
-// and each tier runs with RetryBackoff times the previous tier's
-// per-fault budget.
+// Budget escalation: DefaultRetryTiers is the standard
+// RunOptions.RetryTiers, and each escalated attempt runs with
+// RetryBackoff times the previous attempt's per-fault budget.
 const (
 	DefaultRetryTiers = atpg.DefaultRetryTiers
 	RetryBackoff      = atpg.RetryBackoff
@@ -303,8 +303,9 @@ func RunATPG(c *Circuit) (*Summary, error) {
 
 // RunATPGParallel is RunATPG with explicit parallelism and robustness
 // controls: workers fault-solving goroutines (0 = GOMAXPROCS), a
-// per-fault SAT budget (0 = unlimited; faults that exhaust it are re-run
-// in DefaultRetryTiers escalating tiers before they count as aborted),
+// per-fault SAT budget (0 = unlimited; a fault that exhausts it is solved
+// again in place at up to DefaultRetryTiers escalating budgets before it
+// counts as aborted),
 // and a context whose cancellation drains the run and returns the
 // partial summary with ctx.Err(). Summary.Results and Vectors come back
 // in fault-list order regardless of worker completion order. Solving is
@@ -320,8 +321,8 @@ func RunATPGParallel(ctx context.Context, c *Circuit, workers int, perFaultBudge
 
 // DefaultRunOptions returns the options RunATPG runs with: equivalence
 // and dominance collapsing, the seeded random-pattern pre-phase at
-// DefaultRPTBatches, fault dropping, and DefaultRetryTiers retry tiers
-// (active once PerFaultBudget is set). Start from it to vary one option
+// DefaultRPTBatches, fault dropping, and DefaultRetryTiers escalation
+// tiers (active once PerFaultBudget is set). Start from it to vary one option
 // on an Engine.Run.
 func DefaultRunOptions() RunOptions { return atpg.DefaultRunOptions() }
 

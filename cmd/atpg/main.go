@@ -38,15 +38,18 @@
 // core, every fault in its own group.
 //
 // Faults are dispatched to -j parallel workers (default: GOMAXPROCS);
-// -budget bounds the SAT time per fault, reporting over-budget faults as
-// aborted instead of stalling the run. Interrupting the run (SIGINT or
-// SIGTERM) drains the workers and prints the partial results.
+// -budget bounds the SAT time of each attempt at a fault, reporting a
+// fault aborted instead of stalling the run once its attempts are
+// spent. Interrupting the run (SIGINT or SIGTERM) drains the workers and
+// prints the partial results.
 //
-// Robustness: with -budget, faults that exhaust their budget enter a
-// bounded retry queue re-run after the main sweep with geometrically
-// escalating budgets (-retry-tiers tiers, each atpg.RetryBackoff = 4
-// times the last); a fault is reported aborted only after the final
-// tier. -checkpoint journals
+// Robustness: with -budget, a fault that exhausts its budget is solved
+// again at once by the same worker on the same solver instance, its
+// learned clauses intact, with geometrically escalating budgets (up to
+// -retry-tiers times, each atpg.RetryBackoff = 4 times the last); it is
+// reported aborted only after the final attempt. Every verdict is final
+// at the fault's own dispatch position, so a budgeted run whose aborts
+// all recover lists the unbudgeted run's vectors. -checkpoint journals
 // every final verdict to an append-only JSONL file (flushed per record,
 // fsynced per record with -checkpoint-sync, and every -checkpoint-every
 // besides), so a killed run resumes with -resume: the pre-phase is
@@ -60,7 +63,7 @@
 // Observability: -metrics-addr serves Prometheus-text /metrics,
 // /debug/vars and net/http/pprof for the duration of the run; -trace
 // writes the run's spans as JSONL "kind":"span" records — run → phase
-// (rpt, sweep, retry-tier) → group or rpt-batch → fault, plus one span
+// (rpt, sweep) → group or rpt-batch → fault, plus one span
 // per fault-simulation flush, commit-frontier stall, watchdog
 // learned-budget shrink and checkpoint sync; -progress prints a live
 // progress line (faults done, coverage, ETA) to stderr on the given
@@ -113,8 +116,8 @@ func main() {
 	flag.Int64Var(&opt.Seed, "seed", opt.Seed, "random-pattern generator seed (same seed = same run)")
 	flag.IntVar(&opt.GroupMax, "group-max", atpg.DefaultGroupMax, "max faults per region group on the incremental CDCL core (1 = fresh instance per fault)")
 	workers := flag.Int("j", 0, "parallel fault workers (0 = GOMAXPROCS)")
-	flag.DurationVar(&opt.PerFaultBudget, "budget", 0, "per-fault SAT time budget (0 = none); over-budget faults abort")
-	flag.IntVar(&opt.RetryTiers, "retry-tiers", opt.RetryTiers, "escalation tiers re-running over-budget faults with growing budgets (0 = no retries)")
+	flag.DurationVar(&opt.PerFaultBudget, "budget", 0, "SAT time budget of a fault's first attempt (0 = none); see -retry-tiers")
+	flag.IntVar(&opt.RetryTiers, "retry-tiers", opt.RetryTiers, fmt.Sprintf("times an over-budget fault is solved again in place, each with %dx the last budget (0 = no retries)", atpg.RetryBackoff))
 	flag.Int64Var(&opt.MemSoftLimit, "mem-soft-limit", 0, "soft heap limit in bytes: above it, worker learned-clause budgets are halved between faults (0 = off)")
 	ckptPath := flag.String("checkpoint", "", "journal final fault verdicts to this JSONL file for crash recovery")
 	resumeRun := flag.Bool("resume", false, "replay the -checkpoint journal, skipping faults it already decided")

@@ -8,6 +8,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -286,8 +288,9 @@ func TestSetupTelemetry(t *testing.T) {
 }
 
 // TestResumeState: journal-to-engine conversion must validate indices,
-// statuses and vector widths — journal content is external input even
-// though the header hash makes honest mismatches unlikely.
+// statuses, vector widths and which statuses carry a vector — journal
+// content is external input even though the header hash makes honest
+// mismatches unlikely.
 func TestResumeState(t *testing.T) {
 	c := gen.CarryLookaheadAdder(2)
 	faults := atpg.Collapse(c, atpg.AllFaults(c))
@@ -322,6 +325,8 @@ func TestResumeState(t *testing.T) {
 		{Faults: map[int]checkpoint.FaultVerdict{len(faults): {Status: "detected"}}},
 		{Faults: map[int]checkpoint.FaultVerdict{0: {Status: "mystery"}}},
 		{Faults: map[int]checkpoint.FaultVerdict{0: {Status: "detected", Vector: "10"}}},
+		{Faults: map[int]checkpoint.FaultVerdict{0: {Status: "detected"}}},
+		{Faults: map[int]checkpoint.FaultVerdict{0: {Status: "untestable", Vector: vec}}},
 		{RPT: &checkpoint.RPTState{Detected: []int{-1}}},
 		{RPT: &checkpoint.RPTState{Vectors: []string{"01x"}}},
 	}
@@ -478,5 +483,49 @@ func TestCLICheckpointResume(t *testing.T) {
 	}
 	if vectors(firstErr) != vectors(secondErr) {
 		t.Error("-vectors listing differs across resume")
+	}
+}
+
+// TestCLIResumeRejectsBrokenJournal edits a completed default-flow
+// journal two ways and requires -resume to fail, naming the fault: with
+// every fault vector overwritten by zeros, the commit frontier's
+// re-simulation finds one that does not detect its fault; with the first
+// fault vector deleted, the journal check finds a detected verdict
+// without a vector.
+func TestCLIResumeRejectsBrokenJournal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "run.ckpt")
+	if out, err := exec.Command(bin, "-gen", "cmp48", "-j", "1", "-checkpoint", ckpt).CombinedOutput(); err != nil {
+		t.Fatalf("checkpointed run: %v\n%s", err, out)
+	}
+	journal, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fault records carry "vector"; the pre-phase record's key is "vectors".
+	vector := regexp.MustCompile(`"vector":"[01]+"`)
+	first := vector.FindIndex(journal)
+	if first == nil {
+		t.Fatal("the journal holds no fault vector")
+	}
+	zero := func(v []byte) []byte { return bytes.ReplaceAll(v, []byte("1"), []byte("0")) }
+	for _, e := range []struct {
+		name, want string
+		journal    []byte
+	}{
+		{"zeroed", "does not detect", vector.ReplaceAllFunc(journal, zero)},
+		{"deleted", "has no vector", slices.Concat(journal[:first[0]], []byte(`"vector":""`), journal[first[1]:])},
+	} {
+		if err := os.WriteFile(ckpt, e.journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(bin, "-gen", "cmp48", "-j", "1", "-checkpoint", ckpt, "-resume").CombinedOutput()
+		if err == nil || !bytes.Contains(out, []byte(e.want)) {
+			t.Errorf("%s journal: -resume returned %v, want a failure saying %q:\n%s", e.name, err, e.want, out)
+		}
 	}
 }

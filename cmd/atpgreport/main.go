@@ -149,7 +149,7 @@ type Report struct {
 	Wasted      int            `json:"wasted"`
 
 	// PhaseWalls is the per-phase wall-time breakdown. With a trace it
-	// comes from the run's spans (rpt/sweep/retry-tier plus the stall and
+	// comes from the run's spans (rpt/sweep plus the stall and
 	// flush intervals inside them); without one it falls back to the
 	// solver time summed from the records themselves.
 	PhaseWalls  []PhaseWall `json:"phase_walls"`
@@ -353,7 +353,7 @@ func phaseWalls(recs []atpg.EffortRecord, spans []obs.SpanRecord) ([]PhaseWall, 
 		order := []string{}
 		for _, sp := range spans {
 			switch sp.Name {
-			case "run", "rpt", "sweep", "retry-tier", "frontier-stall", "flush", "rpt-batch", "checkpoint":
+			case "run", "rpt", "sweep", "frontier-stall", "flush", "rpt-batch", "checkpoint":
 				w, ok := agg[sp.Name]
 				if !ok {
 					w = &PhaseWall{Phase: sp.Name}

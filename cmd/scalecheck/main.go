@@ -27,6 +27,9 @@
 // (default 1.05). Unlike the scaling gate this is a same-machine
 // single-worker ratio, so it is checked regardless of CPU count;
 // -max-incremental-regression 0 disables it.
+//
+// Every enabled gate runs and prints its verdict, so one failing gate
+// never hides another; scalecheck exits 1 if any of them failed.
 package main
 
 import (
@@ -56,22 +59,31 @@ func main() {
 	incFamily := flag.String("incremental-family", "BenchmarkIncrementalCDCL", "fresh/incremental benchmark pairs to gate incremental solving on")
 	maxIncremental := flag.Float64("max-incremental-regression", 1.05, "maximum incremental/fresh ns ratio per pair (0 = skip the gate)")
 	flag.Parse()
-	if err := run(*bench, *family, *minSpeedup, os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "scalecheck: %v\n", err)
-		os.Exit(1)
+	gates := []func(io.Writer) error{
+		func(out io.Writer) error { return run(*bench, *family, *minSpeedup, out) },
 	}
 	if *maxOverhead > 0 {
-		if err := runOverhead(*bench, *effortFamily, *maxOverhead, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "scalecheck: %v\n", err)
-			os.Exit(1)
-		}
+		gates = append(gates, func(out io.Writer) error { return runOverhead(*bench, *effortFamily, *maxOverhead, out) })
 	}
 	if *maxIncremental > 0 {
-		if err := runIncremental(*bench, *incFamily, *maxIncremental, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "scalecheck: %v\n", err)
-			os.Exit(1)
+		gates = append(gates, func(out io.Writer) error { return runIncremental(*bench, *incFamily, *maxIncremental, out) })
+	}
+	if checkAll(gates, os.Stdout, os.Stderr) > 0 {
+		os.Exit(1)
+	}
+}
+
+// checkAll runs every gate, each printing its verdict to out, and
+// reports each failure on errOut; it returns how many gates failed.
+func checkAll(gates []func(io.Writer) error, out, errOut io.Writer) int {
+	failed := 0
+	for _, gate := range gates {
+		if err := gate(out); err != nil {
+			fmt.Fprintf(errOut, "scalecheck: %v\n", err)
+			failed++
 		}
 	}
+	return failed
 }
 
 // loadRows reads and parses the benchmark record file.

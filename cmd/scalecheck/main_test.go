@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -232,5 +233,37 @@ func TestEffortOverheadSkips(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "skip") {
 		t.Fatalf("expected a skip note, got:\n%s", out.String())
+	}
+}
+
+// TestEveryGateRuns: on a ledger that fails the worker-scaling and the
+// effort-log gates, checkAll still runs the incremental gate, prints all
+// three verdicts and counts two failures — a failing gate never hides
+// the ones after it.
+func TestEveryGateRuns(t *testing.T) {
+	path := writeBench(t, `[
+		{"name": "BenchmarkParallelATPG/mult8/workers-1", "ns_per_op": 100e6, "workers": 1, "cpus": 4},
+		{"name": "BenchmarkParallelATPG/mult8/workers-4", "ns_per_op": 95e6, "workers": 4, "cpus": 4},
+		{"name": "BenchmarkEffortLogOverhead/off", "ns_per_op": 100e6, "workers": 1, "cpus": 4},
+		{"name": "BenchmarkEffortLogOverhead/on", "ns_per_op": 110e6, "workers": 1, "cpus": 4},
+		{"name": "BenchmarkIncrementalCDCL/mult16/fresh", "ns_per_op": 100e6, "workers": 1, "cpus": 4},
+		{"name": "BenchmarkIncrementalCDCL/mult16/incremental", "ns_per_op": 80e6, "workers": 1, "cpus": 4}
+	]`)
+	gates := []func(io.Writer) error{
+		func(out io.Writer) error { return run(path, fam, 1.25, out) },
+		func(out io.Writer) error { return runOverhead(path, "BenchmarkEffortLogOverhead", 1.03, out) },
+		func(out io.Writer) error { return runIncremental(path, "BenchmarkIncrementalCDCL", 1.05, out) },
+	}
+	var out, errOut strings.Builder
+	if failed := checkAll(gates, &out, &errOut); failed != 2 {
+		t.Fatalf("%d gates failed, want 2:\n%s%s", failed, out.String(), errOut.String())
+	}
+	for _, want := range []string{"FAIL BenchmarkParallelATPG/mult8", "FAIL BenchmarkEffortLogOverhead", "ok   BenchmarkIncrementalCDCL/mult16"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("verdicts lack %q:\n%s", want, out.String())
+		}
+	}
+	if n := strings.Count(errOut.String(), "scalecheck: "); n != 2 {
+		t.Errorf("%d failures reported, want 2:\n%s", n, errOut.String())
 	}
 }

@@ -2,8 +2,8 @@ package atpg
 
 // This file is the engine's contention-free dispatch layer: the atomic
 // drop bitset shared by claims and flushes, the fanout-cone sizes the
-// dispatch order is sorted by, the dispatch plan, and runPlan — the one
-// loop every worker of the sweep and of each retry tier runs.
+// dispatch order is sorted by, and runPlan — the one loop every worker
+// of the sweep runs.
 // None of these paths take a lock: claims advance an atomic cursor and
 // read drop bits, flushes set drop bits, and the deterministic commit
 // frontier in engine.go is the only serialized section.
@@ -11,10 +11,8 @@ package atpg
 import (
 	"context"
 	"sync/atomic"
-	"time"
 
 	"atpgeasy/internal/logic"
-	"atpgeasy/internal/obs"
 )
 
 // bitset is a fixed-size concurrent bitset. Readers and writers
@@ -89,47 +87,19 @@ func (s *coneSizer) coneOf(net int) int32 {
 	return size
 }
 
-// dispatchPlan is one pass of the dispatch loop — the main sweep or one
-// retry tier: the order its faults are laid out in (the order the commit
-// frontier walks) and the region groups that partition that order.
-// Workers share one plan and claim whole groups off its cursor.
-type dispatchPlan struct {
-	order  []int32
-	groups []faultGroup
-	// budget bounds each fault's solve (0 = no deadline).
-	budget time.Duration
-
-	cursor atomic.Int64
-}
-
-// planDispatch lays out a plan over the faults not in skip (RPT
-// detections, resumed verdicts, or faults outside a retry queue): they
-// get no dispatch slot at all. head is regionHeads(c).
-func planDispatch(c *logic.Circuit, head []int32, faults []Fault, skip []bool, groupMax int, budget time.Duration) *dispatchPlan {
-	pl := &dispatchPlan{budget: budget}
-	pl.order, pl.groups = buildGroups(c, head, faults, skip, groupMax)
-	return pl
-}
-
-// emitFunc receives one decided fault by its position in the plan's
-// order. The sweep publishes it to the commit frontier; a retry tier
-// adopts it as the fault's verdict.
-type emitFunc func(p int, res Result) error
-
 // runPlan is the engine's one dispatch loop, run by every worker of the
-// sweep and of each retry tier: the worker claims whole groups off the
-// plan's cursor (one atomic add each) and solves each with solveGroup.
-// Claims are lock-free. parent is the span the pass's group spans hang
-// off.
-func (e *Engine) runPlan(ctx context.Context, st *runState, pl *dispatchPlan, worker int, ws *workerScratch, parent obs.SpanContext, emit emitFunc) error {
+// sweep: the worker claims whole region groups off the sweep's cursor
+// (one atomic add each) and solves each with solveGroup. Claims are
+// lock-free.
+func (e *Engine) runPlan(ctx context.Context, st *runState, worker int, ws *workerScratch) error {
 	var shrinkSeen int64
 	for ctx.Err() == nil {
 		st.maybeShrink(ws, worker, &shrinkSeen)
-		gi := int(pl.cursor.Add(1) - 1)
-		if gi >= len(pl.groups) {
+		gi := int(st.cursor.Add(1) - 1)
+		if gi >= len(st.groups) {
 			return nil
 		}
-		if err := e.solveGroup(ctx, st, pl, &pl.groups[gi], ws, worker, &shrinkSeen, parent, emit); err != nil {
+		if err := e.solveGroup(ctx, st, &st.groups[gi], ws, worker, &shrinkSeen); err != nil {
 			return err
 		}
 	}

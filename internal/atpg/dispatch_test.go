@@ -293,7 +293,8 @@ func checkExactDrops(t *testing.T, name string, c *logic.Circuit, faults []Fault
 		return false
 	}
 	dropped := 0
-	for _, i := range planDispatch(c, regionHeads(c), faults, skip, 0, 0).order {
+	order, _ := buildGroups(c, regionHeads(c), faults, skip, 0)
+	for _, i := range order {
 		f := faults[i]
 		r, ok := solved[f]
 		if !ok {
@@ -368,7 +369,7 @@ func flushState(tb testing.TB, c *logic.Circuit) (*runState, *workerScratch, []b
 		trace:    obs.NewTrace(nil),
 	}
 	st.head = regionHeads(c)
-	st.plan = planDispatch(c, st.head, faults, nil, 0, 0)
+	st.order, _ = buildGroups(c, st.head, faults, nil, 0)
 	rng := rand.New(rand.NewSource(7))
 	vec := make([]bool, len(c.Inputs))
 	for i := range vec {

@@ -3,7 +3,7 @@ package atpg
 // The per-fault effort log: one append-only JSONL stream joining each
 // fault's cheap structural features (features.go) with the effort its
 // decision actually took — which phase decided it, solver search
-// counters, wall time, retry tier, wasted-solve flag. The stream is the
+// counters, wall time, escalation tier, wasted-solve flag. The stream is the
 // dataset the source paper's Figure 1 plots, and cmd/atpgreport measures
 // how well each structural feature predicts the effort. Schema-versioned
 // like the checkpoint journal.
@@ -53,11 +53,12 @@ type EffortRecord struct {
 	FaultFeatures
 
 	// Phase names the pipeline stage that produced this verdict: "rpt",
-	// "sweep", "retry", "resume" or "dropped" (fault simulation, or a
-	// wasted speculative solve).
+	// "sweep", "retry" (an escalated attempt: Tier > 0), "resume" or
+	// "dropped" (fault simulation, or a wasted speculative solve).
 	Phase  string `json:"phase"`
 	Status string `json:"status"` // detected|untestable|aborted|error|dropped
-	// Tier is the retry tier that decided the fault (0 = main sweep).
+	// Tier is the solve's Result.Tier: the escalation attempt that
+	// decided the fault, or the last one tried (0 = the first solve).
 	Tier   int  `json:"tier,omitempty"`
 	Worker int  `json:"worker"` // solving worker; −1 when no solver ran
 	Wasted bool `json:"wasted,omitempty"`
@@ -177,14 +178,14 @@ func newEffortState(log *EffortLog, c *logic.Circuit, faults []Fault, workers in
 // and clean drops — while a "dropped" record carrying a result is a
 // wasted speculative solve. Any encoding or write error is sticky in the
 // log and surfaced at Close, never failing the run.
-func (st *runState) recordEffort(ws *workerScratch, i int, res *Result, phase string, tier, worker int) {
+func (st *runState) recordEffort(ws *workerScratch, i int, res *Result, phase string, worker int) {
 	es := st.effort
 	f := st.faults[i]
 	rec := EffortRecord{
 		Kind: "fault", Index: i, Fault: f.Name(st.c), Net: f.Net,
 		FaultFeatures: es.feats[i],
 		Phase:         phase, Status: Detected.String(),
-		Tier: tier, Worker: worker,
+		Worker: worker,
 	}
 	if f.StuckAt {
 		rec.SA = 1
@@ -197,6 +198,7 @@ func (st *runState) recordEffort(ws *workerScratch, i int, res *Result, phase st
 		rec.Wasted = res != nil
 	}
 	if res != nil {
+		rec.Tier = res.Tier
 		rec.Vars, rec.Clauses = res.Vars, res.Clauses
 		rec.BuildNS = res.BuildElapsed.Nanoseconds()
 		rec.LoadNS = res.LoadElapsed.Nanoseconds()

@@ -75,7 +75,8 @@ type Result struct {
 	// vectors do not.
 	Vars    int
 	Clauses int
-	// Elapsed is the SAT-solving wall time, Figure 1's y-axis.
+	// Elapsed is the SAT-solving wall time, Figure 1's y-axis; for a
+	// fault escalated under a budget it covers every attempt.
 	Elapsed time.Duration
 	// BuildElapsed is the formula-encoding wall time preceding the solve
 	// (for a region group: encoding and loading the shared formula).
@@ -84,8 +85,14 @@ type Result struct {
 	// group's formula into the incremental instance (0 on a TestFault
 	// result, whose one-shot solve loads inside Elapsed).
 	LoadElapsed time.Duration
-	// SolverStats carries the solver's search counters.
+	// SolverStats carries the solver's search counters, summed over every
+	// attempt of an escalated fault.
 	SolverStats sat.Stats
+	// Tier is the escalation attempt that decided the fault, or the last
+	// one tried when every attempt aborted: 0 is the solve at
+	// RunOptions.PerFaultBudget, and attempt t ran with RetryBackoff^t
+	// times that budget on the same instance (see RunOptions.RetryTiers).
+	Tier int
 	// Group and GroupSize identify the region group the fault was solved
 	// in: Group is the 1-based canonical group id (stable across worker
 	// counts; 0 on a TestFault result) and GroupSize the group's member
@@ -108,11 +115,11 @@ type Engine struct {
 	// RunFaults; 0 means runtime.GOMAXPROCS(0), 1 forces the serial path.
 	Workers int
 
-	// testHook, when set by a test, is called with each live group member
-	// just before it is decided, and with the plan's per-fault budget
+	// testHook, when set by a test, is called with a group member just
+	// before each attempt to solve it, and with that attempt's budget
 	// (0 = none). It may panic, exercising the per-fault panic barrier
-	// without planting bugs in production code, and a member it reports
-	// true for is Aborted in place of its solve.
+	// without planting bugs in production code, and an attempt it reports
+	// true for aborts in place of its solve.
 	testHook func(f Fault, budget time.Duration) (abort bool)
 	// memCheckEvery overrides the memory watchdog's sampling period in
 	// tests (0 = the production 250ms).
@@ -157,6 +164,17 @@ func (ws *workerScratch) simulator(c *logic.Circuit, words []uint64, n int) (*fa
 		return sim, err
 	}
 	return ws.sim, ws.sim.Reset(words, n)
+}
+
+// load packs one vector into the worker's pack buffer and loads it into
+// the worker's fault simulator as a one-pattern word, allocating nothing
+// once both are warm.
+func (ws *workerScratch) load(c *logic.Circuit, vec []bool) (*faultsim.Simulator, error) {
+	var err error
+	if ws.pack, err = faultsim.PackPatternsInto(ws.pack, c, [][]bool{vec}); err != nil {
+		return nil, err
+	}
+	return ws.simulator(c, ws.pack, 1)
 }
 
 func (e *Engine) workers() int {
@@ -249,15 +267,13 @@ type Summary struct {
 	WallElapsed time.Duration
 	// Phases breaks the run's work down by pipeline phase (summed over
 	// faults and workers, so each phase can exceed wall time in parallel).
-	// Like SolverTotals, its Build and Solve count only the final attempt
-	// of a fault the retry tiers re-ran; the /metrics work counters count
-	// every attempt.
 	Phases PhaseTimes
 	// SolverTotals merges the per-fault solver statistics of every fault
 	// that reached the solver.
 	SolverTotals sat.Stats
-	// Retries describes the escalating-budget retry phase, one entry per
-	// tier that ran (nil when retries were disabled or nothing aborted).
+	// Retries describes budget escalation, one entry per tier some
+	// committed result reached (nil when no solve ran out of budget); it
+	// is derived from the results' Tier.
 	Retries []RetryTier
 }
 
@@ -340,19 +356,20 @@ type RunOptions struct {
 	// DropDetected fault-simulates each committed vector against the rest
 	// of the sweep and skips the faults it detects (classic TEGUS flow).
 	DropDetected bool
-	// PerFaultBudget, when positive, bounds the SAT time spent on each
-	// fault; a fault whose solve exceeds it is reported Aborted instead of
-	// stalling the run.
+	// PerFaultBudget, when positive, bounds the SAT time of each attempt
+	// to decide a fault; a fault whose attempts all exceed their budgets
+	// is reported Aborted instead of stalling the run.
 	PerFaultBudget time.Duration
 	// Telemetry, when non-nil, streams metrics, the run's spans and
 	// periodic progress snapshots out of the run. Nil disables metrics and
 	// progress; the spans then go only to a private flight recorder.
 	Telemetry *Telemetry
-	// RetryTiers, when positive together with PerFaultBudget, re-runs
-	// faults that exhausted their budget after the main sweep, up to this
-	// many escalation tiers, each with RetryBackoff times the previous
-	// tier's budget. A fault is reported Aborted only after the final tier
-	// also fails.
+	// RetryTiers, when positive together with PerFaultBudget, escalates
+	// a fault whose solve exhausted its budget in place: the worker solves
+	// it again at once on the same instance, learned clauses intact, up to
+	// this many times, each with RetryBackoff times the previous budget.
+	// A fault is reported Aborted only after the final attempt also fails,
+	// and every verdict commits at the fault's own plan position.
 	RetryTiers int
 	// MemSoftLimit, when positive, arms a watchdog that samples the Go
 	// heap and — while it exceeds this many bytes — has each worker halve
@@ -363,12 +380,15 @@ type RunOptions struct {
 	// Journal, when non-nil, receives every final fault verdict and the
 	// random-pattern pre-phase outcome as they are decided — the engine
 	// side of the crash-recovery checkpoint (see internal/checkpoint).
-	// Faults headed for the retry queue are journaled only once final.
+	// Every verdict the commit frontier adopts is final, escalated ones
+	// included, and is journaled once.
 	Journal JournalSink
 	// Resume replays a previous run's journal: a journaled pre-phase is
 	// restored instead of re-run, and each journaled verdict is adopted
 	// at its own plan position, where its vector drops faults again — so
 	// drops are re-derived, not journaled, and the vector set is preserved.
+	// A Detected verdict's vector is re-simulated first: one that does not
+	// detect its fault fails the run.
 	Resume *ResumeState
 	// EffortLog, when non-nil, streams one structured effort record per
 	// fault verdict — structural features joined with the solver work the
@@ -460,7 +480,7 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	// Per-worker scratch arenas are created up front so the RPT pre-phase
 	// and the SAT workers share the same fault simulators and buffers;
 	// the serial call sites (replay records, the RPT loop's effort
-	// records, the final retry bookkeeping) borrow worker 0's.
+	// records, the frontier's first and last kicks) borrow worker 0's.
 	st.head = regionHeads(c)
 	scratches := make([]*workerScratch, workers)
 	for w := range scratches {
@@ -477,7 +497,7 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 		// must still join one record to every decided fault.
 		if st.rptRestored {
 			for _, i := range st.rptDetectedIdx {
-				st.recordEffort(scratches[0], i, nil, "resume", 0, -1)
+				st.recordEffort(scratches[0], i, nil, "resume", -1)
 			}
 		}
 	}
@@ -509,10 +529,10 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	// verdicts included: it is the uninterrupted run's plan. Grouped
 	// orders are canonical across group-size caps, so the commit frontier
 	// and drop set are too.
-	st.plan = planDispatch(c, st.head, faults, st.byRPT, opt.GroupMax, opt.PerFaultBudget)
-	tel.observeGroups(st.plan.groups)
+	st.order, st.groups = buildGroups(c, st.head, faults, st.byRPT, opt.GroupMax)
+	tel.observeGroups(st.groups)
 	sweepSpan := st.trace.Start("sweep", st.runSpan)
-	sweepSpan.Items = int64(len(st.plan.order))
+	sweepSpan.Items = int64(len(st.order))
 	st.sweepSpan = sweepSpan.Context()
 	// Commit the journaled verdicts at the head of the plan before any
 	// worker claims a group; a completed journal replays here, solve-free.
@@ -526,9 +546,7 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := scratches[w]
-			publish := func(p int, res Result) error { return st.publish(ws, w, p, res) }
-			if err := e.runPlan(runCtx, st, st.plan, w, ws, st.sweepSpan, publish); err != nil {
+			if err := e.runPlan(runCtx, st, w, scratches[w]); err != nil {
 				st.setErr(err)
 				cancel()
 			}
@@ -543,7 +561,6 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 		st.setErr(err)
 	}
 	sweepSpan.End()
-	retries := e.runRetryTiers(runCtx, st, scratches)
 	rep.Stop()
 	if st.err != nil {
 		return nil, st.err
@@ -572,6 +589,7 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 		sum.Phases.Load += r.LoadElapsed
 		sum.Phases.Solve += r.Elapsed
 		sum.SolverTotals.Add(r.SolverStats)
+		sum.Retries = r.countRetries(sum.Retries, opt.PerFaultBudget)
 		switch r.Status {
 		case Detected:
 			sum.Detected++
@@ -584,12 +602,28 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 			sum.Errors++
 		}
 	}
-	sum.Retries = retries
 	sum.Phases.RPT = time.Duration(st.rptNS)
 	sum.Phases.FaultSim = time.Duration(st.simNS.Load())
 	sum.Phases.FrontierStall = time.Duration(st.stallNS.Load())
 	sum.WallElapsed = time.Since(start)
 	return sum, ctx.Err()
+}
+
+// countRetries adds r's budget escalation to the Summary.Retries
+// entries so far: r counts as attempted at every tier up to its own, and
+// as recovered at its own unless it still aborted.
+func (r *Result) countRetries(tiers []RetryTier, budget time.Duration) []RetryTier {
+	for t := 1; t <= r.Tier; t++ {
+		budget *= RetryBackoff
+		if t > len(tiers) {
+			tiers = append(tiers, RetryTier{Tier: t, Budget: budget})
+		}
+		tiers[t-1].Attempted++
+	}
+	if r.Tier > 0 && r.Status != Aborted {
+		tiers[r.Tier-1].Recovered++
+	}
+	return tiers
 }
 
 // telProgressEvery returns the progress period of a (possibly nil)
@@ -625,12 +659,16 @@ type runState struct {
 	start  time.Time
 	faults []Fault
 
-	// plan is the sweep's dispatch plan: its order is the commit order.
-	plan      *dispatchPlan
+	// order is the sweep's dispatch order over the faults the pre-phase
+	// left, and the order the commit frontier walks; groups partition it
+	// into the region groups workers claim off cursor (buildGroups).
+	order     []int32
+	groups    []faultGroup
+	cursor    atomic.Int64
 	droppedF  bitset                       // officially dropped by a committed vector's flush
 	byRPT     []bool                       // detected by the pre-phase, run or restored: the sweep skips these
 	published []atomic.Pointer[specResult] // speculative solves and replayed verdicts, one slot per fault
-	resumed   []bool                       // replayed from a journal: never solved, dropped or retried
+	resumed   []bool                       // replayed from a journal: never solved or dropped
 	// pubHigh is the highest plan position published so far (-1 before
 	// the first); the stall clock runs only while it is past the frontier.
 	pubHigh atomic.Int64
@@ -638,7 +676,7 @@ type runState struct {
 	// Commit frontier state, all under commitMu.
 	commitMu    sync.Mutex
 	commitDirty atomic.Bool
-	frontier    int       // next position in plan.order to commit
+	frontier    int       // next position in order to commit
 	results     []*Result // adopted results, one slot per fault; final once decided
 
 	// Final-verdict tallies, written by decide and resume replay, read
@@ -744,20 +782,21 @@ func (st *runState) tally(s Status) {
 
 // decide makes fault i's verdict final, and is the only code that does:
 // it tallies the verdict for Progress, counts it in the /metrics verdict
-// counters, journals it and writes its effort record. The sweep's commit
-// frontier calls it for every verdict not headed for a retry tier; the
-// retry phase calls it for every tier verdict that is not Aborted and,
-// after the last tier of a run that was not cancelled, for every fault
-// still Aborted. Calls for one fault never overlap: the frontier holds
-// commitMu, and a tier slot belongs to the one worker that claimed it.
-func (st *runState) decide(ws *workerScratch, i int, res *Result, phase string, tier, worker int) {
+// counters, journals it and writes its effort record (phase "retry" when
+// an escalated attempt decided it). The commit frontier calls it, under
+// commitMu, for every solved result it adopts.
+func (st *runState) decide(ws *workerScratch, i int, res *Result, worker int) {
 	st.tally(res.Status)
 	st.opt.Telemetry.observeVerdict(res)
 	if st.opt.Journal != nil {
 		st.opt.Journal.RecordFault(i, res.Status.String(), res.Vector, res.Err)
 	}
 	if st.effort != nil {
-		st.recordEffort(ws, i, res, phase, tier, worker)
+		phase := "sweep"
+		if res.Tier > 0 {
+			phase = "retry"
+		}
+		st.recordEffort(ws, i, res, phase, worker)
 	}
 }
 
@@ -881,7 +920,7 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 			// This loop is the only rptDetectedIdx writer, so the slice
 			// tail past preDet is exactly this batch's detections.
 			for _, i := range st.rptDetectedIdx[preDet:] {
-				st.recordEffort(scratches[0], i, nil, "rpt", 0, -1)
+				st.recordEffort(scratches[0], i, nil, "rpt", -1)
 			}
 		}
 		span.Items = int64(detected)
@@ -903,17 +942,17 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 // passedDropped fills a dropped fault's slot once the frontier passes it.
 var passedDropped = new(specResult)
 
-// publish is the sweep's emit: it hands the speculative solve at plan
-// position p to the commit frontier — or, when a flush dropped the fault
+// publish hands the speculative solve at plan position p to the commit
+// frontier — or, when a flush dropped the fault
 // while it was in flight, discards it as wasted (the official verdict is
 // "dropped") — and then offers to advance the frontier. Exactly one of
 // publish and the frontier counts a wasted solve, whoever fills the slot.
 func (st *runState) publish(ws *workerScratch, worker, p int, res Result) error {
-	i := int(st.plan.order[p])
+	i := int(st.order[p])
 	if st.droppedF.get(i) || !st.published[i].CompareAndSwap(nil, &specResult{res: res, worker: int32(worker)}) {
 		st.countWasted(1)
 		if st.effort != nil {
-			st.recordEffort(ws, i, &res, "dropped", 0, worker)
+			st.recordEffort(ws, i, &res, "dropped", worker)
 		}
 		return nil
 	}
@@ -959,32 +998,31 @@ func (st *runState) kickCommit(ws *workerScratch, worker int) error {
 }
 
 // commitLocked walks the dispatch order from the frontier, adopting each
-// slot's published result, in order: its solver work is observed and,
-// unless it is an abort headed for the retry tiers, decide makes it
-// final (a verdict replayed from a journal is only tallied and
-// recorded); with DropDetected each adopted vector is flushed at once —
-// so the order of verdicts, journal and effort records, and the entire
-// drop set, is a deterministic function of the dispatch order alone. A
-// slot whose solve is still in flight blocks the frontier; a dropped slot
-// gets its clean-drop record and is skipped, discarding any speculative
-// result as wasted. Called with commitMu held.
+// slot's published result, in order: decide makes a solved result final
+// and observes its solver work, while a verdict replayed from a journal
+// is only tallied and recorded, after a Detected one's vector is
+// re-simulated against its fault; with DropDetected each adopted vector
+// is flushed at once — so the order of verdicts, journal and effort
+// records, and the entire drop set, is a deterministic function of the
+// dispatch order alone. A slot whose solve is still in flight blocks the
+// frontier; a dropped slot gets its clean-drop record and is skipped,
+// discarding any speculative result as wasted. Called with commitMu held.
 func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 	tel := st.opt.Telemetry
-	retryable := st.opt.RetryTiers > 0 && st.opt.PerFaultBudget > 0
-	order := st.plan.order
+	order := st.order
 	for st.frontier < len(order) {
 		i := int(order[st.frontier])
 		if st.droppedF.get(i) {
 			if sr := st.published[i].Swap(passedDropped); sr != nil {
 				st.countWasted(1)
 				if st.effort != nil {
-					st.recordEffort(ws, i, &sr.res, "dropped", 0, int(sr.worker))
+					st.recordEffort(ws, i, &sr.res, "dropped", int(sr.worker))
 				}
 			}
 			// Fault simulation decided the fault: its one non-wasted
 			// record carries no solver work.
 			if st.effort != nil {
-				st.recordEffort(ws, i, nil, "dropped", 0, -1)
+				st.recordEffort(ws, i, nil, "dropped", -1)
 			}
 			st.frontier++
 			continue
@@ -1012,22 +1050,46 @@ func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 		if st.resumed[i] {
 			st.tally(res.Status)
 			if st.effort != nil {
-				st.recordEffort(ws, i, &res, "resume", 0, -1)
+				st.recordEffort(ws, i, &res, "resume", -1)
 			}
 		} else {
-			tel.observeAttempt(int(sr.worker), 0, &res)
-			// An abort headed for the retry queue is not final yet:
-			// journaling it now would make a resume skip a fault the
-			// tiers might still decide.
-			if res.Status != Aborted || !retryable {
-				st.decide(ws, i, &res, "sweep", 0, int(sr.worker))
+			tel.observeSolve(int(sr.worker), &res)
+			st.decide(ws, i, &res, int(sr.worker))
+		}
+		if res.Status != Detected {
+			continue
+		}
+		if st.opt.DropDetected {
+			if err := st.flushLocked(ws, worker, res.Vector); err != nil {
+				return fmt.Errorf("atpg: vector for %s: %v", st.faults[i].Name(st.c), err)
 			}
 		}
-		if res.Status == Detected && st.opt.DropDetected {
-			if err := st.flushLocked(ws, worker, res.Vector); err != nil {
+		if st.resumed[i] {
+			if err := st.checkResumed(ws, i, res.Vector); err != nil {
 				return err
 			}
 		}
+	}
+	return nil
+}
+
+// checkResumed re-simulates a journaled Detected vector against its own
+// fault: a journal is external input, and a vector that does not detect
+// its fault fails the run, as a solved one does in settle. With
+// DropDetected the flush has just loaded the vector into the worker's
+// simulator; otherwise checkResumed loads it there. Called with commitMu
+// held; allocation-free, like a flush.
+func (st *runState) checkResumed(ws *workerScratch, i int, vec []bool) error {
+	f := st.faults[i]
+	sim, err := ws.sim, error(nil)
+	if !st.opt.DropDetected {
+		sim, err = ws.load(st.c, vec)
+	}
+	if err == nil && sim.DetectsAny(f.Net, f.StuckAt) == 0 {
+		err = errors.New("the vector does not detect it")
+	}
+	if err != nil {
+		return fmt.Errorf("atpg: resumed verdict for %s: %v", f.Name(st.c), err)
 	}
 	return nil
 }
@@ -1048,17 +1110,12 @@ func (st *runState) settled(i int) bool {
 func (st *runState) flushLocked(ws *workerScratch, worker int, vec []bool) error {
 	simStart := time.Now()
 	span := st.trace.Start("flush", st.sweepSpan)
-	var err error
-	ws.pack, err = faultsim.PackPatternsInto(ws.pack, st.c, [][]bool{vec})
-	if err != nil {
-		return err
-	}
-	sim, err := ws.simulator(st.c, ws.pack, 1)
+	sim, err := ws.load(st.c, vec)
 	if err != nil {
 		return err
 	}
 	dropped := 0
-	order := st.plan.order
+	order := st.order
 	for p := st.frontier; p < len(order); p++ {
 		j := int(order[p])
 		if st.settled(j) {

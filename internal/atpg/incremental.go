@@ -3,9 +3,10 @@ package atpg
 // This file is the engine side of solving a group: solveGroup, which
 // encodes one formula per region group and decides every member on the
 // worker's persistent CDCL instance under assumptions. The dispatch loop
-// (runPlan) calls it for the groups of every plan — the sweep's and each
-// retry tier's re-grouped queue — so a retried fault also benefits from
-// clauses learned by its region neighbors in the same tier.
+// (runPlan) calls it for every group of the sweep. A member whose solve
+// runs out of budget is escalated in place, on the same instance, so a
+// retried fault keeps the clauses learned for it and its region
+// neighbors.
 
 import (
 	"context"
@@ -15,38 +16,42 @@ import (
 	"time"
 
 	"atpgeasy/internal/cnf"
-	"atpgeasy/internal/obs"
 	"atpgeasy/internal/sat"
 )
 
-// solveGroup decides every unsettled member of one group of the plan.
-// It encodes the region's gated formula over the members still live,
-// loads it into the worker's incremental instance and solves it once
-// per member under that member's activation assumptions. Members
-// settled before the encode are excluded from it; members dropped after
-// it are skipped without a solve — both mirror a claim-time drop check.
-// solveGroup is the engine's one per-fault panic barrier: a panic
-// anywhere in the group becomes Errored results for the members not yet
-// emitted, and the worker's instance is replaced (its sticky shrunk
-// learned budget carried over) so the next group starts clean.
+// solveGroup decides every unsettled member of one region group of the
+// sweep and publishes each verdict to the commit frontier. It encodes the
+// region's gated formula over the members still live, loads it into the
+// worker's incremental instance and solves it once per member under
+// that member's activation assumptions. Members settled before the
+// encode are excluded from it; members dropped after it are skipped
+// without a solve — both mirror a claim-time drop check. solveGroup is
+// the engine's one per-fault panic barrier: a panic anywhere in the
+// group becomes Errored results for the members not yet published, and
+// the worker's instance is replaced (its sticky shrunk learned budget
+// carried over) so the next group starts clean.
 //
-// The plan's budget, when positive, bounds each member's solve
-// separately (a region group shares learned clauses, never a deadline).
-// Verdicts and vectors are independent of group size and timing: the
-// solver's lex-first branching over the region's input variables makes
-// each member's first model project to the lex-least input assignment,
+// PerFaultBudget, when positive, bounds each member's solve separately
+// (a region group shares learned clauses, never a deadline). A member
+// whose solve returns Unknown under it is solved again at once on the
+// same instance, its learned clauses intact, with RetryBackoff times the
+// budget, up to RetryTiers times; escalation stops early once the run
+// is cancelled or a flush has dropped the member. Verdicts and vectors
+// are independent of group size, escalation and timing: the solver's
+// lex-first branching over the region's input variables makes each
+// member's first model project to the lex-least input assignment,
 // whatever clauses retention has added — see sat.Incremental's
 // determinism contract.
-func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan, g *faultGroup, ws *workerScratch, worker int, shrinkSeen *int64, parent obs.SpanContext, emit emitFunc) (err error) {
-	members := pl.order[g.start:g.end]
-	next := 0 // members[:next] are emitted or skipped
-	// decided hands member k's verdict to emit.
+func (e *Engine) solveGroup(ctx context.Context, st *runState, g *faultGroup, ws *workerScratch, worker int, shrinkSeen *int64) (err error) {
+	members := st.order[g.start:g.end]
+	next := 0 // members[:next] are published or skipped
+	// decided publishes member k's verdict.
 	decided := func(k int, res Result) error {
 		if res.Status == Errored {
 			st.dumpOnce()
 		}
 		next = k + 1
-		return emit(int(g.start)+k, res)
+		return st.publish(ws, worker, int(g.start)+k, res)
 	}
 	defer func() {
 		r := recover()
@@ -72,7 +77,7 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 		}
 	}()
 
-	gspan := st.trace.Start("group", parent)
+	gspan := st.trace.Start("group", st.sweepSpan)
 	gspan.Worker = worker
 	gspan.Detail = "region-" + strconv.Itoa(int(g.region))
 	gspan.Items = int64(len(members))
@@ -125,11 +130,10 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 		// watchdog-driven shrink can reduce the learned DB here — a
 		// 64-member group must not outrun the memory watchdog.
 		st.maybeShrink(ws, worker, shrinkSeen)
-		abort := e.testHook != nil && e.testHook(st.faults[i], pl.budget)
 		res := g.result(st.faults[i])
 		if buildElapsed > 0 {
 			// The group's encode and load are attributed to its first
-			// emitted member, so summed phase times still account for
+			// published member, so summed phase times still account for
 			// them exactly once.
 			res.BuildElapsed, res.LoadElapsed = buildElapsed, loadElapsed
 			buildElapsed = 0
@@ -141,21 +145,34 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, pl *dispatchPlan,
 			}
 			continue
 		}
-		lim := sat.Limits{Cancel: ctx.Done()}
-		if pl.budget > 0 {
-			lim.Deadline = time.Now().Add(pl.budget)
-		}
 		fspan := st.trace.Start("fault", gspan.Context())
 		fspan.Worker = worker
 		fspan.Detail = st.faults[i].Name(st.c)
 		res.Vars, res.Clauses = formula.NumVars, formula.NumClauses()
+		assumps = ws.enc.assumptions(mk, assumps)
+		var sol sat.Solution
+		var stats sat.Stats // every attempt's search
+		budget := st.opt.PerFaultBudget
 		start := time.Now()
-		var sol sat.Solution // Unknown: the hook aborted the member
-		if !abort {
-			assumps = ws.enc.assumptions(mk, assumps)
-			sol = ws.inc.SolveAssuming(assumps, lim)
+		for {
+			sol = sat.Solution{} // Unknown: the hook aborted the attempt
+			if e.testHook == nil || !e.testHook(st.faults[i], budget) {
+				lim := sat.Limits{Cancel: ctx.Done()}
+				if budget > 0 {
+					lim.Deadline = time.Now().Add(budget)
+				}
+				sol = ws.inc.SolveAssuming(assumps, lim)
+			}
+			stats.Add(sol.Stats)
+			if sol.Status != sat.Unknown || budget <= 0 || res.Tier >= st.opt.RetryTiers ||
+				ctx.Err() != nil || st.droppedF.get(i) {
+				break
+			}
+			res.Tier++
+			budget *= RetryBackoff
 		}
 		res.Elapsed = time.Since(start)
+		sol.Stats = stats
 		err = settle(st.c, &res, sol, ws.enc)
 		fspan.Items = res.SolverStats.SearchEffort()
 		fspan.End()

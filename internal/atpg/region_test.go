@@ -459,11 +459,10 @@ func TestIncrementalPanicIsolation(t *testing.T) {
 }
 
 // TestIncrementalRetryTiers forces aborts with a tiny budget and
-// requires the retry tiers to recover them through the dispatch loop,
-// matching the unlimited run's verdicts — with each tier's queue
-// re-grouped by region at the default group-size cap and at 1. The
-// pre-phase is off so faults reach the solvers, and the 1ns sweep
-// budget aborts them all.
+// requires in-place escalation to recover them on the group's instance,
+// matching the unlimited run's verdicts — at the default group-size cap
+// and at 1. The pre-phase is off so faults reach the solvers, and the
+// 1ns first-attempt budget aborts them all.
 func TestIncrementalRetryTiers(t *testing.T) {
 	c := gen.ArrayMultiplier(3)
 	eng := &Engine{Workers: 2}

@@ -2,10 +2,11 @@ package atpg
 
 // This file is the engine's resilience layer: the checkpoint/resume
 // plumbing (the journal itself lives in internal/checkpoint), the
-// escalating-budget retry tiers for faults that exhaust PerFaultBudget,
-// and the soft-memory watchdog that shrinks the workers' learned-clause
-// databases instead of letting the process grow toward an OOM kill. The per-fault panic
-// barrier is solveGroup's (incremental.go).
+// escalation constants for faults that exhaust PerFaultBudget, and the
+// soft-memory watchdog that shrinks the workers' learned-clause
+// databases instead of letting the process grow toward an OOM kill. The
+// in-place escalation itself and the per-fault panic barrier are
+// solveGroup's (incremental.go).
 
 import (
 	"context"
@@ -18,7 +19,7 @@ import (
 	"atpgeasy/internal/logic"
 )
 
-// Retry escalation: by default three tiers, each with RetryBackoff times
+// Budget escalation: by default three tiers, each with RetryBackoff times
 // the previous budget, so a fault gets up to 1+4+16+64 = 85x the base
 // budget before it is finally reported aborted.
 const (
@@ -59,7 +60,8 @@ type ResumeState struct {
 	Faults map[int]Result
 }
 
-// RetryTier summarizes one escalation tier of the retry phase.
+// RetryTier summarizes one escalation tier: how many committed results
+// were solved again at its budget, and how many of them it decided.
 type RetryTier struct {
 	Tier      int           `json:"tier"`
 	Budget    time.Duration `json:"budget_ns"`
@@ -180,110 +182,4 @@ func (e *Engine) startMemWatchdog(ctx context.Context, st *runState) func() {
 		close(done)
 		wg.Wait()
 	}
-}
-
-// runRetryTiers is the escalation phase: after the main sweep, faults
-// that hit PerFaultBudget are re-run on the worker pool for up to
-// RetryTiers rounds with geometrically increasing budgets, reusing the
-// per-worker scratch arenas. A fault leaves the queue as soon as a tier
-// decides it; survivors of the final tier stay Aborted, and only then is
-// that verdict final. Returns one summary entry per tier that ran.
-func (e *Engine) runRetryTiers(ctx context.Context, st *runState, scratches []*workerScratch) []RetryTier {
-	opt := st.opt
-	if opt.RetryTiers <= 0 || opt.PerFaultBudget <= 0 {
-		return nil
-	}
-	// The main sweep's pool has exited and its frontier is drained, so the
-	// results array is quiescent here.
-	var queue []int
-	for i, r := range st.results {
-		if r != nil && r.Status == Aborted && !st.resumed[i] {
-			queue = append(queue, i)
-		}
-	}
-	st.mu.Lock()
-	failed := st.err != nil
-	st.mu.Unlock()
-	if failed {
-		return nil
-	}
-
-	tel := opt.Telemetry
-	budget := opt.PerFaultBudget
-	var tiers []RetryTier
-	for tier := 1; tier <= opt.RetryTiers && len(queue) > 0 && ctx.Err() == nil; tier++ {
-		budget *= RetryBackoff
-		entry := RetryTier{Tier: tier, Budget: budget, Attempted: len(queue)}
-		tierSpan := st.trace.Start("retry-tier", st.runSpan)
-		tierSpan.Detail = fmt.Sprintf("tier-%d", tier)
-		tierSpan.Items = int64(len(queue))
-		tierCtx := tierSpan.Context()
-		// Each fault's slot is written by the one worker that claimed it
-		// (or its group), so the writes are disjoint.
-		decidedF := make([]bool, len(st.results))
-		// adopt is the tier's emit: the result replaces the fault's
-		// aborted one directly (there is no speculation to commit), and
-		// a verdict that is not Aborted is final.
-		adopt := func(ws *workerScratch, w, i int, res Result) {
-			st.results[i] = &res
-			tel.observeAttempt(w, tier, &res)
-			if res.Status != Aborted {
-				decidedF[i] = true
-				st.decide(ws, i, &res, "retry", tier, w)
-			}
-		}
-		// The tier is a plan over its queue, laid out like the sweep's:
-		// the queue is re-grouped by fanout region, so a retried fault
-		// resumes on a shared region instance and reuses clauses learned
-		// by its neighbors in the same tier.
-		skip := make([]bool, len(st.faults))
-		for i := range skip {
-			skip[i] = true
-		}
-		for _, i := range queue {
-			skip[i] = false
-		}
-		pl := planDispatch(st.c, st.head, st.faults, skip, opt.GroupMax, budget)
-		var wg sync.WaitGroup
-		for w, ws := range scratches {
-			w, ws := w, ws
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				emit := func(p int, res Result) error {
-					adopt(ws, w, int(pl.order[p]), res)
-					return nil
-				}
-				if err := e.runPlan(ctx, st, pl, w, ws, tierCtx, emit); err != nil {
-					st.setErr(err)
-				}
-			}()
-		}
-		wg.Wait()
-		tierSpan.End()
-		var still []int
-		for _, i := range queue {
-			if !decidedF[i] {
-				still = append(still, i)
-			}
-		}
-		entry.Recovered = entry.Attempted - len(still)
-		tiers = append(tiers, entry)
-		queue = still
-		st.mu.Lock()
-		failed = st.err != nil
-		st.mu.Unlock()
-		if failed {
-			return tiers
-		}
-	}
-	// Whatever is still queued is finally Aborted, carrying the last
-	// tier's result — unless the run is draining (a later resume should
-	// get another shot).
-	if ctx.Err() == nil {
-		for _, i := range queue {
-			st.decide(scratches[0], i, st.results[i], "retry", len(tiers), -1)
-		}
-	}
-	return tiers
 }

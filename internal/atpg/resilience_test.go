@@ -169,8 +169,8 @@ func (s *recordingSink) recordedOnce(t *testing.T, what string) {
 // TestJournalRecordsEachVerdictOnce: the engine journals the pre-phase at
 // most once and each fault at most once — the property that lets the
 // checkpoint journal stay append-only, with no superseded record to
-// compact away. It holds with dropping on, with sweep aborts (forced by
-// the hook) that the retry tiers recover, at 1 and 4 workers, and across
+// compact away. It holds with dropping on, with aborts (forced by the
+// hook) that in-place escalation recovers, at 1 and 4 workers, and across
 // a cancel followed by a resume, whose journal continues the cancelled
 // run's without repeating any of its records.
 func TestJournalRecordsEachVerdictOnce(t *testing.T) {
@@ -186,8 +186,7 @@ func TestJournalRecordsEachVerdictOnce(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		name := "workers=" + itoa(workers)
 		// The hook aborts the faults on even nets below a 100ms budget:
-		// the sweep still commits the others' vectors and flushes, and
-		// tier 2 decides the aborted ones.
+		// their tier-2 attempts decide them, between the others.
 		abort := abortBelow(100 * time.Millisecond)
 		eng := func() *Engine {
 			return &Engine{Workers: workers, testHook: func(f Fault, budget time.Duration) bool {
@@ -292,9 +291,9 @@ func TestFaultPanicAfterShrinkDumpsRecorder(t *testing.T) {
 }
 
 // TestRetryTiersRecoverAbortedFaults runs with a budget every fault
-// "exceeds" until the second escalation tier, and requires the retry
-// phase to decide all of them — with the per-tier story in
-// Summary.Retries and the labeled metrics.
+// "exceeds" until the second escalation tier, and requires escalation to
+// decide all of them — with the per-tier story in Summary.Retries and
+// the labeled metrics.
 func TestRetryTiersRecoverAbortedFaults(t *testing.T) {
 	c := gen.CarryLookaheadAdder(4)
 	faults := Collapse(c, AllFaults(c))
@@ -356,6 +355,61 @@ func TestRetryTiersRecoverAbortedFaults(t *testing.T) {
 	}
 }
 
+// TestBudgetedRunMatchesUnbudgeted: a budgeted run whose aborts all
+// recover must equal the unbudgeted run, drops included. The hook aborts
+// every solver-bound fault's first two attempts, so each is decided in
+// place by its tier-2 attempt and commits at its own plan position,
+// where its vector drops exactly what it drops without a budget — with
+// the pre-phase on (the comparator) and off (the multiplier), at 1 and
+// 4 workers.
+func TestBudgetedRunMatchesUnbudgeted(t *testing.T) {
+	arms := []struct {
+		name string
+		c    *logic.Circuit
+		rpt  int
+	}{
+		{"cmp48", gen.Comparator(48), DefaultRPTBatches},
+		{"mult6-rpt0", gen.ArrayMultiplier(6), 0},
+	}
+	for _, arm := range arms {
+		opt := DefaultRunOptions()
+		opt.RPTBatches = arm.rpt
+		for _, workers := range []int{1, 4} {
+			name := arm.name + " workers=" + itoa(workers)
+			plain, err := (&Engine{Workers: workers}).Run(context.Background(), arm.c, opt)
+			if err != nil {
+				t.Fatalf("%s unbudgeted: %v", name, err)
+			}
+			bopt := opt
+			bopt.PerFaultBudget = 10 * time.Millisecond // tiers: 40ms, 160ms, 640ms
+			eng := &Engine{Workers: workers, testHook: abortBelow(100 * time.Millisecond)}
+			sum, err := eng.Run(context.Background(), arm.c, bopt)
+			if err != nil {
+				t.Fatalf("%s budgeted: %v", name, err)
+			}
+			if plain.DroppedByFaultSim == 0 {
+				t.Fatalf("%s: the unbudgeted run drops nothing; the arm tests no drop", name)
+			}
+			if !reflect.DeepEqual(sum.Vectors, plain.Vectors) || sum.Detected != plain.Detected ||
+				sum.Untestable != plain.Untestable || sum.DroppedByFaultSim != plain.DroppedByFaultSim || sum.Aborted != 0 {
+				t.Fatalf("%s: budgeted run has %d vectors, %d detected, %d untestable, %d dropped, %d aborted; unbudgeted %d, %d, %d, %d, 0",
+					name, len(sum.Vectors), sum.Detected, sum.Untestable, sum.DroppedByFaultSim, sum.Aborted,
+					len(plain.Vectors), plain.Detected, plain.Untestable, plain.DroppedByFaultSim)
+			}
+			if len(sum.Retries) != 2 {
+				t.Fatalf("%s: retries %+v, want tiers 1 and 2", name, sum.Retries)
+			}
+			t1, t2 := sum.Retries[0], sum.Retries[1]
+			if t1.Attempted == 0 || t1.Recovered != 0 || t2.Attempted != t1.Attempted || t2.Recovered != t2.Attempted {
+				t.Fatalf("%s: retries %+v, want n/0 at tier 1 and n/n at tier 2", name, sum.Retries)
+			}
+			if t1.Budget != 40*time.Millisecond || t2.Budget != 160*time.Millisecond {
+				t.Fatalf("%s: tier budgets %v and %v, want 40ms and 160ms", name, t1.Budget, t2.Budget)
+			}
+		}
+	}
+}
+
 // TestCrashResumeEquivalence cancels a run mid-sweep (the in-process
 // stand-in for kill -9: only journaled verdicts survive), resumes from
 // the journal, and requires byte-identical vectors and coverage versus
@@ -398,7 +452,8 @@ func TestCrashResumeEquivalence(t *testing.T) {
 			for _, i := range bsink.state().RPT.Detected {
 				skip[i] = true
 			}
-			first := faults[planDispatch(c, regionHeads(c), faults, skip, 0, 0).order[0]]
+			order, _ := buildGroups(c, regionHeads(c), faults, skip, 0)
+			first := faults[order[0]]
 
 			// Interrupted run: cancel as the sweep reaches its cancelAt-th
 			// live member, the first slot aside. The members still in
@@ -481,7 +536,9 @@ func TestCheckpointFingerprintEffectiveIdleStop(t *testing.T) {
 
 // TestResumeSkipsDecidedFaults checks the dispatch plumbing directly: a
 // resumed verdict must keep its journaled vector verbatim and never be
-// re-solved.
+// re-solved. The sentinel vector detects its fault, as the frontier's
+// re-simulation of a replayed vector requires, but is not the vector the
+// solver finds.
 func TestResumeSkipsDecidedFaults(t *testing.T) {
 	c := gen.CarryLookaheadAdder(4)
 	faults := Collapse(c, AllFaults(c))
@@ -496,6 +553,9 @@ func TestResumeSkipsDecidedFaults(t *testing.T) {
 	for i := range sentinel {
 		sentinel[i] = true
 	}
+	if !VerifyTest(c, faults[0], sentinel) || reflect.DeepEqual(base.Results[0].Vector, sentinel) {
+		t.Fatal("the sentinel must detect fault 0 and differ from the solver's vector")
+	}
 	rs := &ResumeState{Faults: map[int]Result{0: {Status: Detected, Vector: sentinel}}}
 	resumed, err := (&Engine{Workers: 2}).RunFaults(context.Background(), c, faults, RunOptions{Resume: rs})
 	if err != nil {
@@ -507,5 +567,45 @@ func TestResumeSkipsDecidedFaults(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resumed.Results[0].Vector, sentinel) {
 		t.Fatal("resumed verdict was re-solved instead of replayed")
+	}
+}
+
+// TestResumeChecksReplayedVectors: a journal is external input, so the
+// commit frontier re-simulates each replayed Detected vector against its
+// own fault and fails the run, naming the fault, when the vector does
+// not detect it or is missing — with dropping on, where the vector would
+// also drive the flush, and off.
+func TestResumeChecksReplayedVectors(t *testing.T) {
+	c := gen.Comparator(48)
+	faults := CollapseDominance(c, Collapse(c, AllFaults(c)))
+	for _, drop := range []bool{true, false} {
+		opt := RunOptions{RPTBatches: DefaultRPTBatches, Seed: 1, DropDetected: drop}
+		sink := newRecordingSink()
+		jopt := opt
+		jopt.Journal = sink
+		if _, err := (&Engine{Workers: 2}).RunFaults(context.Background(), c, faults, jopt); err != nil {
+			t.Fatal(err)
+		}
+		zeros := make([]bool, len(c.Inputs))
+		victim := -1
+		for i, r := range sink.state().Faults {
+			if r.Status == Detected && !VerifyTest(c, faults[i], zeros) && (victim < 0 || i < victim) {
+				victim = i
+			}
+		}
+		if victim < 0 {
+			t.Fatalf("drop=%t: every journaled vector's fault is detected by all zeros", drop)
+		}
+		for _, vec := range [][]bool{zeros, nil} {
+			rs := sink.state()
+			rs.Faults[victim] = Result{Status: Detected, Vector: vec}
+			ropt := opt
+			ropt.Resume = rs
+			_, err := (&Engine{Workers: 2}).RunFaults(context.Background(), c, faults, ropt)
+			if err == nil || !strings.Contains(err.Error(), faults[victim].Name(c)) {
+				t.Errorf("drop=%t: resume with a %d-bit non-detecting vector for %s returned %v",
+					drop, len(vec), faults[victim].Name(c), err)
+			}
+		}
 	}
 }

@@ -17,9 +17,9 @@ type Telemetry struct {
 	// over an obs.Registry with NewMetrics.
 	Metrics *Metrics
 	// Trace is the run's event record. The engine records every run-level
-	// event on it once, as a span: run → phase (rpt, sweep, retry-tier) →
-	// group or rpt-batch → fault, plus a flush span per Detected vector
-	// the sweep commits (items: the faults it dropped), a frontier-stall
+	// event on it once, as a span: run → phase (rpt, sweep) → group or
+	// rpt-batch → fault, plus a flush span per Detected vector the
+	// commit frontier adopts (items: the faults it dropped), a frontier-stall
 	// span per commit-frontier stall (detail: the fault it waited on) and
 	// a shrink span per watchdog learned-clause budget halving (items: the
 	// worker's new budget). Its flight recorder keeps the newest spans and
@@ -39,10 +39,9 @@ type Telemetry struct {
 type Progress struct {
 	Circuit string
 	// Done counts faults with a final verdict: solved (detected,
-	// untestable or aborted), dropped-by-simulation, or detected by the
-	// random-pattern pre-phase. A fault aborted by the sweep and queued for
-	// a retry tier is not done until a tier decides it or the last tier
-	// gives up on it.
+	// untestable, aborted or errored), dropped-by-simulation, or detected
+	// by the random-pattern pre-phase. A fault is done once the commit
+	// frontier adopts it, after its last escalated attempt.
 	Done, Total                            int
 	Detected, Untestable, Aborted, Dropped int
 	// Errors counts faults whose processing panicked (recovered, run
@@ -85,12 +84,12 @@ func (p Progress) String() string {
 
 // Metrics is the engine's metric set over an obs.Registry. The verdict
 // counters (faults done/detected/untestable/aborted/errored, panics,
-// vectors) move once per final verdict; the work counters (phase times,
-// solver counters, the per-fault histograms) once per adopted solve
-// attempt, so a fault retried by the escalation tiers counts every
-// attempt's work but one verdict. Nothing is updated inside the solver's
-// search loop, and the solver work counters are sharded per worker so
-// parallel runs never contend on a cache line.
+// vectors) move once per final verdict, and the work counters (phase
+// times, solver counters, the per-fault histograms) once per solved
+// result the commit frontier adopts, whose work covers every escalated
+// attempt — so both agree with the Summary. Nothing is updated inside
+// the solver's search loop, and the solver work counters are sharded per
+// worker so parallel runs never contend on a cache line.
 type Metrics struct {
 	FaultsTotal *obs.Gauge // faults in the current run
 	Workers     *obs.Gauge
@@ -116,8 +115,9 @@ type Metrics struct {
 	HistFrontierStall *obs.Histogram
 
 	// Resilience counters: recovered per-fault panics, watchdog-driven
-	// learned-clause budget halvings, and the retry escalation broken down
-	// by tier.
+	// learned-clause budget halvings, and budget escalation broken down by
+	// tier (derived from the adopted results' Tier, like
+	// Summary.Retries).
 	FaultPanics    *obs.Counter
 	CacheShrinks   *obs.Counter
 	RetryAttempts  *obs.LabeledCounter
@@ -172,8 +172,8 @@ func NewMetrics(reg *obs.Registry, shards int) *Metrics {
 
 		FaultPanics:    reg.Counter("atpg_fault_panics_total", "per-fault panics recovered by the worker barrier"),
 		CacheShrinks:   reg.Counter("atpg_cache_shrinks_total", "learned-clause budget halvings forced by the memory watchdog"),
-		RetryAttempts:  reg.LabeledCounter("atpg_retry_attempts_total", "aborted faults re-run by the retry phase", "tier"),
-		RetryRecovered: reg.LabeledCounter("atpg_retry_recovered_total", "faults decided by a retry tier", "tier"),
+		RetryAttempts:  reg.LabeledCounter("atpg_retry_attempts_total", "over-budget faults solved again at an escalated budget", "tier"),
+		RetryRecovered: reg.LabeledCounter("atpg_retry_recovered_total", "faults decided at an escalated budget", "tier"),
 
 		PhaseRPTNS:      reg.Counter("atpg_phase_rpt_ns_total", "random-pattern pre-phase time"),
 		PhaseBuildNS:    reg.Counter("atpg_phase_build_ns_total", "formula encoding time"),
@@ -204,12 +204,11 @@ func (t *Telemetry) begin(total, workers int) {
 	t.Metrics.Workers.Set(int64(workers))
 }
 
-// observeAttempt records the solver work of one adopted attempt: a
-// result the sweep's commit frontier adopts, or any retry-tier result
-// (tier > 0), whether or not it decided the fault. That covers the phase
-// times, the solver counters, the per-fault histograms and the tier's
-// attempt and recovery counts.
-func (t *Telemetry) observeAttempt(worker, tier int, res *Result) {
+// observeSolve records the solver work of one solved result the commit
+// frontier adopts, every escalated attempt included: the phase times,
+// the solver counters, the per-fault histograms, and the attempt and
+// recovery counts of each tier it reached.
+func (t *Telemetry) observeSolve(worker int, res *Result) {
 	if t == nil || t.Metrics == nil {
 		return
 	}
@@ -226,12 +225,11 @@ func (t *Telemetry) observeAttempt(worker, tier int, res *Result) {
 		m.ClauseDBBytes.SetMax(st.ClauseDBBytes)
 	}
 	m.HistSolveNS.Observe(res.Elapsed.Nanoseconds())
-	if tier > 0 {
-		label := strconv.Itoa(tier)
-		m.RetryAttempts.With(label).Inc()
-		if res.Status != Aborted {
-			m.RetryRecovered.With(label).Inc()
-		}
+	for tier := 1; tier <= res.Tier; tier++ {
+		m.RetryAttempts.With(strconv.Itoa(tier)).Inc()
+	}
+	if res.Tier > 0 && res.Status != Aborted {
+		m.RetryRecovered.With(strconv.Itoa(res.Tier)).Inc()
 	}
 }
 

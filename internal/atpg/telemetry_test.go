@@ -40,9 +40,10 @@ func decodeTrace(t *testing.T, data []byte) []obs.SpanRecord {
 // TestTelemetryEndToEnd: a fully instrumented run must agree with its own
 // summary — the /metrics verdict counters, the effort log's records by
 // status, the trace's flush spans and the final progress snapshot all
-// describe the same run, and the trace holds spans only. The retry arms abort every
-// solver-bound fault in the sweep and recover it in tier 2, so each fault
-// is decided by the retry phase, not the sweep.
+// describe the same run, and the trace holds spans only. The retry arms
+// abort every solver-bound fault's first two attempts and recover it at
+// escalation tier 2, so each such fault is decided in place by its third
+// attempt.
 func TestTelemetryEndToEnd(t *testing.T) {
 	retry := RunOptions{
 		Collapse: true, DropDetected: true,
@@ -115,24 +116,15 @@ func TestTelemetryEndToEnd(t *testing.T) {
 				{"faults_gauge", m.FaultsTotal.Value(), int64(sum.Total)},
 				{"workers_gauge", m.Workers.Value(), int64(arm.eng.Workers)},
 				{"phase_faultsim_ns", m.PhaseFaultSimNS.Value(), sum.Phases.FaultSim.Nanoseconds()},
-			}
-			// The work counters move once per adopted attempt: every
-			// result the sweep commits plus every retry-tier solve. The
-			// summary's totals count only each fault's final attempt, so
-			// they agree exactly only when no tier ran.
-			attempts := int64(len(sum.Results))
-			for _, tier := range sum.Retries {
-				attempts += int64(tier.Attempted)
-			}
-			checks = append(checks, check{"hist_solve_count", m.HistSolveNS.Count(), attempts})
-			if len(sum.Retries) == 0 {
-				checks = append(checks,
-					check{"solver_decisions", m.SolverDecisions.Value(), sum.SolverTotals.Decisions},
-					check{"solver_propagations", m.SolverPropagations.Value(), sum.SolverTotals.Propagations},
-					check{"solver_conflicts", m.SolverConflicts.Value(), sum.SolverTotals.Conflicts},
-					check{"phase_solve_ns", m.PhaseSolveNS.Value(), sum.Phases.Solve.Nanoseconds()},
-					check{"phase_build_ns", m.PhaseBuildNS.Value(), sum.Phases.Build.Nanoseconds()},
-				)
+				// The work counters move once per adopted result, whose
+				// work covers every escalated attempt, so they match the
+				// summary's totals too.
+				{"hist_solve_count", m.HistSolveNS.Count(), int64(len(sum.Results))},
+				{"solver_decisions", m.SolverDecisions.Value(), sum.SolverTotals.Decisions},
+				{"solver_propagations", m.SolverPropagations.Value(), sum.SolverTotals.Propagations},
+				{"solver_conflicts", m.SolverConflicts.Value(), sum.SolverTotals.Conflicts},
+				{"phase_solve_ns", m.PhaseSolveNS.Value(), sum.Phases.Solve.Nanoseconds()},
+				{"phase_build_ns", m.PhaseBuildNS.Value(), sum.Phases.Build.Nanoseconds()},
 			}
 			for _, ck := range checks {
 				if ck.got != ck.want {
@@ -154,13 +146,9 @@ func TestTelemetryEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 			byStatus := map[string]int{}
-			sweepDetected := 0
 			for _, r := range recs {
 				if !r.Wasted {
 					byStatus[r.Status]++
-				}
-				if !r.Wasted && r.Phase == "sweep" && r.Status == "detected" {
-					sweepDetected++
 				}
 			}
 			want := map[string]int{
@@ -177,8 +165,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 			}
 
 			// The trace holds spans only, and one flush span per Detected
-			// vector the sweep committed: their items are the faults each
-			// vector dropped.
+			// vector the commit frontier adopted, escalated or not: their
+			// items are the faults each vector dropped.
 			flushes, flushDropped := 0, int64(0)
 			for _, sp := range decodeTrace(t, buf.Bytes()) {
 				if sp.Name != "flush" {
@@ -190,8 +178,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 			if flushDropped != int64(sum.DroppedByFaultSim) {
 				t.Errorf("flush spans dropped %d faults, summary %d", flushDropped, sum.DroppedByFaultSim)
 			}
-			if flushes != sweepDetected {
-				t.Errorf("%d flush spans for %d Detected vectors the sweep committed", flushes, sweepDetected)
+			if flushes != sum.Detected {
+				t.Errorf("%d flush spans for %d committed Detected vectors", flushes, sum.Detected)
 			}
 
 			// The final progress snapshot is always emitted and must agree

@@ -58,7 +58,8 @@ type RPTState struct {
 }
 
 // FaultVerdict is one finally-decided fault. Status uses the engine's
-// strings: detected, untestable, aborted, error, dropped.
+// strings: detected, untestable, aborted, error. Faults dropped by fault
+// simulation are not journaled: a resume re-derives them.
 type FaultVerdict struct {
 	Status string `json:"status"`
 	Vector string `json:"vector,omitempty"` // bit string, detected faults only

@@ -61,7 +61,10 @@ func OpenJournal(path string, resume bool, c *logic.Circuit, faults []atpg.Fault
 // ResumeStateFrom converts a loaded journal into the engine's resume
 // form, validating every index and vector against the current circuit
 // and fault list (the header hash makes a mismatch unlikely, but
-// journal content is still external input).
+// journal content is still external input): a detected verdict must
+// carry a vector of the circuit's width and no other verdict may carry
+// one. Whether a vector detects its fault is the engine's check, made
+// as the commit frontier adopts it.
 func ResumeStateFrom(st *checkpoint.State, c *logic.Circuit, faults []atpg.Fault) (*atpg.ResumeState, error) {
 	decode := func(s string, what string) ([]bool, error) {
 		v, err := checkpoint.DecodeVector(s)
@@ -101,6 +104,12 @@ func ResumeStateFrom(st *checkpoint.State, c *logic.Circuit, faults []atpg.Fault
 		status, ok := atpg.ParseStatus(fv.Status)
 		if !ok {
 			return nil, fmt.Errorf("checkpoint: fault %d has unknown status %q", i, fv.Status)
+		}
+		switch {
+		case status == atpg.Detected && fv.Vector == "":
+			return nil, fmt.Errorf("checkpoint: fault %d is detected but has no vector", i)
+		case status != atpg.Detected && fv.Vector != "":
+			return nil, fmt.Errorf("checkpoint: fault %d is %s but has a vector", i, fv.Status)
 		}
 		res := atpg.Result{Fault: faults[i], Status: status, Err: fv.Err}
 		if fv.Vector != "" {
