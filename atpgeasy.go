@@ -121,8 +121,8 @@ type (
 	// text format.
 	MetricsRegistry = obs.Registry
 	// Trace is a run's event record: it mints the engine's hierarchical
-	// spans (run → phase (rpt, sweep) → group or rpt-batch → fault, plus flush,
-	// frontier-stall and shrink), keeps the newest in a flight recorder
+	// spans (run → phase (rpt, sweep) → group or rpt-batch → fault, plus flush
+	// and frontier-stall), keeps the newest in a flight recorder
 	// (Dump, Snapshot) and, given a writer, writes each as a JSONL
 	// "kind":"span" line. Wire one into Telemetry.Trace.
 	Trace = obs.Trace
@@ -234,12 +234,12 @@ type (
 	CheckpointOptions = checkpoint.Options
 )
 
-// Budget escalation: DefaultRetryTiers is the standard
-// RunOptions.RetryTiers, and each escalated attempt runs with
-// RetryBackoff times the previous attempt's per-fault budget.
+// Budget escalation: a fault that exhausts RunOptions.PerFaultBudget is
+// solved again in place up to RetryTiers times, each attempt with
+// RetryBackoff times the previous attempt's budget.
 const (
-	DefaultRetryTiers = atpg.DefaultRetryTiers
-	RetryBackoff      = atpg.RetryBackoff
+	RetryTiers   = atpg.RetryTiers
+	RetryBackoff = atpg.RetryBackoff
 )
 
 // OpenCheckpoint creates (or, with a prior Load result, continues) a
@@ -304,7 +304,7 @@ func RunATPG(c *Circuit) (*Summary, error) {
 // RunATPGParallel is RunATPG with explicit parallelism and robustness
 // controls: workers fault-solving goroutines (0 = GOMAXPROCS), a
 // per-fault SAT budget (0 = unlimited; a fault that exhausts it is solved
-// again in place at up to DefaultRetryTiers escalating budgets before it
+// again in place at up to RetryTiers escalating budgets before it
 // counts as aborted),
 // and a context whose cancellation drains the run and returns the
 // partial summary with ctx.Err(). Summary.Results and Vectors come back
@@ -321,9 +321,9 @@ func RunATPGParallel(ctx context.Context, c *Circuit, workers int, perFaultBudge
 
 // DefaultRunOptions returns the options RunATPG runs with: equivalence
 // and dominance collapsing, the seeded random-pattern pre-phase at
-// DefaultRPTBatches, fault dropping, and DefaultRetryTiers escalation
-// tiers (active once PerFaultBudget is set). Start from it to vary one option
-// on an Engine.Run.
+// DefaultRPTBatches, and fault dropping; a PerFaultBudget set on it
+// escalates over-budget faults RetryTiers times. Start from it to vary
+// one option on an Engine.Run.
 func DefaultRunOptions() RunOptions { return atpg.DefaultRunOptions() }
 
 // VerifyTest checks by simulation that the vector detects the fault.

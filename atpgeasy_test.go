@@ -76,7 +76,7 @@ func TestFacadeRunATPGParallel(t *testing.T) {
 // TestFacadeRunATPGParallelRetries checks that RunATPGParallel runs the
 // standard flow's retry tiers: under a 1 ns budget the solver-bound
 // faults abort in the sweep and in every tier, so Summary.Retries holds
-// DefaultRetryTiers tiers, each with RetryBackoff times the previous
+// RetryTiers tiers, each with RetryBackoff times the previous
 // tier's budget.
 func TestFacadeRunATPGParallelRetries(t *testing.T) {
 	c := gen.Random(gen.RandomParams{Inputs: 18, Gates: 200, Seed: 1})
@@ -84,9 +84,9 @@ func TestFacadeRunATPGParallelRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sum.Retries) != DefaultRetryTiers {
+	if len(sum.Retries) != RetryTiers {
 		t.Fatalf("%d retry tiers under a 1ns budget, want %d (aborted %d)",
-			len(sum.Retries), DefaultRetryTiers, sum.Aborted)
+			len(sum.Retries), RetryTiers, sum.Aborted)
 	}
 	budget := time.Nanosecond
 	for _, rt := range sum.Retries {

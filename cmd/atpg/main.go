@@ -9,7 +9,6 @@
 //	     [-collapse] [-dominance] [-drop] [-group-max N]
 //	     [-j WORKERS] [-budget DURATION]
 //	     [-rpt-batches N] [-seed N]
-//	     [-retry-tiers N] [-mem-soft-limit BYTES]
 //	     [-checkpoint FILE] [-resume] [-checkpoint-sync] [-checkpoint-every DUR]
 //	     [-metrics-addr ADDR] [-trace FILE] [-progress DUR] [-json]
 //	     [-effort-log FILE]
@@ -46,34 +45,34 @@
 // Robustness: with -budget, a fault that exhausts its budget is solved
 // again at once by the same worker on the same solver instance, its
 // learned clauses intact, with geometrically escalating budgets (up to
-// -retry-tiers times, each atpg.RetryBackoff = 4 times the last); it is
-// reported aborted only after the final attempt. Every verdict is final
-// at the fault's own dispatch position, so a budgeted run whose aborts
-// all recover lists the unbudgeted run's vectors. -checkpoint journals
-// every final verdict to an append-only JSONL file (flushed per record,
-// fsynced per record with -checkpoint-sync, and every -checkpoint-every
-// besides), so a killed run resumes with -resume: the pre-phase is
-// replayed from the journal and each journaled verdict is adopted at its
-// own dispatch position, where its vector drops faults again, so the
-// resume reproduces the uninterrupted run's vector set, -drop or not.
-// -mem-soft-limit arms a heap watchdog that shrinks the per-worker
-// learned-clause budgets under memory pressure instead of growing toward
-// an OOM kill.
+// atpg.RetryTiers = 3 times, each atpg.RetryBackoff = 4 times the
+// last); it is reported aborted only after the final attempt. Every
+// verdict is final at the fault's own dispatch position, so a budgeted
+// run whose aborts all recover lists the unbudgeted run's vectors.
+// -checkpoint journals every final verdict to an append-only JSONL file
+// (flushed per record, fsynced per record with -checkpoint-sync, and
+// every -checkpoint-every besides), so a killed run resumes with
+// -resume: the pre-phase is replayed from the journal and each
+// journaled verdict is adopted at its own dispatch position, where its
+// vector drops faults again, so the resume reproduces the uninterrupted
+// run's vector set, -drop or not. Memory needs no flag: each worker's
+// learned clauses die at every region group's load and are capped at
+// sat.DefaultLearnedLimit besides.
 //
 // Observability: -metrics-addr serves Prometheus-text /metrics,
 // /debug/vars and net/http/pprof for the duration of the run; -trace
 // writes the run's spans as JSONL "kind":"span" records — run → phase
-// (rpt, sweep) → group or rpt-batch → fault, plus one span
-// per fault-simulation flush, commit-frontier stall, watchdog
-// learned-budget shrink and checkpoint sync; -progress prints a live
-// progress line (faults done, coverage, ETA) to stderr on the given
-// period; -json replaces the human summary on stdout with a
-// machine-readable JSON document (schema atpgeasy/run-summary/v1,
-// documented in README.md). -effort-log streams one structured record
-// per fault verdict — structural features joined with solver effort,
-// schema atpgeasy/effort/v1, the run's one per-fault record — for
-// cmd/atpgreport. The same spans, -trace or not, feed a flight recorder
-// of the newest 64, which a fault panic or an interrupt dumps to stderr.
+// (rpt, sweep) → group or rpt-batch → fault, plus one span per
+// fault-simulation flush, commit-frontier stall and checkpoint sync;
+// -progress prints a live progress line (faults done, coverage, ETA)
+// to stderr on the given period; -json replaces the human summary on
+// stdout with a machine-readable JSON document (schema
+// atpgeasy/run-summary/v1, documented in README.md). -effort-log streams
+// one structured record per fault verdict — structural features joined
+// with solver effort, schema atpgeasy/effort/v1, the run's one per-fault
+// record — for cmd/atpgreport. The same spans, -trace or not, feed a
+// flight recorder of the newest 64, which a fault panic or an interrupt
+// dumps to stderr.
 package main
 
 import (
@@ -116,9 +115,7 @@ func main() {
 	flag.Int64Var(&opt.Seed, "seed", opt.Seed, "random-pattern generator seed (same seed = same run)")
 	flag.IntVar(&opt.GroupMax, "group-max", atpg.DefaultGroupMax, "max faults per region group on the incremental CDCL core (1 = fresh instance per fault)")
 	workers := flag.Int("j", 0, "parallel fault workers (0 = GOMAXPROCS)")
-	flag.DurationVar(&opt.PerFaultBudget, "budget", 0, "SAT time budget of a fault's first attempt (0 = none); see -retry-tiers")
-	flag.IntVar(&opt.RetryTiers, "retry-tiers", opt.RetryTiers, fmt.Sprintf("times an over-budget fault is solved again in place, each with %dx the last budget (0 = no retries)", atpg.RetryBackoff))
-	flag.Int64Var(&opt.MemSoftLimit, "mem-soft-limit", 0, "soft heap limit in bytes: above it, worker learned-clause budgets are halved between faults (0 = off)")
+	flag.DurationVar(&opt.PerFaultBudget, "budget", 0, fmt.Sprintf("SAT time budget of a fault's first attempt (0 = none); an over-budget fault is solved again in place up to %d times, each with %dx the last budget", atpg.RetryTiers, atpg.RetryBackoff))
 	ckptPath := flag.String("checkpoint", "", "journal final fault verdicts to this JSONL file for crash recovery")
 	resumeRun := flag.Bool("resume", false, "replay the -checkpoint journal, skipping faults it already decided")
 	ckptSync := flag.Bool("checkpoint-sync", false, "fsync the checkpoint journal after every record (survives power loss, not just kill -9)")
@@ -597,7 +594,13 @@ func dumpDIMACS(c *logic.Circuit, faults []atpg.Fault, dir string, info io.Write
 	return nil
 }
 
+// fail prints err once prefixed with "atpg:" — engine errors already
+// carry the prefix — and exits 1.
 func fail(err error) {
-	fmt.Fprintln(os.Stderr, "atpg:", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "atpg: ") {
+		msg = "atpg: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }

@@ -491,7 +491,7 @@ func TestCLICheckpointResume(t *testing.T) {
 // every fault vector overwritten by zeros, the commit frontier's
 // re-simulation finds one that does not detect its fault; with the first
 // fault vector deleted, the journal check finds a detected verdict
-// without a vector.
+// without a vector. Either failure prints its "atpg:" prefix once.
 func TestCLIResumeRejectsBrokenJournal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns processes")
@@ -526,6 +526,9 @@ func TestCLIResumeRejectsBrokenJournal(t *testing.T) {
 		out, err := exec.Command(bin, "-gen", "cmp48", "-j", "1", "-checkpoint", ckpt, "-resume").CombinedOutput()
 		if err == nil || !bytes.Contains(out, []byte(e.want)) {
 			t.Errorf("%s journal: -resume returned %v, want a failure saying %q:\n%s", e.name, err, e.want, out)
+		}
+		if bytes.Contains(out, []byte("atpg: atpg:")) {
+			t.Errorf("%s journal: the error carries its prefix twice:\n%s", e.name, out)
 		}
 	}
 }

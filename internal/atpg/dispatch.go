@@ -92,14 +92,12 @@ func (s *coneSizer) coneOf(net int) int32 {
 // (one atomic add each) and solves each with solveGroup. Claims are
 // lock-free.
 func (e *Engine) runPlan(ctx context.Context, st *runState, worker int, ws *workerScratch) error {
-	var shrinkSeen int64
 	for ctx.Err() == nil {
-		st.maybeShrink(ws, worker, &shrinkSeen)
 		gi := int(st.cursor.Add(1) - 1)
 		if gi >= len(st.groups) {
 			return nil
 		}
-		if err := e.solveGroup(ctx, st, &st.groups[gi], ws, worker, &shrinkSeen); err != nil {
+		if err := e.solveGroup(ctx, st, &st.groups[gi], ws, worker); err != nil {
 			return err
 		}
 	}

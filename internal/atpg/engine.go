@@ -90,8 +90,8 @@ type Result struct {
 	SolverStats sat.Stats
 	// Tier is the escalation attempt that decided the fault, or the last
 	// one tried when every attempt aborted: 0 is the solve at
-	// RunOptions.PerFaultBudget, and attempt t ran with RetryBackoff^t
-	// times that budget on the same instance (see RunOptions.RetryTiers).
+	// RunOptions.PerFaultBudget, and attempt t (at most RetryTiers) ran
+	// with RetryBackoff^t times that budget on the same instance.
 	Tier int
 	// Group and GroupSize identify the region group the fault was solved
 	// in: Group is the 1-based canonical group id (stable across worker
@@ -121,9 +121,6 @@ type Engine struct {
 	// without planting bugs in production code, and an attempt it reports
 	// true for aborts in place of its solve.
 	testHook func(f Fault, budget time.Duration) (abort bool)
-	// memCheckEvery overrides the memory watchdog's sampling period in
-	// tests (0 = the production 250ms).
-	memCheckEvery time.Duration
 }
 
 // maxConflicts bounds every CDCL solve the engine runs, so no fault can
@@ -357,26 +354,17 @@ type RunOptions struct {
 	// of the sweep and skips the faults it detects (classic TEGUS flow).
 	DropDetected bool
 	// PerFaultBudget, when positive, bounds the SAT time of each attempt
-	// to decide a fault; a fault whose attempts all exceed their budgets
-	// is reported Aborted instead of stalling the run.
+	// to decide a fault. A fault whose solve exhausts it is escalated in
+	// place: the worker solves it again at once on the same instance,
+	// learned clauses intact, up to RetryTiers times, each with
+	// RetryBackoff times the previous budget. A fault is reported Aborted
+	// only after the final attempt also fails, instead of stalling the
+	// run, and every verdict commits at the fault's own plan position.
 	PerFaultBudget time.Duration
 	// Telemetry, when non-nil, streams metrics, the run's spans and
 	// periodic progress snapshots out of the run. Nil disables metrics and
 	// progress; the spans then go only to a private flight recorder.
 	Telemetry *Telemetry
-	// RetryTiers, when positive together with PerFaultBudget, escalates
-	// a fault whose solve exhausted its budget in place: the worker solves
-	// it again at once on the same instance, learned clauses intact, up to
-	// this many times, each with RetryBackoff times the previous budget.
-	// A fault is reported Aborted only after the final attempt also fails,
-	// and every verdict commits at the fault's own plan position.
-	RetryTiers int
-	// MemSoftLimit, when positive, arms a watchdog that samples the Go
-	// heap and — while it exceeds this many bytes — has each worker halve
-	// its learned-clause budget (sat.Incremental.ShrinkLearned) between
-	// faults, degrading clause reuse instead of letting the process grow
-	// toward an OOM kill.
-	MemSoftLimit int64
 	// Journal, when non-nil, receives every final fault verdict and the
 	// random-pattern pre-phase outcome as they are decided — the engine
 	// side of the crash-recovery checkpoint (see internal/checkpoint).
@@ -409,9 +397,9 @@ type RunOptions struct {
 // DefaultRunOptions returns the standard flow that the facade's RunATPG,
 // the atpg command's flag defaults and atpgd's jobs start from:
 // equivalence and dominance collapsing, the seeded random-pattern
-// pre-phase at DefaultRPTBatches, fault dropping, and DefaultRetryTiers
-// escalation tiers for faults that exhaust a PerFaultBudget the caller
-// sets. GroupMax is left 0 (DefaultGroupMax).
+// pre-phase at DefaultRPTBatches and fault dropping. PerFaultBudget is
+// left 0 (no budget, so nothing escalates) and GroupMax 0
+// (DefaultGroupMax).
 func DefaultRunOptions() RunOptions {
 	return RunOptions{
 		Collapse:     true,
@@ -419,7 +407,6 @@ func DefaultRunOptions() RunOptions {
 		RPTBatches:   DefaultRPTBatches,
 		Seed:         1,
 		DropDetected: true,
-		RetryTiers:   DefaultRetryTiers,
 	}
 }
 
@@ -506,8 +493,6 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	runSpan.Items = int64(len(faults))
 	st.runSpan = runSpan.Context()
 	defer runSpan.End()
-	stopWatchdog := e.startMemWatchdog(runCtx, st)
-	defer stopWatchdog()
 	rep := obs.StartReporter(telProgressEvery(tel), func() {
 		tel.observeProgress(st.progress())
 	})
@@ -699,11 +684,6 @@ type runState struct {
 	// rptRestored marks the pre-phase as replayed from a journal; runRPT
 	// is then skipped so the kept vector set stays exactly the journaled one.
 	rptRestored bool
-
-	// shrinkGen is bumped by the memory watchdog while the heap exceeds
-	// the soft limit; workers compare it to a local counter between faults
-	// and halve their learned-clause budget when it advanced.
-	shrinkGen atomic.Int64
 
 	// simNS accumulates fault-simulation flush time.
 	simNS atomic.Int64

@@ -28,8 +28,7 @@ import (
 // without a solve — both mirror a claim-time drop check. solveGroup is
 // the engine's one per-fault panic barrier: a panic anywhere in the
 // group becomes Errored results for the members not yet published, and
-// the worker's instance is replaced (its sticky shrunk learned budget
-// carried over) so the next group starts clean.
+// the worker's instance is replaced so the next group starts clean.
 //
 // PerFaultBudget, when positive, bounds each member's solve separately
 // (a region group shares learned clauses, never a deadline). A member
@@ -42,7 +41,7 @@ import (
 // member's first model project to the lex-least input assignment,
 // whatever clauses retention has added — see sat.Incremental's
 // determinism contract.
-func (e *Engine) solveGroup(ctx context.Context, st *runState, g *faultGroup, ws *workerScratch, worker int, shrinkSeen *int64) (err error) {
+func (e *Engine) solveGroup(ctx context.Context, st *runState, g *faultGroup, ws *workerScratch, worker int) (err error) {
 	members := st.order[g.start:g.end]
 	next := 0 // members[:next] are published or skipped
 	// decided publishes member k's verdict.
@@ -58,10 +57,8 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, g *faultGroup, ws
 		if r == nil {
 			return
 		}
-		// The panic may have left the instance mid-solve; replace it,
-		// carrying the watchdog's sticky budget so shrink state survives
-		// the swap.
-		ws.inc = &sat.Incremental{MaxConflicts: maxConflicts, LearnedLimit: ws.inc.LearnedLimit}
+		// The panic may have left the instance mid-solve; replace it.
+		ws.inc = &sat.Incremental{MaxConflicts: maxConflicts}
 		msg := fmt.Sprintf("panic: %v", r)
 		stack := string(debug.Stack())
 		for k := next; k < len(members); k++ {
@@ -126,10 +123,6 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, g *faultGroup, ws
 		if ctx.Err() != nil {
 			return nil
 		}
-		// Between members the instance is fully backtracked, so a
-		// watchdog-driven shrink can reduce the learned DB here — a
-		// 64-member group must not outrun the memory watchdog.
-		st.maybeShrink(ws, worker, shrinkSeen)
 		res := g.result(st.faults[i])
 		if buildElapsed > 0 {
 			// The group's encode and load are attributed to its first
@@ -164,7 +157,7 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, g *faultGroup, ws
 				sol = ws.inc.SolveAssuming(assumps, lim)
 			}
 			stats.Add(sol.Stats)
-			if sol.Status != sat.Unknown || budget <= 0 || res.Tier >= st.opt.RetryTiers ||
+			if sol.Status != sat.Unknown || budget <= 0 || res.Tier >= RetryTiers ||
 				ctx.Err() != nil || st.droppedF.get(i) {
 				break
 			}

@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -384,41 +385,6 @@ func TestIncrementalUntestableIsolated(t *testing.T) {
 	}
 }
 
-// TestIncrementalMemWatchdogShrinksLearnedDB runs incremental mode
-// under a 1-byte soft limit so every watchdog sample forces a shrink,
-// and requires the learned-clause budget to bottom out without
-// changing any verdict or vector.
-func TestIncrementalMemWatchdogShrinksLearnedDB(t *testing.T) {
-	// Uncollapsed multiplier faults, no pre-phase or dropping: every
-	// fault reaches the solver, so the run outlives many 1ms samples
-	// even on a single CPU (the watchdog goroutine needs the scheduler
-	// to preempt a busy worker before it can sample the heap).
-	c := gen.ArrayMultiplier(7)
-	refEng := &Engine{Workers: 2}
-	ref, err := refEng.Run(context.Background(), c, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	reg := obs.NewRegistry()
-	met := NewMetrics(reg, 2)
-	eng := &Engine{Workers: 2, memCheckEvery: time.Millisecond}
-	sum, err := eng.Run(context.Background(), c, RunOptions{
-		MemSoftLimit: 1,
-		Telemetry:    &Telemetry{Metrics: met},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameSummaries(t, "shrunk-vs-ref", ref, sum)
-	if met.CacheShrinks.Value() == 0 {
-		t.Fatal("watchdog never fired under a 1-byte soft limit")
-	}
-	if db := met.ClauseDBBytes.Value(); db > sat.DefaultLearnedLimit {
-		t.Fatalf("clause DB gauge %d exceeds the default budget", db)
-	}
-}
-
 // TestIncrementalPanicIsolation injects a panic into one member's
 // processing: the run must survive, the victim (and any unemitted
 // group neighbors) report Errored with the panic message, and every
@@ -458,14 +424,14 @@ func TestIncrementalPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestIncrementalRetryTiers forces aborts with a tiny budget and
-// requires in-place escalation to recover them on the group's instance,
-// matching the unlimited run's verdicts — at the default group-size cap
-// and at 1. The pre-phase is off so faults reach the solvers, and the
-// 1ns first-attempt budget aborts them all.
+// TestIncrementalRetryTiers aborts every solver-bound member's first two
+// attempts through the test hook and requires in-place escalation to
+// decide each one at tier 2 on its group's instance, matching the
+// unbudgeted run's verdicts and vectors — at the default group-size cap
+// and at 1, on 2 workers. The pre-phase is off so faults reach the
+// solvers.
 func TestIncrementalRetryTiers(t *testing.T) {
 	c := gen.ArrayMultiplier(3)
-	eng := &Engine{Workers: 2}
 	for _, plan := range []struct {
 		name     string
 		groupMax int
@@ -474,28 +440,28 @@ func TestIncrementalRetryTiers(t *testing.T) {
 		{name: "grouped-max1", groupMax: 1},
 	} {
 		opt := RunOptions{Collapse: true, DropDetected: true, GroupMax: plan.groupMax}
-		ref, err := eng.Run(context.Background(), c, opt)
+		ref, err := (&Engine{Workers: 2}).Run(context.Background(), c, opt)
 		if err != nil {
 			t.Fatalf("%s reference: %v", plan.name, err)
 		}
-		opt.PerFaultBudget = time.Nanosecond // tiers: 4ns … 16.8ms
-		opt.RetryTiers = 12
+		opt.PerFaultBudget = 10 * time.Millisecond // tiers: 40ms, 160ms, 640ms
+		eng := &Engine{Workers: 2, testHook: abortBelow(100 * time.Millisecond)}
 		sum, err := eng.Run(context.Background(), c, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", plan.name, err)
 		}
-		if len(sum.Retries) == 0 {
-			t.Fatalf("%s: a 1ns budget sent nothing to the retry tiers", plan.name)
+		if len(sum.Retries) != 2 || sum.Aborted != 0 {
+			t.Fatalf("%s: retries %+v, %d aborted; want every fault decided at tier 2", plan.name, sum.Retries, sum.Aborted)
 		}
-		if sum.Aborted > 0 {
-			t.Logf("%s: budget too tight even after retries on this machine (%d aborted)", plan.name, sum.Aborted)
-			continue
+		if t1, t2 := sum.Retries[0], sum.Retries[1]; t1.Attempted == 0 || t1.Recovered != 0 ||
+			t2.Attempted != t1.Attempted || t2.Recovered != t2.Attempted {
+			t.Fatalf("%s: retries %+v, want n/0 at tier 1 and n/n at tier 2", plan.name, sum.Retries)
 		}
-		if sum.Detected+sum.DroppedByFaultSim != ref.Detected+ref.DroppedByFaultSim ||
-			sum.Untestable != ref.Untestable {
-			t.Fatalf("%s: retried run (D%d+drop%d U%d) vs reference (D%d+drop%d U%d)", plan.name,
-				sum.Detected, sum.DroppedByFaultSim, sum.Untestable,
-				ref.Detected, ref.DroppedByFaultSim, ref.Untestable)
+		if !reflect.DeepEqual(sum.Vectors, ref.Vectors) || sum.Detected != ref.Detected ||
+			sum.DroppedByFaultSim != ref.DroppedByFaultSim || sum.Untestable != ref.Untestable {
+			t.Fatalf("%s: escalated run (%d vectors, D%d drop%d U%d) vs reference (%d vectors, D%d drop%d U%d)", plan.name,
+				len(sum.Vectors), sum.Detected, sum.DroppedByFaultSim, sum.Untestable,
+				len(ref.Vectors), ref.Detected, ref.DroppedByFaultSim, ref.Untestable)
 		}
 	}
 }

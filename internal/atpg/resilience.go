@@ -1,35 +1,27 @@
 package atpg
 
 // This file is the engine's resilience layer: the checkpoint/resume
-// plumbing (the journal itself lives in internal/checkpoint), the
-// escalation constants for faults that exhaust PerFaultBudget, and the
-// soft-memory watchdog that shrinks the workers' learned-clause
-// databases instead of letting the process grow toward an OOM kill. The
+// plumbing (the journal itself lives in internal/checkpoint) and the
+// escalation constants for faults that exhaust PerFaultBudget. The
 // in-place escalation itself and the per-fault panic barrier are
 // solveGroup's (incremental.go).
 
 import (
-	"context"
 	"fmt"
 	"hash/fnv"
-	"runtime"
-	"sync"
 	"time"
 
 	"atpgeasy/internal/logic"
 )
 
-// Budget escalation: by default three tiers, each with RetryBackoff times
-// the previous budget, so a fault gets up to 1+4+16+64 = 85x the base
-// budget before it is finally reported aborted.
+// Budget escalation: a fault that exhausts its budget is solved again up
+// to RetryTiers times, each with RetryBackoff times the previous budget,
+// so it gets up to 1+4+16+64 = 85x the base budget before it is finally
+// reported aborted.
 const (
-	DefaultRetryTiers = 3
-	RetryBackoff      = 4
+	RetryTiers   = 3
+	RetryBackoff = 4
 )
-
-// memWatchdogEvery is the production sampling period of the soft-memory
-// watchdog.
-const memWatchdogEvery = 250 * time.Millisecond
 
 // JournalSink receives a run's durable progress: the random-pattern
 // pre-phase outcome once, then every fault's final verdict as it is
@@ -123,63 +115,5 @@ func (st *runState) applyResume(rs *ResumeState) {
 		}
 		st.published[i].Store(&specResult{res: r, worker: -1})
 		st.resumed[i] = true
-	}
-}
-
-// maybeShrink halves the worker's learned-clause budget when the
-// watchdog generation advanced since the worker last looked. Runs
-// between faults on the worker's own goroutine, so the instance is
-// fully backtracked.
-func (st *runState) maybeShrink(ws *workerScratch, worker int, seen *int64) {
-	gen := st.shrinkGen.Load()
-	if gen == *seen {
-		return
-	}
-	*seen = gen
-	span := st.trace.Start("shrink", st.runSpan)
-	span.Worker = worker
-	span.Items = ws.inc.ShrinkLearned()
-	span.End()
-	st.opt.Telemetry.observeShrink()
-}
-
-// startMemWatchdog arms the soft-memory watchdog when the run has a
-// MemSoftLimit: a sampler reads the Go heap size on a period and, while
-// it exceeds the limit, bumps the shrink generation — at most one
-// learned-budget halving per worker per sample. The returned stop function blocks until
-// the sampler exits.
-func (e *Engine) startMemWatchdog(ctx context.Context, st *runState) func() {
-	if st.opt.MemSoftLimit <= 0 {
-		return func() {}
-	}
-	every := e.memCheckEvery
-	if every <= 0 {
-		every = memWatchdogEvery
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ticker := time.NewTicker(every)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-			}
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if int64(ms.HeapAlloc) > st.opt.MemSoftLimit {
-				st.shrinkGen.Add(1)
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
 	}
 }

@@ -19,10 +19,9 @@ type Telemetry struct {
 	// Trace is the run's event record. The engine records every run-level
 	// event on it once, as a span: run → phase (rpt, sweep) → group or
 	// rpt-batch → fault, plus a flush span per Detected vector the
-	// commit frontier adopts (items: the faults it dropped), a frontier-stall
-	// span per commit-frontier stall (detail: the fault it waited on) and
-	// a shrink span per watchdog learned-clause budget halving (items: the
-	// worker's new budget). Its flight recorder keeps the newest spans and
+	// commit frontier adopts (items: the faults it dropped) and a
+	// frontier-stall span per commit-frontier stall (detail: the fault it
+	// waited on). Its flight recorder keeps the newest spans and
 	// is printed to stderr on the run's first fault panic; a Trace with a
 	// writer also writes each span as a "kind":"span" line. Nil gives the
 	// run a private record-only trace. Per-fault outcomes go to the effort
@@ -114,12 +113,10 @@ type Metrics struct {
 	FrontierStallNS   *obs.Counter
 	HistFrontierStall *obs.Histogram
 
-	// Resilience counters: recovered per-fault panics, watchdog-driven
-	// learned-clause budget halvings, and budget escalation broken down by
-	// tier (derived from the adopted results' Tier, like
-	// Summary.Retries).
+	// Resilience counters: recovered per-fault panics and budget
+	// escalation broken down by tier (derived from the adopted results'
+	// Tier, like Summary.Retries).
 	FaultPanics    *obs.Counter
-	CacheShrinks   *obs.Counter
 	RetryAttempts  *obs.LabeledCounter
 	RetryRecovered *obs.LabeledCounter
 
@@ -171,7 +168,6 @@ func NewMetrics(reg *obs.Registry, shards int) *Metrics {
 		HistFrontierStall: reg.Histogram("atpg_frontier_stall_ns", "per-adoption commit-frontier stall (log2 ns buckets)"),
 
 		FaultPanics:    reg.Counter("atpg_fault_panics_total", "per-fault panics recovered by the worker barrier"),
-		CacheShrinks:   reg.Counter("atpg_cache_shrinks_total", "learned-clause budget halvings forced by the memory watchdog"),
 		RetryAttempts:  reg.LabeledCounter("atpg_retry_attempts_total", "over-budget faults solved again at an escalated budget", "tier"),
 		RetryRecovered: reg.LabeledCounter("atpg_retry_recovered_total", "faults decided at an escalated budget", "tier"),
 
@@ -272,13 +268,6 @@ func (t *Telemetry) observeStall(d time.Duration) {
 	}
 	t.Metrics.FrontierStallNS.Add(d.Nanoseconds())
 	t.Metrics.HistFrontierStall.Observe(d.Nanoseconds())
-}
-
-// observeShrink counts one watchdog-forced learned-budget halving.
-func (t *Telemetry) observeShrink() {
-	if t != nil && t.Metrics != nil {
-		t.Metrics.CacheShrinks.Inc()
-	}
 }
 
 // observeFlush counts one fault-simulation flush and the faults it

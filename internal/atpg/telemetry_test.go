@@ -48,7 +48,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	retry := RunOptions{
 		Collapse: true, DropDetected: true,
 		PerFaultBudget: 10 * time.Millisecond, // tiers: 40ms, 160ms, 640ms
-		RetryTiers:     3,
 	}
 	retryEngine := func(workers int) *Engine {
 		return &Engine{Workers: workers, testHook: abortBelow(100 * time.Millisecond)}
@@ -94,7 +93,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 			if err := el.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if opt.RetryTiers > 0 && (len(sum.Retries) < 2 || sum.Aborted != 0) {
+			if opt.PerFaultBudget > 0 && (len(sum.Retries) < 2 || sum.Aborted != 0) {
 				t.Fatalf("retry arm: tiers %+v, %d aborted; want every fault recovered by tier 2", sum.Retries, sum.Aborted)
 			}
 

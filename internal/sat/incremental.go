@@ -36,22 +36,19 @@ type Incremental struct {
 	// clauses intact.
 	MaxConflicts int64
 
-	// LearnedLimit bounds the learned-clause database in bytes
-	// (0 = DefaultLearnedLimit). When learned storage exceeds the
-	// limit the database is reduced to half of it, worst clauses
-	// (high LBD, low activity) first.
-	LearnedLimit int64
+	// learnedLimit overrides DefaultLearnedLimit in tests (0 = the
+	// default).
+	learnedLimit int64
 
 	st incState
 }
 
-// DefaultLearnedLimit is the learned-clause byte budget when
-// Incremental.LearnedLimit is zero.
+// DefaultLearnedLimit bounds the learned-clause database in bytes. When
+// learned storage exceeds it at a call boundary or a restart, the
+// database is reduced to half of it, worst clauses (high LBD, low
+// activity) first. Load discards every learned clause, so the ATPG
+// engine's per-worker database never outlives one region group.
 const DefaultLearnedLimit = 16 << 20
-
-// learnedShrinkFloor is the smallest budget ShrinkLearned imposes:
-// shrinking degrades clause reuse, it never disables the solver.
-const learnedShrinkFloor = 64 << 10
 
 // incState carries the persistent solver state between SolveAssuming
 // calls: the clause database and its clause slab (clauses must outlive
@@ -109,8 +106,8 @@ func NewIncremental() *Incremental { return &Incremental{} }
 func clauseBytes(n int) int64 { return int64(16*n + 48) }
 
 func (s *Incremental) effectiveLearnedLimit() int64 {
-	if s.LearnedLimit > 0 {
-		return s.LearnedLimit
+	if s.learnedLimit > 0 {
+		return s.learnedLimit
 	}
 	return DefaultLearnedLimit
 }
@@ -120,26 +117,6 @@ func (s *Incremental) LearnedBytes() int64 { return s.st.learnedBytes }
 
 // NumLearned reports the learned clauses currently in the database.
 func (s *Incremental) NumLearned() int { return len(s.st.clauses) - s.st.nProblem }
-
-// ShrinkLearned halves the learned-clause budget (sticky, floored at
-// learnedShrinkFloor) and immediately reduces the database to fit.
-// The ATPG engine's memory watchdog calls it between solves. It returns
-// the new budget.
-func (s *Incremental) ShrinkLearned() int64 {
-	cur := s.effectiveLearnedLimit()
-	next := cur / 2
-	if next < learnedShrinkFloor {
-		next = learnedShrinkFloor
-	}
-	s.LearnedLimit = next
-	// Between calls the solver is fully backtracked, which reduceDB
-	// requires; if called mid-search (it should not be), the reduction
-	// waits for the next call boundary.
-	if len(s.st.trailLim) == 0 && s.st.learnedBytes > next {
-		s.reduceDB(next)
-	}
-	return next
-}
 
 // Failed reports whether the loaded formula is unsatisfiable
 // independent of any assumptions (a conflict was derived at decision
@@ -300,12 +277,6 @@ func (s *Incremental) SolveAssuming(assumps []cnf.Lit, lim Limits) Solution {
 	if lim.expired() {
 		return finish(Unknown, nil)
 	}
-	// A previous call may have left the database over a freshly
-	// shrunk budget; reduce before searching.
-	if st.learnedBytes > s.effectiveLearnedLimit() {
-		s.reduceDB(s.effectiveLearnedLimit())
-	}
-
 	restartLimit := int64(100)
 	var conflicts, conflictsAtRestart, steps int64
 	for {

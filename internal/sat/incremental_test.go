@@ -257,30 +257,66 @@ func TestLexLeastModelInvariant(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		nVars := 5 + rng.Intn(6)
 		f := randomFormula(rng, nVars, 3+rng.Intn(20))
-		prio := rng.Perm(nVars)[:2+rng.Intn(nVars-2)]
+		checkWarmLexLeast(t, rng, trial, f, 0)
+	}
+}
 
-		// Warm instance: solve under several assumption sets first so
-		// the database holds learned clauses, then the probe call.
-		warm := NewIncremental()
-		warm.Load(f, prio)
-		if warm.Failed() {
-			continue
+// TestLearnedReductionKeepsLexLeastModel holds learned-clause reduction
+// to the same contract. The 3-CNF formulas sit near the satisfiability
+// threshold, so the warm calls learn, and a 1-byte learned budget makes
+// reduceDB empty the learned tail at every call boundary: reduction
+// must change no verdict and no priority projection.
+func TestLearnedReductionKeepsLexLeastModel(t *testing.T) {
+	const trials = 60
+	rng := rand.New(rand.NewSource(29))
+	learned := 0 // trials whose warm calls learned a clause
+	for trial := 0; trial < trials; trial++ {
+		nVars := 12 + rng.Intn(3)
+		f := random3CNF(rng, nVars, 4*nVars)
+		if checkWarmLexLeast(t, rng, trial, f, 1) {
+			learned++
 		}
-		for k := 0; k < 6; k++ {
-			v := rng.Intn(nVars)
-			warm.SolveAssuming([]cnf.Lit{cnf.NewLit(v, k%2 == 0)}, Limits{})
-		}
-		fresh := NewIncremental()
-		fresh.Load(f, prio)
+	}
+	if learned < trials/2 {
+		t.Fatalf("warm calls learned in only %d of %d trials; the test exercises no reduction", learned, trials)
+	}
+}
 
-		a := warm.SolveAssuming(nil, Limits{})
-		b := fresh.SolveAssuming(nil, Limits{})
-		if a.Status != b.Status {
-			t.Fatalf("trial %d: warm %v fresh %v", trial, a.Status, b.Status)
+// checkWarmLexLeast solves f under rng-drawn priority variables on a
+// warm instance (learned budget learnedLimit bytes, 0 =
+// DefaultLearnedLimit) and on a fresh one, and fails t unless both give
+// the same verdict and, when SAT, the same lex-least priority
+// projection. It reports whether the warm calls learned a clause.
+func checkWarmLexLeast(t *testing.T, rng *rand.Rand, trial int, f *cnf.Formula, learnedLimit int64) bool {
+	t.Helper()
+	nVars := f.NumVars
+	prio := rng.Perm(nVars)[:2+rng.Intn(nVars-2)]
+
+	// Warm instance: solve under several assumption sets first so the
+	// database holds learned clauses, then the probe call.
+	warm := NewIncremental()
+	warm.learnedLimit = learnedLimit
+	warm.Load(f, prio)
+	if warm.Failed() {
+		return false
+	}
+	var warmLearned int64
+	for k := 0; k < 6; k++ {
+		v := rng.Intn(nVars)
+		warmLearned += warm.SolveAssuming([]cnf.Lit{cnf.NewLit(v, k%2 == 0)}, Limits{}).Stats.Learned
+		if learnedLimit == 1 && warm.NumLearned() != 0 {
+			t.Fatalf("trial %d: %d learned clauses survive a 1-byte budget", trial, warm.NumLearned())
 		}
-		if a.Status != Sat {
-			continue
-		}
+	}
+	fresh := NewIncremental()
+	fresh.Load(f, prio)
+
+	a := warm.SolveAssuming(nil, Limits{})
+	b := fresh.SolveAssuming(nil, Limits{})
+	if a.Status != b.Status {
+		t.Fatalf("trial %d: warm %v fresh %v", trial, a.Status, b.Status)
+	}
+	if a.Status == Sat {
 		for _, v := range prio {
 			if a.Model[v] != b.Model[v] {
 				t.Fatalf("trial %d: warm and fresh disagree on priority var %d\nwarm  %v\nfresh %v",
@@ -295,6 +331,20 @@ func TestLexLeastModelInvariant(t *testing.T) {
 			}
 		}
 	}
+	return warmLearned > 0
+}
+
+// random3CNF returns nClauses random clauses of three distinct
+// variables each.
+func random3CNF(rng *rand.Rand, nVars, nClauses int) *cnf.Formula {
+	f := cnf.NewFormula(nVars)
+	for i := 0; i < nClauses; i++ {
+		vars := rng.Perm(nVars)[:3]
+		f.AddClause(cnf.NewLit(vars[0], rng.Intn(2) == 1),
+			cnf.NewLit(vars[1], rng.Intn(2) == 1),
+			cnf.NewLit(vars[2], rng.Intn(2) == 1))
+	}
+	return f
 }
 
 // lexLeastModel enumerates all models of f and returns the lex-least
@@ -333,50 +383,42 @@ func lexLess(a, b []bool) bool {
 	return false
 }
 
-// TestLearnedDBBound drives a persistent instance through hard
-// instances with a tiny learned budget and checks the database stays
-// bounded, that ShrinkLearned halves stickily down to the floor, and
-// that reduction never changes verdicts.
+// TestLearnedDBBound drives a persistent instance through a hard
+// instance with a tiny learned budget and checks the database stays
+// bounded, that Load discards it — so the ATPG engine's per-worker
+// database never outlives one region group — and that reduction never
+// changes verdicts.
 func TestLearnedDBBound(t *testing.T) {
 	s := NewIncremental()
-	s.LearnedLimit = 4 << 10
+	s.learnedLimit = 4 << 10
 	f := pigeonhole(7, 6) // UNSAT, conflict-heavy
 	s.Load(f, nil)
 	sol := s.SolveAssuming(nil, Limits{})
 	if sol.Status != Unsat {
 		t.Fatalf("pigeonhole: got %v, want UNSAT", sol.Status)
 	}
-	if got := s.LearnedBytes(); got > s.LearnedLimit {
-		t.Fatalf("learned DB %d bytes exceeds limit %d at call end", got, s.LearnedLimit)
+	if got := s.LearnedBytes(); got > s.learnedLimit {
+		t.Fatalf("learned DB %d bytes exceeds limit %d at call end", got, s.learnedLimit)
 	}
 	if sol.Stats.ClauseDBBytes != s.LearnedBytes() {
 		t.Fatalf("ClauseDBBytes %d != LearnedBytes %d", sol.Stats.ClauseDBBytes, s.LearnedBytes())
 	}
-
-	// Sticky halving with floor.
-	s.LearnedLimit = 4 * learnedShrinkFloor
-	if got := s.ShrinkLearned(); got != 2*learnedShrinkFloor {
-		t.Fatalf("first shrink: got %d, want %d", got, 2*learnedShrinkFloor)
-	}
-	if got := s.ShrinkLearned(); got != learnedShrinkFloor {
-		t.Fatalf("second shrink: got %d, want %d", got, learnedShrinkFloor)
-	}
-	if got := s.ShrinkLearned(); got != learnedShrinkFloor {
-		t.Fatalf("shrink below floor: got %d, want floor %d", got, learnedShrinkFloor)
-	}
-	if s.LearnedBytes() > learnedShrinkFloor {
-		t.Fatalf("learned DB %d bytes exceeds shrunk budget %d", s.LearnedBytes(), learnedShrinkFloor)
+	if s.NumLearned() == 0 {
+		t.Fatal("the pigeonhole solve kept no learned clause; Load has nothing to discard")
 	}
 
-	// Verdicts survive aggressive reduction: re-solve a satisfiable
-	// series on the floor-budget instance.
+	// Load is a cold start, and verdicts survive aggressive reduction:
+	// solve a random series on the small-budget instance.
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 40; i++ {
 		g := randomFormula(rng, 4+rng.Intn(6), 2+rng.Intn(15))
 		want := bruteForce(g)
 		s.Load(g, nil)
+		if s.NumLearned() != 0 || s.LearnedBytes() != 0 {
+			t.Fatalf("formula %d: Load kept %d learned clauses (%d bytes)", i, s.NumLearned(), s.LearnedBytes())
+		}
 		if got := s.SolveAssuming(nil, Limits{}); got.Status != want {
-			t.Fatalf("post-shrink formula %d: got %v, want %v", i, got.Status, want)
+			t.Fatalf("formula %d: got %v, want %v", i, got.Status, want)
 		}
 	}
 }

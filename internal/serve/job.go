@@ -283,7 +283,10 @@ func (s *Server) runJob(parent context.Context, j *job) {
 	}
 
 	// The job's coverage series lives while the engine runs: the engine
-	// makes its last OnProgress call before RunFaults returns.
+	// makes its last OnProgress call before RunFaults returns, and the
+	// series is gone before the job publishes any outcome, so a client
+	// that observes a terminal state never finds it in /metrics. The
+	// deferred Forget covers a panic out of RunFaults.
 	defer s.jobProgress.Forget(j.meta.ID)
 	tel := &atpg.Telemetry{
 		Metrics:       s.met,
@@ -312,6 +315,7 @@ func (s *Server) runJob(parent context.Context, j *job) {
 
 	eng := &atpg.Engine{Workers: s.cfg.EngineWorkers}
 	sum, runErr := eng.RunFaults(ctx, c, faults, opt)
+	s.jobProgress.Forget(j.meta.ID)
 
 	// The journal must be durable before the job reports any outcome —
 	// on every path, including cancellation and engine errors.
