@@ -121,8 +121,8 @@ type (
 	// text format.
 	MetricsRegistry = obs.Registry
 	// Trace is a run's event record: it mints the engine's hierarchical
-	// spans (run → phase (rpt, sweep) → group or rpt-batch → fault, plus flush
-	// and frontier-stall), keeps the newest in a flight recorder
+	// spans (run → phase (rpt, sweep) → group or rpt-batch, plus flush and
+	// frontier-stall), keeps the newest in a flight recorder
 	// (Dump, Snapshot) and, given a writer, writes each as a JSONL
 	// "kind":"span" line. Wire one into Telemetry.Trace.
 	Trace = obs.Trace
@@ -150,11 +150,9 @@ const EffortSchema = atpg.EffortSchema
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// NewEngineMetrics registers the engine's metric set on reg. shards sizes
-// the per-worker sharded counters; pass the engine's worker count (values
-// < 1 are clamped to 1).
-func NewEngineMetrics(reg *MetricsRegistry, shards int) *EngineMetrics {
-	return atpg.NewMetrics(reg, shards)
+// NewEngineMetrics registers the engine's metric set on reg.
+func NewEngineMetrics(reg *MetricsRegistry) *EngineMetrics {
+	return atpg.NewMetrics(reg)
 }
 
 // NewTrace returns a trace writing JSONL spans to w, or a record-only

@@ -272,7 +272,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 	b.Run("metrics+trace", func(b *testing.B) {
 		tel := &atpg.Telemetry{
-			Metrics: atpg.NewMetrics(obs.NewRegistry(), workers),
+			Metrics: atpg.NewMetrics(obs.NewRegistry()),
 			Trace:   obs.NewTrace(io.Discard),
 		}
 		run(b, tel)

@@ -62,8 +62,8 @@
 // Observability: -metrics-addr serves Prometheus-text /metrics,
 // /debug/vars and net/http/pprof for the duration of the run; -trace
 // writes the run's spans as JSONL "kind":"span" records — run → phase
-// (rpt, sweep) → group or rpt-batch → fault, plus one span per
-// fault-simulation flush, commit-frontier stall and checkpoint sync;
+// (rpt, sweep) → group or rpt-batch, plus one span per fault-simulation
+// flush, commit-frontier stall and checkpoint sync;
 // -progress prints a live progress line (faults done, coverage, ETA)
 // to stderr on the given period; -json replaces the human summary on
 // stdout with a machine-readable JSON document (schema
@@ -125,7 +125,7 @@ func main() {
 	dimacsDir := flag.String("dimacs", "", "dump every ATPG-SAT instance as DIMACS CNF into this directory")
 	verbose := flag.Bool("v", false, "print per-fault results")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this host:port for the duration of the run (port 0 picks one)")
-	traceFile := flag.String("trace", "", "write the run's hierarchical spans to this file as JSONL \"kind\":\"span\" records (per-fault records go to -effort-log)")
+	traceFile := flag.String("trace", "", "write the run's hierarchical spans (run, phases, region groups, RPT batches, flushes, stalls, checkpoint syncs) to this file as JSONL \"kind\":\"span\" records; per-fault records go to -effort-log")
 	effortLog := flag.String("effort-log", "", "stream per-fault effort records (features + solver effort, JSONL) to this file")
 	progressEvery := flag.Duration("progress", 0, "print a live progress line to stderr on this period (0 = off)")
 	jsonOut := flag.Bool("json", false, "print a machine-readable JSON run summary to stdout (human report moves to stderr)")
@@ -170,7 +170,7 @@ func main() {
 	if effectiveWorkers <= 0 {
 		effectiveWorkers = runtime.GOMAXPROCS(0)
 	}
-	tel, closeTel, err := setupTelemetry(*metricsAddr, *traceFile, *progressEvery, effectiveWorkers)
+	tel, closeTel, err := setupTelemetry(*metricsAddr, *traceFile, *progressEvery)
 	if err != nil {
 		fail(err)
 	}
@@ -303,7 +303,7 @@ func main() {
 // an engine telemetry configuration. The returned close function flushes
 // the trace and stops the metrics server; it is safe to call when all
 // three flags are off (tel is then nil).
-func setupTelemetry(metricsAddr, traceFile string, progressEvery time.Duration, workers int) (*atpg.Telemetry, func() error, error) {
+func setupTelemetry(metricsAddr, traceFile string, progressEvery time.Duration) (*atpg.Telemetry, func() error, error) {
 	if metricsAddr == "" && traceFile == "" && progressEvery <= 0 {
 		return nil, func() error { return nil }, nil
 	}
@@ -311,7 +311,7 @@ func setupTelemetry(metricsAddr, traceFile string, progressEvery time.Duration, 
 	var closers []func() error
 	if metricsAddr != "" {
 		reg := obs.NewRegistry()
-		tel.Metrics = atpg.NewMetrics(reg, workers)
+		tel.Metrics = atpg.NewMetrics(reg)
 		srv, err := obs.Serve(metricsAddr, reg)
 		if err != nil {
 			return nil, nil, err

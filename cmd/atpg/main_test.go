@@ -256,7 +256,7 @@ func TestBuildJSONSummary(t *testing.T) {
 func TestSetupTelemetry(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.jsonl")
-	tel, closeTel, err := setupTelemetry("127.0.0.1:0", tracePath, time.Second, 2)
+	tel, closeTel, err := setupTelemetry("127.0.0.1:0", tracePath, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestSetupTelemetry(t *testing.T) {
 	}
 
 	// All flags off: no telemetry, close is a no-op.
-	tel, closeTel, err = setupTelemetry("", "", 0, 2)
+	tel, closeTel, err = setupTelemetry("", "", 0)
 	if err != nil || tel != nil {
 		t.Fatalf("tel = %v, err = %v", tel, err)
 	}

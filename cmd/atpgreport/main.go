@@ -33,7 +33,7 @@ import (
 
 func main() {
 	logPath := flag.String("log", "", "effort log (JSONL, schema atpgeasy/effort/v1; required)")
-	tracePath := flag.String("trace", "", "trace file with span records (optional; enables span-based phase walls and top-k span chains)")
+	tracePath := flag.String("trace", "", "trace file with span records (optional; enables span-based phase walls)")
 	format := flag.String("format", "markdown", "output format: markdown or json")
 	top := flag.Int("top", 10, "number of most expensive faults to list")
 	bins := flag.Int("bins", 8, "bins for the feature-vs-effort tables")
@@ -169,8 +169,7 @@ type Report struct {
 	// effort-vs-feature (predicted vs actual), with its R².
 	BestFit []FitRow `json:"best_fit"`
 
-	// Top lists the most expensive faults by solver effort, with their
-	// span chains when a trace was supplied.
+	// Top lists the most expensive faults by solver effort.
 	Top []TopFault `json:"top"`
 
 	// Incremental summarizes region-grouped incremental solving when the
@@ -211,7 +210,6 @@ type TopFault struct {
 	Effort  int64         `json:"effort"`
 	SolveNS time.Duration `json:"solve_ns"`
 	Reused  int64         `json:"reused,omitempty"`
-	Chain   string        `json:"chain,omitempty"`
 }
 
 // IncrementalReuse is the report's incremental-solving section: group
@@ -297,7 +295,7 @@ func buildReport(hdr atpg.EffortHeader, recs []atpg.EffortRecord, spans []obs.Sp
 		return math.Abs(rep.Correlations[a].Spearman) > math.Abs(rep.Correlations[b].Spearman)
 	})
 
-	rep.Top = topFaults(solver, spans, top)
+	rep.Top = topFaults(solver, top)
 	rep.Incremental = incrementalReuse(solver, bins)
 	return rep
 }
@@ -383,41 +381,20 @@ func phaseWalls(recs []atpg.EffortRecord, spans []obs.SpanRecord) ([]PhaseWall, 
 	return walls, "records"
 }
 
-// topFaults lists the k highest-effort solver records; with spans, each
-// gets its ancestry chain (run → sweep → group → fault).
-func topFaults(solver []atpg.EffortRecord, spans []obs.SpanRecord, k int) []TopFault {
+// topFaults lists the k highest-effort solver records.
+func topFaults(solver []atpg.EffortRecord, k int) []TopFault {
 	byEffort := append([]atpg.EffortRecord(nil), solver...)
 	sort.SliceStable(byEffort, func(a, b int) bool { return byEffort[a].Effort > byEffort[b].Effort })
 	if k > len(byEffort) {
 		k = len(byEffort)
 	}
-	byID := map[uint64]obs.SpanRecord{}
-	faultSpan := map[string]obs.SpanRecord{}
-	for _, sp := range spans {
-		byID[sp.ID] = sp
-		if sp.Name == "fault" && sp.Detail != "" {
-			faultSpan[sp.Detail] = sp
-		}
-	}
 	out := make([]TopFault, 0, k)
 	for _, r := range byEffort[:k] {
-		tf := TopFault{
+		out = append(out, TopFault{
 			Fault: r.Fault, Status: r.Status, Phase: r.Phase, Tier: r.Tier,
 			Effort: r.Effort, SolveNS: time.Duration(r.SolveNS),
 			Reused: r.LearnedReused,
-		}
-		if sp, ok := faultSpan[r.Fault]; ok {
-			var chain []string
-			for ok && len(chain) < 8 {
-				chain = append(chain, sp.Name)
-				sp, ok = byID[sp.Parent]
-			}
-			for l, r := 0, len(chain)-1; l < r; l, r = l+1, r-1 {
-				chain[l], chain[r] = chain[r], chain[l]
-			}
-			tf.Chain = strings.Join(chain, " > ")
-		}
-		out = append(out, tf)
+		})
 	}
 	return out
 }
@@ -470,10 +447,10 @@ func (rep *Report) Markdown() string {
 
 	if len(rep.Top) > 0 {
 		fmt.Fprintf(&b, "## Top %d most expensive faults\n\n", len(rep.Top))
-		fmt.Fprintf(&b, "| fault | status | phase | tier | effort | solve | reused | span chain |\n|---|---|---|---|---|---|---|---|\n")
+		fmt.Fprintf(&b, "| fault | status | phase | tier | effort | solve | reused |\n|---|---|---|---|---|---|---|\n")
 		for _, t := range rep.Top {
-			fmt.Fprintf(&b, "| %s | %s | %s | %d | %d | %v | %d | %s |\n",
-				t.Fault, t.Status, t.Phase, t.Tier, t.Effort, t.SolveNS.Round(time.Microsecond), t.Reused, t.Chain)
+			fmt.Fprintf(&b, "| %s | %s | %s | %d | %d | %v | %d |\n",
+				t.Fault, t.Status, t.Phase, t.Tier, t.Effort, t.SolveNS.Round(time.Microsecond), t.Reused)
 		}
 		b.WriteByte('\n')
 	}

@@ -86,15 +86,6 @@ func TestBuildReport(t *testing.T) {
 			t.Errorf("top list not sorted: %d before %d", rep.Top[i-1].Effort, rep.Top[i].Effort)
 		}
 	}
-	chained := false
-	for _, tf := range rep.Top {
-		if strings.Contains(tf.Chain, "fault") {
-			chained = true
-		}
-	}
-	if !chained {
-		t.Error("no top fault resolved a span chain")
-	}
 	ir := rep.Incremental
 	if ir == nil {
 		t.Fatal("incremental run produced no reuse section")

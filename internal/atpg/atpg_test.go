@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -425,6 +426,28 @@ func TestRunWithCollapseAndDrop(t *testing.T) {
 	}
 	if len(dropped.Results) > dropped.Total {
 		t.Error("more solver calls than faults")
+	}
+}
+
+// TestRunFaultsRejectsBadNet: RunFaults is public, so its fault list is
+// outside input. A fault whose net is not a node of the circuit must be
+// an error at entry, pre-phase on or off, at any worker count, and
+// never a panic in a worker goroutine that no caller can recover.
+func TestRunFaultsRejectsBadNet(t *testing.T) {
+	c := gen.RippleAdder(2)
+	for _, net := range []int{-1, len(c.Nodes) + 5} {
+		faults := append(AllFaults(c), Fault{Net: net, StuckAt: true})
+		want := fmt.Sprintf("atpg: fault net %d out of range", net)
+		for _, rpt := range []int{0, DefaultRPTBatches} {
+			for _, workers := range []int{1, 4} {
+				opt := DefaultRunOptions()
+				opt.RPTBatches = rpt
+				sum, err := (&Engine{Workers: workers}).RunFaults(context.Background(), c, faults, opt)
+				if sum != nil || err == nil || err.Error() != want {
+					t.Errorf("net %d, rpt-batches %d, j%d: summary %v, err %v; want %q", net, rpt, workers, sum, err, want)
+				}
+			}
+		}
 	}
 }
 

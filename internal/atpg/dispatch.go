@@ -1,9 +1,8 @@
 package atpg
 
 // This file is the engine's contention-free dispatch layer: the atomic
-// drop bitset shared by claims and flushes, the fanout-cone sizes the
-// dispatch order is sorted by, and runPlan — the one loop every worker
-// of the sweep runs.
+// drop bitset shared by claims and flushes, and runPlan — the one loop
+// every worker of the sweep runs.
 // None of these paths take a lock: claims advance an atomic cursor and
 // read drop bits, flushes set drop bits, and the deterministic commit
 // frontier in engine.go is the only serialized section.
@@ -11,8 +10,6 @@ package atpg
 import (
 	"context"
 	"sync/atomic"
-
-	"atpgeasy/internal/logic"
 )
 
 // bitset is a fixed-size concurrent bitset. Readers and writers
@@ -45,46 +42,6 @@ func (b bitset) set(i int) bool {
 			return true
 		}
 	}
-}
-
-// coneSizer memoizes fanout-cone node counts, the structural effort
-// proxy the region grouping (region.go) orders dispatch by: the formula
-// encodes the fanin of the fanout cone, so a bigger cone means a bigger
-// ATPG-SAT instance, and scheduling the expensive faults first keeps one
-// hard fault from serializing the tail of a parallel run.
-type coneSizer struct {
-	c     *logic.Circuit
-	cone  map[int]int32 // net -> fanout-cone node count
-	mark  []int
-	stamp int
-	stack []int
-}
-
-func newConeSizer(c *logic.Circuit) *coneSizer {
-	return &coneSizer{c: c, cone: make(map[int]int32), mark: make([]int, len(c.Nodes))}
-}
-
-func (s *coneSizer) coneOf(net int) int32 {
-	if sz, ok := s.cone[net]; ok {
-		return sz
-	}
-	s.stamp++
-	s.stack = append(s.stack[:0], net)
-	s.mark[net] = s.stamp
-	size := int32(0)
-	for len(s.stack) > 0 {
-		n := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		size++
-		for _, f := range s.c.Nodes[n].Fanout {
-			if s.mark[f] != s.stamp {
-				s.mark[f] = s.stamp
-				s.stack = append(s.stack, f)
-			}
-		}
-	}
-	s.cone[net] = size
-	return size
 }
 
 // runPlan is the engine's one dispatch loop, run by every worker of the

@@ -71,7 +71,8 @@ func TestEffortOrder(t *testing.T) {
 	for i := range skip {
 		skip[i] = i%3 == 0
 	}
-	order, _ := buildGroups(c, regionHeads(c), faults, skip, 4)
+	rt := newRegionTable(c)
+	order, _ := buildGroups(rt, faults, skip, 4)
 	seen := make(map[int32]bool, len(order))
 	for _, i := range order {
 		if skip[i] {
@@ -91,52 +92,11 @@ func TestEffortOrder(t *testing.T) {
 	if len(order) != want {
 		t.Fatalf("order covers %d of %d undecided faults", len(order), want)
 	}
-	cone := func(net int) int {
-		seen := make(map[int]bool)
-		stack := []int{net}
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if seen[n] {
-				continue
-			}
-			seen[n] = true
-			stack = append(stack, c.Nodes[n].Fanout...)
-		}
-		return len(seen)
+	cone := make([]int32, len(faults))
+	for i, f := range faults {
+		cone[i] = refStructure(c, f.Net).ConeSize
 	}
-	// A region's first fault carries its largest cone.
-	type region struct {
-		head, cone int
-		minIdx     int32
-	}
-	head := regionHeads(c)
-	var regions []region
-	seenRegion := map[int]bool{}
-	for k, i := range order {
-		h := int(head[faults[i].Net])
-		if k > 0 && regions[len(regions)-1].head == h {
-			prev := order[k-1]
-			ca, cb := cone(faults[prev].Net), cone(faults[i].Net)
-			if ca < cb || (ca == cb && prev >= i) {
-				t.Fatalf("order[%d]=%d (cone %d) before order[%d]=%d (cone %d)", k-1, prev, ca, k, i, cb)
-			}
-			regions[len(regions)-1].minIdx = min(regions[len(regions)-1].minIdx, i)
-			continue
-		}
-		if seenRegion[h] {
-			t.Fatalf("region-%d's faults are not consecutive", h)
-		}
-		seenRegion[h] = true
-		regions = append(regions, region{head: h, cone: cone(faults[i].Net), minIdx: i})
-	}
-	for r := 1; r < len(regions); r++ {
-		a, b := regions[r-1], regions[r]
-		if a.cone < b.cone || (a.cone == b.cone && a.minIdx >= b.minIdx) {
-			t.Fatalf("region-%d (cone %d, fault %d) before region-%d (cone %d, fault %d)",
-				a.head, a.cone, a.minIdx, b.head, b.cone, b.minIdx)
-		}
-	}
+	checkEffortOrder(t, "rand80", rt.head, faults, order, cone)
 }
 
 // TestParallelByteIdenticalWithDrop is the headline guarantee of the
@@ -293,7 +253,7 @@ func checkExactDrops(t *testing.T, name string, c *logic.Circuit, faults []Fault
 		return false
 	}
 	dropped := 0
-	order, _ := buildGroups(c, regionHeads(c), faults, skip, 0)
+	order, _ := buildGroups(newRegionTable(c), faults, skip, 0)
 	for _, i := range order {
 		f := faults[i]
 		r, ok := solved[f]
@@ -368,14 +328,14 @@ func flushState(tb testing.TB, c *logic.Circuit) (*runState, *workerScratch, []b
 		resumed:  make([]bool, len(faults)),
 		trace:    obs.NewTrace(nil),
 	}
-	st.head = regionHeads(c)
-	st.order, _ = buildGroups(c, st.head, faults, nil, 0)
+	st.regions = newRegionTable(c)
+	st.order, _ = buildGroups(st.regions, faults, nil, 0)
 	rng := rand.New(rand.NewSource(7))
 	vec := make([]bool, len(c.Inputs))
 	for i := range vec {
 		vec[i] = rng.Intn(2) == 1
 	}
-	return st, newScratch(c, st.head), vec
+	return st, newScratch(c, st.regions.head), vec
 }
 
 // flushOnce runs one flush of the vector, resetting the drop bits in
@@ -416,9 +376,9 @@ func TestBuildZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts are not stable under -race")
 	}
 	c := gen.ArrayMultiplier(6)
-	head := regionHeads(c)
+	rt := newRegionTable(c)
 	faults := Collapse(c, AllFaults(c))
-	order, groups := buildGroups(c, head, faults, nil, DefaultGroupMax)
+	order, groups := buildGroups(rt, faults, nil, DefaultGroupMax)
 	g := groups[0]
 	for _, gg := range groups {
 		if gg.end-gg.start > g.end-g.start {
@@ -432,7 +392,7 @@ func TestBuildZeroAlloc(t *testing.T) {
 	if len(members) < 2 {
 		t.Fatalf("largest group has %d members", len(members))
 	}
-	ws := newScratch(c, head)
+	ws := newScratch(c, rt.head)
 	build := func() {
 		f, err := ws.enc.encode(members, true)
 		if err != nil || f == nil {

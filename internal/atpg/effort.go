@@ -15,7 +15,6 @@ import (
 	"io"
 
 	"atpgeasy/internal/ioguard"
-	"atpgeasy/internal/logic"
 	"atpgeasy/internal/obs"
 )
 
@@ -43,8 +42,7 @@ type EffortHeader struct {
 type EffortRecord struct {
 	Kind string `json:"kind"` // "fault"
 	// Index is the fault-list index — the join key against the
-	// checkpoint journal and Summary.Results. Fault, the fault's name, is
-	// the join key against fault spans, whose detail it is.
+	// checkpoint journal and Summary.Results. Fault is the fault's name.
 	Index int    `json:"i"`
 	Fault string `json:"fault"`
 	Net   int    `json:"net"`
@@ -154,16 +152,16 @@ type effortState struct {
 	feats []FaultFeatures
 }
 
-// newEffortState precomputes every fault's features and writes the log
-// header. Runs before resume replay and the RPT pre-phase so all of
-// their records carry features too.
-func newEffortState(log *EffortLog, c *logic.Circuit, faults []Fault, workers int) (*effortState, error) {
+// newEffortState precomputes every fault's features off the region
+// table rt and writes the log header. Runs before resume replay and the
+// RPT pre-phase so all of their records carry features too.
+func newEffortState(log *EffortLog, rt *regionTable, faults []Fault, workers int) (*effortState, error) {
 	es := &effortState{
 		log:   log,
-		feats: computeFeatures(c, faults, workers),
+		feats: rt.features(faults),
 	}
 	hdr, err := json.Marshal(EffortHeader{
-		Kind: "header", Schema: EffortSchema, Circuit: c.Name,
+		Kind: "header", Schema: EffortSchema, Circuit: rt.c.Name,
 		Faults: len(faults), Workers: workers,
 	})
 	if err != nil {

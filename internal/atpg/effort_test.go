@@ -107,7 +107,7 @@ func TestFaultFeatures(t *testing.T) {
 	c := bld.MustBuild()
 
 	faults := []Fault{{Net: a, StuckAt: false}, {Net: out, StuckAt: true}}
-	feats := computeFeatures(c, faults, 2)
+	feats := newRegionTable(c).features(faults)
 
 	fa := feats[0]
 	if fa.ConeSize != 3 || fa.ConeDepth != 3 {
@@ -320,10 +320,11 @@ func TestEffortLogDecodesRoutedV1(t *testing.T) {
 
 // TestSpanTree: a traced run must emit a well-formed span forest — one
 // root "run" span, every other span's parent resolving to an emitted
-// span, every fault span hanging off the dispatch loop's "group" span,
-// and fault spans joining the effort log by fault name. The circuit
-// leaves work past the pre-phase for the solvers; at the default
-// group-size cap and at 1 every fault hangs off its region group's span.
+// span, and every "group" span hanging off the sweep. Per-fault records
+// go to the effort log, so the trace holds no "fault" span; the group a
+// fault was solved in still has its span. The circuit leaves work past
+// the pre-phase for the solvers; the run goes at the default group-size
+// cap and at 1.
 func TestSpanTree(t *testing.T) {
 	c := gen.Random(gen.RandomParams{Inputs: 20, Gates: 200, Seed: 3})
 	for _, plan := range []struct {
@@ -335,23 +336,17 @@ func TestSpanTree(t *testing.T) {
 	} {
 		var trace bytes.Buffer
 		tr := obs.NewTrace(&trace)
-		var effort bytes.Buffer
-		log := NewEffortLog(&effort)
 		eng := &Engine{Workers: 4}
 		sum, err := eng.Run(context.Background(), c, RunOptions{
 			Collapse: true, DropDetected: true,
 			RPTBatches: DefaultRPTBatches,
 			GroupMax:   plan.groupMax,
-			EffortLog:  log,
 			Telemetry:  &Telemetry{Trace: tr},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := log.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if len(sum.Results) == 0 {
@@ -374,7 +369,7 @@ func TestSpanTree(t *testing.T) {
 		}
 
 		ids := map[uint64]obs.SpanRecord{}
-		var roots, faultsSpanned int
+		roots := 0
 		for _, sp := range spans {
 			if _, dup := ids[sp.ID]; dup {
 				t.Fatalf("span ID %d emitted twice", sp.ID)
@@ -401,13 +396,12 @@ func TestSpanTree(t *testing.T) {
 					t.Errorf("span %s parent %d never emitted", sp.Name, sp.Parent)
 				}
 			}
-			if sp.Name == "fault" {
-				faultsSpanned++
-				if sp.Detail == "" {
-					t.Errorf("fault span without a fault name: %+v", sp)
+			if sp.Name == "group" {
+				if p := ids[sp.Parent].Name; p != "sweep" {
+					t.Errorf("%s: group span under %q, want sweep", plan.name, p)
 				}
-				if p := ids[sp.Parent].Name; p != "group" {
-					t.Errorf("%s: fault span under %q, want group", plan.name, p)
+				if !strings.HasPrefix(sp.Detail, "region-") || sp.Items < 1 {
+					t.Errorf("%s: group span without its region and members: %+v", plan.name, sp)
 				}
 			}
 		}
@@ -416,26 +410,15 @@ func TestSpanTree(t *testing.T) {
 				t.Errorf("%s: no %q span emitted (have %v)", plan.name, want, names)
 			}
 		}
-
-		// Fault spans join the effort log by fault name: every solved
-		// fault's record has a span.
-		_, recs, err := DecodeEffortLog(&effort)
-		if err != nil {
-			t.Fatal(err)
+		if names["fault"] != 0 {
+			t.Errorf("%s: %d fault spans, want none", plan.name, names["fault"])
 		}
-		spanned := map[string]bool{}
-		for _, sp := range spans {
-			if sp.Name == "fault" {
-				spanned[sp.Detail] = true
-			}
+		solvedIn := map[int]bool{}
+		for _, r := range sum.Results {
+			solvedIn[r.Group] = true
 		}
-		for _, r := range recs {
-			if r.Phase == "sweep" && !spanned[r.Fault] {
-				t.Errorf("%s: solved fault %q has an effort record but no span", plan.name, r.Fault)
-			}
-		}
-		if faultsSpanned < len(sum.Results) {
-			t.Errorf("%s: %d fault spans for %d solved faults", plan.name, faultsSpanned, len(sum.Results))
+		if names["group"] < len(solvedIn) {
+			t.Errorf("%s: %d group spans for %d groups with solved faults", plan.name, names["group"], len(solvedIn))
 		}
 	}
 }

@@ -185,7 +185,7 @@ func (e *Engine) workers() int {
 // per-instance path: it encodes the fault's ungated ATPG-SAT formula and
 // solves it one-shot on sat.DPLL.
 func (e *Engine) TestFault(c *logic.Circuit, f Fault) (Result, error) {
-	enc := newFormulaEncoder(c, regionHeads(c))
+	enc := newFormulaEncoder(c, newRegionTable(c).head)
 	res := Result{Fault: f}
 	start := time.Now()
 	formula, err := enc.encode([]Fault{f}, false)
@@ -438,9 +438,15 @@ func (e *Engine) Run(ctx context.Context, c *logic.Circuit, opt RunOptions) (*Su
 // check, no new faults are claimed, and the partial summary is returned
 // together with ctx.Err(). Faults interrupted by cancellation are not
 // recorded as Aborted — that status is reserved for per-fault resource
-// exhaustion.
+// exhaustion. A fault whose net is not a node of c fails the run before
+// any work starts.
 func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault, opt RunOptions) (*Summary, error) {
 	start := time.Now()
+	for _, f := range faults {
+		if f.Net < 0 || f.Net >= len(c.Nodes) {
+			return nil, fmt.Errorf("atpg: fault net %d out of range", f.Net)
+		}
+	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -468,13 +474,13 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	// and the SAT workers share the same fault simulators and buffers;
 	// the serial call sites (replay records, the RPT loop's effort
 	// records, the frontier's first and last kicks) borrow worker 0's.
-	st.head = regionHeads(c)
+	st.regions = newRegionTable(c)
 	scratches := make([]*workerScratch, workers)
 	for w := range scratches {
-		scratches[w] = newScratch(c, st.head)
+		scratches[w] = newScratch(c, st.regions.head)
 	}
 	if opt.EffortLog != nil {
-		es, err := newEffortState(opt.EffortLog, c, faults, workers)
+		es, err := newEffortState(opt.EffortLog, st.regions, faults, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -514,7 +520,7 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	// verdicts included: it is the uninterrupted run's plan. Grouped
 	// orders are canonical across group-size caps, so the commit frontier
 	// and drop set are too.
-	st.order, st.groups = buildGroups(c, st.head, faults, st.byRPT, opt.GroupMax)
+	st.order, st.groups = buildGroups(st.regions, faults, st.byRPT, opt.GroupMax)
 	tel.observeGroups(st.groups)
 	sweepSpan := st.trace.Start("sweep", st.runSpan)
 	sweepSpan.Items = int64(len(st.order))
@@ -638,11 +644,14 @@ type specResult struct {
 // newly published results). mu is left guarding only the cold state: the RPT
 // pre-phase tallies and the first worker error.
 type runState struct {
-	c      *logic.Circuit
-	head   []int32 // regionHeads(c), for every plan and formula encoder
-	opt    RunOptions
-	start  time.Time
-	faults []Fault
+	c *logic.Circuit
+	// regions is c's region table: the plan's cone sizes and the effort
+	// features, read serially before the sweep, and the heads every
+	// formula encoder shares.
+	regions *regionTable
+	opt     RunOptions
+	start   time.Time
+	faults  []Fault
 
 	// order is the sweep's dispatch order over the faults the pre-phase
 	// left, and the order the commit frontier walks; groups partition it
@@ -1033,7 +1042,7 @@ func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 				st.recordEffort(ws, i, &res, "resume", -1)
 			}
 		} else {
-			tel.observeSolve(int(sr.worker), &res)
+			tel.observeSolve(&res)
 			st.decide(ws, i, &res, int(sr.worker))
 		}
 		if res.Status != Detected {

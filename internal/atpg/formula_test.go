@@ -72,7 +72,7 @@ func formulaTestCircuits(t *testing.T) map[string]*logic.Circuit {
 func TestFormulaMatchesMiter(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for name, c := range formulaTestCircuits(t) {
-		fe := newFormulaEncoder(c, regionHeads(c))
+		fe := newFormulaEncoder(c, newRegionTable(c).head)
 		for _, f := range AllFaults(c) {
 			m, merr := NewMiter(c, f)
 			got, err := fe.encode([]Fault{f}, false)

@@ -138,9 +138,6 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, g *faultGroup, ws
 			}
 			continue
 		}
-		fspan := st.trace.Start("fault", gspan.Context())
-		fspan.Worker = worker
-		fspan.Detail = st.faults[i].Name(st.c)
 		res.Vars, res.Clauses = formula.NumVars, formula.NumClauses()
 		assumps = ws.enc.assumptions(mk, assumps)
 		var sol sat.Solution
@@ -166,10 +163,7 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, g *faultGroup, ws
 		}
 		res.Elapsed = time.Since(start)
 		sol.Stats = stats
-		err = settle(st.c, &res, sol, ws.enc)
-		fspan.Items = res.SolverStats.SearchEffort()
-		fspan.End()
-		if err != nil {
+		if err = settle(st.c, &res, sol, ws.enc); err != nil {
 			return err
 		}
 		if ctx.Err() != nil {

@@ -2,11 +2,13 @@ package atpg
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"atpgeasy/internal/decomp"
 	"atpgeasy/internal/gen"
 	"atpgeasy/internal/logic"
 	"atpgeasy/internal/obs"
@@ -27,7 +29,7 @@ func regionTestCircuits() map[string]*logic.Circuit {
 // head of a head is itself).
 func TestRegionHeads(t *testing.T) {
 	for name, c := range regionTestCircuits() {
-		head := regionHeads(c)
+		head := newRegionTable(c).head
 		for id := range c.Nodes {
 			reader := -1
 			multi := false
@@ -54,6 +56,139 @@ func TestRegionHeads(t *testing.T) {
 	}
 }
 
+// refStructure is net's fanout-cone size, cone depth and C_ψ^sub gate
+// count built the way SubCircuit builds C_ψ^sub — TransitiveFanout,
+// then TransitiveFanin of it, with depths from Level — sharing no code
+// with regionTable. A gate is a node with fanin.
+func refStructure(c *logic.Circuit, net int) FaultFeatures {
+	fo := c.TransitiveFanout(net)
+	deepest := c.Level(net)
+	for _, n := range fo {
+		deepest = max(deepest, c.Level(n))
+	}
+	gates := 0
+	for _, n := range c.TransitiveFanin(fo...) {
+		if len(c.Nodes[n].Fanin) > 0 {
+			gates++
+		}
+	}
+	return FaultFeatures{ConeSize: int32(len(fo)), ConeDepth: int32(deepest - c.Level(net) + 1), Gates: int32(gates)}
+}
+
+// checkEffortOrder fails t unless order lays its faults out in effort
+// order under the reference cone sizes cone (per fault-list index):
+// regions by their largest cone (descending, the smallest fault index
+// breaking ties), each region's faults consecutive and sorted by cone
+// (descending) then fault index.
+func checkEffortOrder(t *testing.T, name string, head []int32, faults []Fault, order, cone []int32) {
+	t.Helper()
+	type region struct {
+		head   int32
+		cone   int32
+		minIdx int32
+	}
+	var regions []region
+	seen := map[int32]bool{}
+	for k, i := range order {
+		h := head[faults[i].Net]
+		if k > 0 && regions[len(regions)-1].head == h {
+			prev := order[k-1]
+			if cone[prev] < cone[i] || (cone[prev] == cone[i] && prev >= i) {
+				t.Fatalf("%s: order[%d]=%d (cone %d) before order[%d]=%d (cone %d)", name, k-1, prev, cone[prev], k, i, cone[i])
+			}
+			regions[len(regions)-1].minIdx = min(regions[len(regions)-1].minIdx, i)
+			continue
+		}
+		if seen[h] {
+			t.Fatalf("%s: region-%d's faults are not consecutive", name, h)
+		}
+		seen[h] = true
+		regions = append(regions, region{head: h, cone: cone[i], minIdx: i})
+	}
+	for r := 1; r < len(regions); r++ {
+		a, b := regions[r-1], regions[r]
+		if a.cone < b.cone || (a.cone == b.cone && a.minIdx >= b.minIdx) {
+			t.Fatalf("%s: region-%d (cone %d, fault %d) before region-%d (cone %d, fault %d)",
+				name, a.head, a.cone, a.minIdx, b.head, b.cone, b.minIdx)
+		}
+	}
+}
+
+// TestRegionTableMatchesReference checks the per-head table against
+// refStructure on every fault of the collapsed and the full fault list:
+// each fault's three structural features, and the cone sizes buildGroups
+// orders the plan by. Each list runs on two fresh tables, one walking
+// the plan's fanout-only shapes before the features' fanin walks and
+// one the other way round, as a run with an effort log does.
+func TestRegionTableMatchesReference(t *testing.T) {
+	circuits := map[string]*logic.Circuit{
+		"cmp256":  gen.Comparator(256),
+		"mult16":  gen.ArrayMultiplier(16),
+		"rand500": gen.Random(gen.RandomParams{Inputs: 33, Gates: 500, Seed: 1}),
+		"cla32":   gen.CarryLookaheadAdder(32),
+		"dec10":   gen.Decoder(10),
+	}
+	for name, c := range circuits {
+		d, err := decomp.Decompose(c, 3)
+		if err != nil {
+			t.Fatalf("%s: decompose: %v", name, err)
+		}
+		circuits[name] = d
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		c := gen.Random(gen.RandomParams{
+			Inputs: 4 + int(seed%7), Gates: 20 + 9*int(seed),
+			MaxFanin: 2 + int(seed%5), Locality: 1 + float64(seed%4), Seed: seed,
+		})
+		d, err := decomp.Decompose(c, 3)
+		if err != nil {
+			t.Fatalf("%s: decompose: %v", c.Name, err)
+		}
+		circuits[fmt.Sprintf("rand-%d", seed)] = c
+		circuits[fmt.Sprintf("rand-%d/decomposed", seed)] = d
+	}
+	for name, c := range circuits {
+		ref := make(map[int]FaultFeatures)
+		all := AllFaults(c)
+		for _, f := range all {
+			if _, ok := ref[f.Net]; !ok {
+				ref[f.Net] = refStructure(c, f.Net)
+			}
+		}
+		lists := map[string][]Fault{"full": all, "collapsed": CollapseDominance(c, Collapse(c, all))}
+		for lname, faults := range lists {
+			lname = name + "/" + lname
+			cone := make([]int32, len(faults))
+			for i, f := range faults {
+				cone[i] = ref[f.Net].ConeSize
+			}
+			plan := func(rt *regionTable, label string) {
+				order, _ := buildGroups(rt, faults, nil, 0)
+				checkEffortOrder(t, label, rt.head, faults, order, cone)
+				for i, f := range faults {
+					if got := rt.coneSize(f.Net); got != cone[i] {
+						t.Fatalf("%s: %s cone size %d, reference %d", label, f.Name(c), got, cone[i])
+					}
+				}
+			}
+			features := func(rt *regionTable, label string) {
+				for i, feats := range rt.features(faults) {
+					want := ref[faults[i].Net]
+					feats.CC0, feats.CC1, feats.CO = 0, 0, 0
+					if feats != want {
+						t.Fatalf("%s: %s features %+v, reference %+v", label, faults[i].Name(c), feats, want)
+					}
+				}
+			}
+			planFirst, featsFirst := newRegionTable(c), newRegionTable(c)
+			plan(planFirst, lname+" plan first")
+			features(planFirst, lname+" plan first")
+			features(featsFirst, lname+" features first")
+			plan(featsFirst, lname+" features first")
+		}
+	}
+}
+
 // TestBuildGroupsCanonicalOrder requires the flattened dispatch order to
 // be identical for every group-size cap — the property that makes the
 // commit frontier, flush points and drop set independent of GroupMax —
@@ -62,10 +197,10 @@ func TestRegionHeads(t *testing.T) {
 func TestBuildGroupsCanonicalOrder(t *testing.T) {
 	for name, c := range regionTestCircuits() {
 		faults := Collapse(c, AllFaults(c))
-		head := regionHeads(c)
-		refOrder, _ := buildGroups(c, head, faults, nil, 1)
+		rt := newRegionTable(c)
+		refOrder, _ := buildGroups(rt, faults, nil, 1)
 		for _, max := range []int{2, 3, 7, DefaultGroupMax} {
-			order, groups := buildGroups(c, head, faults, nil, max)
+			order, groups := buildGroups(rt, faults, nil, max)
 			if len(order) != len(refOrder) {
 				t.Fatalf("%s max=%d: order length %d vs %d", name, max, len(order), len(refOrder))
 			}
@@ -83,7 +218,7 @@ func TestBuildGroupsCanonicalOrder(t *testing.T) {
 					t.Fatalf("%s max=%d: group %d has %d members", name, max, g.id, n)
 				}
 				for _, idx := range order[g.start:g.end] {
-					if h := head[faults[idx].Net]; h != g.region {
+					if h := rt.head[faults[idx].Net]; h != g.region {
 						t.Fatalf("%s max=%d: fault net %d (head %d) in region-%d group",
 							name, max, faults[idx].Net, h, g.region)
 					}
@@ -152,8 +287,8 @@ func TestGroupFormulaMatchesMiter(t *testing.T) {
 	}
 	for name, c := range circuits {
 		faults := Collapse(c, AllFaults(c))
-		head := regionHeads(c)
-		order, groups := buildGroups(c, head, faults, nil, DefaultGroupMax)
+		rt := newRegionTable(c)
+		order, groups := buildGroups(rt, faults, nil, DefaultGroupMax)
 		eng := &Engine{}
 		fresh := make(map[int]Result, len(faults))
 		for _, idx := range order {
@@ -166,7 +301,7 @@ func TestGroupFormulaMatchesMiter(t *testing.T) {
 		// The fresh baseline for vectors must come from the same lex-first
 		// branching: solve each fault's ungated formula — the reference
 		// shape, Miter.Encode's clause for clause — with fe.priority.
-		fe := newFormulaEncoder(c, head)
+		fe := newFormulaEncoder(c, rt.head)
 		freshVec := make(map[int][]bool, len(faults))
 		for _, idx := range order {
 			f, err := fe.encode([]Fault{faults[idx]}, false)
@@ -472,7 +607,7 @@ func TestIncrementalRetryTiers(t *testing.T) {
 func TestIncrementalTelemetryCounters(t *testing.T) {
 	c := gen.ArrayMultiplier(3)
 	reg := obs.NewRegistry()
-	met := NewMetrics(reg, 1)
+	met := NewMetrics(reg)
 	eng := &Engine{Workers: 1}
 	sum, err := eng.Run(context.Background(), c, RunOptions{
 		Collapse:  true,

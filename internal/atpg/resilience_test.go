@@ -83,7 +83,7 @@ func TestPanicIsolation(t *testing.T) {
 	var buf bytes.Buffer
 	el := NewEffortLog(&buf)
 	reg := obs.NewRegistry()
-	met := NewMetrics(reg, 2)
+	met := NewMetrics(reg)
 	eng := &Engine{Workers: 2}
 	eng.testHook = func(f Fault, _ time.Duration) bool {
 		if f == victim {
@@ -294,7 +294,7 @@ func TestRetryTiersRecoverAbortedFaults(t *testing.T) {
 	c := gen.CarryLookaheadAdder(4)
 	faults := Collapse(c, AllFaults(c))
 	reg := obs.NewRegistry()
-	met := NewMetrics(reg, 2)
+	met := NewMetrics(reg)
 	eng := &Engine{Workers: 2, testHook: abortBelow(100 * time.Millisecond)}
 	sink := newRecordingSink()
 	sum, err := eng.RunFaults(context.Background(), c, faults, RunOptions{
@@ -447,7 +447,7 @@ func TestCrashResumeEquivalence(t *testing.T) {
 			for _, i := range bsink.state().RPT.Detected {
 				skip[i] = true
 			}
-			order, _ := buildGroups(c, regionHeads(c), faults, skip, 0)
+			order, _ := buildGroups(newRegionTable(c), faults, skip, 0)
 			first := faults[order[0]]
 
 			// Interrupted run: cancel as the sweep reaches its cancelAt-th

@@ -18,14 +18,14 @@ type Telemetry struct {
 	Metrics *Metrics
 	// Trace is the run's event record. The engine records every run-level
 	// event on it once, as a span: run → phase (rpt, sweep) → group or
-	// rpt-batch → fault, plus a flush span per Detected vector the
-	// commit frontier adopts (items: the faults it dropped) and a
-	// frontier-stall span per commit-frontier stall (detail: the fault it
-	// waited on). Its flight recorder keeps the newest spans and
-	// is printed to stderr on the run's first fault panic; a Trace with a
-	// writer also writes each span as a "kind":"span" line. Nil gives the
-	// run a private record-only trace. Per-fault outcomes go to the effort
-	// log (RunOptions.EffortLog), not here.
+	// rpt-batch, plus a flush span per Detected vector the commit
+	// frontier adopts (items: the faults it dropped) and a frontier-stall
+	// span per commit-frontier stall (detail: the fault it waited on).
+	// Its flight recorder keeps the newest spans and is printed to stderr
+	// on the run's first fault panic; a Trace with a writer also writes
+	// each span as a "kind":"span" line. Nil gives the run a private
+	// record-only trace. Per-fault outcomes go to the effort log
+	// (RunOptions.EffortLog), not here.
 	Trace *obs.Trace
 	// ProgressEvery, when positive together with OnProgress, invokes
 	// OnProgress with a run snapshot on that period. Regardless of the
@@ -87,8 +87,7 @@ func (p Progress) String() string {
 // times, solver counters, the per-fault histograms) once per solved
 // result the commit frontier adopts, whose work covers every escalated
 // attempt — so both agree with the Summary. Nothing is updated inside
-// the solver's search loop, and the solver work counters are sharded per
-// worker so parallel runs never contend on a cache line.
+// the solver's search loop.
 type Metrics struct {
 	FaultsTotal *obs.Gauge // faults in the current run
 	Workers     *obs.Gauge
@@ -125,15 +124,15 @@ type Metrics struct {
 	PhaseSolveNS    *obs.Counter
 	PhaseFaultSimNS *obs.Counter
 
-	SolverDecisions    *obs.ShardedCounter
-	SolverPropagations *obs.ShardedCounter
-	SolverConflicts    *obs.ShardedCounter
+	SolverDecisions    *obs.Counter
+	SolverPropagations *obs.Counter
+	SolverConflicts    *obs.Counter
 
 	// Incremental region-grouped solving: clauses alive at call start,
 	// retained clauses used on conflict-analysis chains, and the largest
 	// per-worker learned-clause database (a high-water mark).
-	LearnedKept   *obs.ShardedCounter
-	LearnedReused *obs.ShardedCounter
+	LearnedKept   *obs.Counter
+	LearnedReused *obs.Counter
 	ClauseDBBytes *obs.Gauge
 	HistGroupSize *obs.Histogram
 
@@ -143,12 +142,8 @@ type Metrics struct {
 }
 
 // NewMetrics registers the engine metric set (prefix atpg_) on reg and
-// returns it. shards is the expected worker count for the sharded solver
-// counters (0 = 1).
-func NewMetrics(reg *obs.Registry, shards int) *Metrics {
-	if shards < 1 {
-		shards = 1
-	}
+// returns it.
+func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		FaultsTotal: reg.Gauge("atpg_faults", "faults in the current run"),
 		Workers:     reg.Gauge("atpg_workers", "parallel fault workers"),
@@ -176,12 +171,12 @@ func NewMetrics(reg *obs.Registry, shards int) *Metrics {
 		PhaseSolveNS:    reg.Counter("atpg_phase_solve_ns_total", "SAT solving time"),
 		PhaseFaultSimNS: reg.Counter("atpg_phase_faultsim_ns_total", "fault-simulation flush time"),
 
-		SolverDecisions:    reg.ShardedCounter("atpg_solver_decisions_total", "solver decisions", shards),
-		SolverPropagations: reg.ShardedCounter("atpg_solver_propagations_total", "unit propagations", shards),
-		SolverConflicts:    reg.ShardedCounter("atpg_solver_conflicts_total", "solver conflicts", shards),
+		SolverDecisions:    reg.Counter("atpg_solver_decisions_total", "solver decisions"),
+		SolverPropagations: reg.Counter("atpg_solver_propagations_total", "unit propagations"),
+		SolverConflicts:    reg.Counter("atpg_solver_conflicts_total", "solver conflicts"),
 
-		LearnedKept:   reg.ShardedCounter("atpg_learned_kept_total", "learned clauses alive at solver call start (incremental mode)", shards),
-		LearnedReused: reg.ShardedCounter("atpg_learned_reused_total", "retained learned clauses used by later conflict analyses", shards),
+		LearnedKept:   reg.Counter("atpg_learned_kept_total", "learned clauses alive at solver call start (incremental mode)"),
+		LearnedReused: reg.Counter("atpg_learned_reused_total", "retained learned clauses used by later conflict analyses"),
 		ClauseDBBytes: reg.Gauge("atpg_clause_db_bytes", "largest per-worker learned-clause database, bytes"),
 		HistGroupSize: reg.Histogram("atpg_group_size", "region-group member count (log2 buckets)"),
 
@@ -204,7 +199,7 @@ func (t *Telemetry) begin(total, workers int) {
 // frontier adopts, every escalated attempt included: the phase times,
 // the solver counters, the per-fault histograms, and the attempt and
 // recovery counts of each tier it reached.
-func (t *Telemetry) observeSolve(worker int, res *Result) {
+func (t *Telemetry) observeSolve(res *Result) {
 	if t == nil || t.Metrics == nil {
 		return
 	}
@@ -212,11 +207,11 @@ func (t *Telemetry) observeSolve(worker int, res *Result) {
 	m.PhaseBuildNS.Add(res.BuildElapsed.Nanoseconds())
 	m.PhaseSolveNS.Add(res.Elapsed.Nanoseconds())
 	st := res.SolverStats
-	m.SolverDecisions.Add(worker, st.Decisions)
-	m.SolverPropagations.Add(worker, st.Propagations)
-	m.SolverConflicts.Add(worker, st.Conflicts)
-	m.LearnedKept.Add(worker, st.LearnedKept)
-	m.LearnedReused.Add(worker, st.LearnedReused)
+	m.SolverDecisions.Add(st.Decisions)
+	m.SolverPropagations.Add(st.Propagations)
+	m.SolverConflicts.Add(st.Conflicts)
+	m.LearnedKept.Add(st.LearnedKept)
+	m.LearnedReused.Add(st.LearnedReused)
 	if st.ClauseDBBytes > 0 {
 		m.ClauseDBBytes.SetMax(st.ClauseDBBytes)
 	}

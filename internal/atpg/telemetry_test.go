@@ -65,7 +65,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	for _, arm := range arms {
 		t.Run(arm.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
-			m := NewMetrics(reg, arm.eng.Workers)
+			m := NewMetrics(reg)
 			var buf, effort bytes.Buffer
 			tr := obs.NewTrace(&buf)
 			el := NewEffortLog(&effort)

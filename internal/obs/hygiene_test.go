@@ -20,7 +20,7 @@ var promName = regexp.MustCompile(`^[a-z_][a-z0-9_]*$`)
 
 func TestEngineMetricsHygiene(t *testing.T) {
 	reg := obs.NewRegistry()
-	atpg.NewMetrics(reg, 4)
+	atpg.NewMetrics(reg)
 	ms := reg.Metrics()
 	if len(ms) == 0 {
 		t.Fatal("NewMetrics registered nothing")

@@ -14,20 +14,17 @@ import (
 	"time"
 )
 
-func TestCounterGaugeSharded(t *testing.T) {
+func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "a counter")
 	g := r.Gauge("g", "a gauge")
-	s := r.ShardedCounter("s_total", "a sharded counter", 4)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
-		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				c.Inc()
-				s.Add(w, 2)
 			}
 		}()
 	}
@@ -37,20 +34,8 @@ func TestCounterGaugeSharded(t *testing.T) {
 	if c.Value() != 8000 {
 		t.Errorf("counter = %d, want 8000", c.Value())
 	}
-	if s.Value() != 16000 {
-		t.Errorf("sharded = %d, want 16000", s.Value())
-	}
 	if g.Value() != -4 {
 		t.Errorf("gauge = %d, want -4", g.Value())
-	}
-}
-
-func TestShardedCounterAnyShard(t *testing.T) {
-	s := NewShardedCounter(0) // clamps to 1 shard
-	s.Add(-3, 5)
-	s.Add(1000, 5)
-	if s.Value() != 10 {
-		t.Errorf("value = %d", s.Value())
 	}
 }
 

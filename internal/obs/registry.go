@@ -55,44 +55,6 @@ func (g *Gauge) SetMax(n int64) {
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// shardCell pads each shard to its own cache line so concurrent workers
-// never contend on adjacent counters (false sharing).
-type shardCell struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// ShardedCounter is a counter split across per-worker cells: each worker
-// adds to its own cache line and readers sum on demand. Use it for
-// counters updated from many goroutines on a hot path.
-type ShardedCounter struct{ cells []shardCell }
-
-// NewShardedCounter returns a counter with n shards (minimum 1).
-func NewShardedCounter(n int) *ShardedCounter {
-	if n < 1 {
-		n = 1
-	}
-	return &ShardedCounter{cells: make([]shardCell, n)}
-}
-
-// Add increments the shard-th cell by n. Any shard index is valid; it is
-// reduced modulo the shard count.
-func (c *ShardedCounter) Add(shard int, n int64) {
-	if shard < 0 {
-		shard = -shard
-	}
-	c.cells[shard%len(c.cells)].v.Add(n)
-}
-
-// Value sums all shards.
-func (c *ShardedCounter) Value() int64 {
-	var sum int64
-	for i := range c.cells {
-		sum += c.cells[i].v.Load()
-	}
-	return sum
-}
-
 // histBuckets is the bucket count of a log2 histogram: bucket 0 holds
 // values ≤ 0, bucket i (1..64) holds values in [2^(i-1), 2^i).
 const histBuckets = 65
@@ -262,17 +224,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 		prom:  func(w io.Writer) { fmt.Fprintf(w, "%s %g\n", name, fn()) },
 		value: func() any { return fn() },
 	})
-}
-
-// ShardedCounter registers and returns a counter with shards cells.
-func (r *Registry) ShardedCounter(name, help string, shards int) *ShardedCounter {
-	c := NewShardedCounter(shards)
-	r.register(metric{
-		name: name, help: help, typ: "counter",
-		prom:  func(w io.Writer) { fmt.Fprintf(w, "%s %d\n", name, c.Value()) },
-		value: func() any { return c.Value() },
-	})
-	return c
 }
 
 // LabeledCounter is a family of counters distinguished by one label —

@@ -12,8 +12,8 @@ import (
 )
 
 // Trace is a run's one event record. It mints hierarchical spans — run →
-// phase (rpt, sweep) → group or RPT-batch → fault, plus the
-// flush and frontier-stall events — and keeps the last 64
+// phase (rpt, sweep) → group or RPT-batch, plus the flush and
+// frontier-stall events — and keeps the last 64
 // finished spans in an always-on flight recorder, dumped when something
 // goes wrong (a fault panic, SIGINT) so a failure deep into a long run
 // is diagnosable after the fact. A Trace with a writer

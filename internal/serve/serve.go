@@ -142,7 +142,7 @@ func Start(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		reg:     reg,
-		met:     atpg.NewMetrics(reg, cfg.EngineWorkers),
+		met:     atpg.NewMetrics(reg),
 		queue:   newJobQueue(cfg.QueueCap),
 		drainCh: make(chan struct{}),
 		jobs:    make(map[string]*job),
