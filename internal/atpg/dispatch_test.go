@@ -2,8 +2,10 @@ package atpg
 
 import (
 	"context"
+	"io"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -344,8 +346,80 @@ func flushOnce(tb testing.TB, st *runState, ws *workerScratch, vec []bool) {
 	for i := range st.droppedF {
 		st.droppedF[i].Store(0)
 	}
-	if err := st.flushLocked(ws, 0, vec); err != nil {
+	sim, err := ws.load(st.c, vec)
+	if err != nil {
 		tb.Fatal(err)
+	}
+	st.flushLocked(sim, 0)
+}
+
+// TestCommitRejectsForgedVector: the commit frontier is where every
+// Detected vector is checked against its own fault, solved or resumed.
+// A result published at plan position 0 whose vector does not detect its
+// fault must fail the commit with an error naming the fault, before the
+// verdict reaches the journal, the effort log or the tallies, and must
+// leave the frontier in place; the same result with a detecting vector
+// commits, is journaled once when solved and gets its one effort record.
+func TestCommitRejectsForgedVector(t *testing.T) {
+	c := gen.CarryLookaheadAdder(8)
+	rng := rand.New(rand.NewSource(3))
+	for _, resumed := range []bool{false, true} {
+		for _, forged := range []bool{false, true} {
+			name := "solved"
+			if resumed {
+				name = "resumed"
+			}
+			if forged {
+				name += "/forged"
+			}
+			st, ws, _ := flushState(t, c)
+			st.published = make([]atomic.Pointer[specResult], len(st.faults))
+			st.pubHigh.Store(-1)
+			sink := newRecordingSink()
+			st.opt.Journal = sink
+			el := NewEffortLog(io.Discard)
+			var err error
+			if st.effort, err = newEffortState(el, st.regions, st.faults, 1); err != nil {
+				t.Fatal(err)
+			}
+			i := int(st.order[0])
+			f := st.faults[i]
+			vec := make([]bool, len(c.Inputs))
+			for tries := 0; VerifyTest(c, f, vec) == forged; tries++ {
+				if tries == 1000 {
+					t.Fatalf("%s: no random vector with detection %t for %s", name, !forged, f.Name(c))
+				}
+				for k := range vec {
+					vec[k] = rng.Intn(2) == 1
+				}
+			}
+			res := Result{Fault: f, Status: Detected, Vector: vec, Group: 1, GroupSize: 1}
+			if resumed {
+				st.applyResume(&ResumeState{Faults: map[int]Result{i: res}})
+				err = st.kickCommit(ws, 0)
+			} else {
+				err = st.publish(ws, 0, 0, res)
+			}
+			journaled, records := sink.faultCalls[i], el.Records()-1 // Records counts the header
+			if forged {
+				if err == nil || !strings.Contains(err.Error(), f.Name(c)) {
+					t.Errorf("%s: commit returned %v, want an error naming %s", name, err, f.Name(c))
+				}
+				if journaled != 0 || records != 0 || st.frontier != 0 || st.results[i] != nil || st.doneN.Load() != 0 {
+					t.Errorf("%s: %d journal and %d effort records, frontier %d, result %v, %d tallied; want none",
+						name, journaled, records, st.frontier, st.results[i], st.doneN.Load())
+				}
+				continue
+			}
+			wantJournal := 1
+			if resumed {
+				wantJournal = 0 // a replayed verdict is already in the journal
+			}
+			if err != nil || journaled != wantJournal || records != 1 || st.frontier != 1 || st.results[i] == nil {
+				t.Errorf("%s: commit returned %v with %d journal and %d effort records, frontier %d; want nil, %d, 1, 1",
+					name, err, journaled, records, st.frontier, wantJournal)
+			}
+		}
 	}
 }
 

@@ -201,28 +201,31 @@ func (e *Engine) TestFault(c *logic.Circuit, f Fault) (Result, error) {
 	start = time.Now()
 	sol := (&sat.DPLL{MaxConflicts: maxConflicts}).Solve(formula)
 	res.Elapsed = time.Since(start)
-	return res, settle(c, &res, sol, enc)
+	settle(&res, sol, enc)
+	if res.Status == Detected && !VerifyTest(c, f, res.Vector) {
+		return res, fmt.Errorf("atpg: generated vector fails to detect %s (pipeline bug)", f.Name(c))
+	}
+	return res, nil
 }
 
 // settle turns a solver answer on the encoder's last formula into the
-// fault's verdict: a model becomes a test vector, re-simulated against
-// the fault as a cross-check of the whole encode/solve/extract pipeline;
-// UNSAT means untestable, anything else aborted.
-func settle(c *logic.Circuit, res *Result, sol sat.Solution, enc *formulaEncoder) error {
+// fault's verdict: a model becomes a test vector, UNSAT means untestable,
+// anything else aborted. It does not check the vector: TestFault
+// re-simulates its one vector with VerifyTest, and a run's commit
+// frontier fault-simulates every vector it adopts against its own fault
+// (checkLocked), as a cross-check of the whole encode/solve/extract
+// pipeline.
+func settle(res *Result, sol sat.Solution, enc *formulaEncoder) {
 	res.SolverStats = sol.Stats
 	switch sol.Status {
 	case sat.Sat:
 		res.Status = Detected
 		res.Vector = enc.extract(sol.Model)
-		if !VerifyTest(c, res.Fault, res.Vector) {
-			return fmt.Errorf("atpg: generated vector fails to detect %s (pipeline bug)", res.Fault.Name(c))
-		}
 	case sat.Unsat:
 		res.Status = Untestable
 	default:
 		res.Status = Aborted
 	}
-	return nil
 }
 
 // Summary aggregates a full-circuit ATPG run.
@@ -276,10 +279,10 @@ type Summary struct {
 
 // PhaseTimes is the per-phase work breakdown of a run. The phases
 // partition the measured work: each duration is accumulated on a disjoint
-// code path (RPT batch simulation, formula encoding, SAT search,
-// per-vector drop flushes), so on a single worker their sum is at most
-// WallElapsed; in parallel runs Build/Solve/FaultSim sum over workers and
-// can exceed it.
+// code path (RPT batch simulation, formula encoding, SAT search, the
+// commit frontier's per-vector fault simulation), so on a single worker
+// their sum is at most WallElapsed; in parallel runs Build and Solve sum
+// over workers and can exceed it.
 type PhaseTimes struct {
 	// RPT is the random-pattern pre-phase wall time (it runs before the
 	// worker pool starts, so it never overlaps the other phases).
@@ -293,8 +296,10 @@ type PhaseTimes struct {
 	// solver (each Result's Elapsed). Under a parallel run it exceeds wall
 	// time; compare Summary.WallElapsed.
 	Solve time.Duration `json:"solve_ns"`
-	// FaultSim is the time spent fault-simulating each committed vector
-	// against the uncommitted faults to drop the ones it detects.
+	// FaultSim is the commit frontier's fault-simulation time: loading
+	// each committed Detected vector once, checking that it detects its
+	// own fault and, with DropDetected, simulating it against the
+	// uncommitted faults to drop the ones it detects.
 	FaultSim time.Duration `json:"faultsim_ns"`
 	// FrontierStall is commit-frontier stall time: how long the
 	// deterministic commit order sat blocked on one in-flight solve while
@@ -694,7 +699,7 @@ type runState struct {
 	// is then skipped so the kept vector set stays exactly the journaled one.
 	rptRestored bool
 
-	// simNS accumulates fault-simulation flush time.
+	// simNS accumulates the commit frontier's fault-simulation time.
 	simNS atomic.Int64
 
 	// trace records every run-level event as a span: Telemetry.Trace when
@@ -987,15 +992,18 @@ func (st *runState) kickCommit(ws *workerScratch, worker int) error {
 }
 
 // commitLocked walks the dispatch order from the frontier, adopting each
-// slot's published result, in order: decide makes a solved result final
-// and observes its solver work, while a verdict replayed from a journal
-// is only tallied and recorded, after a Detected one's vector is
-// re-simulated against its fault; with DropDetected each adopted vector
-// is flushed at once — so the order of verdicts, journal and effort
-// records, and the entire drop set, is a deterministic function of the
-// dispatch order alone. A slot whose solve is still in flight blocks the
-// frontier; a dropped slot gets its clean-drop record and is skipped,
-// discarding any speculative result as wasted. Called with commitMu held.
+// slot's published result, in order. A Detected result's vector is loaded
+// into the worker's fault simulator once and must detect its own fault
+// before anything records the verdict (checkLocked); decide then makes a
+// solved result final and observes its solver work, while a verdict
+// replayed from a journal is only tallied and recorded; with
+// DropDetected the same load is flushed at once — so the order of
+// verdicts, journal and effort records, and the entire drop set, is a
+// deterministic function of the dispatch order alone. A slot whose solve
+// is still in flight blocks the frontier, and so does a vector that fails
+// its check: the run fails there. A dropped slot gets its clean-drop
+// record and is skipped, discarding any speculative result as wasted.
+// Called with commitMu held.
 func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 	tel := st.opt.Telemetry
 	order := st.order
@@ -1033,8 +1041,15 @@ func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 			tel.observeStall(stall)
 			st.trace.Observed("frontier-stall", st.sweepSpan, stall, worker, st.faults[i].Name(st.c))
 		}
-		st.frontier++
 		res := sr.res
+		var sim *faultsim.Simulator
+		if res.Status == Detected {
+			var err error
+			if sim, err = st.checkLocked(ws, i, res.Vector); err != nil {
+				return err
+			}
+		}
+		st.frontier++
 		st.results[i] = &res
 		if st.resumed[i] {
 			st.tally(res.Status)
@@ -1045,42 +1060,43 @@ func (st *runState) commitLocked(ws *workerScratch, worker int) error {
 			tel.observeSolve(&res)
 			st.decide(ws, i, &res, int(sr.worker))
 		}
-		if res.Status != Detected {
-			continue
-		}
-		if st.opt.DropDetected {
-			if err := st.flushLocked(ws, worker, res.Vector); err != nil {
-				return fmt.Errorf("atpg: vector for %s: %v", st.faults[i].Name(st.c), err)
-			}
-		}
-		if st.resumed[i] {
-			if err := st.checkResumed(ws, i, res.Vector); err != nil {
-				return err
-			}
+		if sim != nil && st.opt.DropDetected {
+			st.flushLocked(sim, worker)
 		}
 	}
 	return nil
 }
 
-// checkResumed re-simulates a journaled Detected vector against its own
-// fault: a journal is external input, and a vector that does not detect
-// its fault fails the run, as a solved one does in settle. With
-// DropDetected the flush has just loaded the vector into the worker's
-// simulator; otherwise checkResumed loads it there. Called with commitMu
-// held; allocation-free, like a flush.
-func (st *runState) checkResumed(ws *workerScratch, i int, vec []bool) error {
+// checkLocked loads fault i's Detected vector into the worker's fault
+// simulator — the one load of that vector, which the flush reuses — and
+// fails unless the vector detects fault i itself: a solved vector as a
+// cross-check of the whole encode/solve/extract pipeline, a journaled one
+// because a journal is external input. Called with commitMu held, before
+// the verdict is journaled or recorded; allocation-free once the worker's
+// simulator is warm.
+func (st *runState) checkLocked(ws *workerScratch, i int, vec []bool) (*faultsim.Simulator, error) {
+	start := time.Now()
 	f := st.faults[i]
-	sim, err := ws.sim, error(nil)
-	if !st.opt.DropDetected {
-		sim, err = ws.load(st.c, vec)
-	}
+	sim, err := ws.load(st.c, vec)
 	if err == nil && sim.DetectsAny(f.Net, f.StuckAt) == 0 {
 		err = errors.New("the vector does not detect it")
 	}
 	if err != nil {
-		return fmt.Errorf("atpg: resumed verdict for %s: %v", f.Name(st.c), err)
+		origin := "solved"
+		if st.resumed[i] {
+			origin = "resumed"
+		}
+		return nil, fmt.Errorf("atpg: %s verdict for %s: %v", origin, f.Name(st.c), err)
 	}
-	return nil
+	st.observeSim(0, time.Since(start))
+	return sim, nil
+}
+
+// observeSim accounts fault-simulation time and the faults it dropped.
+func (st *runState) observeSim(dropped int, d time.Duration) {
+	st.droppedN.Add(int64(dropped))
+	st.simNS.Add(d.Nanoseconds())
+	st.opt.Telemetry.observeFaultSim(dropped, d)
 }
 
 // settled reports whether sweep fault i needs no solve: it was dropped,
@@ -1089,20 +1105,15 @@ func (st *runState) settled(i int) bool {
 	return st.resumed[i] || st.droppedF.get(i)
 }
 
-// flushLocked fault-simulates the vector just committed against the
-// uncommitted tail of the dispatch order and sets the drop bits of the
-// faults it detects; replayed verdicts are final and never dropped.
-// Called with commitMu held. The atomic bitset is the only state shared
-// with the claim path, so flushes never make claims wait — and the flush
-// allocates nothing: the pack buffer and the simulator are reused from
-// the scratch.
-func (st *runState) flushLocked(ws *workerScratch, worker int, vec []bool) error {
+// flushLocked fault-simulates the vector just committed, loaded into sim
+// by checkLocked, against the uncommitted tail of the dispatch order and
+// sets the drop bits of the faults it detects; replayed verdicts are
+// final and never dropped. Called with commitMu held. The atomic bitset
+// is the only state shared with the claim path, so flushes never make
+// claims wait — and the flush allocates nothing.
+func (st *runState) flushLocked(sim *faultsim.Simulator, worker int) {
 	simStart := time.Now()
 	span := st.trace.Start("flush", st.sweepSpan)
-	sim, err := ws.load(st.c, vec)
-	if err != nil {
-		return err
-	}
 	dropped := 0
 	order := st.order
 	for p := st.frontier; p < len(order); p++ {
@@ -1114,11 +1125,7 @@ func (st *runState) flushLocked(ws *workerScratch, worker int, vec []bool) error
 			dropped++
 		}
 	}
-	st.droppedN.Add(int64(dropped))
-	simTime := time.Since(simStart)
-	st.simNS.Add(simTime.Nanoseconds())
+	st.observeSim(dropped, time.Since(simStart))
 	span.Worker, span.Items = worker, int64(dropped)
 	span.End()
-	st.opt.Telemetry.observeFlush(dropped, simTime)
-	return nil
 }

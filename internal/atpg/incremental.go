@@ -163,9 +163,7 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, g *faultGroup, ws
 		}
 		res.Elapsed = time.Since(start)
 		sol.Stats = stats
-		if err = settle(st.c, &res, sol, ws.enc); err != nil {
-			return err
-		}
+		settle(&res, sol, ws.enc)
 		if ctx.Err() != nil {
 			// The abort is a draining artifact, not a verdict.
 			return nil

@@ -169,7 +169,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		PhaseRPTNS:      reg.Counter("atpg_phase_rpt_ns_total", "random-pattern pre-phase time"),
 		PhaseBuildNS:    reg.Counter("atpg_phase_build_ns_total", "formula encoding time"),
 		PhaseSolveNS:    reg.Counter("atpg_phase_solve_ns_total", "SAT solving time"),
-		PhaseFaultSimNS: reg.Counter("atpg_phase_faultsim_ns_total", "fault-simulation flush time"),
+		PhaseFaultSimNS: reg.Counter("atpg_phase_faultsim_ns_total", "commit-frontier fault-simulation time"),
 
 		SolverDecisions:    reg.Counter("atpg_solver_decisions_total", "solver decisions"),
 		SolverPropagations: reg.Counter("atpg_solver_propagations_total", "unit propagations"),
@@ -265,9 +265,9 @@ func (t *Telemetry) observeStall(d time.Duration) {
 	t.Metrics.HistFrontierStall.Observe(d.Nanoseconds())
 }
 
-// observeFlush counts one fault-simulation flush and the faults it
-// dropped.
-func (t *Telemetry) observeFlush(dropped int, simTime time.Duration) {
+// observeFaultSim counts the commit frontier's fault-simulation time and
+// the faults it dropped.
+func (t *Telemetry) observeFaultSim(dropped int, simTime time.Duration) {
 	if t == nil || t.Metrics == nil {
 		return
 	}

@@ -95,7 +95,7 @@ func (h *varHeap) update(v int) {
 }
 
 // rebuild re-heapifies after bulk activity initialization.
-func (h *varHeap) rebuild(n int) {
+func (h *varHeap) rebuild() {
 	for i := len(h.heap)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}

@@ -22,7 +22,9 @@ import (
 // the assumptions, regardless of which learned clauses happen to be in
 // the database. This is what keeps region-grouped solving
 // byte-identical to fresh-per-fault solving: both extract the same
-// lex-least test vector.
+// lex-least test vector. Once the priority list is exhausted, a full
+// trail is a model: the search returns it as it stands, without popping
+// the activity heap.
 //
 // DPLL is this core run one-shot: a fresh instance, Loaded without a
 // priority order and solved once without assumptions.
@@ -229,7 +231,7 @@ func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 		}
 	}
 	st.nProblem = len(st.clauses)
-	st.heap.rebuild(n)
+	st.heap.rebuild()
 
 	if !st.failed && s.propagate() >= 0 {
 		st.failed = true
@@ -619,7 +621,11 @@ func (s *Incremental) cancelUntil(lvl int) {
 // pickBranch returns the next decision literal: the first unassigned
 // priority variable, always assigned false, else the highest-activity
 // unassigned variable with its saved phase. litUndef means every
-// variable is assigned (a model).
+// variable is assigned (a model). A full trail is reported before the
+// heap is touched: draining it would sift down every assigned variable
+// only for cancelUntil to push them all back, and when the priority
+// variables imply all the others (an ATPG formula's primary inputs) that
+// drain is most of a 0-conflict solve.
 func (s *Incremental) pickBranch() cnf.Lit {
 	st := &s.st
 	for st.prioCursor < len(st.priority) {
@@ -628,6 +634,9 @@ func (s *Incremental) pickBranch() cnf.Lit {
 			return cnf.NewLit(v, true)
 		}
 		st.prioCursor++
+	}
+	if len(st.trail) == st.numVars {
+		return litUndef
 	}
 	for st.heap.size() > 0 {
 		v := st.heap.pop()

@@ -282,6 +282,55 @@ func TestLearnedReductionKeepsLexLeastModel(t *testing.T) {
 	}
 }
 
+// TestFullTrailSkipsHeap: once the priority list is exhausted and every
+// variable is assigned, pickBranch reports the model without popping a
+// single variable off the activity heap. The formula is an AND and an OR
+// gate over two priority inputs (g = a∧b, h = a∨b), so deciding the
+// inputs lex-first implies everything else, as in an ATPG formula.
+func TestFullTrailSkipsHeap(t *testing.T) {
+	const a, b, g, h = 0, 1, 2, 3
+	pos := func(v int) cnf.Lit { return cnf.NewLit(v, false) }
+	neg := func(v int) cnf.Lit { return cnf.NewLit(v, true) }
+	f := cnf.NewFormula(4)
+	f.AddClause(neg(g), pos(a))
+	f.AddClause(neg(g), pos(b))
+	f.AddClause(pos(g), neg(a), neg(b))
+	f.AddClause(pos(h), neg(a))
+	f.AddClause(pos(h), neg(b))
+	f.AddClause(neg(h), pos(a), pos(b))
+
+	s := NewIncremental()
+	s.Load(f, []int{a, b})
+	st := &s.st
+	// Drive the decision loop by hand so the heap can be inspected at
+	// the moment the model is reported.
+	for l := s.pickBranch(); l != litUndef; l = s.pickBranch() {
+		if l != neg(len(st.trailLim)) {
+			t.Fatalf("decision %d is %v, want the priority input set false", len(st.trailLim), l)
+		}
+		st.trailLim = append(st.trailLim, len(st.trail))
+		s.enqueue(l, -1)
+		if s.propagate() >= 0 {
+			t.Fatal("conflict on a satisfiable formula")
+		}
+	}
+	if len(st.trail) != st.numVars {
+		t.Fatalf("model reported with %d of %d variables assigned", len(st.trail), st.numVars)
+	}
+	if got := st.heap.size(); got != st.numVars {
+		t.Fatalf("heap holds %d of %d variables after the model: pickBranch drained it", got, st.numVars)
+	}
+	s.cancelUntil(0)
+	sol := s.SolveAssuming(nil, Limits{})
+	if sol.Status != Sat || !reflect.DeepEqual(sol.Model, []bool{false, false, false, false}) {
+		t.Fatalf("SolveAssuming = %v %v, want the all-false model", sol.Status, sol.Model)
+	}
+	if sol.Stats.Decisions != 2 || st.heap.size() != st.numVars {
+		t.Fatalf("%d decisions, heap %d of %d after the call; want 2 and a whole heap",
+			sol.Stats.Decisions, st.heap.size(), st.numVars)
+	}
+}
+
 // checkWarmLexLeast solves f under rng-drawn priority variables on a
 // warm instance (learned budget learnedLimit bytes, 0 =
 // DefaultLearnedLimit) and on a fresh one, and fails t unless both give
