@@ -442,9 +442,10 @@ func TestFlushZeroAlloc(t *testing.T) {
 
 // TestBuildZeroAlloc asserts that a group's build allocates nothing on a
 // warmed worker: encoding the gated formula of the circuit's largest
-// region group and loading it into the worker's incremental instance
-// reuse the encoder's and the solver's buffers. Skipped under -race,
-// whose instrumentation allocates.
+// region group and loading it into the worker's incremental instance on
+// top of the good copy the instance holds as its base reuse the
+// encoder's and the solver's buffers. Skipped under -race, whose
+// instrumentation allocates.
 func TestBuildZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
@@ -468,11 +469,10 @@ func TestBuildZeroAlloc(t *testing.T) {
 	}
 	ws := newScratch(c, rt.head)
 	build := func() {
-		f, err := ws.enc.encode(members, true)
+		f, _, err := ws.build(members)
 		if err != nil || f == nil {
-			t.Fatalf("encode: %v (formula %v)", err, f)
+			t.Fatalf("build: %v (formula %v)", err, f)
 		}
-		ws.inc.Load(f, ws.enc.priority)
 	}
 	// Warm up as a worker does: build the group and solve every member.
 	build()

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"atpgeasy/internal/cnf"
 	"atpgeasy/internal/faultsim"
 	"atpgeasy/internal/logic"
 	"atpgeasy/internal/obs"
@@ -149,7 +150,34 @@ type workerScratch struct {
 // newScratch returns a fresh per-worker scratch for circuit c, whose
 // region heads are head.
 func newScratch(c *logic.Circuit, head []int32) *workerScratch {
-	return &workerScratch{inc: &sat.Incremental{MaxConflicts: maxConflicts}, enc: newFormulaEncoder(c, head)}
+	ws := &workerScratch{enc: newFormulaEncoder(c, head)}
+	ws.newInstance()
+	return ws
+}
+
+// newInstance gives the worker a fresh incremental instance, paired with
+// its encoder: the instance holds no base, so the next formula carries
+// its good copy.
+func (ws *workerScratch) newInstance() {
+	ws.inc = &sat.Incremental{MaxConflicts: maxConflicts}
+	ws.enc.pair()
+}
+
+// build encodes the gated formula of the live members and loads it into
+// the worker's instance, setting its good copy as the instance's base
+// first unless the instance holds that good set already. It returns the
+// loaded part (nil when no member is observable) and the load's time.
+func (ws *workerScratch) build(live []Fault) (*cnf.Formula, time.Duration, error) {
+	f, err := ws.enc.encode(live, true)
+	if f == nil || err != nil {
+		return nil, 0, err
+	}
+	start := time.Now()
+	if ws.enc.base != nil {
+		ws.inc.SetBase(ws.enc.base)
+	}
+	ws.inc.Load(f, ws.enc.priority)
+	return f, time.Since(start), nil
 }
 
 // simulator loads n packed patterns into the worker's fault simulator,

@@ -14,6 +14,7 @@ package atpg
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"atpgeasy/internal/cnf"
@@ -54,6 +55,19 @@ type formulaEncoder struct {
 	priority     []int
 	selectors    []int
 	unobservable []bool
+
+	// A worker's encoder is paired with the worker's instance (pair), and
+	// then returns each formula without its good copy: the instance holds
+	// the good copy of the good set held, heldClauses clauses long, as its
+	// base. When a formula's good set differs, base is its good copy,
+	// which the instance must set as its new base before loading the
+	// formula; otherwise base is nil. An unpaired encoder always returns
+	// the full formula.
+	paired      bool
+	held        []int
+	heldClauses int
+	base        *cnf.Formula
+	baseF       cnf.Formula
 }
 
 // headSpan is one region head h of the members. Its fanout cone, h
@@ -99,6 +113,11 @@ func newFormulaEncoder(c *logic.Circuit, head []int32) *formulaEncoder {
 	return fe
 }
 
+// pair pairs the encoder with a fresh instance, which holds no base yet.
+func (fe *formulaEncoder) pair() {
+	fe.paired, fe.held, fe.heldClauses = true, fe.held[:0], 0
+}
+
 // bump advances a stamp past 0, clearing its marks on wrap-around.
 func bump(stamp *uint32, marks []uint32) uint32 {
 	*stamp++
@@ -142,6 +161,11 @@ func bump(stamp *uint32, marks []uint32) uint32 {
 // so solving under assumptions (s_k, ¬s_j for the others) is solving
 // member k's own instance, and every learned clause stays valid for
 // every member.
+//
+// The good copy's clauses come first in either shape. A paired encoder
+// returns the formula without them: the full formula is its instance's
+// base followed by the returned part, the base being the good copy of
+// the same good set and so the same clauses.
 func (fe *formulaEncoder) encode(members []Fault, gated bool) (*cnf.Formula, error) {
 	c := fe.c
 	fe.nodes, fe.heads, fe.spans = fe.nodes[:0], fe.heads[:0], fe.spans[:0]
@@ -183,13 +207,20 @@ func (fe *formulaEncoder) encode(members []Fault, gated bool) (*cnf.Formula, err
 		}
 	}
 	fe.ids = fe.reach(fe.ids[:0], fe.goodAt, bump(&fe.goodStamp, fe.goodAt), false)
+	// A good set is never empty, so a fresh pairing's empty held set
+	// matches none.
+	held := fe.paired && slices.Equal(fe.ids, fe.held)
 	for v, id := range fe.ids {
 		fe.goodVar[id] = int32(v)
+		if held {
+			continue
+		}
 		if err := fe.node(id, v, 0); err != nil {
 			return nil, err
 		}
 	}
 	n := len(fe.ids)
+	good := fe.enc.NumClauses()
 	if gated {
 		for i := range fe.heads {
 			hd := &fe.heads[i]
@@ -273,7 +304,16 @@ func (fe *formulaEncoder) encode(members []Fault, gated bool) (*cnf.Formula, err
 			fe.priority = append(fe.priority, int(fe.goodVar[in]))
 		}
 	}
-	return fe.enc.Finish(n), nil
+	f := fe.enc.Finish(n)
+	fe.base = nil
+	if !fe.paired || held {
+		return f, nil
+	}
+	fe.held, fe.heldClauses = append(fe.held[:0], fe.ids...), good
+	fe.baseF = cnf.Formula{NumVars: len(fe.ids), Clauses: f.Clauses[:good]}
+	fe.base = &fe.baseF
+	f.Clauses = f.Clauses[good:] // f is the encoder's own until the next encode
+	return f, nil
 }
 
 // headOf returns the index in fe.heads of net's region head, walking the
@@ -329,9 +369,12 @@ func (fe *formulaEncoder) xors(ids []int, n int) int {
 
 // reach walks from the nodes on fe.stack along fanout (or fanin) edges,
 // marking every node it reaches with stamp, and appends the reached
-// nodes to dst in ascending ID.
+// nodes to dst in ascending ID. When the k reached nodes span fewer IDs
+// than k times k's bit length (about k·log2 k), sweeping the span's marks
+// for them costs less than sorting them.
 func (fe *formulaEncoder) reach(dst []int, marks []uint32, stamp uint32, fanout bool) []int {
 	start := len(dst)
+	lo, hi := len(fe.c.Nodes), -1
 	for len(fe.stack) > 0 {
 		id := fe.stack[len(fe.stack)-1]
 		fe.stack = fe.stack[:len(fe.stack)-1]
@@ -340,6 +383,7 @@ func (fe *formulaEncoder) reach(dst []int, marks []uint32, stamp uint32, fanout 
 		}
 		marks[id] = stamp
 		dst = append(dst, id)
+		lo, hi = min(lo, id), max(hi, id)
 		edges := fe.c.Nodes[id].Fanin
 		if fanout {
 			edges = fe.c.Nodes[id].Fanout
@@ -349,6 +393,15 @@ func (fe *formulaEncoder) reach(dst []int, marks []uint32, stamp uint32, fanout 
 				fe.stack = append(fe.stack, e)
 			}
 		}
+	}
+	if k := len(dst) - start; hi-lo < k*bits.Len(uint(k)) {
+		dst = dst[:start]
+		for id := lo; id <= hi; id++ {
+			if marks[id] == stamp {
+				dst = append(dst, id)
+			}
+		}
+		return dst
 	}
 	slices.Sort(dst[start:])
 	return dst

@@ -2,12 +2,15 @@ package atpg
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"atpgeasy/internal/bench"
+	"atpgeasy/internal/cnf"
 	"atpgeasy/internal/decomp"
 	"atpgeasy/internal/gen"
 	"atpgeasy/internal/logic"
@@ -110,4 +113,89 @@ func TestFormulaMatchesMiter(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPairedFormulaIsBasePlusPart replays a one-worker sweep's groups, in
+// group order, on a worker's paired encoder and instance. Each group's
+// loaded part, on top of the good copy the instance holds as its base,
+// must be the full formula an unpaired encoder writes, clause for clause;
+// and every member of a group that reused the base must report that full
+// formula's size as its Result.Vars and Clauses.
+func TestPairedFormulaIsBasePlusPart(t *testing.T) {
+	c, err := decomp.Decompose(gen.Comparator(24), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultRunOptions()
+	opt.RPTBatches, opt.DropDetected = 0, false // every fault is solved
+	sum, err := (&Engine{Workers: 1}).Run(context.Background(), c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, byGroup := sweepGroups(sum)
+	rt := newRegionTable(c)
+	ws := newScratch(c, rt.head)
+	full := newFormulaEncoder(c, rt.head)
+	var base []cnf.Clause // the clauses of the base ws.inc holds
+	reused := 0
+	for _, id := range ids {
+		rs := byGroup[id]
+		members := make([]Fault, len(rs))
+		for k, r := range rs {
+			members[k] = r.Fault
+		}
+		part, _, err := ws.build(members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := full.encode(members, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (part == nil) != (want == nil) {
+			t.Fatalf("group %d: paired formula %v, full formula %v", id, part, want)
+		}
+		if part == nil {
+			continue
+		}
+		if ws.enc.base != nil {
+			base = base[:0]
+			for _, cl := range ws.enc.base.Clauses {
+				base = append(base, slices.Clone(cl)) // the encoder reuses its slab
+			}
+		} else {
+			reused++
+		}
+		if got := slices.Concat(base, part.Clauses); part.NumVars != want.NumVars || !slices.EqualFunc(got, want.Clauses, slices.Equal) {
+			t.Fatalf("group %d: base and part (%d vars, %d clauses) are not the full formula (%d vars, %d clauses)",
+				id, part.NumVars, len(got), want.NumVars, want.NumClauses())
+		}
+		if ws.enc.base != nil {
+			continue
+		}
+		for k, r := range rs {
+			if !full.unobservable[k] && (r.Vars != want.NumVars || r.Clauses != want.NumClauses()) {
+				t.Fatalf("group %d: %s reports %d vars, %d clauses; its full formula has %d, %d",
+					id, r.Fault.Name(c), r.Vars, r.Clauses, want.NumVars, want.NumClauses())
+			}
+		}
+	}
+	if reused == 0 {
+		t.Fatalf("no group of %d reused its base", len(ids))
+	}
+}
+
+// sweepGroups groups a run's solved results by region group, returning
+// the group ids in ascending (plan) order.
+func sweepGroups(sum *Summary) ([]int, map[int][]Result) {
+	byGroup := make(map[int][]Result)
+	var ids []int
+	for _, r := range sum.Results {
+		if byGroup[r.Group] == nil {
+			ids = append(ids, r.Group)
+		}
+		byGroup[r.Group] = append(byGroup[r.Group], r)
+	}
+	slices.Sort(ids)
+	return ids, byGroup
 }

@@ -58,7 +58,7 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, g *faultGroup, ws
 			return
 		}
 		// The panic may have left the instance mid-solve; replace it.
-		ws.inc = &sat.Incremental{MaxConflicts: maxConflicts}
+		ws.newInstance()
 		msg := fmt.Sprintf("panic: %v", r)
 		stack := string(debug.Stack())
 		for k := next; k < len(members); k++ {
@@ -100,15 +100,10 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, g *faultGroup, ws
 	if len(live) == 0 {
 		return nil
 	}
-	formula, err := ws.enc.encode(live, true)
+	formula, loadElapsed, err := ws.build(live)
 	if err != nil {
 		return err
 	}
-	loadStart := time.Now()
-	if formula != nil {
-		ws.inc.Load(formula, ws.enc.priority)
-	}
-	loadElapsed := time.Since(loadStart)
 	buildElapsed := time.Since(buildStart)
 
 	var assumps []cnf.Lit
@@ -138,7 +133,8 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, g *faultGroup, ws
 			}
 			continue
 		}
-		res.Vars, res.Clauses = formula.NumVars, formula.NumClauses()
+		// The full formula: the instance's base and the part on top.
+		res.Vars, res.Clauses = formula.NumVars, ws.enc.heldClauses+formula.NumClauses()
 		assumps = ws.enc.assumptions(mk, assumps)
 		var sol sat.Solution
 		var stats sat.Stats // every attempt's search

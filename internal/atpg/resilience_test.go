@@ -7,12 +7,14 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"atpgeasy/internal/decomp"
 	"atpgeasy/internal/gen"
 	"atpgeasy/internal/logic"
 	"atpgeasy/internal/obs"
@@ -602,5 +604,74 @@ func TestResumeChecksReplayedVectors(t *testing.T) {
 					drop, len(vec), faults[victim].Name(c), err)
 			}
 		}
+	}
+}
+
+// TestPanicDropsTheBase injects a panic into a group whose successor has
+// the same good set, on one worker: the panic barrier replaces the
+// worker's instance, and the replacement holds no base, so the successor
+// must load its good copy again rather than only its own part. With drops
+// off, every verdict and vector outside the panicked group must equal a
+// run without the panic.
+func TestPanicDropsTheBase(t *testing.T) {
+	c, err := decomp.Decompose(gen.Comparator(48), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := DefaultRunOptions()
+	opt.DropDetected = false
+	clean, err := (&Engine{Workers: 1}).Run(context.Background(), c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, byGroup := sweepGroups(clean)
+	fe := newFormulaEncoder(c, newRegionTable(c).head)
+	goodSet := func(id int) []int {
+		var members []Fault
+		for _, r := range byGroup[id] {
+			members = append(members, r.Fault)
+		}
+		if f, err := fe.encode(members, true); err != nil || f == nil {
+			return nil
+		}
+		return slices.Clone(fe.ids)
+	}
+	victimGroup := -1
+	for k := 0; k+1 < len(ids) && victimGroup < 0; k++ {
+		if a := goodSet(ids[k]); a != nil && ids[k+1] == ids[k]+1 && slices.Equal(a, goodSet(ids[k+1])) {
+			victimGroup = ids[k]
+		}
+	}
+	if victimGroup < 0 {
+		t.Fatal("no group is followed by one with the same good set")
+	}
+	victim := byGroup[victimGroup][0].Fault
+	eng := &Engine{Workers: 1, testHook: func(f Fault, _ time.Duration) bool {
+		if f == victim {
+			panic("injected")
+		}
+		return false
+	}}
+	got, err := eng.Run(context.Background(), c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[Fault]Result, len(clean.Results))
+	for _, r := range clean.Results {
+		want[r.Fault] = r
+	}
+	errored := 0
+	for _, r := range got.Results {
+		w := want[r.Fault]
+		switch {
+		case r.Group == victimGroup && r.Status == Errored:
+			errored++
+		case r.Status != w.Status || !slices.Equal(r.Vector, w.Vector):
+			t.Fatalf("%s (group %d, panicked group %d): %v %v, want %v %v",
+				r.Fault.Name(c), r.Group, victimGroup, r.Status, r.Vector, w.Status, w.Vector)
+		}
+	}
+	if errored == 0 || len(got.Results) != len(clean.Results) {
+		t.Fatalf("%d Errored results, %d results; want the victim's and %d", errored, len(got.Results), len(clean.Results))
 	}
 }

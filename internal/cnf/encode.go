@@ -168,6 +168,9 @@ func (e *Encoder) Gate(t logic.GateType, out int, in []Lit) error {
 // Clause appends one clause.
 func (e *Encoder) Clause(lits ...Lit) { e.w.add(lits...) }
 
+// NumClauses returns the number of clauses appended since Reset.
+func (e *Encoder) NumClauses() int { return len(e.w.ends) }
+
 // Finish returns the formula over variables 0..numVars-1 made of the
 // clauses appended since Reset, in order, without variable names.
 func (e *Encoder) Finish(numVars int) *Formula {

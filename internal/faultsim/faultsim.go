@@ -4,17 +4,27 @@
 // when any primary output differs from the good response.
 //
 // Queries are event-driven: only nodes whose value actually diverges from
-// the good simulation are re-evaluated, in topological order via a small
-// binary heap of pending node IDs, so a query costs O(|diverged region|)
-// instead of O(|fanout cone|) — and nothing is copied per query. The ATPG
-// engine uses the simulator for the random-pattern pre-phase (DetectAll
-// over the whole undetected fault list), to verify generated tests, and to
-// drop faults covered by already generated vectors (test-set compaction,
-// DetectsAny early exit).
+// the good simulation on a valid pattern are re-evaluated, in topological
+// order via a small binary heap of pending node IDs, so a query costs
+// O(|diverged region|) instead of O(|fanout cone|) — and nothing is copied
+// per query. A batch of fewer than 64 patterns leaves its unused lanes
+// out of every comparison, so a one-pattern batch simulates one pattern,
+// not 63 copies of the all-zero one besides it.
+//
+// The good simulation is updated in place: NewSimulator simulates the
+// whole circuit once, and Reset re-evaluates only the nodes downstream of
+// the input words that changed, in one ascending sweep over node IDs
+// (which are topological). The ATPG engine uses the simulator for the
+// random-pattern pre-phase (DetectAll over the whole undetected fault
+// list), to check each committed vector against its own fault, and to drop
+// faults covered by already generated vectors (test-set compaction,
+// DetectsAny early exit); consecutive committed vectors share most input
+// values, so each one re-simulates little.
 package faultsim
 
 import (
 	"fmt"
+	"slices"
 
 	"atpgeasy/internal/logic"
 )
@@ -54,14 +64,15 @@ func PackPatternsInto(dst []uint64, c *logic.Circuit, vecs [][]bool) ([]uint64, 
 }
 
 // Simulator amortizes the good-circuit simulation across many fault
-// queries against the same pattern batch.
+// queries against the same pattern batch, and across batches: Reset
+// updates the good simulation in place.
 type Simulator struct {
 	c        *logic.Circuit
-	inputs   []uint64
+	words    []uint64 // the batch's input words, a copy
 	nPat     int
 	goodVals []uint64
-	goodOut  []uint64 // per output, good responses
-	outIdx   []int32  // per node, index into c.Outputs, or -1
+	isOut    []bool // per node: a primary output
+	stale    []bool // Reset's pending re-evaluations; all false between calls
 
 	// Event-driven query state. A node's faulty value lives in vals only
 	// while divergedAt stamps it with the current epoch; all other nodes
@@ -74,56 +85,93 @@ type Simulator struct {
 }
 
 // NewSimulator prepares a simulator for the given pattern batch (≤ 64
-// patterns, pre-packed with PackPatterns).
+// patterns, pre-packed with PackPatterns): it simulates the whole good
+// circuit once.
 func NewSimulator(c *logic.Circuit, inputs []uint64, nPatterns int) (*Simulator, error) {
-	s := &Simulator{c: c}
-	s.outIdx = make([]int32, c.NumNodes())
-	for i := range s.outIdx {
-		s.outIdx[i] = -1
-	}
-	for i, o := range c.Outputs {
-		s.outIdx[o] = int32(i)
-	}
-	if err := s.Reset(inputs, nPatterns); err != nil {
+	if err := check(c, inputs, nPatterns); err != nil {
 		return nil, err
+	}
+	n := c.NumNodes()
+	s := &Simulator{
+		c:          c,
+		words:      slices.Clone(inputs),
+		nPat:       nPatterns,
+		goodVals:   c.Simulate64(inputs),
+		isOut:      make([]bool, n),
+		stale:      make([]bool, n),
+		vals:       make([]uint64, n),
+		divergedAt: make([]uint32, n),
+		queuedAt:   make([]uint32, n),
+	}
+	for _, o := range c.Outputs {
+		s.isOut[o] = true
 	}
 	return s, nil
 }
 
-// Reset re-targets the simulator at a new pattern batch over the same
-// circuit, reusing its buffers. The ATPG engine calls it once per
-// fault-simulation flush (and once per random-pattern batch) instead of
-// allocating a fresh simulator.
-func (s *Simulator) Reset(inputs []uint64, nPatterns int) error {
-	c := s.c
+// check validates a pattern batch for circuit c.
+func check(c *logic.Circuit, inputs []uint64, nPatterns int) error {
 	if nPatterns < 0 || nPatterns > 64 {
 		return fmt.Errorf("faultsim: nPatterns %d out of range", nPatterns)
 	}
 	if len(inputs) != len(c.Inputs) {
 		return fmt.Errorf("faultsim: %d input words for %d inputs", len(inputs), len(c.Inputs))
 	}
-	s.inputs, s.nPat = inputs, nPatterns
-	s.goodVals = c.Simulate64Into(s.goodVals, inputs)
-	if cap(s.goodOut) >= len(c.Outputs) {
-		s.goodOut = s.goodOut[:len(c.Outputs)]
-	} else {
-		s.goodOut = make([]uint64, len(c.Outputs))
+	return nil
+}
+
+// Reset re-targets the simulator at a new pattern batch over the same
+// circuit. It re-evaluates only the nodes downstream of the input words
+// that changed since the last batch, in one ascending sweep over node IDs
+// (which are topological), and stops at nodes whose value does not
+// change. It keeps its own copy of the words, since callers refill their
+// buffers in place. The ATPG engine calls it once per committed vector —
+// one pattern, so consecutive vectors that share most input values
+// re-evaluate little — and once per random-pattern batch.
+func (s *Simulator) Reset(inputs []uint64, nPatterns int) error {
+	c := s.c
+	if err := check(c, inputs, nPatterns); err != nil {
+		return err
 	}
-	for i, o := range c.Outputs {
-		s.goodOut[i] = s.goodVals[o]
+	s.nPat = nPatterns
+	lo, hi := len(c.Nodes), -1
+	for i, w := range inputs {
+		if w == s.words[i] {
+			continue
+		}
+		s.words[i] = w
+		in := c.Inputs[i]
+		s.goodVals[in] = w
+		for _, fo := range c.Nodes[in].Fanout {
+			s.stale[fo] = true
+			lo, hi = min(lo, fo), max(hi, fo)
+		}
 	}
-	if cap(s.vals) < c.NumNodes() {
-		s.vals = make([]uint64, c.NumNodes())
+	var buf [8]uint64
+	for id := lo; id <= hi; id++ {
+		if !s.stale[id] {
+			continue
+		}
+		s.stale[id] = false
+		n := &c.Nodes[id]
+		ins := buf[:0]
+		for i, fi := range n.Fanin {
+			v := s.goodVals[fi]
+			if n.Negated(i) {
+				v = ^v
+			}
+			ins = append(ins, v)
+		}
+		v := logic.Eval64(n.Type, ins)
+		if v == s.goodVals[id] {
+			continue
+		}
+		s.goodVals[id] = v
+		for _, fo := range n.Fanout {
+			s.stale[fo] = true
+			hi = max(hi, fo)
+		}
 	}
-	s.vals = s.vals[:c.NumNodes()]
-	if cap(s.divergedAt) < c.NumNodes() {
-		// Fresh (zeroed) stamps; the epoch counter continues, staying above
-		// every stamp in the new slices.
-		s.divergedAt = make([]uint32, c.NumNodes())
-		s.queuedAt = make([]uint32, c.NumNodes())
-	}
-	s.divergedAt = s.divergedAt[:c.NumNodes()]
-	s.queuedAt = s.queuedAt[:c.NumNodes()]
 	return nil
 }
 
@@ -184,8 +232,11 @@ func (s *Simulator) pop() int32 {
 // ordered (Builder.add only references existing nodes), so popping the
 // min-heap yields nodes in topological order and each node is evaluated
 // at most once per query: every fanin that will diverge has a smaller ID
-// and is therefore popped first. Nodes whose recomputed value matches the
-// good simulation stop the event wave.
+// and is therefore popped first. Only the batch's valid patterns count: a
+// fault no valid pattern activates needs no wave, and a node whose
+// recomputed value matches the good simulation on every valid pattern
+// stops the wave (its unused lanes may differ; they are masked out of
+// the result).
 //
 // With early set, the query returns as soon as any valid pattern reaches
 // a primary output, leaving the mask partial — callers that only need
@@ -197,8 +248,9 @@ func (s *Simulator) detect(net int, stuckAt bool, early bool) uint64 {
 	if stuckAt {
 		forced = ^uint64(0)
 	}
-	if forced == s.goodVals[net] {
-		return 0 // no pattern activates the fault
+	mask := s.mask()
+	if (forced^s.goodVals[net])&mask == 0 {
+		return 0 // no valid pattern activates the fault
 	}
 	s.epoch++
 	if s.epoch == 0 {
@@ -211,10 +263,9 @@ func (s *Simulator) detect(net int, stuckAt bool, early bool) uint64 {
 	}
 	s.vals[net] = forced
 	s.divergedAt[net] = s.epoch
-	mask := s.mask()
 	var det uint64
-	if oi := s.outIdx[net]; oi >= 0 {
-		det = forced ^ s.goodOut[oi]
+	if s.isOut[net] {
+		det = forced ^ s.goodVals[net]
 		if early && det&mask != 0 {
 			return det & mask
 		}
@@ -244,13 +295,13 @@ func (s *Simulator) detect(net int, stuckAt bool, early bool) uint64 {
 			ins = append(ins, v)
 		}
 		nv := logic.Eval64(n.Type, ins)
-		if nv == s.goodVals[id] {
-			continue
+		if (nv^s.goodVals[id])&mask == 0 {
+			continue // agrees on every valid pattern: the wave stops here
 		}
 		s.vals[id] = nv
 		s.divergedAt[id] = s.epoch
-		if oi := s.outIdx[id]; oi >= 0 {
-			det |= nv ^ s.goodOut[oi]
+		if s.isOut[id] {
+			det |= nv ^ s.goodVals[id]
 			if early && det&mask != 0 {
 				return det & mask
 			}

@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -424,4 +425,187 @@ func randomCircuit(rng *rand.Rand, n int) *logic.Circuit {
 		b.MarkOutput(b.NumNodes() - 2)
 	}
 	return b.MustBuild()
+}
+
+// TestOnePatternQueryWithoutActivation loads one pattern, as the ATPG
+// engine's commit frontier does, so lanes 1–63 hold the all-zero pattern.
+// A fault that pattern does not activate, but the all-zero pattern does,
+// must be answered without a wave: no node may be stamped diverged.
+func TestOnePatternQueryWithoutActivation(t *testing.T) {
+	b := logic.NewBuilder("and2")
+	x, y := b.Input("x"), b.Input("y")
+	b.MarkOutput(b.Gate(logic.And, "z", x, y))
+	c := b.MustBuild()
+	words, err := PackPatterns(c, [][]bool{{true, true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := NewSimulator(c, words, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.DetectsAny(x, true); got != 0 { // x is 1 in the pattern
+		t.Fatalf("x/1 detected by x=1, y=1: %b", got)
+	}
+	for id, stamp := range sim.divergedAt {
+		if stamp != 0 && stamp == sim.epoch {
+			t.Fatalf("node %d stamped diverged by a query the pattern does not activate", id)
+		}
+	}
+	if got := sim.DetectsAny(x, false); got != 1 {
+		t.Fatalf("x/0 not detected by x=1, y=1: %b", got)
+	}
+}
+
+// TestResetMatchesSimulate runs sequences of Reset on random netlists
+// that change no input word, one, some and all of them, with nPatterns
+// moving between 64 and 1. After every Reset the good values (outputs
+// included) must equal a full Simulate64 of the new words, and Detects
+// must equal ReferenceDetects for every fault.
+func TestResetMatchesSimulate(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := randomCircuit(rng, 20+rng.Intn(40))
+		if seed%2 == 0 {
+			c = gen.Random(gen.RandomParams{Inputs: 10, Gates: 120, Seed: seed})
+		}
+		words := make([]uint64, len(c.Inputs))
+		for i := range words {
+			words[i] = rng.Uint64()
+		}
+		sim, err := NewSimulator(c, words, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkReset(t, c, sim, words, 64)
+		for step, nPat := range []int{64, 1, 1, 17, 64, 1, 64, 1} {
+			// No word, one word, some words, all words, in turn.
+			switch step % 4 {
+			case 1:
+				words[rng.Intn(len(words))] ^= 1 << uint(rng.Intn(64))
+			case 2:
+				for i := range words {
+					if rng.Intn(2) == 0 {
+						words[i] = rng.Uint64() & (1<<uint(nPat) - 1)
+					}
+				}
+			case 3:
+				for i := range words {
+					words[i] = rng.Uint64()
+				}
+			}
+			if err := sim.Reset(words, nPat); err != nil {
+				t.Fatal(err)
+			}
+			checkReset(t, c, sim, words, nPat)
+		}
+	}
+}
+
+// FuzzResetMatchesSimulate is TestResetMatchesSimulate over a netlist and
+// a sequence of input-word changes decoded from the fuzzer's bytes.
+func FuzzResetMatchesSimulate(f *testing.F) {
+	f.Add([]byte{3, 0, 2, 4, 1, 3, 5, 4, 6, 9, 6, 1, 0, 7, 2, 8}, []byte{0, 1, 2, 3, 1, 5, 0, 0, 0, 7, 9, 9, 9})
+	f.Add([]byte{7, 2, 0, 2, 3, 4, 6, 5, 8, 10, 8, 12, 14, 0, 16, 18, 1, 20, 2}, []byte{64, 2, 6, 10, 14, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Fuzz(func(t *testing.T, netlist, steps []byte) {
+		c := decodeCircuit(netlist)
+		if c == nil {
+			return
+		}
+		words := make([]uint64, len(c.Inputs))
+		sim, err := NewSimulator(c, words, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each step: a byte picking nPatterns (1–64), then one byte per
+		// input word: keep it, replace it, flip one bit or clear it.
+		for step := uint64(1); len(steps) > 0; step++ {
+			nPat := 1 + int(steps[0])%64
+			steps = steps[1:]
+			for i := range words {
+				if len(steps) == 0 {
+					break
+				}
+				op := steps[0]
+				steps = steps[1:]
+				switch op % 4 {
+				case 1:
+					words[i] = mix(step<<8 | uint64(i)<<16 | uint64(op))
+				case 2:
+					words[i] ^= 1 << (op >> 2)
+				case 3:
+					words[i] = 0
+				}
+			}
+			if err := sim.Reset(words, nPat); err != nil {
+				t.Fatal(err)
+			}
+			checkReset(t, c, sim, words, nPat)
+		}
+	})
+}
+
+// checkReset compares sim, just Reset to words, against a full
+// simulation and against ReferenceDetects for every fault.
+func checkReset(t *testing.T, c *logic.Circuit, sim *Simulator, words []uint64, nPat int) {
+	t.Helper()
+	want := c.Simulate64(words)
+	for id := range want {
+		if sim.goodVals[id] != want[id] {
+			t.Fatalf("node %d (output %v): good value %x after Reset, Simulate64 %x", id, sim.isOut[id], sim.goodVals[id], want[id])
+		}
+	}
+	for net := 0; net < c.NumNodes(); net++ {
+		for _, sa := range []bool{false, true} {
+			if got, want := sim.Detects(net, sa), ReferenceDetects(c, words, nPat, net, sa); got != want {
+				t.Fatalf("net %d sa%v at %d patterns: Detects %b, reference %b", net, sa, nPat, got, want)
+			}
+		}
+	}
+}
+
+// decodeCircuit builds a netlist from fuzz bytes, or returns nil: the
+// first byte picks 1–8 inputs, and every following triple one node — its
+// kind, then two fanins among the nodes before it, each byte's low bit an
+// inversion. The last two nodes are the outputs.
+func decodeCircuit(data []byte) *logic.Circuit {
+	if len(data) == 0 {
+		return nil
+	}
+	b := logic.NewBuilder("fuzz")
+	for i := 0; i <= int(data[0]%8); i++ {
+		b.Input(fmt.Sprint("i", i))
+	}
+	kinds := []logic.GateType{logic.And, logic.Or, logic.Nand, logic.Nor, logic.Xor, logic.Xnor, logic.Not, logic.Buf, logic.Const0, logic.Const1}
+	for k, g := 0, data[1:]; len(g) >= 3 && k < 200; k, g = k+1, g[3:] {
+		name := fmt.Sprint("g", k)
+		switch kind := kinds[int(g[0])%len(kinds)]; kind {
+		case logic.Const0, logic.Const1:
+			b.Const(name, kind == logic.Const1)
+		default:
+			fanin := []int{int(g[1]>>1) % b.NumNodes(), int(g[2]>>1) % b.NumNodes()}
+			neg := []bool{g[1]&1 == 1, g[2]&1 == 1}
+			if kind == logic.Not || kind == logic.Buf {
+				fanin, neg = fanin[:1], neg[:1]
+			}
+			b.GateN(kind, name, fanin, neg)
+		}
+	}
+	b.MarkOutput(b.NumNodes() - 1)
+	if b.NumNodes() > 1 {
+		b.MarkOutput(b.NumNodes() - 2)
+	}
+	c, err := b.Build()
+	if err != nil {
+		return nil
+	}
+	return c
+}
+
+// mix is the splitmix64 finalizer: a well-spread word from a small seed.
+func mix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }

@@ -129,23 +129,10 @@ func (c *Circuit) SimulateOutputs(inputs []bool) []bool {
 // 64 values of primary input i, one per bit. It returns the 64 values of
 // every net, indexed by node ID.
 func (c *Circuit) Simulate64(inputs []uint64) []uint64 {
-	return c.Simulate64Into(nil, inputs)
-}
-
-// Simulate64Into is Simulate64 reusing dst's backing array when it is
-// large enough (contents are overwritten). Repeated fault-simulation
-// batches use it to keep the good-value simulation allocation-free.
-func (c *Circuit) Simulate64Into(dst []uint64, inputs []uint64) []uint64 {
 	if len(inputs) != len(c.Inputs) {
 		panic(fmt.Sprintf("logic: Simulate64 on %q: %d input words for %d inputs", c.Name, len(inputs), len(c.Inputs)))
 	}
-	vals := dst
-	if cap(vals) >= len(c.Nodes) {
-		vals = vals[:len(c.Nodes)]
-		clear(vals)
-	} else {
-		vals = make([]uint64, len(c.Nodes))
-	}
+	vals := make([]uint64, len(c.Nodes))
 	for i, in := range c.Inputs {
 		vals[in] = inputs[i]
 	}

@@ -97,6 +97,8 @@ type incState struct {
 	failed bool  // conflict at level 0: UNSAT regardless of assumptions
 
 	stats Stats // per-call, reset by SolveAssuming
+
+	base baseState // what every Load starts from (SetBase)
 }
 
 // NewIncremental returns an empty incremental solver; call Load before
@@ -145,18 +147,20 @@ func zeroed[T any](buf []T, n int) []T {
 }
 
 // Load resets the instance to formula f with branching priority order
-// prio (may be nil for pure activity branching). The clause data is
-// copied: f may alias encoder buffers the caller will overwrite, and f
-// itself is left untouched. Learned clauses, activities, and phases from
-// any previous Load are discarded — Load is a cold start for a new
-// formula; knowledge reuse happens across SolveAssuming calls, not
-// across Loads. Load reuses the instance's buffers, so reloading a
-// formula no larger than an earlier one allocates nothing.
+// prio (may be nil for pure activity branching); after SetBase, to the
+// base followed by f. The clause data is copied: f may alias encoder
+// buffers the caller will overwrite, and f itself is left untouched.
+// Learned clauses, activities, and phases from any previous Load are
+// discarded — Load is a cold start for a new formula; knowledge reuse
+// happens across SolveAssuming calls, not across Loads. Load reuses the
+// instance's buffers, so reloading a formula no larger than an earlier
+// one allocates nothing.
 func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 	st := &s.st
-	n := f.NumVars
+	b := &st.base
+	n := max(f.NumVars, b.numVars)
 	st.numVars = n
-	st.failed = false
+	st.failed = b.failed
 	st.calls = 0
 	st.qhead = 0
 	st.varInc = 1
@@ -172,7 +176,8 @@ func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 
 	st.assign = zeroed(st.assign, n) // Unassigned == 0
 	st.level = zeroed(st.level, n)
-	st.activity = zeroed(st.activity, n)
+	st.activity = sized(st.activity, n)
+	clear(st.activity[copy(st.activity, b.activity):])
 	st.phase = zeroed(st.phase, n)
 	st.seen = zeroed(st.seen, n)
 	st.reason = sized(st.reason, n)
@@ -185,23 +190,36 @@ func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 	}
 	st.priority = append(st.priority[:0], prio...)
 
-	// The heap aliases the activity slice, which zeroed may have
+	// The heap aliases the activity slice, which sized may have
 	// reallocated.
 	st.heap.reset(st.activity)
 
-	// Copy each problem clause into the slab, normalize it there and
-	// watch it; a tautology, unit or empty clause gives its slab space
-	// back. The slab is sized up front, so clause views never move. Each
-	// occurrence bumps its variable's initial activity, so early
-	// decisions favor frequently constrained variables.
-	need := 0
+	// Restore the base: its literals in their normalised order (solving
+	// reorders them in place), its clauses watched in order, and its
+	// units. The slab is sized up front, so clause views never move.
+	need := len(b.slab)
 	for _, c := range f.Clauses {
 		need += len(c)
 	}
 	if cap(st.slab) < need {
 		st.slab = make([]cnf.Lit, 0, need)
 	}
-	st.slab = st.slab[:0]
+	st.slab = append(st.slab[:0], b.slab...)
+	start := int32(0)
+	for _, end := range b.ends {
+		s.watch(st.slab[start:end:end])
+		start = end
+	}
+	for _, l := range b.units {
+		if !s.enqueue(l, -1) {
+			st.failed = true
+		}
+	}
+
+	// Copy each problem clause into the slab, normalize it there and
+	// watch it; a tautology, unit or empty clause gives its slab space
+	// back. Each occurrence bumps its variable's initial activity, so early
+	// decisions favor frequently constrained variables.
 	for _, c := range f.Clauses {
 		start := len(st.slab)
 		st.slab = append(st.slab, c...)
@@ -220,11 +238,7 @@ func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 		default:
 			end := start + len(norm)
 			st.slab = st.slab[:end]
-			cl := st.slab[start:end:end]
-			ci := int32(len(st.clauses))
-			st.clauses = append(st.clauses, cl)
-			st.watches[cl[0]] = append(st.watches[cl[0]], ci)
-			st.watches[cl[1]] = append(st.watches[cl[1]], ci)
+			s.watch(st.slab[start:end:end])
 		}
 		for _, l := range norm {
 			st.activity[l.Var()] += 0.1
@@ -236,6 +250,76 @@ func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 	if !st.failed && s.propagate() >= 0 {
 		st.failed = true
 	}
+}
+
+// SetBase makes f the base formula of every later Load, replacing any
+// earlier one: Load(g, prio) then resets the instance to the
+// concatenation f ++ g over max(f.NumVars, g.NumVars) variables. SetBase
+// normalises f's clauses into its own copy and counts their activities
+// once; every Load restores them, watches them and enqueues their units
+// by copying, and so reaches exactly the state a plain Load of the
+// concatenation reaches: the same clause literal order, watch lists,
+// activities, heap, level-0 trail and Failed. Decisions, propagations and
+// conflicts therefore do not depend on the split, and learned clauses
+// still die at every Load. The instance itself is untouched until the
+// next Load. The ATPG engine sets a worker's good copy of the circuit as
+// its base, and each region group loads only its own part on top of it.
+func (s *Incremental) SetBase(f *cnf.Formula) {
+	b := &s.st.base
+	b.numVars, b.failed = f.NumVars, false
+	need := 0
+	for _, c := range f.Clauses {
+		need += len(c)
+	}
+	b.slab = sized(b.slab, need)[:0]
+	b.ends = sized(b.ends, len(f.Clauses))[:0]
+	b.units = b.units[:0]
+	b.activity = zeroed(b.activity, f.NumVars)
+	// Load's normalisation, kept: a tautology is dropped, an empty clause
+	// fails, and a unit is enqueued at each Load.
+	for _, c := range f.Clauses {
+		start := len(b.slab)
+		b.slab = append(b.slab, c...)
+		norm, taut := cnf.Clause(b.slab[start:]).Normalize()
+		b.slab = b.slab[:start]
+		if taut {
+			continue
+		}
+		switch len(norm) {
+		case 0:
+			b.failed = true
+		case 1:
+			b.units = append(b.units, norm[0])
+		default:
+			b.slab = b.slab[:start+len(norm)]
+			b.ends = append(b.ends, int32(len(b.slab)))
+		}
+		for _, l := range norm {
+			b.activity[l.Var()] += 0.1
+		}
+	}
+}
+
+// baseState is the base formula as SetBase normalised it: the clauses
+// of two or more literals back to back in slab, clause i ending at
+// ends[i]; the unit literals in order; each variable's initial activity;
+// and whether the base holds an empty clause.
+type baseState struct {
+	numVars  int
+	slab     []cnf.Lit
+	ends     []int32
+	units    []cnf.Lit
+	activity []float64
+	failed   bool
+}
+
+// watch appends problem clause cl and watches its first two literals.
+func (s *Incremental) watch(cl []cnf.Lit) {
+	st := &s.st
+	ci := int32(len(st.clauses))
+	st.clauses = append(st.clauses, cl)
+	st.watches[cl[0]] = append(st.watches[cl[0]], ci)
+	st.watches[cl[1]] = append(st.watches[cl[1]], ci)
 }
 
 // SolveAssuming searches for a model of the loaded formula under the

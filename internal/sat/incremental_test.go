@@ -85,6 +85,96 @@ func TestLoadMatchesNormalize(t *testing.T) {
 	}
 }
 
+// TestSetBaseMatchesConcatenation checks Load on top of a base against a
+// plain Load of the concatenation. Bases and parts are random clause
+// lists with units, duplicate literals and tautologies, and some bases
+// hold an empty clause. One instance keeps each base across several
+// rounds of Load and SolveAssuming, which reorder the base's literals in
+// place; after every Load its state must equal a fresh instance's after
+// Load(base ++ part): the same clause literal order, watch lists,
+// activities, heap, level-0 trail and Failed. Both then answer the same
+// assumptions with equal Solutions, Stats included.
+func TestSetBaseMatchesConcatenation(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	messy := func(nv, n int) []cnf.Clause {
+		var cs []cnf.Clause
+		for ; n > 0; n-- {
+			c := make(cnf.Clause, 1+rng.Intn(4))
+			for j := range c {
+				c[j] = cnf.NewLit(rng.Intn(nv), rng.Intn(2) == 1)
+			}
+			switch rng.Intn(8) {
+			case 0:
+				c = append(c, c[0]) // a duplicate literal
+			case 1:
+				c = append(c, c[0].Not()) // a tautology
+			}
+			cs = append(cs, c)
+		}
+		return cs
+	}
+	outcomes := map[Status]int{}
+	for trial := 0; trial < 40; trial++ {
+		nb := 8 + rng.Intn(12)
+		base := &cnf.Formula{NumVars: nb, Clauses: messy(nb, 2*nb)}
+		if trial%8 == 7 {
+			at := rng.Intn(len(base.Clauses) + 1)
+			base.Clauses = slices.Insert(base.Clauses, at, cnf.Clause{})
+		}
+		s := NewIncremental()
+		s.SetBase(base)
+		for round := 0; round < 5; round++ {
+			nv := nb - 2 + rng.Intn(12) // sometimes fewer variables than the base
+			part := &cnf.Formula{NumVars: nv, Clauses: messy(max(nv, nb), nv)}
+			prio := rng.Perm(max(nv, nb))[:rng.Intn(6)]
+			whole := &cnf.Formula{NumVars: max(nv, nb), Clauses: slices.Concat(base.Clauses, part.Clauses)}
+			s.Load(part, prio)
+			fresh := NewIncremental()
+			fresh.Load(whole, prio)
+			if d := diffLoaded(&s.st, &fresh.st); d != "" {
+				t.Fatalf("trial %d round %d: after Load on the base, %s", trial, round, d)
+			}
+			for q := 0; q < 3; q++ {
+				var assumps []cnf.Lit
+				for _, v := range rng.Perm(max(nv, nb))[:rng.Intn(4)] {
+					assumps = append(assumps, cnf.NewLit(v, rng.Intn(2) == 1))
+				}
+				got, want := s.SolveAssuming(assumps, Limits{}), fresh.SolveAssuming(assumps, Limits{})
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d round %d query %d: %+v on the base, %+v on the concatenation", trial, round, q, got, want)
+				}
+				outcomes[got.Status]++
+			}
+		}
+	}
+	if outcomes[Sat] == 0 || outcomes[Unsat] == 0 {
+		t.Fatalf("outcomes %v: the generator misses a case", outcomes)
+	}
+}
+
+// diffLoaded names the first field in which two freshly loaded states
+// differ, or returns "".
+func diffLoaded(a, b *incState) string {
+	switch {
+	case a.numVars != b.numVars || a.nProblem != b.nProblem || a.failed != b.failed:
+		return "the sizes or Failed differ"
+	case !slices.EqualFunc(a.clauses, b.clauses, slices.Equal):
+		return "the clause literal order differs"
+	case !slices.EqualFunc(a.watches, b.watches, slices.Equal):
+		return "the watch lists differ"
+	case !slices.Equal(a.activity, b.activity):
+		return "the activities differ"
+	case !slices.Equal(a.heap.heap, b.heap.heap) || !slices.Equal(a.heap.pos, b.heap.pos):
+		return "the heaps differ"
+	case !slices.Equal(a.trail, b.trail) || a.qhead != b.qhead || !slices.Equal(a.assign, b.assign) ||
+		!slices.Equal(a.level, b.level) || !slices.Equal(a.reason, b.reason):
+		return "the level-0 trails differ"
+	case !slices.Equal(a.priority, b.priority) || !slices.Equal(a.phase, b.phase):
+		return "the branching orders differ"
+	}
+	return ""
+}
+
 // unitPropagationConflict runs unit propagation to a fixpoint over the
 // clauses and reports whether it reaches a conflict.
 func unitPropagationConflict(nv int, clauses []cnf.Clause) bool {
