@@ -155,12 +155,27 @@ func newScratch(c *logic.Circuit, head []int32) *workerScratch {
 	return ws
 }
 
-// newInstance gives the worker a fresh incremental instance, paired with
-// its encoder: the instance holds no base, so the next formula carries
-// its good copy.
+// instances holds the incremental instances of finished runs, so a later
+// run's workers start with grown watch lists and clause slabs. A pooled
+// instance is as good as a fresh one: its new pairing makes the worker's
+// first group set its own base, and Load cold-starts the rest.
+var instances = sync.Pool{New: func() any { return new(sat.Incremental) }}
+
+// newInstance gives the worker an incremental instance from the pool,
+// paired with its encoder: the instance holds no base of this worker's,
+// so the next formula carries its good copy.
 func (ws *workerScratch) newInstance() {
-	ws.inc = &sat.Incremental{MaxConflicts: maxConflicts}
+	ws.inc = instances.Get().(*sat.Incremental)
+	ws.inc.MaxConflicts = maxConflicts
 	ws.enc.pair()
+}
+
+// release returns the worker's instance to the pool once its run is over.
+// The panic barrier replaces an instance without releasing it, so no
+// instance a panic left mid-solve is ever pooled.
+func (ws *workerScratch) release() {
+	instances.Put(ws.inc)
+	ws.inc = nil
 }
 
 // build encodes the gated formula of the live members and loads it into
@@ -512,6 +527,11 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	for w := range scratches {
 		scratches[w] = newScratch(c, st.regions.head)
 	}
+	defer func() {
+		for _, ws := range scratches {
+			ws.release()
+		}
+	}()
 	if opt.EffortLog != nil {
 		es, err := newEffortState(opt.EffortLog, st.regions, faults, workers)
 		if err != nil {

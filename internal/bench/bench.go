@@ -89,13 +89,13 @@ func read(r io.Reader, name string, maxLine int) (*logic.Circuit, error) {
 			continue
 		}
 		switch {
-		case strings.HasPrefix(strings.ToUpper(line), "INPUT(") || strings.HasPrefix(strings.ToUpper(line), "INPUT ("):
+		case declares(line, "INPUT"):
 			arg, err := parens(line)
 			if err != nil {
 				return nil, fmt.Errorf("bench: line %d: %v", lineNo, err)
 			}
 			inputs = append(inputs, arg)
-		case strings.HasPrefix(strings.ToUpper(line), "OUTPUT(") || strings.HasPrefix(strings.ToUpper(line), "OUTPUT ("):
+		case declares(line, "OUTPUT"):
 			arg, err := parens(line)
 			if err != nil {
 				return nil, fmt.Errorf("bench: line %d: %v", lineNo, err)
@@ -196,6 +196,17 @@ func read(r io.Reader, name string, maxLine int) (*logic.Circuit, error) {
 		b.MarkOutput(id)
 	}
 	return b.Build()
+}
+
+// declares reports whether line opens with keyword kw in any letter case,
+// followed by "(" or " (": an INPUT or OUTPUT declaration. It compares in
+// place, so a netlist's lines are not upper-cased to find out.
+func declares(line, kw string) bool {
+	if len(line) <= len(kw) || !strings.EqualFold(line[:len(kw)], kw) {
+		return false
+	}
+	rest := line[len(kw):]
+	return rest[0] == '(' || strings.HasPrefix(rest, " (")
 }
 
 func parens(line string) (string, error) {

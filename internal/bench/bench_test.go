@@ -38,6 +38,40 @@ func TestReadSample(t *testing.T) {
 	}
 }
 
+// TestReadMixedCase: the INPUT and OUTPUT keywords and the gate names
+// are read in any letter case, with or without a space before the
+// parenthesis, while net names keep their case; a keyword without its
+// parenthesis is not a declaration.
+func TestReadMixedCase(t *testing.T) {
+	const src = "Input(a)\ninPut (B)\noutput(Out)\nOutPut (n)\n" +
+		"n = nOt(Out)\nOut = nAnD(x, B)\nx = Or(a, B)\n"
+	c, err := Read(strings.NewReader(src), "mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Inputs) != 2 || len(c.Outputs) != 2 {
+		t.Fatalf("interface: %d inputs, %d outputs; want 2 and 2", len(c.Inputs), len(c.Outputs))
+	}
+	for i, want := range []string{"a", "B"} {
+		if got := c.Nodes[c.Inputs[i]].Name; got != want {
+			t.Errorf("input %d is %q, want %q", i, got, want)
+		}
+	}
+	// Out = NAND(OR(a, B), B) = ¬B, and n = ¬Out = B.
+	for pat := 0; pat < 4; pat++ {
+		a, b := pat&1 == 1, pat&2 == 2
+		got := c.SimulateOutputs([]bool{a, b})
+		if got[0] != !b || got[1] != b {
+			t.Errorf("a=%v B=%v: outputs %v, want [%v %v]", a, b, got, !b, b)
+		}
+	}
+	for _, src := range []string{"INPUTS(a)\n", "input a\n", "OUTPUTx(a)\n"} {
+		if _, err := Read(strings.NewReader(src), "bad"); err == nil {
+			t.Errorf("%q parsed as a declaration", src)
+		}
+	}
+}
+
 func TestReadErrors(t *testing.T) {
 	cases := map[string]string{
 		"dff":             "INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n",

@@ -54,8 +54,41 @@ type Clause []Lit
 // Normalize sorts the literals in place and removes duplicates; it does
 // not allocate. It reports whether the clause is a tautology (contains
 // both a literal and its complement), in which case the clause contents
-// are unspecified.
+// are unspecified. Clauses of two and three literals, most of a circuit's
+// gate clauses, are sorted by compare-and-swap and checked without a
+// loop.
 func (c Clause) Normalize() (Clause, bool) {
+	switch len(c) {
+	case 0, 1:
+		return c, false
+	case 2:
+		if c[1] < c[0] {
+			c[0], c[1] = c[1], c[0]
+		}
+		return normalizeSorted2(c)
+	case 3:
+		if c[1] < c[0] {
+			c[0], c[1] = c[1], c[0]
+		}
+		if c[2] < c[1] {
+			c[1], c[2] = c[2], c[1]
+		}
+		if c[1] < c[0] {
+			c[0], c[1] = c[1], c[0]
+		}
+		// A complement pair is adjacent once sorted: 2v, 2v+1.
+		a, b, d := c[0], c[1], c[2]
+		switch {
+		case a.Not() == b || b.Not() == d:
+			return c, true
+		case a == b:
+			c[1] = d
+			return normalizeSorted2(c[:2])
+		case b == d:
+			return c[:2], false
+		}
+		return c, false
+	}
 	slices.Sort(c)
 	out := c[:0]
 	for i, l := range c {
@@ -68,6 +101,17 @@ func (c Clause) Normalize() (Clause, bool) {
 		out = append(out, l)
 	}
 	return out, false
+}
+
+// normalizeSorted2 normalises a sorted clause of two literals.
+func normalizeSorted2(c Clause) (Clause, bool) {
+	switch {
+	case c[0] == c[1]:
+		return c[:1], false
+	case c[0].Not() == c[1]:
+		return c, true
+	}
+	return c, false
 }
 
 // String renders the clause in the paper's style, e.g. "(x0 + ~x3)".

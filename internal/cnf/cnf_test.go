@@ -2,6 +2,7 @@ package cnf
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -41,6 +42,40 @@ func TestClauseNormalize(t *testing.T) {
 	_, taut = Clause{NewLit(2, false), NewLit(2, true)}.Normalize()
 	if !taut {
 		t.Error("tautology not detected")
+	}
+}
+
+// TestNormalizeShortClausesMatchSort checks the compare-and-swap paths
+// against a full sort: every clause of up to three literals over the six
+// literals of three variables, and every four-literal clause for the
+// sorting fallback, must normalise to the sorted, duplicate-free clause
+// and report a tautology exactly when it holds a literal and its
+// complement.
+func TestNormalizeShortClausesMatchSort(t *testing.T) {
+	const lits = 6
+	for n := 0; n <= 4; n++ {
+		total := 1
+		for i := 0; i < n; i++ {
+			total *= lits
+		}
+		for code := 0; code < total; code++ {
+			c := make(Clause, n)
+			for i, k := 0, code; i < n; i, k = i+1, k/lits {
+				c[i] = Lit(k % lits)
+			}
+			want := slices.Clone(c)
+			slices.Sort(want)
+			want = slices.Compact(want)
+			wantTaut := false
+			for i := 1; i < len(want); i++ {
+				wantTaut = wantTaut || want[i] == want[i-1].Not()
+			}
+			in := slices.Clone(c)
+			got, taut := in.Normalize()
+			if taut != wantTaut || (!taut && !slices.Equal(got, want)) {
+				t.Fatalf("Normalize(%v) = %v, %v; want %v, %v", c, got, taut, want, wantTaut)
+			}
+		}
 	}
 }
 

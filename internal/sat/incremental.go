@@ -64,13 +64,30 @@ type incState struct {
 	nProblem int
 	slab     []cnf.Lit // backing storage for problem clause literals
 
-	watches  [][]int32
-	assign   []cnf.Value
-	level    []int32
+	// watches[l] lists the watchers of literal l, which propagation
+	// visits when l becomes false. A watcher w ≥ 0 is a clause index; a
+	// problem clause of two literals is watched by ^other instead, the
+	// clause's other literal coded negative, so propagation decides it
+	// without reading the clause.
+	watches [][]int32
+	// vals[l] is literal l's value; l and l^1 are assigned and cleared
+	// together, so testing a literal is one load. A model is read off the
+	// positive literals, and a saved phase off the trail literal.
+	vals  []cnf.Value
+	level []int32
+	// reason[v] names the clause that implied v: a clause index, noClause
+	// for a decision, an assumption or a level-0 unit, or binReason(f) for
+	// a binary problem clause whose other literal f is false.
 	reason   []int32
 	trail    []cnf.Lit
 	trailLim []int
 	qhead    int
+	// bin holds the binary problem clause analyze resolves on: the
+	// conflict propagate reported as binConflict, as (other, false
+	// literal), or a binary reason as (implied, false literal).
+	bin [2]cnf.Lit
+	// learnt is analyze's buffer for the clause it derives.
+	learnt []cnf.Lit
 
 	activity []float64
 	varInc   float64
@@ -174,7 +191,7 @@ func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 	st.act = st.act[:0]
 	st.clauses = st.clauses[:0]
 
-	st.assign = zeroed(st.assign, n) // Unassigned == 0
+	st.vals = zeroed(st.vals, 2*n) // Unassigned == 0
 	st.level = zeroed(st.level, n)
 	st.activity = sized(st.activity, n)
 	clear(st.activity[copy(st.activity, b.activity):])
@@ -182,9 +199,14 @@ func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 	st.seen = zeroed(st.seen, n)
 	st.reason = sized(st.reason, n)
 	for i := range st.reason {
-		st.reason[i] = -1
+		st.reason[i] = noClause
 	}
-	st.watches = sized(st.watches, 2*n)
+	// A longer watch table keeps the lists it had, so their grown
+	// capacity serves the next formula too.
+	if cap(st.watches) < 2*n {
+		st.watches = append(st.watches[:cap(st.watches)], make([][]int32, 2*n-cap(st.watches))...)
+	}
+	st.watches = st.watches[:2*n]
 	for i := range st.watches {
 		st.watches[i] = st.watches[i][:0]
 	}
@@ -211,7 +233,7 @@ func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 		start = end
 	}
 	for _, l := range b.units {
-		if !s.enqueue(l, -1) {
+		if !s.enqueue(l, noClause) {
 			st.failed = true
 		}
 	}
@@ -232,7 +254,7 @@ func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 		case 0:
 			st.failed = true
 		case 1:
-			if !s.enqueue(norm[0], -1) {
+			if !s.enqueue(norm[0], noClause) {
 				st.failed = true
 			}
 		default:
@@ -247,7 +269,7 @@ func (s *Incremental) Load(f *cnf.Formula, prio []int) {
 	st.nProblem = len(st.clauses)
 	st.heap.rebuild()
 
-	if !st.failed && s.propagate() >= 0 {
+	if !st.failed && s.propagate() != noClause {
 		st.failed = true
 	}
 }
@@ -316,11 +338,39 @@ type baseState struct {
 // watch appends problem clause cl and watches its first two literals.
 func (s *Incremental) watch(cl []cnf.Lit) {
 	st := &s.st
-	ci := int32(len(st.clauses))
+	st.watchProblem(int32(len(st.clauses)), cl)
 	st.clauses = append(st.clauses, cl)
+}
+
+// watchProblem watches problem clause ci, whose literals are cl, on its
+// first two literals: a binary clause by its other literal, any longer
+// one by its index.
+func (st *incState) watchProblem(ci int32, cl []cnf.Lit) {
+	if len(cl) == 2 {
+		st.watches[cl[0]] = append(st.watches[cl[0]], ^int32(cl[1]))
+		st.watches[cl[1]] = append(st.watches[cl[1]], ^int32(cl[0]))
+		return
+	}
 	st.watches[cl[0]] = append(st.watches[cl[0]], ci)
 	st.watches[cl[1]] = append(st.watches[cl[1]], ci)
 }
+
+// Clause codes. propagate returns the clause it found falsified, and
+// reason[v] names the clause that implied v; a code ≥ 0 is an index into
+// clauses. Search never reads a binary problem clause: as a reason it is
+// coded by its false literal (binReason), and as a conflict propagate
+// leaves it in bin and returns binConflict.
+const (
+	noClause    int32 = -1 // no conflict; no reason (a decision, an assumption or a level-0 unit)
+	binConflict int32 = -2
+)
+
+// binReason codes the binary problem clause (p ∨ f), f false, as the
+// reason for p; every such code is below binConflict.
+func binReason(f cnf.Lit) int32 { return -3 - int32(f) }
+
+// binReasonLit returns the false literal of binary reason code r.
+func binReasonLit(r int32) cnf.Lit { return cnf.Lit(-3 - r) }
 
 // SolveAssuming searches for a model of the loaded formula under the
 // given assumption literals. Outcomes:
@@ -371,7 +421,7 @@ func (s *Incremental) SolveAssuming(assumps []cnf.Lit, lim Limits) Solution {
 			return finish(Unknown, nil)
 		}
 		confl := s.propagate()
-		if confl >= 0 {
+		if confl != noClause {
 			st.stats.Conflicts++
 			conflicts++
 			conflictsAtRestart++
@@ -429,7 +479,7 @@ func (s *Incremental) SolveAssuming(assumps []cnf.Lit, lim Limits) Solution {
 		// earlier assumption — Unsat for this call.
 		if lvl := len(st.trailLim); lvl < len(assumps) {
 			a := assumps[lvl]
-			switch s.litValue(a) {
+			switch st.vals[a] {
 			case cnf.True:
 				st.trailLim = append(st.trailLim, len(st.trail))
 			case cnf.False:
@@ -437,7 +487,7 @@ func (s *Incremental) SolveAssuming(assumps []cnf.Lit, lim Limits) Solution {
 			default:
 				st.stats.Decisions++
 				st.trailLim = append(st.trailLim, len(st.trail))
-				s.enqueue(a, -1)
+				s.enqueue(a, noClause)
 			}
 			continue
 		}
@@ -446,7 +496,7 @@ func (s *Incremental) SolveAssuming(assumps []cnf.Lit, lim Limits) Solution {
 		if l == litUndef {
 			model := make([]bool, st.numVars)
 			for i := range model {
-				model[i] = st.assign[i] == cnf.True
+				model[i] = st.vals[2*i] == cnf.True
 			}
 			return finish(Sat, model)
 		}
@@ -455,65 +505,81 @@ func (s *Incremental) SolveAssuming(assumps []cnf.Lit, lim Limits) Solution {
 			st.stats.MaxDepth = d
 		}
 		st.trailLim = append(st.trailLim, len(st.trail))
-		s.enqueue(l, -1)
+		s.enqueue(l, noClause)
 	}
 }
 
-func (s *Incremental) litValue(l cnf.Lit) cnf.Value {
-	v := s.st.assign[l.Var()]
-	if v == cnf.Unassigned {
-		return cnf.Unassigned
-	}
-	if (v == cnf.True) != l.IsNeg() {
-		return cnf.True
-	}
-	return cnf.False
-}
-
-// enqueue asserts literal l with the given reason clause index,
-// reporting false if l is already false.
+// enqueue asserts literal l with the given reason code at the current
+// decision level, reporting false if l is already false.
 func (s *Incremental) enqueue(l cnf.Lit, reason int32) bool {
 	st := &s.st
-	switch s.litValue(l) {
+	switch st.vals[l] {
 	case cnf.True:
 		return true
 	case cnf.False:
 		return false
 	}
-	v := l.Var()
-	st.assign[v] = cnf.ValueOf(!l.IsNeg())
-	st.level[v] = int32(len(st.trailLim))
-	st.reason[v] = reason
-	st.trail = append(st.trail, l)
+	st.imply(l, int32(len(st.trailLim)), reason)
 	return true
 }
 
+// imply assigns the unassigned literal l true at decision level lvl.
+func (st *incState) imply(l cnf.Lit, lvl, reason int32) {
+	st.vals[l] = cnf.True
+	st.vals[l^1] = cnf.False
+	v := l.Var()
+	st.level[v] = lvl
+	st.reason[v] = reason
+	st.trail = append(st.trail, l)
+}
+
 // propagate performs two-watched-literal unit propagation, returning
-// the index of a conflicting clause or -1.
+// the code of a conflicting clause or noClause.
 func (s *Incremental) propagate() int32 {
 	st := &s.st
+	vals, clauses, watches := st.vals, st.clauses, st.watches
+	lvl := int32(len(st.trailLim))
 	for st.qhead < len(st.trail) {
 		p := st.trail[st.qhead]
 		st.qhead++
 		st.stats.Propagations++
 		falseLit := p.Not()
-		ws := st.watches[falseLit]
-		kept := ws[:0]
-		for wi := 0; wi < len(ws); wi++ {
-			ci := ws[wi]
-			c := st.clauses[ci]
-			if c[0] == falseLit {
-				c[0], c[1] = c[1], c[0]
+		ws := watches[falseLit]
+		n := 0 // ws[:n] holds the watchers kept so far
+		for i := 0; i < len(ws); i++ {
+			w := ws[i]
+			if w < 0 {
+				// The binary problem clause (falseLit ∨ other), decided
+				// off its watcher.
+				ws[n] = w
+				n++
+				other := cnf.Lit(^w)
+				switch vals[other] {
+				case cnf.Unassigned:
+					st.imply(other, lvl, binReason(falseLit))
+				case cnf.False:
+					n += copy(ws[n:], ws[i+1:])
+					watches[falseLit] = ws[:n]
+					st.bin = [2]cnf.Lit{other, falseLit}
+					return binConflict
+				}
+				continue
 			}
-			if s.litValue(c[0]) == cnf.True {
-				kept = append(kept, ci)
+			c := clauses[w]
+			if c[0] == falseLit {
+				c[0], c[1] = c[1], falseLit
+			}
+			first := c[0]
+			if vals[first] == cnf.True {
+				ws[n] = w
+				n++
 				continue
 			}
 			moved := false
 			for k := 2; k < len(c); k++ {
-				if s.litValue(c[k]) != cnf.False {
-					c[1], c[k] = c[k], c[1]
-					st.watches[c[1]] = append(st.watches[c[1]], ci)
+				if l := c[k]; vals[l] != cnf.False {
+					c[1], c[k] = l, falseLit
+					watches[l] = append(watches[l], w)
 					moved = true
 					break
 				}
@@ -521,16 +587,18 @@ func (s *Incremental) propagate() int32 {
 			if moved {
 				continue
 			}
-			kept = append(kept, ci)
-			if !s.enqueue(c[0], ci) {
-				kept = append(kept, ws[wi+1:]...)
-				st.watches[falseLit] = kept
-				return ci
+			ws[n] = w
+			n++
+			if vals[first] == cnf.False {
+				n += copy(ws[n:], ws[i+1:])
+				watches[falseLit] = ws[:n]
+				return w
 			}
+			st.imply(first, lvl, w)
 		}
-		st.watches[falseLit] = kept
+		watches[falseLit] = ws[:n]
 	}
-	return -1
+	return noClause
 }
 
 // bumpVar bumps a variable's VSIDS activity, rescaling activities and
@@ -550,18 +618,21 @@ func (s *Incremental) bumpVar(v int) {
 // in earlier calls — the direct measure of cross-fault knowledge reuse.
 func (s *Incremental) analyze(confl int32) ([]cnf.Lit, int) {
 	st := &s.st
-	learnt := []cnf.Lit{litUndef}
+	learnt := append(st.learnt[:0], litUndef)
 	counter := 0
 	p := litUndef
 	index := len(st.trail) - 1
+	c := st.bin[:] // a binConflict: propagate left the clause in bin
 	for {
-		if li := int(confl) - st.nProblem; li >= 0 {
-			s.bumpClause(li)
-			if st.born[li] < st.calls {
-				st.stats.LearnedReused++
+		if confl >= 0 {
+			if li := int(confl) - st.nProblem; li >= 0 {
+				s.bumpClause(li)
+				if st.born[li] < st.calls {
+					st.stats.LearnedReused++
+				}
 			}
+			c = st.clauses[confl]
 		}
-		c := st.clauses[confl]
 		for _, q := range c {
 			if q == p {
 				continue
@@ -588,6 +659,11 @@ func (s *Incremental) analyze(confl int32) ([]cnf.Lit, int) {
 			break
 		}
 		confl = st.reason[p.Var()]
+		if confl < binConflict {
+			// A binary problem clause implied p: resolve on (p ∨ f).
+			st.bin = [2]cnf.Lit{p, binReasonLit(confl)}
+			c = st.bin[:]
+		}
 	}
 	learnt[0] = p.Not()
 	back := 0
@@ -599,6 +675,7 @@ func (s *Incremental) analyze(confl int32) ([]cnf.Lit, int) {
 	for _, l := range learnt[1:] {
 		st.seen[l.Var()] = false
 	}
+	st.learnt = learnt
 	return learnt, back
 }
 
@@ -609,7 +686,7 @@ func (s *Incremental) learn(learnt []cnf.Lit) bool {
 	st := &s.st
 	st.stats.Learned++
 	if len(learnt) == 1 {
-		return s.enqueue(learnt[0], -1)
+		return s.enqueue(learnt[0], noClause)
 	}
 	cl := append([]cnf.Lit(nil), learnt...)
 	// Watch the asserting literal and a deepest-level literal so the
@@ -688,10 +765,10 @@ func (s *Incremental) cancelUntil(lvl int) {
 	}
 	bound := st.trailLim[lvl]
 	for i := len(st.trail) - 1; i >= bound; i-- {
-		v := st.trail[i].Var()
-		st.phase[v] = st.assign[v] == cnf.True
-		st.assign[v] = cnf.Unassigned
-		st.reason[v] = -1
+		l := st.trail[i]
+		v := l.Var()
+		st.phase[v] = !l.IsNeg() // the value v had
+		st.vals[l], st.vals[l^1] = cnf.Unassigned, cnf.Unassigned
 		if !st.heap.contains(v) {
 			st.heap.push(v)
 		}
@@ -714,7 +791,7 @@ func (s *Incremental) pickBranch() cnf.Lit {
 	st := &s.st
 	for st.prioCursor < len(st.priority) {
 		v := st.priority[st.prioCursor]
-		if st.assign[v] == cnf.Unassigned {
+		if st.vals[2*v] == cnf.Unassigned {
 			return cnf.NewLit(v, true)
 		}
 		st.prioCursor++
@@ -724,7 +801,7 @@ func (s *Incremental) pickBranch() cnf.Lit {
 	}
 	for st.heap.size() > 0 {
 		v := st.heap.pop()
-		if st.assign[v] == cnf.Unassigned {
+		if st.vals[2*v] == cnf.Unassigned {
 			return cnf.NewLit(v, !st.phase[v])
 		}
 	}
@@ -744,7 +821,7 @@ func (s *Incremental) reduceDB(budget int64) {
 		return
 	}
 	for i := range st.reason {
-		st.reason[i] = -1
+		st.reason[i] = noClause
 	}
 
 	// Rank learned clauses best-first with a stable index tiebreak so
@@ -800,14 +877,19 @@ func (s *Incremental) reduceDB(budget int64) {
 	// two such literals or exactly one, which is then true on the
 	// trail (a level-0 implied literal) — watching it with any second
 	// literal is sound because the true watch short-circuits
-	// propagation.
+	// propagation. A binary problem clause watches both its literals,
+	// by watcher code, in clause order as Load does.
 	for i := range st.watches {
 		st.watches[i] = st.watches[i][:0]
 	}
 	for ci, c := range st.clauses {
+		if ci < st.nProblem && len(c) == 2 {
+			st.watchProblem(int32(ci), c)
+			continue
+		}
 		w0, w1 := -1, -1
 		for k, l := range c {
-			if s.litValue(l) != cnf.False {
+			if st.vals[l] != cnf.False {
 				if w0 < 0 {
 					w0 = k
 				} else {

@@ -166,7 +166,7 @@ func diffLoaded(a, b *incState) string {
 		return "the activities differ"
 	case !slices.Equal(a.heap.heap, b.heap.heap) || !slices.Equal(a.heap.pos, b.heap.pos):
 		return "the heaps differ"
-	case !slices.Equal(a.trail, b.trail) || a.qhead != b.qhead || !slices.Equal(a.assign, b.assign) ||
+	case !slices.Equal(a.trail, b.trail) || a.qhead != b.qhead || !slices.Equal(a.vals, b.vals) ||
 		!slices.Equal(a.level, b.level) || !slices.Equal(a.reason, b.reason):
 		return "the level-0 trails differ"
 	case !slices.Equal(a.priority, b.priority) || !slices.Equal(a.phase, b.phase):
@@ -399,8 +399,8 @@ func TestFullTrailSkipsHeap(t *testing.T) {
 			t.Fatalf("decision %d is %v, want the priority input set false", len(st.trailLim), l)
 		}
 		st.trailLim = append(st.trailLim, len(st.trail))
-		s.enqueue(l, -1)
-		if s.propagate() >= 0 {
+		s.enqueue(l, noClause)
+		if s.propagate() != noClause {
 			t.Fatal("conflict on a satisfiable formula")
 		}
 	}

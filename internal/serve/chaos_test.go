@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"atpgeasy/internal/atpg"
 	"atpgeasy/internal/bench"
 	"atpgeasy/internal/gen"
 )
@@ -141,10 +142,34 @@ func TestChaosPanicIsolation(t *testing.T) {
 	}
 }
 
+// holdJournal passes a job's journal records through and, once the
+// after-th verdict is journaled, holds the commit frontier that wrote it
+// until release is closed: the job stays mid-run, its verdicts so far on
+// disk, however fast the engine solves the rest.
+type holdJournal struct {
+	atpg.JournalSink
+	n, after int
+	held     chan struct{} // closed when the hold begins
+	release  <-chan struct{}
+}
+
+// RecordFault is called under the engine's commit lock, one verdict at a
+// time.
+func (h *holdJournal) RecordFault(i int, status string, vector []bool, errMsg string) {
+	h.JournalSink.RecordFault(i, status, vector, errMsg)
+	if h.n++; h.n == h.after {
+		close(h.held)
+		<-h.release
+	}
+}
+
 // TestChaosGracefulDrain: SIGTERM semantics. Admissions stop at once,
 // a slow SSE reader cannot pin the shutdown, a running job past the
 // drain deadline is checkpointed (persisted running, resumable), a
-// queued job stays durably queued — and a restart finishes both.
+// queued job stays durably queued — and a restart finishes both. The
+// running job outlives the drain window by construction: its second
+// journaled verdict holds the run until the drain gives up and cancels
+// the server's jobs.
 func TestChaosGracefulDrain(t *testing.T) {
 	netlist := genBenchNetlist(t, 25, 850, 11)
 	dataDir := t.TempDir()
@@ -157,8 +182,17 @@ func TestChaosGracefulDrain(t *testing.T) {
 		c.SSEHeartbeat = 10 * time.Millisecond
 		c.SSEWriteTimeout = 100 * time.Millisecond
 	})
+	held := make(chan struct{})
+	s.testHookJournal = func(js atpg.JournalSink) atpg.JournalSink {
+		return &holdJournal{JournalSink: js, after: 2, held: held, release: s.jobCtx.Done()}
+	}
 	running, _ := submitJob(t, s, "?name=big", netlist)
 	pollUntilMidRun(t, s, running.ID, 2)
+	select {
+	case <-held:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the running job never journaled its second verdict")
+	}
 	queued, _ := submitJob(t, s, "?name=waiting", c17Bench)
 
 	// A slow reader: subscribes to the event stream, then never reads.
@@ -199,12 +233,12 @@ func TestChaosGracefulDrain(t *testing.T) {
 
 	select {
 	case err := <-shutdownErr:
-		// The big job cannot finish inside the 1s drain window, so the
+		// The held job cannot finish inside the 1s drain window, so the
 		// deadline must have forced the checkpoint — and Shutdown still
 		// completed promptly instead of hanging on the runner or the
 		// stalled SSE reader.
 		if err == nil {
-			t.Fatal("drain reported clean, but the running job should have outlived the deadline — enlarge the chaos circuit")
+			t.Fatal("drain reported clean, but the running job should have outlived the deadline")
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("Shutdown hung: slow reader or runner pinned the drain")

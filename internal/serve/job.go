@@ -305,6 +305,9 @@ func (s *Server) runJob(parent context.Context, j *job) {
 	}
 	opt.Resume = resume
 	opt.Journal = journal
+	if s.testHookJournal != nil {
+		opt.Journal = s.testHookJournal(journal)
+	}
 	resumed := 0
 	if resume != nil {
 		resumed = len(resume.Faults)

@@ -124,6 +124,9 @@ type Server struct {
 	// testHookRun runs at the start of every job attempt — the chaos
 	// harness injects panics and stalls here.
 	testHookRun func(*job)
+	// testHookJournal, when set, wraps every job attempt's journal; the
+	// drain test holds a job mid-run in it.
+	testHookJournal func(atpg.JournalSink) atpg.JournalSink
 }
 
 // Start builds a Server from cfg, replays the durable job state under
