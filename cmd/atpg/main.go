@@ -170,6 +170,10 @@ func main() {
 	if effectiveWorkers <= 0 {
 		effectiveWorkers = runtime.GOMAXPROCS(0)
 	}
+	effectiveGroupMax := opt.GroupMax
+	if effectiveGroupMax <= 0 {
+		effectiveGroupMax = atpg.DefaultGroupMax
+	}
 	tel, closeTel, err := setupTelemetry(*metricsAddr, *traceFile, *progressEvery)
 	if err != nil {
 		fail(err)
@@ -273,7 +277,7 @@ func main() {
 			sum.SolverTotals.LearnedKept, sum.SolverTotals.LearnedReused, sum.SolverTotals.ClauseDBBytes)
 	}
 	if *jsonOut {
-		doc := buildJSONSummary(sum, effectiveWorkers, opt.PerFaultBudget, opt.GroupMax, interrupted)
+		doc := buildJSONSummary(sum, effectiveWorkers, opt.PerFaultBudget, effectiveGroupMax, interrupted)
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
@@ -357,7 +361,7 @@ type runSummaryJSON struct {
 	Schema       string           `json:"schema"`
 	Circuit      string           `json:"circuit"`
 	Workers      int              `json:"workers"`
-	GroupMax     int              `json:"group_max,omitempty"`
+	GroupMax     int              `json:"group_max"`
 	BudgetNS     int64            `json:"budget_ns,omitempty"`
 	Faults       faultCountsJSON  `json:"faults"`
 	Coverage     float64          `json:"coverage"`

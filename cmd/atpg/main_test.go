@@ -486,6 +486,29 @@ func TestCLICheckpointResume(t *testing.T) {
 	}
 }
 
+// TestCLIGroupMaxRecordsCap: a -group-max of 0 or below runs with
+// DefaultGroupMax, and -json records that cap, as "workers" records the
+// effective worker count, not the flag's value.
+func TestCLIGroupMaxRecordsCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns processes")
+	}
+	bin := buildCLI(t)
+	for _, flagVal := range []string{"0", "-3"} {
+		out, err := exec.Command(bin, "-gen", "cmp48", "-j", "1", "-group-max", flagVal, "-json").Output()
+		if err != nil {
+			t.Fatalf("-group-max %s: %v", flagVal, err)
+		}
+		var doc map[string]any
+		if err := json.Unmarshal(out, &doc); err != nil {
+			t.Fatalf("-group-max %s: bad JSON: %v\n%s", flagVal, err, out)
+		}
+		if doc["group_max"] != float64(atpg.DefaultGroupMax) {
+			t.Errorf("-group-max %s: group_max = %v, want %d", flagVal, doc["group_max"], atpg.DefaultGroupMax)
+		}
+	}
+}
+
 // TestCLIResumeRejectsBrokenJournal edits a completed default-flow
 // journal two ways and requires -resume to fail, naming the fault: with
 // every fault vector overwritten by zeros, the commit frontier's

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -484,46 +483,6 @@ func TestBuildZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, build); allocs != 0 {
 		t.Fatalf("a group build allocates %.1f objects, want 0", allocs)
-	}
-}
-
-// TestPooledInstanceKeepsSearch runs rand200 at one worker on a cold
-// instance pool, then a larger circuit, whose grown instance the run
-// returns to the pool, then rand200 again on that pooled instance. Both
-// rand200 runs must list the same vectors and verdicts and report the
-// same search counters: a pooled instance keeps no base, learned clause
-// or activity that reaches the next run.
-func TestPooledInstanceKeepsSearch(t *testing.T) {
-	run := func(c *logic.Circuit) *Summary {
-		t.Helper()
-		sum, err := (&Engine{Workers: 1}).Run(context.Background(), c, DefaultRunOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sum
-	}
-	small := gen.Random(gen.RandomParams{Inputs: 18, Gates: 200, Seed: 1})
-	runtime.GC() // two collections empty a sync.Pool
-	runtime.GC()
-	cold := run(small)
-	run(gen.Comparator(64))
-	warm := run(small)
-	if !reflect.DeepEqual(cold.Vectors, warm.Vectors) {
-		t.Fatalf("pooled run lists %d vectors, cold run %d, or they differ", len(warm.Vectors), len(cold.Vectors))
-	}
-	for k := range cold.Results {
-		a, b := cold.Results[k], warm.Results[k]
-		if a.Fault != b.Fault || a.Status != b.Status || a.SolverStats.Propagations != b.SolverStats.Propagations {
-			t.Fatalf("result %d: cold %v %v (%d propagations), pooled %v %v (%d)", k,
-				a.Fault, a.Status, a.SolverStats.Propagations, b.Fault, b.Status, b.SolverStats.Propagations)
-		}
-	}
-	a, b := cold.SolverTotals, warm.SolverTotals
-	if a.Decisions != b.Decisions || a.Propagations != b.Propagations || a.Conflicts != b.Conflicts || a.Learned != b.Learned {
-		t.Fatalf("search counters: cold %+v, pooled %+v", a, b)
-	}
-	if a.Conflicts == 0 {
-		t.Fatal("rand200 solved without a conflict; the check compares no learning")
 	}
 }
 

@@ -155,35 +155,20 @@ func newScratch(c *logic.Circuit, head []int32) *workerScratch {
 	return ws
 }
 
-// instances holds the incremental instances of finished runs, so a later
-// run's workers start with grown watch lists and clause slabs. A pooled
-// instance is as good as a fresh one: its new pairing makes the worker's
-// first group set its own base, and Load cold-starts the rest.
-var instances = sync.Pool{New: func() any { return new(sat.Incremental) }}
-
-// newInstance gives the worker an incremental instance from the pool,
-// paired with its encoder: the instance holds no base of this worker's,
-// so the next formula carries its good copy.
+// newInstance gives the worker a fresh incremental instance, paired with
+// its encoder: the instance holds no base, so the next formula carries
+// its good copy.
 func (ws *workerScratch) newInstance() {
-	ws.inc = instances.Get().(*sat.Incremental)
-	ws.inc.MaxConflicts = maxConflicts
+	ws.inc = &sat.Incremental{MaxConflicts: maxConflicts}
 	ws.enc.pair()
 }
 
-// release returns the worker's instance to the pool once its run is over.
-// The panic barrier replaces an instance without releasing it, so no
-// instance a panic left mid-solve is ever pooled.
-func (ws *workerScratch) release() {
-	instances.Put(ws.inc)
-	ws.inc = nil
-}
-
-// build encodes the gated formula of the live members and loads it into
-// the worker's instance, setting its good copy as the instance's base
+// build encodes the formula of the live members and loads it into the
+// worker's instance, setting its good copy as the instance's base
 // first unless the instance holds that good set already. It returns the
 // loaded part (nil when no member is observable) and the load's time.
 func (ws *workerScratch) build(live []Fault) (*cnf.Formula, time.Duration, error) {
-	f, err := ws.enc.encode(live, true)
+	f, err := ws.enc.encode(live)
 	if f == nil || err != nil {
 		return nil, 0, err
 	}
@@ -225,45 +210,51 @@ func (e *Engine) workers() int {
 }
 
 // TestFault runs SAT-based test generation for one fault — Figure 1's
-// per-instance path: it encodes the fault's ungated ATPG-SAT formula and
-// solves it one-shot on sat.DPLL.
+// per-instance path, and the engine's reference: it builds the fault's
+// ATPG-SAT instance with the reference construction (NewMiter,
+// Miter.Encode), solves it one-shot on sat.DPLL and extracts the vector
+// with Miter.ExtractTest, sharing no code with the engine's formula
+// encoder. A fault with no observable output is Untestable without a
+// formula.
 func (e *Engine) TestFault(c *logic.Circuit, f Fault) (Result, error) {
-	enc := newFormulaEncoder(c, newRegionTable(c).head)
 	res := Result{Fault: f}
 	start := time.Now()
-	formula, err := enc.encode([]Fault{f}, false)
-	res.BuildElapsed = time.Since(start)
-	if err != nil {
-		return res, err
+	m, err := NewMiter(c, f)
+	var formula *cnf.Formula
+	if err == nil {
+		formula, err = m.Encode()
 	}
-	if formula == nil {
+	res.BuildElapsed = time.Since(start)
+	if errors.Is(err, ErrUnobservable) {
 		res.Status = Untestable
 		return res, nil
+	}
+	if err != nil {
+		return res, err
 	}
 	res.Vars, res.Clauses = formula.NumVars, formula.NumClauses()
 	start = time.Now()
 	sol := (&sat.DPLL{MaxConflicts: maxConflicts}).Solve(formula)
 	res.Elapsed = time.Since(start)
-	settle(&res, sol, enc)
+	settle(&res, sol, func(model []bool) []bool { return m.ExtractTest(c, model) })
 	if res.Status == Detected && !VerifyTest(c, f, res.Vector) {
 		return res, fmt.Errorf("atpg: generated vector fails to detect %s (pipeline bug)", f.Name(c))
 	}
 	return res, nil
 }
 
-// settle turns a solver answer on the encoder's last formula into the
-// fault's verdict: a model becomes a test vector, UNSAT means untestable,
-// anything else aborted. It does not check the vector: TestFault
-// re-simulates its one vector with VerifyTest, and a run's commit
-// frontier fault-simulates every vector it adopts against its own fault
-// (checkLocked), as a cross-check of the whole encode/solve/extract
-// pipeline.
-func settle(res *Result, sol sat.Solution, enc *formulaEncoder) {
+// settle turns a solver answer into the fault's verdict: a model becomes
+// a test vector through extract, UNSAT means untestable, anything else
+// aborted. It does not check the vector: TestFault re-simulates its one
+// vector with VerifyTest, and a run's commit frontier fault-simulates
+// every vector it adopts against its own fault (checkLocked), as a
+// cross-check of the whole encode/solve/extract pipeline.
+func settle(res *Result, sol sat.Solution, extract func(model []bool) []bool) {
 	res.SolverStats = sol.Stats
 	switch sol.Status {
 	case sat.Sat:
 		res.Status = Detected
-		res.Vector = enc.extract(sol.Model)
+		res.Vector = extract(sol.Model)
 	case sat.Unsat:
 		res.Status = Untestable
 	default:
@@ -527,11 +518,6 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	for w := range scratches {
 		scratches[w] = newScratch(c, st.regions.head)
 	}
-	defer func() {
-		for _, ws := range scratches {
-			ws.release()
-		}
-	}()
 	if opt.EffortLog != nil {
 		es, err := newEffortState(opt.EffortLog, st.regions, faults, workers)
 		if err != nil {

@@ -2,15 +2,14 @@ package atpg
 
 // This file is the engine's one formula encoder. It writes the ATPG-SAT
 // instance of Section 2 (Figure 3: a good copy of C_ψ^sub, a faulty copy
-// of C_ψ^fo, one XOR per observable output) straight from the parent
-// circuit's node IDs into a reusable cnf.Encoder. A one-fault formula
-// numbers variables and orders clauses exactly as Miter.Encode does for
-// the Figure 3 circuit; Miter stays the reference construction, and the
-// encoder builds no circuit and names no node. A region group's formula
-// keeps the same good copy but shares one faulty copy of the region
-// head's fanout cone among its members, each member adding only its
-// fanout-free chain up to the head (InF-ATPG's fanout-free regions,
-// PAPERS.md), so a group costs about as much as one fault.
+// of C_ψ^fo, one XOR per observable output) for the faults of one
+// fanout-free region — InF-ATPG's unit of work (PAPERS.md) — straight
+// from the parent circuit's node IDs into a reusable cnf.Encoder. The
+// members share one faulty copy of the region head's fanout cone, each
+// adding only its fanout-free chain up to the head, so a group costs
+// about as much as one fault. The encoder builds no circuit and names no
+// node; Miter is the reference construction, which TestFault solves and
+// the tests check this encoder against.
 
 import (
 	"fmt"
@@ -27,13 +26,13 @@ import (
 // between formulas.
 type formulaEncoder struct {
 	c     *logic.Circuit
-	head  []int32 // regionHeads(c), shared read-only by a run's encoders
+	head  []int32 // regionTable.head, shared read-only by a run's encoders
 	isOut []bool  // per node: a primary output of c
 	enc   cnf.Encoder
 
 	// goodVar[id] is node id's good-copy variable while goodAt[id] ==
 	// goodStamp; faultyLit[id] its faulty copy's literal while mark[id]
-	// holds the stamp of the faulty part being written (a region head
+	// holds the stamp of the faulty part being written (the region head
 	// feeding its shared cone reads as its negated good copy). mark also
 	// serves the fanout walks.
 	goodVar          []int32
@@ -41,61 +40,43 @@ type formulaEncoder struct {
 	goodAt, mark     []uint32
 	goodStamp, stamp uint32
 
-	nodes      []int        // the heads' cones and the members' chains, concatenated, each ascending
-	heads      []headSpan   // per distinct region head of the members
+	nodes      []int        // the head's fanout cone, then the members' paths, each ascending
 	spans      []memberSpan // per member
 	ids, stack []int
 	lits       []cnf.Lit
 
 	// Of the last formula: the branching priority (good-copy variables
 	// of the primary inputs in it, in input order), each member's
-	// selector variable (-1 when unobservable or ungated), and which
-	// members are unobservable (no primary output in their fanout cone;
-	// they take no part in the formula).
+	// selector variable (-1 when unobservable), and which members are
+	// unobservable (no primary output in their fanout cone; they take no
+	// part in the formula).
 	priority     []int
 	selectors    []int
 	unobservable []bool
 
-	// A worker's encoder is paired with the worker's instance (pair), and
-	// then returns each formula without its good copy: the instance holds
-	// the good copy of the good set held, heldClauses clauses long, as its
-	// base. When a formula's good set differs, base is its good copy,
-	// which the instance must set as its new base before loading the
-	// formula; otherwise base is nil. An unpaired encoder always returns
-	// the full formula.
-	paired      bool
+	// The encoder is paired with its worker's instance (pair) and returns
+	// each formula without its good copy: the instance holds the good copy
+	// of the good set held, heldClauses clauses long, as its base. When a
+	// formula's good set differs, base is its good copy, which the instance
+	// must set as its new base before loading the formula; otherwise base
+	// is nil. Either way the full formula is the base followed by the part.
 	held        []int
 	heldClauses int
 	base        *cnf.Formula
 	baseF       cnf.Formula
 }
 
-// headSpan is one region head h of the members. Its fanout cone, h
-// first, is nodes[coneLo:coneHi]; outBelow reports a primary output in
-// the cone past h, live that an observable member has h for its head.
-// A gated formula's shared faulty copy of the cone past h has its XOR
-// variables in [xorLo, xorHi).
-type headSpan struct {
-	h              int
-	coneLo, coneHi int
-	outBelow, live bool
+// memberSpan locates one member's part of the formula: its path, the
+// single-reader chain from the fault net up to the region head and the
+// head itself, is nodes[pathLo:pathHi]; its own XOR variables and its
+// helper into the head's shared cone, when it has one, are [xorLo, xorHi).
+type memberSpan struct {
+	pathLo, pathHi int
 	xorLo, xorHi   int
 }
 
-// memberSpan locates one member's part of the formula: its chain, the
-// single-reader path from the fault net up to its head (head excluded),
-// is nodes[chainLo:chainHi]; heads[head] is its head; its own XOR
-// variables are [xorLo, xorHi), and exit is its helper variable into
-// the head's shared cone (-1 when it has none).
-type memberSpan struct {
-	chainLo, chainHi int
-	head             int
-	xorLo, xorHi     int
-	exit             int
-}
-
-// newFormulaEncoder returns an encoder for c; head is regionHeads(c),
-// computed once per run and shared by the run's encoders.
+// newFormulaEncoder returns an encoder for c; head is the region table's
+// per-net head, computed once per run and shared by the run's encoders.
 func newFormulaEncoder(c *logic.Circuit, head []int32) *formulaEncoder {
 	n := len(c.Nodes)
 	fe := &formulaEncoder{
@@ -115,7 +96,7 @@ func newFormulaEncoder(c *logic.Circuit, head []int32) *formulaEncoder {
 
 // pair pairs the encoder with a fresh instance, which holds no base yet.
 func (fe *formulaEncoder) pair() {
-	fe.paired, fe.held, fe.heldClauses = true, fe.held[:0], 0
+	fe.held, fe.heldClauses = fe.held[:0], 0
 }
 
 // bump advances a stamp past 0, clearing its marks on wrap-around.
@@ -128,63 +109,68 @@ func bump(stamp *uint32, marks []uint32) uint32 {
 	return *stamp
 }
 
-// encode returns the ATPG-SAT formula of the members, or nil when none
-// is observable. The formula aliases the encoder's buffers until the
-// next encode.
+// encode returns the ATPG-SAT formula of the members, faults of one
+// fanout-free region, without its good copy (see base), or nil when none
+// is observable. A member of another region is an error, as a net out of
+// range is. The formula aliases the encoder's buffers until the next
+// encode.
 //
 // A member's fanout cone is its chain — the nets from the fault net up
-// to its region head h, each read by the next alone — followed by h's
-// own fanout cone. Both shapes start with the good copies of the fanin
-// of the observable members' fanout cones, in ascending node ID.
-//
-// Ungated (one member, TestFault's one-shot solve) the rest is
-// Miter.Encode's, clause for clause: the faulty cone in ascending ID
-// (the fault net a constant), one XOR per observable output in
-// ascending output ID, the observation clause (some XOR is 1) and the
-// activation unit (the good fault net carries the complement of the
-// stuck value).
-//
-// Gated (a region group on the incremental core) the members share
-// their head's cone. A fault leaves its region only through h, so past
-// h the faulty circuit is either the good one (faulty h = good h) or
-// the good one with h flipped. Per live head h with an output past it
-// the formula has one faulty copy of the cone past h, fed by ¬good(h),
-// and one XOR per output in it; per observable member k its faulty
-// chain up to h in ascending ID, one XOR per output on it (h included),
-// and a helper e_k with e_k → faulty h ≠ good h and e_k → some XOR past
-// h. Each observable member k gets a selector s_k, numbered after every
-// circuit variable, and in member order the clauses
+// to the region head h, each read by the next alone — followed by h's
+// own fanout cone. A fault leaves the region only through h, so past h
+// the faulty circuit is either the good one (faulty h = good h) or the
+// good one with h flipped. The formula starts with the good copies of
+// the fanin of the observable members' fanout cones, in ascending node
+// ID. When an output lies past h, one faulty copy of the cone past h,
+// fed by ¬good(h), follows with one XOR per output in it. Each
+// observable member k then adds the faulty copy of its path, the chain
+// and h, in ascending ID (the fault net a constant), one XOR per output
+// on the path and, when the shared copy exists, a helper e_k with
+// e_k → faulty h ≠ good h and e_k → some XOR past h. Last, each
+// observable member k gets a selector s_k, numbered after every circuit
+// variable, and in member order the clauses
 //
 //	¬s_k ∨ activation_k
 //	¬s_k ∨ xor_k,1 ∨ … ∨ e_k
 //
 // so solving under assumptions (s_k, ¬s_j for the others) is solving
 // member k's own instance, and every learned clause stays valid for
-// every member.
-//
-// The good copy's clauses come first in either shape. A paired encoder
-// returns the formula without them: the full formula is its instance's
-// base followed by the returned part, the base being the good copy of
-// the same good set and so the same clauses.
-func (fe *formulaEncoder) encode(members []Fault, gated bool) (*cnf.Formula, error) {
+// every member. A one-member formula's good copy is Miter.Encode's,
+// clause for clause and variable for variable.
+func (fe *formulaEncoder) encode(members []Fault) (*cnf.Formula, error) {
 	c := fe.c
-	fe.nodes, fe.heads, fe.spans = fe.nodes[:0], fe.heads[:0], fe.spans[:0]
-	fe.selectors, fe.unobservable = fe.selectors[:0], fe.unobservable[:0]
+	h := -1
+	for _, f := range members {
+		switch {
+		case f.Net < 0 || f.Net >= len(c.Nodes):
+			return nil, fmt.Errorf("atpg: fault net %d out of range", f.Net)
+		case h < 0:
+			h = int(fe.head[f.Net])
+		case int(fe.head[f.Net]) != h:
+			return nil, fmt.Errorf("atpg: fault %s is outside the region of %s", f.Name(c), c.Nodes[h].Name)
+		}
+	}
+	fe.spans, fe.selectors, fe.unobservable = fe.spans[:0], fe.selectors[:0], fe.unobservable[:0]
+	if h < 0 {
+		return nil, nil
+	}
+	// h's fanout cone, h first (IDs are topological), then the paths.
+	fe.stack = append(fe.stack[:0], h)
+	fe.nodes = fe.reach(fe.nodes[:0], fe.mark, bump(&fe.stamp, fe.mark), true)
+	coneHi := len(fe.nodes)
+	outBelow := slices.ContainsFunc(fe.nodes[1:coneHi], func(id int) bool { return fe.isOut[id] })
 	observed := false
 	for _, f := range members {
-		if f.Net < 0 || f.Net >= len(c.Nodes) {
-			return nil, fmt.Errorf("atpg: fault net %d out of range", f.Net)
-		}
-		sp := memberSpan{head: fe.headOf(f.Net), exit: -1}
-		hd := &fe.heads[sp.head]
-		observable := hd.outBelow || fe.isOut[hd.h]
-		sp.chainLo = len(fe.nodes)
-		for id := f.Net; id != hd.h; id = c.Nodes[id].Fanout[0] {
+		sp := memberSpan{pathLo: len(fe.nodes)}
+		observable := outBelow
+		for id := f.Net; ; id = c.Nodes[id].Fanout[0] {
 			fe.nodes = append(fe.nodes, id)
 			observable = observable || fe.isOut[id]
+			if id == h {
+				break
+			}
 		}
-		sp.chainHi = len(fe.nodes)
-		hd.live = hd.live || observable
+		sp.pathHi = len(fe.nodes)
 		observed = observed || observable
 		fe.spans = append(fe.spans, sp)
 		fe.selectors = append(fe.selectors, -1)
@@ -198,18 +184,14 @@ func (fe *formulaEncoder) encode(members []Fault, gated bool) (*cnf.Formula, err
 	fe.stack = fe.stack[:0]
 	for k, sp := range fe.spans {
 		if !fe.unobservable[k] {
-			fe.stack = append(fe.stack, fe.nodes[sp.chainLo:sp.chainHi]...)
+			fe.stack = append(fe.stack, fe.nodes[sp.pathLo:sp.pathHi]...)
 		}
 	}
-	for _, hd := range fe.heads {
-		if hd.live {
-			fe.stack = append(fe.stack, fe.nodes[hd.coneLo:hd.coneHi]...)
-		}
-	}
+	fe.stack = append(fe.stack, fe.nodes[:coneHi]...)
 	fe.ids = fe.reach(fe.ids[:0], fe.goodAt, bump(&fe.goodStamp, fe.goodAt), false)
 	// A good set is never empty, so a fresh pairing's empty held set
 	// matches none.
-	held := fe.paired && slices.Equal(fe.ids, fe.held)
+	held := slices.Equal(fe.ids, fe.held)
 	for v, id := range fe.ids {
 		fe.goodVar[id] = int32(v)
 		if held {
@@ -221,57 +203,44 @@ func (fe *formulaEncoder) encode(members []Fault, gated bool) (*cnf.Formula, err
 	}
 	n := len(fe.ids)
 	good := fe.enc.NumClauses()
-	if gated {
-		for i := range fe.heads {
-			hd := &fe.heads[i]
-			if !hd.live || !hd.outBelow {
-				continue
-			}
-			in := bump(&fe.stamp, fe.mark)
-			fe.mark[hd.h], fe.faultyLit[hd.h] = in, fe.goodLit(hd.h).Not()
-			below := fe.nodes[hd.coneLo+1 : hd.coneHi]
-			var err error
-			if n, err = fe.faultyPart(below, n, in, -1, false); err != nil {
-				return nil, err
-			}
-			hd.xorLo = n
-			n = fe.xors(below, n)
-			hd.xorHi = n
+	xorLo, xorHi := n, n // the shared cone's XOR variables
+	if outBelow {
+		in := bump(&fe.stamp, fe.mark)
+		fe.mark[h], fe.faultyLit[h] = in, fe.goodLit(h).Not()
+		below := fe.nodes[1:coneHi]
+		var err error
+		if n, err = fe.faultyPart(below, n, in, -1, false); err != nil {
+			return nil, err
 		}
+		xorLo = n
+		n = fe.xors(below, n)
+		xorHi = n
 	}
 	for k, f := range members {
 		if fe.unobservable[k] {
 			continue
 		}
 		sp := &fe.spans[k]
-		hd := &fe.heads[sp.head]
-		chain, cone := fe.nodes[sp.chainLo:sp.chainHi], fe.nodes[hd.coneLo:hd.coneHi]
-		if gated {
-			cone = cone[:1] // h; the shared copy carries the cone past it
-		}
+		path := fe.nodes[sp.pathLo:sp.pathHi]
 		in := bump(&fe.stamp, fe.mark)
 		var err error
-		if n, err = fe.faultyPart(chain, n, in, f.Net, f.StuckAt); err != nil {
-			return nil, err
-		}
-		if n, err = fe.faultyPart(cone, n, in, f.Net, f.StuckAt); err != nil {
+		if n, err = fe.faultyPart(path, n, in, f.Net, f.StuckAt); err != nil {
 			return nil, err
 		}
 		sp.xorLo = n
-		n = fe.xors(cone, fe.xors(chain, n))
-		sp.xorHi = n
-		if hd.xorHi > hd.xorLo {
-			sp.exit = n
-			e, fh, gh := cnf.NewLit(n, true), fe.faultyLit[hd.h], fe.goodLit(hd.h)
+		n = fe.xors(path, n)
+		if outBelow {
+			e, fh, gh := cnf.NewLit(n, true), fe.faultyLit[h], fe.goodLit(h)
 			fe.enc.Clause(e, fh, gh)
 			fe.enc.Clause(e, fh.Not(), gh.Not())
 			fe.lits = append(fe.lits[:0], e)
-			for x := hd.xorLo; x < hd.xorHi; x++ {
+			for x := xorLo; x < xorHi; x++ {
 				fe.lits = append(fe.lits, cnf.NewLit(x, false))
 			}
 			fe.enc.Clause(fe.lits...)
 			n++
 		}
+		sp.xorHi = n
 	}
 
 	for k, f := range members {
@@ -279,24 +248,15 @@ func (fe *formulaEncoder) encode(members []Fault, gated bool) (*cnf.Formula, err
 			continue
 		}
 		sp := &fe.spans[k]
-		act := cnf.NewLit(int(fe.goodVar[f.Net]), f.StuckAt)
-		fe.lits = fe.lits[:0]
-		if gated {
-			fe.selectors[k] = n
-			fe.lits = append(fe.lits, cnf.NewLit(n, true))
-			fe.enc.Clause(fe.lits[0], act)
-			n++
-		}
+		fe.selectors[k] = n
+		s := cnf.NewLit(n, true)
+		fe.enc.Clause(s, cnf.NewLit(int(fe.goodVar[f.Net]), f.StuckAt))
+		fe.lits = append(fe.lits[:0], s)
 		for x := sp.xorLo; x < sp.xorHi; x++ {
 			fe.lits = append(fe.lits, cnf.NewLit(x, false))
 		}
-		if sp.exit >= 0 {
-			fe.lits = append(fe.lits, cnf.NewLit(sp.exit, false))
-		}
 		fe.enc.Clause(fe.lits...)
-		if !gated {
-			fe.enc.Clause(act)
-		}
+		n++
 	}
 	fe.priority = fe.priority[:0]
 	for _, in := range c.Inputs {
@@ -306,7 +266,7 @@ func (fe *formulaEncoder) encode(members []Fault, gated bool) (*cnf.Formula, err
 	}
 	f := fe.enc.Finish(n)
 	fe.base = nil
-	if !fe.paired || held {
+	if held {
 		return f, nil
 	}
 	fe.held, fe.heldClauses = append(fe.held[:0], fe.ids...), good
@@ -314,24 +274,6 @@ func (fe *formulaEncoder) encode(members []Fault, gated bool) (*cnf.Formula, err
 	fe.base = &fe.baseF
 	f.Clauses = f.Clauses[good:] // f is the encoder's own until the next encode
 	return f, nil
-}
-
-// headOf returns the index in fe.heads of net's region head, walking the
-// head's fanout cone into fe.nodes the first time the head is seen.
-func (fe *formulaEncoder) headOf(net int) int {
-	h := int(fe.head[net])
-	for k := range fe.heads {
-		if fe.heads[k].h == h {
-			return k
-		}
-	}
-	hd := headSpan{h: h, coneLo: len(fe.nodes)}
-	fe.stack = append(fe.stack[:0], h)
-	fe.nodes = fe.reach(fe.nodes, fe.mark, bump(&fe.stamp, fe.mark), true)
-	hd.coneHi = len(fe.nodes)
-	hd.outBelow = slices.ContainsFunc(fe.nodes[hd.coneLo+1:], func(id int) bool { return fe.isOut[id] })
-	fe.heads = append(fe.heads, hd)
-	return len(fe.heads) - 1
 }
 
 // goodLit is node id's good-copy literal.
@@ -436,7 +378,7 @@ func (fe *formulaEncoder) node(id, v int, in uint32) error {
 	return nil
 }
 
-// assumptions appends member k's assumption literals for the last gated
+// assumptions appends member k's assumption literals for the last
 // formula to buf: its own selector asserted, every other observable
 // member's negated, so UNSAT means exactly "member k is untestable".
 func (fe *formulaEncoder) assumptions(k int, buf []cnf.Lit) []cnf.Lit {
@@ -451,9 +393,9 @@ func (fe *formulaEncoder) assumptions(k int, buf []cnf.Lit) []cnf.Lit {
 
 // extract converts a model of the last formula into a test vector over
 // the circuit's primary inputs. Inputs outside the good copy are
-// don't-cares returned as false; on a gated formula, lex-first
-// branching over the priority gives the inputs irrelevant to a member
-// the same value, so its vector equals the one its own formula yields.
+// don't-cares returned as false; lex-first branching over the priority
+// gives the inputs irrelevant to a member the same value, so its vector
+// equals the one its own Miter formula yields under the same branching.
 func (fe *formulaEncoder) extract(model []bool) []bool {
 	vec := make([]bool, len(fe.c.Inputs))
 	for i, in := range fe.c.Inputs {

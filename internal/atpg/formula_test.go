@@ -68,22 +68,27 @@ func formulaTestCircuits(t *testing.T) map[string]*logic.Circuit {
 }
 
 // TestFormulaMatchesMiter pins the engine's encoder to the reference
-// construction: for every fault, the ungated formula has Miter.Encode's
-// variable count and clause list exactly, an unobservable fault gets no
-// formula where NewMiter reports ErrUnobservable, and vector extraction
-// agrees with Miter.ExtractTest on random models.
+// construction, fault by fault: a one-member group's good copy is the
+// leading clauses of Miter.Encode, over the miter's good-copy variables,
+// and the clause after it is no longer a good-copy clause; a member is
+// unobservable exactly where NewMiter reports ErrUnobservable; and
+// vector extraction agrees with Miter.ExtractTest on random models.
 func TestFormulaMatchesMiter(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for name, c := range formulaTestCircuits(t) {
 		fe := newFormulaEncoder(c, newRegionTable(c).head)
 		for _, f := range AllFaults(c) {
-			m, merr := NewMiter(c, f)
-			got, err := fe.encode([]Fault{f}, false)
+			fe.pair() // a fresh pairing: the formula comes with its good copy as base
+			part, err := fe.encode([]Fault{f})
 			if err != nil {
 				t.Fatalf("%s %s: encode: %v", name, f.Name(c), err)
 			}
+			m, merr := NewMiter(c, f)
+			if fe.unobservable[0] != (merr == ErrUnobservable) {
+				t.Fatalf("%s %s: encoder unobservable %t, NewMiter %v", name, f.Name(c), fe.unobservable[0], merr)
+			}
 			if merr == ErrUnobservable {
-				if got != nil {
+				if part != nil {
 					t.Fatalf("%s %s: unobservable fault got a formula", name, f.Name(c))
 				}
 				continue
@@ -95,12 +100,25 @@ func TestFormulaMatchesMiter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: Miter.Encode: %v", name, f.Name(c), err)
 			}
-			if got == nil {
-				t.Fatalf("%s %s: no formula for an observable fault", name, f.Name(c))
+			goodVars := 0
+			for _, g := range m.GoodOf {
+				if g >= 0 {
+					goodVars++
+				}
 			}
-			if got.NumVars != want.NumVars || !reflect.DeepEqual(got.Clauses, want.Clauses) {
-				t.Fatalf("%s %s: formula (%d vars, %d clauses) differs from Miter.Encode's (%d, %d)", name, f.Name(c),
-					got.NumVars, got.NumClauses(), want.NumVars, want.NumClauses())
+			base := fe.base
+			if part == nil || base == nil {
+				t.Fatalf("%s %s: formula %v, base %v for an observable fault", name, f.Name(c), part, base)
+			}
+			nb := len(base.Clauses)
+			if base.NumVars != goodVars || nb >= want.NumClauses() ||
+				!slices.EqualFunc(base.Clauses, want.Clauses[:nb], slices.Equal) {
+				t.Fatalf("%s %s: good copy (%d vars, %d clauses) is not Miter.Encode's leading clauses (%d good vars, %d clauses)",
+					name, f.Name(c), base.NumVars, nb, goodVars, want.NumClauses())
+			}
+			if !slices.ContainsFunc(want.Clauses[nb], func(l cnf.Lit) bool { return l.Var() >= goodVars }) {
+				t.Fatalf("%s %s: Miter.Encode's clause %d %v is a good-copy clause past the encoder's good copy",
+					name, f.Name(c), nb, want.Clauses[nb])
 			}
 			for trial := 0; trial < 4; trial++ {
 				model := make([]bool, want.NumVars)
@@ -115,12 +133,43 @@ func TestFormulaMatchesMiter(t *testing.T) {
 	}
 }
 
+// TestEncodeRejectsTwoRegions: a group formula covers one fanout-free
+// region, so members from two regions, like a net out of range, are an
+// error and not a formula.
+func TestEncodeRejectsTwoRegions(t *testing.T) {
+	c := gen.CarryLookaheadAdder(4)
+	rt := newRegionTable(c)
+	fe := newFormulaEncoder(c, rt.head)
+	faults := AllFaults(c)
+	var a, b Fault
+	for _, f := range faults[1:] {
+		if rt.head[f.Net] != rt.head[faults[0].Net] {
+			a, b = faults[0], f
+			break
+		}
+	}
+	if a == b {
+		t.Fatal("every fault is in one region")
+	}
+	for _, members := range [][]Fault{{a, b}, {b, a}, {a, a, b}} {
+		if f, err := fe.encode(members); err == nil || !strings.Contains(err.Error(), "outside the region") {
+			t.Errorf("members %v: encode returned %v, %v; want an error naming the region", members, f, err)
+		}
+	}
+	if f, err := fe.encode([]Fault{a, {Net: len(c.Nodes)}}); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("a net out of range: encode returned %v, %v", f, err)
+	}
+	if f, err := fe.encode([]Fault{a}); err != nil || f == nil {
+		t.Errorf("one region after the errors: encode returned %v, %v", f, err)
+	}
+}
+
 // TestPairedFormulaIsBasePlusPart replays a one-worker sweep's groups, in
-// group order, on a worker's paired encoder and instance. Each group's
-// loaded part, on top of the good copy the instance holds as its base,
-// must be the full formula an unpaired encoder writes, clause for clause;
-// and every member of a group that reused the base must report that full
-// formula's size as its Result.Vars and Clauses.
+// group order, on a worker's encoder and instance. Each group's loaded
+// part, on top of the good copy the instance holds as its base, must be
+// the full formula a freshly paired encoder writes as base and part,
+// clause for clause; and every member of a group that reused the base
+// must report that full formula's size as its Result.Vars and Clauses.
 func TestPairedFormulaIsBasePlusPart(t *testing.T) {
 	c, err := decomp.Decompose(gen.Comparator(24), 3)
 	if err != nil {
@@ -148,16 +197,18 @@ func TestPairedFormulaIsBasePlusPart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := full.encode(members, true)
+		full.pair()
+		wantPart, err := full.encode(members)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (part == nil) != (want == nil) {
-			t.Fatalf("group %d: paired formula %v, full formula %v", id, part, want)
+		if (part == nil) != (wantPart == nil) {
+			t.Fatalf("group %d: paired formula %v, full formula %v", id, part, wantPart)
 		}
 		if part == nil {
 			continue
 		}
+		want := slices.Concat(full.base.Clauses, wantPart.Clauses)
 		if ws.enc.base != nil {
 			base = base[:0]
 			for _, cl := range ws.enc.base.Clauses {
@@ -166,17 +217,17 @@ func TestPairedFormulaIsBasePlusPart(t *testing.T) {
 		} else {
 			reused++
 		}
-		if got := slices.Concat(base, part.Clauses); part.NumVars != want.NumVars || !slices.EqualFunc(got, want.Clauses, slices.Equal) {
+		if got := slices.Concat(base, part.Clauses); part.NumVars != wantPart.NumVars || !slices.EqualFunc(got, want, slices.Equal) {
 			t.Fatalf("group %d: base and part (%d vars, %d clauses) are not the full formula (%d vars, %d clauses)",
-				id, part.NumVars, len(got), want.NumVars, want.NumClauses())
+				id, part.NumVars, len(got), wantPart.NumVars, len(want))
 		}
 		if ws.enc.base != nil {
 			continue
 		}
 		for k, r := range rs {
-			if !full.unobservable[k] && (r.Vars != want.NumVars || r.Clauses != want.NumClauses()) {
+			if !full.unobservable[k] && (r.Vars != wantPart.NumVars || r.Clauses != len(want)) {
 				t.Fatalf("group %d: %s reports %d vars, %d clauses; its full formula has %d, %d",
-					id, r.Fault.Name(c), r.Vars, r.Clauses, want.NumVars, want.NumClauses())
+					id, r.Fault.Name(c), r.Vars, r.Clauses, wantPart.NumVars, len(want))
 			}
 		}
 	}

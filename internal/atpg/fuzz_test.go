@@ -13,12 +13,13 @@ import (
 )
 
 // FuzzEngineDifferential runs region groups on the incremental core
-// against TestFault's one-shot solve of each fault's ungated formula on
-// small netlists. Neither may report an error or an Errored fault, their
-// verdicts must agree fault by fault wherever neither aborted, and every
-// Untestable verdict is refuted against all 2^n input patterns by
-// reference fault simulation. Both paths re-simulate every detected
-// vector before reporting it.
+// against the reference Miter on small netlists: TestFault builds each
+// fault's instance with NewMiter and Miter.Encode and solves it one-shot,
+// sharing no code with the engine's formula encoder. Neither may report
+// an error or an Errored fault, their verdicts must agree fault by fault
+// wherever neither aborted, and every Untestable verdict is refuted
+// against all 2^n input patterns by reference fault simulation. Both
+// paths re-simulate every detected vector before reporting it.
 func FuzzEngineDifferential(f *testing.F) {
 	c17, err := os.ReadFile("../../examples/netlists/c17.bench")
 	if err != nil {

@@ -21,7 +21,7 @@ import (
 
 // solveGroup decides every unsettled member of one region group of the
 // sweep and publishes each verdict to the commit frontier. It encodes the
-// region's gated formula over the members still live, loads it into the
+// region's formula over the members still live, loads it into the
 // worker's incremental instance and solves it once per member under
 // that member's activation assumptions. Members settled before the
 // encode are excluded from it; members dropped after it are skipped
@@ -159,7 +159,7 @@ func (e *Engine) solveGroup(ctx context.Context, st *runState, g *faultGroup, ws
 		}
 		res.Elapsed = time.Since(start)
 		sol.Stats = stats
-		settle(&res, sol, ws.enc)
+		settle(&res, sol, ws.enc.extract)
 		if ctx.Err() != nil {
 			// The abort is a draining artifact, not a verdict.
 			return nil

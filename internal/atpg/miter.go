@@ -66,8 +66,9 @@ var ErrUnobservable = fmt.Errorf("atpg: fault has no observable output")
 
 // NewMiter builds the ATPG miter C_ψ^ATPG for fault f on circuit c. The
 // fault is untestable iff its CIRCUIT-SAT instance (see Encode) is
-// unsatisfiable. The engine encodes the same formula straight from c
-// (formula.go); Miter is the reference construction.
+// unsatisfiable. Miter is the reference construction: Engine.TestFault
+// solves it, and the engine's encoder (formula.go), which writes region
+// group formulas straight from c, is tested against it.
 func NewMiter(c *logic.Circuit, f Fault) (*Miter, error) {
 	if f.Net < 0 || f.Net >= c.NumNodes() {
 		return nil, fmt.Errorf("atpg: fault net %d out of range", f.Net)

@@ -275,11 +275,12 @@ func sharedConeCircuits() map[string]*logic.Circuit {
 }
 
 // TestGroupFormulaMatchesMiter solves every fault of every region
-// group through the gated group formula under assumptions on one
-// incremental instance, and requires member-by-member agreement with
-// the fresh single-fault solve: same verdict, and a group-extracted
-// vector that detects the fault and is byte-identical to the one the
-// member's ungated formula yields under the same lex-first branching.
+// group through the group formula under assumptions on one incremental
+// instance, and requires member-by-member agreement with the reference
+// construction: the same verdict as TestFault's one-shot solve of the
+// fault's Miter, and a group-extracted vector that detects the fault and
+// is byte-identical to the one Miter.Encode's formula yields when solved
+// lex-first over the miter's input good copies.
 func TestGroupFormulaMatchesMiter(t *testing.T) {
 	circuits := regionTestCircuits()
 	for name, c := range sharedConeCircuits() {
@@ -291,45 +292,52 @@ func TestGroupFormulaMatchesMiter(t *testing.T) {
 		order, groups := buildGroups(rt, faults, nil, DefaultGroupMax)
 		eng := &Engine{}
 		fresh := make(map[int]Result, len(faults))
-		for _, idx := range order {
-			res, err := eng.TestFault(c, faults[idx])
-			if err != nil {
-				t.Fatalf("%s: fresh %s: %v", name, faults[idx].Name(c), err)
-			}
-			fresh[int(idx)] = res
-		}
-		// The fresh baseline for vectors must come from the same lex-first
-		// branching: solve each fault's ungated formula — the reference
-		// shape, Miter.Encode's clause for clause — with fe.priority.
-		fe := newFormulaEncoder(c, rt.head)
 		freshVec := make(map[int][]bool, len(faults))
 		for _, idx := range order {
-			f, err := fe.encode([]Fault{faults[idx]}, false)
+			f := faults[idx]
+			res, err := eng.TestFault(c, f)
 			if err != nil {
-				t.Fatalf("%s: solo encode: %v", name, err)
+				t.Fatalf("%s: fresh %s: %v", name, f.Name(c), err)
 			}
-			if f == nil {
+			fresh[int(idx)] = res
+			m, err := NewMiter(c, f)
+			if err == ErrUnobservable {
 				continue
 			}
+			if err != nil {
+				t.Fatalf("%s: NewMiter %s: %v", name, f.Name(c), err)
+			}
+			formula, err := m.Encode()
+			if err != nil {
+				t.Fatalf("%s: Miter.Encode %s: %v", name, f.Name(c), err)
+			}
+			var priority []int
+			for _, in := range c.Inputs {
+				if m.GoodOf[in] >= 0 {
+					priority = append(priority, m.GoodOf[in])
+				}
+			}
 			inc := sat.NewIncremental()
-			inc.Load(f, fe.priority)
-			sol := inc.SolveAssuming(nil, sat.Limits{})
-			if sol.Status == sat.Sat {
-				freshVec[int(idx)] = fe.extract(sol.Model)
+			inc.Load(formula, priority)
+			if sol := inc.SolveAssuming(nil, sat.Limits{}); sol.Status == sat.Sat {
+				freshVec[int(idx)] = m.ExtractTest(c, sol.Model)
 			}
 		}
+		fe := newFormulaEncoder(c, rt.head)
 		for _, g := range groups {
 			members := make([]Fault, 0, g.end-g.start)
 			for _, idx := range order[g.start:g.end] {
 				members = append(members, faults[idx])
 			}
-			f, err := fe.encode(members, true)
+			fe.pair() // a fresh instance: the formula comes with its good copy
+			f, err := fe.encode(members)
 			if err != nil {
 				t.Fatalf("%s: encode: %v", name, err)
 			}
 			var inc *sat.Incremental
 			if f != nil {
 				inc = sat.NewIncremental()
+				inc.SetBase(fe.base)
 				inc.Load(f, fe.priority)
 			}
 			for k := range members {

@@ -631,7 +631,7 @@ func TestPanicDropsTheBase(t *testing.T) {
 		for _, r := range byGroup[id] {
 			members = append(members, r.Fault)
 		}
-		if f, err := fe.encode(members, true); err != nil || f == nil {
+		if f, err := fe.encode(members); err != nil || f == nil {
 			return nil
 		}
 		return slices.Clone(fe.ids)

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -85,7 +88,21 @@ func TestFigure1Quick(t *testing.T) {
 	if lines := strings.Count(csv.String(), "\n"); lines != len(res.Points)+1 {
 		t.Errorf("CSV has %d lines for %d points", lines, len(res.Points))
 	}
+	// Pin the instances themselves: which faults reached the solver, the
+	// size of each ATPG-SAT instance and its verdict. Everything but the
+	// solve time is a function of the suites and the formula, so a change
+	// to either shows here.
+	h := sha256.New()
+	for _, p := range res.Points {
+		fmt.Fprintf(h, "%s %s %d %d %v\n", p.Circuit, p.Fault, p.Vars, p.Clauses, p.Status)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != figure1QuickDigest {
+		t.Errorf("Figure 1 instances digest %s, want %s", got, figure1QuickDigest)
+	}
 }
+
+// figure1QuickDigest is TestFigure1Quick's digest of its instances.
+const figure1QuickDigest = "5f7372f6ca48e26c9527bec2d8f5120f50b0f42de78b5629063b5453abccf135"
 
 func TestFigure8Quick(t *testing.T) {
 	cfg := quickCfg()

@@ -193,8 +193,8 @@ func (l Limits) expired() bool {
 const limitCheck = 1024
 
 // Verify checks that a claimed model satisfies the formula; it returns an
-// error naming the first violated clause. Used in tests and by the ATPG
-// engine as a safety net.
+// error naming the first violated clause. The tests use it to check every
+// solver's models.
 func Verify(f *cnf.Formula, model []bool) error {
 	if len(model) < f.NumVars {
 		return fmt.Errorf("sat: model has %d values for %d variables", len(model), f.NumVars)
