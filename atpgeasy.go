@@ -215,10 +215,8 @@ type (
 	// derived from the committed results' Tier.
 	RetryTier = atpg.RetryTier
 	// ResumeState pre-applies verdicts replayed from a previous run's
-	// journal (RunOptions.Resume).
+	// journal (RunOptions.Resume); OpenCheckpoint returns one.
 	ResumeState = atpg.ResumeState
-	// ResumeRPT restores a journaled random-pattern pre-phase outcome.
-	ResumeRPT = atpg.ResumeRPT
 	// JournalSink receives final fault verdicts as they are decided
 	// (RunOptions.Journal); *CheckpointJournal implements it.
 	JournalSink = atpg.JournalSink
@@ -240,10 +238,13 @@ const (
 	RetryBackoff = atpg.RetryBackoff
 )
 
-// OpenCheckpoint creates (or, with a prior Load result, continues) a
-// crash-recovery journal; pass it as RunOptions.Journal.
-func OpenCheckpoint(path string, hdr CheckpointHeader, prior *CheckpointState, opt CheckpointOptions) (*CheckpointJournal, error) {
-	return checkpoint.New(path, hdr, prior, opt)
+// OpenCheckpoint opens the crash-recovery journal at path for an
+// Engine.RunFaults run of faults on c under opt: pass the journal as
+// RunOptions.Journal and the state as RunOptions.Resume. With resume, a
+// journal this run left at path is continued and the state holds its
+// verdicts (nil when there is none); a foreign journal is refused.
+func OpenCheckpoint(path string, resume bool, c *Circuit, faults []Fault, opt RunOptions, copt CheckpointOptions) (*CheckpointJournal, *ResumeState, error) {
+	return checkpoint.Open(path, resume, c, faults, opt, copt)
 }
 
 // LoadCheckpoint replays the journal at path, tolerating the truncated

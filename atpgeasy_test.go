@@ -2,6 +2,9 @@ package atpgeasy
 
 import (
 	"context"
+	"errors"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -94,6 +97,80 @@ func TestFacadeRunATPGParallelRetries(t *testing.T) {
 		if rt.Budget != budget || rt.Attempted == 0 {
 			t.Errorf("tier %d: budget %v over %d faults, want %v over some", rt.Tier, rt.Budget, rt.Attempted, budget)
 		}
+	}
+}
+
+// cancelSink forwards verdicts to a journal and cancels the run once n
+// of them have landed: the in-process stand-in for a run killed
+// mid-sweep. The engine journals one verdict at a time.
+type cancelSink struct {
+	JournalSink
+	n      int
+	cancel context.CancelFunc
+}
+
+func (s *cancelSink) RecordFault(i int, status string, vector []bool, errMsg string) {
+	s.JournalSink.RecordFault(i, status, vector, errMsg)
+	if s.n--; s.n == 0 {
+		s.cancel()
+	}
+}
+
+// TestFacadeCheckpointResume journals a default-flow run through
+// OpenCheckpoint, cancels it mid-sweep, resumes it through
+// OpenCheckpoint and requires the uninterrupted run's vectors and
+// pre-phase.
+func TestFacadeCheckpointResume(t *testing.T) {
+	c := gen.Comparator(48)
+	faults := CollapseFaults(c, AllFaults(c))
+	opt := DefaultRunOptions()
+	eng := &Engine{Workers: 2}
+	base, err := eng.RunFaults(context.Background(), c, faults, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	j, rs, err := OpenCheckpoint(path, true, c, faults, opt, CheckpointOptions{})
+	if err != nil || rs != nil {
+		t.Fatalf("opening a missing journal: resume state %+v, err %v; want a fresh start", rs, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	iopt := opt
+	iopt.Journal = &cancelSink{JournalSink: j, n: 3, cancel: cancel}
+	if _, err := eng.RunFaults(ctx, c, faults, iopt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run returned %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j, rs, err = OpenCheckpoint(path, true, c, faults, opt, CheckpointOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs == nil || len(rs.Faults) < 3 || len(rs.Faults) >= len(base.Results) {
+		t.Fatalf("resume state %+v, want some but not all of %d verdicts", rs, len(base.Results))
+	}
+	ropt := opt
+	ropt.Journal, ropt.Resume = j, rs
+	got, err := eng.RunFaults(context.Background(), c, faults, ropt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Vectors, base.Vectors) || got.RPTBatches != base.RPTBatches || got.RPTVectors != base.RPTVectors {
+		t.Fatalf("resumed run: %d vectors, pre-phase %d batches/%d kept; uninterrupted %d, %d/%d",
+			len(got.Vectors), got.RPTBatches, got.RPTVectors, len(base.Vectors), base.RPTBatches, base.RPTVectors)
+	}
+	st, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Faults) != len(base.Results) {
+		t.Fatalf("the completed journal holds %d verdicts, want %d", len(st.Faults), len(base.Results))
 	}
 }
 

@@ -52,12 +52,13 @@
 // -checkpoint journals every final verdict to an append-only JSONL file
 // (flushed per record, fsynced per record with -checkpoint-sync, and
 // every -checkpoint-every besides), so a killed run resumes with
-// -resume: the pre-phase is replayed from the journal and each
-// journaled verdict is adopted at its own dispatch position, where its
-// vector drops faults again, so the resume reproduces the uninterrupted
-// run's vector set, -drop or not. Memory needs no flag: each worker's
-// learned clauses die at every region group's load and are capped at
-// sat.DefaultLearnedLimit besides.
+// -resume: the seeded pre-phase runs again, as it did in the killed run,
+// and each journaled verdict is adopted at its own dispatch position,
+// where its vector drops faults again, so the resume reproduces the
+// uninterrupted run's vector set, -drop or not. The journal holds a
+// header and the solver verdicts, nothing else. Memory needs no flag:
+// each worker's learned clauses die at every region group's load and
+// are capped at sat.DefaultLearnedLimit besides.
 //
 // Observability: -metrics-addr serves Prometheus-text /metrics,
 // /debug/vars and net/http/pprof for the duration of the run; -trace
@@ -100,7 +101,6 @@ import (
 	"atpgeasy/internal/logic"
 	"atpgeasy/internal/obs"
 	"atpgeasy/internal/sat"
-	"atpgeasy/internal/serve"
 )
 
 func main() {
@@ -431,15 +431,15 @@ func buildJSONSummary(sum *atpg.Summary, workers int, budget time.Duration, grou
 }
 
 // openCheckpoint opens (or, with resume, continues) the journal at path
-// via the shared serve.OpenJournal logic, adding the CLI's
-// starting-fresh notice when a -resume finds no journal on disk.
+// through checkpoint.Open, adding the CLI's starting-fresh notice when a
+// -resume finds no journal on disk.
 func openCheckpoint(path string, resume bool, c *logic.Circuit, faults []atpg.Fault, opt atpg.RunOptions, copt checkpoint.Options) (*checkpoint.Journal, *atpg.ResumeState, error) {
 	if resume {
 		if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
 			fmt.Fprintf(os.Stderr, "atpg: -resume: no journal at %s, starting fresh\n", path)
 		}
 	}
-	return serve.OpenJournal(path, resume, c, faults, opt, copt)
+	return checkpoint.Open(path, resume, c, faults, opt, copt)
 }
 
 // startCheckpointSyncer fsyncs the journal on the given period and once

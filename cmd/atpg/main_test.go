@@ -17,11 +17,8 @@ import (
 
 	"atpgeasy/internal/atpg"
 	"atpgeasy/internal/bench"
-	"atpgeasy/internal/checkpoint"
 	"atpgeasy/internal/cnf"
-	"atpgeasy/internal/gen"
 	"atpgeasy/internal/sat"
-	"atpgeasy/internal/serve"
 )
 
 func TestGenerate(t *testing.T) {
@@ -287,56 +284,6 @@ func TestSetupTelemetry(t *testing.T) {
 	}
 }
 
-// TestResumeState: journal-to-engine conversion must validate indices,
-// statuses, vector widths and which statuses carry a vector — journal
-// content is external input even though the header hash makes honest
-// mismatches unlikely.
-func TestResumeState(t *testing.T) {
-	c := gen.CarryLookaheadAdder(2)
-	faults := atpg.Collapse(c, atpg.AllFaults(c))
-	vec := strings.Repeat("1", len(c.Inputs))
-
-	good := &checkpoint.State{
-		RPT: &checkpoint.RPTState{Detected: []int{0, 2}, Vectors: []string{vec}, Batches: 3},
-		Faults: map[int]checkpoint.FaultVerdict{
-			1: {Status: "detected", Vector: vec},
-			3: {Status: "untestable"},
-			4: {Status: "error", Err: "panic: boom"},
-		},
-	}
-	rs, err := serve.ResumeStateFrom(good, c, faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.RPT == nil || rs.RPT.Batches != 3 || len(rs.RPT.Vectors) != 1 {
-		t.Fatalf("rpt = %+v", rs.RPT)
-	}
-	if len(rs.Faults) != 3 {
-		t.Fatalf("faults = %+v", rs.Faults)
-	}
-	if r := rs.Faults[1]; r.Status != atpg.Detected || len(r.Vector) != len(c.Inputs) {
-		t.Errorf("fault 1 = %+v", r)
-	}
-	if r := rs.Faults[4]; r.Status != atpg.Errored || r.Err != "panic: boom" {
-		t.Errorf("fault 4 = %+v", r)
-	}
-
-	bad := []*checkpoint.State{
-		{Faults: map[int]checkpoint.FaultVerdict{len(faults): {Status: "detected"}}},
-		{Faults: map[int]checkpoint.FaultVerdict{0: {Status: "mystery"}}},
-		{Faults: map[int]checkpoint.FaultVerdict{0: {Status: "detected", Vector: "10"}}},
-		{Faults: map[int]checkpoint.FaultVerdict{0: {Status: "detected"}}},
-		{Faults: map[int]checkpoint.FaultVerdict{0: {Status: "untestable", Vector: vec}}},
-		{RPT: &checkpoint.RPTState{Detected: []int{-1}}},
-		{RPT: &checkpoint.RPTState{Vectors: []string{"01x"}}},
-	}
-	for i, st := range bad {
-		if _, err := serve.ResumeStateFrom(st, c, faults); err == nil {
-			t.Errorf("bad state %d accepted", i)
-		}
-	}
-}
-
 // buildCLI compiles the atpg binary once per test binary run, for the
 // end-to-end process tests below.
 var (
@@ -529,7 +476,6 @@ func TestCLIResumeRejectsBrokenJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fault records carry "vector"; the pre-phase record's key is "vectors".
 	vector := regexp.MustCompile(`"vector":"[01]+"`)
 	first := vector.FindIndex(journal)
 	if first == nil {

@@ -204,13 +204,12 @@ func TestExactDropRule(t *testing.T) {
 	for _, groupMax := range []int{DefaultGroupMax, 1} {
 		for _, workers := range []int{1, 4, 8} {
 			name := "group-max=" + itoa(groupMax) + "/workers=" + itoa(workers)
-			sink := newRecordingSink()
-			opt := RunOptions{DropDetected: true, RPTBatches: 8, Seed: 42, GroupMax: groupMax, Journal: sink}
+			opt := RunOptions{DropDetected: true, RPTBatches: 8, Seed: 42, GroupMax: groupMax}
 			sum, err := (&Engine{Workers: workers}).RunFaults(context.Background(), c, faults, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			checkExactDrops(t, name, c, faults, sink.state().RPT.Detected, sum)
+			checkExactDrops(t, name, c, faults, sum)
 			if ref == nil {
 				ref = sum
 				continue
@@ -230,12 +229,9 @@ func TestExactDropRule(t *testing.T) {
 // sweep solved is detected by no Detected vector at an earlier plan
 // position, and every fault it dropped by at least one. The brute-force
 // reference simulator decides detection.
-func checkExactDrops(t *testing.T, name string, c *logic.Circuit, faults []Fault, rptDetected []int, sum *Summary) {
+func checkExactDrops(t *testing.T, name string, c *logic.Circuit, faults []Fault, sum *Summary) {
 	t.Helper()
-	skip := make([]bool, len(faults))
-	for _, i := range rptDetected {
-		skip[i] = true
-	}
+	skip := rptDetected(t, c, faults, sum)
 	solved := make(map[Fault]Result, len(sum.Results))
 	for _, r := range sum.Results {
 		solved[r.Fault] = r

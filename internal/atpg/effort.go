@@ -52,7 +52,10 @@ type EffortRecord struct {
 
 	// Phase names the pipeline stage that produced this verdict: "rpt",
 	// "sweep", "retry" (an escalated attempt: Tier > 0), "resume" or
-	// "dropped" (fault simulation, or a wasted speculative solve).
+	// "dropped" (fault simulation, or a wasted speculative solve). A
+	// resumed run re-runs the pre-phase, whose detections get "rpt"
+	// records as in any run; "resume" marks journaled solver verdicts
+	// only.
 	Phase  string `json:"phase"`
 	Status string `json:"status"` // detected|untestable|aborted|error|dropped
 	// Tier is the solve's Result.Tier: the escalation attempt that

@@ -404,18 +404,19 @@ type RunOptions struct {
 	// periodic progress snapshots out of the run. Nil disables metrics and
 	// progress; the spans then go only to a private flight recorder.
 	Telemetry *Telemetry
-	// Journal, when non-nil, receives every final fault verdict and the
-	// random-pattern pre-phase outcome as they are decided — the engine
-	// side of the crash-recovery checkpoint (see internal/checkpoint).
-	// Every verdict the commit frontier adopts is final, escalated ones
-	// included, and is journaled once.
+	// Journal, when non-nil, receives every final solver verdict as it
+	// is decided — the engine side of the crash-recovery checkpoint (see
+	// internal/checkpoint). Every verdict the commit frontier adopts is
+	// final, escalated ones included, and is journaled once.
 	Journal JournalSink
-	// Resume replays a previous run's journal: a journaled pre-phase is
-	// restored instead of re-run, and each journaled verdict is adopted
-	// at its own plan position, where its vector drops faults again — so
-	// drops are re-derived, not journaled, and the vector set is preserved.
-	// A Detected verdict's vector is re-simulated first: one that does not
-	// detect its fault fails the run.
+	// Resume replays a previous run's journal: the seeded pre-phase runs
+	// again over the full fault list, and each journaled verdict is
+	// adopted at its own plan position, where its vector drops faults
+	// again — so the vector set is preserved. A Detected verdict's vector
+	// is re-simulated first: one that does not detect its fault fails the
+	// run. A journaled fault that this run's pre-phase detects (a newer
+	// pre-phase than the journal's) counts as RPT-detected; it is not in
+	// the sweep plan, so its verdict is never adopted.
 	Resume *ResumeState
 	// EffortLog, when non-nil, streams one structured effort record per
 	// fault verdict — structural features joined with the solver work the
@@ -511,8 +512,8 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	}
 	// Per-worker scratch arenas are created up front so the RPT pre-phase
 	// and the SAT workers share the same fault simulators and buffers;
-	// the serial call sites (replay records, the RPT loop's effort
-	// records, the frontier's first and last kicks) borrow worker 0's.
+	// the serial call sites (the RPT loop's effort records, the
+	// frontier's first and last kicks) borrow worker 0's.
 	st.regions = newRegionTable(c)
 	scratches := make([]*workerScratch, workers)
 	for w := range scratches {
@@ -524,14 +525,6 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 			return nil, err
 		}
 		st.effort = es
-		// A replayed pre-phase's detections get their records now, as
-		// replayed verdicts get theirs at the commit frontier: this log
-		// must still join one record to every decided fault.
-		if st.rptRestored {
-			for _, i := range st.rptDetectedIdx {
-				st.recordEffort(scratches[0], i, nil, "resume", -1)
-			}
-		}
 	}
 	runSpan := st.trace.Start("run", obs.SpanContext{})
 	runSpan.Detail = c.Name
@@ -541,19 +534,14 @@ func (e *Engine) RunFaults(ctx context.Context, c *logic.Circuit, faults []Fault
 	rep := obs.StartReporter(telProgressEvery(tel), func() {
 		tel.observeProgress(st.progress())
 	})
-	if !st.rptRestored {
-		rptSpan := st.trace.Start("rpt", st.runSpan)
-		st.rptSpan = rptSpan.Context()
-		err := e.runRPT(runCtx, st, scratches)
-		rptSpan.Items = int64(st.rptDetected)
-		rptSpan.End()
-		if err != nil {
-			rep.Stop()
-			return nil, err
-		}
-		if opt.Journal != nil && runCtx.Err() == nil {
-			opt.Journal.RecordRPT(st.rptDetectedIdx, st.rptVectors, st.rptBatches)
-		}
+	rptSpan := st.trace.Start("rpt", st.runSpan)
+	st.rptSpan = rptSpan.Context()
+	err := e.runRPT(runCtx, st, scratches)
+	rptSpan.Items = int64(st.rptDetected)
+	rptSpan.End()
+	if err != nil {
+		rep.Stop()
+		return nil, err
 	}
 	// The sweep plan covers every fault the pre-phase left, journaled
 	// verdicts included: it is the uninterrupted run's plan. Grouped
@@ -699,7 +687,7 @@ type runState struct {
 	groups    []faultGroup
 	cursor    atomic.Int64
 	droppedF  bitset                       // officially dropped by a committed vector's flush
-	byRPT     []bool                       // detected by the pre-phase, run or restored: the sweep skips these
+	byRPT     []bool                       // detected by the pre-phase: the sweep skips these
 	published []atomic.Pointer[specResult] // speculative solves and replayed verdicts, one slot per fault
 	resumed   []bool                       // replayed from a journal: never solved or dropped
 	// pubHigh is the highest plan position published so far (-1 before
@@ -724,14 +712,10 @@ type runState struct {
 	// Random-pattern pre-phase outcome. Written by runRPT's serial loop
 	// before the worker pool starts; the per-batch counters are updated
 	// under mu so progress snapshots see them live.
-	rptDetected    int
-	rptBatches     int
-	rptVectors     [][]bool
-	rptDetectedIdx []int // fault-list indices detected by the pre-phase
-	rptNS          int64
-	// rptRestored marks the pre-phase as replayed from a journal; runRPT
-	// is then skipped so the kept vector set stays exactly the journaled one.
-	rptRestored bool
+	rptDetected int
+	rptBatches  int
+	rptVectors  [][]bool
+	rptNS       int64
 
 	// simNS accumulates the commit frontier's fault-simulation time.
 	simNS atomic.Int64
@@ -845,7 +829,8 @@ func (st *runState) setErr(err error) {
 // DefaultRPTIdleStop batches detected nothing. Pattern words come from
 // one seeded RNG in batch order, and a fault's detection mask depends
 // only on the circuit and those words, so the kept vector set and the
-// surviving fault list are identical for any worker count.
+// surviving fault list are identical for any worker count, and on a
+// resume, whose journaled faults stay live like any other.
 func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerScratch) error {
 	opt := st.opt
 	if opt.RPTBatches <= 0 || len(st.faults) == 0 {
@@ -857,16 +842,11 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 
 	// The live fault list in fault-list order: indices into st.faults
 	// and the nets and stuck-at values the shards simulate.
-	live := make([]int, 0, len(st.faults))
-	nets := make([]int, 0, len(st.faults))
-	sas := make([]bool, 0, len(st.faults))
+	live := make([]int, len(st.faults))
+	nets := make([]int, len(st.faults))
+	sas := make([]bool, len(st.faults))
 	for i, f := range st.faults {
-		if st.resumed[i] {
-			continue // already decided by a resumed journal
-		}
-		live = append(live, i)
-		nets = append(nets, f.Net)
-		sas = append(sas, f.StuckAt)
+		live[i], nets[i], sas[i] = i, f.Net, f.StuckAt
 	}
 	words := make([]uint64, len(c.Inputs))
 	masks := make([]uint64, len(live))
@@ -925,32 +905,27 @@ func (e *Engine) runRPT(ctx context.Context, st *runState, scratches []*workerSc
 			newVecs = append(newVecs, vec)
 		}
 		// Record the detections and compact the live list down to the
-		// survivors in place.
-		preDet := len(st.rptDetectedIdx)
-		st.mu.Lock()
+		// survivors in place; only the tallies progress snapshots read
+		// need mu.
 		nw := 0
 		for k, m := range masks[:n] {
-			if m != 0 {
-				st.byRPT[live[k]] = true
-				st.rptDetectedIdx = append(st.rptDetectedIdx, live[k])
+			if m == 0 {
+				live[nw], nets[nw], sas[nw] = live[k], nets[k], sas[k]
+				nw++
 				continue
 			}
-			live[nw], nets[nw], sas[nw] = live[k], nets[k], sas[k]
-			nw++
+			st.byRPT[live[k]] = true
+			if st.effort != nil {
+				st.recordEffort(scratches[0], live[k], nil, "rpt", -1)
+			}
 		}
+		live, nets, sas = live[:nw], nets[:nw], sas[:nw]
 		detected := n - nw
+		st.mu.Lock()
 		st.rptDetected += detected
 		st.rptBatches++
 		st.rptVectors = append(st.rptVectors, newVecs...)
 		st.mu.Unlock()
-		live, nets, sas = live[:nw], nets[:nw], sas[:nw]
-		if st.effort != nil {
-			// This loop is the only rptDetectedIdx writer, so the slice
-			// tail past preDet is exactly this batch's detections.
-			for _, i := range st.rptDetectedIdx[preDet:] {
-				st.recordEffort(scratches[0], i, nil, "rpt", -1)
-			}
-		}
 		span.Items = int64(detected)
 		span.Detail = "kept-" + strconv.Itoa(len(newVecs))
 		span.End()

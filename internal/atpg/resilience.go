@@ -23,22 +23,11 @@ const (
 	RetryBackoff = 4
 )
 
-// JournalSink receives a run's durable progress: the random-pattern
-// pre-phase outcome once, then every fault's final verdict as it is
-// decided. *checkpoint.Journal implements it; the indirection keeps the
-// engine free of a persistence dependency.
+// JournalSink receives a run's durable progress: every fault's final
+// solver verdict as it is decided. *checkpoint.Journal implements it;
+// the indirection keeps the engine free of a persistence dependency.
 type JournalSink interface {
-	RecordRPT(detected []int, vectors [][]bool, batches int)
 	RecordFault(i int, status string, vector []bool, errMsg string)
-}
-
-// ResumeRPT is a journaled random-pattern pre-phase to restore instead
-// of re-running: the fault-list indices it detected, the kept vectors in
-// batch-then-pattern order, and the batch count.
-type ResumeRPT struct {
-	Detected []int
-	Vectors  [][]bool
-	Batches  int
 }
 
 // ResumeState is a previous run's journaled progress, replayed into a
@@ -46,7 +35,6 @@ type ResumeRPT struct {
 // fault list — callers must verify the list matches the journaled run
 // (CheckpointFingerprint) before resuming.
 type ResumeState struct {
-	RPT *ResumeRPT
 	// Faults maps fault-list index to its final verdict; only Status,
 	// Vector and Err are meaningful on the Results.
 	Faults map[int]Result
@@ -89,25 +77,11 @@ func CheckpointFingerprint(c *logic.Circuit, faults []Fault, opt RunOptions) uin
 	return h.Sum64()
 }
 
-// applyResume pre-fills the run state with a previous run's journaled
-// progress: a completed pre-phase is restored so it is not re-run, and
-// each journaled verdict is published into its fault's slot, for the
-// commit frontier to adopt.
+// applyResume publishes each journaled verdict into its fault's slot,
+// for the commit frontier to adopt at the fault's plan position.
 func (st *runState) applyResume(rs *ResumeState) {
 	if rs == nil {
 		return
-	}
-	if rs.RPT != nil {
-		for _, i := range rs.RPT.Detected {
-			if i >= 0 && i < len(st.byRPT) {
-				st.byRPT[i] = true
-			}
-		}
-		st.rptDetectedIdx = append([]int(nil), rs.RPT.Detected...)
-		st.rptDetected = len(rs.RPT.Detected)
-		st.rptBatches = rs.RPT.Batches
-		st.rptVectors = rs.RPT.Vectors
-		st.rptRestored = true
 	}
 	for i, r := range rs.Faults {
 		if i < 0 || i >= len(st.results) {

@@ -3,6 +3,7 @@ package atpg
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"reflect"
@@ -20,33 +21,20 @@ import (
 	"atpgeasy/internal/obs"
 )
 
-// recordingSink is a JournalSink capturing records in memory and
-// counting the calls (RecordRPT, and RecordFault per fault index), with
-// an optional context cancel fired once `cancelAfter` fault verdicts
-// have landed — simulating a run killed mid-flight.
+// recordingSink is a JournalSink capturing verdicts in memory and
+// counting the RecordFault calls per fault index, with an optional
+// context cancel fired once `cancelAfter` fault verdicts have landed —
+// simulating a run killed mid-flight.
 type recordingSink struct {
 	mu          sync.Mutex
 	cancel      context.CancelFunc
 	cancelAfter int
-	rpt         *ResumeRPT
 	faults      map[int]Result
-	rptCalls    int
 	faultCalls  map[int]int
 }
 
 func newRecordingSink() *recordingSink {
 	return &recordingSink{faults: make(map[int]Result), faultCalls: make(map[int]int)}
-}
-
-func (s *recordingSink) RecordRPT(detected []int, vectors [][]bool, batches int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rptCalls++
-	rpt := &ResumeRPT{Detected: append([]int(nil), detected...), Batches: batches}
-	for _, v := range vectors {
-		rpt.Vectors = append(rpt.Vectors, append([]bool(nil), v...))
-	}
-	s.rpt = rpt
 }
 
 func (s *recordingSink) RecordFault(i int, status string, vector []bool, errMsg string) {
@@ -70,7 +58,7 @@ func (s *recordingSink) state() *ResumeState {
 	for i, r := range s.faults {
 		fs[i] = r
 	}
-	return &ResumeState{RPT: s.rpt, Faults: fs}
+	return &ResumeState{Faults: fs}
 }
 
 // TestPanicIsolation injects a panic into one fault's processing and
@@ -153,15 +141,12 @@ func abortBelow(need time.Duration) func(Fault, time.Duration) bool {
 	return func(_ Fault, budget time.Duration) bool { return budget > 0 && budget < need }
 }
 
-// recordedOnce fails the test unless the sink saw RecordRPT at most once
-// and every fault index at most once.
+// recordedOnce fails the test unless the sink saw every fault index at
+// most once.
 func (s *recordingSink) recordedOnce(t *testing.T, what string) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.rptCalls > 1 {
-		t.Errorf("%s: RecordRPT called %d times", what, s.rptCalls)
-	}
 	for i, n := range s.faultCalls {
 		if n > 1 {
 			t.Errorf("%s: fault %d journaled %d times", what, i, n)
@@ -169,18 +154,18 @@ func (s *recordingSink) recordedOnce(t *testing.T, what string) {
 	}
 }
 
-// TestJournalRecordsEachVerdictOnce: the engine journals the pre-phase at
-// most once and each fault at most once — the property that lets the
-// checkpoint journal stay append-only, with no superseded record to
-// compact away. It holds with dropping on, with aborts (forced by the
-// hook) that in-place escalation recovers, at 1 and 4 workers, and across
-// a cancel followed by a resume, whose journal continues the cancelled
-// run's without repeating any of its records.
+// TestJournalRecordsEachVerdictOnce: the engine journals each solver
+// verdict once and nothing else — the property that lets the checkpoint
+// journal stay append-only, with no superseded record to compact away.
+// It holds with dropping on, with aborts (forced by the hook) that
+// in-place escalation recovers, at 1 and 4 workers, and across a cancel
+// followed by a resume, whose journal continues the cancelled run's
+// without repeating any of its records.
 func TestJournalRecordsEachVerdictOnce(t *testing.T) {
 	c := gen.Random(gen.RandomParams{Inputs: 20, Gates: 200, Seed: 3})
 	faults := CollapseDominance(c, Collapse(c, AllFaults(c)))
-	// With the pre-phase off (it is still journaled, empty) the sweep
-	// gets the detectable faults, so its vectors drop others.
+	// With the pre-phase off the sweep gets the detectable faults, so its
+	// vectors drop others.
 	opt := RunOptions{
 		DropDetected: true, Seed: 42,
 		PerFaultBudget: 10 * time.Millisecond, // tiers: 40ms, 160ms, 640ms
@@ -207,9 +192,8 @@ func TestJournalRecordsEachVerdictOnce(t *testing.T) {
 				name, sum.Retries, sum.Aborted, sum.DroppedByFaultSim)
 		}
 		full.recordedOnce(t, name)
-		if full.rptCalls != 1 || len(full.faults) != len(sum.Results) {
-			t.Errorf("%s: %d RecordRPT calls and %d journaled faults, want 1 and %d",
-				name, full.rptCalls, len(full.faults), len(sum.Results))
+		if len(full.faults) != len(sum.Results) {
+			t.Errorf("%s: %d journaled faults, want %d", name, len(full.faults), len(sum.Results))
 		}
 
 		ctx, cancel := context.WithCancel(context.Background())
@@ -230,9 +214,6 @@ func TestJournalRecordsEachVerdictOnce(t *testing.T) {
 			t.Fatalf("%s resume: %v", name, err)
 		}
 		rest.recordedOnce(t, name+" resumed")
-		if cut.rptCalls+rest.rptCalls > 1 {
-			t.Errorf("%s: pre-phase journaled by the cancelled run and again by the resume", name)
-		}
 		for i := range rest.faultCalls {
 			if cut.faultCalls[i] > 0 {
 				t.Errorf("%s: fault %d journaled by the cancelled run and again by the resume", name, i)
@@ -436,19 +417,13 @@ func TestCrashResumeEquivalence(t *testing.T) {
 		opt := RunOptions{RPTBatches: DefaultRPTBatches, Seed: 42, DropDetected: arm.drop}
 		for _, workers := range []int{1, 8} {
 			name := arm.name + " workers=" + itoa(workers)
-			bopt := opt
-			bsink := newRecordingSink()
-			bopt.Journal = bsink
-			baseline, err := (&Engine{Workers: workers}).RunFaults(context.Background(), c, faults, bopt)
+			baseline, err := (&Engine{Workers: workers}).RunFaults(context.Background(), c, faults, opt)
 			if err != nil {
 				t.Fatalf("%s baseline: %v", name, err)
 			}
 			// The sweep's first dispatch slot: the faults the pre-phase
 			// left, laid out as the run lays them out.
-			skip := make([]bool, len(faults))
-			for _, i := range bsink.state().RPT.Detected {
-				skip[i] = true
-			}
+			skip := rptDetected(t, c, faults, baseline)
 			order, _ := buildGroups(newRegionTable(c), faults, skip, 0)
 			first := faults[order[0]]
 
@@ -478,9 +453,6 @@ func TestCrashResumeEquivalence(t *testing.T) {
 				t.Fatalf("%s: interrupted run finished before the cancel", name)
 			}
 			prior := sink.state()
-			if prior.RPT == nil {
-				t.Fatalf("%s: pre-phase missing from the journal", name)
-			}
 			if len(prior.Faults) == 0 || len(prior.Faults) >= len(baseline.Results) {
 				t.Fatalf("%s: %d of %d verdicts journaled before the cancel, want some but not all",
 					name, len(prior.Faults), len(baseline.Results))
@@ -505,6 +477,60 @@ func TestCrashResumeEquivalence(t *testing.T) {
 				t.Fatalf("%s: resumed tallies %d/%d/%d/%d, want %d/%d/%d/%d", name,
 					resumed.Detected, resumed.Untestable, resumed.DetectedByRPT, resumed.DroppedByFaultSim,
 					baseline.Detected, baseline.Untestable, baseline.DetectedByRPT, baseline.DroppedByFaultSim)
+			}
+			if resumed.RPTBatches != baseline.RPTBatches || resumed.RPTVectors != baseline.RPTVectors {
+				t.Fatalf("%s: resumed pre-phase ran %d batches keeping %d patterns, want %d and %d", name,
+					resumed.RPTBatches, resumed.RPTVectors, baseline.RPTBatches, baseline.RPTVectors)
+			}
+		}
+	}
+}
+
+// TestCompletedJournalResume resumes a completed journal: every solver
+// verdict is replayed, and the seeded pre-phase runs again over the full
+// fault list. The journaled faults must stay in the pre-phase's live
+// list — otherwise it empties early and runs fewer batches than the
+// journaled run — so the resume reproduces the uninterrupted run's
+// batches, kept patterns and vectors without a single solve, with drops
+// off and on, at 1 and 8 workers.
+func TestCompletedJournalResume(t *testing.T) {
+	c := gen.Random(gen.RandomParams{Inputs: 20, Gates: 200, Seed: 3})
+	faults := CollapseDominance(c, Collapse(c, AllFaults(c)))
+	for _, drop := range []bool{false, true} {
+		opt := RunOptions{RPTBatches: DefaultRPTBatches, Seed: 42, DropDetected: drop}
+		for _, workers := range []int{1, 8} {
+			name := fmt.Sprintf("drop=%t workers=%d", drop, workers)
+			sink := newRecordingSink()
+			jopt := opt
+			jopt.Journal = sink
+			base, err := (&Engine{Workers: workers}).RunFaults(context.Background(), c, faults, jopt)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(sink.state().Faults) == 0 {
+				t.Fatalf("%s: the run journaled no verdict", name)
+			}
+			var solves atomic.Int64
+			eng := &Engine{Workers: workers, testHook: func(Fault, time.Duration) bool {
+				solves.Add(1)
+				return false
+			}}
+			ropt := opt
+			ropt.Resume = sink.state()
+			got, err := eng.RunFaults(context.Background(), c, faults, ropt)
+			if err != nil {
+				t.Fatalf("%s resume: %v", name, err)
+			}
+			if got.RPTBatches != base.RPTBatches || got.RPTVectors != base.RPTVectors {
+				t.Errorf("%s: resumed pre-phase ran %d batches keeping %d patterns, want %d and %d",
+					name, got.RPTBatches, got.RPTVectors, base.RPTBatches, base.RPTVectors)
+			}
+			if !reflect.DeepEqual(got.Vectors, base.Vectors) {
+				t.Errorf("%s: resumed run lists %d vectors, want the uninterrupted run's %d",
+					name, len(got.Vectors), len(base.Vectors))
+			}
+			if n := solves.Load(); n != 0 || got.SolverTotals.Conflicts != 0 {
+				t.Errorf("%s: the resume made %d solves and %d conflicts, want none", name, n, got.SolverTotals.Conflicts)
 			}
 		}
 	}

@@ -39,6 +39,31 @@ func detectsByVectors(t *testing.T, c *logic.Circuit, faults []Fault, vecs [][]b
 	return hit
 }
 
+// rptDetected reports, per fault, whether a finished run's pre-phase
+// detected it: whether one of the kept random patterns
+// (Vectors[:RPTVectors]) detects it under the reference simulator. That
+// is exact: the pre-phase keeps a detecting pattern for every fault it
+// detects, and a fault it leaves live is detected by none of its
+// patterns.
+func rptDetected(t *testing.T, c *logic.Circuit, faults []Fault, sum *Summary) []bool {
+	t.Helper()
+	hit := make([]bool, len(faults))
+	kept := sum.Vectors[:sum.RPTVectors]
+	for lo := 0; lo < len(kept); lo += 64 {
+		batch := kept[lo:min(lo+64, len(kept))]
+		words, err := faultsim.PackPatterns(c, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range faults {
+			if !hit[i] && faultsim.ReferenceDetects(c, words, len(batch), f.Net, f.StuckAt) != 0 {
+				hit[i] = true
+			}
+		}
+	}
+	return hit
+}
+
 // TestRPTDeterminism: the same seed yields identical vector sets and
 // summaries at any worker count — the RPT loop draws its patterns
 // serially and each fault's detection mask is shard-independent.

@@ -10,7 +10,6 @@ import (
 	"atpgeasy/internal/atpg"
 	"atpgeasy/internal/checkpoint"
 	"atpgeasy/internal/gen"
-	"atpgeasy/internal/serve"
 )
 
 // quotaSink forwards verdicts to a real on-disk journal until its quota
@@ -26,12 +25,6 @@ type quotaSink struct {
 	cancel context.CancelFunc
 }
 
-func (q *quotaSink) RecordRPT(detected []int, vectors [][]bool, batches int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.j.RecordRPT(detected, vectors, batches)
-}
-
 func (q *quotaSink) RecordFault(i int, status string, vector []bool, errMsg string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -44,7 +37,7 @@ func (q *quotaSink) RecordFault(i int, status string, vector []bool, errMsg stri
 }
 
 // TestStickyJournalLossThenResume drives the full durability stack —
-// engine, checkpoint file, serve's resume conversion — through a
+// engine, checkpoint file, the journal's resume conversion — through a
 // journal that stops persisting mid-run: the verdicts that did land on
 // disk must replay, the lost tail must be re-solved, and the finished
 // run must match an uninterrupted one byte for byte. This is the
@@ -63,7 +56,7 @@ func TestStickyJournalLossThenResume(t *testing.T) {
 	// Degraded run: the on-disk journal accepts only the first few fault
 	// verdicts, then goes dark and the run is cancelled.
 	path := filepath.Join(t.TempDir(), "ckpt")
-	journal, rs, err := serve.OpenJournal(path, false, c, faults, opt, checkpoint.Options{})
+	journal, rs, err := checkpoint.Open(path, false, c, faults, opt, checkpoint.Options{})
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
@@ -83,17 +76,14 @@ func TestStickyJournalLossThenResume(t *testing.T) {
 	}
 
 	// Resume from what actually reached disk. The journal must replay
-	// the pre-phase plus exactly the quota of fault verdicts; the run
-	// must re-solve the rest and land on the baseline's vectors.
-	journal2, rs, err := serve.OpenJournal(path, true, c, faults, opt, checkpoint.Options{})
+	// exactly the quota of fault verdicts; the run must re-run the
+	// pre-phase, re-solve the rest and land on the baseline's vectors.
+	journal2, rs, err := checkpoint.Open(path, true, c, faults, opt, checkpoint.Options{})
 	if err != nil {
 		t.Fatalf("reopen journal: %v", err)
 	}
-	if rs == nil || rs.RPT == nil {
-		t.Fatal("resume state missing the journaled pre-phase")
-	}
-	if len(rs.Faults) != 5 {
-		t.Fatalf("journal replayed %d fault verdicts, want the 5 that landed", len(rs.Faults))
+	if rs == nil || len(rs.Faults) != 5 {
+		t.Fatalf("journal replayed %+v, want the 5 fault verdicts that landed", rs)
 	}
 	ropt := opt
 	ropt.Resume = rs
@@ -109,9 +99,11 @@ func TestStickyJournalLossThenResume(t *testing.T) {
 	if !reflect.DeepEqual(resumed.Vectors, baseline.Vectors) {
 		t.Fatalf("resumed vectors diverge: %d vs baseline %d", len(resumed.Vectors), len(baseline.Vectors))
 	}
-	if resumed.Detected != baseline.Detected || resumed.Untestable != baseline.Untestable {
-		t.Fatalf("resumed counts detected=%d untestable=%d, baseline detected=%d untestable=%d",
-			resumed.Detected, resumed.Untestable, baseline.Detected, baseline.Untestable)
+	if resumed.Detected != baseline.Detected || resumed.Untestable != baseline.Untestable ||
+		resumed.RPTBatches != baseline.RPTBatches || resumed.RPTVectors != baseline.RPTVectors {
+		t.Fatalf("resumed counts detected=%d untestable=%d rpt %d batches/%d vectors, baseline %d, %d, %d/%d",
+			resumed.Detected, resumed.Untestable, resumed.RPTBatches, resumed.RPTVectors,
+			baseline.Detected, baseline.Untestable, baseline.RPTBatches, baseline.RPTVectors)
 	}
 
 	// The completed journal now holds every verdict: a further resume
@@ -120,7 +112,7 @@ func TestStickyJournalLossThenResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load completed journal: %v", err)
 	}
-	full, err := serve.ResumeStateFrom(st, c, faults)
+	full, err := checkpoint.Replay(st, c, faults)
 	if err != nil {
 		t.Fatalf("convert completed journal: %v", err)
 	}
@@ -128,8 +120,18 @@ func TestStickyJournalLossThenResume(t *testing.T) {
 		t.Fatalf("completed journal has %d fault verdicts, run had %d solver results",
 			len(full.Faults), len(baseline.Results))
 	}
-	if len(full.Faults)+len(full.RPT.Detected) != len(faults) {
-		t.Fatalf("journal covers %d+%d faults, list has %d",
-			len(full.Faults), len(full.RPT.Detected), len(faults))
+	// The journal holds no pre-phase record: with drops off, its verdicts
+	// and the pre-phase's detections partition the list.
+	byRPT := 0
+	for i, hit := range atpg.RPTDetected(t, c, faults, baseline) {
+		if _, journaled := full.Faults[i]; hit == journaled {
+			t.Fatalf("fault %d: detected by the pre-phase %t, journaled %t", i, hit, journaled)
+		}
+		if hit {
+			byRPT++
+		}
+	}
+	if byRPT != baseline.DetectedByRPT {
+		t.Fatalf("kept random patterns detect %d faults, the run counted %d", byRPT, baseline.DetectedByRPT)
 	}
 }

@@ -1,18 +1,20 @@
 // Package checkpoint persists the progress of a long ATPG run as an
 // append-only JSONL journal, so a run killed mid-flight (crash, OOM kill,
 // kill -9) can be resumed without re-deciding the faults it already
-// settled.
+// settled (Open, Replay).
 //
 // The journal is a sequence of JSON lines: a header identifying the run
-// (circuit, fault list hash, seed), at most one random-pattern-pre-phase
-// record, and one record per finally-decided fault. The engine decides
-// each fault once, so a journal never holds a superseded record and is
-// never rewritten mid-run: records are appended and flushed to the OS as
-// they happen, so a hard kill loses at most the trailing partial line —
-// which Load tolerates and discards. New writes a journal's starting
-// content (the header, plus a resumed run's records) to <path>.tmp,
-// fsyncs it and atomically renames it over the journal, so a torn tail
-// from the killed run never survives a resume.
+// (circuit, fault list hash, seed) and one record per fault the solver
+// finally decided. A resume re-runs the seeded random-pattern pre-phase
+// and re-derives fault-simulation drops from the replayed verdicts, so
+// neither is journaled. The engine decides each fault once, so a journal
+// never holds a superseded record and is never rewritten mid-run:
+// records are appended and flushed to the OS as they happen, so a hard
+// kill loses at most the trailing partial line — which Load tolerates
+// and discards. New writes a journal's starting content (the header,
+// plus a resumed run's records) to <path>.tmp, fsyncs it and atomically
+// renames it over the journal, so a torn tail from the killed run never
+// survives a resume.
 //
 // Durability policy: every record is flushed to the operating system
 // immediately (surviving process death); fsync — surviving power loss —
@@ -48,15 +50,6 @@ type Header struct {
 	Seed      int64  `json:"seed"`
 }
 
-// RPTState is the journaled outcome of the random-pattern pre-phase:
-// the indices (into the fault list) it detected, the kept pattern
-// vectors in order, and the number of batches simulated.
-type RPTState struct {
-	Detected []int    `json:"detected"`
-	Vectors  []string `json:"vectors"` // "0101…" over the circuit inputs
-	Batches  int      `json:"batches"`
-}
-
 // FaultVerdict is one finally-decided fault. Status uses the engine's
 // strings: detected, untestable, aborted, error. Faults dropped by fault
 // simulation are not journaled: a resume re-derives them.
@@ -69,18 +62,16 @@ type FaultVerdict struct {
 // State is the replayed content of a journal.
 type State struct {
 	Header Header
-	RPT    *RPTState
 	// Faults maps fault-list index to its final verdict.
 	Faults map[int]FaultVerdict
 }
 
-// record is one JSONL line. Kind discriminates: "header", "rpt",
-// "fault". Index uses a pointer so index 0 survives omitempty-style
-// encodings symmetric with decoding.
+// record is one JSONL line. Kind discriminates: "header", "fault".
+// Index uses a pointer so index 0 survives omitempty-style encodings
+// symmetric with decoding.
 type record struct {
 	Kind   string        `json:"kind"`
 	Header *Header       `json:"header,omitempty"`
-	RPT    *RPTState     `json:"rpt,omitempty"`
 	Index  *int          `json:"i,omitempty"`
 	Fault  *FaultVerdict `json:"fault,omitempty"`
 }
@@ -173,7 +164,9 @@ func Load(path string) (*State, error) {
 			st.Header = *r.Header
 			sawHeader = true
 		case "rpt":
-			st.RPT = r.RPT
+			// Older journals hold the pre-phase's outcome. A resume re-runs
+			// the seeded pre-phase, so the record is skipped and not
+			// rewritten.
 		case "fault":
 			if r.Index == nil || r.Fault == nil {
 				return nil, fmt.Errorf("checkpoint: %s: incomplete fault record", path)
@@ -192,7 +185,7 @@ func Load(path string) (*State, error) {
 // New creates (or, with prior, continues) a journal at path. hdr
 // identifies the current run; when prior — a Load result — is given, its
 // header must match hdr exactly or New refuses, and the new journal
-// starts with prior's records, faults in ascending index order. The
+// starts with prior's fault records in ascending index order. The
 // starting content is written to <path>.tmp, fsynced and renamed over
 // path, replacing any existing file atomically; the journal then appends
 // to it.
@@ -210,9 +203,6 @@ func New(path string, hdr Header, prior *State, opt Options) (*Journal, error) {
 	j := &Journal{f: f, bw: bufio.NewWriterSize(f, 1<<16), opt: opt}
 	j.writeLocked(record{Kind: "header", Header: &hdr})
 	if prior != nil {
-		if prior.RPT != nil {
-			j.writeLocked(record{Kind: "rpt", RPT: prior.RPT})
-		}
 		idxs := make([]int, 0, len(prior.Faults))
 		for i := range prior.Faults {
 			idxs = append(idxs, i)
@@ -246,21 +236,6 @@ func (j *Journal) Err() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
-}
-
-// RecordRPT journals the random-pattern pre-phase outcome.
-func (j *Journal) RecordRPT(detected []int, vectors [][]bool, batches int) {
-	rpt := &RPTState{
-		Detected: append([]int(nil), detected...),
-		Vectors:  make([]string, len(vectors)),
-		Batches:  batches,
-	}
-	for i, v := range vectors {
-		rpt.Vectors[i] = EncodeVector(v)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.appendLocked(record{Kind: "rpt", RPT: rpt})
 }
 
 // RecordFault journals one fault's final verdict. vector may be nil for

@@ -23,7 +23,6 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	j.RecordRPT([]int{0, 3}, [][]bool{{true, false, true}, {false, false, true}}, 7)
 	j.RecordFault(1, "detected", []bool{true, true, false}, "")
 	j.RecordFault(2, "untestable", nil, "")
 	j.RecordFault(4, "error", nil, "solver panic: boom")
@@ -38,15 +37,6 @@ func TestRoundTrip(t *testing.T) {
 	if st.Header != testHeader() {
 		t.Fatalf("header mismatch: %+v", st.Header)
 	}
-	if st.RPT == nil || st.RPT.Batches != 7 {
-		t.Fatalf("rpt not replayed: %+v", st.RPT)
-	}
-	if !reflect.DeepEqual(st.RPT.Detected, []int{0, 3}) {
-		t.Fatalf("rpt detected = %v", st.RPT.Detected)
-	}
-	if !reflect.DeepEqual(st.RPT.Vectors, []string{"101", "001"}) {
-		t.Fatalf("rpt vectors = %v", st.RPT.Vectors)
-	}
 	want := map[int]FaultVerdict{
 		1: {Status: "detected", Vector: "110"},
 		2: {Status: "untestable"},
@@ -54,6 +44,55 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(st.Faults, want) {
 		t.Fatalf("faults = %+v, want %+v", st.Faults, want)
+	}
+}
+
+// TestLoadSkipsPrePhaseRecord: journals written before a resume re-ran
+// the random-pattern pre-phase carry one "rpt" record of its outcome.
+// Such a journal still loads, its fault records intact, and a resume's
+// New rewrites it without the pre-phase record.
+func TestLoadSkipsPrePhaseRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	hdr, err := json.Marshal(testHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := `{"kind":"header","header":` + string(hdr) + `}
+{"kind":"rpt","rpt":{"detected":[0,3],"vectors":["101","001"],"batches":7}}
+{"kind":"fault","i":1,"fault":{"status":"detected","vector":"110"}}
+{"kind":"fault","i":2,"fault":{"status":"untestable"}}
+`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prior, err := Load(path)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	want := map[int]FaultVerdict{1: {Status: "detected", Vector: "110"}, 2: {Status: "untestable"}}
+	if prior.Header != testHeader() || !reflect.DeepEqual(prior.Faults, want) {
+		t.Fatalf("loaded %+v, want header %+v and faults %+v", prior, testHeader(), want)
+	}
+	j, err := New(path, testHeader(), prior, Options{})
+	if err != nil {
+		t.Fatalf("New with prior: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"kind":"rpt"`)) {
+		t.Fatalf("the rewritten journal keeps the pre-phase record:\n%s", data)
+	}
+	if lines := bytes.Count(data, []byte("\n")); lines != 3 {
+		t.Fatalf("the rewritten journal has %d lines, want the header and 2 faults:\n%s", lines, data)
+	}
+	st, err := Load(path)
+	if err != nil || !reflect.DeepEqual(st.Faults, want) {
+		t.Fatalf("reloaded faults %+v (err %v), want %+v", st, err, want)
 	}
 }
 
@@ -257,7 +296,6 @@ func TestStickyWriteErrorDegrades(t *testing.T) {
 	j.err = boom
 	j.mu.Unlock()
 	j.RecordFault(1, "detected", []bool{false}, "")
-	j.RecordRPT([]int{1}, nil, 2)
 	if got := j.Err(); !errors.Is(got, boom) {
 		t.Fatalf("Err = %v, want the injected failure", got)
 	}

@@ -72,7 +72,10 @@ type JobResult struct {
 	Vectors       []string `json:"vectors"` // "0101…" over the circuit inputs
 	SATTimeNS     int64    `json:"sat_time_ns"`
 	WallNS        int64    `json:"wall_ns"`
-	Resumed       int      `json:"resumed,omitempty"` // verdicts replayed from the journal
+	// Resumed counts the solver verdicts replayed from the journal; the
+	// pre-phase's detections are not among them, since a resumed run
+	// re-runs the seeded pre-phase.
+	Resumed int `json:"resumed,omitempty"`
 }
 
 // jobResultSchema versions result.json.
@@ -297,7 +300,7 @@ func (s *Server) runJob(parent context.Context, j *job) {
 		},
 	}
 	opt := jobRunOptions(tel, time.Duration(j.meta.BudgetNS), nil, nil)
-	journal, resume, err := OpenJournal(j.ckptPath(), true, c, faults, opt, checkpoint.Options{})
+	journal, resume, err := checkpoint.Open(j.ckptPath(), true, c, faults, opt, checkpoint.Options{})
 	if err != nil {
 		s.jobsCompleted.With(StateFailed).Inc()
 		_ = j.setState(StateFailed, fmt.Sprintf("checkpoint: %v", err))
@@ -311,9 +314,6 @@ func (s *Server) runJob(parent context.Context, j *job) {
 	resumed := 0
 	if resume != nil {
 		resumed = len(resume.Faults)
-		if resume.RPT != nil {
-			resumed += len(resume.RPT.Detected)
-		}
 	}
 
 	eng := &atpg.Engine{Workers: s.cfg.EngineWorkers}

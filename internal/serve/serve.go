@@ -1,3 +1,13 @@
+// Package serve is the ATPG-as-a-service layer: a crash-safe,
+// multi-tenant HTTP/JSON daemon over the engine. Netlists are submitted
+// over HTTP, validated behind the parsers' recover barriers and the
+// ioguard admission caps, queued on a bounded priority queue (full
+// queue = 429 + Retry-After, never unbounded buffering), and run
+// through Engine.RunFaults with every final verdict journaled via
+// internal/checkpoint — so a kill -9 of the daemon loses nothing:
+// queued jobs re-enqueue on restart and running jobs resume
+// byte-identically from their journal. cmd/atpgd is the thin binary
+// around this package.
 package serve
 
 import (
